@@ -8,6 +8,7 @@ collapsed to num/den pairs so high-order derivatives stay cheap and exact."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +38,6 @@ def _sqrt_exact(v: Fraction):
 class FunctionExpr:
     """Base class.  Subclasses implement eval/eval_complex/deriv."""
 
-    domain = None  # optional (lo, hi)
-
     def deriv(self) -> "FunctionExpr":
         raise NotImplementedError
 
@@ -65,10 +64,6 @@ class FunctionExpr:
             num, den = rat
             return RationalExpr(num.compose(h), den.compose(h))
         return ComposeExpr(self, RationalExpr(h, Poly([1])))
-
-    def with_domain(self, lo, hi):
-        self.domain = (lo, hi)
-        return self
 
     # derivative chain with caching
     def derivative_chain(self, order: int, cfg: Config = DEFAULT):
@@ -138,12 +133,6 @@ class RationalExpr(FunctionExpr):
 
     def eval_array(self, xs):
         return self.num.eval_array(xs) / self.den.eval_array(xs)
-
-    def real_poles(self, lo, hi):
-        if self.den.degree <= 0:
-            return []
-        from .poly import roots_in_interval
-        return roots_in_interval(self.den, lo, hi)
 
 
 class SqrtExpr(FunctionExpr):
@@ -402,10 +391,39 @@ def singular_locus(P: BivarPoly) -> SingularityData:
                            [sources[i] for i in keep])
 
 
+def _horner(cs, w):
+    """sum cs[i] * w^(n-1-i) in Python complex arithmetic."""
+    y = 0j
+    for c in cs:
+        y = y * w + c
+    return y
+
+
+def _cdiv(a, b):
+    """a / b for b != 0 by numpy's complex-division formula (Smith's method
+    through a reciprocal), which rounds differently from Python's `/`."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl,
+                       (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
 class BranchTracker:
     """Continuation bookkeeping for one branch of P(x, y) = 0, seeded at a
     point on the curve.  Real-axis values are cached so repeated grid
-    evaluations walk from the nearest known point."""
+    evaluations walk from the nearest known point.
+
+    The cache keys are also kept in a sorted list, so finding the nearest
+    known point costs O(log n) comparisons: bisect, then walk outward while
+    the distance stays equal.  Among keys at the same (rounded) distance the
+    one cached first wins, so a NaN argument starts from the seed.  The sheet
+    guard in `_advance` accepts a corrector step when |w1 - w0| <= |step|; only
+    when that fails does it compute the fibre roots and require |w1 - w0| to
+    be at most half the distance from w1 to the nearest other root."""
 
     def __init__(self, P: BivarPoly, seed, cfg: Config = DEFAULT):
         self.P = P
@@ -415,7 +433,10 @@ class BranchTracker:
         r = abs(complex(P.eval_complex(*self.seed)))
         if r > cfg.continuation_residual:
             raise ValueError(f"seed not on curve, residual {r:.3g}")
-        self._real_cache = {self.seed[0].real: self.seed[1]}
+        x0 = self.seed[0].real
+        self._real_cache = {x0: self.seed[1]}
+        self._keys = [x0]               # sorted cache keys, NaN left out
+        self._rank = {x0: 0}            # insertion order, breaks distance ties
 
     def _roots_at(self, z: complex):
         cs = self.P.y_poly_coeffs_complex(z)
@@ -430,19 +451,23 @@ class BranchTracker:
         return min(abs(z - s) for s in self.singularities.points)
 
     def _newton(self, z, w0):
+        # Python complex Horner and numpy's quotient formula: on the real
+        # axis (zero imaginary parts) this rounds exactly as numpy's array
+        # arithmetic does; off it numpy fuses complex products on CPUs with
+        # FMA, so values there can differ from numpy's in the last bit.
         cs = self.P.y_poly_coeffs_complex(z)
-        dcs = cs[1:] * np.arange(1, len(cs))
+        p = [complex(c) for c in cs[::-1]]
+        dp = [complex(c) for c in (cs[1:] * np.arange(1, len(cs)))[::-1]]
         w = w0
         for _ in range(50):
-            pv = np.polyval(cs[::-1], w)
-            dv = np.polyval(dcs[::-1], w) if len(dcs) else 0
+            dv = _horner(dp, w)
             if dv == 0:
                 return None
-            step = pv / dv
+            step = _cdiv(_horner(p, w), dv)
             w = w - step
             if abs(step) <= 1e-15 * max(1.0, abs(w)):
                 break
-        if abs(np.polyval(cs[::-1], w)) > self.cfg.continuation_residual:
+        if abs(_horner(p, w)) > self.cfg.continuation_residual:
             return None
         return w
 
@@ -463,12 +488,11 @@ class BranchTracker:
                 wn = self._newton(zn, w)
                 if wn is not None:
                     # guard against converging to a different sheet
-                    others = [r for r in self._roots_at(zn) if abs(r - wn) > 1e-12]
-                    near = min((abs(r - wn) for r in others), default=math.inf)
-                    if abs(wn - w) <= 0.5 * near or abs(wn - w) <= abs(step):
-                        ok = True
-                    else:
-                        wn = None
+                    ok = abs(wn - w) <= abs(step)
+                    if not ok:
+                        others = [r for r in self._roots_at(zn) if abs(r - wn) > 1e-12]
+                        near = min((abs(r - wn) for r in others), default=math.inf)
+                        ok = abs(wn - w) <= 0.5 * near
                 if not ok:
                     if abs(step) / 2 < cfg.continuation_step_floor:
                         raise BranchJump(
@@ -478,15 +502,37 @@ class BranchTracker:
             remaining = z1 - z
         return w
 
+    def _nearest_key(self, xf):
+        if xf != xf:
+            return self.seed[0].real
+        keys, n = self._keys, len(self._keys)
+        lo = bisect_left(keys, xf) - 1
+        hi = lo + 1
+        d = min(abs(keys[i] - xf) for i in (lo, hi) if 0 <= i < n)
+        tied = []
+        while lo >= 0 and abs(keys[lo] - xf) == d:
+            tied.append(keys[lo])
+            lo -= 1
+        while hi < n and abs(keys[hi] - xf) == d:
+            tied.append(keys[hi])
+            hi += 1
+        return min(tied, key=self._rank.__getitem__)
+
     def eval_real(self, x):
         xf = float(x)
         if xf in self._real_cache:
             return self._real_cache[xf]
-        near = min(self._real_cache, key=lambda t: abs(t - xf))
+        near = self._nearest_key(xf)
         w = self._advance(complex(near), self._real_cache[near], complex(xf))
+        self._remember(xf, w)
+        return w
+
+    def _remember(self, xf, w):
         if len(self._real_cache) < 100_000:
             self._real_cache[xf] = w
-        return w
+            if xf == xf:                # a NaN key is never the nearest
+                self._rank[xf] = len(self._rank)
+                insort(self._keys, xf)
 
     def eval_path(self, path):
         """Values of the branch along an explicit complex path (list of points).
@@ -570,7 +616,6 @@ class BlackboxExpr(FunctionExpr):
                                self.declared_singularities, self.valency,
                                _level=self._level + 1)
             return nxt
-        base = self.fn if self._level == 0 else self.fn
         h = 1e-5
         f = self.fn
         return BlackboxExpr(lambda x: (f(x + h) - f(x - h)) / (2 * h),

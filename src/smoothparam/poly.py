@@ -401,11 +401,6 @@ def _refine_interval(sf: Poly, a: Fraction, b: Fraction, width: Fraction):
     return (a, b)
 
 
-def roots_in_interval(p: Poly, lo, hi, refine_to=Fraction(1, 2**40)):
-    """Rational midpoints of the isolating intervals (exact for endpoint hits)."""
-    return [(a + b) / 2 for a, b in isolate_roots(p, lo, hi, refine_to)]
-
-
 # -- numeric root finding (complex) -------------------------------------------
 
 def complex_roots(p: Poly):

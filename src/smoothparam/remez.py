@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic_param import dyadic_partition
-from .bivar import BivarPoly, resultant_y
+from .bivar import BivarPoly
 from .config import DEFAULT, Config
-from .errors import SingularCurve, UnboundedLP
-from .funcs import BranchTracker, singular_locus
-from .poly import Poly, _fr
-from .simplex import norming_lp, simplex_maximize
+from .errors import SingularCurve
+from .funcs import singular_locus
+from .poly import _fr
+from .simplex import norming_lp
 
 
 def chebyshev_value(d: int, x):

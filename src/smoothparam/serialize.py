@@ -27,13 +27,46 @@ FLOAT_DIGITS = 12
 
 # -- primitives ----------------------------------------------------------------
 
+def _int_to_str(n: int) -> str:
+    """str(n) for ints of any size: past the digit limit, split n in two
+    decimal halves and convert each."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_to_str(-n)
+        k = int(n.bit_length() * 0.30103) // 2
+        hi, lo = divmod(n, 10 ** k)
+        return _int_to_str(hi) + _int_to_str(lo).zfill(k)
+
+
+def _str_to_int(s: str) -> int:
+    """int(s) for decimal strings of any length, the inverse of _int_to_str."""
+    try:
+        return int(s)
+    except ValueError:
+        s = s.strip()
+        sign, digits = (-1, s[1:]) if s[:1] == "-" else (1, s)
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        return sign * (_str_to_int(digits[:-k]) * 10 ** k
+                       + _str_to_int(digits[-k:]))
+
+
 def frac_to_str(x) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_int_to_str(f.numerator)}/{_int_to_str(f.denominator)}"
 
 
 def str_to_frac(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:
+        num, sep, den = s.partition("/")
+        if not sep:
+            raise
+        return Fraction(_str_to_int(num), _str_to_int(den))
 
 
 def _fix_float(x: float) -> float:

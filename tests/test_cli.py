@@ -136,3 +136,24 @@ def test_installed_entry_point():
                           "parametrize-ck"], capture_output=True, text=True)
     assert res.returncode == 0
     assert json.loads(res.stdout)["kind"] == "ck-parametrization"
+
+
+def test_fractions_past_the_digit_limit_round_trip():
+    from fractions import Fraction
+    from smoothparam.serialize import frac_to_str, str_to_frac
+    f = Fraction(-3 ** 20001, 10 ** 9000)
+    num, den = frac_to_str(f).split("/")
+    assert den == "1" + "0" * 9000
+    assert num.startswith("-") and len(num) == 1 + 9543
+    assert num.endswith(str(3 ** 20001 % 10 ** 50).zfill(50))
+    assert str_to_frac(f"{num}/{den}") == f
+    assert str_to_frac(frac_to_str(Fraction(2 ** 30001 + 1, 3))) \
+        == Fraction(2 ** 30001 + 1, 3)
+    assert frac_to_str(Fraction(-22, 7)) == "-22/7"
+
+
+def test_approximate_past_the_digit_limit_verifies(tmp_path):
+    # eps = 2^-19 gives coefficients with more than 4300 decimal digits
+    out = tmp_path / "approx.json"
+    assert main(["approximate", "--eps", repr(2.0 ** -19), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
