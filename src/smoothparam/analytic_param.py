@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .charts import CertificateReport, Chart
+from .charts import Chart, circle_sup
 from .config import DEFAULT, Config
 from .errors import (DeltaTooLarge, RefinementDiverged, SingularityInsideDisk)
 from .funcs import (BranchExpr, FunctionExpr, RationalExpr, _wrap,
-                    scale_shift, singular_locus)
+                    normalize_values)
 from .poly import Poly, _fr, complex_roots
 
 
@@ -33,9 +31,6 @@ class DyadicPartition:
     delta: Fraction
     singular_points: list              # complex
     base: tuple
-
-    def centers_and_lengths(self):
-        return [(((a + b) / 2), (b - a)) for a, b in self.kept]
 
     def check_invariants(self):
         """(worst distance ratio, count, budget).  Ratio >= 3 means every kept
@@ -153,22 +148,13 @@ class AnalyticParametrization:
 def _complex_max_on_circles(f: FunctionExpr, center: complex, radius: float,
                             cfg: Config, tracker=None):
     """max |f| over concentric circles up to `radius`; branch functions are
-    continued along each circle from a real entry point."""
-    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
-    worst = 0.0
-    for rstep in range(1, cfg.a_chart_radii + 1):
-        r = radius * rstep / cfg.a_chart_radii
-        if tracker is not None:
-            entry = center + r
-            path = [entry] + [center + r * complex(math.cos(t), math.sin(t))
-                              for t in angles]
-            vals = tracker.eval_path(path)[1:]
-            worst = max(worst, max(abs(v) for v in vals))
-        else:
-            for t in angles:
-                z = center + r * complex(math.cos(t), math.sin(t))
-                worst = max(worst, abs(complex(f.eval_complex(z))))
-    return worst
+    continued along each circle from a real entry point.  A non-finite value
+    raises EvaluationAtSingularity."""
+    if tracker is None:
+        return circle_sup(lambda r, zs: [f.eval_complex(z) for z in zs],
+                          center, radius, cfg)
+    return circle_sup(lambda r, zs: tracker.eval_path([center + r] + zs)[1:],
+                      center, radius, cfg)
 
 
 def _detect_singularities(f: FunctionExpr, declared=None):
@@ -213,14 +199,9 @@ def verify_a_chart_variation(ch: Chart, radius: float = 2.0,
     """max |f(psi(z)) - f(psi(0))| on concentric circles of the given radius
     in chart coordinates."""
     f0 = complex(ch.f_comp.eval_complex(0j))
-    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
-    worst = 0.0
-    for rstep in range(1, cfg.a_chart_radii + 1):
-        r = radius * rstep / cfg.a_chart_radii
-        for t in angles:
-            z = r * complex(math.cos(t), math.sin(t))
-            worst = max(worst, abs(complex(ch.f_comp.eval_complex(z)) - f0))
-    return worst
+    return circle_sup(
+        lambda r, zs: [complex(ch.f_comp.eval_complex(z)) - f0 for z in zs],
+        0j, radius, cfg)
 
 
 def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
@@ -232,19 +213,7 @@ def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
     sings = _detect_singularities(f, declared_singularities)
     norm = {}
     if normalize:
-        xs = np.linspace(float(lo), float(hi), cfg.grid_points)
-        try:
-            vals = f.eval_array(xs)
-        except Exception:
-            vals = None
-        if vals is not None and np.all(np.isfinite(vals)):
-            vmin, vmax = float(np.min(vals)), float(np.max(vals))
-            if vmin < -1e-12 or vmax > 1 + 1e-12:
-                span = max(vmax - vmin, 1e-300)
-                a = _fr(1) / _fr(span) if span > 1 else _fr(1)
-                b = -_fr(vmin) * a if vmin < 0 else _fr(0)
-                f = scale_shift(f, a, b)
-                norm = {"scale": a, "shift": b}
+        f, norm = normalize_values(f, lo, hi, cfg)
 
     part = dyadic_partition((lo, hi), sings, delta, cfg)
     charts = [_a_chart_for_interval(f, a, b, cfg, sings) for a, b in part.kept]

@@ -16,11 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic_param import analytic_delta_parametrize
-from .charts import Chart
+from .charts import sampled_sup
 from .ck_param import ck_parametrize_function
 from .config import DEFAULT, Config
 from .errors import DegreeOverflow
-from .funcs import FunctionExpr, RationalExpr, _wrap
+from .funcs import FunctionExpr, _wrap
 from .poly import Poly, _fr
 
 
@@ -110,10 +110,8 @@ def taylor_patch(g: FunctionExpr, d: int, center, halfwidth, route: str,
             raise ValueError("analytic remainder needs the disk bound K")
         bound = K * 2.0 ** (-d)
     else:
-        chain = g.derivative_chain(d + 1, cfg)
         lo, hi = float(center) - float(halfwidth), float(center) + float(halfwidth)
-        xs = np.linspace(lo, hi, cfg.patch_samples)
-        m = float(np.max(np.abs(chain[d + 1].eval_array(xs))))
+        m = sampled_sup(g, np.linspace(lo, hi, cfg.patch_samples), d + 1, cfg)
         bound = m * float(halfwidth) ** (d + 1) / math.factorial(d + 1)
     return p, bound
 
@@ -194,18 +192,12 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
                     f"analytic patch on {ch.image} needs degree > cap")
         a, b = ch.image
         c = (float(a) + float(b)) / 2
-        if slab:
-            patches.append(ApproxPatch(dim=2, degree=d,
-                                       coeffs=[ch.psi, p],
-                                       center=(c, 0.5), side=float(abs(float(b) - float(a))),
-                                       source=f"a-chart{idx}", sup_error=err,
-                                       bound=bound))
-        else:
-            patches.append(ApproxPatch(dim=1, degree=d,
-                                       coeffs=[ch.psi, p],
-                                       center=(c,), side=float(abs(float(b) - float(a))),
-                                       source=f"a-chart{idx}", sup_error=err,
-                                       bound=bound))
+        patches.append(ApproxPatch(dim=2 if slab else 1, degree=d,
+                                   coeffs=[ch.psi, p],
+                                   center=(c, 0.5) if slab else (c,),
+                                   side=float(abs(float(b) - float(a))),
+                                   source=f"a-chart{idx}", sup_error=err,
+                                   bound=bound))
     # removed strips: degree-0 boxes of size eps
     for (a, b) in param.removed:
         w = float(b - a)

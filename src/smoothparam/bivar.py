@@ -4,12 +4,13 @@ algebraic branches of P(x, y) = 0."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateInY
-from .poly import Poly, _fr
+from .poly import Poly, _fr, gauss_eliminate
 
 
 class BivarPoly:
@@ -27,12 +28,6 @@ class BivarPoly:
         self.coeffs = cs
         self.degx = max((i for i, _ in cs), default=-1)
         self.degy = max((j for _, j in cs), default=-1)
-
-    @staticmethod
-    def from_string_grid(grid):
-        """grid[j][i] = coefficient of x^i y^j."""
-        return BivarPoly({(i, j): c for j, row in enumerate(grid)
-                          for i, c in enumerate(row)})
 
     def is_zero(self):
         return not self.coeffs
@@ -123,15 +118,6 @@ class BivarPoly:
             acc += float(c) * X**i * Y**j
         return float(np.max(np.abs(acc)))
 
-    def max_abs_on_box(self, xlo, xhi, ylo, yhi, n=64) -> float:
-        xs = np.linspace(xlo, xhi, n)
-        ys = np.linspace(ylo, yhi, n)
-        X, Y = np.meshgrid(xs, ys)
-        acc = np.zeros_like(X)
-        for (i, j), c in self.coeffs.items():
-            acc += float(c) * X**i * Y**j
-        return float(np.max(np.abs(acc)))
-
 
 def sylvester_matrix(p: Poly, q: Poly):
     """Sylvester matrix of two univariate polynomials (entries Fractions)."""
@@ -208,36 +194,11 @@ def resultant_y_interpolated(P: BivarPoly, Q: BivarPoly) -> Poly:
     while len(pts) < bound:
         py, qy = P.y_poly_at(x), Q.y_poly_at(x)
         if py.degree == P.degy and qy.degree == Q.degy:
-            mat = sylvester_matrix(py, qy)
-            pts.append((x, _det_fraction(mat)))
+            pivots, sign = gauss_eliminate(sylvester_matrix(py, qy))
+            full = len(pivots) == P.degy + Q.degy
+            pts.append((x, sign * math.prod(pivots) if full else Fraction(0)))
         x += 1
     return lagrange_interpolate(pts)
-
-
-def _det_fraction(mat):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f == 0:
-                continue
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
 
 
 class BivarRational:

@@ -9,18 +9,18 @@ derivative-norm estimation and ball sizing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .charts import sampled_sup
 from .config import DEFAULT, Config
 from .errors import CoverTestFailed, InexactCurve
-from .funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr, ConstExpr,
-                    FunctionExpr, MulExpr, PowExpr, RationalExpr, SqrtExpr,
-                    _sqrt_exact, _wrap)
-from .poly import Poly, _fr
+from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, PowExpr,
+                    RationalExpr, SqrtExpr, _sqrt_exact, _wrap)
+from .poly import Poly, _fr, gauss_eliminate
 
 
 def binom(a: int, b: int) -> int:
@@ -83,20 +83,13 @@ def bp_for_degree(n: int, m_ambient: int, d: int) -> BPCombinatorics:
 def _all_derivative_max(funcs, order: int, lo: float, hi: float,
                         cfg: Config) -> float:
     xs = np.linspace(lo, hi, cfg.mk_samples)
-    worst = 0.0
-    for f in funcs:
-        chain = _wrap(f).derivative_chain(order, cfg)
-        for g in chain:
-            worst = max(worst, float(np.max(np.abs(g.eval_array(xs)))))
-    return worst
+    return max([0.0] + [sampled_sup(g, xs) for f in funcs
+                        for g in _wrap(f).derivative_chain(order, cfg)])
 
 
-def _all_partial_max_2d(polys, order: int, box, cfg: Config) -> float:
-    (x0, x1), (y0, y1) = box
+def _all_partial_max_2d(polys, order: int, cfg: Config) -> float:
+    """max |partial derivative of order <= order| over [-1, 1]^2."""
     n = int(math.sqrt(cfg.mk_samples)) + 1
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    X, Y = np.meshgrid(xs, ys)
     worst = 0.0
     for p in polys:
         stack = {(0, 0): p}
@@ -108,10 +101,7 @@ def _all_partial_max_2d(polys, order: int, box, cfg: Config) -> float:
                     src = stack[(ox - 1, oy)] if ox else stack[(ox, oy - 1)]
                     q = src.dx() if ox else src.dy()
                     stack[(ox, oy)] = q
-                acc = np.zeros_like(X)
-                for (i, j), c in q.coeffs.items():
-                    acc += float(c) * X ** i * Y ** j
-                worst = max(worst, float(np.max(np.abs(acc))))
+                worst = max(worst, q.max_abs_on_unit_square(n))
     return worst
 
 
@@ -129,7 +119,7 @@ def vandermonde_bound_check(phi, points, r: float, center=None,
         Mk = _all_derivative_max(phi, comb.k, -1.0, 1.0, cfg)
         rows = [[float(_wrap(f).eval(float(z))) for z in points] for f in phi]
     else:
-        Mk = _all_partial_max_2d(phi, comb.k, ((-1.0, 1.0), (-1.0, 1.0)), cfg)
+        Mk = _all_partial_max_2d(phi, comb.k, cfg)
         rows = [[float(f(float(z[0]), float(z[1]))) for z in points]
                 for f in phi]
     Mk = max(Mk, 1e-300) * cfg.mk_safety
@@ -243,34 +233,6 @@ def _monomials(m: int, d: int):
     return out
 
 
-def _exact_rank(rows) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        for r in range(row + 1, len(mat)):
-            if mat[r][col] != 0:
-                fct = mat[r][col] * inv
-                for c2 in range(col, cols):
-                    mat[r][c2] -= fct * mat[row][c2]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
-
-
 def on_hypersurface(points, d: int, m: int = None) -> bool:
     """True iff all points lie on one algebraic hypersurface of degree <= d:
     the Veronese matrix of the points has rank < tau = D_m(d)."""
@@ -289,7 +251,7 @@ def on_hypersurface(points, d: int, m: int = None) -> bool:
                 v *= c ** a
             row.append(v)
         rows.append(row)
-    return _exact_rank(rows) < tau
+    return len(gauss_eliminate(rows)[0]) < tau
 
 
 def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int,

@@ -1,10 +1,10 @@
 """Chart records and certificate checkers.
 
-A chart is a polynomial (or explicitly composed) substitution from the unit
-interval (or unit square, for slabs) into the original domain, together with
-the function it carries.  The checkers measure derivative suprema on dense
-grids — exactly in rational arithmetic when the data allows, in floats
-otherwise — and certify the unit bound up to a stated tolerance."""
+A chart is a polynomial (or composed) substitution from the unit interval
+(or square, for slabs) into the domain, with the function it carries.  The
+checkers measure derivative suprema on dense grids, exactly in rationals
+when the data allows and in floats otherwise, and certify the unit bound up
+to a stated tolerance; a non-finite measurement fails the certificate."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT, Config
+from .errors import EvaluationAtSingularity
 from .funcs import FunctionExpr, RationalExpr, _wrap
 from .poly import (Poly, _fr, max_abs_on_rational_grid, max_abs_ratio_on_grid)
 
@@ -71,17 +72,50 @@ class SlabChart:
         return (x, (1 - t2) * g1 + t2 * g2)
 
 
-def _rational_grid(n: int):
-    return [Fraction(i, n) for i in range(n + 1)]
+def sampled_sup(fn, xs=None, order: int = 0, cfg: Config = DEFAULT) -> float:
+    """max |fn^(order)| over the sample points xs, for fn a Poly or a
+    FunctionExpr; an array is taken as values already sampled (order 0).
+    A NaN or inf sample is returned, never dropped: the certificate report
+    turns it into a failure."""
+    if not isinstance(fn, np.ndarray):
+        if order:
+            fn = (fn.derivs(order)[-1] if isinstance(fn, Poly)
+                  else fn.derivative_chain(order, cfg)[order])
+        fn = fn.eval_array(xs)
+    return float(np.max(np.abs(fn)))
 
 
-def _max_abs_exact(p: Poly, grid) -> Fraction:
-    best = Fraction(0)
-    for t in grid:
-        v = abs(p(t))
-        if v > best:
-            best = v
-    return best
+def circle_sup(values, center: complex, radius: float,
+               cfg: Config = DEFAULT) -> float:
+    """max |v| over the concentric-circle sample: cfg.a_chart_radii circles
+    about `center` with radii r = radius * j / cfg.a_chart_radii, each with
+    cfg.a_chart_angles points zs, innermost first; values(r, zs) returns the
+    values at zs.  A non-finite value raises EvaluationAtSingularity, so it
+    can never shrink the bound."""
+    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
+    worst = 0.0
+    for rstep in range(1, cfg.a_chart_radii + 1):
+        r = radius * rstep / cfg.a_chart_radii
+        zs = [center + r * complex(math.cos(t), math.sin(t)) for t in angles]
+        mags = [abs(complex(v)) for v in values(r, zs)]
+        if not all(map(math.isfinite, mags)):
+            raise EvaluationAtSingularity(
+                f"non-finite value on the circle of radius {r} about {center}")
+        worst = max([worst, *mags])
+    return worst
+
+
+def _report(values: dict, mode: str, tol: float, limit: float = 1.0,
+            per: dict = None, detail: str = "") -> CertificateReport:
+    """Certificate over measured values keyed by order: ok iff every value is
+    finite and the largest is at most limit * (1 + tol).  A non-finite value
+    fails the report, and `detail` names its order."""
+    bad = [key for key, v in values.items() if not math.isfinite(v)]
+    worst = values[bad[0]] if bad else max([0.0, *values.values()])
+    return CertificateReport(
+        ok=not bad and worst <= limit * (1.0 + tol), max_bound=worst,
+        per_order=values if per is None else per, mode=mode, tolerance=tol,
+        detail=f"non-finite value at order {bad[0]}" if bad else detail)
 
 
 def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
@@ -108,15 +142,13 @@ def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
         mode = "exact"
     else:
         xs = np.linspace(0.0, 1.0, cfg.grid_points)
-        base = chart.psi.eval_array(xs) - float(chart.psi(0.0))
-        per[("psi", 0)] = float(np.max(np.abs(base)))
-        dp = chart.psi
-        for i in range(1, k + 1):
-            dp = dp.deriv()
-            per[("psi", i)] = float(np.max(np.abs(dp.eval_array(xs)))) if not dp.is_zero() else 0.0
+        per[("psi", 0)] = sampled_sup(chart.psi.eval_array(xs)
+                                      - float(chart.psi(0.0)))
+        for i, d in enumerate(chart.psi.derivs(k)[1:], start=1):
+            per[("psi", i)] = sampled_sup(d, xs)
         chain = chart.f_comp.derivative_chain(k, cfg)
         for i in range(1, k + 1):
-            per[("f", i)] = float(np.max(np.abs(chain[i].eval_array(xs))))
+            per[("f", i)] = sampled_sup(chain[i], xs)
         mode = "float"
     chart.bounds = per
     return per, mode
@@ -127,10 +159,7 @@ def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT, exact=None) -> Certific
     of its basepoint in C^k, and the carried function does too (orders >= 1)."""
     per, mode = measure_chart_bounds(chart, cfg, exact)
     tol = cfg.ck_tolerance_exact if mode == "exact" else cfg.ck_tolerance_float
-    worst = max(per.values()) if per else 0.0
-    ok = worst <= 1.0 + tol
-    return CertificateReport(ok=ok, max_bound=worst, per_order=per,
-                             mode=mode, tolerance=tol)
+    return _report(per, mode, tol)
 
 
 def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateReport:
@@ -138,28 +167,21 @@ def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateRepo
     t1-derivatives of G1 and G2 - G1; check those plus the x-map."""
     k = slab.k
     xs = np.linspace(0.0, 1.0, cfg.grid_points_2d ** 2 // 4 + 2)
-    per = {}
-    base = slab.x_map.eval_array(xs) - float(slab.x_map(0.0))
-    per[("x", 0)] = float(np.max(np.abs(base)))
-    dp = slab.x_map
-    for i in range(1, k + 1):
-        dp = dp.deriv()
-        per[("x", i)] = float(np.max(np.abs(dp.eval_array(xs)))) if not dp.is_zero() else 0.0
+    per = {("x", 0): sampled_sup(slab.x_map.eval_array(xs)
+                                 - float(slab.x_map(0.0)))}
+    for i, d in enumerate(slab.x_map.derivs(k)[1:], start=1):
+        per[("x", i)] = sampled_sup(d, xs)
     c1 = slab.G1.derivative_chain(k, cfg)
     c2 = slab.G2.derivative_chain(k, cfg)
     g1v = [g.eval_array(xs) for g in c1]
     g2v = [g.eval_array(xs) for g in c2]
-    per[("y", 0)] = float(max(np.max(np.abs(g1v[0] - g1v[0][0])),
-                              np.max(np.abs(g2v[0] - g1v[0][0]))))
+    per[("y", 0)] = sampled_sup(np.stack((g1v[0], g2v[0])) - g1v[0][0])
     for i in range(1, k + 1):
         # d^i/dt1^i of psi2 at t2 in {0, 1}, and of the t2-slope G2 - G1
-        per[("y", i)] = float(max(np.max(np.abs(g1v[i])), np.max(np.abs(g2v[i]))))
-        per[("y-slope", i - 1)] = float(np.max(np.abs(g2v[i - 1] - g1v[i - 1])))
+        per[("y", i)] = sampled_sup(np.stack((g1v[i], g2v[i])))
+        per[("y-slope", i - 1)] = sampled_sup(g2v[i - 1] - g1v[i - 1])
     slab.bounds = per
-    worst = max(per.values())
-    tol = cfg.ck_tolerance_float
-    return CertificateReport(ok=worst <= 1.0 + tol, max_bound=worst,
-                             per_order=per, mode="float", tolerance=tol)
+    return _report(per, "float", cfg.ck_tolerance_float)
 
 
 def verify_mild_chart(chart: Chart, A: float, C: float, order: int,
@@ -167,25 +189,15 @@ def verify_mild_chart(chart: Chart, A: float, C: float, order: int,
     """Mildness: |psi^(i)| <= i! (A i^C)^i for i = 1..order (and the carried
     function likewise)."""
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
-    per = {}
-    ok = True
-    worst_ratio = 0.0
-    dp = chart.psi
+    per, ratios = {}, {}
     chain = chart.f_comp.derivative_chain(order, cfg)
-    for i in range(1, order + 1):
-        dp = dp.deriv()
+    for i, d in enumerate(chart.psi.derivs(order)[1:], start=1):
         allowed = math.factorial(i) * (A * i**C) ** i
-        for tag, arr in (("psi", dp.eval_array(xs) if not dp.is_zero() else np.zeros(1)),
-                         ("f", chain[i].eval_array(xs))):
-            m = float(np.max(np.abs(arr)))
-            per[(tag, i)] = m
-            ratio = m / allowed
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > 1.0 + cfg.ck_tolerance_float:
-                ok = False
-    return CertificateReport(ok=ok, max_bound=worst_ratio, per_order=per,
-                             mode="float", tolerance=cfg.ck_tolerance_float,
-                             detail=f"A={A}, C={C}")
+        for tag, fn in (("psi", d), ("f", chain[i])):
+            per[(tag, i)] = sampled_sup(fn, xs)
+            ratios[(tag, i)] = per[(tag, i)] / allowed
+    return _report(ratios, "float", cfg.ck_tolerance_float, per=per,
+                   detail=f"A={A}, C={C}")
 
 
 def verify_a_chart(fn: FunctionExpr, center: complex, radius: float, K: float,
@@ -194,18 +206,13 @@ def verify_a_chart(fn: FunctionExpr, center: complex, radius: float, K: float,
     sampling concentric circles (max modulus makes the boundary decisive, the
     inner circles guard against evaluation blowups)."""
     fn = _wrap(fn)
-    worst = 0.0
-    tol = cfg.ck_tolerance_float
-    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
-    for rstep in range(1, cfg.a_chart_radii + 1):
-        r = radius * rstep / cfg.a_chart_radii
-        for th in angles:
-            z = center + r * complex(math.cos(th), math.sin(th))
-            v = abs(complex(fn.eval_complex(z)))
-            worst = max(worst, v)
-    ok = worst <= K * (1.0 + tol)
-    return CertificateReport(ok=ok, max_bound=worst, mode="complex",
-                             tolerance=tol, detail=f"K={K}, radius={radius}")
+    try:
+        worst = circle_sup(lambda r, zs: [fn.eval_complex(z) for z in zs],
+                           center, radius, cfg)
+    except EvaluationAtSingularity:
+        worst = math.nan
+    return _report({"disk": worst}, "complex", cfg.ck_tolerance_float,
+                   limit=K, per={}, detail=f"K={K}, radius={radius}")
 
 
 def chart_from_affine(f: FunctionExpr, a, b, k: int, meta=None) -> Chart:

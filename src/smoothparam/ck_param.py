@@ -1,12 +1,17 @@
 """C^k parametrization by derivative killing.
 
-The engine subdivides at the zeros of the first k+1 derivatives so every
-derivative has constant sign per piece, then walks levels l = 2..k: wherever
-the l-th derivative of the carried composition exceeds 1, it precomposes with
-the square map oriented so the bad endpoint is the image of t = 0 (the
-monotone 1/x-type decay there is exactly what the square substitution
-flattens).  A final equal-split brings all composed bounds under 1; every
-chart is certified on a dense grid before it is accepted."""
+One induction engine, `_induct`, carries a tuple of functions on a shared
+chart map.  It subdivides at the zeros of the first k+1 derivatives of each,
+then walks levels l = 2..k: pieces are re-cut at the zeros of the l-th
+derivatives, and where one exceeds 1 the piece is precomposed with the square
+map, oriented so t = 0 maps to the endpoint of the largest l-th derivative
+(the monotone 1/x-type decay there is what the square flattens).  An equal
+split then brings all bounds under 1; every chart is certified.
+
+`ck_parametrize_function` runs it on one function, after an optional
+value-axis normalization, and emits `Chart`s checked by `verify_ck_chart`;
+`ck_parametrize_slab` checks g1 < g2 inside, runs it on the pair and emits
+`SlabChart`s, affine in t2, checked by `verify_slab_chart`."""
 
 from __future__ import annotations
 
@@ -16,12 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charts import Chart, SlabChart, verify_ck_chart, verify_slab_chart
+from .charts import (Chart, SlabChart, sampled_sup, verify_ck_chart,
+                     verify_slab_chart)
 from .config import DEFAULT, Config
 from .errors import (BoundViolationAfterMaxDepth, PreconditionFailed,
                      SlabOrderViolation)
-from .funcs import (FunctionExpr, RationalExpr, _wrap, isolate_real_zeros,
-                    scale_shift)
+from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, RationalExpr,
+                    _wrap, hyperbola_branch, isolate_real_zeros,
+                    normalize_values, simplify)
 from .poly import Poly, _fr
 
 
@@ -36,21 +43,6 @@ class CkParametrization:
     @property
     def chart_count(self):
         return len(self.charts)
-
-    def coverage_endpoints(self):
-        """Sorted chart image endpoints; exact tiling check lives in tests."""
-        pts = []
-        for c in self.charts:
-            a, b = c.image
-            pts.append((min(a, b), max(a, b)))
-        return sorted(pts)
-
-
-def _deriv_max(g: FunctionExpr, order: int, cfg: Config,
-               lo=0.0, hi=1.0) -> float:
-    chain = g.derivative_chain(order, cfg)
-    xs = np.linspace(float(lo), float(hi), cfg.grid_points)
-    return float(np.max(np.abs(chain[order].eval_array(xs))))
 
 
 def monotone_subdivision(f: FunctionExpr, k: int, interval,
@@ -81,6 +73,15 @@ def _affine_01(a, b) -> Poly:
 
 _SQUARE = Poly([0, 0, 1])            # t -> t^2
 _SQUARE_FLIP = Poly([1, 0, -1])      # t -> 1 - t^2
+_NEAR_END = Fraction(1, 10**9)
+
+
+def _square_for(derivs) -> Poly:
+    """The square map sending t = 0 to the end of [0, 1] where the largest
+    |derivative| (over the given functions) sits, sampled just inside it."""
+    v0 = max(abs(float(d.eval(_NEAR_END))) for d in derivs)
+    v1 = max(abs(float(d.eval(1 - _NEAR_END))) for d in derivs)
+    return _SQUARE if v0 >= v1 else _SQUARE_FLIP
 
 
 def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
@@ -94,10 +95,10 @@ def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
     rat = chain[l].as_rational()
     if rat is not None and rat[0].is_zero():
         return Poly([0, 1]), g, 0.0, True
+    xs = np.linspace(0.0, 1.0, cfg.grid_points)
     if check_preconditions:
         for i in range(1, l):
-            m = _deriv_max(g, i, cfg)
-            if not math.isfinite(m):
+            if not math.isfinite(sampled_sup(chain[i], xs)):
                 raise PreconditionFailed(f"order-{i} derivative unbounded")
         # sign-constancy of g^(l) on the open interval
         interior = isolate_real_zeros(chain[l], (Fraction(1, 10**6),
@@ -105,26 +106,9 @@ def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
         if interior:
             raise PreconditionFailed(
                 f"g^({l}) changes sign inside the piece; subdivide first")
-    v0 = abs(float(chain[l].eval(Fraction(1, 10**9))))
-    v1 = abs(float(chain[l].eval(1 - Fraction(1, 10**9))))
-    q = _SQUARE if v0 >= v1 else _SQUARE_FLIP
+    q = _square_for([chain[l]])
     gq = g.precompose_poly(q)
-    bound = _deriv_max(gq, l, cfg)
-    return q, gq, bound, False
-
-
-def _measured_bounds(psi: Poly, g: FunctionExpr, k: int, cfg: Config):
-    """C_i = max(|psi^(i)|, |g^(i)|) on [0,1] for i = 1..k."""
-    out = []
-    dp = psi
-    chain = g.derivative_chain(k, cfg)
-    xs = np.linspace(0.0, 1.0, cfg.grid_points)
-    for i in range(1, k + 1):
-        dp = dp.deriv()
-        m = float(np.max(np.abs(dp.eval_array(xs)))) if not dp.is_zero() else 0.0
-        m = max(m, float(np.max(np.abs(chain[i].eval_array(xs)))))
-        out.append(m)
-    return out
+    return q, gq, sampled_sup(gq, xs, l, cfg), False
 
 
 def _split_factor(bounds) -> int:
@@ -139,6 +123,84 @@ def _split_factor(bounds) -> int:
     return n
 
 
+def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
+    """The C^k induction on the tuple of functions fs over [lo, hi].
+
+    make_chart(psi, gs, steps, m) builds the record of one chart from its map
+    psi on [0, 1], the carried compositions gs = fs o psi, the substitutions
+    that made psi and the final split count m; certify(chart, cfg) returns its
+    CertificateReport.  Returns the accepted charts sorted by sort_key."""
+    cuts = set()
+    for f in fs:
+        cuts.update(b for _, b in monotone_subdivision(f, k, (lo, hi), cfg)[:-1])
+    pts = [lo] + sorted(cuts) + [hi]
+    work = []   # (psi on [0, 1], fs o psi, steps)
+    for a, b in zip(pts, pts[1:]):
+        psi = _affine_01(a, b)
+        work.append((psi, tuple(f.precompose_poly(psi) for f in fs),
+                     [("affine", a, b)]))
+
+    xs = np.linspace(0.0, 1.0, cfg.grid_points)
+    for l in range(2, k + 1):
+        nxt = []
+        for psi, gs, steps in work:
+            # re-subdivide in t so every g^(l) is sign-constant per subpiece
+            cuts = set()
+            for g in gs:
+                dl = g.derivative_chain(l, cfg)[l]
+                rat = dl.as_rational()
+                if rat is not None and rat[0].is_zero():
+                    continue
+                for za, zb in isolate_real_zeros(dl, (Fraction(0), Fraction(1)), cfg):
+                    mid = (_fr(za) + _fr(zb)) / 2
+                    if 0 < mid < 1:
+                        cuts.add(mid)
+            ts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+            for u, v in zip(ts, ts[1:]):
+                aff = _affine_01(u, v)
+                psi2 = psi.compose(aff)
+                gs2 = tuple(g.precompose_poly(aff) for g in gs)
+                steps2 = steps + ([("affine", u, v)] if (u, v) != (0, 1) else [])
+                if max(sampled_sup(g, xs, l, cfg) for g in gs2) > 1.0:
+                    q = _square_for([g.derivative_chain(l, cfg)[l] for g in gs2])
+                    psi2 = psi2.compose(q)
+                    gs2 = tuple(g.precompose_poly(q) for g in gs2)
+                    steps2 = steps2 + [("square", q == _SQUARE_FLIP)]
+                nxt.append((psi2, gs2, steps2))
+        work = nxt
+
+    charts = []
+    for psi, gs, steps in work:
+        # C_i = max(|psi^(i)|, |g^(i)| over gs) on [0, 1], i = 1..k
+        chains = [g.derivative_chain(k, cfg) for g in gs]
+        bounds = [max(sampled_sup(d, xs), *(sampled_sup(c[i], xs) for c in chains))
+                  for i, d in enumerate(psi.derivs(k)[1:], start=1)]
+        n = _split_factor(bounds)
+        for extra in range(cfg.max_extra_splits + 1):
+            m = n * (2 ** extra)
+            subcharts = []
+            for j in range(m):
+                aff = _affine_01(Fraction(j, m), Fraction(j + 1, m))
+                ch = make_chart(psi.compose(aff),
+                                tuple(g.precompose_poly(aff) for g in gs),
+                                steps + [("affine", Fraction(j, m),
+                                          Fraction(j + 1, m))], m)
+                cert = certify(ch, cfg)
+                ch.meta["certificate"] = cert
+                if not cert.ok:
+                    break
+                subcharts.append(ch)
+            if len(subcharts) == m:
+                charts.extend(subcharts)
+                break
+        else:
+            raise BoundViolationAfterMaxDepth(
+                f"chart bounds {bounds} not reducible within "
+                f"{cfg.max_extra_splits} extra splits")
+    charts.sort(key=sort_key)
+    return charts
+
+
 def ck_parametrize_function(f: FunctionExpr, k: int, interval,
                             cfg: Config = DEFAULT,
                             normalize=True) -> CkParametrization:
@@ -146,82 +208,15 @@ def ck_parametrize_function(f: FunctionExpr, k: int, interval,
     lo, hi = _fr(interval[0]), _fr(interval[1])
     norm = {}
     if normalize:
-        xs = np.linspace(float(lo), float(hi), cfg.grid_points)
-        vals = f.eval_array(xs)
-        vmin, vmax = float(np.min(vals)), float(np.max(vals))
-        if vmin < -1e-12 or vmax > 1 + 1e-12:
-            span = max(vmax - vmin, 1e-300)
-            a = _fr(1) / _fr(span) if span > 1 else _fr(1)
-            b = -_fr(vmin) * a if vmin < 0 else _fr(0)
-            f = scale_shift(f, a, b)
-            norm = {"scale": a, "shift": b}
+        f, norm = normalize_values(f, lo, hi, cfg)
 
-    pieces = monotone_subdivision(f, k, (lo, hi), cfg)
-    work = []   # (psi on [0,1], g = f o psi, steps)
-    for a, b in pieces:
-        psi = _affine_01(a, b)
-        work.append((psi, f.precompose_poly(psi), [("affine", a, b)]))
+    def chart(psi, gs, steps, m):
+        assert psi.degree <= 2 ** k
+        return Chart(psi=psi, f_comp=gs[0], k=k,
+                     meta={"steps": steps, "split": m})
 
-    for l in range(2, k + 1):
-        nxt = []
-        for psi, g, steps in work:
-            # re-subdivide in t so g^(l) is sign-constant per subpiece
-            chain = g.derivative_chain(l, cfg)
-            cuts = set()
-            rat = chain[l].as_rational()
-            if not (rat is not None and rat[0].is_zero()):
-                for za, zb in isolate_real_zeros(chain[l], (Fraction(0), Fraction(1)), cfg):
-                    mid = (_fr(za) + _fr(zb)) / 2
-                    if 0 < mid < 1:
-                        cuts.add(mid)
-            pts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
-            for u, v in zip(pts, pts[1:]):
-                aff = _affine_01(u, v)
-                psi2 = psi.compose(aff)
-                g2 = g.precompose_poly(aff)
-                steps2 = steps + ([("affine", u, v)] if (u, v) != (0, 1) else [])
-                if _deriv_max(g2, l, cfg) > 1.0:
-                    q, g3, bound, noop = kill_derivative_step(
-                        g2, l, cfg, check_preconditions=False)
-                    if not noop:
-                        nxt.append((psi2.compose(q), g3,
-                                    steps2 + [("square", q == _SQUARE_FLIP)]))
-                        continue
-                nxt.append((psi2, g2, steps2))
-        work = nxt
-
-    charts = []
-    for psi, g, steps in work:
-        bounds = _measured_bounds(psi, g, k, cfg)
-        n = _split_factor(bounds)
-        for extra in range(cfg.max_extra_splits + 1):
-            m = n * (2 ** extra)
-            subcharts, ok = [], True
-            for j in range(m):
-                aff = _affine_01(Fraction(j, m), Fraction(j + 1, m))
-                cpsi = psi.compose(aff)
-                cg = g.precompose_poly(aff)
-                ch = Chart(psi=cpsi, f_comp=cg, k=k,
-                           image=(cpsi(Fraction(0)), cpsi(Fraction(1))),
-                           meta={"steps": steps + [("affine", Fraction(j, m),
-                                                    Fraction(j + 1, m))],
-                                 "split": m})
-                cert = verify_ck_chart(ch, cfg)
-                ch.meta["certificate"] = cert
-                if not cert.ok:
-                    ok = False
-                    break
-                assert cpsi.degree <= 2 ** k
-                subcharts.append(ch)
-            if ok:
-                charts.extend(subcharts)
-                break
-        else:
-            raise BoundViolationAfterMaxDepth(
-                f"chart bounds {bounds} not reducible within "
-                f"{cfg.max_extra_splits} extra splits")
-
-    charts.sort(key=lambda c: min(c.image))
+    charts = _induct((f,), k, lo, hi, cfg, chart, verify_ck_chart,
+                     lambda c: min(c.image))
     return CkParametrization(charts=charts, k=k, domain=(lo, hi),
                              normalization=norm)
 
@@ -233,17 +228,10 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
     slab charts."""
     g1, g2 = _wrap(g1), _wrap(g2)
     lo, hi = _fr(interval[0]), _fr(interval[1])
-    diff = None
-    r1, r2 = g1.as_rational(), g2.as_rational()
-    if r1 is not None and r2 is not None:
-        num = r2[0] * r1[1] - r1[0] * r2[1]
-        den = r1[1] * r2[1]
-        diff = RationalExpr(num, den) if not num.is_zero() else None
-        if num.is_zero():
-            raise SlabOrderViolation("g1 == g2 identically")
-    else:
-        from .funcs import AddExpr, MulExpr, ConstExpr, simplify
-        diff = simplify(AddExpr(g2, MulExpr(ConstExpr(-1), g1)))
+    diff = simplify(AddExpr(g2, MulExpr(ConstExpr(-1), g1)))
+    rat = diff.as_rational()
+    if rat is not None and rat[0].is_zero():
+        raise SlabOrderViolation("g1 == g2 identically")
     zs = isolate_real_zeros(diff, (lo, hi), cfg)
     interior = [z for z in zs if _fr(z[0]) > lo or _fr(z[1]) < hi]
     if interior:
@@ -252,92 +240,24 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
     if float(diff.eval(mid)) < 0:
         raise SlabOrderViolation("g1 > g2 on the slab")
 
-    cuts = set()
-    for g in (g1, g2):
-        for a, b in monotone_subdivision(g, k, (lo, hi), cfg)[:-1]:
-            cuts.add(b)
-    pts = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    def chart(psi, gs, steps, m):
+        return SlabChart(x_map=psi, G1=gs[0], G2=gs[1], k=k)
 
-    work = []
-    for a, b in zip(pts, pts[1:]):
-        psi = _affine_01(a, b)
-        work.append((psi, g1.precompose_poly(psi), g2.precompose_poly(psi)))
-
-    for l in range(2, k + 1):
-        nxt = []
-        for psi, h1, h2 in work:
-            cuts = set()
-            for h in (h1, h2):
-                chain = h.derivative_chain(l, cfg)
-                rat = chain[l].as_rational()
-                if rat is not None and rat[0].is_zero():
-                    continue
-                for za, zb in isolate_real_zeros(chain[l], (Fraction(0), Fraction(1)), cfg):
-                    m = (_fr(za) + _fr(zb)) / 2
-                    if 0 < m < 1:
-                        cuts.add(m)
-            ps = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
-            for u, v in zip(ps, ps[1:]):
-                aff = _affine_01(u, v)
-                p2, a1, a2 = psi.compose(aff), h1.precompose_poly(aff), h2.precompose_poly(aff)
-                if max(_deriv_max(a1, l, cfg), _deriv_max(a2, l, cfg)) > 1.0:
-                    # orient by whichever function has the larger endpoint derivative
-                    c1 = a1.derivative_chain(l, cfg)[l]
-                    c2 = a2.derivative_chain(l, cfg)[l]
-                    eps = Fraction(1, 10**9)
-                    v0 = max(abs(float(c1.eval(eps))), abs(float(c2.eval(eps))))
-                    v1 = max(abs(float(c1.eval(1 - eps))), abs(float(c2.eval(1 - eps))))
-                    q = _SQUARE if v0 >= v1 else _SQUARE_FLIP
-                    nxt.append((p2.compose(q), a1.precompose_poly(q),
-                                a2.precompose_poly(q)))
-                else:
-                    nxt.append((p2, a1, a2))
-        work = nxt
-
-    charts = []
-    for psi, h1, h2 in work:
-        b1 = _measured_bounds(psi, h1, k, cfg)
-        b2 = _measured_bounds(psi, h2, k, cfg)
-        bounds = [max(x, y) for x, y in zip(b1, b2)]
-        n = _split_factor(bounds)
-        for extra in range(cfg.max_extra_splits + 1):
-            m = n * (2 ** extra)
-            subcharts, ok = [], True
-            for j in range(m):
-                aff = _affine_01(Fraction(j, m), Fraction(j + 1, m))
-                sc = SlabChart(x_map=psi.compose(aff),
-                               G1=h1.precompose_poly(aff),
-                               G2=h2.precompose_poly(aff), k=k)
-                cert = verify_slab_chart(sc, cfg)
-                sc.meta["certificate"] = cert
-                if not cert.ok:
-                    ok = False
-                    break
-                subcharts.append(sc)
-            if ok:
-                charts.extend(subcharts)
-                break
-        else:
-            raise BoundViolationAfterMaxDepth(
-                f"slab chart bounds {bounds} not reducible")
-
-    charts.sort(key=lambda c: float(c.x_map(0.0)))
+    charts = _induct((g1, g2), k, lo, hi, cfg, chart, verify_slab_chart,
+                     lambda c: float(c.x_map(0.0)))
     return CkParametrization(charts=charts, k=k, domain=(lo, hi),
                              meta={"kind": "slab"})
 
 
-def hyperbola_parametrization(eps, k: int = 2, cfg: Config = DEFAULT,
-                              both_halves=True) -> CkParametrization:
-    """C^k charts for g(x) = -eps^2/x on [-1, -eps], plus the mirror-image
-    half [eps, 1] of the hyperbola xy = eps^2 when both_halves is set."""
-    from .funcs import hyperbola_branch
+def hyperbola_parametrization(eps, k: int = 2,
+                              cfg: Config = DEFAULT) -> CkParametrization:
+    """C^k charts for both halves of the hyperbola xy = eps^2: g(x) = -eps^2/x
+    on [-1, -eps] and its mirror image eps^2/x on [eps, 1]."""
     e = _fr(eps)
-    g = hyperbola_branch(e)
-    left = ck_parametrize_function(g, k, (-1, -e), cfg, normalize=False)
-    if not both_halves:
-        return left
+    left = ck_parametrize_function(hyperbola_branch(e), k, (-1, -e), cfg,
+                                   normalize=False)
     gr = RationalExpr(Poly([e * e]), Poly([0, 1]))   # +eps^2/x on [eps, 1]
     right = ck_parametrize_function(gr, k, (e, 1), cfg, normalize=False)
-    charts = left.charts + right.charts
-    return CkParametrization(charts=charts, k=k, domain=(-1, 1),
+    return CkParametrization(charts=left.charts + right.charts, k=k,
+                             domain=(-1, 1),
                              meta={"family": "hyperbola", "eps": e})

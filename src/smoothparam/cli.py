@@ -14,14 +14,15 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .analytic_param import hyperbola_analytic_charts
-from .approx import analytic_approximate, ck_approximate, verify_and_score
+from .analytic_param import (analytic_delta_parametrize,
+                             hyperbola_analytic_charts)
+from .approx import analytic_approximate, ck_approximate
 from .bp import brute_force_points, enumerate_points, hypersurface_cover
 from .ck_param import ck_parametrize_function, hyperbola_parametrization
-from .config import DEFAULT
 from .entropy import entropy_sweep, system_zoo
 from .errors import SmoothParamError
-from .funcs import hyperbola_branch
+from .funcs import RationalExpr, hyperbola_branch
+from .poly import Poly
 from .remez import (empirical_remez_constant, hyperbola_curve,
                     hyperbola_remez_query, remez_parametrization)
 from .serialize import dumps, expr_from_json, loads, verify_bundle
@@ -76,9 +77,11 @@ def _emit_and_verify(args, doc) -> int:
 
 def _run_parametrize_ck(args) -> int:
     if args.spec:
-        f, (lo, hi), _ = _spec_function(_load_spec(args.spec))
-        if args.both_halves and _load_spec(args.spec).get("builtin"):
-            P = hyperbola_parametrization(_frac(args.eps), k=args.k)
+        spec = _load_spec(args.spec)
+        f, (lo, hi), _ = _spec_function(spec)
+        if spec.get("builtin"):
+            P = hyperbola_parametrization(_frac(spec.get("eps", args.eps)),
+                                          k=args.k)
         else:
             P = ck_parametrize_function(f, args.k, (lo, hi))
     else:
@@ -89,7 +92,6 @@ def _run_parametrize_ck(args) -> int:
 
 def _run_parametrize_analytic(args) -> int:
     if args.spec:
-        from .analytic_param import analytic_delta_parametrize
         spec = _load_spec(args.spec)
         f, (lo, hi), _ = _spec_function(spec)
         sings = [complex(*map(float, s)) if isinstance(s, list) else complex(s)
@@ -108,8 +110,6 @@ def _run_approximate(args) -> int:
         f, (lo, hi), _ = _spec_function(spec)
     else:
         e = _frac(args.curve_eps)
-        from .funcs import RationalExpr
-        from .poly import Poly
         f, lo, hi = (RationalExpr(Poly([e * e]), Poly([0, 1])),
                      Fraction(1, 2 ** 26), Fraction(1))
     if args.route == "ck":
@@ -126,8 +126,6 @@ def _run_count_points(args) -> int:
     if args.spec:
         f, (lo, hi), _ = _spec_function(_load_spec(args.spec))
     else:
-        from .funcs import RationalExpr
-        from .poly import Poly
         f, lo, hi = RationalExpr(Poly([0, 0, 0, 1])), Fraction(-1), Fraction(1)
     rc = 0
     if args.csv:
@@ -209,15 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="JSON artifact path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("parametrize-ck")
     common(p)
     p.add_argument("--spec", default=None)
     p.add_argument("--eps", default="1/100")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--both-halves", action="store_true", default=True)
     p.set_defaults(run=_run_parametrize_ck)
 
     p = sub.add_parser("parametrize-analytic")

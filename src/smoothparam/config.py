@@ -1,6 +1,6 @@
 """Global numeric knobs, collected in one place so pipelines stay deterministic."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,7 +28,6 @@ class Config:
     # analytic parametrization
     a_chart_radii: int = 8           # concentric circles sampled per disk
     a_chart_angles: int = 256
-    a_chart_measure_radius: float = 2.0   # bound K measured on this disk
 
     # approximation
     taylor_degree_cap: int = 64
@@ -41,15 +40,11 @@ class Config:
     kappa_variant: str = "as_printed"   # or "truncated_at_k"
 
     # remez
-    remez_y_samples: int = 1000
-    remez_z_samples: int = 1000
     remez_c1: float = 0.125          # delta = c1 * rho / 2 proportionality
     lp_tolerance: float = 1e-9
 
     # entropy
     entropy_invariance_samples: int = 10_000
-
-    extra: dict = field(default_factory=dict)
 
 
 DEFAULT = Config()

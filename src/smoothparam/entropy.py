@@ -132,15 +132,13 @@ def _circle_gap_profile(a: int, n: int, G: int) -> np.ndarray:
     return prof
 
 
-def _prefix_cover_count(prof: np.ndarray, eps: float, G: int,
-                        circular: bool = True) -> tuple:
+def _prefix_cover_count(prof: np.ndarray, eps: float, G: int) -> tuple:
     """Greedy cover by contiguous arcs: each ball is used through the largest
     gap-prefix it certainly covers, which keeps the count monotone in n/eps."""
     above = np.nonzero(prof[1:] > eps)[0]
     width = int(above[0]) if above.size else G - 1
     block = 2 * width + 1
-    count = -(-G // block) if circular else -(-G // block)
-    return count, width
+    return -(-G // block), width
 
 
 def _separated_count(prof: np.ndarray, eps: float, G: int,

@@ -87,10 +87,6 @@ class RationalExpr(FunctionExpr):
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
 
-    @staticmethod
-    def from_poly(p) -> "RationalExpr":
-        return RationalExpr(p if isinstance(p, Poly) else Poly(p))
-
     def __repr__(self):
         return f"RationalExpr({self.num!r}, {self.den!r})"
 
@@ -338,6 +334,27 @@ def scale_shift(f: FunctionExpr, a, b) -> FunctionExpr:
     return simplify(AddExpr(MulExpr(ConstExpr(a), f), ConstExpr(b)))
 
 
+def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
+    """(g, norm): g = a * f + b with values sampled on [lo, hi] moved into
+    [0, 1] (shifted up when negative, scaled down when the span exceeds 1),
+    and norm = {"scale": a, "shift": b}; (f, {}) when they already lie in
+    [0, 1], or when sampling fails or gives a non-finite value."""
+    xs = np.linspace(float(lo), float(hi), cfg.grid_points)
+    try:
+        vals = f.eval_array(xs)
+    except Exception:   # a pole, a lost branch or a blackbox failure alike
+        return f, {}
+    if not np.all(np.isfinite(vals)):
+        return f, {}
+    vmin, vmax = float(np.min(vals)), float(np.max(vals))
+    if vmin >= -1e-12 and vmax <= 1 + 1e-12:
+        return f, {}
+    span = max(vmax - vmin, 1e-300)
+    a = _fr(1) / _fr(span) if span > 1 else _fr(1)
+    b = -_fr(vmin) * a if vmin < 0 else _fr(0)
+    return scale_shift(f, a, b), {"scale": a, "shift": b}
+
+
 # -- algebraic branches -------------------------------------------------------
 
 class SingularityData:
@@ -420,10 +437,11 @@ class BranchTracker:
     The cache keys are also kept in a sorted list, so finding the nearest
     known point costs O(log n) comparisons: bisect, then walk outward while
     the distance stays equal.  Among keys at the same (rounded) distance the
-    one cached first wins, so a NaN argument starts from the seed.  The sheet
-    guard in `_advance` accepts a corrector step when |w1 - w0| <= |step|; only
-    when that fails does it compute the fibre roots and require |w1 - w0| to
-    be at most half the distance from w1 to the nearest other root."""
+    one cached first wins.  A non-finite x raises EvaluationAtSingularity
+    before the cache is consulted.  The sheet guard in `_advance` accepts a
+    corrector step when |w1 - w0| <= |step|; only when that fails does it
+    compute the fibre roots and require |w1 - w0| to be at most half the
+    distance from w1 to the nearest other root."""
 
     def __init__(self, P: BivarPoly, seed, cfg: Config = DEFAULT):
         self.P = P
@@ -520,6 +538,8 @@ class BranchTracker:
 
     def eval_real(self, x):
         xf = float(x)
+        if not math.isfinite(xf):
+            raise EvaluationAtSingularity(f"branch evaluated at x = {xf}")
         if xf in self._real_cache:
             return self._real_cache[xf]
         near = self._nearest_key(xf)

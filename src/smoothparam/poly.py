@@ -4,6 +4,7 @@ leans on this module for the cases where the bounds demand exactness."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,10 +45,6 @@ class Poly:
         return Poly([c])
 
     @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
-    @staticmethod
     def affine(a, b) -> "Poly":
         """a*x + b"""
         return Poly([b, a])
@@ -60,9 +57,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else _ZERO
@@ -123,9 +117,6 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, c) -> "Poly":
-        return self * _fr(c)
-
     def divmod(self, other: "Poly"):
         """Exact polynomial division with remainder over Q."""
         if other.is_zero():
@@ -172,9 +163,6 @@ class Poly:
             out.append(out[-1].deriv())
         return out
 
-    def antideriv(self) -> "Poly":
-        return Poly([_ZERO] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x):
@@ -206,14 +194,6 @@ class Poly:
             acc = acc * inner + c
         return acc
 
-    def shift_scale_arg(self, a, b) -> "Poly":
-        """p(a*x + b)"""
-        return self.compose(Poly.affine(a, b))
-
-    def max_abs_on_grid(self, lo: float, hi: float, n: int) -> float:
-        xs = np.linspace(lo, hi, n)
-        return float(np.max(np.abs(self.eval_array(xs)))) if self.coeffs else 0.0
-
 
 def _int_scaled(p: Poly, N: int):
     """Integer data for gcd-free grid evaluation: D_j = L*c_j*N^(n-j) with L
@@ -223,7 +203,7 @@ def _int_scaled(p: Poly, N: int):
         return [0], 1
     L = 1
     for c in p.coeffs:
-        L = L * c.denominator // math_gcd(L, c.denominator)
+        L = L * c.denominator // math.gcd(L, c.denominator)
     D = []
     pw = 1
     scaled = [int(c * L) for c in p.coeffs]
@@ -233,12 +213,6 @@ def _int_scaled(p: Poly, N: int):
             pw *= N
     D.reverse()
     return D, L * N ** n
-
-
-def math_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _horner_int(D, i):
@@ -444,3 +418,35 @@ def lagrange_interpolate(points) -> Poly:
             term = term * Poly.affine(Fraction(1, 1) / (xi - xj), -xj / (xi - xj))
         result = result + term
     return result
+
+
+# -- exact linear algebra -----------------------------------------------------
+
+def gauss_eliminate(rows):
+    """Forward Gaussian elimination over Q.  Returns (pivots, sign): the
+    pivot value of each pivot row in order, and (-1)^(row swaps).  The rank
+    is len(pivots); a square matrix of full rank has determinant
+    sign * prod(pivots)."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    cols = len(mat[0]) if mat else 0
+    pivots, sign, row = [], 1, 0
+    for col in range(cols):
+        for piv in range(row, len(mat)):
+            if mat[piv][col] != 0:
+                break
+        else:
+            continue
+        if piv != row:
+            mat[row], mat[piv] = mat[piv], mat[row]
+            sign = -sign
+        inv = 1 / mat[row][col]
+        for r in range(row + 1, len(mat)):
+            if mat[r][col] != 0:
+                fct = mat[r][col] * inv
+                for c2 in range(col, cols):
+                    mat[r][c2] -= fct * mat[row][c2]
+        pivots.append(mat[row][col])
+        row += 1
+        if row == len(mat):
+            break
+    return pivots, sign

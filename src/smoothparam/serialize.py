@@ -279,7 +279,7 @@ def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
         tag = f"chart {i}"
         limit = cd["meta"].get("K", 1.0) if analytic else 1.0
         for order, val in cd["bounds"].items():
-            if val > limit + cfg.ck_tolerance_float:
+            if not val <= limit + cfg.ck_tolerance_float:
                 failures.append(f"{tag}: stored bound {val} at order {order} "
                                 f"exceeds {limit}")
         if cd["f"].get("kind") == "opaque":
@@ -292,7 +292,7 @@ def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
             if kvar is None:
                 continue
             var = verify_a_chart_variation(ch, cfg=fine)
-            if var > float(kvar) * (1 + 1e-6):
+            if not var <= float(kvar) * (1 + 1e-6):
                 failures.append(f"{tag}: re-measured variation {var} "
                                 f"exceeds stored {kvar}")
         else:

@@ -1,18 +1,20 @@
 """Algebraic branches of y^2 = x^3 + a x + b: the tracker's nearest-point
 lookup against the linear scan it replaces, its corrector arithmetic against
 numpy's, byte-identity of a fixed grid evaluation, values against the closed
-form, and a C^1 build end to end."""
+form, the typed error at a non-finite x, and a C^1 build end to end."""
 
 import hashlib
 import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from smoothparam.bivar import BivarPoly
 from smoothparam.ck_param import ck_parametrize_function
+from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import BranchExpr, BranchTracker, _cdiv, _horner
 
 # sha256 of eval_array on y^2 = x^3 + 1 over np.linspace(1, 2, 4096), as
@@ -97,3 +99,11 @@ def test_cubic_branch_c1_charts_are_certified():
         x0 = float(ch.psi(F(0)))
         want = scale * math.sqrt(x0 ** 3 + 1) + shift
         assert abs(float(ch.f_comp.eval(0.0)) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_cubic_branch_rejects_non_finite_x():
+    f = _cubic_branch()
+    with pytest.raises(EvaluationAtSingularity):
+        f.eval_array(np.array([1.5, math.nan]))
+    with pytest.raises(EvaluationAtSingularity):
+        f.eval(math.inf)

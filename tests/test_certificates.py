@@ -1,0 +1,117 @@
+"""Certificates fail closed: a NaN or inf measured at any order, or on any
+sampled circle, makes every checker report a failure (or raise a typed
+error where a bound is measured rather than checked), never a pass."""
+
+import dataclasses
+import json
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smoothparam.analytic_param import (_complex_max_on_circles,
+                                        verify_a_chart_variation)
+from smoothparam.charts import (Chart, SlabChart, verify_a_chart,
+                                verify_ck_chart, verify_mild_chart,
+                                verify_slab_chart)
+from smoothparam.cli import main
+from smoothparam.config import DEFAULT
+from smoothparam.errors import EvaluationAtSingularity
+from smoothparam.funcs import (BlackboxExpr, ConstExpr, MulExpr, PowExpr,
+                               RationalExpr)
+from smoothparam.poly import Poly
+
+CFG = dataclasses.replace(DEFAULT, grid_points=512, grid_points_2d=64,
+                          a_chart_radii=4, a_chart_angles=32)
+BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _poisoned(order, bad, at, depth=3):
+    """Zero with all derivatives zero, except that the order-th derivative
+    is `bad` at the sample point x = at."""
+    def fn(i):
+        return (lambda x: bad if x == at else 0.0) if i == order \
+            else (lambda x: 0.0)
+    return BlackboxExpr(fn(0), zero_count=0,
+                        deriv_fns=[fn(i) for i in range(1, depth + 1)])
+
+
+def test_roadmap_repro_fails():
+    # 1/x through psi(t) = t/2: NaN at t = 0 in the order-1 derivative
+    x = RationalExpr(Poly([0, 1]))
+    ch = Chart(psi=Poly([0, F(1, 2)]), f_comp=MulExpr(x, PowExpr(x, -2)), k=1)
+    rep = verify_ck_chart(ch)
+    assert math.isnan(rep.per_order[("f", 1)])
+    assert not rep.ok
+    assert "('f', 1)" in rep.detail
+
+
+@given(order=st.integers(1, 3), bad=BAD, idx=st.integers(0, 511))
+def test_ck_chart_fails_on_nonfinite(order, bad, idx):
+    at = float(np.linspace(0.0, 1.0, CFG.grid_points)[idx])
+    ch = Chart(psi=Poly([0, F(1, 2)]), f_comp=_poisoned(order, bad, at), k=3)
+    rep = verify_ck_chart(ch, CFG)
+    assert not rep.ok
+    assert f"('f', {order})" in rep.detail
+
+
+@given(order=st.integers(0, 3), bad=BAD, idx=st.integers(0, 1025),
+       upper=st.booleans())
+@settings(max_examples=40)
+def test_slab_chart_fails_on_nonfinite(order, bad, idx, upper):
+    xs = np.linspace(0.0, 1.0, CFG.grid_points_2d ** 2 // 4 + 2)
+    poisoned = _poisoned(order, bad, float(xs[idx]))
+    g1, g2 = (ConstExpr(0), poisoned) if upper else (poisoned, ConstExpr(0))
+    rep = verify_slab_chart(SlabChart(x_map=Poly([0, F(1, 2)]), G1=g1, G2=g2,
+                                      k=3), CFG)
+    assert not rep.ok
+    assert "non-finite" in rep.detail
+
+
+@given(order=st.integers(1, 3), bad=BAD, idx=st.integers(0, 511))
+def test_mild_chart_fails_on_nonfinite(order, bad, idx):
+    at = float(np.linspace(0.0, 1.0, CFG.grid_points)[idx])
+    ch = Chart(psi=Poly([0, F(1, 4)]), f_comp=_poisoned(order, bad, at), k=3)
+    rep = verify_mild_chart(ch, A=1.0, C=0.0, order=3, cfg=CFG)
+    assert not rep.ok
+    assert f"('f', {order})" in rep.detail
+
+
+def _poisoned_circle(bad, radius):
+    """Zero on the disk except on the circle of the given radius."""
+    return BlackboxExpr(
+        lambda z: complex(bad) if abs(abs(z) - radius) < 1e-9 else 0j,
+        zero_count=0)
+
+
+@given(bad=BAD, j=st.integers(1, 4))
+def test_a_chart_and_circle_bounds_fail_on_nonfinite(bad, j):
+    f = _poisoned_circle(bad, 2.0 * j / CFG.a_chart_radii)
+    rep = verify_a_chart(f, 0j, 2.0, K=1.0, cfg=CFG)
+    assert not rep.ok
+    assert "non-finite" in rep.detail
+    with pytest.raises(EvaluationAtSingularity):
+        _complex_max_on_circles(f, 0j, 2.0, CFG)
+    ch = Chart(psi=Poly([0, 1]), f_comp=f, k=0)
+    with pytest.raises(EvaluationAtSingularity):
+        verify_a_chart_variation(ch, 2.0, CFG)
+
+
+def test_a_chart_with_a_pole_on_a_circle_fails():
+    # 1/(z - 1): the outer circle about 0 passes through the pole at z = 1
+    f = RationalExpr(Poly([1]), Poly([-1, 1]))
+    assert not verify_a_chart(f, 0j, 1.0, K=1e6, cfg=CFG).ok
+
+
+def test_stored_nan_bound_fails_verification(tmp_path, capsys):
+    out = tmp_path / "ck.json"
+    assert main(["parametrize-ck", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    key = next(iter(doc["charts"][1]["bounds"]))
+    doc["charts"][1]["bounds"][key] = math.nan
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 2
+    assert "chart 1" in capsys.readouterr().err

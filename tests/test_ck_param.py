@@ -1,6 +1,7 @@
 """Derivative-killing parametrization: subdivision, square steps, full
 inductions (1D and slab), and the chart certificates."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   kill_derivative_step, monotone_subdivision)
 from smoothparam.errors import SlabOrderViolation
 from smoothparam.funcs import (BlackboxExpr, MulExpr, RationalExpr, SqrtExpr,
-                               hyperbola_branch)
+                               hyperbola_branch, normalize_values)
 from smoothparam.poly import Poly
 
 
@@ -169,6 +170,35 @@ def test_slab_affine_slope_one():
     assert P.chart_count >= 1
     for ch in P.charts:
         assert verify_slab_chart(ch).ok
+
+
+@pytest.mark.parametrize("upper, k, count, digest", [
+    ("eps^2/x", 2, 2, "6af440c5f32b179ae4795b51c81c432b0181bc3a778d360cbffbef3ac53b5c19"),
+    ("eps^2/x", 3, 4, "9523c5eb3408ef1603bced42b0025a7f6ba7403d0ee2f0c6a4282c6fc8d82f82"),
+    ("x", 2, 1, "d4eee32b7f30f77fa462f9c381f4d38e2df54ea361338788bba0f32af7800ede"),
+])
+def test_slab_charts_are_pinned(upper, k, count, digest):
+    # chart count and sha256 of every chart's exact data, as first computed
+    e = F(1, 100)
+    g2 = {"eps^2/x": RationalExpr(Poly([e * e]), Poly([0, 1])),
+          "x": RationalExpr(Poly([0, 1]))}[upper]
+    P = ck_parametrize_slab(RationalExpr(Poly([0])), g2, k, (e, F(1)))
+    rows = []
+    for c in P.charts:
+        (n1, d1), (n2, d2) = c.G1.as_rational(), c.G2.as_rational()
+        rows.append((c.x_map.coeffs, n1.coeffs, d1.coeffs, n2.coeffs, d2.coeffs))
+    assert P.chart_count == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_normalization_leaves_unsampleable_values_alone():
+    x = RationalExpr(Poly([0, 1]))
+    inv = RationalExpr(Poly([1]), Poly([0, 1]))          # inf at x = 0
+    assert normalize_values(inv, F(0), F(1))[1] == {}
+    assert normalize_values(x, F(0), F(1))[1] == {}       # already in [0, 1]
+    g, norm = normalize_values(x, F(-1), F(3))
+    assert norm == {"scale": F(1, 4), "shift": F(1, 4)}
+    assert g.eval(F(3)) == 1 and g.eval(F(-1)) == 0
 
 
 def test_slab_order_violation_detected():

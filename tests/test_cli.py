@@ -1,14 +1,22 @@
 """Command-line pipelines and JSON artifacts: exit codes, byte-determinism,
 round-trips, fault injection, and config resolution."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from smoothparam.ck_param import hyperbola_parametrization
 from smoothparam.cli import main
-from smoothparam.serialize import dumps, loads
+from smoothparam.serialize import dumps, loads, number_to_json
+
+# sha256 of `parametrize-ck --eps 1/100` (k=2) as first emitted; a change to
+# chart construction or certification that moves a byte shows up here
+CK2_ARTIFACT_SHA256 = \
+    "67016d96d037ad32b232e116caef9abdfd01c6cd103cc0d6913be03217231282"
 
 
 def test_parametrize_ck_golden_artifact(tmp_path):
@@ -28,6 +36,23 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     assert main(["parametrize-ck", "--out", str(a)]) == 0
     assert main(["parametrize-ck", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parametrize_ck_artifact_is_pinned(tmp_path):
+    out = tmp_path / "ck.json"
+    assert main(["parametrize-ck", "--eps", "1/100", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CK2_ARTIFACT_SHA256
+
+
+def test_parametrize_ck_spec_eps_reaches_the_artifact(tmp_path):
+    spec, out = tmp_path / "spec.json", tmp_path / "ck.json"
+    spec.write_text(json.dumps({"builtin": "hyperbola", "eps": "1/1000"}))
+    assert main(["parametrize-ck", "--spec", str(spec), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["eps"] == "1/1000"
+    want = hyperbola_parametrization(Fraction(1, 1000)).charts[0].image
+    assert doc["charts"][0]["image"] == [number_to_json(v) for v in want]
+    assert doc["charts"][0]["image"] != ["-103/400", "-1/1"]   # eps = 1/100
 
 
 def test_roundtrip_idempotent(tmp_path):

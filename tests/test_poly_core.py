@@ -1,6 +1,6 @@
 """Exact polynomial layer: Sturm counting/isolation against a dense bisection
-oracle, Bareiss resultants against interpolation, and branch continuation
-against closed forms."""
+oracle, Bareiss resultants against interpolation, elimination over Q against
+cofactor expansion, and branch continuation against closed forms."""
 
 import math
 import random
@@ -8,12 +8,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothparam.bivar import (BivarPoly, resultant_y, resultant_y_interpolated)
 from smoothparam.funcs import (BranchExpr, MulExpr, RationalExpr, SqrtExpr,
                                branch_continuation, isolate_real_zeros,
                                singular_locus)
 from smoothparam.poly import (Poly, complex_roots, count_real_roots,
+                              gauss_eliminate,
                               isolate_roots, lagrange_interpolate,
                               max_abs_on_rational_grid, sturm_chain)
 
@@ -162,3 +165,21 @@ def test_isolate_real_zeros_sqrt_expression():
     assert len(zs) == 1
     a, b = zs[0]
     assert a <= F(1, 4) <= b
+
+
+def _leibniz_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _leibniz_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(n))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_gauss_eliminate_det_and_rank_against_cofactor_oracle(m):
+    pivots, sign = gauss_eliminate(m)
+    det = sign * math.prod(pivots) if len(pivots) == len(m) else 0
+    assert det == _leibniz_det(m)
+    assert len(pivots) == len(gauss_eliminate(list(zip(*m)))[0])   # rank of A^T
+    assert (len(pivots) == len(m)) == (det != 0)
