@@ -30,7 +30,6 @@ class DyadicPartition:
     kept: list                         # list of (lo, hi)
     delta: Fraction
     singular_points: list              # complex
-    base: tuple
 
     def check_invariants(self):
         """(worst distance ratio, count, budget).  Ratio >= 3 means every kept
@@ -108,7 +107,7 @@ def dyadic_partition(interval, singular_points, delta,
     if cur < hi:
         gaps.append((cur, hi))
     if not gaps:
-        return DyadicPartition([], [], delta, sings, (lo, hi))
+        return DyadicPartition([], [], delta, sings)
 
     kept = []
     for A, B in gaps:
@@ -128,7 +127,7 @@ def dyadic_partition(interval, singular_points, delta,
             kept.append((q - L, q))
             q = q - L
     kept.sort()
-    return DyadicPartition(removed, kept, delta, sings, (lo, hi))
+    return DyadicPartition(removed, kept, delta, sings)
 
 
 @dataclass

@@ -116,9 +116,17 @@ def taylor_patch(g: FunctionExpr, d: int, center, halfwidth, route: str,
     return p, bound
 
 
-def _sampled_error(g: FunctionExpr, p: Poly, lo, hi, n):
-    xs = np.linspace(float(lo), float(hi), n)
-    return float(np.max(np.abs(g.eval_array(xs) - p.eval_array(xs))))
+def patch_error(g: FunctionExpr, p: Poly, route: str, center, side,
+                samples: int, psi: Poly = None) -> float:
+    """Sampled sup |g(psi(t)) - p(t)| over the patch's own parameter
+    interval: the chart's [-1, 1] on the analytic route, and the subcube
+    [center - side/2, center + side/2] of the chart's [0, 1] on the C^k
+    route.  Without psi, g is the chart composition itself."""
+    lo, hi = ((-1, 1) if route == "analytic"
+              else (center - side / 2, center + side / 2))
+    ts = np.linspace(float(lo), float(hi), samples)
+    xs = ts if psi is None else psi.eval_array(ts)
+    return float(np.max(np.abs(g.eval_array(xs) - p.eval_array(ts))))
 
 
 def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
@@ -128,7 +136,8 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
     n = 1
     k = int(n / sigma) + 1
     d = max(1, k - 1)
-    param = ck_parametrize_function(f, k, interval, cfg)
+    # patches approximate the source itself, which the artifact stores
+    param = ck_parametrize_function(f, k, interval, cfg, normalize=False)
     patches = []
     for idx, ch in enumerate(param.charts):
         r = eps ** (1.0 / k)
@@ -141,7 +150,8 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
                 c = (u + v) / 2
                 half = (v - u) / 2
                 p, bound = taylor_patch(ch.f_comp, d, c, half, "ck", cfg=cfg)
-                err = _sampled_error(ch.f_comp, p, u, v, cfg.patch_samples)
+                err = patch_error(ch.f_comp, p, "ck", c, 2 * half,
+                                  cfg.patch_samples)
                 if err > eps:
                     ok = False
                     break
@@ -183,7 +193,8 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
         while True:
             p, bound = taylor_patch(ch.f_comp, d, Fraction(0), 1, "analytic",
                                     K=max(K, 1e-300), cfg=cfg)
-            err = _sampled_error(ch.f_comp, p, -1, 1, cfg.patch_samples)
+            err = patch_error(ch.f_comp, p, "analytic", 0, 2,
+                              cfg.patch_samples)
             if err <= eps:
                 break
             d += 2
@@ -245,9 +256,8 @@ def verify_and_score(approx: Approximation, sources: dict = None,
             per.append((p.source, p.sup_error))
             worst = max(worst, p.sup_error)
             continue
-        lo = p.center[0] - p.side / 2
-        hi = p.center[0] + p.side / 2
-        err = _sampled_error(src, p.coeffs[1], lo, hi, 4 * cfg.patch_samples)
+        err = patch_error(src, p.coeffs[1], approx.route, p.center[0],
+                          p.side, 4 * cfg.patch_samples)
         per.append((p.source, err))
         worst = max(worst, err)
         if err > approx.epsilon * (1 + 1e-9):

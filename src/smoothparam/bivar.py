@@ -16,7 +16,7 @@ from .poly import Poly, _fr, gauss_eliminate
 class BivarPoly:
     """Sparse bivariate polynomial {(i, j): c} meaning sum c * x^i * y^j."""
 
-    __slots__ = ("coeffs", "degx", "degy")
+    __slots__ = ("coeffs", "degx", "degy", "_float_terms")
 
     def __init__(self, coeffs):
         cs = {}
@@ -28,6 +28,14 @@ class BivarPoly:
         self.coeffs = cs
         self.degx = max((i for i, _ in cs), default=-1)
         self.degy = max((j for _, j in cs), default=-1)
+        self._float_terms = None
+
+    def float_terms(self) -> list:
+        """[(i, j, float(c))], converted once per polynomial."""
+        if self._float_terms is None:
+            self._float_terms = [(i, j, float(c))
+                                 for (i, j), c in self.coeffs.items()]
+        return self._float_terms
 
     def is_zero(self):
         return not self.coeffs
@@ -78,8 +86,8 @@ class BivarPoly:
 
     def eval_complex(self, x, y):
         acc = 0j
-        for (i, j), c in self.coeffs.items():
-            acc += float(c) * x**i * y**j
+        for i, j, c in self.float_terms():
+            acc += c * x**i * y**j
         return acc
 
     def y_poly_at(self, x) -> Poly:
@@ -91,8 +99,8 @@ class BivarPoly:
 
     def y_poly_coeffs_complex(self, x: complex) -> np.ndarray:
         cs = np.zeros(self.degy + 1, dtype=complex)
-        for (i, j), c in self.coeffs.items():
-            cs[j] += float(c) * x**i
+        for i, j, c in self.float_terms():
+            cs[j] += c * x**i
         return cs
 
     def coeff_of_y(self, j) -> Poly:
@@ -114,8 +122,8 @@ class BivarPoly:
         xs = np.linspace(-1.0, 1.0, n)
         X, Y = np.meshgrid(xs, xs)
         acc = np.zeros_like(X)
-        for (i, j), c in self.coeffs.items():
-            acc += float(c) * X**i * Y**j
+        for i, j, c in self.float_terms():
+            acc += c * X**i * Y**j
         return float(np.max(np.abs(acc)))
 
 

@@ -49,11 +49,10 @@ class BPCombinatorics:
     kappa_printed: int = None
     kappa_truncated: int = None
 
-    def kappa(self, variant: str):
-        return self.kappa_printed if variant == "as_printed" else self.kappa_truncated
-
     def epsilon_exponent(self, variant: str = "as_printed") -> Fraction:
-        return Fraction(self.kappa(variant) * self.n, self.e)
+        kappa = (self.kappa_printed if variant == "as_printed"
+                 else self.kappa_truncated)
+        return Fraction(kappa * self.n, self.e)
 
 
 def bp_combinatorics(n: int, m: int) -> BPCombinatorics:
@@ -263,7 +262,7 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int,
     lo, hi = float(interval[0]), float(interval[1])
     comb = bp_for_degree(1, 2, d)
     tau, ktil, etil = comb.tau, comb.k, comb.e
-    kappa = comb.kappa(cfg.kappa_variant)
+    kappa = comb.kappa_printed
 
     # M_k of the Veronese composition (x, f(x)) -> monomials of degree <= d
     rat = f.as_rational()
@@ -300,12 +299,12 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int,
         if not ok:
             raise CoverTestFailed(
                 f"ball {idx} holds {len(pts)} points not on one degree-{d} curve")
-    eps_exp = comb.epsilon_exponent(cfg.kappa_variant)
+    eps_exp = comb.epsilon_exponent("as_printed")
     return {"rtil": rtil, "ball_count": ball_count,
             "occupied_balls": len(balls), "points": len(points),
             "per_ball": per_ball,
             "hypersurface_count": len(balls),
             "bound_exponent": float(eps_exp),
-            "epsilon_printed": comb.epsilon_exponent("as_printed"),
+            "epsilon_printed": eps_exp,
             "epsilon_truncated": comb.epsilon_exponent("truncated_at_k"),
             "tau": tau, "k": ktil, "e": etil, "kappa": kappa, "Mk": Mk}

@@ -37,7 +37,6 @@ class Config:
     mk_safety: float = 1.10          # inflate sampled C^k norms by 10%
     mk_samples: int = 512
     enumerate_cap: int = 10**6
-    kappa_variant: str = "as_printed"   # or "truncated_at_k"
 
     # remez
     remez_c1: float = 0.125          # delta = c1 * rho / 2 proportionality

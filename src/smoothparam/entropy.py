@@ -120,18 +120,6 @@ def dn_distance(sys: DynSystem, n: int, x, y) -> float:
 
 # -- covering numbers ----------------------------------------------------------
 
-def _circle_gap_profile(a: int, n: int, G: int) -> np.ndarray:
-    """dn between grid points i and i+k on the circle depends only on k:
-    profile[k] = max_{0<=i<=n} circdist(a^i * k / G)."""
-    cur = np.arange(G, dtype=np.int64)
-    prof = np.zeros(G)
-    for _ in range(n + 1):
-        frac = cur / G
-        prof = np.maximum(prof, np.minimum(frac, 1.0 - frac))
-        cur = (cur * a) % G
-    return prof
-
-
 def _prefix_cover_count(prof: np.ndarray, eps: float, G: int) -> tuple:
     """Greedy cover by contiguous arcs: each ball is used through the largest
     gap-prefix it certainly covers, which keeps the count monotone in n/eps."""
@@ -159,17 +147,6 @@ def _separated_count(prof: np.ndarray, eps: float, G: int,
             return count, s
         s += 1
     return 1, G
-
-
-def _circle_linear_cover(sys: DynSystem, n: int, eps: float,
-                         resolution: float) -> dict:
-    G = max(int(round(1.0 / resolution)), 8)
-    prof = _circle_gap_profile(sys.linear_multiplier, n, G)
-    M_upper, width = _prefix_cover_count(prof, eps, G)
-    M_lower, spacing = _separated_count(prof, eps, G)
-    return {"M_lower": M_lower, "M_upper": M_upper,
-            "meta": {"path": "circle-linear", "grid": G,
-                     "cover_halfwidth": width, "sep_spacing": spacing}}
 
 
 def _toral_eigen(A: np.ndarray):
@@ -248,13 +225,6 @@ def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
         J //= 2
 
 
-def _toral_cover(sys: DynSystem, n: int, eps: float) -> dict:
-    up = _toral_tile_cover_count(sys.linear_matrix, n, eps)
-    lo = _toral_line_separated(sys, n, eps)
-    return {"M_lower": lo["count"], "M_upper": up["count"],
-            "meta": {"path": "toral-linear", "tile": up, "line": lo}}
-
-
 def _grid_points(box, resolution: float) -> np.ndarray:
     axes = []
     for lo, hi in box:
@@ -264,41 +234,75 @@ def _grid_points(box, resolution: float) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _grid_greedy_cover(sys: DynSystem, n: int, eps: float,
-                       resolution: float) -> dict:
-    pts = _grid_points(sys.box, resolution)
-    orbits = [pts]
-    p = pts
-    for _ in range(n):
-        p = sys.step(p)
-        orbits.append(p)
+def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
+    """Yield the bracket {M_lower, M_upper, meta} of M(f, n, eps) for each n
+    of the ascending `n_values`, walking each orbit once.
 
-    def dn_from(idx: int) -> np.ndarray:
-        d = _dist(sys.metric, orbits[0][idx], orbits[0])
-        for orb in orbits[1:]:
-            d = np.maximum(d, _dist(sys.metric, orb[idx], orb))
-        return d
+    d_n only grows with n, so the circle gap profile at n is the running max
+    of the profile at n - 1, and the grid path adds one orbit step per n and
+    carries its 2*eps-separated set forward (it stays separated, so M_lower
+    never falls).  The toral tiling and line search are sized per n."""
+    if resolution > eps / 4.0 + 1e-15:
+        raise GridTooCoarse(
+            f"resolution {resolution} exceeds eps/4 = {eps / 4.0}")
+    if n_values[-1] > sys.iteration_cap:
+        raise PreconditionFailed(f"n={n_values[-1]} exceeds iteration cap")
+    circle = sys.linear_multiplier is not None and sys.dim == 1
+    if circle:
+        # d_n between grid points i and i+k depends only on k:
+        # prof[k] = max_{0<=i<=n} circdist(a^i * k / G)
+        G = max(int(round(1.0 / resolution)), 8)
+        cur = np.arange(G, dtype=np.int64)
+        prof = np.zeros(G)
+        folded = 0
+    elif sys.linear_matrix is None:
+        orbits = [_grid_points(sys.box, resolution)]
+        N = len(orbits[0])
+        chosen = []
 
-    N = len(pts)
-    covered = np.zeros(N, dtype=bool)
-    centers = 0
-    ptr = 0
-    while True:
-        while ptr < N and covered[ptr]:
-            ptr += 1
-        if ptr == N:
-            break
-        covered |= dn_from(ptr) <= eps + 1e-12
-        centers += 1
+        def dn_from(idx: int) -> np.ndarray:
+            d = _dist(sys.metric, orbits[0][idx], orbits[0])
+            for orb in orbits[1:]:
+                d = np.maximum(d, _dist(sys.metric, orb[idx], orb))
+            return d
 
-    mind = np.full(N, np.inf)
-    chosen = 0
-    for idx in range(N):
-        if mind[idx] > 2.0 * eps:
-            chosen += 1
-            mind = np.minimum(mind, dn_from(idx))
-    return {"M_lower": chosen, "M_upper": centers,
-            "meta": {"path": "grid-greedy", "grid_points": N}}
+    for n in n_values:
+        if circle:
+            while folded <= n:
+                frac = cur / G
+                np.maximum(prof, np.minimum(frac, 1.0 - frac), out=prof)
+                cur *= sys.linear_multiplier
+                cur %= G
+                folded += 1
+            M_upper, width = _prefix_cover_count(prof, eps, G)
+            M_lower, spacing = _separated_count(prof, eps, G)
+            meta = {"path": "circle-linear", "grid": G,
+                    "cover_halfwidth": width, "sep_spacing": spacing}
+        elif sys.linear_matrix is not None:
+            up = _toral_tile_cover_count(sys.linear_matrix, n, eps)
+            lo = _toral_line_separated(sys, n, eps)
+            M_lower, M_upper = lo["count"], up["count"]
+            meta = {"path": "toral-linear", "tile": up, "line": lo}
+        else:
+            while len(orbits) <= n:
+                orbits.append(sys.step(orbits[-1]))
+            covered = np.zeros(N, dtype=bool)
+            M_upper = 0
+            for idx in range(N):
+                if not covered[idx]:
+                    covered |= dn_from(idx) <= eps + 1e-12
+                    M_upper += 1
+            mind = np.full(N, np.inf)
+            for idx in chosen:
+                mind = np.minimum(mind, dn_from(idx))
+            for idx in range(N):
+                if mind[idx] > 2.0 * eps:
+                    chosen.append(idx)
+                    mind = np.minimum(mind, dn_from(idx))
+            M_lower = len(chosen)
+            meta = {"path": "grid-greedy", "grid_points": N}
+        assert M_lower <= M_upper, "separation exceeded covering"
+        yield {"M_lower": M_lower, "M_upper": M_upper, "meta": meta}
 
 
 def covering_number(sys: DynSystem, n: int, eps: float, resolution: float,
@@ -308,19 +312,7 @@ def covering_number(sys: DynSystem, n: int, eps: float, resolution: float,
     M_upper comes from an explicit eps-cover (greedy over a point cloud, or a
     structure-aware tiling for linear maps); M_lower from a verified
     2*eps-separated set.  The bracket gap is reported, never hidden."""
-    if resolution > eps / 4.0 + 1e-15:
-        raise GridTooCoarse(
-            f"resolution {resolution} exceeds eps/4 = {eps / 4.0}")
-    if n > sys.iteration_cap:
-        raise PreconditionFailed(f"n={n} exceeds iteration cap")
-    if sys.linear_multiplier is not None and sys.dim == 1:
-        out = _circle_linear_cover(sys, n, eps, resolution)
-    elif sys.linear_matrix is not None:
-        out = _toral_cover(sys, n, eps)
-    else:
-        out = _grid_greedy_cover(sys, n, eps, resolution)
-    assert out["M_lower"] <= out["M_upper"], "separation exceeded covering"
-    return out
+    return next(_brackets(sys, [n], eps, resolution))
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -393,31 +385,21 @@ def entropy_sweep(sys: DynSystem, n_values, eps_values,
     eps_values = sorted(float(e) for e in eps_values)
     rows = []
     grid_spec = {}
+    h_est = {}
+    ns = [n for n in n_values if n >= n_values[len(n_values) // 2]]
     for eps in eps_values:
         res = resolution if resolution is not None \
             else _resolution_for(sys, n_values[-1], eps)
         grid_spec[eps] = res
-        base = None
-        for n in n_values:
-            cov = covering_number(sys, n, eps, res, cfg)
-            if base is None:
-                base = (n, math.log2(cov["M_upper"]))
-                h = 0.0
-            else:
-                h = (math.log2(cov["M_upper"]) - base[1]) / (n - base[0])
+        logs = []
+        for n, cov in zip(n_values, _brackets(sys, n_values, eps, res)):
+            logs.append(math.log2(cov["M_upper"]))
+            h = (logs[-1] - logs[0]) / (n - n_values[0]) if len(logs) > 1 \
+                else 0.0
             rows.append({"n": n, "eps": eps, "M_lower": cov["M_lower"],
                          "M_upper": cov["M_upper"], "h": h})
-    h_est = {}
-    for eps in eps_values:
-        ns = [n for n in n_values if n >= n_values[len(n_values) // 2]]
-        ys = [math.log2(next(r for r in rows
-                             if r["n"] == n and r["eps"] == eps)["M_upper"])
-              for n in ns]
-        if len(ns) >= 2:
-            slope = float(np.polyfit(ns, ys, 1)[0])
-        else:
-            slope = float("nan")
-        h_est[eps] = slope
+        h_est[eps] = (float(np.polyfit(ns, logs[-len(ns):], 1)[0])
+                      if len(ns) >= 2 else float("nan"))
     return EntropyReport(system=sys.name, n_values=n_values,
                          eps_values=eps_values, rows=rows,
                          h_estimates=h_est, grid_spec=grid_spec)

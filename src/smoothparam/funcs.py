@@ -358,14 +358,10 @@ def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
 # -- algebraic branches -------------------------------------------------------
 
 class SingularityData:
-    """Complex singular points of an algebraic function with real projections."""
+    """Complex singular points of an algebraic function."""
 
-    def __init__(self, points, radii, sources, valency=None):
-        self.points = list(points)          # complex
-        self.radii = list(radii)            # error radii
-        self.sources = list(sources)        # strings
-        self.real_projections = [z.real for z in self.points]
-        self.valency = valency              # optional (p1, p2, n) metadata
+    def __init__(self, points):
+        self.points = list(points)
 
     def __len__(self):
         return len(self.points)
@@ -378,21 +374,17 @@ def singular_locus(P: BivarPoly) -> SingularityData:
     """Roots of Res_y(P, dP/dy) plus roots of the leading y-coefficient."""
     if P.degy <= 0:
         raise DegenerateInY("P has degree 0 in y")
-    points, radii, sources = [], [], []
+    points, radii = [], []
     res = resultant_y(P, P.dy())
     if not res.is_zero():
         for z, r in complex_roots(res):
             points.append(z)
             radii.append(r)
-            sources.append("discriminant root")
     lead = P.leading_coeff_in_y()
     if lead.degree > 0:
         for z, r in complex_roots(lead):
             points.append(z)
             radii.append(r)
-            sources.append("leading-coefficient root")
-    elif lead.is_zero():  # pragma: no cover - cannot happen with degy set
-        pass
     # dedupe nearby points
     keep = []
     for i, z in enumerate(points):
@@ -403,9 +395,7 @@ def singular_locus(P: BivarPoly) -> SingularityData:
                 break
         if not dup:
             keep.append(i)
-    return SingularityData([points[i] for i in keep],
-                           [radii[i] for i in keep],
-                           [sources[i] for i in keep])
+    return SingularityData([points[i] for i in keep])
 
 
 def _horner(cs, w):
@@ -612,18 +602,13 @@ class BranchExpr(FunctionExpr):
 
 
 class BlackboxExpr(FunctionExpr):
-    """Opaque evaluator with a declared zero-count bound N for itself and its
-    derivatives up to `max_order` (unverifiable; carried as metadata)."""
+    """Opaque evaluator with a declared (unverifiable) zero-count bound N for
+    itself and its derivatives."""
 
-    def __init__(self, fn, zero_count: int, max_order: int = 3,
-                 deriv_fns=None, declared_singularities=None, valency=None,
-                 _level=0):
+    def __init__(self, fn, zero_count: int, deriv_fns=None, _level=0):
         self.fn = fn
         self.zero_count = zero_count
-        self.max_order = max_order
         self.deriv_fns = deriv_fns or []
-        self.declared_singularities = declared_singularities or []
-        self.valency = valency
         self._level = _level
 
     def size(self):
@@ -631,17 +616,12 @@ class BlackboxExpr(FunctionExpr):
 
     def deriv(self):
         if self._level < len(self.deriv_fns):
-            nxt = BlackboxExpr(self.deriv_fns[self._level], self.zero_count,
-                               self.max_order, self.deriv_fns,
-                               self.declared_singularities, self.valency,
-                               _level=self._level + 1)
-            return nxt
+            return BlackboxExpr(self.deriv_fns[self._level], self.zero_count,
+                                self.deriv_fns, _level=self._level + 1)
         h = 1e-5
         f = self.fn
         return BlackboxExpr(lambda x: (f(x + h) - f(x - h)) / (2 * h),
-                            self.zero_count, self.max_order,
-                            declared_singularities=self.declared_singularities,
-                            valency=self.valency, _level=self._level + 1)
+                            self.zero_count, _level=self._level + 1)
 
     def eval(self, x):
         return self.fn(float(x))

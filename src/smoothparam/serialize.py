@@ -14,6 +14,7 @@ import dataclasses
 import json
 from fractions import Fraction
 
+from .approx import patch_error
 from .charts import Chart, verify_ck_chart
 from .config import DEFAULT, Config
 from .errors import SchemaVersionMismatch
@@ -312,16 +313,13 @@ def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
                             f"exceeds epsilon {eps}")
         if f is None or pd["dim"] != 1:
             continue
-        poly = poly_from_json(pd["coeffs"][1]) if isinstance(
-            pd["coeffs"][1], list) else None
-        psi = poly_from_json(pd["coeffs"][0]) if isinstance(
-            pd["coeffs"][0], list) else None
+        psi, poly = (poly_from_json(c) if isinstance(c, list) else None
+                     for c in pd["coeffs"][:2])
         if poly is None or psi is None:
             continue
-        import numpy as np
-        ts = np.linspace(-1.0, 1.0, 4 * cfg.patch_samples)
-        xs = psi.eval_array(ts)
-        err = float(np.max(np.abs(f.eval_array(xs) - poly.eval_array(ts))))
+        err = patch_error(f, poly, doc["route"],
+                          number_from_json(pd["center"][0]), pd["side"],
+                          4 * cfg.patch_samples, psi=psi)
         if err > eps * (1 + 1e-6):
             failures.append(f"patch {i}: resampled error {err} exceeds {eps}")
 

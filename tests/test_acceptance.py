@@ -2,6 +2,7 @@
 tolerances and runtime budgets are part of the assertions."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import time
@@ -26,8 +27,20 @@ from smoothparam.poly import Poly
 from smoothparam.remez import (curve_gradient_floor, empirical_remez_constant,
                                hyperbola_curve, hyperbola_remez_query,
                                normalize_curve, remez_parametrization)
+from smoothparam.serialize import dumps, entropy_report_to_json
 
 CHEAP = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
+
+# sha256 of the acceptance-10 entropy sweeps (JSON artifact, CSV) as first
+# emitted by the restart-per-n covering numbers
+ENTROPY_SHA256 = {
+    "identity": (
+        "61799c3c4c4d666e312abb6458bd6b6d49a5832dc994feb1f3d95f0979b1cef3",
+        "920826693b50364a9c2eae06e562b0654001b2dd5025086bf8fb459bb9123da8"),
+    "doubling": (
+        "573d591d8e37ad28ebe01cef44f5089e47d86e902ef9f252f4e0a5dc277700a5",
+        "7aeb7f1bf54be32fdedf2194a3c1c5435f92ba94dfb82bc72c3542e946d5d0a8"),
+}
 
 
 def _report(num, label):
@@ -219,4 +232,8 @@ def test_acceptance_10_entropy():
     assert rep_db.check_invariants() == []
     for slope in rep_db.h_estimates.values():
         assert 0.8 <= slope <= 1.2
+    for rep in (rep_id, rep_db):
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                        (dumps(entropy_report_to_json(rep)), rep.to_csv()))
+        assert digests == ENTROPY_SHA256[rep.system]
     assert time.perf_counter() - t0 < 120.0

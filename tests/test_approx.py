@@ -13,7 +13,9 @@ from smoothparam.approx import (analytic_approximate, ck_approximate,
                                 aic_of_fit, compare_log_cubic_vs_power,
                                 fit_affine, taylor_patch, taylor_polynomial,
                                 verify_and_score)
-from smoothparam.analytic_param import hyperbola_analytic_charts
+from smoothparam.analytic_param import (analytic_delta_parametrize,
+                                        hyperbola_analytic_charts)
+from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.config import DEFAULT
 from smoothparam.funcs import RationalExpr
 from smoothparam.poly import Poly
@@ -81,6 +83,34 @@ def test_ck_route_error_and_patch_scaling():
     # patch count grows like eps^(-1/k): a factor 10 per three decades
     ratio = len(A2.patches) / len(A1.patches)
     assert 4 <= ratio <= 25
+
+
+def test_verify_and_score_resamples_each_patch_on_its_own_interval():
+    e = F(1, 2 ** 20)
+    hyp = RationalExpr(Poly([e * e]), Poly([0, 1]))
+    cube = RationalExpr(Poly([0, 0, 0, 1]))
+    cases = [
+        (ck_approximate(cube, (F(0), F(1)), 1e-3, 0.5), "chart",
+         ck_parametrize_function(cube, 3, (F(0), F(1)), normalize=False)),
+        (analytic_approximate(hyp, (e, F(1)), 2.0 ** -8,
+                              declared_singularities=[0j], cfg=CHEAP),
+         "a-chart",
+         analytic_delta_parametrize(hyp, F(1, 256), (e, F(1)),
+                                    declared_singularities=[0j], cfg=CHEAP,
+                                    normalize=False))]
+    for A, tag, param in cases:
+        sources = {f"{tag}{i}": ch.f_comp for i, ch in enumerate(param.charts)}
+        rep = verify_and_score(A, sources)
+        assert rep["ok"], A.route
+        # lift one patch by 2 eps at the left end of its parameter interval
+        # and by at most 2^-29 eps on the right half; an analytic resample
+        # over the patch's x-image (inside (0, 1]) would miss it
+        p = next(p for p in A.patches if p.source.startswith(tag))
+        lo, hi = ((-1.0, 1.0) if A.route == "analytic"
+                  else (p.center[0] - p.side / 2, p.center[0] + p.side / 2))
+        w = Poly([F(hi), -1]) * Poly.const(1 / F(hi - lo))
+        p.coeffs[1] = p.coeffs[1] + Poly.const(F(2 * A.epsilon)) * w ** 30
+        assert not verify_and_score(A, sources)["ok"], A.route
 
 
 def test_slab_patches_reverify_at_4x_sampling():

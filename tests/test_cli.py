@@ -182,3 +182,19 @@ def test_approximate_past_the_digit_limit_verifies(tmp_path):
     out = tmp_path / "approx.json"
     assert main(["approximate", "--eps", repr(2.0 ** -19), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("scale", ["1", "4"])
+def test_ck_route_artifact_verifies(tmp_path, capsys, scale):
+    # (1 - x^2)/(2 + x^2) on [-1, 1]: C^k patches are resampled on their own
+    # subcube of the chart's [0, 1]; times 4 (values up to 2) the patches
+    # must approximate the stored source, not its value-normalized copy
+    spec, out = tmp_path / "spec.json", tmp_path / "ck.json"
+    spec.write_text(json.dumps({
+        "function": {"kind": "rational", "num": [scale, "0", f"-{scale}"],
+                     "den": ["2", "0", "1"]},
+        "interval": ["-1", "1"]}))
+    assert main(["approximate", "--route", "ck", "--eps", "0.001",
+                 "--spec", str(spec), "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().err
+    assert main(["verify", str(out)]) == 0

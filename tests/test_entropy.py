@@ -1,14 +1,20 @@
 """Covering numbers and entropy slopes on the system zoo: identity, circle
 doubling, the toral automorphism, and a nonlinear polynomial map.  Brackets
-are checked against orbit-loop oracles and known growth rates."""
+are checked against orbit-loop oracles and known growth rates; the one-walk
+bracket generator is checked against a restart-per-n circle profile and
+against per-cell covering numbers."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from smoothparam.entropy import (EntropyReport, covering_number, dn_distance,
+from smoothparam.entropy import (DynSystem, EntropyReport, _brackets,
+                                 _prefix_cover_count, _separated_count,
+                                 covering_number, dn_distance,
                                  doubling_system, entropy_sweep,
                                  identity_system, polynomial_system,
                                  system_zoo, toral_system)
@@ -132,3 +138,55 @@ def test_sweep_monotonicity_and_csv():
     lines = csv.strip().split("\n")
     assert lines[0] == "n,eps,M_lower,M_upper,h"
     assert len(lines) == 1 + 4 * 2
+
+
+def _circle_profile_oracle(a, n, G):
+    """d_n between circle grid points i and i+k, rebuilt from i = 0:
+    profile[k] = max_{0<=i<=n} circdist(a^i * k / G)."""
+    cur = np.arange(G, dtype=np.int64)
+    prof = np.zeros(G)
+    for _ in range(n + 1):
+        frac = cur / G
+        prof = np.maximum(prof, np.minimum(frac, 1.0 - frac))
+        cur = (cur * a) % G
+    return prof
+
+
+@given(a=st.sampled_from([2, 3]), G=st.integers(8, 4096),
+       ns=st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True),
+       data=st.data())
+def test_circle_brackets_match_restart_per_n_profile(a, G, ns, data):
+    eps = data.draw(st.floats(4.0 / G, 0.5))
+    circle = DynSystem(name=f"x{a}", dim=1,
+                       step=lambda p: np.mod(a * p, 1.0), metric="toroidal",
+                       box=((0.0, 1.0),), linear_multiplier=a)
+    ns = sorted(ns)
+    for n, got in zip(ns, _brackets(circle, ns, eps, 1.0 / G)):
+        prof = _circle_profile_oracle(a, n, G)
+        M_upper, width = _prefix_cover_count(prof, eps, G)
+        M_lower, spacing = _separated_count(prof, eps, G)
+        assert got == {"M_lower": M_lower, "M_upper": M_upper,
+                       "meta": {"path": "circle-linear", "grid": G,
+                                "cover_halfwidth": width,
+                                "sep_spacing": spacing}}
+
+
+@pytest.mark.parametrize("sys, ns, eps_values", [
+    (doubling_system(), range(1, 9), [0.1, 0.05]),
+    (identity_system(), range(1, 7), [0.1, 0.05]),
+    (toral_system(), range(2, 7), [1 / 8, 1 / 16]),
+])
+def test_sweep_cells_equal_covering_number(sys, ns, eps_values):
+    rep = entropy_sweep(sys, list(ns), eps_values)
+    assert len(rep.rows) == len(ns) * len(eps_values)
+    for r in rep.rows:
+        cov = covering_number(sys, r["n"], r["eps"], rep.grid_spec[r["eps"]])
+        assert (r["M_lower"], r["M_upper"]) == (cov["M_lower"],
+                                                 cov["M_upper"])
+
+
+def test_polynomial_sweep_lower_bracket_never_falls():
+    # restarting the separated set at every n gave M_lower 121 -> 120 at
+    # n = 1 -> 2; carrying it forward keeps it separated in d_n >= d_{n-1}
+    rep = entropy_sweep(polynomial_system(), [1, 2, 3], [0.1])
+    assert rep.check_invariants() == []
