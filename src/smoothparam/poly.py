@@ -222,24 +222,83 @@ def _horner_int(D, i):
     return acc
 
 
+# The exact grid maxima below screen the grid in floats first.  Float Horner
+# at x = fl(i/N) is off from p(i/N) by at most (3n + 1) u sum |c_j| x^j up to
+# O(n u) factors (Higham, Accuracy and Stability, 5.1, plus the rounding of
+# the coefficients and of i/N); the screen charges 4 (n + 3) u times the float
+# Horner sum of |c_j|, plus a subnormal-sized term for underflow, and pads
+# every comparison by _PAD.  Only the points whose upper bound reaches the
+# best lower bound are evaluated exactly, so the result is the same Fraction
+# as an exact scan of every point.
+_U = 2.0 ** -53
+_PAD = 1.0 + 2.0 ** -44
+
+
+def _screen(p: Poly, xs: np.ndarray):
+    """Float values of p at xs and a rigorous bound on their error, or None
+    when a coefficient or a magnitude sum leaves the float range."""
+    try:
+        cs = p.as_float_coeffs()
+    except OverflowError:
+        return None
+    v = np.full_like(xs, cs[-1])
+    h = np.full_like(xs, abs(cs[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in cs[-2::-1]:
+            v = v * xs + c
+            h = h * xs + abs(c)
+    if not np.all(h < 2.0 ** 1000):          # inf or NaN included
+        return None
+    n = p.degree
+    return v, 4 * (n + 3) * _U * h + (n + 3) * 2.0 ** -1070
+
+
 def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
-    """max |p(i/N)| over i = 0..N, exact, via integer Horner."""
+    """max |p(i/N)| over i = 0..N, exact: a float screen with rigorous error
+    bounds picks the points that can reach the max, and integer Horner
+    decides among them.  The result equals an exact scan of all N + 1
+    points; it is still a grid sample, not a bound over [0, 1]."""
     D, scale = _int_scaled(p, N)
-    best = 0
-    for i in range(N + 1):
-        v = abs(_horner_int(D, i))
-        if v > best:
-            best = v
-    return Fraction(best, scale)
+    if p.degree <= 1 or N <= 1:
+        idx = (0, N)                # |p| is convex: its max is at an end
+    elif (s := _screen(p, np.arange(N + 1) / N)) is None:
+        idx = range(N + 1)
+    else:
+        a, e = np.abs(s[0]), s[1]
+        idx = np.flatnonzero((a + e) * _PAD >= np.max(a - e) / _PAD).tolist()
+    return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
+
+
+def _candidates(num: Poly, den: Poly, N: int):
+    """Grid indices where |num/den| can reach its max over the points with
+    den != 0.  Only points where the screen proves den != 0 give the lower
+    bound; the others cannot be bounded above and are all candidates."""
+    xs = np.arange(N + 1) / N
+    sn, sd = _screen(num, xs), _screen(den, xs)
+    if sn is None or sd is None:
+        return range(N + 1)
+    an, en = np.abs(sn[0]), sn[1]
+    ad, ed = np.abs(sd[0]), sd[1]
+    safe = ad > ed
+    hi = np.full(N + 1, np.inf)
+    with np.errstate(over="ignore"):
+        hi[safe] = (an[safe] + en[safe]) / (ad[safe] - ed[safe]) * _PAD
+        lo = np.max(np.maximum(an[safe] - en[safe], 0.0)
+                    / (ad[safe] + ed[safe]), initial=0.0) / _PAD
+    return np.flatnonzero(hi >= lo).tolist()
 
 
 def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
     """max |num(i/N) / den(i/N)| over i = 0..N (grid points where den
-    vanishes are skipped), exact."""
+    vanishes are skipped), exact.  Screened like max_abs_on_rational_grid:
+    the result equals the exact scan of every point."""
+    if num.is_zero() or den.is_zero():
+        return Fraction(0)
     Dn, sn = _int_scaled(num, N)
     Dd, sd = _int_scaled(den, N)
+    idx = range(N + 1) if N <= 1 else _candidates(num, den, N)
     bn, bd = 0, 1        # running best as a nonnegative integer ratio
-    for i in range(N + 1):
+    for i in idx:
         b = _horner_int(Dd, i)
         if b == 0:
             continue

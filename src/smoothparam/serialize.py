@@ -311,7 +311,9 @@ def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
         if pd["sup_error"] > eps * (1 + 1e-9):
             failures.append(f"patch {i}: stored error {pd['sup_error']} "
                             f"exceeds epsilon {eps}")
-        if f is None or pd["dim"] != 1:
+        # a slab patch's upper boundary (psi, p) is resampled like a graph
+        # patch; its removed boxes are held to their stored bound only
+        if f is None or (pd["dim"] == 2 and pd["source"] == "removed-box"):
             continue
         psi, poly = (poly_from_json(c) if isinstance(c, list) else None
                      for c in pd["coeffs"][:2])

@@ -115,3 +115,20 @@ def test_stored_nan_bound_fails_verification(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 2
     assert "chart 1" in capsys.readouterr().err
+
+
+def test_reports_name_the_grid_they_sampled():
+    # 1/(2 + t) on [0, 1]: rational, so both modes apply
+    ch = Chart(psi=Poly([0, 1]), f_comp=RationalExpr(Poly([1]), Poly([2, 1])),
+               k=2)
+    exact = verify_ck_chart(ch, CFG, exact=True)
+    n = CFG.exact_grid_points
+    assert exact.ok and exact.mode == "exact"
+    assert exact.detail == f"exact at the {n + 1} points i/{n}"
+    flt = verify_ck_chart(ch, CFG, exact=False)
+    assert flt.ok and flt.mode == "float"
+    assert flt.detail == (f"float at {CFG.grid_points} points, "
+                          f"tolerance {CFG.ck_tolerance_float}")
+    slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=RationalExpr(Poly([0])),
+                     G2=RationalExpr(Poly([F(1, 2)])), k=1)
+    assert verify_slab_chart(slab, CFG).detail.startswith("float at ")

@@ -17,6 +17,9 @@ from smoothparam.serialize import dumps, loads, number_to_json
 # chart construction or certification that moves a byte shows up here
 CK2_ARTIFACT_SHA256 = \
     "67016d96d037ad32b232e116caef9abdfd01c6cd103cc0d6913be03217231282"
+# sha256 of `parametrize-ck --k 3 --eps 100/570`, as first emitted
+CK3_ARTIFACT_SHA256 = \
+    "ffe72a67b8f13c63c50bcd05a04454d16df808830cdacc58299f2731b15c455c"
 
 
 def test_parametrize_ck_golden_artifact(tmp_path):
@@ -42,6 +45,16 @@ def test_parametrize_ck_artifact_is_pinned(tmp_path):
     out = tmp_path / "ck.json"
     assert main(["parametrize-ck", "--eps", "1/100", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CK2_ARTIFACT_SHA256
+
+
+def test_parametrize_ck_k3_artifact_is_pinned(tmp_path, capsys):
+    out = tmp_path / "ck3.json"
+    assert main(["parametrize-ck", "--k", "3", "--eps", "100/570",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CK3_ARTIFACT_SHA256
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "pass\n"
 
 
 def test_parametrize_ck_spec_eps_reaches_the_artifact(tmp_path):
@@ -154,6 +167,22 @@ def test_approximate_cli(tmp_path):
     assert doc["kind"] == "approximation"
     for p in doc["patches"]:
         assert p["sup_error"] <= doc["epsilon"] * (1 + 1e-9)
+
+
+def test_verify_resamples_slab_patches(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert main(["approximate", "--eps", "0.03125", "--slab",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    charts = [i for i, p in enumerate(doc["patches"])
+              if p["dim"] == 2 and p["source"] != "removed-box"]
+    assert charts and main(["verify", str(out)]) == 0
+    # lift one chart patch's upper boundary; its stored error stays small
+    doc["patches"][charts[0]]["coeffs"][1][0] = "5"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert f"patch {charts[0]}: resampled error" in capsys.readouterr().err
 
 
 def test_installed_entry_point():

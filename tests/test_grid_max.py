@@ -1,0 +1,133 @@
+"""Exact grid maxima: the float-screened max_abs_on_rational_grid and
+max_abs_ratio_on_grid against a plain Fraction scan of every grid point, on
+denominators with roots on the grid (also at the float argmax), denominators
+that are tiny in floats but not zero, constants, lines and ties, grids that
+are not powers of two, coefficients beyond the float range (the full-scan
+fallback), zero numerators and high degrees."""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smoothparam import poly
+from smoothparam.poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
+
+GRIDS = (1, 2, 3, 100, 4096, 4097, 16384)
+
+
+def direct(p, N):
+    return max(abs(p(F(i, N))) for i in range(N + 1))
+
+
+def direct_ratio(num, den, N):
+    best = F(0)
+    for i in range(N + 1):
+        d = den(F(i, N))
+        if d != 0:
+            best = max(best, abs(num(F(i, N)) / d))
+    return best
+
+
+def _coeffs(max_degree, bound):
+    c = st.builds(F, st.integers(-bound, bound), st.integers(1, bound))
+    return st.lists(c, min_size=1, max_size=max_degree + 1)
+
+
+@st.composite
+def _grid_and_degree(draw):
+    N = draw(st.sampled_from(GRIDS))
+    # the Fraction oracle costs N * degree; keep the large grids at low degree
+    return N, (20 if N <= 100 else 8 if N <= 4097 else 4)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_grid_max_matches_fraction_scan(data):
+    N, deg = data.draw(_grid_and_degree())
+    big = data.draw(st.sampled_from((10, 10**12)))
+    p = Poly(data.draw(_coeffs(deg, big)))
+    assert max_abs_on_rational_grid(p, N) == direct(p, N)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_grid_ratio_matches_fraction_scan(data):
+    N, deg = data.draw(_grid_and_degree())
+    big = data.draw(st.sampled_from((10, 10**12)))
+    num = Poly(data.draw(_coeffs(deg, big)))
+    den = Poly(data.draw(_coeffs(deg // 2, big)))
+    kind = data.draw(st.sampled_from(("plain", "root", "near-root")))
+    if kind != "plain":
+        # a factor (x - r) with r on the grid; "near-root" lifts it by a
+        # nonzero amount far below the float error of the screen
+        r = F(data.draw(st.integers(0, N)), N)
+        lift = F(1, 10**30) if kind == "near-root" else 0
+        den = den * Poly([-r, 1]) + lift
+    assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+
+
+@pytest.mark.parametrize("N", (100, 4097))
+def test_grid_ratio_skips_a_root_at_the_float_argmax(N):
+    # den vanishes exactly at the grid point i/N, where its float value is
+    # rounding noise and |num/den| is the largest float ratio on the grid;
+    # that point must neither be the max nor vouch for a lower bound
+    num, xs = Poly([1, 3, -2]), np.arange(N + 1) / N
+    for i in range(1, N):
+        den = Poly([-F(i, N), 1]) * Poly([F(1, 3), 1])
+        d = den.eval_array(xs)
+        with np.errstate(divide="ignore"):
+            ratio = np.abs(num.eval_array(xs) / d)
+        if d[i] != 0 and np.argmax(ratio) == i:
+            break
+    else:
+        pytest.fail("no grid root with a nonzero float value at the argmax")
+    got = max_abs_ratio_on_grid(num, den, N)
+    assert got == direct_ratio(num, den, N)
+    assert 0 < got < ratio[i] / 1e6
+
+
+def test_grid_ratio_finds_a_tiny_nonzero_denominator():
+    # den(37/100) = 10^-40 exactly: the float screen cannot tell it from 0,
+    # so that point stays a candidate and holds the max
+    N, r = 100, F(37, 100)
+    num, den = Poly([1]), Poly([-r, 1]) * Poly([-r, 1]) + F(1, 10**40)
+    assert max_abs_ratio_on_grid(num, den, N) == 10**40
+    assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+
+
+@pytest.mark.parametrize("N", GRIDS)
+def test_constants_lines_and_ties(N):
+    cases = [Poly([]), Poly([F(-7, 3)]), Poly([F(1, 3), F(-2, 3)]),
+             Poly([F(-1, 2), 1]),                  # |x - 1/2|: ends tie
+             Poly([F(1, 4), -1, 1])]               # (x - 1/2)^2: ends tie
+    for p in cases:
+        assert max_abs_on_rational_grid(p, N) == direct(p, N)
+    den = Poly([2, 5, 1])
+    for num in (den * F(-3, 7), Poly([F(5, 2)]), Poly([])):
+        assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+    assert max_abs_ratio_on_grid(Poly([1]), Poly([]), N) == 0
+
+
+@pytest.mark.parametrize("N", (100, 4097))
+def test_coefficients_beyond_float_range_take_the_full_scan(N):
+    huge = Poly([3, -10**400, 1, 10**399])         # float() overflows
+    wide = Poly([1, 10**308, 0, 10**308, F(1, 7)])  # float Horner overflows
+    xs = np.arange(N + 1) / N
+    for p in (huge, wide):
+        assert poly._screen(p, xs) is None
+        assert max_abs_on_rational_grid(p, N) == direct(p, N)
+        assert max_abs_ratio_on_grid(p, Poly([1, 1, 2]), N) == \
+            direct_ratio(p, Poly([1, 1, 2]), N)
+        assert max_abs_ratio_on_grid(Poly([1, 2, 3]), p, N) == \
+            direct_ratio(Poly([1, 2, 3]), p, N)
+
+
+def test_high_degree_with_large_denominators():
+    N = 100
+    num = Poly([F((-1) ** j * (j + 1), 10**12 + j) for j in range(21)])
+    den = Poly([F(1, 10**15), F(-3, 10**14), F(7, 10**13), F(1, 10**12)])
+    assert max_abs_on_rational_grid(num, N) == direct(num, N)
+    assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
