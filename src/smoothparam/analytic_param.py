@@ -147,12 +147,12 @@ class AnalyticParametrization:
 def _complex_max_on_circles(f: FunctionExpr, center: complex, radius: float,
                             cfg: Config, tracker=None):
     """max |f| over concentric circles up to `radius`; branch functions are
-    continued along each circle from a real entry point.  A non-finite value
-    raises EvaluationAtSingularity."""
+    continued along each circle from its real entry point center + r, the
+    circle's first sample.  A non-finite value raises
+    EvaluationAtSingularity."""
     if tracker is None:
-        return circle_sup(lambda r, zs: [f.eval_complex(z) for z in zs],
-                          center, radius, cfg)
-    return circle_sup(lambda r, zs: tracker.eval_path([center + r] + zs)[1:],
+        return circle_sup(f.eval_array, center, radius, cfg)
+    return circle_sup(lambda zs: [tracker.eval_path(row) for row in zs],
                       center, radius, cfg)
 
 
@@ -197,10 +197,9 @@ def verify_a_chart_variation(ch: Chart, radius: float = 2.0,
                              cfg: Config = DEFAULT):
     """max |f(psi(z)) - f(psi(0))| on concentric circles of the given radius
     in chart coordinates."""
-    f0 = complex(ch.f_comp.eval_complex(0j))
-    return circle_sup(
-        lambda r, zs: [complex(ch.f_comp.eval_complex(z)) - f0 for z in zs],
-        0j, radius, cfg)
+    f0 = ch.f_comp.eval_complex(0j)
+    return circle_sup(lambda zs: ch.f_comp.eval_array(zs) - f0, 0j, radius,
+                      cfg)
 
 
 def analytic_delta_parametrize(f: FunctionExpr, delta, interval,

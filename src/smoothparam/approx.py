@@ -131,13 +131,18 @@ def patch_error(g: FunctionExpr, p: Poly, route: str, center, side,
 
 def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
                    cfg: Config = DEFAULT) -> Approximation:
-    """Graph-of-function route over an interval (n = 1)."""
+    """Graph-of-function route over an interval (n = 1).  The charts carry
+    the value-normalized g = a*f + b (`funcs.normalize_values`), so their
+    count does not grow with the sup norm of f.  Each patch p is fitted to g
+    at budget a*eps and stored as (p - b)/a, exactly: the approximation of
+    f itself that the artifact's verify resamples against the source."""
     f = _wrap(f)
     n = 1
     k = int(n / sigma) + 1
     d = max(1, k - 1)
-    # patches approximate the source itself, which the artifact stores
-    param = ck_parametrize_function(f, k, interval, cfg, normalize=False)
+    param = ck_parametrize_function(f, k, interval, cfg)
+    a = param.normalization.get("scale", Fraction(1))
+    b = param.normalization.get("shift", Fraction(0))
     patches = []
     for idx, ch in enumerate(param.charts):
         r = eps ** (1.0 / k)
@@ -151,16 +156,15 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
                 half = (v - u) / 2
                 p, bound = taylor_patch(ch.f_comp, d, c, half, "ck", cfg=cfg)
                 err = patch_error(ch.f_comp, p, "ck", c, 2 * half,
-                                  cfg.patch_samples)
+                                  cfg.patch_samples) / float(a)
                 if err > eps:
                     ok = False
                     break
-                psi_p = ch.psi  # already polynomial, kept exactly
                 cand.append(ApproxPatch(dim=1, degree=d,
-                                        coeffs=[psi_p, p],
+                                        coeffs=[ch.psi, (p - b) * (1 / a)],
                                         center=(float(c),), side=float(2 * half),
                                         source=f"chart{idx}", sup_error=err,
-                                        bound=bound))
+                                        bound=bound / float(a)))
             if ok:
                 patches.extend(cand)
                 break

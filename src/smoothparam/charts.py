@@ -92,21 +92,25 @@ def sampled_sup(fn, xs=None, order: int = 0, cfg: Config = DEFAULT) -> float:
 def circle_sup(values, center: complex, radius: float,
                cfg: Config = DEFAULT) -> float:
     """max |v| over the concentric-circle sample: cfg.a_chart_radii circles
-    about `center` with radii r = radius * j / cfg.a_chart_radii, each with
-    cfg.a_chart_angles points zs, innermost first; values(r, zs) returns the
-    values at zs.  A non-finite value raises EvaluationAtSingularity, so it
-    can never shrink the bound."""
+    about `center` with radii r_j = radius * j / cfg.a_chart_radii, each with
+    cfg.a_chart_angles points.  values(zs) takes the complex array zs of
+    shape (radii, angles) in one call, row j the circle of radius r_j
+    starting at angle 0 (zs[j, 0] == center + r_j), and returns an array of
+    the same shape.  A non-finite value raises EvaluationAtSingularity naming
+    the first radius where it occurs, so it can never shrink the bound."""
     angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
-    worst = 0.0
-    for rstep in range(1, cfg.a_chart_radii + 1):
-        r = radius * rstep / cfg.a_chart_radii
-        zs = [center + r * complex(math.cos(t), math.sin(t)) for t in angles]
-        mags = [abs(complex(v)) for v in values(r, zs)]
-        if not all(map(math.isfinite, mags)):
-            raise EvaluationAtSingularity(
-                f"non-finite value on the circle of radius {r} about {center}")
-        worst = max([worst, *mags])
-    return worst
+    unit = np.array([complex(math.cos(t), math.sin(t)) for t in angles])
+    radii = [radius * j / cfg.a_chart_radii
+             for j in range(1, cfg.a_chart_radii + 1)]
+    zs = center + np.array(radii)[:, None] * unit
+    with np.errstate(all="ignore"):     # a non-finite value raises below
+        mags = np.abs(np.asarray(values(zs)))
+    finite = np.isfinite(mags).all(axis=1)
+    if not finite.all():
+        r = radii[int(np.argmin(finite))]
+        raise EvaluationAtSingularity(
+            f"non-finite value on the circle of radius {r} about {center}")
+    return float(mags.max())
 
 
 def _report(values: dict, mode: str, tol: float, limit: float = 1.0,
@@ -222,8 +226,7 @@ def verify_a_chart(fn: FunctionExpr, center: complex, radius: float, K: float,
     inner circles guard against evaluation blowups)."""
     fn = _wrap(fn)
     try:
-        worst = circle_sup(lambda r, zs: [fn.eval_complex(z) for z in zs],
-                           center, radius, cfg)
+        worst = circle_sup(fn.eval_array, center, radius, cfg)
     except EvaluationAtSingularity:
         worst = math.nan
     return _report({"disk": worst}, "complex", cfg.ck_tolerance_float,

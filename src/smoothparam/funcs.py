@@ -36,7 +36,9 @@ def _sqrt_exact(v: Fraction):
 
 
 class FunctionExpr:
-    """Base class.  Subclasses implement eval/eval_complex/deriv."""
+    """Base class.  Subclasses implement eval (one point, exact where the
+    input is), eval_array (elementwise over a real or complex numpy array;
+    the one numeric evaluator) and deriv."""
 
     def deriv(self) -> "FunctionExpr":
         raise NotImplementedError
@@ -44,11 +46,12 @@ class FunctionExpr:
     def eval(self, x):
         raise NotImplementedError
 
-    def eval_complex(self, z):
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([float(self.eval(float(x))) for x in xs])
+    def eval_complex(self, z):
+        """f(z) at one complex point: the one-point case of eval_array."""
+        return complex(self.eval_array(np.array([complex(z)]))[0])
 
     def size(self) -> int:
         return 1
@@ -120,13 +123,6 @@ class RationalExpr(FunctionExpr):
             raise EvaluationAtSingularity(f"pole at {x}")
         return self.num(float(x)) / dv
 
-    def eval_complex(self, z):
-        z = complex(z)
-        dv = complex(self.den(z))
-        if dv == 0:
-            raise EvaluationAtSingularity(f"pole at {z}")
-        return complex(self.num(z)) / dv
-
     def eval_array(self, xs):
         return self.num.eval_array(xs) / self.den.eval_array(xs)
 
@@ -155,9 +151,6 @@ class SqrtExpr(FunctionExpr):
             return math.sqrt(float(v))
         return math.sqrt(v)
 
-    def eval_complex(self, z):
-        return complex(self.inner.eval_complex(z)) ** 0.5
-
     def eval_array(self, xs):
         return np.sqrt(self.inner.eval_array(xs))
 
@@ -174,9 +167,6 @@ class ConstExpr(FunctionExpr):
 
     def eval(self, x):
         return self.c if _is_exact(x) else float(self.c)
-
-    def eval_complex(self, z):
-        return complex(float(self.c))
 
     def eval_array(self, xs):
         return np.full_like(xs, float(self.c))
@@ -203,9 +193,6 @@ class AddExpr(FunctionExpr):
     def eval(self, x):
         return sum(t.eval(x) for t in self.terms)
 
-    def eval_complex(self, z):
-        return sum(t.eval_complex(z) for t in self.terms)
-
     def eval_array(self, xs):
         acc = np.zeros_like(xs)
         for t in self.terms:
@@ -229,9 +216,6 @@ class MulExpr(FunctionExpr):
 
     def eval(self, x):
         return self.f.eval(x) * self.g.eval(x)
-
-    def eval_complex(self, z):
-        return self.f.eval_complex(z) * self.g.eval_complex(z)
 
     def eval_array(self, xs):
         return self.f.eval_array(xs) * self.g.eval_array(xs)
@@ -258,9 +242,6 @@ class PowExpr(FunctionExpr):
             return _fr(v) ** self.n
         return float(v) ** self.n
 
-    def eval_complex(self, z):
-        return complex(self.f.eval_complex(z)) ** self.n
-
     def eval_array(self, xs):
         return self.f.eval_array(xs) ** self.n
 
@@ -278,9 +259,6 @@ class ComposeExpr(FunctionExpr):
 
     def eval(self, x):
         return self.outer.eval(self.inner.eval(x))
-
-    def eval_complex(self, z):
-        return self.outer.eval_complex(self.inner.eval_complex(z))
 
     def eval_array(self, xs):
         return self.outer.eval_array(self.inner.eval_array(xs))
@@ -594,6 +572,9 @@ class BranchExpr(FunctionExpr):
         return self.rat.eval_complex(complex(z), w)
 
     def eval_array(self, xs):
+        if np.iscomplexobj(xs):
+            return np.array([self.eval_complex(z) for z in xs.ravel()],
+                            dtype=complex).reshape(xs.shape)
         order = np.argsort(xs)
         out = np.empty_like(xs, dtype=float)
         for i in order:
@@ -626,11 +607,9 @@ class BlackboxExpr(FunctionExpr):
     def eval(self, x):
         return self.fn(float(x))
 
-    def eval_complex(self, z):
-        return self.fn(complex(z))
-
     def eval_array(self, xs):
-        return np.array([self.fn(float(x)) for x in xs])
+        return np.array([self.fn(x) for x in xs.ravel().tolist()]
+                        ).reshape(xs.shape)
 
 
 # -- the poly_core operations -------------------------------------------------

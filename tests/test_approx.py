@@ -15,6 +15,7 @@ from smoothparam.approx import (analytic_approximate, ck_approximate,
                                 verify_and_score)
 from smoothparam.analytic_param import (analytic_delta_parametrize,
                                         hyperbola_analytic_charts)
+from smoothparam import serialize
 from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.config import DEFAULT
 from smoothparam.funcs import RationalExpr
@@ -83,6 +84,19 @@ def test_ck_route_error_and_patch_scaling():
     # patch count grows like eps^(-1/k): a factor 10 per three decades
     ratio = len(A2.patches) / len(A1.patches)
     assert 4 <= ratio <= 25
+
+
+def test_ck_route_charts_the_normalized_source_and_verifies():
+    # 100 x^3 spans [0, 100]: charts are built for x^3 (5 of them, not one
+    # per unit of the sup norm) and the stored patches approximate 100 x^3
+    f = RationalExpr(Poly([0, 0, 0, 100]))
+    A = ck_approximate(f, (F(0), F(1)), 1e-3, 0.5)
+    assert A.meta["charts"] == 5
+    assert all(p.sup_error <= A.epsilon for p in A.patches)
+    doc = serialize.loads(serialize.dumps(
+        serialize.approximation_to_json(A, source=f)))
+    assert serialize.verify_bundle(doc) == \
+        {"ok": True, "kind": "approximation", "failures": []}
 
 
 def test_verify_and_score_resamples_each_patch_on_its_own_interval():

@@ -20,6 +20,18 @@ CK2_ARTIFACT_SHA256 = \
 # sha256 of `parametrize-ck --k 3 --eps 100/570`, as first emitted
 CK3_ARTIFACT_SHA256 = \
     "ffe72a67b8f13c63c50bcd05a04454d16df808830cdacc58299f2731b15c455c"
+# sha256 of analytic-route artifacts (disk bounds sampled on complex circles),
+# as emitted before circle sampling became one array call per disk
+ANALYTIC_ARTIFACT_SHA256 = {
+    (): "ca54f2709839e24fa199992fca62070cb201321b6b593961303e7f66b88fb13b",
+    ("--eps", "1/100000", "--delta", "1/2048"):
+        "c174194933d828572400207117e31a637160904833c85ef49e53d8dc5da8e980",
+}
+APPROX_ARTIFACT_SHA256 = {
+    (): "2bfca1a8c2b605dfcec1c18cf75b7688623ed1ee357d3bc3bcd2906c1045b5b0",
+    ("--slab",):
+        "ff0cf32fdd090d2f494595bda8963898c6f8783e73aa0b997c440b2eb9088032",
+}
 
 
 def test_parametrize_ck_golden_artifact(tmp_path):
@@ -55,6 +67,23 @@ def test_parametrize_ck_k3_artifact_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out)]) == 0
     assert capsys.readouterr().out == "pass\n"
+
+
+@pytest.mark.parametrize("flags", list(ANALYTIC_ARTIFACT_SHA256))
+def test_parametrize_analytic_artifact_is_pinned(tmp_path, flags):
+    out = tmp_path / "an.json"
+    assert main(["parametrize-analytic", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        ANALYTIC_ARTIFACT_SHA256[flags]
+
+
+@pytest.mark.parametrize("flags", list(APPROX_ARTIFACT_SHA256))
+def test_approximate_artifact_is_pinned(tmp_path, flags):
+    out = tmp_path / "approx.json"
+    assert main(["approximate", "--eps", "0.0009765625", *flags,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        APPROX_ARTIFACT_SHA256[flags]
 
 
 def test_parametrize_ck_spec_eps_reaches_the_artifact(tmp_path):

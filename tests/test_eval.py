@@ -1,0 +1,216 @@
+"""The one numeric evaluator: `eval_array` on complex arrays against a
+per-point Python-complex oracle (the recursion each expression class once
+carried as its own `eval_complex`), `circle_sup` against the per-circle
+loop it replaced, and fail-closed sampling at a pole."""
+
+import dataclasses
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from smoothparam.analytic_param import (_complex_max_on_circles,
+                                        hyperbola_analytic_charts,
+                                        verify_a_chart_variation)
+from smoothparam.bivar import BivarPoly
+from smoothparam.charts import circle_sup, verify_a_chart
+from smoothparam.config import DEFAULT
+from smoothparam.errors import EvaluationAtSingularity
+from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
+                               ConstExpr, MulExpr, PowExpr, RationalExpr,
+                               SqrtExpr)
+from smoothparam.poly import Poly
+
+U = 2.0 ** -53          # unit roundoff
+
+
+def oracle(e, z):
+    """e(z) by per-point Python complex arithmetic, node by node."""
+    if isinstance(e, RationalExpr):
+        return complex(e.num(z)) / complex(e.den(z))
+    if isinstance(e, SqrtExpr):
+        return complex(oracle(e.inner, z)) ** 0.5
+    if isinstance(e, ConstExpr):
+        return complex(float(e.c))
+    if isinstance(e, AddExpr):
+        return sum(oracle(t, z) for t in e.terms)
+    if isinstance(e, MulExpr):
+        return oracle(e.f, z) * oracle(e.g, z)
+    if isinstance(e, PowExpr):
+        return complex(oracle(e.f, z)) ** e.n
+    if isinstance(e, ComposeExpr):
+        return oracle(e.outer, oracle(e.inner, z))
+    raise TypeError(type(e))
+
+
+def rounding_scale(e, z, dz=0.0):
+    """(e(z), E): a first-order bound E, in units of U, on how far two
+    float evaluations of e can drift apart when its input already carries
+    dz units of error.  E is inf where a pole or a sqrt branch cut lies
+    within that drift."""
+    if isinstance(e, RationalExpr):
+        parts = []
+        for p in (e.num, e.den):
+            mag = sum(abs(float(c)) * abs(z) ** i for i, c in enumerate(p.coeffs))
+            slope = abs(complex(p.deriv()(z))) if p.degree > 0 else 0.0
+            parts.append((complex(p(z)),
+                          4 * (p.degree + 1) * mag + slope * dz))
+        (n, en), (d, ed) = parts
+        if abs(d) <= 10 * U * ed or d == 0:
+            return math.nan, math.inf
+        v = n / d
+        return v, (en + abs(v) * ed) / abs(d) + 8 * abs(v)
+    if isinstance(e, ConstExpr):
+        return complex(float(e.c)), 0.0
+    if isinstance(e, SqrtExpr):
+        f, ef = rounding_scale(e.inner, z, dz)
+        near_cut = f.real < 0 and abs(f.imag) <= 10 * U * ef
+        if abs(f) <= 10 * U * ef or near_cut:
+            return math.nan, math.inf
+        v = f ** 0.5
+        return v, abs(v) * (ef / (2 * abs(f)) + 4)
+    if isinstance(e, AddExpr):
+        vals = [rounding_scale(t, z, dz) for t in e.terms]
+        v = sum(t for t, _ in vals)
+        return v, (sum(et for _, et in vals)
+                   + len(vals) * sum(abs(t) for t, _ in vals))
+    if isinstance(e, MulExpr):
+        (f, ef), (g, eg) = rounding_scale(e.f, z, dz), rounding_scale(e.g, z, dz)
+        v = f * g
+        return v, ef * abs(g) + abs(f) * eg + 4 * abs(v)
+    if isinstance(e, PowExpr):
+        f, ef = rounding_scale(e.f, z, dz)
+        if e.n == 0:
+            return 1 + 0j, 0.0
+        if f == 0 or abs(f) <= 10 * U * ef:
+            return math.nan, math.inf
+        v = f ** e.n
+        return v, abs(v) * (abs(e.n) * ef / abs(f) + 8 * (abs(e.n) + 1))
+    if isinstance(e, ComposeExpr):
+        w, ew = rounding_scale(e.inner, z, dz)
+        if not math.isfinite(ew):
+            return math.nan, math.inf
+        return rounding_scale(e.outer, w, ew)
+    raise TypeError(type(e))
+
+
+_coef = st.integers(-6, 6).map(lambda n: F(n, 2))
+_poly = st.lists(_coef, min_size=1, max_size=4).map(Poly)
+_leaves = st.one_of(
+    st.builds(RationalExpr, _poly,
+              _poly.map(lambda p: Poly([1]) if p.is_zero() else p)),
+    st.builds(ConstExpr, _coef))
+trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(SqrtExpr, kids),
+    st.builds(AddExpr, kids, kids),
+    st.builds(MulExpr, kids, kids),
+    st.builds(PowExpr, kids, st.integers(-3, 3)),
+    st.builds(ComposeExpr, kids, kids)), max_leaves=6)
+points = st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                     allow_infinity=False),
+                  min_size=1, max_size=8)
+
+
+def _oracle_and_scale(e, z):
+    """(oracle value, rounding scale), or (nan, inf) where the oracle
+    divides by zero or overflows."""
+    try:
+        return complex(oracle(e, z)), rounding_scale(e, z)[1]
+    except (ZeroDivisionError, OverflowError):
+        return complex(math.nan, math.nan), math.inf
+
+
+@settings(max_examples=300)
+@given(trees, points)
+def test_eval_array_matches_the_per_point_oracle(e, zs):
+    zs = np.array(zs, dtype=complex)
+    with np.errstate(all="ignore"):
+        got = e.eval_array(zs)
+    assert got.shape == zs.shape and np.iscomplexobj(got)
+    want, scale = map(np.array, zip(*(_oracle_and_scale(e, z)
+                                      for z in zs.tolist())))
+    # wherever the oracle is finite and rounding cannot move it by more
+    # than 1e-13 relative, the array evaluator agrees to 1e-12 relative
+    ok = np.isfinite(want) & (scale * U <= 1e-13 * np.abs(want))
+    assume(ok.any())
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.abs(want[ok]))
+
+
+def test_blackbox_eval_array_keeps_shape_and_takes_complex():
+    f = BlackboxExpr(lambda x: x * x + 1, 2)
+    xs = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert f.eval_array(xs).shape == (2, 3)
+    assert np.array_equal(f.eval_array(xs).ravel(),
+                          [float(x) ** 2 + 1 for x in xs.ravel()])
+    assert f.eval_complex(1j) == 0j
+
+
+def circle_sup_loop(value, center, radius, cfg=DEFAULT, tracker=None):
+    """The per-circle, per-point circle sample circle_sup replaced; with a
+    tracker, the branch is continued along each circle from center + r."""
+    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
+    worst = 0.0
+    for j in range(1, cfg.a_chart_radii + 1):
+        r = radius * j / cfg.a_chart_radii
+        zs = [center + r * complex(math.cos(t), math.sin(t)) for t in angles]
+        vals = ([value(z) for z in zs] if tracker is None
+                else tracker.eval_path([center + r] + zs)[1:])
+        mags = [abs(complex(v)) for v in vals]
+        if not all(map(math.isfinite, mags)):
+            raise EvaluationAtSingularity(f"radius {r}")
+        worst = max([worst, *mags])
+    return worst
+
+
+def test_circle_sup_equals_the_per_circle_loop_on_hyperbola_charts():
+    P = hyperbola_analytic_charts(F(1, 100000), F(1, 2048))
+    assert P.chart_count == 12
+    for ch in P.charts:
+        f = ch.f_comp
+        f0 = oracle(f, 0j)
+        var = circle_sup_loop(lambda z: oracle(f, z) - f0, 0j, 2.0)
+        assert verify_a_chart_variation(ch) == var
+        assert circle_sup(f.eval_array, 0j, 2.0) == \
+            circle_sup_loop(lambda z: oracle(f, z), 0j, 2.0)
+
+
+def test_circle_sup_calls_values_once_per_disk():
+    calls = []
+
+    def values(zs):
+        calls.append(zs)
+        return zs
+
+    assert circle_sup(values, 1 + 0j, 0.5) == pytest.approx(1.5)
+    [zs] = calls
+    n = DEFAULT.a_chart_radii
+    assert zs.shape == (n, DEFAULT.a_chart_angles)
+    # row j is the circle of radius r_j, entered at its real point center + r_j
+    radii = [0.5 * j / n for j in range(1, n + 1)]
+    assert list(zs[:, 0]) == [1 + r for r in radii]
+    assert np.allclose(np.abs(zs - 1), np.array(radii)[:, None])
+
+
+def test_branch_circles_match_the_per_circle_continuation():
+    P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): F(-1, 2), (0, 0): F(-15, 4)})
+    f = BranchExpr(P, (1.0, math.sqrt(1 + 0.5 + 3.75)))
+    cfg = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
+    center, radius = 1.5 + 0j, 0.5
+    want = circle_sup_loop(None, center, radius, cfg, tracker=f.tracker)
+    assert _complex_max_on_circles(f, center, radius, cfg,
+                                   tracker=f.tracker) == want
+
+
+def test_pole_through_compose_and_sqrt_fails_closed_naming_the_radius():
+    # 1/(x - 1/2) under a sqrt: the pole is the angle-0 point of the circle
+    # of radius 4/8 about 0, so every circle inside it is finite
+    inner = RationalExpr(Poly([F(-1, 2), 1]))
+    f = SqrtExpr(ComposeExpr(RationalExpr(Poly([1]), Poly([0, 1])), inner))
+    with np.errstate(all="ignore"):
+        with pytest.raises(EvaluationAtSingularity, match=r"radius 0\.5 about"):
+            circle_sup(f.eval_array, 0j, 1.0)
+        rep = verify_a_chart(f, 0j, 1.0, K=1e300)
+    assert not rep.ok and rep.detail == "non-finite value at order disk"

@@ -1,6 +1,7 @@
 """Source hygiene, checked with the standard-library `ast` module: every
-top-level import of a package module is used, and every `Config` field is
-read somewhere in the package."""
+top-level import of a package module is used, every `Config` field is
+read somewhere in the package, and `eval_array` stays the one numeric
+evaluator of the expression classes."""
 
 import ast
 import dataclasses
@@ -41,3 +42,14 @@ def test_every_config_field_is_read():
             for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     fields = [f.name for f in dataclasses.fields(Config)]
     assert [f for f in fields if f not in read] == []
+
+
+def test_eval_complex_only_on_the_base_and_branch_classes():
+    # FunctionExpr's is the one-point case of eval_array; BranchExpr's
+    # continues the branch from its seed.  No other class grows a second,
+    # per-point evaluator.
+    tree = _modules()["funcs.py"]
+    owners = [c.name for c in tree.body if isinstance(c, ast.ClassDef)
+              and any(isinstance(d, ast.FunctionDef) and d.name == "eval_complex"
+                      for d in c.body)]
+    assert owners == ["FunctionExpr", "BranchExpr"]
