@@ -78,10 +78,14 @@ class BivarPoly:
         return BivarPoly({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
 
     def __call__(self, x, y):
+        """Exact at Fraction/int arguments; otherwise over float_terms()."""
+        if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
+            terms = ((i, j, c) for (i, j), c in self.coeffs.items())
+        else:
+            terms = self.float_terms()
         acc = 0
-        for (i, j), c in self.coeffs.items():
-            term = c if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)) else float(c)
-            acc = acc + term * x**i * y**j
+        for i, j, c in terms:
+            acc = acc + c * x**i * y**j
         return acc
 
     def eval_complex(self, x, y):

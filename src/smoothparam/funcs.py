@@ -17,7 +17,7 @@ from .bivar import BivarPoly, BivarRational, resultant_y
 from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
                      OrderOverflow, PathNearSingularity, ZeroCountMismatch)
-from .poly import Poly, _fr, complex_roots, isolate_roots
+from .poly import _U, Poly, _fr, complex_roots, isolate_roots
 
 
 def _is_exact(x):
@@ -397,6 +397,48 @@ def _cdiv(a, b):
     return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
+def _one_root_in_disk(cs, w, wn) -> bool:
+    """True only if p(y) = sum cs[j] y^j has exactly one root in the open
+    disk |y - wn| < r, r = 2 |wn - w|, by Rouche's theorem against the
+    linear term.
+
+    The Taylor coefficients b_k of p at wn come from repeated synthetic
+    division in Python complex, and B_k, the same division run on |cs[j]|
+    at |wn|, bounds the exact b_k term by term.  The test accepts when
+        |b_1| r > |b_0| + sum_{k>=2} |b_k| r^k + 8(n+3) u H + eta,
+    H = sum_k B_k r^k, u = 2^-53, n = len(cs) - 1.  To first order the
+    shift loses at most (sqrt(5) n + n + 1) u B_k in b_k (a complex product
+    rounds within sqrt(5) u, a sum within u), and the abs values, powers
+    and sums at most (2n + 8) u H more, so 8(n+3) u H covers every rounding
+    above the underflow threshold; eta = (n+3)^2 2^-1070 (2 max(1, |wn|)
+    max(1, r))^n covers the absolute errors of subnormal products.  On the
+    circle |y - wn| = r the exact |p - b_1 (y - wn)| is then below
+    |b_1 (y - wn)|, so p has as many zeros inside as b_1 (y - wn): one.
+    A NaN, an inf or an overflow rejects."""
+    n, r = len(cs) - 1, 2 * abs(wn - w)
+    try:
+        b = cs[::-1].tolist()               # descending, Python complex
+        h = [abs(c) for c in b]
+        aw = abs(wn)
+        for k in range(n):                  # b[n - k] becomes b_k
+            for i in range(1, n + 1 - k):
+                b[i] = b[i] + wn * b[i - 1]
+                h[i] = h[i] + aw * h[i - 1]
+        lhs = abs(b[n - 1]) * r
+        rhs, big = abs(b[n]), h[n] + h[n - 1] * r
+        eta = (n + 3) ** 2 * 2.0 ** -1070
+        grow, rk = 2 * max(1.0, aw) * max(1.0, r), r
+        for k in range(2, n + 1):
+            rk *= r
+            rhs += abs(b[n - k]) * rk
+            big += h[n - k] * rk
+        for _ in range(n):
+            eta *= grow
+        return lhs > rhs + 8 * (n + 3) * _U * big + eta
+    except OverflowError:
+        return False
+
+
 class BranchTracker:
     """Continuation bookkeeping for one branch of P(x, y) = 0, seeded at a
     point on the curve.  Real-axis values are cached so repeated grid
@@ -406,10 +448,19 @@ class BranchTracker:
     known point costs O(log n) comparisons: bisect, then walk outward while
     the distance stays equal.  Among keys at the same (rounded) distance the
     one cached first wins.  A non-finite x raises EvaluationAtSingularity
-    before the cache is consulted.  The sheet guard in `_advance` accepts a
-    corrector step when |w1 - w0| <= |step|; only when that fails does it
-    compute the fibre roots and require |w1 - w0| to be at most half the
-    distance from w1 to the nearest other root."""
+    before the cache is consulted.
+
+    The sheet guard in `_on_sheet` accepts a corrector step w -> wn at the
+    first of three tests that holds:
+    1. |wn - w| <= |step|;
+    2. the Rouche disk test `_one_root_in_disk`: the fibre polynomial has
+       exactly one root within r = 2 |wn - w| of wn, so every other root
+       lies at least 2 |wn - w| from wn;
+    3. the fibre roots from `np.roots` (counted in `roots_calls`): |wn - w|
+       is at most half the distance from wn to the nearest other root.
+    Test 2 proves of the exact roots what test 3 checks of numpy's, so it
+    accepts no step that test 3 would reject, up to the rounding of
+    np.roots; test 3 still decides every step that test 2 cannot certify."""
 
     def __init__(self, P: BivarPoly, seed, cfg: Config = DEFAULT):
         self.P = P
@@ -423,25 +474,19 @@ class BranchTracker:
         self._real_cache = {x0: self.seed[1]}
         self._keys = [x0]               # sorted cache keys, NaN left out
         self._rank = {x0: 0}            # insertion order, breaks distance ties
-
-    def _roots_at(self, z: complex):
-        cs = self.P.y_poly_coeffs_complex(z)
-        cs = np.trim_zeros(cs, trim="b")
-        if len(cs) <= 1:
-            return []
-        return list(np.roots(cs[::-1]))
+        self.roots_calls = 0            # np.roots fallbacks of the sheet guard
 
     def _min_sing_dist(self, z: complex):
         if not self.singularities.points:
             return math.inf
         return min(abs(z - s) for s in self.singularities.points)
 
-    def _newton(self, z, w0):
+    def _newton(self, cs, w0):
+        """Newton's method on sum cs[j] y^j from w0; None if it fails."""
         # Python complex Horner and numpy's quotient formula: on the real
         # axis (zero imaginary parts) this rounds exactly as numpy's array
         # arithmetic does; off it numpy fuses complex products on CPUs with
         # FMA, so values there can differ from numpy's in the last bit.
-        cs = self.P.y_poly_coeffs_complex(z)
         p = [complex(c) for c in cs[::-1]]
         dp = [complex(c) for c in (cs[1:] * np.arange(1, len(cs)))[::-1]]
         w = w0
@@ -457,34 +502,41 @@ class BranchTracker:
             return None
         return w
 
+    def _on_sheet(self, cs, w, wn, step):
+        """The sheet guard (see the class docstring) for the step w -> wn
+        over the fibre polynomial with coefficients cs."""
+        gap = abs(wn - w)
+        if gap <= abs(step) or _one_root_in_disk(cs, w, wn):
+            return True
+        self.roots_calls += 1
+        cs = np.trim_zeros(cs, trim="b")
+        roots = np.roots(cs[::-1]) if len(cs) > 1 else []
+        near = min((abs(r - wn) for r in roots if abs(r - wn) > 1e-12),
+                   default=math.inf)
+        return gap <= 0.5 * near
+
     def _advance(self, z0, w0, z1):
         """Track from (z0, w0) to x = z1; returns w1."""
         cfg = self.cfg
         z, w = z0, w0
+        d = self._min_sing_dist(z)
         remaining = z1 - z
         while abs(remaining) > 0:
-            d = self._min_sing_dist(z)
             step_len = min(abs(remaining), max(d / 2, cfg.continuation_step_floor))
             step = remaining / abs(remaining) * step_len
-            ok = False
-            while not ok:
+            while True:
                 zn = z + step
-                if self._min_sing_dist(zn) < 10 * cfg.continuation_step_floor:
+                dn = self._min_sing_dist(zn)
+                if dn < 10 * cfg.continuation_step_floor:
                     raise PathNearSingularity(f"path within floor of singularity at {zn}")
-                wn = self._newton(zn, w)
-                if wn is not None:
-                    # guard against converging to a different sheet
-                    ok = abs(wn - w) <= abs(step)
-                    if not ok:
-                        others = [r for r in self._roots_at(zn) if abs(r - wn) > 1e-12]
-                        near = min((abs(r - wn) for r in others), default=math.inf)
-                        ok = abs(wn - w) <= 0.5 * near
-                if not ok:
-                    if abs(step) / 2 < cfg.continuation_step_floor:
-                        raise BranchJump(
-                            f"corrector lost the branch near x = {zn}")
-                    step /= 2
-            z, w = z + step, wn
+                cs = self.P.y_poly_coeffs_complex(zn)
+                wn = self._newton(cs, w)
+                if wn is not None and self._on_sheet(cs, w, wn, step):
+                    break
+                if abs(step) / 2 < cfg.continuation_step_floor:
+                    raise BranchJump(f"corrector lost the branch near x = {zn}")
+                step /= 2
+            z, w, d = zn, wn, dn
             remaining = z1 - z
         return w
 
