@@ -74,8 +74,7 @@ def _feasible(q, direction, L, z) -> bool:
     return abs(complex(z) - c) >= 3 * float(L) / 2
 
 
-def dyadic_partition(interval, singular_points, delta,
-                     cfg: Config = DEFAULT) -> DyadicPartition:
+def dyadic_partition(interval, singular_points, delta) -> DyadicPartition:
     """Remove the open 2*delta-interval around each singular projection, then
     cover each remaining gap greedily from both ends toward its midpoint with
     the largest intervals the three-half-lengths invariant allows (the last
@@ -144,18 +143,6 @@ class AnalyticParametrization:
         return len(self.charts)
 
 
-def _complex_max_on_circles(f: FunctionExpr, center: complex, radius: float,
-                            cfg: Config, tracker=None):
-    """max |f| over concentric circles up to `radius`; branch functions are
-    continued along each circle from its real entry point center + r, the
-    circle's first sample.  A non-finite value raises
-    EvaluationAtSingularity."""
-    if tracker is None:
-        return circle_sup(f.eval_array, center, radius, cfg)
-    return circle_sup(lambda zs: [tracker.eval_path(row) for row in zs],
-                      center, radius, cfg)
-
-
 def _detect_singularities(f: FunctionExpr, declared=None):
     if declared is not None:
         return [complex(z) for z in declared]
@@ -166,7 +153,7 @@ def _detect_singularities(f: FunctionExpr, declared=None):
             return []
         return [z for z, _ in complex_roots(den)]
     if isinstance(f, BranchExpr):
-        return [complex(z) for z in f.tracker.singularities.points]
+        return [complex(z) for z in f.tracker.singularities]
     raise ValueError("singularities must be declared for opaque functions")
 
 
@@ -182,10 +169,8 @@ def _a_chart_for_interval(f, a, b, cfg, declared_sings):
         if abs(complex(z) - center) < 3 * float(half) * (1 - 1e-12):
             raise SingularityInsideDisk(
                 f"singularity {z} inside the protected disk of [{a},{b}]")
-    tracker = f.tracker if isinstance(f, BranchExpr) and f.rat is None else None
-    K = _complex_max_on_circles(f, center, radius, cfg, tracker=tracker)
-    base = abs(complex(f.eval_complex(center))) if tracker is None else \
-        abs(tracker.eval_path([center + radius / cfg.a_chart_radii])[0])
+    K = circle_sup(f.eval_array, center, radius, cfg)
+    base = abs(f.eval_complex(center))
     fc = f.precompose_poly(psi)
     ch = Chart(psi=psi, f_comp=fc, k=0, image=(a, b),
                meta={"kind": "a-chart", "K": K, "Kvar": K + base,
@@ -213,7 +198,7 @@ def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
     if normalize:
         f, norm = normalize_values(f, lo, hi, cfg)
 
-    part = dyadic_partition((lo, hi), sings, delta, cfg)
+    part = dyadic_partition((lo, hi), sings, delta)
     charts = [_a_chart_for_interval(f, a, b, cfg, sings) for a, b in part.kept]
     return AnalyticParametrization(charts=charts, removed=part.removed,
                                    delta=_fr(delta), domain=(lo, hi),
@@ -249,7 +234,7 @@ def refine_to_unit_charts(param: AnalyticParametrization,
                 cpsi = ch.psi.compose(sub)
                 fc = ch.f_comp.precompose_poly(sub)
                 xa, xb = cpsi(Fraction(-1)), cpsi(Fraction(1))
-                K2 = _complex_max_on_circles(fc, 0j, 2.0, cfg)
+                K2 = circle_sup(fc.eval_array, 0j, 2.0, cfg)
                 nxt.append(Chart(psi=cpsi, f_comp=fc, k=0, image=(xa, xb),
                                  meta={"kind": "a-chart", "K": K2,
                                        "disk_center": complex(float((xa + xb) / 2)),

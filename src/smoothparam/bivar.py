@@ -78,7 +78,8 @@ class BivarPoly:
         return BivarPoly({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
 
     def __call__(self, x, y):
-        """Exact at Fraction/int arguments; otherwise over float_terms()."""
+        """Exact at Fraction/int arguments; otherwise in float or complex
+        arithmetic over float_terms()."""
         if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
             terms = ((i, j, c) for (i, j), c in self.coeffs.items())
         else:
@@ -86,12 +87,6 @@ class BivarPoly:
         acc = 0
         for i, j, c in terms:
             acc = acc + c * x**i * y**j
-        return acc
-
-    def eval_complex(self, x, y):
-        acc = 0j
-        for i, j, c in self.float_terms():
-            acc += c * x**i * y**j
         return acc
 
     def y_poly_at(self, x) -> Poly:
@@ -242,6 +237,3 @@ class BivarRational:
 
     def __call__(self, x, y):
         return self.num(x, y) / self.den(x, y)
-
-    def eval_complex(self, x, y):
-        return self.num.eval_complex(x, y) / self.den.eval_complex(x, y)

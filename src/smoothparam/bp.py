@@ -104,8 +104,8 @@ def _all_partial_max_2d(polys, order: int, cfg: Config) -> float:
     return worst
 
 
-def vandermonde_bound_check(phi, points, r: float, center=None,
-                            n: int = 1, cfg: Config = DEFAULT):
+def vandermonde_bound_check(phi, points, r: float, n: int = 1,
+                            cfg: Config = DEFAULT):
     """Interpolation determinant |det(phi_i(z_j))| against the combinatorial
     bound m! [D_n(k) M_k]^m r^e.  The bound holds for any smooth map and any
     points inside a radius-r ball; a failure indicates an arithmetic bug."""

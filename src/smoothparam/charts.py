@@ -96,8 +96,10 @@ def circle_sup(values, center: complex, radius: float,
     cfg.a_chart_angles points.  values(zs) takes the complex array zs of
     shape (radii, angles) in one call, row j the circle of radius r_j
     starting at angle 0 (zs[j, 0] == center + r_j), and returns an array of
-    the same shape.  A non-finite value raises EvaluationAtSingularity naming
-    the first radius where it occurs, so it can never shrink the bound."""
+    the same shape.  A branch's eval_array walks each row as one path from
+    its seed, entering the circle at its real point center + r_j.  A
+    non-finite value raises EvaluationAtSingularity naming the first radius
+    where it occurs, so it can never shrink the bound."""
     angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
     unit = np.array([complex(math.cos(t), math.sin(t)) for t in angles])
     radii = [radius * j / cfg.a_chart_radii

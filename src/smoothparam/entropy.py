@@ -305,8 +305,8 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         yield {"M_lower": M_lower, "M_upper": M_upper, "meta": meta}
 
 
-def covering_number(sys: DynSystem, n: int, eps: float, resolution: float,
-                    cfg: Config = DEFAULT) -> dict:
+def covering_number(sys: DynSystem, n: int, eps: float,
+                    resolution: float) -> dict:
     """Bracket {M_lower, M_upper} for the covering number M(f, n, eps).
 
     M_upper comes from an explicit eps-cover (greedy over a point cloud, or a

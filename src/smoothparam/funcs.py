@@ -37,8 +37,10 @@ def _sqrt_exact(v: Fraction):
 
 class FunctionExpr:
     """Base class.  Subclasses implement eval (one point, exact where the
-    input is), eval_array (elementwise over a real or complex numpy array;
-    the one numeric evaluator) and deriv."""
+    input is), eval_array (over a real or complex numpy array; the one
+    numeric evaluator) and deriv.  eval_array is elementwise, except that a
+    branch reads each row (last axis) of a complex array as one continuation
+    path from its seed, so a row's points must follow one another closely."""
 
     def deriv(self) -> "FunctionExpr":
         raise NotImplementedError
@@ -335,21 +337,9 @@ def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
 
 # -- algebraic branches -------------------------------------------------------
 
-class SingularityData:
-    """Complex singular points of an algebraic function."""
-
-    def __init__(self, points):
-        self.points = list(points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __repr__(self):
-        return f"SingularityData({self.points})"
-
-
-def singular_locus(P: BivarPoly) -> SingularityData:
-    """Roots of Res_y(P, dP/dy) plus roots of the leading y-coefficient."""
+def singular_locus(P: BivarPoly) -> list:
+    """Complex singular points of the algebraic function P(x, y) = 0: the
+    roots of Res_y(P, dP/dy) plus the roots of the leading y-coefficient."""
     if P.degy <= 0:
         raise DegenerateInY("P has degree 0 in y")
     points, radii = [], []
@@ -373,7 +363,7 @@ def singular_locus(P: BivarPoly) -> SingularityData:
                 break
         if not dup:
             keep.append(i)
-    return SingularityData([points[i] for i in keep])
+    return [points[i] for i in keep]
 
 
 def _horner(cs, w):
@@ -467,7 +457,7 @@ class BranchTracker:
         self.seed = (complex(seed[0]), complex(seed[1]))
         self.cfg = cfg
         self.singularities = singular_locus(P)
-        r = abs(complex(P.eval_complex(*self.seed)))
+        r = abs(P(*self.seed))
         if r > cfg.continuation_residual:
             raise ValueError(f"seed not on curve, residual {r:.3g}")
         x0 = self.seed[0].real
@@ -477,9 +467,9 @@ class BranchTracker:
         self.roots_calls = 0            # np.roots fallbacks of the sheet guard
 
     def _min_sing_dist(self, z: complex):
-        if not self.singularities.points:
+        if not self.singularities:
             return math.inf
-        return min(abs(z - s) for s in self.singularities.points)
+        return min(abs(z - s) for s in self.singularities)
 
     def _newton(self, cs, w0):
         """Newton's method on sum cs[j] y^j from w0; None if it fails."""
@@ -487,8 +477,8 @@ class BranchTracker:
         # axis (zero imaginary parts) this rounds exactly as numpy's array
         # arithmetic does; off it numpy fuses complex products on CPUs with
         # FMA, so values there can differ from numpy's in the last bit.
-        p = [complex(c) for c in cs[::-1]]
-        dp = [complex(c) for c in (cs[1:] * np.arange(1, len(cs)))[::-1]]
+        p = cs[::-1].tolist()
+        dp = [c * k for k, c in enumerate(cs.tolist())][:0:-1]
         w = w0
         for _ in range(50):
             dv = _horner(dp, w)
@@ -617,16 +607,18 @@ class BranchExpr(FunctionExpr):
             return w.real
         return self.rat(float(x), w.real)
 
-    def eval_complex(self, z):
-        w = self.tracker._advance(*self.tracker.seed, complex(z))
-        if self.rat is None:
-            return w
-        return self.rat.eval_complex(complex(z), w)
-
     def eval_array(self, xs):
+        """Real xs: each point continued from the nearest cached real point,
+        in increasing order.  Complex xs: each row (last axis) is one
+        continuation path, entered from the seed and continued point to
+        point; a 1-D array is one row.  rat is applied point by point."""
         if np.iscomplexobj(xs):
-            return np.array([self.eval_complex(z) for z in xs.ravel()],
-                            dtype=complex).reshape(xs.shape)
+            rows = xs.reshape(-1, xs.shape[-1]).tolist()
+            ws = [w for row in rows for w in self.tracker.eval_path(row)]
+            if self.rat is not None:
+                zs = [z for row in rows for z in row]
+                ws = [self.rat(z, w) for z, w in zip(zs, ws)]
+            return np.array(ws, dtype=complex).reshape(xs.shape)
         order = np.argsort(xs)
         out = np.empty_like(xs, dtype=float)
         for i in order:

@@ -183,9 +183,8 @@ def remez_parametrization(P: BivarPoly, cfg: Config = DEFAULT):
     delta = Fraction(delta).limit_denominator(2**40)
     if Pn.degy < 1:
         raise SingularCurve("curve degenerate in y")
-    sing = singular_locus(Pn)
-    part = dyadic_partition((-1, 1), sing.points, min(delta, Fraction(1, 4)),
-                            cfg)
+    part = dyadic_partition((-1, 1), singular_locus(Pn),
+                            min(delta, Fraction(1, 4)))
     charts = []
     for (a, b) in part.kept:
         c = (a + b) / 2

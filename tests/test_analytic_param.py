@@ -17,10 +17,11 @@ from smoothparam.analytic_param import (_a_chart_for_interval,
                                         hyperbola_analytic_charts,
                                         refine_to_unit_charts,
                                         verify_a_chart_variation)
+from smoothparam.bivar import BivarPoly
 from smoothparam.charts import verify_a_chart, verify_mild_chart
 from smoothparam.config import DEFAULT
 from smoothparam.errors import SingularityInsideDisk
-from smoothparam.funcs import RationalExpr, SqrtExpr
+from smoothparam.funcs import BranchExpr, RationalExpr, SqrtExpr
 from smoothparam.poly import Poly
 
 CHEAP = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
@@ -107,6 +108,18 @@ def test_sqrt_branch_disk_bound_matches_closed_form():
     # max |sqrt(z)| over the disk about c of radius r is sqrt(c + r)
     closed = math.sqrt(3 / 8 + 1 / 4)
     assert abs(ch.meta["K"] - closed) <= 1e-6
+
+
+def test_bare_branch_kvar_adds_the_value_at_the_disk_center():
+    # the upper branch of y^2 = x^3 + x/2 + 15/4; its singular points lie
+    # over x = -1.45 and 0.72 +- 1.44i, far from the disk about 11/8
+    P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): F(-1, 2), (0, 0): F(-15, 4)})
+    f = BranchExpr(P, (1.0, math.sqrt(1 + 0.5 + 3.75)))
+    ch = _a_chart_for_interval(f, F(5, 4), F(3, 2), CHEAP,
+                               f.tracker.singularities)
+    center = ch.meta["disk_center"]
+    assert center == 1.375
+    assert ch.meta["Kvar"] == ch.meta["K"] + abs(f.eval_complex(center))
 
 
 def test_verify_a_chart_constant_and_square():

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothparam.analytic_param import (_complex_max_on_circles,
-                                        verify_a_chart_variation)
-from smoothparam.charts import (Chart, SlabChart, verify_a_chart,
+from smoothparam.analytic_param import verify_a_chart_variation
+from smoothparam.charts import (Chart, SlabChart, circle_sup, verify_a_chart,
                                 verify_ck_chart, verify_mild_chart,
                                 verify_slab_chart)
 from smoothparam.cli import main
@@ -94,7 +93,7 @@ def test_a_chart_and_circle_bounds_fail_on_nonfinite(bad, j):
     assert not rep.ok
     assert "non-finite" in rep.detail
     with pytest.raises(EvaluationAtSingularity):
-        _complex_max_on_circles(f, 0j, 2.0, CFG)
+        circle_sup(f.eval_array, 0j, 2.0, CFG)
     ch = Chart(psi=Poly([0, 1]), f_comp=f, k=0)
     with pytest.raises(EvaluationAtSingularity):
         verify_a_chart_variation(ch, 2.0, CFG)

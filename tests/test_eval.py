@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smoothparam.analytic_param import (_complex_max_on_circles,
-                                        hyperbola_analytic_charts,
+from smoothparam.analytic_param import (hyperbola_analytic_charts,
                                         verify_a_chart_variation)
 from smoothparam.bivar import BivarPoly
 from smoothparam.charts import circle_sup, verify_a_chart
@@ -21,7 +20,7 @@ from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
                                ConstExpr, MulExpr, PowExpr, RationalExpr,
-                               SqrtExpr)
+                               SqrtExpr, scale_shift)
 from smoothparam.poly import Poly
 
 U = 2.0 ** -53          # unit roundoff
@@ -150,14 +149,16 @@ def test_blackbox_eval_array_keeps_shape_and_takes_complex():
 
 def circle_sup_loop(value, center, radius, cfg=DEFAULT, tracker=None):
     """The per-circle, per-point circle sample circle_sup replaced; with a
-    tracker, the branch is continued along each circle from center + r."""
+    tracker, the branch is continued along each circle from center + r and
+    value(z, w) maps the branch value w at z."""
     angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
     worst = 0.0
     for j in range(1, cfg.a_chart_radii + 1):
         r = radius * j / cfg.a_chart_radii
         zs = [center + r * complex(math.cos(t), math.sin(t)) for t in angles]
         vals = ([value(z) for z in zs] if tracker is None
-                else tracker.eval_path([center + r] + zs)[1:])
+                else [value(z, w) for z, w in
+                      zip(zs, tracker.eval_path([center + r] + zs)[1:])])
         mags = [abs(complex(v)) for v in vals]
         if not all(map(math.isfinite, mags)):
             raise EvaluationAtSingularity(f"radius {r}")
@@ -199,9 +200,18 @@ def test_branch_circles_match_the_per_circle_continuation():
     f = BranchExpr(P, (1.0, math.sqrt(1 + 0.5 + 3.75)))
     cfg = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
     center, radius = 1.5 + 0j, 0.5
-    want = circle_sup_loop(None, center, radius, cfg, tracker=f.tracker)
-    assert _complex_max_on_circles(f, center, radius, cfg,
-                                   tracker=f.tracker) == want
+    want = circle_sup_loop(lambda z, w: w, center, radius, cfg,
+                           tracker=f.tracker)
+    assert circle_sup(f.eval_array, center, radius, cfg) == want
+    # a value-normalized branch and a derivative (the rat case) walk the
+    # same circles and map each branch value through their own expression
+    a, b = F(1, 3), F(-1, 2)
+    g, d = scale_shift(f, a, b), f.deriv()
+    for e, through in [(g, lambda z, w: float(a) * w + float(b)),
+                       (d, d.rat)]:
+        want = circle_sup_loop(through, center, radius, cfg, tracker=f.tracker)
+        got = circle_sup(e.eval_array, center, radius, cfg)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_pole_through_compose_and_sqrt_fails_closed_naming_the_radius():

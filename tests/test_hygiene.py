@@ -1,7 +1,7 @@
 """Source hygiene, checked with the standard-library `ast` module: every
 top-level import of a package module is used, every `Config` field is
-read somewhere in the package, and `eval_array` stays the one numeric
-evaluator of the expression classes."""
+read somewhere in the package, every parameter is read, and `eval_array`
+stays the one numeric evaluator of the expression classes."""
 
 import ast
 import dataclasses
@@ -44,12 +44,51 @@ def test_every_config_field_is_read():
     assert [f for f in fields if f not in read] == []
 
 
-def test_eval_complex_only_on_the_base_and_branch_classes():
-    # FunctionExpr's is the one-point case of eval_array; BranchExpr's
-    # continues the branch from its seed.  No other class grows a second,
-    # per-point evaluator.
-    tree = _modules()["funcs.py"]
-    owners = [c.name for c in tree.body if isinstance(c, ast.ClassDef)
+def _functions(tree):
+    """(name, node) of every module-level function and method; functions
+    nested inside them (callbacks) are not listed."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for d in node.body:
+                if isinstance(d, ast.FunctionDef):
+                    yield f"{node.name}.{d.name}", d
+
+
+def _only_raises_not_implemented(fn):
+    body = [s for s in fn.body if not (isinstance(s, ast.Expr)
+                                       and isinstance(s.value, ast.Constant))]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for mod, tree in _modules().items():
+        for name, fn in _functions(tree):
+            if _only_raises_not_implemented(fn):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{mod}:{name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []
+
+
+def test_eval_complex_only_on_the_base_class():
+    # FunctionExpr's is the one-point case of eval_array, which continues a
+    # branch along each row from its seed.  No class grows a second,
+    # per-point evaluator, and bivar.py's rationals evaluate through
+    # __call__ at complex points too.
+    modules = _modules()
+    owners = [c.name for c in modules["funcs.py"].body
+              if isinstance(c, ast.ClassDef)
               and any(isinstance(d, ast.FunctionDef) and d.name == "eval_complex"
                       for d in c.body)]
-    assert owners == ["FunctionExpr", "BranchExpr"]
+    assert owners == ["FunctionExpr"]
+    assert not [n for n in ast.walk(modules["bivar.py"])
+                if isinstance(n, ast.FunctionDef) and n.name == "eval_complex"]

@@ -144,7 +144,7 @@ def test_singular_locus_of_nodal_cubic():
     # y^2 - x^2 (x + 1): node at x = 0
     P = BivarPoly({(0, 2): F(1), (2, 0): F(-1), (3, 0): F(-1)})
     sing = singular_locus(P)
-    assert any(abs(z) < 1e-8 for z in sing.points)
+    assert any(abs(z) < 1e-8 for z in sing)
 
 
 def test_isolate_real_zeros_rational_excludes_poles():
