@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import Chart, circle_sup
+from .charts import CK_TOLERANCE_FLOAT, Chart, circle_sup
 from .config import DEFAULT, Config
 from .errors import (DeltaTooLarge, RefinementDiverged, SingularityInsideDisk)
 from .funcs import (BranchExpr, FunctionExpr, RationalExpr, _wrap,
@@ -221,7 +221,7 @@ def refine_to_unit_charts(param: AnalyticParametrization,
         nxt, dirty = [], False
         for ch in charts:
             v = measured_var(ch)
-            if v <= 1.0 + cfg.ck_tolerance_float:
+            if v <= 1.0 + CK_TOLERANCE_FLOAT:
                 nxt.append(ch)
                 continue
             dirty = True
@@ -243,7 +243,7 @@ def refine_to_unit_charts(param: AnalyticParametrization,
         if not dirty:
             break
     for ch in charts:
-        if measured_var(ch) > 1.0 + cfg.ck_tolerance_float:
+        if measured_var(ch) > 1.0 + CK_TOLERANCE_FLOAT:
             raise RefinementDiverged(
                 f"chart on {ch.image} still has variation "
                 f"{ch.meta['Kvar_measured']:.3g} after two refinement rounds")

@@ -23,6 +23,8 @@ from .errors import DegreeOverflow
 from .funcs import FunctionExpr, _wrap
 from .poly import Poly, _fr
 
+TAYLOR_DEGREE_CAP = 64               # highest Taylor degree of a patch
+
 
 @dataclass
 class ApproxPatch:
@@ -52,15 +54,15 @@ class Approximation:
         return sum(p.complexity for p in self.patches)
 
 
-def taylor_polynomial(g: FunctionExpr, d: int, center, cfg: Config = DEFAULT) -> Poly:
+def taylor_polynomial(g: FunctionExpr, d: int, center) -> Poly:
     """Degree-d Taylor polynomial of g at `center` (exact for rational g at a
     rational center)."""
-    if d > cfg.taylor_degree_cap:
-        raise DegreeOverflow(f"degree {d} exceeds cap {cfg.taylor_degree_cap}")
+    if d > TAYLOR_DEGREE_CAP:
+        raise DegreeOverflow(f"degree {d} exceeds cap {TAYLOR_DEGREE_CAP}")
     rat = g.as_rational()
     if rat is not None and isinstance(center, (int, Fraction)):
         return _rational_taylor(rat[0], rat[1], d, _fr(center))
-    chain = g.derivative_chain(d, cfg)
+    chain = g.derivative_chain(d)
     c = _fr(center) if isinstance(center, (int, Fraction)) else center
     coeffs = []
     fact = 1
@@ -104,14 +106,14 @@ def taylor_patch(g: FunctionExpr, d: int, center, halfwidth, route: str,
 
     C^k route: measured (d+1)-derivative max times halfwidth^(d+1)/(d+1)!.
     Analytic route: K * 2^(-d) geometric tail from the certified disk bound."""
-    p = taylor_polynomial(g, d, center, cfg)
+    p = taylor_polynomial(g, d, center)
     if route == "analytic":
         if K is None:
             raise ValueError("analytic remainder needs the disk bound K")
         bound = K * 2.0 ** (-d)
     else:
         lo, hi = float(center) - float(halfwidth), float(center) + float(halfwidth)
-        m = sampled_sup(g, np.linspace(lo, hi, cfg.patch_samples), d + 1, cfg)
+        m = sampled_sup(g, np.linspace(lo, hi, cfg.patch_samples), d + 1)
         bound = m * float(halfwidth) ** (d + 1) / math.factorial(d + 1)
     return p, bound
 
@@ -177,14 +179,13 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
 
 def analytic_approximate(f: FunctionExpr, interval, eps: float,
                          declared_singularities=None,
-                         slab: bool = False, g1=None,
+                         slab: bool = False,
                          cfg: Config = DEFAULT) -> Approximation:
     """Analytic route with delta = eps.  With slab=True the patches are 2d:
-    phi(t1, t2) = (psi(t1), (1 - t2) g1 + t2 p(t1)) with p the truncation of
-    the upper boundary; each removed strip is covered by size-eps boxes of
+    phi(t1, t2) = (psi(t1), t2 p(t1)) over the slab 0 <= y <= f(x), with p
+    the truncation of f; each removed strip is covered by size-eps boxes of
     degree 0."""
     f = _wrap(f)
-    g1 = _wrap(g1 if g1 is not None else 0)
     d0 = int(math.floor(math.log2(1.0 / eps))) + 1
     param = analytic_delta_parametrize(f, _fr(eps).limit_denominator(2**40),
                                        interval,
@@ -202,7 +203,7 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
             if err <= eps:
                 break
             d += 2
-            if d > cfg.taylor_degree_cap:
+            if d > TAYLOR_DEGREE_CAP:
                 raise DegreeOverflow(
                     f"analytic patch on {ch.image} needs degree > cap")
         a, b = ch.image

@@ -16,11 +16,14 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .charts import sampled_sup
-from .config import DEFAULT, Config
 from .errors import CoverTestFailed, InexactCurve
 from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, PowExpr,
                     RationalExpr, SqrtExpr, _sqrt_exact, _wrap)
 from .poly import Poly, _fr, gauss_eliminate
+
+MK_SAFETY = 1.10                     # inflate sampled C^k norms by 10%
+MK_SAMPLES = 512                     # sample points for a C^k norm
+ENUMERATE_CAP = 10**6                # candidate x numerators per count
 
 
 def binom(a: int, b: int) -> int:
@@ -79,16 +82,15 @@ def bp_for_degree(n: int, m_ambient: int, d: int) -> BPCombinatorics:
 
 # -- interpolation determinant bound ------------------------------------------
 
-def _all_derivative_max(funcs, order: int, lo: float, hi: float,
-                        cfg: Config) -> float:
-    xs = np.linspace(lo, hi, cfg.mk_samples)
+def _all_derivative_max(funcs, order: int, lo: float, hi: float) -> float:
+    xs = np.linspace(lo, hi, MK_SAMPLES)
     return max([0.0] + [sampled_sup(g, xs) for f in funcs
-                        for g in _wrap(f).derivative_chain(order, cfg)])
+                        for g in _wrap(f).derivative_chain(order)])
 
 
-def _all_partial_max_2d(polys, order: int, cfg: Config) -> float:
+def _all_partial_max_2d(polys, order: int) -> float:
     """max |partial derivative of order <= order| over [-1, 1]^2."""
-    n = int(math.sqrt(cfg.mk_samples)) + 1
+    n = int(math.sqrt(MK_SAMPLES)) + 1
     worst = 0.0
     for p in polys:
         stack = {(0, 0): p}
@@ -104,8 +106,7 @@ def _all_partial_max_2d(polys, order: int, cfg: Config) -> float:
     return worst
 
 
-def vandermonde_bound_check(phi, points, r: float, n: int = 1,
-                            cfg: Config = DEFAULT):
+def vandermonde_bound_check(phi, points, r: float, n: int = 1):
     """Interpolation determinant |det(phi_i(z_j))| against the combinatorial
     bound m! [D_n(k) M_k]^m r^e.  The bound holds for any smooth map and any
     points inside a radius-r ball; a failure indicates an arithmetic bug."""
@@ -115,13 +116,13 @@ def vandermonde_bound_check(phi, points, r: float, n: int = 1,
     comb = bp_combinatorics(n, m)
     # M_k is the C^k norm over the whole unit cube, not just the ball
     if n == 1:
-        Mk = _all_derivative_max(phi, comb.k, -1.0, 1.0, cfg)
+        Mk = _all_derivative_max(phi, comb.k, -1.0, 1.0)
         rows = [[float(_wrap(f).eval(float(z))) for z in points] for f in phi]
     else:
-        Mk = _all_partial_max_2d(phi, comb.k, cfg)
+        Mk = _all_partial_max_2d(phi, comb.k)
         rows = [[float(f(float(z[0]), float(z[1]))) for z in points]
                 for f in phi]
-    Mk = max(Mk, 1e-300) * cfg.mk_safety
+    Mk = max(Mk, 1e-300) * MK_SAFETY
     delta = abs(float(np.linalg.det(np.array(rows, dtype=float))))
     bound = math.factorial(m) * (D_table(n, comb.k) * Mk) ** m * r ** comb.e
     return {"delta": delta, "bound": bound, "pass": delta <= bound,
@@ -175,8 +176,7 @@ def _eval_exact(f: FunctionExpr, x: Fraction):
     raise InexactCurve(f"cannot evaluate {type(f).__name__} exactly")
 
 
-def enumerate_points(f: FunctionExpr, interval, t: int,
-                     cfg: Config = DEFAULT):
+def enumerate_points(f: FunctionExpr, interval, t: int):
     """All (x, f(x)) with x in the interval and t*x, t*f(x) both integers.
 
     Exact arithmetic, no tolerance: curves that cannot be evaluated exactly
@@ -185,8 +185,8 @@ def enumerate_points(f: FunctionExpr, interval, t: int,
     lo, hi = _fr(interval[0]), _fr(interval[1])
     a0 = math.ceil(lo * t)
     a1 = math.floor(hi * t)
-    if a1 - a0 + 1 > cfg.enumerate_cap:
-        raise ValueError("candidate count exceeds enumerate_cap")
+    if a1 - a0 + 1 > ENUMERATE_CAP:
+        raise ValueError(f"candidate count exceeds {ENUMERATE_CAP}")
     out = []
     for a in range(a0, a1 + 1):
         x = Fraction(a, t)
@@ -253,8 +253,7 @@ def on_hypersurface(points, d: int, m: int = None) -> bool:
     return len(gauss_eliminate(rows)[0]) < tau
 
 
-def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int,
-                       cfg: Config = DEFAULT):
+def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int):
     """Cover the parameter interval by balls sized so each ball's dilation-t
     integral points lie on a single degree-d curve; verify per ball by the
     exact rank test."""
@@ -275,7 +274,7 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int,
         else:
             comps.append(MulExpr(PowExpr(RationalExpr(Poly([0, 1])), i),
                                  PowExpr(f, j)))
-    Mk = _all_derivative_max(comps, ktil, lo, hi, cfg) * cfg.mk_safety
+    Mk = _all_derivative_max(comps, ktil, lo, hi) * MK_SAFETY
     Mk = max(Mk, 1.0)
 
     # solve tau! [D_1(ktil) Mk]^tau rtil^etil < t^(-kappa)
@@ -287,7 +286,7 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int,
     if ball_count is None or ball_count > 10 ** 9:
         raise ValueError(f"ball count {ball_count} unreasonably large")
 
-    points = enumerate_points(f, interval, t, cfg)
+    points = enumerate_points(f, interval, t)
     balls = {}
     for (x, y) in points:
         idx = min(int((float(x) - lo) / rtil), ball_count - 1)

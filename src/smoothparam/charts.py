@@ -23,6 +23,9 @@ from .errors import EvaluationAtSingularity
 from .funcs import FunctionExpr, RationalExpr, _wrap
 from .poly import (Poly, _fr, max_abs_on_rational_grid, max_abs_ratio_on_grid)
 
+CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
+CK_TOLERANCE_FLOAT = 1e-6            # relative slack on a float sample
+
 
 @dataclass
 class CertificateReport:
@@ -76,7 +79,7 @@ class SlabChart:
         return (x, (1 - t2) * g1 + t2 * g2)
 
 
-def sampled_sup(fn, xs=None, order: int = 0, cfg: Config = DEFAULT) -> float:
+def sampled_sup(fn, xs=None, order: int = 0) -> float:
     """max |fn^(order)| over the sample points xs, for fn a Poly or a
     FunctionExpr; an array is taken as values already sampled (order 0).
     A NaN or inf sample is returned, never dropped: the certificate report
@@ -84,7 +87,7 @@ def sampled_sup(fn, xs=None, order: int = 0, cfg: Config = DEFAULT) -> float:
     if not isinstance(fn, np.ndarray):
         if order:
             fn = (fn.derivs(order)[-1] if isinstance(fn, Poly)
-                  else fn.derivative_chain(order, cfg)[order])
+                  else fn.derivative_chain(order)[order])
         fn = fn.eval_array(xs)
     return float(np.max(np.abs(fn)))
 
@@ -149,7 +152,7 @@ def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
         for i, d in enumerate(chart.psi.derivs(k)[1:], start=1):
             per[("psi", i)] = float(max_abs_on_rational_grid(d, n))
         fexpr = RationalExpr(rat[0], rat[1])
-        chain = fexpr.derivative_chain(k, cfg)
+        chain = fexpr.derivative_chain(k)
         for i in range(1, k + 1):
             num, den = chain[i].as_rational()
             per[("f", i)] = float(max_abs_ratio_on_grid(num, den, n))
@@ -160,7 +163,7 @@ def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
                                       - float(chart.psi(0.0)))
         for i, d in enumerate(chart.psi.derivs(k)[1:], start=1):
             per[("psi", i)] = sampled_sup(d, xs)
-        chain = chart.f_comp.derivative_chain(k, cfg)
+        chain = chart.f_comp.derivative_chain(k)
         for i in range(1, k + 1):
             per[("f", i)] = sampled_sup(chain[i], xs)
         mode = "float"
@@ -173,10 +176,10 @@ def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT, exact=None) -> Certific
     of its basepoint in C^k, and the carried function does too (orders >= 1)."""
     per, mode = measure_chart_bounds(chart, cfg, exact)
     if mode == "exact":
-        tol, n = cfg.ck_tolerance_exact, cfg.exact_grid_points
+        tol, n = CK_TOLERANCE_EXACT, cfg.exact_grid_points
         detail = f"exact at the {n + 1} points i/{n}"
     else:
-        tol = cfg.ck_tolerance_float
+        tol = CK_TOLERANCE_FLOAT
         detail = f"float at {cfg.grid_points} points, tolerance {tol}"
     return _report(per, mode, tol, detail=detail)
 
@@ -190,8 +193,8 @@ def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateRepo
                                  - float(slab.x_map(0.0)))}
     for i, d in enumerate(slab.x_map.derivs(k)[1:], start=1):
         per[("x", i)] = sampled_sup(d, xs)
-    c1 = slab.G1.derivative_chain(k, cfg)
-    c2 = slab.G2.derivative_chain(k, cfg)
+    c1 = slab.G1.derivative_chain(k)
+    c2 = slab.G2.derivative_chain(k)
     g1v = [g.eval_array(xs) for g in c1]
     g2v = [g.eval_array(xs) for g in c2]
     per[("y", 0)] = sampled_sup(np.stack((g1v[0], g2v[0])) - g1v[0][0])
@@ -200,7 +203,7 @@ def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateRepo
         per[("y", i)] = sampled_sup(np.stack((g1v[i], g2v[i])))
         per[("y-slope", i - 1)] = sampled_sup(g2v[i - 1] - g1v[i - 1])
     slab.bounds = per
-    tol = cfg.ck_tolerance_float
+    tol = CK_TOLERANCE_FLOAT
     return _report(per, "float", tol,
                    detail=f"float at {len(xs)} points, tolerance {tol}")
 
@@ -211,13 +214,13 @@ def verify_mild_chart(chart: Chart, A: float, C: float, order: int,
     function likewise)."""
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
     per, ratios = {}, {}
-    chain = chart.f_comp.derivative_chain(order, cfg)
+    chain = chart.f_comp.derivative_chain(order)
     for i, d in enumerate(chart.psi.derivs(order)[1:], start=1):
         allowed = math.factorial(i) * (A * i**C) ** i
         for tag, fn in (("psi", d), ("f", chain[i])):
             per[(tag, i)] = sampled_sup(fn, xs)
             ratios[(tag, i)] = per[(tag, i)] / allowed
-    return _report(ratios, "float", cfg.ck_tolerance_float, per=per,
+    return _report(ratios, "float", CK_TOLERANCE_FLOAT, per=per,
                    detail=f"A={A}, C={C}")
 
 
@@ -231,7 +234,7 @@ def verify_a_chart(fn: FunctionExpr, center: complex, radius: float, K: float,
         worst = circle_sup(fn.eval_array, center, radius, cfg)
     except EvaluationAtSingularity:
         worst = math.nan
-    return _report({"disk": worst}, "complex", cfg.ck_tolerance_float,
+    return _report({"disk": worst}, "complex", CK_TOLERANCE_FLOAT,
                    limit=K, per={}, detail=f"K={K}, radius={radius}")
 
 

@@ -45,18 +45,17 @@ class CkParametrization:
         return len(self.charts)
 
 
-def monotone_subdivision(f: FunctionExpr, k: int, interval,
-                         cfg: Config = DEFAULT):
+def monotone_subdivision(f: FunctionExpr, k: int, interval):
     """Split the interval at every zero of f', ..., f^(k+1); on each returned
     subinterval all those derivatives have constant sign."""
     lo, hi = _fr(interval[0]), _fr(interval[1])
-    chain = f.derivative_chain(k + 1, cfg)
+    chain = f.derivative_chain(k + 1)
     cuts = set()
     for g in chain[1:]:
         rat = g.as_rational()
         if rat is not None and rat[0].is_zero():
             continue
-        for a, b in isolate_real_zeros(g, (lo, hi), cfg):
+        for a, b in isolate_real_zeros(g, (lo, hi)):
             a, b = _fr(a), _fr(b)
             mid = (a + b) / 2
             if lo < mid < hi:
@@ -91,7 +90,7 @@ def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
     g must have sign-constant monotone l-th derivative; the substitution is
     oriented so t = 0 maps to the endpoint where |g^(l)| is largest.  Returns
     (q, g o q, measured bound on (g o q)^(l), no_op flag)."""
-    chain = g.derivative_chain(l, cfg)
+    chain = g.derivative_chain(l)
     rat = chain[l].as_rational()
     if rat is not None and rat[0].is_zero():
         return Poly([0, 1]), g, 0.0, True
@@ -102,13 +101,13 @@ def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
                 raise PreconditionFailed(f"order-{i} derivative unbounded")
         # sign-constancy of g^(l) on the open interval
         interior = isolate_real_zeros(chain[l], (Fraction(1, 10**6),
-                                                 1 - Fraction(1, 10**6)), cfg)
+                                                 1 - Fraction(1, 10**6)))
         if interior:
             raise PreconditionFailed(
                 f"g^({l}) changes sign inside the piece; subdivide first")
     q = _square_for([chain[l]])
     gq = g.precompose_poly(q)
-    return q, gq, sampled_sup(gq, xs, l, cfg), False
+    return q, gq, sampled_sup(gq, xs, l), False
 
 
 def _split_factor(bounds) -> int:
@@ -123,6 +122,9 @@ def _split_factor(bounds) -> int:
     return n
 
 
+MAX_EXTRA_SPLITS = 3        # doublings of a piece's split count if a chart fails
+
+
 def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
     """The C^k induction on the tuple of functions fs over [lo, hi].
 
@@ -132,7 +134,7 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
     CertificateReport.  Returns the accepted charts sorted by sort_key."""
     cuts = set()
     for f in fs:
-        cuts.update(b for _, b in monotone_subdivision(f, k, (lo, hi), cfg)[:-1])
+        cuts.update(b for _, b in monotone_subdivision(f, k, (lo, hi))[:-1])
     pts = [lo] + sorted(cuts) + [hi]
     work = []   # (psi on [0, 1], fs o psi, steps)
     for a, b in zip(pts, pts[1:]):
@@ -147,11 +149,11 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
             # re-subdivide in t so every g^(l) is sign-constant per subpiece
             cuts = set()
             for g in gs:
-                dl = g.derivative_chain(l, cfg)[l]
+                dl = g.derivative_chain(l)[l]
                 rat = dl.as_rational()
                 if rat is not None and rat[0].is_zero():
                     continue
-                for za, zb in isolate_real_zeros(dl, (Fraction(0), Fraction(1)), cfg):
+                for za, zb in isolate_real_zeros(dl, (Fraction(0), Fraction(1))):
                     mid = (_fr(za) + _fr(zb)) / 2
                     if 0 < mid < 1:
                         cuts.add(mid)
@@ -161,8 +163,8 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
                 psi2 = psi.compose(aff)
                 gs2 = tuple(g.precompose_poly(aff) for g in gs)
                 steps2 = steps + ([("affine", u, v)] if (u, v) != (0, 1) else [])
-                if max(sampled_sup(g, xs, l, cfg) for g in gs2) > 1.0:
-                    q = _square_for([g.derivative_chain(l, cfg)[l] for g in gs2])
+                if max(sampled_sup(g, xs, l) for g in gs2) > 1.0:
+                    q = _square_for([g.derivative_chain(l)[l] for g in gs2])
                     psi2 = psi2.compose(q)
                     gs2 = tuple(g.precompose_poly(q) for g in gs2)
                     steps2 = steps2 + [("square", q == _SQUARE_FLIP)]
@@ -172,11 +174,11 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
     charts = []
     for psi, gs, steps in work:
         # C_i = max(|psi^(i)|, |g^(i)| over gs) on [0, 1], i = 1..k
-        chains = [g.derivative_chain(k, cfg) for g in gs]
+        chains = [g.derivative_chain(k) for g in gs]
         bounds = [max(sampled_sup(d, xs), *(sampled_sup(c[i], xs) for c in chains))
                   for i, d in enumerate(psi.derivs(k)[1:], start=1)]
         n = _split_factor(bounds)
-        for extra in range(cfg.max_extra_splits + 1):
+        for extra in range(MAX_EXTRA_SPLITS + 1):
             m = n * (2 ** extra)
             subcharts = []
             for j in range(m):
@@ -196,7 +198,7 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
         else:
             raise BoundViolationAfterMaxDepth(
                 f"chart bounds {bounds} not reducible within "
-                f"{cfg.max_extra_splits} extra splits")
+                f"{MAX_EXTRA_SPLITS} extra splits")
     charts.sort(key=sort_key)
     return charts
 
@@ -232,7 +234,7 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
     rat = diff.as_rational()
     if rat is not None and rat[0].is_zero():
         raise SlabOrderViolation("g1 == g2 identically")
-    zs = isolate_real_zeros(diff, (lo, hi), cfg)
+    zs = isolate_real_zeros(diff, (lo, hi))
     interior = [z for z in zs if _fr(z[0]) > lo or _fr(z[1]) < hi]
     if interior:
         raise SlabOrderViolation(f"g2 - g1 vanishes inside the slab at {interior}")

@@ -17,8 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT, Config
 from .errors import GridTooCoarse, PreconditionFailed
+
+ENTROPY_INVARIANCE_SAMPLES = 10_000  # random points in the invariance check
 
 
 # -- systems -------------------------------------------------------------------
@@ -79,13 +80,12 @@ def system_zoo() -> dict:
                                 toral_system(), polynomial_system())}
 
 
-def check_invariance(sys: DynSystem, cfg: Config = DEFAULT,
-                     seed: int = 0) -> None:
+def check_invariance(sys: DynSystem) -> None:
     """Sampled check that `step` maps the declared region into itself."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo = np.array([b[0] for b in sys.box])
     hi = np.array([b[1] for b in sys.box])
-    pts = rng.uniform(lo, hi, size=(cfg.entropy_invariance_samples, sys.dim))
+    pts = rng.uniform(lo, hi, size=(ENTROPY_INVARIANCE_SAMPLES, sys.dim))
     img = sys.step(pts)
     if np.any(img < lo - 1e-9) or np.any(img > hi + 1e-9):
         bad = pts[np.any((img < lo - 1e-9) | (img > hi + 1e-9), axis=1)][0]
@@ -371,16 +371,14 @@ def _resolution_for(sys: DynSystem, n_max: int, eps: float) -> float:
     return eps / 4.0
 
 
-def entropy_sweep(sys: DynSystem, n_values, eps_values,
-                  resolution: Optional[float] = None,
-                  cfg: Config = DEFAULT) -> EntropyReport:
+def entropy_sweep(sys: DynSystem, n_values, eps_values) -> EntropyReport:
     """Tabulate M(f, n, eps) and the per-cell growth diagnostic
     h(f, n, eps) = (log2 M_upper(n) - log2 M_upper(n_min)) / (n - n_min)
     (zero at the base row), plus a
     stabilization diagnostic per eps: the slope of log2 M_upper against n
     over the top half of the n range.  The diagnostic is an estimate of the
     entropy at scale eps, never a claim of the (uncomputable) double limit."""
-    check_invariance(sys, cfg)
+    check_invariance(sys)
     n_values = sorted(int(n) for n in n_values)
     eps_values = sorted(float(e) for e in eps_values)
     rows = []
@@ -388,8 +386,7 @@ def entropy_sweep(sys: DynSystem, n_values, eps_values,
     h_est = {}
     ns = [n for n in n_values if n >= n_values[len(n_values) // 2]]
     for eps in eps_values:
-        res = resolution if resolution is not None \
-            else _resolution_for(sys, n_values[-1], eps)
+        res = _resolution_for(sys, n_values[-1], eps)
         grid_spec[eps] = res
         logs = []
         for n, cov in zip(n_values, _brackets(sys, n_values, eps, res)):

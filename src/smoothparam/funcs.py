@@ -7,6 +7,7 @@ collapsed to num/den pairs so high-order derivatives stay cheap and exact."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_left, insort
 from fractions import Fraction
@@ -18,6 +19,11 @@ from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
                      OrderOverflow, PathNearSingularity, ZeroCountMismatch)
 from .poly import _U, Poly, _fr, complex_roots, isolate_roots
+
+EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
+BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
+CONTINUATION_RESIDUAL = 1e-10        # |P(x, y)| accepted on the curve
+CONTINUATION_STEP_FLOOR = 1e-12      # smallest continuation step
 
 
 def _is_exact(x):
@@ -71,11 +77,11 @@ class FunctionExpr:
         return ComposeExpr(self, RationalExpr(h, Poly([1])))
 
     # derivative chain with caching
-    def derivative_chain(self, order: int, cfg: Config = DEFAULT):
+    def derivative_chain(self, order: int):
         chain = getattr(self, "_chain", [self])
         while len(chain) <= order:
             nxt = chain[-1].deriv()
-            if nxt.size() > cfg.expr_size_cap:
+            if nxt.size() > EXPR_SIZE_CAP:
                 raise OrderOverflow(
                     f"expression size {nxt.size()} exceeds cap at order {len(chain)}")
             chain.append(nxt)
@@ -438,7 +444,8 @@ class BranchTracker:
     known point costs O(log n) comparisons: bisect, then walk outward while
     the distance stays equal.  Among keys at the same (rounded) distance the
     one cached first wins.  A non-finite x raises EvaluationAtSingularity
-    before the cache is consulted.
+    before the cache is consulted; a seed that is not a finite point on the
+    curve raises ValueError at construction, so no key is ever NaN.
 
     The sheet guard in `_on_sheet` accepts a corrector step w -> wn at the
     first of three tests that holds:
@@ -452,17 +459,18 @@ class BranchTracker:
     accepts no step that test 3 would reject, up to the rounding of
     np.roots; test 3 still decides every step that test 2 cannot certify."""
 
-    def __init__(self, P: BivarPoly, seed, cfg: Config = DEFAULT):
+    def __init__(self, P: BivarPoly, seed):
         self.P = P
         self.seed = (complex(seed[0]), complex(seed[1]))
-        self.cfg = cfg
         self.singularities = singular_locus(P)
         r = abs(P(*self.seed))
-        if r > cfg.continuation_residual:
-            raise ValueError(f"seed not on curve, residual {r:.3g}")
+        if not (all(map(cmath.isfinite, self.seed))
+                and r <= CONTINUATION_RESIDUAL):
+            raise ValueError(f"seed {seed} is not a finite point on the "
+                             f"curve (residual {r:.3g})")
         x0 = self.seed[0].real
         self._real_cache = {x0: self.seed[1]}
-        self._keys = [x0]               # sorted cache keys, NaN left out
+        self._keys = [x0]               # sorted cache keys
         self._rank = {x0: 0}            # insertion order, breaks distance ties
         self.roots_calls = 0            # np.roots fallbacks of the sheet guard
 
@@ -488,7 +496,7 @@ class BranchTracker:
             w = w - step
             if abs(step) <= 1e-15 * max(1.0, abs(w)):
                 break
-        if abs(_horner(p, w)) > self.cfg.continuation_residual:
+        if abs(_horner(p, w)) > CONTINUATION_RESIDUAL:
             return None
         return w
 
@@ -507,23 +515,22 @@ class BranchTracker:
 
     def _advance(self, z0, w0, z1):
         """Track from (z0, w0) to x = z1; returns w1."""
-        cfg = self.cfg
         z, w = z0, w0
         d = self._min_sing_dist(z)
         remaining = z1 - z
         while abs(remaining) > 0:
-            step_len = min(abs(remaining), max(d / 2, cfg.continuation_step_floor))
+            step_len = min(abs(remaining), max(d / 2, CONTINUATION_STEP_FLOOR))
             step = remaining / abs(remaining) * step_len
             while True:
                 zn = z + step
                 dn = self._min_sing_dist(zn)
-                if dn < 10 * cfg.continuation_step_floor:
+                if dn < 10 * CONTINUATION_STEP_FLOOR:
                     raise PathNearSingularity(f"path within floor of singularity at {zn}")
                 cs = self.P.y_poly_coeffs_complex(zn)
                 wn = self._newton(cs, w)
                 if wn is not None and self._on_sheet(cs, w, wn, step):
                     break
-                if abs(step) / 2 < cfg.continuation_step_floor:
+                if abs(step) / 2 < CONTINUATION_STEP_FLOOR:
                     raise BranchJump(f"corrector lost the branch near x = {zn}")
                 step /= 2
             z, w, d = zn, wn, dn
@@ -531,8 +538,6 @@ class BranchTracker:
         return w
 
     def _nearest_key(self, xf):
-        if xf != xf:
-            return self.seed[0].real
         keys, n = self._keys, len(self._keys)
         lo = bisect_left(keys, xf) - 1
         hi = lo + 1
@@ -560,9 +565,8 @@ class BranchTracker:
     def _remember(self, xf, w):
         if len(self._real_cache) < 100_000:
             self._real_cache[xf] = w
-            if xf == xf:                # a NaN key is never the nearest
-                self._rank[xf] = len(self._rank)
-                insort(self._keys, xf)
+            self._rank[xf] = len(self._rank)
+            insort(self._keys, xf)
 
     def eval_path(self, path):
         """Values of the branch along an explicit complex path (list of points).
@@ -582,11 +586,11 @@ class BranchExpr(FunctionExpr):
     derivative calculus: value = rat(x, g(x))."""
 
     def __init__(self, P: BivarPoly, seed, rat: BivarRational = None,
-                 tracker: BranchTracker = None, cfg: Config = DEFAULT):
+                 tracker: BranchTracker = None):
         self.P = P
         self.seed = seed
         self.rat = rat  # None means the branch value itself
-        self.tracker = tracker or BranchTracker(P, seed, cfg)
+        self.tracker = tracker or BranchTracker(P, seed)
 
     def size(self):
         if self.rat is None:
@@ -658,13 +662,13 @@ class BlackboxExpr(FunctionExpr):
 
 # -- the poly_core operations -------------------------------------------------
 
-def evaluate_derivatives(f: FunctionExpr, x, order: int, cfg: Config = DEFAULT):
+def evaluate_derivatives(f: FunctionExpr, x, order: int):
     """[f(x), f'(x), ..., f^(order)(x)].  Exact for rational f at rational x."""
-    chain = f.derivative_chain(order, cfg)
+    chain = f.derivative_chain(order)
     return [g.eval(x) for g in chain]
 
 
-def isolate_real_zeros(f: FunctionExpr, interval, cfg: Config = DEFAULT):
+def isolate_real_zeros(f: FunctionExpr, interval):
     """Disjoint isolating intervals for the real zeros of f on the interval.
 
     Sturm-exact for rational f; sampled sign-change bisection otherwise, with
@@ -681,7 +685,7 @@ def isolate_real_zeros(f: FunctionExpr, interval, cfg: Config = DEFAULT):
         zeros = isolate_roots(num, _fr(lo), _fr(hi))
         return [z for z in zeros if z not in pole_set]
     # sampled bisection
-    n = max(16, int(cfg.bisect_samples_per_unit * (float(hi) - float(lo))))
+    n = max(16, int(BISECT_SAMPLES_PER_UNIT * (float(hi) - float(lo))))
     xs = np.linspace(float(lo), float(hi), n + 1)
     vals = f.eval_array(xs)
     out = []
@@ -710,9 +714,9 @@ def isolate_real_zeros(f: FunctionExpr, interval, cfg: Config = DEFAULT):
     return out
 
 
-def branch_continuation(P: BivarPoly, seed, path, cfg: Config = DEFAULT):
+def branch_continuation(P: BivarPoly, seed, path):
     """Values of the algebraic branch through `seed` along `path`."""
-    return BranchTracker(P, seed, cfg).eval_path(path)
+    return BranchTracker(P, seed).eval_path(path)
 
 
 def hyperbola_branch(eps) -> RationalExpr:

@@ -351,11 +351,14 @@ def squarefree_part(p: Poly) -> Poly:
     return p // g
 
 
-def isolate_roots(p: Poly, lo, hi, refine_to: Fraction = Fraction(1, 2**40)):
+ROOT_WIDTH = Fraction(1, 2**40)      # width of a refined isolating interval
+
+
+def isolate_roots(p: Poly, lo, hi):
     """Disjoint isolating intervals, one per distinct real root of p in [lo, hi].
 
     Endpoint roots are reported as degenerate [r, r] intervals.  Intervals are
-    bisected down to width <= refine_to so callers can use midpoints as
+    bisected down to width <= ROOT_WIDTH so callers can use midpoints as
     subdivision points.
     """
     lo, hi = _fr(lo), _fr(hi)
@@ -406,7 +409,7 @@ def isolate_roots(p: Poly, lo, hi, refine_to: Fraction = Fraction(1, 2**40)):
         if n <= 0:
             continue
         if n == 1:
-            out.append(_refine_interval(sf, a, b, refine_to))
+            out.append(_refine_interval(sf, a, b))
             continue
         m = (a + b) / 2
         if sf(m) == 0:
@@ -420,9 +423,9 @@ def isolate_roots(p: Poly, lo, hi, refine_to: Fraction = Fraction(1, 2**40)):
     return out
 
 
-def _refine_interval(sf: Poly, a: Fraction, b: Fraction, width: Fraction):
+def _refine_interval(sf: Poly, a: Fraction, b: Fraction):
     fa = sf(a)
-    while b - a > width:
+    while b - a > ROOT_WIDTH:
         m = (a + b) / 2
         fm = sf(m)
         if fm == 0:

@@ -13,11 +13,14 @@ import numpy as np
 
 from .analytic_param import dyadic_partition
 from .bivar import BivarPoly
-from .config import DEFAULT, Config
 from .errors import SingularCurve
 from .funcs import singular_locus
 from .poly import _fr
 from .simplex import norming_lp
+
+REMEZ_C1 = 0.125                     # delta = c1 * rho / 2 proportionality
+NORMALIZE_SAMPLES = 512              # per side of the unit-square grid
+TRACE_COLUMNS = 1000                 # root-finding columns per orientation
 
 
 def chebyshev_value(d: int, x):
@@ -64,74 +67,44 @@ class RemezReport:
     meta: dict = field(default_factory=dict)
 
 
-def empirical_remez_constant(Y_samples, Z_samples, d1: int,
-                             cfg: Config = DEFAULT,
-                             refine_Z=None) -> RemezReport:
+def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
     """R = max over y* in Y of  max { Q(y*) : -1 <= Q <= 1 on Z },
-    Q ranging over polynomials of degree <= d1 in (x, y).
-
-    Cutting-plane refinement: if `refine_Z` (a callable returning a finer Z
-    sample) is given, violated constraints are appended and the LPs re-solved
-    until the constant moves by < 1%."""
+    Q ranging over polynomials of degree <= d1 in (x, y).  Z is taken as
+    sampled: no cutting-plane rounds refine it (meta["rounds"] is 0)."""
     monos = _monomials_2d(d1)
     Z = [tuple(map(float, z)) for z in Z_samples]
     Y = [tuple(map(float, y)) for y in Y_samples]
-    best = (-math.inf, None, None)
-
-    def solve_all(Zcur):
-        M = _design_matrix(Zcur, monos)
-        top = (-math.inf, None, None)
-        working = None
-        for y in Y:
-            cvec = np.array([y[0] ** i * y[1] ** j for (i, j) in monos])
-            x, val, working = norming_lp(cvec, M, tol=cfg.lp_tolerance,
-                                         working=working)
-            # deterministic tie-break: lexicographically smallest witness
-            if val > top[0] + 1e-12 or (abs(val - top[0]) <= 1e-12
-                                        and (top[2] is None or y < top[2])):
-                top = (val, x, y)
-        return top
-
-    best = solve_all(Z)
-    rounds = 0
-    while refine_Z is not None and rounds < 5:
-        fine = [tuple(map(float, z)) for z in refine_Z(2 ** (rounds + 1))]
-        Mf = _design_matrix(fine, monos)
-        vals = Mf @ best[1]
-        bad = [fine[i] for i in np.nonzero(np.abs(vals) > 1 + 1e-9)[0]]
-        if not bad:
-            break
-        Z = Z + bad
-        new = solve_all(Z)
-        rounds += 1
-        if abs(new[0] - best[0]) <= 0.01 * abs(best[0]):
-            best = new
-            break
-        best = new
-    R, Q, y = best
+    M = _design_matrix(Z, monos)
+    R, Q, y_star = -math.inf, None, None
+    working = None
+    for y in Y:
+        cvec = np.array([y[0] ** i * y[1] ** j for (i, j) in monos])
+        x, val, working = norming_lp(cvec, M, working=working)
+        # deterministic tie-break: lexicographically smallest witness
+        if val > R + 1e-12 or (abs(val - R) <= 1e-12
+                               and (y_star is None or y < y_star)):
+            R, Q, y_star = val, x, y
     return RemezReport(R=float(R), Q_star=Q, monomials=monos,
-                       y_star=y, meta={"d1": d1, "n_Z": len(Z),
-                                       "n_Y": len(Y), "rounds": rounds})
+                       y_star=y_star, meta={"d1": d1, "n_Z": len(Z),
+                                            "n_Y": len(Y), "rounds": 0})
 
 
 # -- curve machinery -----------------------------------------------------------
 
-def normalize_curve(P: BivarPoly, n: int = 512) -> BivarPoly:
+def normalize_curve(P: BivarPoly) -> BivarPoly:
     """Scale P so max |P| over the unit square equals 1."""
-    m = P.max_abs_on_unit_square(n)
+    m = P.max_abs_on_unit_square(NORMALIZE_SAMPLES)
     if m == 0:
         raise SingularCurve("zero polynomial")
     return P * Fraction(1 / m).limit_denominator(10**12)
 
 
-def trace_curve(P: BivarPoly, n_cols: int = 1000, box=(-1, 1, -1, 1)):
-    """Sample points of {P = 0} inside the box by per-column root finding
+def trace_curve(P: BivarPoly):
+    """Sample points of {P = 0} inside [-1, 1]^2 by per-column root finding
     (both orientations, so near-vertical pieces are caught)."""
-    x0, x1, y0, y1 = box
     pts = []
     for Q, swap in ((P, False), (P.swap_xy(), True)):
-        lo, hi = (x0, x1) if not swap else (y0, y1)
-        for x in np.linspace(lo, hi, n_cols):
+        for x in np.linspace(-1, 1, TRACE_COLUMNS):
             cs = Q.y_poly_coeffs_complex(complex(x))
             cs = np.trim_zeros(cs, trim="b")
             if len(cs) <= 1:
@@ -139,17 +112,15 @@ def trace_curve(P: BivarPoly, n_cols: int = 1000, box=(-1, 1, -1, 1)):
             for r in np.roots(cs[::-1]):
                 if abs(r.imag) < 1e-9:
                     y = float(r.real)
-                    a, b = (y0, y1) if not swap else (x0, x1)
-                    if a - 1e-12 <= y <= b + 1e-12:
+                    if -1 - 1e-12 <= y <= 1 + 1e-12:
                         pts.append((float(x), y) if not swap else (y, float(x)))
     return pts
 
 
-def curve_gradient_floor(P: BivarPoly, n_cols: int = 1000,
-                         polish: bool = True):
+def curve_gradient_floor(P: BivarPoly):
     """rho = min over the curve in the unit square of |grad P|, with local
     polish around the sampled argmin."""
-    pts = trace_curve(P, n_cols)
+    pts = trace_curve(P)
     if not pts:
         raise SingularCurve("curve is empty in the unit square")
     Px, Py = P.dx(), P.dy()
@@ -159,27 +130,26 @@ def curve_gradient_floor(P: BivarPoly, n_cols: int = 1000,
 
     vals = [(grad_norm(x, y), (x, y)) for (x, y) in pts]
     rho, arg = min(vals)
-    if polish:
-        from scipy.optimize import minimize
-        res = minimize(lambda v: grad_norm(v[0], v[1]), np.array(arg),
-                       method="SLSQP",
-                       constraints=[{"type": "eq",
-                                     "fun": lambda v: float(P(v[0], v[1]))}],
-                       bounds=[(-1, 1), (-1, 1)])
-        if res.success and res.fun < rho and abs(float(P(res.x[0], res.x[1]))) < 1e-8:
-            rho, arg = float(res.fun), (float(res.x[0]), float(res.x[1]))
+    from scipy.optimize import minimize
+    res = minimize(lambda v: grad_norm(v[0], v[1]), np.array(arg),
+                   method="SLSQP",
+                   constraints=[{"type": "eq",
+                                 "fun": lambda v: float(P(v[0], v[1]))}],
+                   bounds=[(-1, 1), (-1, 1)])
+    if res.success and res.fun < rho and abs(float(P(res.x[0], res.x[1]))) < 1e-8:
+        rho, arg = float(res.fun), (float(res.x[0]), float(res.x[1]))
     if rho < 1e-12:
         raise SingularCurve(f"gradient floor {rho:.3g} below threshold")
     return rho, arg
 
 
-def remez_parametrization(P: BivarPoly, cfg: Config = DEFAULT):
+def remez_parametrization(P: BivarPoly):
     """Analytic parametrization of the curve's branch structure at scale
     delta = c1*rho/2, plus one implicit-function chart per removed box;
     reports N (total charts) and the heuristic chain bound 2^N."""
     Pn = normalize_curve(P)
     rho, arg = curve_gradient_floor(Pn)
-    delta = cfg.remez_c1 * rho / 2
+    delta = REMEZ_C1 * rho / 2
     delta = Fraction(delta).limit_denominator(2**40)
     if Pn.degy < 1:
         raise SingularCurve("curve degenerate in y")

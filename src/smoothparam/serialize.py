@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .approx import patch_error
-from .charts import Chart, verify_ck_chart
+from .charts import CK_TOLERANCE_FLOAT, Chart, verify_ck_chart
 from .config import DEFAULT, Config
 from .errors import SchemaVersionMismatch
 from .funcs import (AddExpr, ComposeExpr, ConstExpr, FunctionExpr, MulExpr,
@@ -280,7 +280,7 @@ def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
         tag = f"chart {i}"
         limit = cd["meta"].get("K", 1.0) if analytic else 1.0
         for order, val in cd["bounds"].items():
-            if not val <= limit + cfg.ck_tolerance_float:
+            if not val <= limit + CK_TOLERANCE_FLOAT:
                 failures.append(f"{tag}: stored bound {val} at order {order} "
                                 f"exceeds {limit}")
         if cd["f"].get("kind") == "opaque":
@@ -308,7 +308,7 @@ def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
     f = expr_from_json(src) if src and src.get("kind") != "opaque" else None
     eps = doc["epsilon"]
     for i, pd in enumerate(doc["patches"]):
-        if pd["sup_error"] > eps * (1 + 1e-9):
+        if not pd["sup_error"] <= eps * (1 + 1e-9):
             failures.append(f"patch {i}: stored error {pd['sup_error']} "
                             f"exceeds epsilon {eps}")
         # a slab patch's upper boundary (psi, p) is resampled like a graph
@@ -322,7 +322,7 @@ def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
         err = patch_error(f, poly, doc["route"],
                           number_from_json(pd["center"][0]), pd["side"],
                           4 * cfg.patch_samples, psi=psi)
-        if err > eps * (1 + 1e-6):
+        if not err <= eps * (1 + 1e-6):
             failures.append(f"patch {i}: resampled error {err} exceeds {eps}")
 
 
@@ -346,7 +346,7 @@ def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
                 failures.append(f"entropy cell n={r['n']} eps={r['eps']}: "
                                 "lower exceeds upper")
     elif kind == "remez":
-        if doc["R"] < 1.0 - 1e-9:
+        if not doc["R"] >= 1.0 - 1e-9:
             failures.append(f"norming constant {doc['R']} below 1")
     elif kind == "count-points":
         if doc["count"] != len(doc["points"]):

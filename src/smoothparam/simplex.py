@@ -3,8 +3,10 @@
 The problems are tiny in the coefficient dimension and fat in constraints
 (maximize a linear functional of polynomial coefficients subject to
 -1 <= Q(z) <= 1 over a sample cloud), and x = 0 is always feasible, so a
-slack-basis start suffices.  Float pivoting with a Bland's-rule exact-rational
-fallback when the float run cycles or degenerates."""
+slack-basis start suffices.  Float pivoting, with a Bland's-rule fallback
+over Fractions when the float run cycles or degenerates.  The fallback rounds
+every entry of A, b and c with `limit_denominator(10**12)`, so it solves a
+nearby rational LP exactly, not the float LP."""
 
 from __future__ import annotations
 
@@ -14,8 +16,12 @@ import numpy as np
 
 from .errors import InfeasibleLP, UnboundedLP
 
+LP_TOLERANCE = 1e-9                  # pivot, optimality and feasibility slack
+MAX_ITER = 20000                     # pivots per simplex run
+MAX_ROUNDS = 60                      # constraint-generation rounds per LP
 
-def simplex_maximize(c, A, b, tol: float = 1e-9, max_iter: int = 20000):
+
+def simplex_maximize(c, A, b):
     """maximize c.x  subject to  A x <= b, x free.
 
     Requires b >= 0 (so the slack basis is feasible).  Free variables are
@@ -24,23 +30,23 @@ def simplex_maximize(c, A, b, tol: float = 1e-9, max_iter: int = 20000):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    if np.any(b < -tol):
+    if np.any(b < -LP_TOLERANCE):
         raise InfeasibleLP("slack start needs nonnegative right-hand sides")
     m, n = A.shape
     # split free variables
     A2 = np.hstack([A, -A])
     c2 = np.concatenate([c, -c])
     try:
-        x2, val = _primal_simplex_float(c2, A2, b, tol, max_iter)
+        x2, val = _primal_simplex_float(c2, A2, b)
     except _NumericalTrouble:
-        x2, val = _primal_simplex_exact(c2, A2, b, max_iter)
+        x2, val = _primal_simplex_exact(c2, A2, b)
         x2 = np.array([float(v) for v in x2])
         val = float(val)
     x = x2[:n] - x2[n:]
     return x, val
 
 
-def norming_lp(c, M, tol: float = 1e-9, working=None, max_rounds: int = 60):
+def norming_lp(c, M, working=None):
     """maximize c.x subject to -1 <= M x <= 1, by constraint generation:
     solve on a small working subset of rows, add the worst violators, repeat.
 
@@ -53,18 +59,18 @@ def norming_lp(c, M, tol: float = 1e-9, working=None, max_rounds: int = 60):
         working = sorted(set(range(0, nrows, step)) | {nrows - 1})
     else:
         working = sorted(set(working))
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         Aw = np.vstack([M[working], -M[working]])
         bw = np.ones(2 * len(working))
         try:
-            x, val = simplex_maximize(c, Aw, bw, tol=tol)
+            x, val = simplex_maximize(c, Aw, bw)
         except UnboundedLP as e:
             d = e.direction
             if d is None or not np.any(d):
                 raise
             viol = np.abs(M @ d)
             worst = np.argsort(viol)[-8:]
-            if viol[worst[-1]] <= tol:
+            if viol[worst[-1]] <= LP_TOLERANCE:
                 raise
             before = len(working)
             working = sorted(set(working) | set(int(w) for w in worst))
@@ -73,7 +79,7 @@ def norming_lp(c, M, tol: float = 1e-9, working=None, max_rounds: int = 60):
             continue
         vals = np.abs(M @ x)
         worst = np.argsort(vals)[-8:]
-        if vals[worst[-1]] <= 1 + tol:
+        if vals[worst[-1]] <= 1 + LP_TOLERANCE:
             # prune to binding rows so warm-started working sets stay small;
             # degenerate objectives can make every row binding, so cap the
             # carry-over (evenly subsampled) -- the next call re-adds what
@@ -93,7 +99,7 @@ class _NumericalTrouble(Exception):
     pass
 
 
-def _primal_simplex_float(c, A, b, tol, max_iter):
+def _primal_simplex_float(c, A, b):
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -101,15 +107,15 @@ def _primal_simplex_float(c, A, b, tol, max_iter):
     T[:m, -1] = b
     T[m, :n] = -c
     basis = list(range(n, n + m))
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         j = int(np.argmin(T[m, :-1]))
-        if T[m, j] >= -tol:
+        if T[m, j] >= -LP_TOLERANCE:
             x = np.zeros(n + m)
             for i, bi in enumerate(basis):
                 x[bi] = T[i, -1]
             return x[:n], float(T[m, -1])
         col = T[:m, j]
-        mask = col > tol
+        mask = col > LP_TOLERANCE
         if not mask.any():
             # unbounded: ray along variable j
             direction = np.zeros(n)
@@ -120,7 +126,7 @@ def _primal_simplex_float(c, A, b, tol, max_iter):
         ratios[mask] = T[:m, -1][mask] / col[mask]
         i = int(np.argmin(ratios))
         piv = T[i, j]
-        if abs(piv) < tol:
+        if abs(piv) < LP_TOLERANCE:
             raise _NumericalTrouble
         T[i, :] /= piv
         rows = np.arange(m + 1) != i
@@ -129,7 +135,7 @@ def _primal_simplex_float(c, A, b, tol, max_iter):
     raise _NumericalTrouble
 
 
-def _primal_simplex_exact(c, A, b, max_iter):
+def _primal_simplex_exact(c, A, b):
     """Bland's rule over Fractions; slow but cycle-free."""
     m, n = A.shape
     T = [[Fraction(0)] * (n + m + 1) for _ in range(m + 1)]
@@ -141,7 +147,7 @@ def _primal_simplex_exact(c, A, b, max_iter):
     for j in range(n):
         T[m][j] = -Fraction(c[j]).limit_denominator(10**12)
     basis = list(range(n, n + m))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         j = next((jj for jj in range(n + m) if T[m][jj] < 0), None)
         if j is None:
             x = [Fraction(0)] * (n + m)

@@ -1,6 +1,7 @@
 """Determinant-method layer: combinatorial tables, the interpolation
 determinant bound on random smooth maps, exact point enumeration against a
-brute-force oracle, and the hypersurface ball cover."""
+brute-force oracle and against each curve's defining integer polynomial,
+and the hypersurface ball cover."""
 
 import math
 import random
@@ -92,6 +93,52 @@ def test_enumerate_matches_brute_force():
             a = enumerate_points(f, (F(-1), F(1)), t)
             b = brute_force_points(f, (F(-1), F(1)), t)
             assert set(a) == set(b)
+
+
+# An oracle independent of bp._eval_exact: each curve is given by its
+# defining integer polynomial, and (a/t, b/t) is tested on it in integers.
+# On y = n(x)/d(x), with D the larger degree, (a/t, b/t) is a point iff
+# b * sum d_i a^i t^(D-i) == t * sum n_i a^i t^(D-i) (the equation times
+# t^(D+1)); on y = x sqrt(x) it is a point iff b^2 t == a^3 and b >= 0.
+# b ranges over the integers within 1 of t * y(a/t) in floats.
+
+def _on_graph(num, den=(1,)):
+    D = max(len(num), len(den)) - 1
+
+    def scaled(cs, a, t):
+        return sum(c * a ** i * t ** (D - i) for i, c in enumerate(cs))
+    return lambda a, b, t: b * scaled(den, a, t) == t * scaled(num, a, t)
+
+
+def _oracle_points(y, on_curve, dom, t):
+    out = set()
+    for a in range(math.ceil(dom[0] * t), math.floor(dom[1] * t) + 1):
+        ty = t * y(a / t)
+        for b in range(math.floor(ty) - 1, math.ceil(ty) + 2):
+            if on_curve(a, b, t):
+                out.add((F(a, t), F(b, t)))
+    return out
+
+
+def test_enumerate_matches_the_defining_polynomials():
+    # the curves of acceptance 7, every t <= 200
+    x = RationalExpr(Poly([0, 1]))
+    curves = [
+        (RationalExpr(Poly([0, 0, 1])), (F(-1), F(1)),
+         lambda v: v * v, _on_graph((0, 0, 1))),
+        (RationalExpr(Poly([0, 0, 0, 1])), (F(-1), F(1)),
+         lambda v: v ** 3, _on_graph((0, 0, 0, 1))),
+        (RationalExpr(Poly([1, 0, -1]), Poly([2, 0, 1])), (F(-1), F(1)),
+         lambda v: (1 - v * v) / (2 + v * v), _on_graph((1, 0, -1), (2, 0, 1))),
+        (MulExpr(x, SqrtExpr(x)), (F(0), F(1)),
+         lambda v: v ** 1.5, lambda a, b, t: b >= 0 and b * b * t == a ** 3)]
+    total = 0
+    for f, dom, y, on_curve in curves:
+        for t in range(1, 201):
+            want = _oracle_points(y, on_curve, dom, t)
+            assert set(enumerate_points(f, dom, t)) == want, (f, t)
+            total += len(want)
+    assert total > 4 * 200 * 2          # not vacuous: both ends are points
 
 
 def test_enumerate_sqrt_curve():

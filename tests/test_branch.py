@@ -3,7 +3,8 @@ lookup against the linear scan it replaces, its corrector arithmetic against
 numpy's, the Rouche disk test of its sheet guard against np.roots and
 against exactly known roots, byte-identity of a fixed grid evaluation and
 how rarely it falls back to np.roots there, values against the closed form,
-the typed error at a non-finite x, and C^1 and C^2 builds end to end."""
+the typed errors at a non-finite x and a non-finite seed, and C^1 and C^2
+builds end to end."""
 
 import cmath
 import hashlib
@@ -50,7 +51,7 @@ _KEYS = st.one_of(
     st.floats(allow_nan=False))
 
 
-@given(st.lists(_KEYS, max_size=40), st.one_of(_KEYS, st.just(math.nan)))
+@given(st.lists(_KEYS, max_size=40), _KEYS)
 @example([2.0, 2.0 ** -61, 2.0 ** -60], 1.0)
 @example([2.0 ** -60, 2.0, 2.0 ** -61], 1.0)
 @example([0.75, 1.25, 1.25, 0.75], 1.0)
@@ -195,6 +196,19 @@ def test_cubic_branch_rejects_non_finite_x():
         f.eval_array(np.array([1.5, math.nan]))
     with pytest.raises(EvaluationAtSingularity):
         f.eval(math.inf)
+
+
+_CUBIC = BivarPoly({(0, 2): 1, (3, 0): -1, (0, 0): -1})     # y^2 = x^3 + 1
+
+
+@pytest.mark.parametrize("P, seed", [
+    (_CUBIC, (math.nan, 1.0)), (_CUBIC, (1.0, math.inf)),
+    (_CUBIC, (1.0, math.nan)), (_CUBIC, (math.inf, 1.0)),
+    # y^2 = 2 ignores x, so the residual at x = inf is finite and tiny
+    (BivarPoly({(0, 2): 1, (0, 0): -2}), (math.inf, math.sqrt(2)))])
+def test_tracker_rejects_a_non_finite_seed(P, seed):
+    with pytest.raises(ValueError, match="not a finite point on the curve"):
+        BranchTracker(P, seed)
 
 
 def test_cubic_branch_c2_charts_are_certified_and_pinned():

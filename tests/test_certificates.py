@@ -13,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothparam.analytic_param import verify_a_chart_variation
-from smoothparam.charts import (Chart, SlabChart, circle_sup, verify_a_chart,
-                                verify_ck_chart, verify_mild_chart,
-                                verify_slab_chart)
+from smoothparam.approx import ck_approximate
+from smoothparam.charts import (CK_TOLERANCE_FLOAT, Chart, SlabChart,
+                                circle_sup, verify_a_chart, verify_ck_chart,
+                                verify_mild_chart, verify_slab_chart)
 from smoothparam.cli import main
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, ConstExpr, MulExpr, PowExpr,
                                RationalExpr)
 from smoothparam.poly import Poly
+from smoothparam.serialize import (approximation_to_json, dumps, loads,
+                                   verify_bundle)
 
 CFG = dataclasses.replace(DEFAULT, grid_points=512, grid_points_2d=64,
                           a_chart_radii=4, a_chart_angles=32)
@@ -127,7 +130,41 @@ def test_reports_name_the_grid_they_sampled():
     flt = verify_ck_chart(ch, CFG, exact=False)
     assert flt.ok and flt.mode == "float"
     assert flt.detail == (f"float at {CFG.grid_points} points, "
-                          f"tolerance {CFG.ck_tolerance_float}")
+                          f"tolerance {CK_TOLERANCE_FLOAT}")
     slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=RationalExpr(Poly([0])),
                      G2=RationalExpr(Poly([F(1, 2)])), k=1)
     assert verify_slab_chart(slab, CFG).detail.startswith("float at ")
+
+
+def _nan_verdict(doc, path, key):
+    """verify_bundle's verdict on the artifact `doc` with the value at
+    doc[path...][key] replaced by NaN, after a JSON round trip."""
+    doc = loads(dumps(doc))
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = math.nan
+    return verify_bundle(loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("key, message", [
+    ("sup_error", "patch 0: stored error nan"),
+    # a NaN side makes the patch's resampling interval, so its error, NaN
+    ("side", "patch 0: resampled error nan")])
+def test_nan_in_an_approximation_fails_verification(key, message):
+    f = RationalExpr(Poly([1]), Poly([2, 1]))
+    doc = approximation_to_json(ck_approximate(f, (F(0), F(1)), 0.01, 0.5),
+                                source=f)
+    assert verify_bundle(loads(dumps(doc)))["ok"]
+    res = _nan_verdict(doc, ["patches", 0], key)
+    assert not res["ok"]
+    assert any(m.startswith(message) for m in res["failures"])
+
+
+def test_nan_norming_constant_fails_verification(tmp_path):
+    out = tmp_path / "remez.json"
+    assert main(["remez", "--classical", "--samples", "50",
+                 "--out", str(out)]) == 0
+    res = _nan_verdict(json.loads(out.read_text()), [], "R")
+    assert not res["ok"]
+    assert res["failures"] == ["norming constant nan below 1"]

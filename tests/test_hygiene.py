@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard-library `ast` module: every
 top-level import of a package module is used, every `Config` field is
-read somewhere in the package, every parameter is read, and `eval_array`
-stays the one numeric evaluator of the expression classes."""
+read somewhere in the package and set by some caller, every parameter is
+read, and `eval_array` stays the one numeric evaluator of the expression
+classes."""
 
 import ast
 import dataclasses
@@ -10,6 +11,7 @@ from pathlib import Path
 from smoothparam.config import Config
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "smoothparam"
+TESTS = Path(__file__).resolve().parent
 
 
 def _modules():
@@ -42,6 +44,20 @@ def test_every_config_field_is_read():
             for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     fields = [f.name for f in dataclasses.fields(Config)]
     assert [f for f in fields if f not in read] == []
+
+
+def test_every_config_field_is_set_by_some_caller():
+    # a field that only ever holds its default is a constant: it belongs
+    # beside the code that reads it, not in Config
+    set_by_keyword = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Call):
+                callee = ast.unparse(n.func)
+                if callee in ("Config", "replace", "dataclasses.replace"):
+                    set_by_keyword.update(k.arg for k in n.keywords)
+    fields = [f.name for f in dataclasses.fields(Config)]
+    assert [f for f in fields if f not in set_by_keyword] == []
 
 
 def _functions(tree):
