@@ -76,10 +76,10 @@ def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
     Y = [tuple(map(float, y)) for y in Y_samples]
     M = _design_matrix(Z, monos)
     R, Q, y_star = -math.inf, None, None
-    working = None
+    state = None                     # warm start: the last y's optimum
     for y in Y:
         cvec = np.array([y[0] ** i * y[1] ** j for (i, j) in monos])
-        x, val, working = norming_lp(cvec, M, working=working)
+        x, val, state = norming_lp(cvec, M, state)
         # deterministic tie-break: lexicographically smallest witness
         if val > R + 1e-12 or (abs(val - R) <= 1e-12
                                and (y_star is None or y < y_star)):

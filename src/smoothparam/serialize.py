@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 from .approx import patch_error
@@ -326,6 +327,23 @@ def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
             failures.append(f"patch {i}: resampled error {err} exceeds {eps}")
 
 
+def _verify_remez(doc: dict, failures: list) -> None:
+    """R >= 1, and Q*(y*) = R to 1e-9 of sum |c_j Q_j|, far above the
+    rounding of the stored digits.  Z is not stored, so |Q*| <= 1 on Z is
+    not re-checked."""
+    R = doc["R"]
+    if not R >= 1.0 - 1e-9:
+        failures.append(f"norming constant {R} below 1")
+        return
+    y0, y1 = doc["y_star"]
+    Q, monos = doc["Q_star"], doc["monomials"]
+    terms = [q * y0 ** i * y1 ** j for q, (i, j) in zip(Q, monos)]
+    value = math.fsum(terms)
+    if len(Q) != len(monos) or not (
+            abs(value - R) <= 1e-9 * math.fsum(map(abs, terms))):
+        failures.append(f"witness Q*(y*) = {value} is not R = {R}")
+
+
 def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
     """Re-check a parsed (or raw-text) artifact.  Returns
     {"ok": bool, "kind": ..., "failures": [...]}."""
@@ -346,8 +364,7 @@ def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
                 failures.append(f"entropy cell n={r['n']} eps={r['eps']}: "
                                 "lower exceeds upper")
     elif kind == "remez":
-        if not doc["R"] >= 1.0 - 1e-9:
-            failures.append(f"norming constant {doc['R']} below 1")
+        _verify_remez(doc, failures)
     elif kind == "count-points":
         if doc["count"] != len(doc["points"]):
             failures.append("stored count disagrees with point list")

@@ -1,172 +1,147 @@
-"""Dense primal simplex for the norming LPs.
+"""Active-set primal simplex for the norming LPs: maximize c.x subject to
+-1 <= M x <= 1.  x holds the coefficients of a polynomial Q, row i of M its
+monomials at the sample z_i and c those at a point y, so the value is
+max Q(y) over |Q| <= 1 on the samples; n is tiny and m large.
 
-The problems are tiny in the coefficient dimension and fat in constraints
-(maximize a linear functional of polynomial coefficients subject to
--1 <= Q(z) <= 1 over a sample cloud), and x = 0 is always feasible, so a
-slack-basis start suffices.  Float pivoting, with a Bland's-rule fallback
-over Fractions when the float run cycles or degenerates.  The fallback rounds
-every entry of A, b and c with `limit_denominator(10**12)`, so it solves a
-nearby rational LP exactly, not the float LP."""
+`norming_lp` reduces M once: Gram-Schmidt in monomial order drops each
+column that depends on the ones before it (its coefficient is 0, and a c
+with a component along it makes the LP unbounded) and factors the rest as
+U @ G with U orthonormal.  `simplex_maximize` walks the LP over U from a
+feasible point and its active rows W.  With fewer rows in W than columns
+in U it steps along c projected off W; otherwise it stops when the
+multipliers of c over W are >= -tol, and else leaves the row with the most
+negative one.  Each step is a unit direction with one ratio test over all
+m rows.  The optimum is solved for in monomials from its active rows.
+Feasibility does not depend on c, so a sweep over objectives starts each
+LP from the previous optimum.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleLP, UnboundedLP
 
-LP_TOLERANCE = 1e-9                  # pivot, optimality and feasibility slack
-MAX_ITER = 20000                     # pivots per simplex run
-MAX_ROUNDS = 60                      # constraint-generation rounds per LP
+LP_TOLERANCE = 1e-9                  # relative optimality, unboundedness
+DEPENDENT_COLUMN = 1e-10             # residual / largest column norm
+STEP_TOLERANCE = 1e-12               # |row . d| that blocks a unit step d
+BLAND_AFTER = 100                    # steps before smallest-index choices
+MAX_STEPS = 10000                    # steps per LP
 
 
-def simplex_maximize(c, A, b):
-    """maximize c.x  subject to  A x <= b, x free.
+@dataclass
+class NormingState:
+    """One M reduced to full column rank, and the last optimum over it."""
+    M: np.ndarray
+    keep: list                       # independent columns, in order
+    U: np.ndarray                    # M = U @ W, U orthonormal
+    W: np.ndarray
+    G_inv: np.ndarray                # inverse of W[:, keep]
+    u: np.ndarray                    # last optimum, over U
+    active: list                     # its active rows, as (row, sign)
 
-    Requires b >= 0 (so the slack basis is feasible).  Free variables are
-    handled by the x = u - v split.  Returns (x, value).  Raises UnboundedLP
-    with a witness direction if the objective is unbounded."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+
+def _reduce(M):
+    scale = np.max(np.linalg.norm(M, axis=0), initial=0.0)
+    U = np.zeros((M.shape[0], 0))
+    keep = []
+    for j in range(M.shape[1]):
+        v = M[:, j]
+        for _ in range(2):           # Gram-Schmidt, orthogonalized twice
+            v = v - U @ (U.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > DEPENDENT_COLUMN * scale:
+            U = np.column_stack([U, v / norm])
+            keep.append(j)
+    W = U.T @ M
+    return NormingState(M, keep, U, W, np.linalg.inv(W[:, keep]),
+                        np.zeros(len(keep)), [])
+
+
+def norming_lp(c, M, state=None):
+    """maximize c.x subject to -1 <= M x <= 1.
+
+    Returns (x, value, state).  Passing `state` back in with the same M
+    reuses its reduction and starts from this optimum.  Raises UnboundedLP,
+    with a direction d such that M d = 0 and c.d > 0, when c has a
+    component along a dependent column."""
     c = np.asarray(c, dtype=float)
-    if np.any(b < -LP_TOLERANCE):
-        raise InfeasibleLP("slack start needs nonnegative right-hand sides")
-    m, n = A.shape
-    # split free variables
-    A2 = np.hstack([A, -A])
-    c2 = np.concatenate([c, -c])
-    try:
-        x2, val = _primal_simplex_float(c2, A2, b)
-    except _NumericalTrouble:
-        x2, val = _primal_simplex_exact(c2, A2, b)
-        x2 = np.array([float(v) for v in x2])
-        val = float(val)
-    x = x2[:n] - x2[n:]
-    return x, val
-
-
-def norming_lp(c, M, working=None):
-    """maximize c.x subject to -1 <= M x <= 1, by constraint generation:
-    solve on a small working subset of rows, add the worst violators, repeat.
-
-    Returns (x, value, working_set).  The working set can be fed back in for
-    warm starts across related objectives."""
-    M = np.asarray(M, dtype=float)
-    nrows = M.shape[0]
-    if working is None:
-        step = max(1, nrows // (4 * M.shape[1] + 4))
-        working = sorted(set(range(0, nrows, step)) | {nrows - 1})
+    if state is None or state.M is not M:
+        state = _reduce(np.asarray(M, dtype=float))
+    cu = state.G_inv.T @ c[state.keep]
+    gap = c - state.W.T @ cu         # c off the row space of M
+    k = int(np.argmax(np.abs(gap)))
+    if abs(gap[k]) > LP_TOLERANCE * max(1.0, np.max(np.abs(c))):
+        d = np.zeros(len(c))
+        d[k] = np.sign(gap[k])
+        d[state.keep] = -state.G_inv @ state.W[:, k] * d[k]
+        raise UnboundedLP("objective has a component along a column that "
+                          "depends on the others", direction=d)
+    state.u, _, state.active = simplex_maximize(cu, state.U, state.u,
+                                                state.active)
+    if 0 < len(state.active) == len(state.keep):
+        # a vertex: solve M[row] . z = sign on its rows, in monomials
+        rows, signs = zip(*state.active)
+        z = np.linalg.solve(state.M[np.ix_(rows, state.keep)], signs)
     else:
-        working = sorted(set(working))
-    for _ in range(MAX_ROUNDS):
-        Aw = np.vstack([M[working], -M[working]])
-        bw = np.ones(2 * len(working))
-        try:
-            x, val = simplex_maximize(c, Aw, bw)
-        except UnboundedLP as e:
-            d = e.direction
-            if d is None or not np.any(d):
-                raise
-            viol = np.abs(M @ d)
-            worst = np.argsort(viol)[-8:]
-            if viol[worst[-1]] <= LP_TOLERANCE:
-                raise
-            before = len(working)
-            working = sorted(set(working) | set(int(w) for w in worst))
-            if len(working) == before:
-                raise
-            continue
-        vals = np.abs(M @ x)
-        worst = np.argsort(vals)[-8:]
-        if vals[worst[-1]] <= 1 + LP_TOLERANCE:
-            # prune to binding rows so warm-started working sets stay small;
-            # degenerate objectives can make every row binding, so cap the
-            # carry-over (evenly subsampled) -- the next call re-adds what
-            # it actually needs
-            wa = np.asarray(working)
-            binding = wa[np.abs(M[wa] @ x) >= 1 - 1e-6]
-            keep = binding if len(binding) >= M.shape[1] else wa
-            cap = 6 * M.shape[1]
-            if len(keep) > cap:
-                keep = keep[np.linspace(0, len(keep) - 1, cap).astype(int)]
-            return x, val, sorted(int(w) for w in keep)
-        working = sorted(set(working) | set(int(w) for w in worst))
-    raise InfeasibleLP("constraint generation did not converge")
+        z = state.G_inv @ state.u
+    x = np.zeros(len(c))
+    x[state.keep] = z
+    return x, float(c[state.keep] @ z), state
 
 
-class _NumericalTrouble(Exception):
-    pass
+def simplex_maximize(c, A, x, active):
+    """maximize c.x subject to -1 <= A x <= 1, A of full column rank.
 
-
-def _primal_simplex_float(c, A, b):
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = list(range(n, n + m))
-    for it in range(MAX_ITER):
-        j = int(np.argmin(T[m, :-1]))
-        if T[m, j] >= -LP_TOLERANCE:
-            x = np.zeros(n + m)
-            for i, bi in enumerate(basis):
-                x[bi] = T[i, -1]
-            return x[:n], float(T[m, -1])
-        col = T[:m, j]
-        mask = col > LP_TOLERANCE
-        if not mask.any():
-            # unbounded: ray along variable j
-            direction = np.zeros(n)
-            if j < n:
-                direction[j] = 1.0
-            raise UnboundedLP("objective unbounded", direction=direction)
-        ratios = np.full(m, np.inf)
-        ratios[mask] = T[:m, -1][mask] / col[mask]
-        i = int(np.argmin(ratios))
-        piv = T[i, j]
-        if abs(piv) < LP_TOLERANCE:
-            raise _NumericalTrouble
-        T[i, :] /= piv
-        rows = np.arange(m + 1) != i
-        T[rows, :] -= np.outer(T[rows, j], T[i, :])
-        basis[i] = j
-    raise _NumericalTrouble
-
-
-def _primal_simplex_exact(c, A, b):
-    """Bland's rule over Fractions; slow but cycle-free."""
-    m, n = A.shape
-    T = [[Fraction(0)] * (n + m + 1) for _ in range(m + 1)]
-    for i in range(m):
-        for j in range(n):
-            T[i][j] = Fraction(A[i, j]).limit_denominator(10**12)
-        T[i][n + i] = Fraction(1)
-        T[i][-1] = Fraction(b[i]).limit_denominator(10**12)
-    for j in range(n):
-        T[m][j] = -Fraction(c[j]).limit_denominator(10**12)
-    basis = list(range(n, n + m))
-    for _ in range(MAX_ITER):
-        j = next((jj for jj in range(n + m) if T[m][jj] < 0), None)
-        if j is None:
-            x = [Fraction(0)] * (n + m)
-            for i, bi in enumerate(basis):
-                x[bi] = T[i][-1]
-            return x[:n], T[m][-1]
-        candidates = [(T[i][-1] / T[i][j], basis[i], i)
-                      for i in range(m) if T[i][j] > 0]
-        if not candidates:
-            direction = np.zeros(n)
-            if j < n:
-                direction[j] = 1.0
-            raise UnboundedLP("objective unbounded", direction=direction)
-        _, _, i = min(candidates)
-        piv = T[i][j]
-        T[i] = [v / piv for v in T[i]]
-        for r in range(m + 1):
-            if r != i and T[r][j] != 0:
-                f = T[r][j]
-                T[r] = [a - f * p for a, p in zip(T[r], T[i])]
-        basis[i] = j
-    raise InfeasibleLP("exact simplex iteration cap reached")
+    Starts from the feasible x whose active rows are `active`: linearly
+    independent (row, sign) pairs with sign * A[row] . x = 1.  Returns
+    (x, value, active) at an optimum."""
+    m, r = A.shape
+    x = np.array(x, dtype=float)
+    active = list(active)
+    Ax = A @ x
+    if np.any(np.abs(Ax) > 1 + LP_TOLERANCE):
+        raise InfeasibleLP("start point violates the constraints")
+    for step in range(MAX_STEPS):
+        k = len(active)
+        B = np.array([s * A[i] for i, s in active]).reshape(k, r)
+        # below r active rows, complete B by an orthonormal basis N of the
+        # directions that keep them all.  Then one backward-stable solve
+        # splits c = B^T lam + N mu, and another gives the direction that
+        # leaves row j (B d = -e_j, N^T d = 0); both keep the other active
+        # rows at their bounds to rounding, however close the rows are.
+        N = np.zeros((r, 0))
+        if k < r:
+            N = np.linalg.qr(B.T, mode="complete")[0][:, k:]
+            B = np.vstack([B, N.T])
+        lam = np.linalg.solve(B.T, c)
+        d = N @ lam[k:]
+        if k == r or np.linalg.norm(d) <= LP_TOLERANCE * np.linalg.norm(c):
+            lam = lam[:k]
+            negative = np.flatnonzero(
+                lam < -LP_TOLERANCE * np.max(np.abs(lam), initial=0.0))
+            if not negative.size:
+                return x, float(c @ x), active
+            if step >= BLAND_AFTER:
+                j = min(negative, key=lambda i: active[i][0])
+            else:
+                j = int(negative[np.argmin(lam[negative])])
+            d = np.linalg.solve(B, -np.eye(r)[j])    # c.d = -lam_j > 0
+            active.pop(j)
+        d /= np.linalg.norm(d)
+        v = A @ d
+        v[[i for i, _ in active]] = 0.0
+        slack = np.where(v > 0, 1 - Ax, 1 + Ax)
+        slack[slack < STEP_TOLERANCE] = 0.0
+        t = np.full(m, np.inf)
+        blocks = np.abs(v) > STEP_TOLERANCE
+        t[blocks] = slack[blocks] / np.abs(v[blocks])
+        i = int(np.argmin(t))        # the first of tied rows
+        if not np.isfinite(t[i]):
+            raise UnboundedLP("no row blocks the step", direction=d)
+        active.append((i, 1.0 if v[i] > 0 else -1.0))
+        x = x + t[i] * d
+        Ax = A @ x
+    raise InfeasibleLP("active-set simplex did not converge")

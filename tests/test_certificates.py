@@ -168,3 +168,20 @@ def test_nan_norming_constant_fails_verification(tmp_path):
     res = _nan_verdict(json.loads(out.read_text()), [], "R")
     assert not res["ok"]
     assert res["failures"] == ["norming constant nan below 1"]
+
+
+@pytest.mark.parametrize("key, value", [("R", 1e6), ("y_star", [0.5, 0.0]),
+                                        ("Q_star", [1.0] * 6),
+                                        ("monomials", [[0, 0]])])
+def test_remez_witness_is_rechecked(tmp_path, key, value):
+    # R = 17.007 at y* = (1, 0); a changed R, y*, Q* or monomial list no
+    # longer agrees with Q*(y*) = R
+    out = tmp_path / "remez.json"
+    assert main(["remez", "--classical", "--samples", "50",
+                 "--out", str(out)]) == 0
+    doc = loads(out.read_text())
+    assert verify_bundle(doc)["ok"]
+    doc[key] = value
+    res = verify_bundle(loads(json.dumps(doc)))
+    assert not res["ok"]
+    assert res["failures"][0].startswith("witness Q*(y*) = ")

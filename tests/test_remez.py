@@ -1,6 +1,6 @@
 """Norming constants: Chebyshev closed forms, the empirical LP constant
-against them, hyperbola witnesses, gradient floors, and the chart-count law
-for the curve parametrization."""
+against them, pinned LP constants, hyperbola witnesses, gradient floors, and
+the chart-count law for the curve parametrization."""
 
 import math
 from fractions import Fraction as F
@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from smoothparam.errors import UnboundedLP
 from smoothparam.remez import (chebyshev_value, classical_remez_bound,
                                curve_gradient_floor, empirical_remez_constant,
                                hyperbola_curve, hyperbola_remez_query,
@@ -56,6 +57,35 @@ def test_lp_monotone_in_constraint_set():
     small = empirical_remez_constant(Y, _grid_1d(-1, 0, 200), 2).R
     large = empirical_remez_constant(Y, _grid_1d(-1, 0.5, 200), 2).R
     assert small > large >= 1 - 1e-9
+
+
+# (R, y*) from the constraint-generation simplex that the active-set solver
+# replaced, on the same samples
+PINNED = [
+    ("classical", 2, 400, 17.000100502512087, (1.0, 0.0)),
+    ("classical", 3, 200, 99.00242424242147, (1.0, 0.0)),
+    (0.1, 2, 400, 3058.8858685844816,
+     (0.010000000000000004, 0.9999999999999998)),
+    (0.02, 2, 400, 35852.4538879688,
+     (0.0004000000000000001, 0.9999999999999999)),
+]
+
+
+@pytest.mark.parametrize("curve, d1, samples, R, y_star", PINNED)
+def test_lp_constants_are_pinned(curve, d1, samples, R, y_star):
+    if curve == "classical":
+        Y, Z = _grid_1d(-1, 1, samples), _grid_1d(-1, 0, samples)
+    else:
+        Y, Z = hyperbola_remez_query(curve, samples)
+    rep = empirical_remez_constant(Y, Z, d1)
+    assert abs(rep.R - R) <= 1e-11 * R
+    assert rep.y_star == y_star
+
+
+def test_lp_unbounded_off_the_constraint_line():
+    # Z on y = 0 says nothing about the y-monomials, so Q(0, 1/2) is unbounded
+    with pytest.raises(UnboundedLP):
+        empirical_remez_constant([(0.0, 0.5)], _grid_1d(-1, 0, 50), 2)
 
 
 def test_hyperbola_norming_beats_one_over_eps():
