@@ -29,7 +29,10 @@ from .serialize import dumps, expr_from_json, loads, verify_bundle
 
 
 def _frac(s) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 def _load_spec(path):

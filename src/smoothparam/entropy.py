@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, PreconditionFailed
+from .errors import CoverTestFailed, GridTooCoarse, PreconditionFailed
 
 ENTROPY_INVARIANCE_SAMPLES = 10_000  # random points in the invariance check
+TORAL_LINE_CHUNK = 1 << 16           # toral line rows stepped at a time
 
 
 # -- systems -------------------------------------------------------------------
@@ -120,22 +122,31 @@ def dn_distance(sys: DynSystem, n: int, x, y) -> float:
 
 # -- covering numbers ----------------------------------------------------------
 
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first True entry of `mask`, or -1 if there is none."""
+    k = int(np.argmax(mask)) if mask.size else 0
+    return k if mask.size and mask[k] else -1
+
+
 def _prefix_cover_count(prof: np.ndarray, eps: float, G: int) -> tuple:
     """Greedy cover by contiguous arcs: each ball is used through the largest
     gap-prefix it certainly covers, which keeps the count monotone in n/eps."""
-    above = np.nonzero(prof[1:] > eps)[0]
-    width = int(above[0]) if above.size else G - 1
+    width = _first_true(prof[1:] > eps)
+    if width < 0:
+        width = G - 1
     block = 2 * width + 1
     return -(-G // block), width
 
 
-def _separated_count(prof: np.ndarray, eps: float, G: int,
-                     circular: bool = True) -> tuple:
-    """Largest verified arithmetic progression with pairwise dn > 2*eps."""
-    above = np.nonzero(prof[1:] > 2.0 * eps)[0]
-    if not above.size:
+def _separated_count(far: np.ndarray, circular: bool = True) -> tuple:
+    """Largest verified arithmetic progression with pairwise dn > 2*eps,
+    where far[k] says whether dn between points 0 and k exceeds 2*eps (a NaN
+    distance is not separated) and G = len(far) points are on the line."""
+    G = len(far)
+    first = _first_true(far[1:])
+    if first < 0:
         return 1, G
-    s = int(above[0]) + 1
+    s = first + 1
     while s <= G:
         count = G // s if circular else 1 + (G - 1) // s
         if count <= 1:
@@ -143,7 +154,7 @@ def _separated_count(prof: np.ndarray, eps: float, G: int,
         gaps = (np.arange(1, count, dtype=np.int64) * s)
         if circular:
             gaps %= G
-        if np.all(prof[gaps] > 2.0 * eps):
+        if np.all(far[gaps]):
             return count, s
         s += 1
     return 1, G
@@ -206,20 +217,38 @@ def _toral_tile_cover_count(A: np.ndarray, n: int, eps: float) -> dict:
 def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
     """2*eps-separated set along the expanding eigendirection.  The map is
     linear mod 1, so dn between candidates j and j+m depends only on m; the
-    1D arithmetic-progression search applies verbatim."""
+    1D arithmetic-progression search applies verbatim.
+
+    The search reads only whether dn(0, j) > 2*eps, so the line is walked in
+    chunks of rows and a row is stepped only while its running max is still
+    undecided.  Every value is elementwise and A is an integer matrix, so the
+    flags equal those of a full profile; halving J keeps the same points, so
+    it searches a prefix of the same flags."""
     A = sys.linear_matrix
     lam, vplus, _ = _toral_eigen(A)
     h = eps / (2.0 * lam ** n)
     L = 1.0 / (2.0 * eps)
     J = min(int(math.ceil(L / h)), 4_000_000)
-    while True:
-        pts = _wrap(np.outer(np.arange(J, dtype=float) * h, vplus))
-        prof = _dist("toroidal", pts, np.zeros(2))
-        p = pts
+    origin = np.zeros(2)
+    far = np.empty(J, dtype=bool)
+    for j0 in range(0, J, TORAL_LINE_CHUNK):
+        j = np.arange(j0, min(j0 + TORAL_LINE_CHUNK, J), dtype=float)
+        p = _wrap(np.outer(j * h, vplus))
+        best = _dist("toroidal", p, origin)
+        done = best > 2.0 * eps
+        rows = np.flatnonzero(~done)
+        p, best = p[rows], best[rows]
         for _ in range(n):
+            if not rows.size:
+                break
             p = sys.step(p)
-            prof = np.maximum(prof, _dist("toroidal", p, np.zeros(2)))
-        count, spacing = _separated_count(prof, eps, J, circular=False)
+            best = np.maximum(best, _dist("toroidal", p, origin))
+            hit = best > 2.0 * eps
+            done[rows[hit]] = True
+            rows, p, best = rows[~hit], p[~hit], best[~hit]
+        far[j0:j0 + len(done)] = done
+    while True:
+        count, spacing = _separated_count(far[:J], circular=False)
         if count > 1 or J < 64:
             return {"count": count, "spacing": spacing, "J": J, "h": h}
         J //= 2
@@ -234,6 +263,32 @@ def _grid_points(box, resolution: float) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
+def _orbit_tree(orbit: np.ndarray, metric: str):
+    """kd-tree over the stacked orbits: row i of `orbit` (N, n+1, dim) is the
+    orbit of point i, flattened to one point of R^((n+1)*dim)."""
+    # scipy.spatial is slow to import, and only the grid path needs it
+    from scipy.spatial import cKDTree
+    X = orbit.reshape(len(orbit), -1)
+    if metric != "toroidal":
+        return cKDTree(X)
+    # the periodic box is [0, 1): a coordinate of 1.0 (the grid's edge, or a
+    # mod that rounds up) is the same torus point as 0.0
+    X = _wrap(X)
+    X[X >= 1.0] = 0.0
+    return cKDTree(X, boxsize=1.0)
+
+
+def _dn_ball(tree, orbit: np.ndarray, metric: str, idx: int,
+             r: float) -> np.ndarray:
+    """Indices j with d_n(idx, j) <= r.  d_n bounds every coordinate gap of
+    the stacked orbits, so the tree's L-inf ball, padded against rounding,
+    holds every such j; d_n itself is computed on those candidates only."""
+    cand = np.asarray(tree.query_ball_point(tree.data[idx], r * (1 + 1e-9),
+                                            p=np.inf), dtype=np.intp)
+    d = _dist(metric, orbit[idx], orbit[cand]).max(axis=1)
+    return cand[d <= r]
+
+
 def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
     """Yield the bracket {M_lower, M_upper, meta} of M(f, n, eps) for each n
     of the ascending `n_values`, walking each orbit once.
@@ -241,7 +296,8 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
     d_n only grows with n, so the circle gap profile at n is the running max
     of the profile at n - 1, and the grid path adds one orbit step per n and
     carries its 2*eps-separated set forward (it stays separated, so M_lower
-    never falls).  The toral tiling and line search are sized per n."""
+    never falls).  The toral tiling and line search are sized per n.  The
+    grid path computes d_n only on kd-tree candidates (`_dn_ball`)."""
     if resolution > eps / 4.0 + 1e-15:
         raise GridTooCoarse(
             f"resolution {resolution} exceeds eps/4 = {eps / 4.0}")
@@ -260,12 +316,6 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         N = len(orbits[0])
         chosen = []
 
-        def dn_from(idx: int) -> np.ndarray:
-            d = _dist(sys.metric, orbits[0][idx], orbits[0])
-            for orb in orbits[1:]:
-                d = np.maximum(d, _dist(sys.metric, orb[idx], orb))
-            return d
-
     for n in n_values:
         if circle:
             while folded <= n:
@@ -275,7 +325,7 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
                 cur %= G
                 folded += 1
             M_upper, width = _prefix_cover_count(prof, eps, G)
-            M_lower, spacing = _separated_count(prof, eps, G)
+            M_lower, spacing = _separated_count(prof > 2.0 * eps)
             meta = {"path": "circle-linear", "grid": G,
                     "cover_halfwidth": width, "sep_spacing": spacing}
         elif sys.linear_matrix is not None:
@@ -286,22 +336,30 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         else:
             while len(orbits) <= n:
                 orbits.append(sys.step(orbits[-1]))
+            orbit = np.stack(orbits, axis=1)
+            tree = _orbit_tree(orbit, sys.metric)
             covered = np.zeros(N, dtype=bool)
             M_upper = 0
             for idx in range(N):
                 if not covered[idx]:
-                    covered |= dn_from(idx) <= eps + 1e-12
+                    covered[_dn_ball(tree, orbit, sys.metric, idx,
+                                     eps + 1e-12)] = True
                     M_upper += 1
-            mind = np.full(N, np.inf)
+            blocked = np.zeros(N, dtype=bool)
             for idx in chosen:
-                mind = np.minimum(mind, dn_from(idx))
+                blocked[_dn_ball(tree, orbit, sys.metric, idx,
+                                 2.0 * eps)] = True
             for idx in range(N):
-                if mind[idx] > 2.0 * eps:
+                if not blocked[idx]:
                     chosen.append(idx)
-                    mind = np.minimum(mind, dn_from(idx))
+                    blocked[_dn_ball(tree, orbit, sys.metric, idx,
+                                     2.0 * eps)] = True
             M_lower = len(chosen)
             meta = {"path": "grid-greedy", "grid_points": N}
-        assert M_lower <= M_upper, "separation exceeded covering"
+        if M_lower > M_upper:
+            raise CoverTestFailed(
+                f"{sys.name}: a {M_lower}-point 2*eps-separated set exceeds "
+                f"a {M_upper}-ball eps-cover at n={n}, eps={eps}")
         yield {"M_lower": M_lower, "M_upper": M_upper, "meta": meta}
 
 
@@ -377,10 +435,21 @@ def entropy_sweep(sys: DynSystem, n_values, eps_values) -> EntropyReport:
     (zero at the base row), plus a
     stabilization diagnostic per eps: the slope of log2 M_upper against n
     over the top half of the n range.  The diagnostic is an estimate of the
-    entropy at scale eps, never a claim of the (uncomputable) double limit."""
-    check_invariance(sys)
+    entropy at scale eps, never a claim of the (uncomputable) double limit.
+
+    An eps-cover in d_n is one in every d_m with m <= n, so each M_upper(n)
+    is the least cover found at any n' >= n of the sweep."""
     n_values = sorted(int(n) for n in n_values)
     eps_values = sorted(float(e) for e in eps_values)
+    if not n_values:
+        raise PreconditionFailed("n_values is empty")
+    if n_values[0] < 0:
+        raise PreconditionFailed(f"n_values must be >= 0, got {n_values[0]}")
+    for eps in eps_values:
+        if not (math.isfinite(eps) and eps > 0):
+            raise PreconditionFailed(
+                f"eps_values must be finite and > 0, got {eps}")
+    check_invariance(sys)
     rows = []
     grid_spec = {}
     h_est = {}
@@ -388,13 +457,14 @@ def entropy_sweep(sys: DynSystem, n_values, eps_values) -> EntropyReport:
     for eps in eps_values:
         res = _resolution_for(sys, n_values[-1], eps)
         grid_spec[eps] = res
-        logs = []
-        for n, cov in zip(n_values, _brackets(sys, n_values, eps, res)):
-            logs.append(math.log2(cov["M_upper"]))
-            h = (logs[-1] - logs[0]) / (n - n_values[0]) if len(logs) > 1 \
-                else 0.0
+        cells = list(_brackets(sys, n_values, eps, res))
+        uppers = list(accumulate(reversed([c["M_upper"] for c in cells]),
+                                 min))[::-1]
+        logs = [math.log2(m) for m in uppers]
+        for i, (n, cov, M_upper) in enumerate(zip(n_values, cells, uppers)):
+            h = (logs[i] - logs[0]) / (n - n_values[0]) if i else 0.0
             rows.append({"n": n, "eps": eps, "M_lower": cov["M_lower"],
-                         "M_upper": cov["M_upper"], "h": h})
+                         "M_upper": M_upper, "h": h})
         h_est[eps] = (float(np.polyfit(ns, logs[-len(ns):], 1)[0])
                       if len(ns) >= 2 else float("nan"))
     return EntropyReport(system=sys.name, n_values=n_values,

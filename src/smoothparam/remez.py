@@ -13,7 +13,7 @@ import numpy as np
 
 from .analytic_param import dyadic_partition
 from .bivar import BivarPoly
-from .errors import SingularCurve
+from .errors import PreconditionFailed, SingularCurve
 from .funcs import singular_locus
 from .poly import _fr
 from .simplex import norming_lp
@@ -182,6 +182,8 @@ def hyperbola_remez_query(eps, n_samples: int = 1000):
     """(Y samples, Z samples) for the hyperbola xy = eps^2 in the unit
     square; Z is the half-branch x in [eps, 1]."""
     e = float(eps)
+    if not (math.isfinite(e) and e > 0):
+        raise PreconditionFailed(f"eps must be finite and > 0, got {eps}")
     xs_full = np.exp(np.linspace(math.log(e * e), 0.0, n_samples))
     Y = [(x, e * e / x) for x in xs_full]
     xs_half = np.exp(np.linspace(math.log(e), 0.0, n_samples))

@@ -168,6 +168,42 @@ def test_entropy_cli_unknown_system(tmp_path):
     assert main(["entropy", "--system", "nope"]) == 1
 
 
+def test_entropy_cli_upper_bracket_never_falls(tmp_path):
+    # the greedy cover of the polynomial map takes 114 balls at n = 1 and
+    # 113 at n = 2 for eps = 1/5, and the sweep exited 2; a d_2 cover is
+    # also a d_1 cover, so M_upper(1) is 113
+    csv = tmp_path / "e.csv"
+    assert main(["entropy", "--system", "polynomial", "--eps-list",
+                 "1/5,1/8", "--n-max", "3", "--csv", str(csv)]) == 0
+    rows = [r.split(",") for r in csv.read_text().strip().split("\n")[1:]]
+    for eps in ("0.2", "0.125"):
+        col = [int(r[3]) for r in rows if r[1] == eps]
+        assert len(col) == 3 and col == sorted(col)
+    assert [r[3] for r in rows if r[1] == "0.2"][:2] == ["113", "113"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["entropy", "--n-max", "0"], "n_values"),
+    (["entropy", "--n-min", "5", "--n-max", "3"], "n_values"),
+    (["entropy", "--n-min", "-1", "--n-max", "2"], "n_values"),
+    (["entropy", "--eps-list", "0"], "eps_values"),
+    (["entropy", "--eps-list=-1/10"], "eps_values"),
+    (["remez", "--eps", "0"], "eps"),
+    (["remez", "--eps=-1/10"], "eps"),
+])
+def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PreconditionFailed: ")
+    assert named in err and "Traceback" not in err
+
+
+def test_zero_denominator_is_an_input_error(capsys):
+    assert main(["entropy", "--eps-list", "1/0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: '1/0' has a zero denominator\n"
+
+
 def test_count_points_csv_matches_oracle(tmp_path):
     out, csv = tmp_path / "c.json", tmp_path / "c.csv"
     assert main(["count-points", "--t", "30", "--csv", str(csv),

@@ -2,18 +2,24 @@
 doubling, the toral automorphism, and a nonlinear polynomial map.  Brackets
 are checked against orbit-loop oracles and known growth rates; the one-walk
 bracket generator is checked against a restart-per-n circle profile and
-against per-cell covering numbers."""
+against per-cell covering numbers; the toral line search and the kd-tree
+grid greedy are checked against full-scan oracles."""
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smoothparam import entropy
 from smoothparam.entropy import (DynSystem, EntropyReport, _brackets,
-                                 _prefix_cover_count, _separated_count,
+                                 _dist, _dn_ball, _grid_points,
+                                 _orbit_tree, _prefix_cover_count,
+                                 _separated_count, _toral_eigen,
+                                 _toral_line_separated, _wrap,
                                  covering_number, dn_distance,
                                  doubling_system, entropy_sweep,
                                  identity_system, polynomial_system,
@@ -164,7 +170,7 @@ def test_circle_brackets_match_restart_per_n_profile(a, G, ns, data):
     for n, got in zip(ns, _brackets(circle, ns, eps, 1.0 / G)):
         prof = _circle_profile_oracle(a, n, G)
         M_upper, width = _prefix_cover_count(prof, eps, G)
-        M_lower, spacing = _separated_count(prof, eps, G)
+        M_lower, spacing = _separated_count(prof > 2.0 * eps)
         assert got == {"M_lower": M_lower, "M_upper": M_upper,
                        "meta": {"path": "circle-linear", "grid": G,
                                 "cover_halfwidth": width,
@@ -190,3 +196,164 @@ def test_polynomial_sweep_lower_bracket_never_falls():
     # n = 1 -> 2; carrying it forward keeps it separated in d_n >= d_{n-1}
     rep = entropy_sweep(polynomial_system(), [1, 2, 3], [0.1])
     assert rep.check_invariants() == []
+
+
+def _cover_count_oracle(prof, eps, G):
+    above = np.nonzero(prof[1:] > eps)[0]
+    width = int(above[0]) if above.size else G - 1
+    return -(-G // (2 * width + 1)), width
+
+
+def _separated_count_oracle(prof, eps, G, circular):
+    """The spacing search with the first exceedance read off a full
+    np.nonzero index array."""
+    above = np.nonzero(prof[1:] > 2.0 * eps)[0]
+    if not above.size:
+        return 1, G
+    s = int(above[0]) + 1
+    while s <= G:
+        count = G // s if circular else 1 + (G - 1) // s
+        if count <= 1:
+            return 1, s
+        gaps = np.arange(1, count, dtype=np.int64) * s
+        if circular:
+            gaps %= G
+        if np.all(prof[gaps] > 2.0 * eps):
+            return count, s
+        s += 1
+    return 1, G
+
+
+@given(prof=st.lists(st.sampled_from([0.0, 0.1, 0.15, 0.3, float("nan")]),
+                     min_size=1, max_size=40),
+       circular=st.booleans())
+def test_first_exceedance_counts_match_nonzero_scan(prof, circular):
+    prof = np.array(prof)
+    G, eps = len(prof), 0.1
+    assert _prefix_cover_count(prof, eps, G) == \
+        _cover_count_oracle(prof, eps, G)
+    assert _separated_count(prof > 2.0 * eps, circular) == \
+        _separated_count_oracle(prof, eps, G, circular)
+
+
+def _toral_line_oracle(sys, n, eps):
+    """The full-profile line search: every candidate on the line is stepped
+    n times, and each halving of J rebuilds the profile."""
+    lam, vplus, _ = _toral_eigen(sys.linear_matrix)
+    h = eps / (2.0 * lam ** n)
+    J = min(int(math.ceil((1.0 / (2.0 * eps)) / h)), 4_000_000)
+    while True:
+        pts = _wrap(np.outer(np.arange(J, dtype=float) * h, vplus))
+        prof = _dist("toroidal", pts, np.zeros(2))
+        p = pts
+        for _ in range(n):
+            p = sys.step(p)
+            prof = np.maximum(prof, _dist("toroidal", p, np.zeros(2)))
+        count, spacing = _separated_count(prof > 2.0 * eps, circular=False)
+        if count > 1 or J < 64:
+            return {"count": count, "spacing": spacing, "J": J, "h": h}
+        J //= 2
+
+
+@settings(max_examples=40)
+@given(eps=st.floats(1 / 40, 1 / 4), n=st.integers(0, 8),
+       chunk=st.integers(50, 5000))
+@example(eps=1 / 2, n=3, chunk=50)       # J halves 72 -> 36
+@example(eps=1 / 2, n=8, chunk=1000)     # J halves 8828 -> 34
+def test_toral_line_matches_full_profile(eps, n, chunk):
+    sys = toral_system()
+    lam = _toral_eigen(sys.linear_matrix)[0]
+    # keep the oracle's full profile small: J ~ lam^n / eps^2 <= 300,000
+    n = min(n, int(math.log(300_000 * eps * eps) / math.log(lam)))
+    with mock.patch.object(entropy, "TORAL_LINE_CHUNK", chunk):
+        got = _toral_line_separated(sys, n, eps)
+    assert got == _toral_line_oracle(sys, n, eps)
+
+
+def _grid_greedy_oracle(sys, ns, eps, resolution):
+    """(M_lower, M_upper) per ascending n from d_n to every grid point, the
+    separated set carried across n."""
+    orbits = [_grid_points(sys.box, resolution)]
+    N = len(orbits[0])
+    chosen = []
+
+    def dn_from(idx):
+        d = _dist(sys.metric, orbits[0][idx], orbits[0])
+        for orb in orbits[1:]:
+            d = np.maximum(d, _dist(sys.metric, orb[idx], orb))
+        return d
+
+    for n in ns:
+        while len(orbits) <= n:
+            orbits.append(sys.step(orbits[-1]))
+        covered = np.zeros(N, dtype=bool)
+        M_upper = 0
+        for idx in range(N):
+            if not covered[idx]:
+                covered |= dn_from(idx) <= eps + 1e-12
+                M_upper += 1
+        mind = np.full(N, np.inf)
+        for idx in chosen:
+            mind = np.minimum(mind, dn_from(idx))
+        for idx in range(N):
+            if mind[idx] > 2.0 * eps:
+                chosen.append(idx)
+                mind = np.minimum(mind, dn_from(idx))
+        yield len(chosen), M_upper
+
+
+def _skew_torus():
+    """A non-linear toral map with no fast path: the grid path on the
+    periodic kd-tree."""
+    def step(p):
+        x, y = p[..., 0], p[..., 1]
+        return _wrap(np.stack([2 * x + y + 0.05 * np.sin(2 * np.pi * x),
+                               x + y], axis=-1))
+    return DynSystem(name="skew", dim=2, step=step, metric="toroidal",
+                     box=((0.0, 1.0), (0.0, 1.0)))
+
+
+@settings(max_examples=30)
+@given(which=st.sampled_from(["identity", "polynomial", "skew"]),
+       ns=st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
+       eps=st.one_of(st.floats(0.12, 0.5),
+                     st.integers(2, 8).map(lambda k: 1 / k)))
+def test_grid_brackets_match_full_grid_greedy(which, ns, eps):
+    sys = {"identity": identity_system(), "polynomial": polynomial_system(),
+           "skew": _skew_torus()}[which]
+    ns = sorted(ns)
+    got = [(b["M_lower"], b["M_upper"])
+           for b in _brackets(sys, ns, eps, eps / 4.0)]
+    assert got == list(_grid_greedy_oracle(sys, ns, eps, eps / 4.0))
+
+
+@settings(max_examples=100)
+@given(metric=st.sampled_from(["euclidean", "toroidal"]),
+       m=st.integers(2, 12),
+       shape=st.tuples(st.integers(1, 40), st.integers(1, 3),
+                       st.integers(1, 2)),
+       ks=st.lists(st.integers(0, 12), min_size=240, max_size=240),
+       idx=st.integers(0, 39), j=st.integers(0, 39))
+# d(1.0, 0.1) on the circle is 1 - (1 - 0.1) = 0.09999999999999998, while
+# the tree, which sees 1.0 as 0.0, measures 0.1
+@example(metric="toroidal", m=10, shape=(2, 1, 1), ks=[10, 1] + [0] * 238,
+         idx=0, j=1)
+def test_dn_ball_holds_every_point_at_the_radius(metric, m, shape, ks, idx,
+                                                 j):
+    # coordinates on the grid k/m, 1.0 included, and the radius equal to a
+    # drawn pair's d_n, so ties and the periodic wrap of 1.0 are common
+    N, k, dim = shape
+    orbit = np.array([v % (m + 1) for v in ks[:N * k * dim]],
+                     dtype=float).reshape(N, k, dim) / m
+    idx, j = idx % N, j % N
+    dn = [_dist(metric, orbit[idx], orbit[i]).max() for i in range(N)]
+    r = dn[j]
+    got = _dn_ball(_orbit_tree(orbit, metric), orbit, metric, idx, r)
+    assert sorted(got) == [i for i in range(N) if dn[i] <= r]
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_sweep_rejects_non_finite_eps(eps):
+    # the CLI parses eps as a fraction, so only the API can pass these
+    with pytest.raises(PreconditionFailed, match="eps_values"):
+        entropy_sweep(doubling_system(), [1, 2], [0.1, eps])
