@@ -19,11 +19,16 @@ from .analytic_param import analytic_delta_parametrize
 from .charts import sampled_sup
 from .ck_param import ck_parametrize_function
 from .config import DEFAULT, Config
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, PreconditionFailed
 from .funcs import FunctionExpr, _wrap
 from .poly import Poly, _fr
 
 TAYLOR_DEGREE_CAP = 64               # highest Taylor degree of a patch
+
+
+def _check_eps(eps):
+    if not (math.isfinite(float(eps)) and eps > 0):
+        raise PreconditionFailed(f"eps must be finite and > 0, got {eps}")
 
 
 @dataclass
@@ -138,6 +143,7 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
     count does not grow with the sup norm of f.  Each patch p is fitted to g
     at budget a*eps and stored as (p - b)/a, exactly: the approximation of
     f itself that the artifact's verify resamples against the source."""
+    _check_eps(eps)
     f = _wrap(f)
     n = 1
     k = int(n / sigma) + 1
@@ -185,6 +191,7 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
     phi(t1, t2) = (psi(t1), t2 p(t1)) over the slab 0 <= y <= f(x), with p
     the truncation of f; each removed strip is covered by size-eps boxes of
     degree 0."""
+    _check_eps(eps)
     f = _wrap(f)
     d0 = int(math.floor(math.log2(1.0 / eps))) + 1
     param = analytic_delta_parametrize(f, _fr(eps).limit_denominator(2**40),

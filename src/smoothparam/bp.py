@@ -16,10 +16,11 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .charts import sampled_sup
-from .errors import CoverTestFailed, InexactCurve
+from .errors import (CoverTestFailed, EvaluationAtSingularity, InexactCurve,
+                     PreconditionFailed)
 from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, PowExpr,
                     RationalExpr, SqrtExpr, _sqrt_exact, _wrap)
-from .poly import Poly, _fr, gauss_eliminate
+from .poly import Poly, _fr, _horner_int, _int_scaled, gauss_eliminate
 
 MK_SAFETY = 1.10                     # inflate sampled C^k norms by 10%
 MK_SAMPLES = 512                     # sample points for a C^k norm
@@ -176,29 +177,127 @@ def _eval_exact(f: FunctionExpr, x: Fraction):
     raise InexactCurve(f"cannot evaluate {type(f).__name__} exactly")
 
 
+def _int_evaluator(f: FunctionExpr, t: int):
+    """f compiled, once per t, into a map from a numerator a to a pair of
+    integers (p, q) with f(a/t) = p/q, or None where f(a/t) is irrational.
+    The pairs are unreduced and q may be negative.  Each node follows
+    _eval_exact's rule and raises what it raises; a node _eval_exact cannot
+    evaluate raises InexactCurve when first reached, as it does there."""
+    if isinstance(f, ConstExpr):
+        c = (f.c.numerator, f.c.denominator)
+        return lambda a: c
+    if isinstance(f, RationalExpr):
+        # num(a/t) = H(Dn, a)/sn and den(a/t) = H(Dd, a)/sd
+        Dn, sn = _int_scaled(f.num, t)
+        Dd, sd = _int_scaled(f.den, t)
+
+        def rational(a):
+            d = _horner_int(Dd, a)
+            if d == 0:
+                raise EvaluationAtSingularity(f"pole at {Fraction(a, t)}")
+            return _horner_int(Dn, a) * sd, sn * d
+        return rational
+    if isinstance(f, SqrtExpr):
+        inner = _int_evaluator(f.inner, t)
+
+        def sqrt(a):
+            v = inner(a)
+            if v is None:
+                return None
+            p, q = v
+            if q < 0:
+                p, q = -p, -q
+            if p < 0:
+                raise ValueError("sqrt of negative value")
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            rp, rq = math.isqrt(p), math.isqrt(q)
+            return (rp, rq) if rp * rp == p and rq * rq == q else None
+        return sqrt
+    if isinstance(f, PowExpr):
+        base, n = _int_evaluator(f.f, t), f.n
+
+        def power(a):
+            v = base(a)
+            if v is None:
+                raise InexactCurve(
+                    "integer power of an irrational is undecidable here")
+            p, q = v
+            if n >= 0:
+                return p ** n, q ** n
+            if p == 0:
+                raise ZeroDivisionError(f"zero to the power {n}")
+            return q ** -n, p ** -n
+        return power
+    if isinstance(f, MulExpr):
+        fe, ge = _int_evaluator(f.f, t), _int_evaluator(f.g, t)
+
+        def product(a):
+            u, v = fe(a), ge(a)
+            if u is not None and v is not None:
+                return u[0] * v[0], u[1] * v[1]
+            if u is not None and u[0] == 0 or v is not None and v[0] == 0:
+                return 0, 1
+            if u is None and v is None:
+                raise InexactCurve(
+                    "product of two irrational values is undecidable")
+            return None                     # nonzero rational times irrational
+        return product
+    if isinstance(f, AddExpr):
+        terms = [_int_evaluator(g, t) for g in f.terms]
+
+        def total(a):
+            p, q, irr = 0, 1, 0
+            for term in terms:
+                v = term(a)
+                if v is None:
+                    irr += 1
+                else:
+                    p, q = p * v[1] + v[0] * q, q * v[1]
+            if irr == 0:
+                return p, q
+            if irr == 1:
+                return None
+            raise InexactCurve("sum of several irrational terms is undecidable")
+        return total
+
+    def unsupported(a):
+        raise InexactCurve(f"cannot evaluate {type(f).__name__} exactly")
+    return unsupported
+
+
+def _check_t(t):
+    if t < 1:
+        raise PreconditionFailed(f"t must be >= 1, got {t}")
+
+
 def enumerate_points(f: FunctionExpr, interval, t: int):
     """All (x, f(x)) with x in the interval and t*x, t*f(x) both integers.
 
-    Exact arithmetic, no tolerance: curves that cannot be evaluated exactly
-    raise InexactCurve rather than guessing near-integrality."""
+    Exact integer arithmetic, no tolerance: f(a/t) = p/q is a point iff q
+    divides t*p, and Fractions are built only for the points.  Curves that
+    cannot be evaluated exactly raise InexactCurve rather than guessing
+    near-integrality.  brute_force_points is the Fraction oracle."""
+    _check_t(t)
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
     a0 = math.ceil(lo * t)
     a1 = math.floor(hi * t)
     if a1 - a0 + 1 > ENUMERATE_CAP:
         raise ValueError(f"candidate count exceeds {ENUMERATE_CAP}")
+    ev = _int_evaluator(f, t)
     out = []
     for a in range(a0, a1 + 1):
-        x = Fraction(a, t)
-        kind, y = _eval_exact(f, x)
-        if kind == "rational" and (t * y).denominator == 1:
-            out.append((x, y))
+        v = ev(a)
+        if v is not None and t * v[0] % v[1] == 0:
+            out.append((Fraction(a, t), Fraction(*v)))
     return out
 
 
 def brute_force_points(f: FunctionExpr, interval, t: int):
     """Independent oracle: double loop over numerator candidates for x and y,
     accepting (a/t, b/t) iff f(a/t) == b/t exactly."""
+    _check_t(t)
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
     out = []
@@ -257,6 +356,9 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int):
     """Cover the parameter interval by balls sized so each ball's dilation-t
     integral points lie on a single degree-d curve; verify per ball by the
     exact rank test."""
+    _check_t(t)
+    if d < 1:
+        raise PreconditionFailed(f"d must be >= 1, got {d}")
     f = _wrap(f)
     lo, hi = float(interval[0]), float(interval[1])
     comb = bp_for_degree(1, 2, d)

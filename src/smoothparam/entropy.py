@@ -445,6 +445,8 @@ def entropy_sweep(sys: DynSystem, n_values, eps_values) -> EntropyReport:
         raise PreconditionFailed("n_values is empty")
     if n_values[0] < 0:
         raise PreconditionFailed(f"n_values must be >= 0, got {n_values[0]}")
+    if len(set(n_values)) < len(n_values):
+        raise PreconditionFailed(f"n_values repeats an n: {n_values}")
     for eps in eps_values:
         if not (math.isfinite(eps) and eps > 0):
             raise PreconditionFailed(

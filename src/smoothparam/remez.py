@@ -71,6 +71,10 @@ def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
     """R = max over y* in Y of  max { Q(y*) : -1 <= Q <= 1 on Z },
     Q ranging over polynomials of degree <= d1 in (x, y).  Z is taken as
     sampled: no cutting-plane rounds refine it (meta["rounds"] is 0)."""
+    if not len(Y_samples) or not len(Z_samples):
+        raise PreconditionFailed(
+            f"Y_samples and Z_samples must be non-empty, got {len(Y_samples)} "
+            f"and {len(Z_samples)} samples")
     monos = _monomials_2d(d1)
     Z = [tuple(map(float, z)) for z in Z_samples]
     Y = [tuple(map(float, y)) for y in Y_samples]

@@ -9,13 +9,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothparam.bivar import BivarPoly
 from smoothparam.bp import (D_table, L_table, bp_combinatorics, bp_for_degree,
                             brute_force_points, enumerate_points,
                             hypersurface_cover, on_hypersurface,
                             vandermonde_bound_check)
-from smoothparam.funcs import MulExpr, RationalExpr, SqrtExpr
+from smoothparam.errors import PreconditionFailed
+from smoothparam.funcs import (AddExpr, ConstExpr, MulExpr, PowExpr,
+                               RationalExpr, SqrtExpr)
 from smoothparam.poly import Poly
 
 
@@ -147,6 +151,63 @@ def test_enumerate_sqrt_curve():
     f = MulExpr(x, SqrtExpr(x))
     pts = enumerate_points(f, (F(0), F(1)), 8)
     assert set(pts) == {(F(0), F(0)), (F(1, 4), F(1, 8)), (F(1), F(1))}
+
+
+# The integer enumerator against the Fraction oracle on random expression
+# trees.  Sqrt of a square and x times sqrt(x) make rational radicands and
+# points off the integers common; a negative constant denominator makes the
+# integer pairs' q negative.
+
+_coef = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
+_poly = st.lists(_coef, min_size=1, max_size=5).map(Poly)
+_leaves = st.one_of(
+    st.builds(RationalExpr, _poly),
+    st.builds(RationalExpr, _poly,
+              _poly.map(lambda p: Poly([-1]) if p.is_zero() else p)),
+    st.builds(ConstExpr, _coef))
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(SqrtExpr, kids),
+    kids.map(lambda e: SqrtExpr(MulExpr(e, e))),
+    kids.map(lambda e: MulExpr(e, SqrtExpr(e))),
+    st.builds(MulExpr, kids, kids),
+    st.lists(kids, min_size=1, max_size=3).map(lambda ts: AddExpr(*ts)),
+    st.builds(PowExpr, kids, st.integers(-2, 3))), max_leaves=4)
+_ends = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
+
+
+def _points_or_error(enum, f, interval, t):
+    try:
+        return enum(f, interval, t)
+    except Exception as exc:        # pole, negative radicand, undecidable
+        return type(exc)
+
+
+@settings(max_examples=150)
+@given(f=_trees, t=st.integers(1, 300), ends=st.tuples(_ends, _ends))
+@example(f=SqrtExpr(RationalExpr(Poly([0, 1]))), t=8, ends=(F(0), F(1)))
+@example(f=SqrtExpr(RationalExpr(Poly([F(-1, 4)]), Poly([-1]))), t=4,
+         ends=(F(-1), F(1)))
+@example(f=MulExpr(RationalExpr(Poly([0, 1])),
+                   SqrtExpr(RationalExpr(Poly([0, 1])))),
+         t=8, ends=(F(0), F(1)))
+def test_integer_enumerator_matches_the_fraction_oracle(f, t, ends):
+    interval = tuple(sorted(ends))
+    got = _points_or_error(enumerate_points, f, interval, t)
+    want = _points_or_error(brute_force_points, f, interval, t)
+    assert got == want
+
+
+def test_t_and_d_below_one_are_precondition_failures():
+    f = RationalExpr(Poly([0, 0, 0, 1]))
+    for t in (0, -3):
+        for call in (enumerate_points, brute_force_points):
+            with pytest.raises(PreconditionFailed, match="t must be"):
+                call(f, (F(-1), F(1)), t)
+        with pytest.raises(PreconditionFailed, match="t must be"):
+            hypersurface_cover(f, (F(-1), F(1)), t, 2)
+    for d in (0, -1):
+        with pytest.raises(PreconditionFailed, match="d must be"):
+            hypersurface_cover(f, (F(-1), F(1)), 10, d)
 
 
 def test_on_hypersurface_rank_cases():

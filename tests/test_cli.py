@@ -198,6 +198,23 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["count-points", "--t", "0"], "t must be"),
+    (["count-points", "--t", "-3"], "t must be"),
+    (["count-points", "--t", "10", "--d", "-1"], "d must be"),
+    (["approximate", "--eps", "0"], "eps"),
+    (["remez", "--classical", "--samples", "0"], "Z_samples"),
+])
+def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
+        argv, named, tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PreconditionFailed: ")
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_zero_denominator_is_an_input_error(capsys):
     assert main(["entropy", "--eps-list", "1/0"]) == 1
     assert capsys.readouterr().err == \

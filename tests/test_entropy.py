@@ -357,3 +357,9 @@ def test_sweep_rejects_non_finite_eps(eps):
     # the CLI parses eps as a fraction, so only the API can pass these
     with pytest.raises(PreconditionFailed, match="eps_values"):
         entropy_sweep(doubling_system(), [1, 2], [0.1, eps])
+
+
+def test_sweep_rejects_a_repeated_n():
+    # h divides by n - n_min, which a repeated base row makes 0
+    with pytest.raises(PreconditionFailed, match="n_values"):
+        entropy_sweep(doubling_system(), [1, 1, 2], [0.1])
