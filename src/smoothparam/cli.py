@@ -130,16 +130,6 @@ def _run_count_points(args) -> int:
         f, (lo, hi), _ = _spec_function(_load_spec(args.spec))
     else:
         f, lo, hi = RationalExpr(Poly([0, 0, 0, 1])), Fraction(-1), Fraction(1)
-    rc = 0
-    if args.csv:
-        lines = ["t,count,brute_count"]
-        for t in range(1, args.t + 1):
-            pts = enumerate_points(f, (lo, hi), t)
-            ref = brute_force_points(f, (lo, hi), t)
-            lines.append(f"{t},{len(pts)},{len(ref)}")
-            if set(pts) != set(ref):
-                rc = 2
-        _write(args.csv, "\n".join(lines) + "\n")
     pts = enumerate_points(f, (lo, hi), args.t)
     cover = None
     if args.d:
@@ -147,6 +137,16 @@ def _run_count_points(args) -> int:
         cover = {"rtil": cov["rtil"], "ball_count": cov["ball_count"],
                  "occupied_balls": cov["occupied_balls"],
                  "hypersurface_count": cov["hypersurface_count"]}
+    rc = 0
+    if args.csv:
+        lines = ["t,count,brute_count"]
+        for t in range(1, args.t + 1):
+            got = enumerate_points(f, (lo, hi), t)
+            ref = brute_force_points(f, (lo, hi), t)
+            lines.append(f"{t},{len(got)},{len(ref)}")
+            if set(got) != set(ref):
+                rc = 2
+        _write(args.csv, "\n".join(lines) + "\n")
     doc = serialize.count_report_to_json(args.t, args.d or 0, pts, cover)
     emit_rc = _emit_and_verify(args, doc)
     return rc or emit_rc

@@ -207,12 +207,13 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):
-    out = tmp_path / "a.json"
-    assert main(argv + ["--out", str(out)]) == 1
+    out, csv = tmp_path / "a.json", tmp_path / "a.csv"
+    extra = ["--csv", str(csv)] if argv[0] == "count-points" else []
+    assert main(argv + extra + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: PreconditionFailed: ")
     assert named in err and "Traceback" not in err
-    assert not out.exists()
+    assert not out.exists() and not csv.exists()
 
 
 def test_zero_denominator_is_an_input_error(capsys):

@@ -7,9 +7,10 @@
 Runs `perfbench/run.py` once per (workload, seed, checkout), from each
 checkout's root, and keeps every run's `env` line and final JSON result
 line with the checkout's git rev (`+dirty` when its tree has uncommitted
-changes) and its `src/smoothparam` line count.  Checkouts alternate within
-each seed, so two checkouts give before/after pairs run minutes apart on
-one host.  The file is written to the current directory and rewritten
+changes) and its `src/smoothparam` line count.  Each seed runs every
+checkout, and the order of the checkouts is reversed from one seed to the
+next, so two checkouts give before/after pairs run on one host, each side
+first in half of them.  The file is written to the current directory and rewritten
 after every run, so an interrupted session keeps the runs it finished.
 """
 
@@ -86,8 +87,8 @@ def main(argv=None):
            "runs": []}
     out = f"BENCH_{args.label}.json"
     for workload in args.workload:
-        for seed in args.seeds:
-            for name, path in checkouts:
+        for i, seed in enumerate(args.seeds):
+            for name, path in checkouts[::-1] if i % 2 else checkouts:
                 env, result = run_one(path, workload, seed, args.seconds,
                                       args.trace)
                 doc["runs"].append({
