@@ -168,7 +168,19 @@ class Poly:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self.eval_array(x)
-        acc = _ZERO if isinstance(x, (Fraction, int)) else 0.0
+        if isinstance(x, (Fraction, int)):
+            if not self.coeffs:
+                return _ZERO
+            # x = n/d: Horner on the integers L c_j n^j d^(deg-j), L the
+            # coefficients' common denominator, then one reduced Fraction
+            n, d = x.numerator, x.denominator
+            L = math.lcm(*(c.denominator for c in self.coeffs))
+            acc, dp = 0, 1
+            for c in reversed(self.coeffs):
+                acc = acc * n + c.numerator * (L // c.denominator) * dp
+                dp *= d
+            return Fraction(acc, L * dp // d)
+        acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -90,6 +90,20 @@ def test_lagrange_interpolation_recovers_poly():
         assert lagrange_interpolate(pts) == p
 
 
+@given(cs=st.lists(st.fractions(min_value=-10**6, max_value=10**6,
+                                max_denominator=10**4), max_size=9),
+       x=st.one_of(st.fractions(min_value=-10**3, max_value=10**3,
+                                max_denominator=10**5),
+                   st.integers(-10**4, 10**4)))
+def test_exact_evaluation_matches_fraction_horner(cs, x):
+    # __call__ evaluates in integers; Horner over Fractions is the reference
+    want = F(0)
+    for c in reversed(cs):
+        want = want * x + c
+    got = Poly(cs)(x)
+    assert got == want and type(got) is F
+
+
 def test_exact_grid_max_matches_fraction_horner():
     rng = random.Random(19)
     for _ in range(20):

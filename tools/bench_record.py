@@ -8,10 +8,10 @@ Runs `perfbench/run.py` once per (workload, seed, checkout), from each
 checkout's root, and keeps every run's `env` line and final JSON result
 line with the checkout's git rev (`+dirty` when its tree has uncommitted
 changes) and its `src/smoothparam` line count.  Each seed runs every
-checkout, and the order of the checkouts is reversed from one seed to the
-next, so two checkouts give before/after pairs run on one host, each side
-first in half of them.  The file is written to the current directory and rewritten
-after every run, so an interrupted session keeps the runs it finished.
+checkout, in an order reversed from one seed to the next, so two checkouts
+give before/after pairs run on one host, each side first in half of them.
+The file is written to the current directory and rewritten after every
+run, so an interrupted session keeps the runs it finished.
 """
 
 from __future__ import annotations
