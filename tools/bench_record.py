@@ -1,17 +1,18 @@
 """Record perfbench runs in a BENCH_<label>.json file.
 
     python3 tools/bench_record.py --label mylabel --workload numerics \
-        --seeds 201 202 203 [--seconds 30] [--trace 0] \
+        --seeds 201 202 203 [--trace 0] \
         [--checkout parent=../parent-copy --checkout change=.]
 
 Runs `perfbench/run.py` once per (workload, seed, checkout), from each
-checkout's root, and keeps every run's `env` line and final JSON result
-line with the checkout's git rev (`+dirty` when its tree has uncommitted
-changes) and its `src/smoothparam` line count.  Each seed runs every
-checkout, in an order reversed from one seed to the next, so two checkouts
-give before/after pairs run on one host, each side first in half of them.
-The file is written to the current directory and rewritten after every
-run, so an interrupted session keeps the runs it finished.
+checkout's root, for the `run_seconds` that BENCHMARK.json declares.  It
+keeps every run's `env` line and final JSON result line with the
+checkout's git rev (`+dirty` when its tree has uncommitted changes) and
+its `src/smoothparam` line count.  Each seed runs every checkout, in an
+order reversed from one seed to the next, so two checkouts give
+before/after pairs run on one host, each side first in half of them.  The
+file is written to the current directory and rewritten after every run,
+so an interrupted session keeps the runs it finished.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _src_lines(path):
     return total
 
 
+def _run_seconds():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        return json.load(fh)["run_seconds"]
+
+
 def run_one(path, workload, seed, seconds, trace):
     """One perfbench run from the checkout at path: (env, result), each the
     parsed JSON line, or None where the run printed none."""
@@ -72,7 +79,6 @@ def _parse(argv):
     ap.add_argument("--label", required=True)
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--checkout", action="append", default=[],
                     metavar="NAME=PATH",
@@ -83,22 +89,25 @@ def _parse(argv):
 def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else argv)
     checkouts = [c.split("=", 1) for c in args.checkout] or [["change", "."]]
-    doc = {"label": args.label, "seconds": args.seconds, "trace": args.trace,
+    seconds = _run_seconds()
+    doc = {"label": args.label, "seconds": seconds, "trace": args.trace,
            "runs": []}
     out = f"BENCH_{args.label}.json"
     for workload in args.workload:
         for i, seed in enumerate(args.seeds):
             for name, path in checkouts[::-1] if i % 2 else checkouts:
-                env, result = run_one(path, workload, seed, args.seconds,
+                env, result = run_one(path, workload, seed, seconds,
                                       args.trace)
                 doc["runs"].append({
                     "checkout": name, "rev": _rev(path),
                     "src_lines": _src_lines(path), "workload": workload,
                     "seed": seed, "env": env, "result": result})
-                value = (result or {}).get("metrics", {}).get(
-                    "jobs_per_s", {}).get("value")
-                print(f"{workload} seed {seed} {name}: jobs_per_s {value}",
-                      flush=True)
+                metrics = (result or {}).get("metrics", {})
+                shown = {k: metrics[k]["value"] for k in
+                         ("jobs_per_s", "serialize.outputs_changed")
+                         if k in metrics}
+                print(f"{workload} seed {seed} {name}: correct "
+                      f"{(result or {}).get('correct')} {shown}", flush=True)
                 with open(out, "w") as fh:
                     json.dump(doc, fh, indent=1)
                     fh.write("\n")
