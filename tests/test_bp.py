@@ -172,7 +172,7 @@ _trees = st.recursive(_leaves, lambda kids: st.one_of(
     st.builds(MulExpr, kids, kids),
     st.lists(kids, min_size=1, max_size=3).map(lambda ts: AddExpr(*ts)),
     st.builds(PowExpr, kids, st.integers(-2, 3))), max_leaves=4)
-_ends = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
+_ends = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 
 def _points_or_error(enum, f, interval, t):
