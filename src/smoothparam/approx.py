@@ -26,9 +26,9 @@ from .poly import Poly, _fr
 TAYLOR_DEGREE_CAP = 64               # highest Taylor degree of a patch
 
 
-def _check_eps(eps):
-    if not (math.isfinite(float(eps)) and eps > 0):
-        raise PreconditionFailed(f"eps must be finite and > 0, got {eps}")
+def _check_positive(name, v):
+    if not (math.isfinite(float(v)) and v > 0):
+        raise PreconditionFailed(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass
@@ -143,7 +143,8 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
     count does not grow with the sup norm of f.  Each patch p is fitted to g
     at budget a*eps and stored as (p - b)/a, exactly: the approximation of
     f itself that the artifact's verify resamples against the source."""
-    _check_eps(eps)
+    _check_positive("eps", eps)
+    _check_positive("sigma", sigma)
     f = _wrap(f)
     n = 1
     k = int(n / sigma) + 1
@@ -191,7 +192,7 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
     phi(t1, t2) = (psi(t1), t2 p(t1)) over the slab 0 <= y <= f(x), with p
     the truncation of f; each removed strip is covered by size-eps boxes of
     degree 0."""
-    _check_eps(eps)
+    _check_positive("eps", eps)
     f = _wrap(f)
     d0 = int(math.floor(math.log2(1.0 / eps))) + 1
     param = analytic_delta_parametrize(f, _fr(eps).limit_denominator(2**40),
@@ -279,18 +280,6 @@ def verify_and_score(approx: Approximation, sources: dict = None,
 
 
 # -- model comparison helpers --------------------------------------------------
-
-def fit_affine(xs, ys):
-    """Least-squares affine fit; returns (slope, intercept, r_squared)."""
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    resid = ys - A @ coef
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
-
 
 def aic_of_fit(ys, preds, n_params: int) -> float:
     ys, preds = np.asarray(ys, float), np.asarray(preds, float)

@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import EvaluationAtSingularity
 from .funcs import FunctionExpr, RationalExpr, _wrap
-from .poly import (Poly, _fr, max_abs_on_rational_grid, max_abs_ratio_on_grid)
+from .poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
 
 CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
 CK_TOLERANCE_FLOAT = 1e-6            # relative slack on a float sample
@@ -237,10 +237,3 @@ def verify_a_chart(fn: FunctionExpr, center: complex, radius: float, K: float,
     return _report({"disk": worst}, "complex", CK_TOLERANCE_FLOAT,
                    limit=K, per={}, detail=f"K={K}, radius={radius}")
 
-
-def chart_from_affine(f: FunctionExpr, a, b, k: int, meta=None) -> Chart:
-    """Chart covering [a, b] with the affine map t -> a + (b - a) t."""
-    a, b = _fr(a), _fr(b)
-    psi = Poly.affine(b - a, a)
-    return Chart(psi=psi, f_comp=_wrap(f).precompose_poly(psi), k=k,
-                 image=(a, b), meta=meta or {})

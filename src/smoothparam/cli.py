@@ -20,7 +20,7 @@ from .approx import analytic_approximate, ck_approximate
 from .bp import brute_force_points, enumerate_points, hypersurface_cover
 from .ck_param import ck_parametrize_function, hyperbola_parametrization
 from .entropy import entropy_sweep, system_zoo
-from .errors import SmoothParamError
+from .errors import PreconditionFailed, SmoothParamError
 from .funcs import RationalExpr, hyperbola_branch
 from .poly import Poly
 from .remez import (empirical_remez_constant, hyperbola_curve,
@@ -155,6 +155,9 @@ def _run_count_points(args) -> int:
 def _run_remez(args) -> int:
     import numpy as np
     if args.classical:
+        if args.samples < 1:
+            raise PreconditionFailed(
+                f"samples must be >= 1, got {args.samples}")
         ys = np.linspace(-1, 1, args.samples)
         zs = np.linspace(-1, args.mu - 1, args.samples)
         Y = [(float(v), 0.0) for v in ys]

@@ -662,17 +662,12 @@ class BlackboxExpr(FunctionExpr):
 
 # -- the poly_core operations -------------------------------------------------
 
-def evaluate_derivatives(f: FunctionExpr, x, order: int):
-    """[f(x), f'(x), ..., f^(order)(x)].  Exact for rational f at rational x."""
-    chain = f.derivative_chain(order)
-    return [g.eval(x) for g in chain]
-
-
 def isolate_real_zeros(f: FunctionExpr, interval):
     """Disjoint isolating intervals for the real zeros of f on the interval.
 
-    Sturm-exact for rational f; sampled sign-change bisection otherwise, with
-    the declared zero count as a completeness check for blackboxes."""
+    Exact for rational f (`poly.isolate_roots`, Descartes bisection); sampled
+    sign-change bisection otherwise, with the declared zero count as a
+    completeness check for blackboxes."""
     lo, hi = interval
     rat = f.as_rational()
     if rat is not None:
@@ -712,11 +707,6 @@ def isolate_real_zeros(f: FunctionExpr, interval):
         raise ZeroCountMismatch(
             f"found {len(out)} sign changes, declared bound {f.zero_count}")
     return out
-
-
-def branch_continuation(P: BivarPoly, seed, path):
-    """Values of the algebraic branch through `seed` along `path`."""
-    return BranchTracker(P, seed).eval_path(path)
 
 
 def hyperbola_branch(eps) -> RationalExpr:

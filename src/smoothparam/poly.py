@@ -1,12 +1,13 @@
-"""Exact univariate polynomials over the rationals, plus Sturm-sequence root
-isolation.  Everything downstream (charts, resultants, point enumeration)
-leans on this module for the cases where the bounds demand exactness."""
+"""Exact univariate polynomials over the rationals, plus real-root isolation
+by Descartes' rule of signs with bisection.  Everything downstream (charts,
+resultants, point enumeration) leans on this module for the cases where the
+bounds demand exactness."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -322,38 +323,6 @@ def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
     return Fraction(bn, bd)
 
 
-# -- Sturm sequences ----------------------------------------------------------
-
-def sturm_chain(p: Poly) -> list:
-    """Canonical Sturm chain of a squarefree-or-not polynomial."""
-    if p.is_zero():
-        return [p]
-    chain = [p, p.deriv()]
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero()]
-
-
-def _sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Poly, lo, hi) -> int:
-    """Number of distinct real roots of p in (lo, hi], exact Sturm count."""
-    lo, hi = _fr(lo), _fr(hi)
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
 def squarefree_part(p: Poly) -> Poly:
     if p.degree <= 0:
         return p
@@ -363,15 +332,36 @@ def squarefree_part(p: Poly) -> Poly:
     return p // g
 
 
+# -- real roots: Descartes' rule of signs with bisection ----------------------
+
+def _variations(p: Poly, a: Fraction, b: Fraction) -> int:
+    """Sign variations of (1+x)^n p((a x + b)/(1+x)), the Descartes bound on
+    the roots of p in (a, b); a count of 0 or 1 is exact (Collins & Akritas
+    1976)."""
+    D = math.lcm(a.denominator, b.denominator)
+    A, W = int(a * D), int((b - a) * D)
+    c = []
+    for d in reversed(_int_scaled(p, D)[0]):    # L D^n p((A + W y) / D)
+        c = [A * u + W * v for u, v in zip(c + [0], [0] + c)]
+        c[0] += d
+    c.reverse()                                  # x^n p(a + (b - a) / x)
+    n = len(c) - 1
+    for i in range(n):                           # Taylor shift x -> x + 1
+        for j in range(n - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    signs = [v > 0 for v in c if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 ROOT_WIDTH = Fraction(1, 2**40)      # width of a refined isolating interval
 
 
 def isolate_roots(p: Poly, lo, hi):
     """Disjoint isolating intervals, one per distinct real root of p in [lo, hi].
 
-    Endpoint roots are reported as degenerate [r, r] intervals.  Intervals are
-    bisected down to width <= ROOT_WIDTH so callers can use midpoints as
-    subdivision points.
+    Endpoint roots, and roots met at a bisection midpoint, are reported as
+    degenerate [r, r] intervals.  The others are bisected down to width
+    <= ROOT_WIDTH so callers can use midpoints as subdivision points.
     """
     lo, hi = _fr(lo), _fr(hi)
     if p.is_zero():
@@ -379,58 +369,24 @@ def isolate_roots(p: Poly, lo, hi):
     if p.degree <= 0 or hi <= lo:
         return []
     sf = squarefree_part(p)
-    chain = sturm_chain(sf)
     out = []
-
-    def var(x):
-        return _sign_variations(chain, x)
-
-    def count(a, b):
-        # roots in the half-open interval (a, b]
-        return var(a) - var(b)
-
-    def nudge_right(x, limit):
-        # smallest convenient eps with no root in (x, x+eps]
-        eps = (limit - x) / 1024
-        while count(x, x + eps) > 0:
-            eps /= 2
-        return x + eps
-
-    def nudge_left(x, limit):
-        eps = (x - limit) / 1024
-        while count(x - eps, x) > (1 if sf(x) == 0 else 0):
-            eps /= 2
-        return x - eps
-
-    a0, b0 = lo, hi
-    if sf(lo) == 0:
-        out.append((lo, lo))
-        a0 = nudge_right(lo, hi)
-    if sf(hi) == 0:
-        out.append((hi, hi))
-        b0 = nudge_left(hi, lo)
-    if b0 <= a0:
-        out.sort()
-        return out
-
-    # invariant: stacked intervals have non-root endpoints
-    stack = [(a0, b0)]
+    for r in (lo, hi):
+        if sf(r) == 0:
+            out.append((r, r))
+            sf = sf // Poly([-r, 1])
+    # invariant: q has no root at a or b
+    stack = [(lo, hi, sf)]
     while stack:
-        a, b = stack.pop()
-        n = count(a, b)
-        if n <= 0:
-            continue
+        a, b, q = stack.pop()
+        n = _variations(q, a, b)
         if n == 1:
-            out.append(_refine_interval(sf, a, b))
-            continue
-        m = (a + b) / 2
-        if sf(m) == 0:
-            out.append((m, m))
-            stack.append((a, nudge_left(m, a)))
-            stack.append((nudge_right(m, b), b))
-        else:
-            stack.append((a, m))
-            stack.append((m, b))
+            out.append(_refine_interval(q, a, b))
+        elif n > 1:
+            m = (a + b) / 2
+            if q(m) == 0:
+                out.append((m, m))
+                q = q // Poly([-m, 1])
+            stack += [(a, m, q), (m, b, q)]
     out.sort()
     return out
 

@@ -188,6 +188,8 @@ def hyperbola_remez_query(eps, n_samples: int = 1000):
     e = float(eps)
     if not (math.isfinite(e) and e > 0):
         raise PreconditionFailed(f"eps must be finite and > 0, got {eps}")
+    if n_samples < 1:
+        raise PreconditionFailed(f"n_samples must be >= 1, got {n_samples}")
     xs_full = np.exp(np.linspace(math.log(e * e), 0.0, n_samples))
     Y = [(x, e * e / x) for x in xs_full]
     xs_half = np.exp(np.linspace(math.log(e), 0.0, n_samples))

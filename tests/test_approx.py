@@ -11,7 +11,7 @@ import pytest
 
 from smoothparam.approx import (analytic_approximate, ck_approximate,
                                 aic_of_fit, compare_log_cubic_vs_power,
-                                fit_affine, taylor_patch, taylor_polynomial,
+                                taylor_patch, taylor_polynomial,
                                 verify_and_score)
 from smoothparam.analytic_param import (analytic_delta_parametrize,
                                         hyperbola_analytic_charts)
@@ -146,8 +146,6 @@ def test_slab_patches_reverify_at_4x_sampling():
 def test_fit_affine_and_aic_prefer_true_model():
     xs = np.arange(1.0, 9.0)
     ys = 3.0 * xs + 1.0
-    slope, icpt, r2 = fit_affine(xs, ys)
-    assert abs(slope - 3) < 1e-12 and abs(icpt - 1) < 1e-12 and r2 == 1.0
     good = aic_of_fit(ys, 3.0 * xs + 1.0, 2)
     bad = aic_of_fit(ys, 2.0 * xs + 1.0, 2)
     assert good < bad

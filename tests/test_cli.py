@@ -17,9 +17,10 @@ from smoothparam.serialize import dumps, loads, number_to_json
 # chart construction or certification that moves a byte shows up here
 CK2_ARTIFACT_SHA256 = \
     "67016d96d037ad32b232e116caef9abdfd01c6cd103cc0d6913be03217231282"
-# sha256 of `parametrize-ck --k 3 --eps 100/570`, as first emitted
+# sha256 of `parametrize-ck --k 3 --eps 100/570`; a derivative there has a
+# root at an end of [0, 1], so this also pins how isolation steps past it
 CK3_ARTIFACT_SHA256 = \
-    "ffe72a67b8f13c63c50bcd05a04454d16df808830cdacc58299f2731b15c455c"
+    "f649b862bdd2329cefd63034a79a719eabb1f92ef2124e311eb55383b1537be2"
 # sha256 of analytic-route artifacts (disk bounds sampled on complex circles),
 # as emitted before circle sampling became one array call per disk
 ANALYTIC_ARTIFACT_SHA256 = {
@@ -203,7 +204,12 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["count-points", "--t", "-3"], "t must be"),
     (["count-points", "--t", "10", "--d", "-1"], "d must be"),
     (["approximate", "--eps", "0"], "eps"),
-    (["remez", "--classical", "--samples", "0"], "Z_samples"),
+    (["remez", "--classical", "--samples", "0"], "samples must be"),
+    (["approximate", "--route", "ck", "--sigma", "0"], "sigma"),
+    (["approximate", "--route", "ck", "--sigma", "-1", "--eps", "0.1"], "sigma"),
+    (["approximate", "--route", "ck", "--sigma", "nan"], "sigma"),
+    (["remez", "--samples", "-1"], "n_samples must be"),
+    (["remez", "--classical", "--samples", "-1"], "samples must be"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Source hygiene, checked with the standard-library `ast` module: every
-top-level import of a package module is used, every `Config` field is
-read somewhere in the package and set by some caller, every parameter is
-read, and `eval_array` stays the one numeric evaluator of the expression
+top-level import of a package module is used, every top-level function and
+class is read by the package or exported, every `Config` field is read
+somewhere in the package and set by some caller, every parameter is read,
+and `eval_array` stays the one numeric evaluator of the expression
 classes."""
 
 import ast
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 from smoothparam.config import Config
@@ -37,6 +39,29 @@ def test_no_unused_top_level_imports():
     unused = {name: _unused_imports(tree)
               for name, tree in _modules().items() if name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _names(node):
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+# test oracles: kept in the package beside the code they check
+ORACLES = {"bivar.py:resultant_y_interpolated"}
+
+
+def test_every_top_level_def_is_read_or_exported():
+    modules = _modules()
+    exported = {a.asname or a.name for n in modules["__init__.py"].body
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    named = sum((_names(tree) for tree in modules.values()), Counter())
+    unread = [f"{mod}:{d.name}" for mod, tree in modules.items()
+              for d in tree.body
+              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+              and d.name not in exported
+              and named[d.name] == _names(d)[d.name]]
+    assert sorted(unread) == sorted(ORACLES)
 
 
 def test_every_config_field_is_read():

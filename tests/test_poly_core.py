@@ -1,6 +1,7 @@
-"""Exact polynomial layer: Sturm counting/isolation against a dense bisection
-oracle, Bareiss resultants against interpolation, elimination over Q against
-cofactor expansion, and branch continuation against closed forms."""
+"""Exact polynomial layer: Descartes root isolation against a Sturm-sequence
+oracle (itself checked against dense bisection), Bareiss resultants against
+interpolation, elimination over Q against cofactor expansion, and branch
+continuation against closed forms."""
 
 import math
 import random
@@ -8,17 +9,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothparam.bivar import (BivarPoly, resultant_y, resultant_y_interpolated)
-from smoothparam.funcs import (BranchExpr, MulExpr, RationalExpr, SqrtExpr,
-                               branch_continuation, isolate_real_zeros,
-                               singular_locus)
-from smoothparam.poly import (Poly, complex_roots, count_real_roots,
-                              gauss_eliminate,
-                              isolate_roots, lagrange_interpolate,
-                              max_abs_on_rational_grid, sturm_chain)
+from smoothparam.funcs import (BranchTracker, MulExpr, RationalExpr, SqrtExpr,
+                               isolate_real_zeros, singular_locus)
+from smoothparam.poly import (ROOT_WIDTH, Poly, _refine_interval, complex_roots,
+                              gauss_eliminate, isolate_roots,
+                              lagrange_interpolate, max_abs_on_rational_grid,
+                              squarefree_part)
 
 
 def _random_poly(rng, degree, bound=5):
@@ -37,6 +37,93 @@ def _bisect_root_count(p, lo, hi, n=20000):
     signs = np.sign(vs)
     signs = signs[signs != 0]
     return int(np.sum(signs[1:] != signs[:-1]))
+
+
+# -- the Sturm oracle for poly.isolate_roots ---------------------------------
+
+def sturm_chain(p):
+    """Canonical Sturm chain of a squarefree-or-not polynomial."""
+    if p.is_zero():
+        return [p]
+    chain = [p, p.deriv()]
+    while chain[-1].degree > 0:
+        rem = chain[-2] % chain[-1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    return [q for q in chain if not q.is_zero()]
+
+
+def _sign_variations(chain, x):
+    signs = []
+    for q in chain:
+        v = q(x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_real_roots(p, lo, hi):
+    """Number of distinct real roots of p in (lo, hi], exact Sturm count."""
+    chain = sturm_chain(squarefree_part(p))
+    return _sign_variations(chain, F(lo)) - _sign_variations(chain, F(hi))
+
+
+def sturm_isolate(p, lo, hi):
+    """Sturm-sequence isolation: bisect [lo, hi] at midpoints while the count
+    is >= 2, nudging off roots met at an endpoint or a midpoint."""
+    lo, hi = F(lo), F(hi)
+    if p.degree <= 0 or hi <= lo:
+        return []
+    sf = squarefree_part(p)
+    chain = sturm_chain(sf)
+    out = []
+
+    def count(a, b):
+        # roots in the half-open interval (a, b]
+        return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+    def nudge_right(x, limit):
+        # smallest convenient eps with no root in (x, x+eps]
+        eps = (limit - x) / 1024
+        while count(x, x + eps) > 0:
+            eps /= 2
+        return x + eps
+
+    def nudge_left(x, limit):
+        eps = (x - limit) / 1024
+        while count(x - eps, x) > (1 if sf(x) == 0 else 0):
+            eps /= 2
+        return x - eps
+
+    a0, b0 = lo, hi
+    if sf(lo) == 0:
+        out.append((lo, lo))
+        a0 = nudge_right(lo, hi)
+    if sf(hi) == 0:
+        out.append((hi, hi))
+        b0 = nudge_left(hi, lo)
+    if b0 <= a0:
+        return sorted(out)
+
+    stack = [(a0, b0)]
+    while stack:
+        a, b = stack.pop()
+        n = count(a, b)
+        if n <= 0:
+            continue
+        if n == 1:
+            out.append(_refine_interval(sf, a, b))
+            continue
+        m = (a + b) / 2
+        if sf(m) == 0:
+            out.append((m, m))
+            stack.append((a, nudge_left(m, a)))
+            stack.append((nudge_right(m, b), b))
+        else:
+            stack.append((a, m))
+            stack.append((m, b))
+    return sorted(out)
 
 
 def test_sturm_against_bisection_oracle():
@@ -66,6 +153,33 @@ def test_isolate_roots_brackets_are_disjoint_and_complete():
             assert a <= r <= b
         for (a1, b1), (a2, b2) in zip(sorted(boxes), sorted(boxes)[1:]):
             assert b1 < a2
+
+
+_small_fraction = st.builds(F, st.integers(-16, 16), st.sampled_from([1, 2, 3, 4, 8]))
+
+
+@settings(max_examples=300)
+@given(roots=st.lists(_small_fraction, max_size=7),
+       extra=st.lists(st.integers(-6, 6), max_size=5),
+       e=st.integers(0, 3), i=st.integers(-8, 4), j=st.integers(1, 16))
+def test_isolate_roots_matches_the_sturm_oracle(roots, extra, e, i, j):
+    # products of rational linear factors (so roots fall on endpoints and
+    # midpoints) times a small random factor, on a dyadic interval
+    p = Poly(extra + [1])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    lo, hi = F(i, 2 ** e), F(i + j, 2 ** e)
+    got, want = isolate_roots(p, lo, hi), sturm_isolate(p, lo, hi)
+    assert len(got) == len(want)
+    assert all(b1 < a2 for (_, b1), (a2, _) in zip(got, got[1:]))
+    for a, b in got:
+        if a == b:
+            assert lo <= a <= hi and p(a) == 0
+        else:
+            assert lo <= a and b <= hi and b - a <= ROOT_WIDTH
+            assert p(a) != 0 and p(b) != 0 and count_real_roots(p, a, b) == 1
+    if all(a != b for a, b in want):
+        assert got == want
 
 
 def test_sturm_chain_endpoints_sign_convention():
@@ -140,7 +254,7 @@ def test_branch_continuation_sqrt_closed_form():
     # y^2 = x, branch through (1, 1): y = sqrt(x) along the positive axis
     P = BivarPoly({(1, 0): F(1), (0, 2): F(-1)})
     path = list(np.linspace(1.0, 4.0, 50))
-    vals = branch_continuation(P, (1.0, 1.0), path)
+    vals = BranchTracker(P, (1.0, 1.0)).eval_path(path)
     for x, v in zip(path, vals):
         assert abs(v - math.sqrt(x)) < 1e-8
 
@@ -150,7 +264,7 @@ def test_branch_monodromy_around_origin():
     P = BivarPoly({(1, 0): F(1), (0, 2): F(-1)})
     loop = [complex(math.cos(t), math.sin(t))
             for t in np.linspace(0.0, 2 * math.pi, 200)]
-    vals = branch_continuation(P, (1.0, 1.0), loop)
+    vals = BranchTracker(P, (1.0, 1.0)).eval_path(loop)
     assert abs(vals[-1] + 1.0) < 1e-6   # came back on the other sheet
 
 
@@ -168,6 +282,15 @@ def test_isolate_real_zeros_rational_excludes_poles():
     mids = sorted(float(a + b) / 2 for a, b in zs)
     assert len(mids) == 2
     assert abs(mids[0] + 1) < 1e-6 and abs(mids[1] - 1) < 1e-6
+
+
+@pytest.mark.parametrize("pole", [F(0), F(1)])
+def test_isolate_real_zeros_drops_a_removable_point(pole):
+    # h/(h (x - pole)) with h = x - 1/3 has no zero on [0, 1]: the root of h
+    # is a root of the denominator too, whose own root sits at an endpoint
+    h = Poly([F(-1, 3), 1])
+    f = RationalExpr(h, h * Poly([-pole, 1]))
+    assert isolate_real_zeros(f, (F(0), F(1))) == []
 
 
 def test_isolate_real_zeros_sqrt_expression():
