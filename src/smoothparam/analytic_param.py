@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .charts import CK_TOLERANCE_FLOAT, Chart, circle_sup
 from .config import DEFAULT, Config
-from .errors import (DeltaTooLarge, RefinementDiverged, SingularityInsideDisk)
+from .errors import (DeltaTooLarge, PreconditionFailed, RefinementDiverged,
+                     SingularityInsideDisk)
 from .funcs import (BranchExpr, FunctionExpr, RationalExpr, _wrap,
                     normalize_values)
 from .poly import Poly, _fr, complex_roots
@@ -193,6 +194,8 @@ def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
                                normalize=True) -> AnalyticParametrization:
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
+    if not lo < hi:
+        raise PreconditionFailed(f"interval must have lo < hi, got [{lo}, {hi}]")
     sings = _detect_singularities(f, declared_singularities)
     norm = {}
     if normalize:
@@ -256,6 +259,8 @@ def refine_to_unit_charts(param: AnalyticParametrization,
 def hyperbola_analytic_charts(eps, delta, cfg: Config = DEFAULT):
     """a-charts for g(x) = -eps^2/x on [-1, -eps] (singularity at x = 0)."""
     e = _fr(eps)
+    if not 0 < e < 1:
+        raise PreconditionFailed(f"eps must be in (0, 1), got {eps}")
     g = RationalExpr(Poly([-e * e]), Poly([0, 1]))
     return analytic_delta_parametrize(g, delta, (-1, -e),
                                       declared_singularities=[0j],

@@ -1,16 +1,15 @@
-"""Bivariate polynomials over Q: evaluation, partials, Sylvester resultants,
-and the rational-function calculus needed for implicit differentiation of
-algebraic branches of P(x, y) = 0."""
+"""Bivariate polynomials over Q: evaluation, partials, resultants in y (the
+Sylvester determinant over Q[x] by `poly.bareiss`), and the rational-function
+calculus for implicit differentiation of algebraic branches of P(x, y) = 0."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateInY
-from .poly import Poly, _fr, gauss_eliminate
+from .poly import Poly, _fr, bareiss, lagrange_interpolate
 
 
 class BivarPoly:
@@ -126,84 +125,44 @@ class BivarPoly:
         return float(np.max(np.abs(acc)))
 
 
-def sylvester_matrix(p: Poly, q: Poly):
-    """Sylvester matrix of two univariate polynomials (entries Fractions)."""
-    m, n = p.degree, q.degree
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for k in range(n):
-        rows.append([Fraction(0)] * k + pc + [Fraction(0)] * (size - k - len(pc)))
-    for k in range(m):
-        rows.append([Fraction(0)] * k + qc + [Fraction(0)] * (size - k - len(qc)))
-    return rows
-
-
-def det_bareiss_poly(mat):
-    """Fraction-free Bareiss determinant of a matrix with Poly entries."""
-    n = len(mat)
-    if n == 0:
-        return Poly([1])
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = Poly([1])
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly([])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = num.divmod(prev)
-                assert r.is_zero(), "Bareiss exact division failed"
-                m[i][j] = q
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
 def resultant_y(P: BivarPoly, Q: BivarPoly) -> Poly:
-    """Res_y(P, Q) as a polynomial in x, exact."""
+    """Res_y(P, Q) as a polynomial in x, exact: the determinant of the
+    Sylvester matrix over Q[x] by fraction-free elimination."""
     if P.degy <= 0 or Q.degy < 0:
         raise DegenerateInY("resultant in y needs positive y-degree")
-    dp, dq = P.degy, Q.degy
-    size = dp + dq
-    pc = [P.coeff_of_y(dp - k) for k in range(dp + 1)]
-    qc = [Q.coeff_of_y(dq - k) for k in range(dq + 1)]
+    zero = Poly([])
     rows = []
-    for k in range(dq):
-        row = [Poly([]) for _ in range(size)]
-        for t, c in enumerate(pc):
-            row[k + t] = c
-        rows.append(row)
-    for k in range(dp):
-        row = [Poly([]) for _ in range(size)]
-        for t, c in enumerate(qc):
-            row[k + t] = c
-        rows.append(row)
-    return det_bareiss_poly(rows)
+    for F, shifts in ((P, Q.degy), (Q, P.degy)):
+        cs = [F.coeff_of_y(j) for j in range(F.degy, -1, -1)]
+        rows += [[zero] * k + cs + [zero] * (shifts - 1 - k)
+                 for k in range(shifts)]
+    return bareiss(rows)[1] or zero
+
+
+def _scalar_resultant(p: Poly, q: Poly) -> Fraction:
+    """Res(p, q) by the Euclidean remainder recursion
+    Res(p, q) = (-1)^(mn) lc(q)^(m - deg r) Res(q, r), r = p mod q."""
+    m, n = p.degree, q.degree
+    if n == 0:
+        return q.leading() ** m
+    r = p % q
+    if r.is_zero():
+        return Fraction(0)
+    sign = -1 if m * n % 2 else 1
+    return sign * q.leading() ** (m - r.degree) * _scalar_resultant(q, r)
 
 
 def resultant_y_interpolated(P: BivarPoly, Q: BivarPoly) -> Poly:
-    """Independent resultant oracle: evaluate Res_y at many rational x by a
-    scalar Sylvester determinant, then Lagrange-interpolate."""
-    from .poly import lagrange_interpolate
-
+    """Independent resultant oracle: evaluate Res_y at many rational x by the
+    Euclidean remainder recursion, then Lagrange-interpolate.  It shares no
+    elimination code with resultant_y."""
     bound = P.degx * Q.degy + Q.degx * P.degy + 1
     pts = []
     x = Fraction(0)
     while len(pts) < bound:
         py, qy = P.y_poly_at(x), Q.y_poly_at(x)
         if py.degree == P.degy and qy.degree == Q.degy:
-            pivots, sign = gauss_eliminate(sylvester_matrix(py, qy))
-            full = len(pivots) == P.degy + Q.degy
-            pts.append((x, sign * math.prod(pivots) if full else Fraction(0)))
+            pts.append((x, _scalar_resultant(py, qy)))
         x += 1
     return lagrange_interpolate(pts)
 

@@ -20,7 +20,7 @@ from .errors import (CoverTestFailed, EvaluationAtSingularity, InexactCurve,
                      PreconditionFailed)
 from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, PowExpr,
                     RationalExpr, SqrtExpr, _sqrt_exact, _wrap)
-from .poly import Poly, _fr, _horner_int, _int_scaled, gauss_eliminate
+from .poly import Poly, _fr, _horner_int, _int_scaled, bareiss
 
 MK_SAFETY = 1.10                     # inflate sampled C^k norms by 10%
 MK_SAMPLES = 512                     # sample points for a C^k norm
@@ -348,8 +348,10 @@ def on_hypersurface(points, d: int, m: int = None) -> bool:
             for c, a in zip(p, alpha):
                 v *= c ** a
             row.append(v)
-        rows.append(row)
-    return len(gauss_eliminate(rows)[0]) < tau
+        # scaling a row by its common denominator leaves the rank alone
+        L = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (L // v.denominator) for v in row])
+    return bareiss(rows)[0] < tau
 
 
 def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int):

@@ -45,23 +45,30 @@ class CkParametrization:
         return len(self.charts)
 
 
+def _zero_cuts(gs, orders, lo, hi) -> list:
+    """Sorted midpoints in (lo, hi) of the isolating intervals of the real
+    zeros of g^(o), g in gs, o in orders; an identically zero g^(o) makes
+    no cut."""
+    cuts = set()
+    for g in gs:
+        chain = g.derivative_chain(max(orders, default=0))
+        for o in orders:
+            rat = chain[o].as_rational()
+            if rat is not None and rat[0].is_zero():
+                continue
+            for a, b in isolate_real_zeros(chain[o], (lo, hi)):
+                mid = (_fr(a) + _fr(b)) / 2
+                if lo < mid < hi:
+                    cuts.add(mid)
+    return sorted(cuts)
+
+
 def monotone_subdivision(f: FunctionExpr, k: int, interval):
     """Split the interval at every zero of f', ..., f^(k+1); on each returned
     subinterval all those derivatives have constant sign."""
     lo, hi = _fr(interval[0]), _fr(interval[1])
-    chain = f.derivative_chain(k + 1)
-    cuts = set()
-    for g in chain[1:]:
-        rat = g.as_rational()
-        if rat is not None and rat[0].is_zero():
-            continue
-        for a, b in isolate_real_zeros(g, (lo, hi)):
-            a, b = _fr(a), _fr(b)
-            mid = (a + b) / 2
-            if lo < mid < hi:
-                cuts.add(mid)
-    pts = [lo] + sorted(cuts) + [hi]
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+    pts = [lo] + _zero_cuts([f], range(1, k + 2), lo, hi) + [hi]
+    return list(zip(pts, pts[1:]))
 
 
 def _affine_01(a, b) -> Poly:
@@ -132,10 +139,7 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
     psi on [0, 1], the carried compositions gs = fs o psi, the substitutions
     that made psi and the final split count m; certify(chart, cfg) returns its
     CertificateReport.  Returns the accepted charts sorted by sort_key."""
-    cuts = set()
-    for f in fs:
-        cuts.update(b for _, b in monotone_subdivision(f, k, (lo, hi))[:-1])
-    pts = [lo] + sorted(cuts) + [hi]
+    pts = [lo] + _zero_cuts(fs, range(1, k + 2), lo, hi) + [hi]
     work = []   # (psi on [0, 1], fs o psi, steps)
     for a, b in zip(pts, pts[1:]):
         psi = _affine_01(a, b)
@@ -147,17 +151,8 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
         nxt = []
         for psi, gs, steps in work:
             # re-subdivide in t so every g^(l) is sign-constant per subpiece
-            cuts = set()
-            for g in gs:
-                dl = g.derivative_chain(l)[l]
-                rat = dl.as_rational()
-                if rat is not None and rat[0].is_zero():
-                    continue
-                for za, zb in isolate_real_zeros(dl, (Fraction(0), Fraction(1))):
-                    mid = (_fr(za) + _fr(zb)) / 2
-                    if 0 < mid < 1:
-                        cuts.add(mid)
-            ts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+            ts = ([Fraction(0)] + _zero_cuts(gs, [l], Fraction(0), Fraction(1))
+                  + [Fraction(1)])
             for u, v in zip(ts, ts[1:]):
                 aff = _affine_01(u, v)
                 psi2 = psi.compose(aff)
@@ -203,11 +198,21 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
     return charts
 
 
+def _checked_k_interval(k: int, interval):
+    """(lo, hi) as Fractions, after checking k >= 0 and lo < hi."""
+    lo, hi = _fr(interval[0]), _fr(interval[1])
+    if k < 0:
+        raise PreconditionFailed(f"k must be >= 0, got {k}")
+    if not lo < hi:
+        raise PreconditionFailed(f"interval must have lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def ck_parametrize_function(f: FunctionExpr, k: int, interval,
                             cfg: Config = DEFAULT,
                             normalize=True) -> CkParametrization:
     f = _wrap(f)
-    lo, hi = _fr(interval[0]), _fr(interval[1])
+    lo, hi = _checked_k_interval(k, interval)
     norm = {}
     if normalize:
         f, norm = normalize_values(f, lo, hi, cfg)
@@ -229,7 +234,7 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
     over the common refinement of their subdivisions, then emit the affine-in-t2
     slab charts."""
     g1, g2 = _wrap(g1), _wrap(g2)
-    lo, hi = _fr(interval[0]), _fr(interval[1])
+    lo, hi = _checked_k_interval(k, interval)
     diff = simplify(AddExpr(g2, MulExpr(ConstExpr(-1), g1)))
     rat = diff.as_rational()
     if rat is not None and rat[0].is_zero():
@@ -256,6 +261,8 @@ def hyperbola_parametrization(eps, k: int = 2,
     """C^k charts for both halves of the hyperbola xy = eps^2: g(x) = -eps^2/x
     on [-1, -eps] and its mirror image eps^2/x on [eps, 1]."""
     e = _fr(eps)
+    if not 0 < e < 1:
+        raise PreconditionFailed(f"eps must be in (0, 1), got {eps}")
     left = ck_parametrize_function(hyperbola_branch(e), k, (-1, -e), cfg,
                                    normalize=False)
     gr = RationalExpr(Poly([e * e]), Poly([0, 1]))   # +eps^2/x on [eps, 1]

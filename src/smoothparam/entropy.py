@@ -271,8 +271,8 @@ def _orbit_tree(orbit: np.ndarray, metric: str):
     X = orbit.reshape(len(orbit), -1)
     if metric != "toroidal":
         return cKDTree(X)
-    # the periodic box is [0, 1): a coordinate of 1.0 (the grid's edge, or a
-    # mod that rounds up) is the same torus point as 0.0
+    # the periodic box is [0, 1): a mod that rounds up to 1.0 gives the same
+    # torus point as 0.0
     X = _wrap(X)
     X[X >= 1.0] = 0.0
     return cKDTree(X, boxsize=1.0)
@@ -313,6 +313,8 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         folded = 0
     elif sys.linear_matrix is None:
         orbits = [_grid_points(sys.box, resolution)]
+        if sys.metric == "toroidal":    # the far edge is the near edge again
+            orbits[0] = orbits[0][np.all(orbits[0] < 1.0, axis=1)]
         N = len(orbits[0])
         chosen = []
 
@@ -388,7 +390,7 @@ class EntropyReport:
         for r in self.rows:
             if r["n"] == n and r["eps"] == eps:
                 return r
-        raise KeyError((n, eps))
+        raise PreconditionFailed(f"no row at n={n}, eps={eps}")
 
     def to_csv(self) -> str:
         lines = ["n,eps,M_lower,M_upper,h"]

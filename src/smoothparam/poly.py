@@ -59,6 +59,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else _ZERO
 
@@ -138,6 +141,8 @@ class Poly:
                 r[k + i] -= f * c
             r.pop()
         return Poly(q), Poly(r)
+
+    __divmod__ = divmod
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -452,31 +457,29 @@ def lagrange_interpolate(points) -> Poly:
 
 # -- exact linear algebra -----------------------------------------------------
 
-def gauss_eliminate(rows):
-    """Forward Gaussian elimination over Q.  Returns (pivots, sign): the
-    pivot value of each pivot row in order, and (-1)^(row swaps).  The rank
-    is len(pivots); a square matrix of full rank has determinant
-    sign * prod(pivots)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    cols = len(mat[0]) if mat else 0
-    pivots, sign, row = [], 1, 0
+def bareiss(rows):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over Z or
+    Q[x]: entries are all ints or all Polys, and each update, a 2x2 minor, is
+    divided exactly by the previous pivot.  Returns (rank, det); det is the
+    determinant of a square matrix, 0 when it is singular."""
+    m = [list(r) for r in rows]
+    cols = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
     for col in range(cols):
-        for piv in range(row, len(mat)):
-            if mat[piv][col] != 0:
-                break
-        else:
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
             continue
-        if piv != row:
-            mat[row], mat[piv] = mat[piv], mat[row]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
             sign = -sign
-        inv = 1 / mat[row][col]
-        for r in range(row + 1, len(mat)):
-            if mat[r][col] != 0:
-                fct = mat[r][col] * inv
-                for c2 in range(col, cols):
-                    mat[r][c2] -= fct * mat[row][c2]
-        pivots.append(mat[row][col])
-        row += 1
-        if row == len(mat):
-            break
-    return pivots, sign
+        top = m[rank]
+        for row in m[rank + 1:]:
+            for j in range(col + 1, cols):
+                num = row[j] * top[col] - row[col] * top[j]
+                if rank:
+                    num, rem = divmod(num, prev)
+                    assert not rem, "Bareiss exact division failed"
+                row[j] = num
+        prev = top[col]
+        rank += 1
+    return rank, (sign * prev if rank == len(m) == cols else 0)

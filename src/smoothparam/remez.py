@@ -75,6 +75,8 @@ def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
         raise PreconditionFailed(
             f"Y_samples and Z_samples must be non-empty, got {len(Y_samples)} "
             f"and {len(Z_samples)} samples")
+    if d1 < 0:
+        raise PreconditionFailed(f"d1 must be >= 0, got {d1}")
     monos = _monomials_2d(d1)
     Z = [tuple(map(float, z)) for z in Z_samples]
     Y = [tuple(map(float, y)) for y in Y_samples]

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .approx import patch_error
 from .charts import CK_TOLERANCE_FLOAT, Chart, verify_ck_chart
 from .config import DEFAULT, Config
+from .entropy import EntropyReport
 from .errors import SchemaVersionMismatch
 from .funcs import (AddExpr, ComposeExpr, ConstExpr, FunctionExpr, MulExpr,
                     PowExpr, RationalExpr, SqrtExpr)
@@ -359,10 +360,9 @@ def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
     elif kind == "approximation":
         _verify_approximation(doc, cfg, failures)
     elif kind == "entropy":
-        for r in doc["rows"]:
-            if r["M_lower"] > r["M_upper"]:
-                failures.append(f"entropy cell n={r['n']} eps={r['eps']}: "
-                                "lower exceeds upper")
+        failures += EntropyReport(doc["system"], doc["n_values"],
+                                  doc["eps_values"], doc["rows"],
+                                  doc["h_estimates"]).check_invariants()
     elif kind == "remez":
         _verify_remez(doc, failures)
     elif kind == "count-points":

@@ -185,3 +185,23 @@ def test_remez_witness_is_rechecked(tmp_path, key, value):
     res = verify_bundle(loads(json.dumps(doc)))
     assert not res["ok"]
     assert res["failures"][0].startswith("witness Q*(y*) = ")
+
+
+def test_entropy_monotonicity_is_rechecked(tmp_path, capsys):
+    # the n=4 row keeps M_lower <= M_upper but falls below the n=3 row
+    out = tmp_path / "entropy.json"
+    assert main(["entropy", "--system", "doubling", "--n-max", "4",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    row, = (r for r in doc["rows"] if r["n"] == 4 and r["eps"] == 0.1)
+    row.update(M_lower=0, M_upper=9)
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "FAIL: M_lower decreased in n at eps=0.1: n=3->4\n"
+        "FAIL: M_upper decreased in n at eps=0.1: n=3->4\n")
+    doc["rows"].remove(row)         # a missing cell is a typed error
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: PreconditionFailed: no row at n=4, eps=0.1\n"

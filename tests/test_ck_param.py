@@ -9,12 +9,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.charts import (Chart, verify_ck_chart, verify_mild_chart,
                                 verify_slab_chart)
 from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   hyperbola_parametrization,
                                   kill_derivative_step, monotone_subdivision)
-from smoothparam.errors import SlabOrderViolation
+from smoothparam.errors import PreconditionFailed, SlabOrderViolation
 from smoothparam.funcs import (BlackboxExpr, MulExpr, RationalExpr, SqrtExpr,
                                hyperbola_branch, normalize_values)
 from smoothparam.poly import Poly
@@ -206,6 +207,22 @@ def test_slab_order_violation_detected():
     g2 = RationalExpr(Poly([0, 1]))   # crosses g1 at x = 1/2
     with pytest.raises(SlabOrderViolation):
         ck_parametrize_slab(g1, g2, 2, (F(0), F(1)))
+
+
+_X2, _X2_1 = RationalExpr(Poly([0, 0, 1])), RationalExpr(Poly([1, 0, 1]))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: ck_parametrize_function(_X2, 2, (1, 0)), "interval must have"),
+    (lambda: ck_parametrize_function(_X2, -1, (0, 1)), "k must be >= 0"),
+    (lambda: ck_parametrize_slab(_X2, _X2_1, 2, (1, 1)), "interval must have"),
+    (lambda: ck_parametrize_slab(_X2, _X2_1, -1, (0, 1)), "k must be >= 0"),
+    (lambda: analytic_delta_parametrize(_X2, F(1, 4), (1, 0)),
+     "interval must have"),
+])
+def test_bad_k_and_reversed_intervals_are_typed_errors(build, named):
+    with pytest.raises(PreconditionFailed, match=named):
+        build()
 
 
 def test_slab_branch_count_at_most_twice_function_count():

@@ -210,6 +210,11 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["approximate", "--route", "ck", "--sigma", "nan"], "sigma"),
     (["remez", "--samples", "-1"], "n_samples must be"),
     (["remez", "--classical", "--samples", "-1"], "samples must be"),
+    (["remez", "--classical", "--d1", "-1"], "d1 must be"),
+    (["parametrize-ck", "--k", "-1"], "k must be"),
+    (["parametrize-ck", "--eps", "2"], "eps must be in (0, 1)"),
+    (["parametrize-ck", "--eps", "1"], "eps must be in (0, 1)"),
+    (["parametrize-analytic", "--eps", "2"], "eps must be in (0, 1)"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):

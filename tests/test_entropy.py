@@ -322,9 +322,12 @@ def test_grid_brackets_match_full_grid_greedy(which, ns, eps):
     sys = {"identity": identity_system(), "polynomial": polynomial_system(),
            "skew": _skew_torus()}[which]
     ns = sorted(ns)
-    got = [(b["M_lower"], b["M_upper"])
-           for b in _brackets(sys, ns, eps, eps / 4.0)]
-    assert got == list(_grid_greedy_oracle(sys, ns, eps, eps / 4.0))
+    got = list(_brackets(sys, ns, eps, eps / 4.0))
+    assert [(b["M_lower"], b["M_upper"]) for b in got] == \
+        list(_grid_greedy_oracle(sys, ns, eps, eps / 4.0))
+    if sys.metric == "toroidal":      # no torus point twice on the grid
+        torus = np.mod(_grid_points(sys.box, eps / 4.0), 1.0)
+        assert got[0]["meta"]["grid_points"] == len(np.unique(torus, axis=0))
 
 
 @settings(max_examples=100)

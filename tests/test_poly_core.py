@@ -1,7 +1,9 @@
 """Exact polynomial layer: Descartes root isolation against a Sturm-sequence
-oracle (itself checked against dense bisection), Bareiss resultants against
-interpolation, elimination over Q against cofactor expansion, and branch
-continuation against closed forms."""
+oracle (itself checked against dense bisection), fraction-free Bareiss
+elimination against cofactor expansion (determinants over Z and Q[x]) and
+Gaussian elimination over Q (ranks), Bareiss resultants against the
+Euclidean remainder recursion with interpolation, and branch continuation
+against closed forms."""
 
 import math
 import random
@@ -9,14 +11,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smoothparam.bivar import (BivarPoly, resultant_y, resultant_y_interpolated)
 from smoothparam.funcs import (BranchTracker, MulExpr, RationalExpr, SqrtExpr,
                                isolate_real_zeros, singular_locus)
-from smoothparam.poly import (ROOT_WIDTH, Poly, _refine_interval, complex_roots,
-                              gauss_eliminate, isolate_roots,
+from smoothparam.poly import (ROOT_WIDTH, Poly, _refine_interval, bareiss,
+                              complex_roots, isolate_roots,
                               lagrange_interpolate, max_abs_on_rational_grid,
                               squarefree_part)
 
@@ -227,16 +229,15 @@ def test_exact_grid_max_matches_fraction_horner():
         assert max_abs_on_rational_grid(p, N) == direct
 
 
-def test_resultant_bareiss_vs_interpolation():
-    rng = random.Random(23)
-    for _ in range(15):
-        P = BivarPoly({(rng.randint(0, 2), rng.randint(0, 2)):
-                       F(rng.randint(-4, 4)) for _ in range(5)})
-        Q = BivarPoly({(rng.randint(0, 2), rng.randint(0, 2)):
-                       F(rng.randint(-4, 4)) for _ in range(5)})
-        if P.degy < 1 or Q.degy < 1:
-            continue
-        assert resultant_y(P, Q) == resultant_y_interpolated(P, Q)
+_bivar = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                         st.fractions(-4, 4, max_denominator=3), max_size=6)
+
+
+@given(_bivar, _bivar)
+def test_resultant_bareiss_vs_interpolation(cp, cq):
+    P, Q = BivarPoly(cp), BivarPoly(cq)
+    assume(P.degy >= 1 and Q.degy >= 0)
+    assert resultant_y(P, Q) == resultant_y_interpolated(P, Q)
 
 
 def test_resultant_of_known_intersection():
@@ -312,11 +313,75 @@ def _leibniz_det(m):
                for j in range(n))
 
 
+# -- the elimination oracle for poly.bareiss -----------------------------------
+
+def gauss_eliminate(rows):
+    """Forward Gaussian elimination over Q.  Returns (pivots, sign): the
+    pivot value of each pivot row in order, and (-1)^(row swaps).  The rank
+    is len(pivots); a square matrix of full rank has determinant
+    sign * prod(pivots)."""
+    mat = [list(map(F, r)) for r in rows]
+    cols = len(mat[0]) if mat else 0
+    pivots, sign, row = [], 1, 0
+    for col in range(cols):
+        for piv in range(row, len(mat)):
+            if mat[piv][col] != 0:
+                break
+        else:
+            continue
+        if piv != row:
+            mat[row], mat[piv] = mat[piv], mat[row]
+            sign = -sign
+        inv = 1 / mat[row][col]
+        for r in range(row + 1, len(mat)):
+            if mat[r][col] != 0:
+                fct = mat[r][col] * inv
+                for c2 in range(col, cols):
+                    mat[r][c2] -= fct * mat[row][c2]
+        pivots.append(mat[row][col])
+        row += 1
+        if row == len(mat):
+            break
+    return pivots, sign
+
+
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_gauss_eliminate_det_and_rank_against_cofactor_oracle(m):
-    pivots, sign = gauss_eliminate(m)
-    det = sign * math.prod(pivots) if len(pivots) == len(m) else 0
+def test_bareiss_det_and_rank_against_cofactor_oracle(m):
+    rank, det = bareiss(m)
     assert det == _leibniz_det(m)
-    assert len(pivots) == len(gauss_eliminate(list(zip(*m)))[0])   # rank of A^T
-    assert (len(pivots) == len(m)) == (det != 0)
+    assert rank == bareiss(list(zip(*m)))[0]                  # rank of A^T
+    assert (rank == len(m)) == (det != 0)
+
+
+_entry = st.lists(st.fractions(-3, 3, max_denominator=3), max_size=3).map(Poly)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_bareiss_det_over_polynomials_against_cofactor_oracle(m):
+    assert (bareiss(m)[1] or Poly([])) == _leibniz_det(m) + Poly([])
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_bareiss_rank_of_rational_matrices_against_gauss(r, c, k, data):
+    # a product A B of r x k and k x c factors has rank <= min(r, k, c);
+    # each row is then cleared to integers, as on_hypersurface does
+    fr = st.fractions(-3, 3, max_denominator=4)
+    A = data.draw(st.lists(st.lists(fr, min_size=k, max_size=k),
+                           min_size=r, max_size=r))
+    B = data.draw(st.lists(st.lists(fr, min_size=c, max_size=c),
+                           min_size=k, max_size=k))
+    M = [[sum((a * B[i][j] for i, a in enumerate(row)), F(0))
+          for j in range(c)] for row in A]
+    ints = []
+    for row in M:
+        L = math.lcm(*(v.denominator for v in row))
+        ints.append([v.numerator * (L // v.denominator) for v in row])
+    pivots, sign = gauss_eliminate(M)
+    rank, det = bareiss(ints)
+    assert rank == len(pivots) <= min(r, k, c)
+    if r == c:
+        L = math.prod(math.lcm(*(v.denominator for v in row)) for row in M)
+        full = sign * math.prod(pivots) if rank == r else 0
+        assert det == full * L
