@@ -1,6 +1,13 @@
 """Bivariate polynomials over Q: evaluation, partials, resultants in y (the
 Sylvester determinant over Q[x] by `poly.bareiss`), and the rational-function
-calculus for implicit differentiation of algebraic branches of P(x, y) = 0."""
+calculus for implicit differentiation of algebraic branches of P(x, y) = 0.
+
+Array evaluations give, point for point, the bits of the one-point float or
+complex evaluation.  numpy's complex multiply is fused (FMA) on CPUs that
+have it and its complex division and `**` use other formulas, so off the
+real axis they round differently from Python's complex arithmetic; complex
+arrays are therefore worked on as (real, imag) pairs of float arrays, with
+Python's formulas spelled out in `_mul`, `_pow` and `_pydiv`."""
 
 from __future__ import annotations
 
@@ -10,6 +17,43 @@ import numpy as np
 
 from .errors import DegenerateInY
 from .poly import Poly, _fr, bareiss, lagrange_interpolate
+
+
+def _mul(a, b):
+    """a * b on (real, imag) pairs, rounded as Python's complex product."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _pow(z, n):
+    """z ** n on a (real, imag) pair for an int 0 <= n <= 100, by Python's
+    square-and-multiply from 1."""
+    r, p = (np.ones_like(z[0]), np.zeros_like(z[0])), z
+    while n:
+        if n & 1:
+            r = _mul(r, p)
+        n >>= 1
+        if n:
+            p = _mul(p, p)
+    return r
+
+
+def _pydiv(a, b):
+    """a / b on (real, imag) pairs, rounded as Python's complex division
+    (Smith's method); b must be nonzero."""
+    b = np.asarray(b[0], dtype=float), np.asarray(b[1], dtype=float)
+    big = np.abs(b[0]) >= np.abs(b[1])
+    with np.errstate(all="ignore"):     # the branch np.where drops
+        rat = np.where(big, b[1] / b[0], b[0] / b[1])
+        den = np.where(big, b[0] + b[1] * rat, b[0] * rat + b[1])
+        return (np.where(big, a[0] + a[1] * rat, a[0] * rat + a[1]) / den,
+                np.where(big, a[1] - a[0] * rat, a[1] * rat - a[0]) / den)
+
+
+def _pack(re, im):
+    """The complex array with parts re and im, signed zeros kept."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 class BivarPoly:
@@ -95,11 +139,38 @@ class BivarPoly:
             cs[j] += c * _fr(x) ** i
         return Poly(cs)
 
-    def y_poly_coeffs_complex(self, x: complex) -> np.ndarray:
-        cs = np.zeros(self.degy + 1, dtype=complex)
+    def y_poly_coeffs_complex(self, x) -> np.ndarray:
+        """Complex coefficients of P(x, .), lowest degree first, at a complex
+        x or at each point of a complex array x (shape (degy + 1, *x.shape)),
+        rounded as `cs[j] += c * x**i` in Python complex arithmetic."""
+        x = np.asarray(x, dtype=complex)
+        z, pw = (x.real, x.imag), {}
+        re = np.zeros((self.degy + 1,) + x.shape)
+        im = np.zeros_like(re)
         for i, j, c in self.float_terms():
-            cs[j] += c * x**i
-        return cs
+            if i not in pw:
+                pw[i] = _pow(z, i)
+            t = _mul((c, 0.0), pw[i])
+            re[j] += t[0]
+            im[j] += t[1]
+        return _pack(re, im)
+
+    def eval_array(self, x, y):
+        """P at each point of the arrays x and y, both real or both complex,
+        with the bits of __call__ at that point: float pow for real input,
+        Python's complex arithmetic for complex input."""
+        x, y = np.asarray(x), np.asarray(y)
+        if np.iscomplexobj(x) or np.iscomplexobj(y):
+            xz, yz = (x.real, x.imag), (y.real, y.imag)
+            re = im = np.zeros(np.broadcast(x, y).shape)
+            for i, j, c in self.float_terms():
+                t = _mul(_mul((c, 0.0), _pow(xz, i)), _pow(yz, j))
+                re, im = re + t[0], im + t[1]
+            return _pack(re, im)
+        acc = np.zeros(np.broadcast(x, y).shape)
+        for i, j, c in self.float_terms():
+            acc = acc + c * np.float_power(x, i) * np.float_power(y, j)
+        return acc
 
     def coeff_of_y(self, j) -> Poly:
         """Coefficient of y^j, as a polynomial in x."""
@@ -196,3 +267,14 @@ class BivarRational:
 
     def __call__(self, x, y):
         return self.num(x, y) / self.den(x, y)
+
+    def eval_array(self, x, y):
+        """num/den at each point of the arrays x and y, both real or both
+        complex, with the bits of __call__ there; a zero denominator raises
+        ZeroDivisionError, as __call__ does."""
+        num, den = self.num.eval_array(x, y), self.den.eval_array(x, y)
+        if np.any(den == 0):
+            raise ZeroDivisionError("division by zero")
+        if np.iscomplexobj(num):
+            return _pack(*_pydiv((num.real, num.imag), (den.real, den.imag)))
+        return num / den

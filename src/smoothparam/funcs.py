@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, insort
 from fractions import Fraction
 
 import numpy as np
 
-from .bivar import BivarPoly, BivarRational, resultant_y
+from .bivar import (BivarPoly, BivarRational, _mul, _pack, _pydiv,
+                    resultant_y)
 from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
                      OrderOverflow, PathNearSingularity, ZeroCountMismatch)
@@ -24,6 +24,7 @@ EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
 BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
 CONTINUATION_RESIDUAL = 1e-10        # |P(x, y)| accepted on the curve
 CONTINUATION_STEP_FLOOR = 1e-12      # smallest continuation step
+CONTINUATION_CACHE_CAP = 100_000     # real-axis values a tracker caches
 
 
 def _is_exact(x):
@@ -372,67 +373,121 @@ def singular_locus(P: BivarPoly) -> list:
     return [points[i] for i in keep]
 
 
-def _horner(cs, w):
-    """sum cs[i] * w^(n-1-i) in Python complex arithmetic."""
-    y = 0j
+def _polyval(cs, w):
+    """sum cs[i] w^(m-1-i) by Horner's rule from y = 0, on (real, imag)
+    pairs: cs a list of m coefficient pairs, highest degree first."""
+    y = (0.0, 0.0)
     for c in cs:
-        y = y * w + c
+        y = _mul(y, w)
+        y = (y[0] + c[0], y[1] + c[1])
     return y
 
 
-def _cdiv(a, b):
-    """a / b for b != 0 by numpy's complex-division formula (Smith's method
-    through a reciprocal), which rounds differently from Python's `/`."""
-    if abs(b.real) >= abs(b.imag):
-        rat = b.imag / b.real
-        scl = 1.0 / (b.real + b.imag * rat)
-        return complex((a.real + a.imag * rat) * scl,
-                       (a.imag - a.real * rat) * scl)
-    rat = b.real / b.imag
-    scl = 1.0 / (b.imag + b.real * rat)
-    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+def _npdiv(a, b):
+    """a / b (b != 0) on (real, imag) pairs by numpy's complex-division
+    formula (Smith's method through a reciprocal), which rounds differently
+    from Python's `/`."""
+    big = np.abs(b[0]) >= np.abs(b[1])
+    rat = np.where(big, b[1] / b[0], b[0] / b[1])
+    scl = 1.0 / np.where(big, b[0] + b[1] * rat, b[1] + b[0] * rat)
+    return (np.where(big, a[0] + a[1] * rat, a[0] * rat + a[1]) * scl,
+            np.where(big, a[1] - a[0] * rat, a[1] * rat - a[0]) * scl)
 
 
-def _one_root_in_disk(cs, w, wn) -> bool:
-    """True only if p(y) = sum cs[j] y^j has exactly one root in the open
-    disk |y - wn| < r, r = 2 |wn - w|, by Rouche's theorem against the
-    linear term.
+def _newton(cs, w):
+    """Newton's method on the fibre polynomials sum_j cs[j] y^j, one per
+    column of the coefficient pair cs, from the start values w: returns
+    (wn, conv).  An element stops after 50 iterations or once its step is
+    at most 1e-15 max(1, |w|); conv is False where the derivative vanished
+    or the final residual exceeds CONTINUATION_RESIDUAL.
+
+    Products are formed from real and imaginary parts (`bivar._mul`), so
+    they round as Python's complex product, and quotients use numpy's
+    formula: on the real axis (zero imaginary parts) that is also exactly
+    how numpy's complex arrays round, and off it the values are those of
+    the one-point Python evaluation.  Run under np.errstate(all="ignore")."""
+    n = len(cs[0]) - 1
+    p = [(cs[0][k], cs[1][k]) for k in range(n, -1, -1)]
+    dp = [_mul((cs[0][k], cs[1][k]), (float(k), 0.0)) for k in range(n, 0, -1)]
+    wn = (w[0].copy(), w[1].copy())
+    conv = np.ones(len(w[0]), dtype=bool)
+    act, ap, adp, aw = np.arange(len(w[0])), p, dp, wn
+    for _ in range(50):
+        dv = _polyval(adp, aw)
+        zero = (dv[0] == 0) & (dv[1] == 0)
+        step = _npdiv(_polyval(ap, aw), dv)
+        aw = (aw[0] - step[0], aw[1] - step[1])
+        done = zero | (np.hypot(*step)
+                       <= 1e-15 * np.fmax(1.0, np.hypot(*aw)))
+        if done.any():
+            conv[act[zero]] = False
+            wn[0][act[done]], wn[1][act[done]] = aw[0][done], aw[1][done]
+            keep = ~done
+            act, aw = act[keep], (aw[0][keep], aw[1][keep])
+            ap = [(c[0][keep], c[1][keep]) for c in ap]
+            adp = [(c[0][keep], c[1][keep]) for c in adp]
+            if not act.size:
+                break
+    wn[0][act], wn[1][act] = aw
+    conv &= ~(np.hypot(*_polyval(p, wn)) > CONTINUATION_RESIDUAL)
+    return wn, conv
+
+
+def _disk_test(cs, w, wn):
+    """Per column: True only if p(y) = sum_j cs[j] y^j has exactly one root
+    in the open disk |y - wn| < r, r = 2 |wn - w|, by Rouche's theorem
+    against the linear term.  cs, w and wn are (real, imag) pairs.
 
     The Taylor coefficients b_k of p at wn come from repeated synthetic
-    division in Python complex, and B_k, the same division run on |cs[j]|
-    at |wn|, bounds the exact b_k term by term.  The test accepts when
+    division, and B_k, the same division run on |cs[j]| at |wn|, bounds the
+    exact b_k term by term.  The test accepts when
         |b_1| r > |b_0| + sum_{k>=2} |b_k| r^k + 8(n+3) u H + eta,
-    H = sum_k B_k r^k, u = 2^-53, n = len(cs) - 1.  To first order the
-    shift loses at most (sqrt(5) n + n + 1) u B_k in b_k (a complex product
-    rounds within sqrt(5) u, a sum within u), and the abs values, powers
-    and sums at most (2n + 8) u H more, so 8(n+3) u H covers every rounding
-    above the underflow threshold; eta = (n+3)^2 2^-1070 (2 max(1, |wn|)
-    max(1, r))^n covers the absolute errors of subnormal products.  On the
-    circle |y - wn| = r the exact |p - b_1 (y - wn)| is then below
-    |b_1 (y - wn)|, so p has as many zeros inside as b_1 (y - wn): one.
-    A NaN, an inf or an overflow rejects."""
-    n, r = len(cs) - 1, 2 * abs(wn - w)
-    try:
-        b = cs[::-1].tolist()               # descending, Python complex
-        h = [abs(c) for c in b]
-        aw = abs(wn)
-        for k in range(n):                  # b[n - k] becomes b_k
-            for i in range(1, n + 1 - k):
-                b[i] = b[i] + wn * b[i - 1]
-                h[i] = h[i] + aw * h[i - 1]
-        lhs = abs(b[n - 1]) * r
-        rhs, big = abs(b[n]), h[n] + h[n - 1] * r
-        eta = (n + 3) ** 2 * 2.0 ** -1070
-        grow, rk = 2 * max(1.0, aw) * max(1.0, r), r
-        for k in range(2, n + 1):
-            rk *= r
-            rhs += abs(b[n - k]) * rk
-            big += h[n - k] * rk
-        for _ in range(n):
-            eta *= grow
-        return lhs > rhs + 8 * (n + 3) * _U * big + eta
-    except OverflowError:
-        return False
+    H = sum_k B_k r^k, u = 2^-53, n = len(cs) - 1.  The arithmetic is that
+    of Python complex numbers, bit for bit: each product is formed from its
+    parts without a fused multiply-add (`bivar._mul`) and rounds within
+    sqrt(5) u, and each |.| is np.hypot, the C library hypot that Python's
+    abs calls.  (numpy's own complex multiply, fused where the CPU has FMA,
+    rounds within 2u (Jeannerod, Kornerup, Louvet & Muller, Math. Comp. 86,
+    2017), so the margin below would cover it too.)  To first order the
+    shift loses at most (sqrt(5) n + n + 1) u B_k in b_k (a sum rounds
+    within u), and the abs values, powers and sums at most (2n + 8) u H
+    more, so 8(n+3) u H covers every rounding above the underflow threshold;
+    eta = (n+3)^2 2^-1070 (2 max(1, |wn|) max(1, r))^n covers the absolute
+    errors of subnormal products.  On the circle |y - wn| = r the exact
+    |p - b_1 (y - wn)| is then below |b_1 (y - wn)|, so p has as many zeros
+    inside as b_1 (y - wn): one.  A NaN, an inf or an overflow rejects.
+    Run under np.errstate(all="ignore")."""
+    n = len(cs[0]) - 1
+    r = 2 * np.hypot(wn[0] - w[0], wn[1] - w[1])
+    b = [(cs[0][k], cs[1][k]) for k in range(n, -1, -1)]   # descending
+    h = [np.hypot(*c) for c in b]
+    aw = np.hypot(*wn)
+    for k in range(n):                  # b[n - k] becomes b_k
+        for i in range(1, n + 1 - k):
+            t = _mul(wn, b[i - 1])
+            b[i] = (b[i][0] + t[0], b[i][1] + t[1])
+            h[i] = h[i] + aw * h[i - 1]
+    a = [np.hypot(*c) for c in b]
+    finite = np.isfinite(r) & np.isfinite(aw)
+    for v in h + a:
+        finite &= np.isfinite(v)
+    lhs = a[n - 1] * r
+    rhs, big = a[n], h[n] + h[n - 1] * r
+    eta = (n + 3) ** 2 * 2.0 ** -1070
+    grow, rk = 2 * np.fmax(1.0, aw) * np.fmax(1.0, r), r
+    for k in range(2, n + 1):
+        rk = rk * r
+        rhs = rhs + a[n - k] * rk
+        big = big + h[n - k] * rk
+    for _ in range(n):
+        eta = eta * grow
+    return finite & (lhs > rhs + 8 * (n + 3) * _U * big + eta)
+
+
+def _same(a, b):
+    """Elementwise bit-for-bit equality of two complex arrays."""
+    return (a.view(np.int64).reshape(-1, 2)
+            == b.view(np.int64).reshape(-1, 2)).all(axis=1)
 
 
 class BranchTracker:
@@ -440,145 +495,367 @@ class BranchTracker:
     point on the curve.  Real-axis values are cached so repeated grid
     evaluations walk from the nearest known point.
 
-    The cache keys are also kept in a sorted list, so finding the nearest
-    known point costs O(log n) comparisons: bisect, then walk outward while
-    the distance stays equal.  Among keys at the same (rounded) distance the
-    one cached first wins.  A non-finite x raises EvaluationAtSingularity
-    before the cache is consulted; a seed that is not a finite point on the
-    curve raises ValueError at construction, so no key is ever NaN.
-
-    The sheet guard in `_on_sheet` accepts a corrector step w -> wn at the
-    first of three tests that holds:
+    A continuation step from (z, w) to zn runs the corrector `_correct`:
+    Newton's method on the fibre polynomial P(zn, .) from w, then the sheet
+    guard, which accepts the step w -> wn at the first of three tests that
+    holds:
     1. |wn - w| <= |step|;
-    2. the Rouche disk test `_one_root_in_disk`: the fibre polynomial has
-       exactly one root within r = 2 |wn - w| of wn, so every other root
-       lies at least 2 |wn - w| from wn;
+    2. the Rouche disk test `_disk_test`: the fibre polynomial has exactly
+       one root within r = 2 |wn - w| of wn, so every other root lies at
+       least 2 |wn - w| from wn;
     3. the fibre roots from `np.roots` (counted in `roots_calls`): |wn - w|
        is at most half the distance from wn to the nearest other root.
     Test 2 proves of the exact roots what test 3 checks of numpy's, so it
     accepts no step that test 3 would reject, up to the rounding of
-    np.roots; test 3 still decides every step that test 2 cannot certify."""
+    np.roots; test 3 still decides every step that test 2 cannot certify.
+    `_advance` walks from point to point: steps of at most half the
+    distance to the nearest singular point, each halved while the corrector
+    rejects it (counted in `halvings`) down to CONTINUATION_STEP_FLOOR.
+
+    A whole real grid (`eval_grid`) or every row of a disk (`eval_path`)
+    is one recurrence W_i = step(W_pred(i)), solved by `_sweep` as an exact
+    fixed point.  Each sweep runs the corrector, as numpy arrays, at every
+    open point whose start value changed since it last ran.  A point is
+    final once its start is final and it ran from that start, so a run of
+    final points grows while each value equals, bit for bit, the start its
+    successor ran from, and every value is the one the point-by-point walk
+    gives.  Points the one batched step cannot take (several substeps, a
+    step that does not land exactly on the target, tests 1 and 2 failing
+    from a final start) go to `_advance` once their start is final, a
+    sweep's all in lockstep, and are counted in `single_steps`.
+
+    The cache keys are also kept in a sorted array, so finding the nearest
+    known point costs O(log n) comparisons: bisect, then walk outward while
+    the distance stays equal.  Among keys at the same (rounded) distance the
+    one cached first wins.  A non-finite x raises EvaluationAtSingularity
+    before the cache is consulted; a seed that is not a finite point on the
+    curve raises ValueError at construction, so no key is ever NaN.  At most
+    CONTINUATION_CACHE_CAP values are cached."""
 
     def __init__(self, P: BivarPoly, seed):
         self.P = P
         self.seed = (complex(seed[0]), complex(seed[1]))
         self.singularities = singular_locus(P)
+        self._sing = np.array(self.singularities, dtype=complex)
         r = abs(P(*self.seed))
         if not (all(map(cmath.isfinite, self.seed))
                 and r <= CONTINUATION_RESIDUAL):
             raise ValueError(f"seed {seed} is not a finite point on the "
                              f"curve (residual {r:.3g})")
         x0 = self.seed[0].real
-        self._real_cache = {x0: self.seed[1]}
-        self._keys = [x0]               # sorted cache keys
-        self._rank = {x0: 0}            # insertion order, breaks distance ties
+        self._real_cache = {x0: self.seed[1]}   # in the order cached
+        self._keys = np.array([x0])     # sorted cache keys
+        self._ranks = np.array([0])     # their places in the cache order
         self.roots_calls = 0            # np.roots fallbacks of the sheet guard
+        self.halvings = 0               # continuation steps halved
+        self.single_steps = 0           # points a sweep hands to _advance
 
-    def _min_sing_dist(self, z: complex):
+    def _sing_dist(self, z):
+        """Distance from z (a point or an array) to the nearest singular
+        point; |.| is hypot, as Python's abs."""
+        z = np.asarray(z, dtype=complex)
         if not self.singularities:
-            return math.inf
-        return min(abs(z - s) for s in self.singularities)
+            return np.full(z.shape, math.inf)
+        s = self._sing
+        return np.hypot(z.real[..., None] - s.real,
+                        z.imag[..., None] - s.imag).min(axis=-1)
 
-    def _newton(self, cs, w0):
-        """Newton's method on sum cs[j] y^j from w0; None if it fails."""
-        # Python complex Horner and numpy's quotient formula: on the real
-        # axis (zero imaginary parts) this rounds exactly as numpy's array
-        # arithmetic does; off it numpy fuses complex products on CPUs with
-        # FMA, so values there can differ from numpy's in the last bit.
-        p = cs[::-1].tolist()
-        dp = [c * k for k, c in enumerate(cs.tolist())][:0:-1]
-        w = w0
-        for _ in range(50):
-            dv = _horner(dp, w)
-            if dv == 0:
-                return None
-            step = _cdiv(_horner(p, w), dv)
-            w = w - step
-            if abs(step) <= 1e-15 * max(1.0, abs(w)):
-                break
-        if abs(_horner(p, w)) > CONTINUATION_RESIDUAL:
-            return None
-        return w
+    def _correct(self, w, zn, h):
+        """The corrector at complex arrays of start values w, targets zn and
+        step lengths h: Newton from w on the fibre at zn, then tests 1 and 2
+        of the sheet guard.  Returns (cs, wn, conv, ok): the fibre
+        coefficients (one column per element), Newton's values, where Newton
+        converged, and where tests 1 and 2 accept the step."""
+        cs = self.P.y_poly_coeffs_complex(zn)
+        c, w = (cs.real, cs.imag), (w.real, w.imag)
+        with np.errstate(all="ignore"):
+            wn, conv = _newton(c, w)
+            ok = conv & (np.hypot(wn[0] - w[0], wn[1] - w[1]) <= h)
+            rest = np.flatnonzero(conv & ~ok)
+            if rest.size:
+                ok[rest] = _disk_test((c[0][:, rest], c[1][:, rest]),
+                                      (w[0][rest], w[1][rest]),
+                                      (wn[0][rest], wn[1][rest]))
+        return cs, _pack(*wn), conv, ok
 
-    def _on_sheet(self, cs, w, wn, step):
-        """The sheet guard (see the class docstring) for the step w -> wn
-        over the fibre polynomial with coefficients cs."""
-        gap = abs(wn - w)
-        if gap <= abs(step) or _one_root_in_disk(cs, w, wn):
-            return True
-        self.roots_calls += 1
+    @staticmethod
+    def _roots_guard(cs, w, wn):
+        """Test 3 of the sheet guard, at one point."""
         cs = np.trim_zeros(cs, trim="b")
         roots = np.roots(cs[::-1]) if len(cs) > 1 else []
         near = min((abs(r - wn) for r in roots if abs(r - wn) > 1e-12),
                    default=math.inf)
-        return gap <= 0.5 * near
+        return abs(wn - w) <= 0.5 * near
+
+    @staticmethod
+    def _step_toward(z, z1, d):
+        """_advance's next step from z toward z1 (complex arrays), d being
+        the distance from z to the nearest singular point: (step, |z1 - z|,
+        |step|), with step = (z1 - z) / |z1 - z| * min(|z1 - z|, max(d / 2,
+        CONTINUATION_STEP_FLOOR)) rounded as Python's complex arithmetic."""
+        rem = (z1.real - z.real, z1.imag - z.imag)
+        ab = np.hypot(*rem)
+        sl = np.minimum(ab, np.fmax(d / 2, CONTINUATION_STEP_FLOOR))
+        with np.errstate(all="ignore"):     # ab = 0: _advance is done
+            return _pack(*_mul(_pydiv(rem, (ab, 0.0)), (sl, 0.0))), ab, sl
 
     def _advance(self, z0, w0, z1):
-        """Track from (z0, w0) to x = z1; returns w1."""
-        z, w = z0, w0
-        d = self._min_sing_dist(z)
-        remaining = z1 - z
-        while abs(remaining) > 0:
-            step_len = min(abs(remaining), max(d / 2, CONTINUATION_STEP_FLOOR))
-            step = remaining / abs(remaining) * step_len
+        """Track each (z0[i], w0[i]) to x = z1[i] (complex arrays) point by
+        point, all in lockstep: steps of at most half the distance to the
+        nearest singular point, each halved while the corrector rejects it,
+        down to CONTINUATION_STEP_FLOOR.  The step arithmetic rounds as
+        Python's complex arithmetic.  Returns (w1, errs, roots, halved):
+        errs[i] is the error that stopped element i, else None, and roots[i]
+        and halved[i] count its np.roots tests and halved steps."""
+        floor = CONTINUATION_STEP_FLOOR
+        z, w, d = z0.copy(), w0.copy(), self._sing_dist(z0)
+        step = np.zeros_like(z)
+        errs = [None] * len(z)
+        roots, halved = np.zeros(len(z), dtype=int), np.zeros(len(z), dtype=int)
+        act, fresh = np.arange(len(z)), np.ones(len(z), dtype=bool)
+        with np.errstate(all="ignore"):
             while True:
-                zn = z + step
-                dn = self._min_sing_dist(zn)
-                if dn < 10 * CONTINUATION_STEP_FLOOR:
-                    raise PathNearSingularity(f"path within floor of singularity at {zn}")
-                cs = self.P.y_poly_coeffs_complex(zn)
-                wn = self._newton(cs, w)
-                if wn is not None and self._on_sheet(cs, w, wn, step):
+                # a new step where the last one was accepted; done on arrival
+                f = act[fresh[act]]
+                step[f], ab, _ = self._step_toward(z[f], z1[f], d[f])
+                act = np.setdiff1d(act, f[~(ab > 0)], assume_unique=True)
+                fresh[f] = False
+                if not act.size:
+                    return w, errs, roots, halved
+                zn = z[act] + step[act]
+                dn = self._sing_dist(zn)
+                for j in np.flatnonzero(dn < 10 * floor):
+                    errs[act[j]] = PathNearSingularity(
+                        "path within floor of singularity at "
+                        f"{complex(zn[j])}")
+                keep = dn >= 10 * floor
+                act, zn, dn = act[keep], zn[keep], dn[keep]
+                if not act.size:
+                    return w, errs, roots, halved
+                h = np.hypot(step.real[act], step.imag[act])
+                cs, wn, conv, ok = self._correct(w[act], zn, h)
+                for j in np.flatnonzero(conv & ~ok):
+                    roots[act[j]] += 1
+                    ok[j] = self._roots_guard(cs[:, j], complex(w[act[j]]),
+                                              complex(wn[j]))
+                a = act[ok]
+                z[a], w[a], d[a], fresh[a] = zn[ok], wn[ok], dn[ok], True
+                lost = ~ok & (h / 2 < floor)
+                for j in np.flatnonzero(lost):
+                    errs[act[j]] = BranchJump(
+                        f"corrector lost the branch near x = {complex(zn[j])}")
+                r = act[~ok & ~lost]
+                step[r] = _pack(*_pydiv((step.real[r], step.imag[r]),
+                                        (2.0, 0.0)))
+                halved[r] += 1
+                act = act[~lost]
+
+    def _sweep(self, zs, zt, w0, pred):
+        """W[i] = _advance(zs[i], start_i, zt[i]) for every i, the start
+        being w0[i] where pred[i] < 0 and W[pred[i]] otherwise (pred[i] < i,
+        pred[0] < 0), solved by exact fixed-point sweeps (see the class
+        docstring).  Returns (W, err, roots, halved): W for the points
+        before the first whose continuation fails, that failure (None if
+        there is none), and per point the np.roots tests and halved steps
+        of its walk, which the point-by-point walk makes only up to the
+        first failure."""
+        n = len(zt)
+        # the batch takes a point when _advance's first step lands on zt
+        step, ab, sl = self._step_toward(zs, zt, self._sing_dist(zs))
+        h = np.hypot(step.real, step.imag)
+        zero = ~(ab > 0)                # _advance returns its start
+        batch = (~zero & (sl == ab) & (zs + step == zt)
+                 & (self._sing_dist(zt) >= 10 * CONTINUATION_STEP_FLOOR))
+        chained = (pred >= 0) & (pred == np.arange(n) - 1)
+        W = w0[np.maximum.accumulate(np.where(pred < 0, np.arange(n), 0))]
+        used = np.zeros(n, dtype=complex)  # the start W[i] was computed from
+        ran = np.zeros(n, dtype=bool)      # ... once it was
+        ok = np.zeros(n, dtype=bool)       # the corrector accepted that step
+        final = np.zeros(n, dtype=bool)
+        roots, halved = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        end, err = n, None
+        while True:
+            todo = np.flatnonzero(~final[:end])
+            if not todo.size:
+                return W[:end], err, roots, halved
+            p = pred[todo]
+            known = p < 0
+            exact = known | final[p]        # the start is final
+            start = np.where(known, w0[todo], W[p])
+            # a value depends on its start alone: run the points whose start
+            # changed since they last ran
+            k = np.flatnonzero((batch[todo] | zero[todo])
+                               & ~(ran[todo] & _same(used[todo], start)))
+            i, wk = todo[k], start[k]
+            W[i[zero[i]]], ok[i[zero[i]]] = wk[zero[i]], True
+            b = batch[i]
+            if b.any():
+                _, wn, conv, ok[i[b]] = self._correct(wk[b], zt[i[b]], h[i[b]])
+                W[i[b]] = np.where(conv, wn, W[i[b]])
+            used[i], ran[i] = wk, True
+            valid = ran[todo] & ok[todo] & _same(used[todo], start)
+            # points with a final start that the batch could not take, then
+            # the chained points after them that the batch never takes
+            ks = np.flatnonzero(exact & ~valid)
+            while ks.size:
+                ks = ks[todo[ks] < end]
+                if not ks.size:
                     break
-                if abs(step) / 2 < CONTINUATION_STEP_FLOOR:
-                    raise BranchJump(f"corrector lost the branch near x = {zn}")
-                step /= 2
-            z, w, d = zn, wn, dn
-            remaining = z1 - z
-        return w
+                i = todo[ks]
+                self.single_steps += len(ks)
+                w1, errs, roots[i], halved[i] = self._advance(
+                    zs[i], start[ks], zt[i])
+                bad = [j for j, e in enumerate(errs) if e is not None]
+                if bad:     # raised once the points before it are done
+                    end, err = i[bad[0]], errs[bad[0]]
+                    ks, i, w1 = ks[:bad[0]], i[:bad[0]], w1[:bad[0]]
+                W[i], used[i] = w1, start[ks]
+                ran[i] = ok[i] = valid[ks] = True
+                nxt = i + 1 < n
+                ks, i = ks[nxt] + 1, i[nxt] + 1
+                more = ((ks < len(todo)) & chained[i] & ~batch[i] & ~zero[i])
+                more[more] = todo[ks[more]] == i[more]
+                ks = ks[more]
+                exact[ks], start[ks] = True, W[i[more] - 1]
+            # a run of final points starts at a final start and goes on while
+            # each point ran from its predecessor's value, bit for bit
+            head = exact & valid
+            link = (~exact & chained[todo] & ran[todo] & ok[todo]
+                    & _same(used[todo], W[todo - 1]))
+            pos = np.arange(len(todo))
+            last_head = np.maximum.accumulate(np.where(head, pos, -1))
+            last_break = np.maximum.accumulate(np.where(head | link, -1, pos))
+            done = head | (link & (last_head > last_break))
+            final[todo[done & (todo < end)]] = True
 
     def _nearest_key(self, xf):
         keys, n = self._keys, len(self._keys)
-        lo = bisect_left(keys, xf) - 1
+        lo = int(np.searchsorted(keys, xf)) - 1
         hi = lo + 1
-        d = min(abs(keys[i] - xf) for i in (lo, hi) if 0 <= i < n)
+        d = min(abs(keys.item(i) - xf) for i in (lo, hi) if 0 <= i < n)
         tied = []
-        while lo >= 0 and abs(keys[lo] - xf) == d:
-            tied.append(keys[lo])
+        while lo >= 0 and abs(keys.item(lo) - xf) == d:
+            tied.append(lo)
             lo -= 1
-        while hi < n and abs(keys[hi] - xf) == d:
-            tied.append(keys[hi])
+        while hi < n and abs(keys.item(hi) - xf) == d:
+            tied.append(hi)
             hi += 1
-        return min(tied, key=self._rank.__getitem__)
+        return keys.item(min(tied, key=self._ranks.item))
+
+    def _starts(self, X):
+        """Where eval_real continues each point of X from when the sorted,
+        uncached points X are evaluated in increasing order: (zs, w0, pred),
+        pred[i] = j when it continues from X[j], else -1 and it continues
+        from the cached key zs[i] with value w0[i]."""
+        K, R, n, m = self._keys, self._ranks, len(self._keys), len(X)
+        hi = np.searchsorted(K, X)
+        lo, lc, hc = hi - 1, np.maximum(hi - 1, 0), np.minimum(hi, n - 1)
+        dlo = np.where(lo >= 0, np.abs(K[lc] - X), math.inf)
+        dhi = np.where(hi < n, np.abs(K[hc] - X), math.inf)
+        d = np.minimum(dlo, dhi)
+        use_lo, use_hi = (lo >= 0) & (dlo == d), (hi < n) & (dhi == d)
+        old = np.where(use_lo & ~(use_hi & (R[hc] < R[lc])), lc, hc)
+        # a third key at the same rounded distance: walk as eval_real does
+        far = (((lo >= 1) & (np.abs(K[np.maximum(lo - 1, 0)] - X) == d))
+               | ((hi < n - 1)
+                  & (np.abs(K[np.minimum(hi + 1, n - 1)] - X) == d)))
+        for i in np.flatnonzero(far):
+            old[i] = np.searchsorted(K, self._nearest_key(X.item(i)))
+        # X[:q] are cached by then, q as far as the cap leaves room; the
+        # nearest of them is X[q - 1] unless rounding ties an earlier one
+        q = np.minimum(np.arange(m),
+                       max(0, CONTINUATION_CACHE_CAP - len(self._real_cache)))
+        j = q - 1
+        dn = np.where(q > 0, X - X[np.maximum(j, 0)], math.inf)
+        for i in np.flatnonzero((q > 1) & (X - X[np.maximum(j - 1, 0)] == dn)):
+            j[i] = np.flatnonzero(X[i] - X[:q[i]] == dn[i])[0]
+        pred = np.where(d <= dn, -1, j)     # equal: the key cached first
+        zs = np.where(pred < 0, K[old], X[np.maximum(pred, 0)])
+        w0 = np.zeros(m, dtype=complex)
+        w0[pred < 0] = [self._real_cache[k] for k in K[old[pred < 0]].tolist()]
+        return zs.astype(complex), w0, pred
+
+    def _remember(self, xs, ws):
+        """Cache the values ws at the new keys xs, in order, while there is
+        room."""
+        xs, ws = np.atleast_1d(xs), np.atleast_1d(ws)
+        room = CONTINUATION_CACHE_CAP - len(self._real_cache)
+        k = max(0, min(len(xs), room))
+        xs = xs[:k]
+        r0 = len(self._real_cache)
+        self._real_cache.update(zip(xs.tolist(), ws[:k].tolist()))
+        at = np.searchsorted(self._keys, xs)
+        self._keys = np.insert(self._keys, at, xs)
+        self._ranks = np.insert(self._ranks, at, np.arange(r0, r0 + k))
 
     def eval_real(self, x):
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise EvaluationAtSingularity(f"branch evaluated at x = {xf}")
-        if xf in self._real_cache:
-            return self._real_cache[xf]
-        near = self._nearest_key(xf)
-        w = self._advance(complex(near), self._real_cache[near], complex(xf))
-        self._remember(xf, w)
-        return w
+        return complex(self.eval_grid(np.array([float(x)]))[0])
 
-    def _remember(self, xf, w):
-        if len(self._real_cache) < 100_000:
-            self._real_cache[xf] = w
-            self._rank[xf] = len(self._rank)
-            insort(self._keys, xf)
+    def eval_grid(self, xs, check=None):
+        """eval_real at every point of the real array xs, taken in
+        increasing order, as one sweep: the same values, cache and counters
+        afterwards and, on a failure, the error of the first failing point
+        with the points before it cached.  check(x, w), given the points
+        evaluated (sorted, without repeats) and their values, may return
+        (k, error) for the first point its caller rejects: as when the
+        caller checks each value of eval_real in turn, that point is cached,
+        no later one is, and the error is raised.  A non-finite x raises
+        EvaluationAtSingularity before anything is evaluated."""
+        xs = np.asarray(xs, dtype=float)
+        bad = ~np.isfinite(xs)
+        if bad.any():
+            raise EvaluationAtSingularity(
+                f"branch evaluated at x = {xs[bad].flat[0]}")
+        keys, inv, reps = np.unique(xs.ravel(), return_inverse=True,
+                                    return_counts=True)
+        K = self._keys
+        hit = K[np.minimum(np.searchsorted(K, keys), len(K) - 1)] == keys
+        vals = np.empty(len(keys), dtype=complex)
+        vals[hit] = [self._real_cache[k] for k in keys[hit].tolist()]
+        new = np.flatnonzero(~hit)
+        W, err, roots, halved = np.empty(0, dtype=complex), None, 0, 0
+        if new.size:
+            zs, w0, pred = self._starts(keys[new])
+            W, err, roots, halved = self._sweep(
+                zs, keys[new].astype(complex), w0, pred)
+            vals[new[:len(W)]] = W
+        done = len(keys) if err is None else new[len(W)]
+        walked, cached = done + 1, done     # key positions, as eval_real
+        rejected = check(keys[:done], vals[:done]) if check else None
+        if rejected:
+            k, err = rejected
+            walked = cached = k + 1
+        # a point past the cap is walked again at each repeat, but one that
+        # fails or is rejected only once
+        room = CONTINUATION_CACHE_CAP - len(self._real_cache)
+        times = np.where(np.arange(len(new)) < room, 1, reps[new])
+        times = np.where(new == walked - 1, 1, times) * (new < walked)
+        self.roots_calls += int(np.sum(roots * times))
+        self.halvings += int(np.sum(halved * times))
+        self._remember(keys[new[new < cached]], vals[new[new < cached]])
+        if err is not None:
+            raise err
+        return vals[inv].reshape(xs.shape)
 
     def eval_path(self, path):
-        """Values of the branch along an explicit complex path (list of points).
-        The path must start reachable from the seed."""
-        out = []
-        z0, w0 = self.seed
-        z, w = z0, w0
-        for p in path:
-            w = self._advance(z, w, complex(p))
-            z = complex(p)
-            out.append(w)
-        return out
+        """Values of the branch along complex paths: each row (last axis) of
+        `path` is entered from the seed and continued point to point, a
+        1-D path being one row; all rows are solved in one sweep."""
+        zt = np.asarray(path, dtype=complex)
+        if not zt.size:
+            return zt.copy()
+        rows = zt.reshape(-1, zt.shape[-1])
+        zs = np.empty_like(rows)
+        zs[:, 0], zs[:, 1:] = self.seed[0], rows[:, :-1]
+        pred = np.arange(rows.size) - 1
+        pred[::rows.shape[1]] = -1
+        W, err, roots, halved = self._sweep(
+            zs.ravel(), rows.ravel(), np.full(rows.size, self.seed[1]), pred)
+        self.roots_calls += int(roots[:len(W) + 1].sum())
+        self.halvings += int(halved[:len(W) + 1].sum())
+        if err is not None:
+            raise err
+        return W.reshape(zt.shape)
 
 
 class BranchExpr(FunctionExpr):
@@ -612,22 +889,38 @@ class BranchExpr(FunctionExpr):
         return self.rat(float(x), w.real)
 
     def eval_array(self, xs):
-        """Real xs: each point continued from the nearest cached real point,
-        in increasing order.  Complex xs: each row (last axis) is one
-        continuation path, entered from the seed and continued point to
-        point; a 1-D array is one row.  rat is applied point by point."""
+        """Real xs: `eval` at each point, the points continued in increasing
+        order from the nearest cached real point by one sweep
+        (`BranchTracker.eval_grid`), each value checked as `eval` checks it.
+        Complex xs: each row (last axis) is one continuation path, entered
+        from the seed and continued point to point
+        (`BranchTracker.eval_path`); a 1-D array is one row.  rat is applied
+        over the arrays, with the bits of its one-point evaluation."""
         if np.iscomplexobj(xs):
-            rows = xs.reshape(-1, xs.shape[-1]).tolist()
-            ws = [w for row in rows for w in self.tracker.eval_path(row)]
-            if self.rat is not None:
-                zs = [z for row in rows for z in row]
-                ws = [self.rat(z, w) for z, w in zip(zs, ws)]
-            return np.array(ws, dtype=complex).reshape(xs.shape)
-        order = np.argsort(xs)
-        out = np.empty_like(xs, dtype=float)
-        for i in order:
-            out[i] = self.eval(float(xs[i]))
-        return out
+            ws = self.tracker.eval_path(xs)
+            return ws if self.rat is None else self.rat.eval_array(xs, ws)
+        xs = np.asarray(xs, dtype=float)
+        ws = self.tracker.eval_grid(xs, self._rejected)
+        if self.rat is None:
+            return ws.real.copy()
+        return self.rat.eval_array(xs, ws.real)
+
+    def _rejected(self, x, w):
+        """(k, error) for the first branch value w[k] at x[k] where `eval`
+        raises, or None."""
+        off = np.abs(w.imag) > 1e-8
+        pole = np.zeros_like(off)
+        if self.rat is not None:
+            with np.errstate(all="ignore"):
+                pole = self.rat.den.eval_array(x, w.real) == 0
+        bad = np.flatnonzero(off | pole)
+        if not bad.size:
+            return None
+        k = bad[0]
+        if off[k]:
+            return k, EvaluationAtSingularity(
+                f"branch left the real line at x = {x[k]} (w = {w[k]})")
+        return k, ZeroDivisionError("division by zero")
 
 
 class BlackboxExpr(FunctionExpr):

@@ -108,10 +108,9 @@ def normalize_curve(P: BivarPoly) -> BivarPoly:
 def trace_curve(P: BivarPoly):
     """Sample points of {P = 0} inside [-1, 1]^2 by per-column root finding
     (both orientations, so near-vertical pieces are caught)."""
-    pts = []
+    pts, xs = [], np.linspace(-1, 1, TRACE_COLUMNS)
     for Q, swap in ((P, False), (P.swap_xy(), True)):
-        for x in np.linspace(-1, 1, TRACE_COLUMNS):
-            cs = Q.y_poly_coeffs_complex(complex(x))
+        for x, cs in zip(xs, Q.y_poly_coeffs_complex(xs.astype(complex)).T):
             cs = np.trim_zeros(cs, trim="b")
             if len(cs) <= 1:
                 continue
@@ -188,8 +187,8 @@ def hyperbola_remez_query(eps, n_samples: int = 1000):
     """(Y samples, Z samples) for the hyperbola xy = eps^2 in the unit
     square; Z is the half-branch x in [eps, 1]."""
     e = float(eps)
-    if not (math.isfinite(e) and e > 0):
-        raise PreconditionFailed(f"eps must be finite and > 0, got {eps}")
+    if not 0 < e < 1:
+        raise PreconditionFailed(f"eps must be in (0, 1), got {eps}")
     if n_samples < 1:
         raise PreconditionFailed(f"n_samples must be >= 1, got {n_samples}")
     xs_full = np.exp(np.linspace(math.log(e * e), 0.0, n_samples))

@@ -1,26 +1,32 @@
-"""Algebraic branches of y^2 = x^3 + a x + b: the tracker's nearest-point
-lookup against the linear scan it replaces, its corrector arithmetic against
-numpy's, the Rouche disk test of its sheet guard against np.roots and
-against exactly known roots, byte-identity of a fixed grid evaluation and
-how rarely it falls back to np.roots there, values against the closed form,
-the typed errors at a non-finite x and a non-finite seed, and C^1 and C^2
-builds end to end."""
+"""Algebraic branches of y^2 = x^3 + a x + b and of cubic fibres: the
+batched corrector and its exact fixed-point sweep against the point-by-point
+tracker it replaced (kept here, in scalar Python arithmetic, as the oracle),
+its kernels against the oracle's, the tracker's nearest-point lookup against
+the linear scan it replaces, the Rouche disk test of its sheet guard against
+np.roots and against exactly known roots, byte-identity of a fixed grid
+evaluation and how rarely it falls back to np.roots, halving or single
+steps there, values against the closed form, the typed errors at a
+non-finite x and a non-finite seed, and C^1 and C^2 builds end to end."""
 
 import cmath
 import hashlib
 import math
+from bisect import bisect_left, insort
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smoothparam.bivar import BivarPoly
+from smoothparam import funcs
+from smoothparam.bivar import BivarPoly, _pack
 from smoothparam.ck_param import ck_parametrize_function
-from smoothparam.errors import EvaluationAtSingularity
-from smoothparam.funcs import (BranchExpr, BranchTracker, _cdiv, _horner,
-                               _one_root_in_disk)
+from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
+                                PathNearSingularity)
+from smoothparam.funcs import (BranchExpr, BranchTracker, _disk_test, _newton,
+                               _npdiv, _polyval, singular_locus)
+from smoothparam.poly import _U
 from smoothparam.serialize import dumps, parametrization_to_json
 
 # sha256 of eval_array on y^2 = x^3 + 1 over np.linspace(1, 2, 4096), as
@@ -41,6 +47,191 @@ def _cubic_branch(a=0, b=1):
 def _tracker():
     # y^2 = x through (4, 2); the seed key 4.0 is the first one cached
     return BranchTracker(BivarPoly({(1, 0): 1, (0, 2): -1}), (4.0, 2.0))
+
+
+# -- the oracle: the point-by-point tracker the sweep replaced -----------------
+
+def _horner(cs, w):
+    """sum cs[i] * w^(n-1-i) in Python complex arithmetic."""
+    y = 0j
+    for c in cs:
+        y = y * w + c
+    return y
+
+
+def _cdiv(a, b):
+    """a / b for b != 0 by numpy's complex-division formula (Smith's method
+    through a reciprocal), which rounds differently from Python's `/`."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl,
+                       (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _one_root_in_disk(cs, w, wn) -> bool:
+    """Scalar Rouche disk test (see funcs._disk_test): exactly one root of
+    sum cs[j] y^j within 2 |wn - w| of wn, in Python complex arithmetic."""
+    n, r = len(cs) - 1, 2 * abs(wn - w)
+    try:
+        b = cs[::-1].tolist()               # descending, Python complex
+        h = [abs(c) for c in b]
+        aw = abs(wn)
+        for k in range(n):                  # b[n - k] becomes b_k
+            for i in range(1, n + 1 - k):
+                b[i] = b[i] + wn * b[i - 1]
+                h[i] = h[i] + aw * h[i - 1]
+        lhs = abs(b[n - 1]) * r
+        rhs, big = abs(b[n]), h[n] + h[n - 1] * r
+        eta = (n + 3) ** 2 * 2.0 ** -1070
+        grow, rk = 2 * max(1.0, aw) * max(1.0, r), r
+        for k in range(2, n + 1):
+            rk *= r
+            rhs += abs(b[n - k]) * rk
+            big += h[n - k] * rk
+        for _ in range(n):
+            eta *= grow
+        return lhs > rhs + 8 * (n + 3) * _U * big + eta
+    except OverflowError:
+        return False
+
+
+def _scalar_newton(cs, w0):
+    """Newton's method on sum cs[j] y^j from w0 in Python complex
+    arithmetic; None if it fails."""
+    p = cs[::-1].tolist()
+    dp = [c * k for k, c in enumerate(cs.tolist())][:0:-1]
+    w = w0
+    for _ in range(50):
+        dv = _horner(dp, w)
+        if dv == 0:
+            return None
+        step = _cdiv(_horner(p, w), dv)
+        w = w - step
+        if abs(step) <= 1e-15 * max(1.0, abs(w)):
+            break
+    if abs(_horner(p, w)) > funcs.CONTINUATION_RESIDUAL:
+        return None
+    return w
+
+
+class _Oracle:
+    """The tracker as it was before the sweep: every point continued on its
+    own by the scalar corrector, the cache a dict with a sorted key list."""
+
+    def __init__(self, P, seed):
+        self.P = P
+        self.seed = (complex(seed[0]), complex(seed[1]))
+        self.singularities = singular_locus(P)
+        x0 = self.seed[0].real
+        self._real_cache = {x0: self.seed[1]}
+        self._keys = [x0]
+        self._rank = {x0: 0}
+        self.roots_calls = self.halvings = 0
+
+    def _min_sing_dist(self, z):
+        return min((abs(z - s) for s in self.singularities), default=math.inf)
+
+    def _on_sheet(self, cs, w, wn, step):
+        gap = abs(wn - w)
+        if gap <= abs(step) or _one_root_in_disk(cs, w, wn):
+            return True
+        self.roots_calls += 1
+        cs = np.trim_zeros(cs, trim="b")
+        roots = np.roots(cs[::-1]) if len(cs) > 1 else []
+        near = min((abs(r - wn) for r in roots if abs(r - wn) > 1e-12),
+                   default=math.inf)
+        return gap <= 0.5 * near
+
+    def _advance(self, z0, w0, z1):
+        floor = funcs.CONTINUATION_STEP_FLOOR
+        z, w = z0, w0
+        d = self._min_sing_dist(z)
+        remaining = z1 - z
+        while abs(remaining) > 0:
+            step_len = min(abs(remaining), max(d / 2, floor))
+            step = remaining / abs(remaining) * step_len
+            while True:
+                zn = z + step
+                dn = self._min_sing_dist(zn)
+                if dn < 10 * floor:
+                    raise PathNearSingularity(f"near {zn}")
+                cs = self.P.y_poly_coeffs_complex(zn)
+                wn = _scalar_newton(cs, w)
+                if wn is not None and self._on_sheet(cs, w, wn, step):
+                    break
+                if abs(step) / 2 < floor:
+                    raise BranchJump(f"near {zn}")
+                step /= 2
+                self.halvings += 1
+            z, w, d = zn, wn, dn
+            remaining = z1 - z
+        return w
+
+    def _nearest_key(self, xf):
+        keys, n = self._keys, len(self._keys)
+        lo = bisect_left(keys, xf) - 1
+        hi = lo + 1
+        d = min(abs(keys[i] - xf) for i in (lo, hi) if 0 <= i < n)
+        tied = []
+        while lo >= 0 and abs(keys[lo] - xf) == d:
+            tied.append(keys[lo])
+            lo -= 1
+        while hi < n and abs(keys[hi] - xf) == d:
+            tied.append(keys[hi])
+            hi += 1
+        return min(tied, key=self._rank.__getitem__)
+
+    def eval_real(self, x):
+        xf = float(x)
+        if xf in self._real_cache:
+            return self._real_cache[xf]
+        near = self._nearest_key(xf)
+        w = self._advance(complex(near), self._real_cache[near], complex(xf))
+        if len(self._real_cache) < funcs.CONTINUATION_CACHE_CAP:
+            self._real_cache[xf] = w
+            self._rank[xf] = len(self._rank)
+            insort(self._keys, xf)
+        return w
+
+    def eval_path(self, path):
+        out, (z, w) = [], self.seed
+        for p in path:
+            w = self._advance(z, w, complex(p))
+            z = complex(p)
+            out.append(w)
+        return out
+
+
+def _oracle_eval(t, xs, rat=None):
+    """BranchExpr.eval_array as it was, over the oracle tracker t."""
+    if np.iscomplexobj(xs):
+        rows = xs.reshape(-1, xs.shape[-1]).tolist()
+        ws = [w for row in rows for w in t.eval_path(row)]
+        if rat is not None:
+            zs = [z for row in rows for z in row]
+            ws = [rat(z, w) for z, w in zip(zs, ws)]
+        return np.array(ws, dtype=complex).reshape(xs.shape)
+    if not np.all(np.isfinite(xs)):
+        raise EvaluationAtSingularity("non-finite x")
+    out = np.empty_like(xs, dtype=float)
+    for i in np.argsort(xs):
+        w = t.eval_real(xs[i])
+        if abs(w.imag) > 1e-8:
+            raise EvaluationAtSingularity("left the real line")
+        out[i] = w.real if rat is None else rat(float(xs[i]), w.real)
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except (BranchJump, EvaluationAtSingularity, PathNearSingularity,
+            ZeroDivisionError) as e:
+        return None, type(e)
 
 
 _KEYS = st.one_of(
@@ -105,6 +296,17 @@ def _fibre_polys(draw):
 _GAPS = st.builds(cmath.rect, st.floats(1e-9, 4), st.floats(-4, 4))
 
 
+def _pair(a):
+    a = np.asarray(a, dtype=complex)
+    return a.real, a.imag
+
+
+def _disk(cs, w, wn):
+    """funcs._disk_test at one point."""
+    with np.errstate(all="ignore"):
+        return bool(_disk_test(_pair(cs[:, None]), _pair([w]), _pair([wn]))[0])
+
+
 @given(_fibre_polys(), _COMPLEX, _COMPLEX, _GAPS)
 @example(BivarPoly({(0, 2): 1, (1, 1): 1, (0, 1): -4, (1, 0): 1}),
          0.5, 1.0, 0.1)
@@ -114,11 +316,12 @@ def test_disk_test_accepts_only_steps_the_roots_guard_accepts(P, zn, w0, dw):
     # finds exactly one root within r = 2 |wn - w| of wn, and the np.roots
     # guard it stands in for accepts the same step.
     t = BranchTracker(P, (0.0, 0.0))
-    cs = P.y_poly_coeffs_complex(zn)
-    wn = t._newton(cs, w0)
-    assume(wn is not None)
+    cs, wn, conv, _ = t._correct(np.array([w0]), np.array([complex(zn)]),
+                                 np.array([0.0]))
+    assume(conv[0])
+    cs, wn = cs[:, 0], complex(wn[0])
     w = wn + dw
-    if not _one_root_in_disk(cs, w, wn):
+    if not _disk(cs, w, wn):
         return
     roots = np.roots(np.trim_zeros(cs, trim="b")[::-1])
     r = 2 * abs(wn - w)
@@ -153,7 +356,7 @@ def test_disk_test_against_exact_roots(lines, zn, wn, pick, ulps, up):
     w = wn + gap if up else wn - gap
     for _ in range(abs(ulps)):
         w = math.nextafter(w, math.copysign(math.inf, ulps))
-    if not _one_root_in_disk(cs, complex(w), complex(wn)):
+    if not _disk(cs, complex(w), complex(wn)):
         return
     r = F(2 * abs(wn - w))
     assert sum(abs(y - F(wn)) < r for y in roots) == 1
@@ -168,6 +371,9 @@ def test_cubic_branch_grid_is_byte_identical_and_exact():
     assert float(np.max(np.abs(vals - np.sqrt(xs ** 3 + 1)))) <= 1e-9
     # np.roots at fewer than 1% of the 4,095 or more continuation steps
     assert f.tracker.roots_calls < 0.01 * 4095
+    # no step halved, and at most 1% of the points taken one at a time
+    assert f.tracker.halvings == 0
+    assert f.tracker.single_steps <= 0.01 * 4095
 
 
 def test_cubic_branch_values_match_closed_form():
@@ -217,3 +423,145 @@ def test_cubic_branch_c2_charts_are_certified_and_pinned():
     assert all(ch.meta["certificate"].ok for ch in par.charts)
     text = dumps(parametrization_to_json(par, "ck"))
     assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_C2_SHA256
+
+
+# -- the batch against the oracle ----------------------------------------------
+
+_C4 = st.builds(complex, _SMALL, _SMALL)
+
+
+@given(st.lists(_C4, min_size=2, max_size=5),
+       st.lists(st.tuples(_C4, _C4), min_size=1, max_size=6))
+def test_array_kernels_round_like_the_scalar_oracle(coeffs, pairs):
+    # one fibre polynomial, several (w, wn) pairs, off the real axis too:
+    # Horner, the quotient, Newton (elements stop at different iterations)
+    # and the disk test give the oracle's bits element by element
+    cs = np.array(coeffs, dtype=complex)
+    w, wn = (np.array(v, dtype=complex) for v in zip(*pairs))
+    C = _pair(np.repeat(cs[:, None], len(w), axis=1))
+    with np.errstate(all="ignore"):
+        horner = _pack(*_polyval([(c[0], c[1]) for c in zip(*C)][::-1],
+                                 _pair(w)))
+        quot = _pack(*_npdiv(_pair(w), _pair(wn)))
+        newton, conv = _newton(C, _pair(w))
+        disk = _disk_test(C, _pair(w), _pair(wn))
+    for i, (a, b) in enumerate(pairs):
+        assert repr(complex(horner[i])) == repr(_horner(cs[::-1].tolist(), a))
+        if b:
+            assert repr(complex(quot[i])) == repr(_cdiv(a, b))
+        want = _scalar_newton(cs, a)
+        assert conv[i] == (want is not None)
+        if want is not None:
+            assert repr(complex(newton[0][i], newton[1][i])) == repr(want)
+        assert disk[i] == _one_root_in_disk(cs, a, b)
+
+
+@st.composite
+def _branches(draw):
+    """(P, seed): a smooth y^2 = x^3 + a x + b through (1, sqrt(1 + a + b)),
+    or a cubic fibre y^3 + (a1 x + a0) y + b2 x^2 + b1 x + b0 through
+    (0, y0); the second has singular points near its seed more often."""
+    if draw(st.booleans()):
+        a, b = F(draw(st.integers(-8, 8)), 4), F(draw(st.integers(-8, 16)), 4)
+        assume(4 * a ** 3 + 27 * b ** 2 != 0 and 1 + a + b > 0)
+        P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -a, (0, 0): -b})
+        return P, (1.0, math.sqrt(float(1 + a + b)))
+    a1, a0, b2, b1 = (draw(st.integers(-3, 3)) for _ in range(4))
+    y0 = draw(st.sampled_from([-2, -1, 1, 2]))
+    P = BivarPoly({(0, 3): 1, (1, 1): a1, (0, 1): a0, (2, 0): b2,
+                   (1, 0): b1, (0, 0): -(y0 ** 3 + a0 * y0)})
+    return P, (0.0, float(y0))
+
+
+# offsets from the seed, unsorted and with repeats; the earlier grid's keys
+# i/8 put many later points (odd multiples of 1/16) midway between two
+# keys, and points up to 3 away take steps that Newton or the sheet guard
+# rejects, so that the step is halved
+_GRID = st.lists(st.one_of(st.integers(-24, 24).map(lambda i: i / 32),
+                           st.floats(-3, 3)), min_size=1, max_size=30)
+_EARLIER = st.lists(st.integers(-6, 6).map(lambda i: i / 8), max_size=8)
+
+
+def _check_real(br, grids, deriv):
+    # values, error types, the cache (keys, values, order and ranks) and the
+    # fallback counters agree with the oracle after every grid
+    P, seed = br
+    f, t = BranchExpr(P, seed), _Oracle(P, seed)
+    g = f.deriv() if deriv else f
+    for xs in grids:
+        xs = np.array(xs, dtype=float)
+        got, gerr = _outcome(lambda: g.eval_array(xs))
+        want, werr = _outcome(lambda: _oracle_eval(t, xs, g.rat))
+        assert gerr == werr
+        if werr is None:
+            assert got.tobytes() == want.tobytes()
+        tr = f.tracker
+        assert list(tr._real_cache.items()) == list(t._real_cache.items())
+        assert tr._keys.tolist() == t._keys
+        assert tr._ranks.tolist() == [t._rank[k] for k in t._keys]
+        assert (tr.roots_calls, tr.halvings) == (t.roots_calls, t.halvings)
+
+
+@settings(max_examples=60)
+@given(_branches(), _EARLIER, _GRID, st.booleans())
+@example((_CUBIC, (1.0, math.sqrt(2.0))), [0.0, 0.25], [0.125, 0.125, -3.0],
+         False)
+@example((_CUBIC, (1.0, math.sqrt(2.0))), [0.5], [0.25, math.nan], True)
+@example((BivarPoly({(0, 3): 1, (2, 0): -2, (1, 0): 1, (0, 0): 8}), (0.0, -2.0)),
+         [], [1.906598871905301, -2.961054435148281, 1.8024971597178312,
+              2.8124297204158593], False)     # 54 halvings
+# the walk stops at the first failure: no np.roots test after it counts
+@example((BivarPoly({(0, 3): 1, (1, 1): -2, (0, 1): -1, (2, 0): -2,
+                     (1, 0): -1}), (0.0, 1.0)), [], [-5 / 32, -0.3125], False)
+# a pole of rat at a cached point comes before a later failed continuation
+@example((BivarPoly({(0, 3): 1, (0, 1): -3, (0, 0): -2}), (0.0, -1.0)),
+         [0.0, 1 / 8], [0.0], True)
+def test_real_grids_match_the_point_by_point_tracker(br, earlier, grid, deriv):
+    _check_real(br, [br[1][0] + np.array(g) for g in (earlier, grid)], deriv)
+
+
+def test_rounding_ties_continue_from_the_key_cached_first():
+    # y^2 = x^3 + 2 from x = -1: 1.5 - 2^-61 and 1.5 - 2^-60 both round to
+    # 1.5, so at 1.5 the keys 2^-61 and 2^-60 tie (the first cached wins),
+    # among the earlier grid's keys and among the keys of the same grid,
+    # where 1.5 then continues from 2^-61 rather than from its predecessor
+    P = BivarPoly({(0, 2): 1, (3, 0): -1, (0, 0): -2})
+    tiny = [2.0 ** -61, 2.0 ** -60]
+    _check_real((P, (-1.0, 1.0)), [tiny, [1.5, 0.0, 0.75]], False)
+    _check_real((P, (-1.0, 1.0)), [tiny + [1.5, -0.5]], True)
+    _check_real((P, (-1.0, 1.0)), [[0.0], [2.0 ** -60, 1.5, 2.0 ** -61]], False)
+
+
+@settings(max_examples=25)
+@given(_branches(), _EARLIER, _GRID, st.integers(1, 40))
+@example((BivarPoly({(0, 3): 1, (1, 1): 2, (1, 0): 2, (0, 0): -1}), (0.0, 1.0)),
+         [0.25, 0.25], [0.0], 1)
+def test_the_cache_cap_holds_across_a_grid(br, earlier, grid, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcs, "CONTINUATION_CACHE_CAP", cap)
+        _check_real(br, [br[1][0] + np.array(g) for g in (earlier, grid)],
+                    False)
+
+
+@settings(max_examples=40)
+@given(_branches(), st.floats(-0.5, 0.5), st.floats(0.01, 0.6),
+       st.integers(1, 3), st.integers(2, 24), st.booleans())
+def test_circle_rows_match_the_point_by_point_tracker(br, shift, radius, rows,
+                                                      angles, deriv):
+    # rows as circle_sup lays them out: row j the circle of radius r_j about
+    # c, starting at its real point c + r_j; equal bit for bit, which is
+    # within any relative tolerance
+    P, seed = br
+    f, t = BranchExpr(P, seed), _Oracle(P, seed)
+    g = f.deriv() if deriv else f
+    unit = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
+    radii = radius * np.arange(1, rows + 1) / rows
+    zs = seed[0] + shift + radii[:, None] * unit
+    zs[:, 0] = seed[0] + shift + radii
+    got, gerr = _outcome(lambda: g.eval_array(zs))
+    want, werr = _outcome(lambda: _oracle_eval(t, zs, g.rat))
+    assert gerr == werr
+    if werr is None:
+        assert got.tobytes() == want.tobytes()
+    tr = f.tracker
+    assert (tr.roots_calls, tr.halvings) == (t.roots_calls, t.halvings)

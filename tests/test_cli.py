@@ -215,6 +215,8 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["parametrize-ck", "--eps", "2"], "eps must be in (0, 1)"),
     (["parametrize-ck", "--eps", "1"], "eps must be in (0, 1)"),
     (["parametrize-analytic", "--eps", "2"], "eps must be in (0, 1)"),
+    (["remez", "--eps", "2", "--samples", "50"], "eps must be in (0, 1)"),
+    (["remez", "--eps", "1", "--samples", "50"], "eps must be in (0, 1)"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):
