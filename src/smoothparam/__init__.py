@@ -2,24 +2,22 @@
 entropy pipelines for algebraic curves and smooth maps."""
 
 from .analytic_param import (AnalyticParametrization, analytic_delta_parametrize,
-                             dyadic_partition, hyperbola_analytic_charts,
-                             refine_to_unit_charts)
+                             dyadic_partition, hyperbola_analytic_charts)
 from .approx import (Approximation, ApproxPatch, analytic_approximate,
                      ck_approximate, compare_log_cubic_vs_power,
-                     taylor_polynomial, verify_and_score)
+                     taylor_polynomial)
 from .bivar import BivarPoly, BivarRational, resultant_y
 from .bp import (bp_combinatorics, bp_for_degree, brute_force_points,
                  enumerate_points, hypersurface_cover, on_hypersurface,
                  vandermonde_bound_check)
 from .charts import (CertificateReport, Chart, SlabChart, measure_chart_bounds,
-                     verify_a_chart, verify_ck_chart, verify_mild_chart,
-                     verify_slab_chart)
+                     verify_ck_chart, verify_slab_chart)
 from .ck_param import (CkParametrization, ck_parametrize_function,
                        ck_parametrize_slab, hyperbola_parametrization,
                        kill_derivative_step, monotone_subdivision)
 from .config import DEFAULT, Config
-from .entropy import (DynSystem, EntropyReport, covering_number, dn_distance,
-                      entropy_sweep, system_zoo)
+from .entropy import (DynSystem, EntropyReport, covering_number, entropy_sweep,
+                      system_zoo)
 from .funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr, ConstExpr,
                     FunctionExpr, MulExpr, PowExpr, RationalExpr, SqrtExpr,
                     hyperbola_branch, singular_locus)

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import CK_TOLERANCE_FLOAT, Chart, circle_sup
+from .charts import Chart, circle_sup
 from .config import DEFAULT, Config
-from .errors import (DeltaTooLarge, PreconditionFailed, RefinementDiverged,
-                     SingularityInsideDisk)
+from .errors import DeltaTooLarge, PreconditionFailed, SingularityInsideDisk
 from .funcs import (BranchExpr, FunctionExpr, RationalExpr, _wrap,
                     normalize_values)
 from .poly import Poly, _fr, complex_roots
@@ -179,13 +178,12 @@ def _a_chart_for_interval(f, a, b, cfg, declared_sings):
     return ch
 
 
-def verify_a_chart_variation(ch: Chart, radius: float = 2.0,
-                             cfg: Config = DEFAULT):
-    """max |f(psi(z)) - f(psi(0))| on concentric circles of the given radius
-    in chart coordinates."""
+def verify_a_chart_variation(ch: Chart, cfg: Config = DEFAULT):
+    """max |f(psi(z)) - f(psi(0))| on concentric circles of radius 2 in chart
+    coordinates: the disk of two half-lengths that `_a_chart_for_interval`
+    measures K on."""
     f0 = ch.f_comp.eval_complex(0j)
-    return circle_sup(lambda zs: ch.f_comp.eval_array(zs) - f0, 0j, radius,
-                      cfg)
+    return circle_sup(lambda zs: ch.f_comp.eval_array(zs) - f0, 0j, 2.0, cfg)
 
 
 def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
@@ -207,53 +205,6 @@ def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
                                    delta=_fr(delta), domain=(lo, hi),
                                    normalization=norm,
                                    meta={"partition": part})
-
-
-def refine_to_unit_charts(param: AnalyticParametrization,
-                          cfg: Config = DEFAULT) -> AnalyticParametrization:
-    """Split every chart with disk bound K > 1 into ceil(3K) equal pieces and
-    re-measure; a Cauchy estimate on the concentric disk makes the variation
-    over each piece at most 1, so two rounds should always suffice."""
-    def measured_var(ch):
-        if "Kvar_measured" not in ch.meta:
-            ch.meta["Kvar_measured"] = verify_a_chart_variation(ch, 2.0, cfg)
-        return ch.meta["Kvar_measured"]
-
-    charts = list(param.charts)
-    for _round in range(2):
-        nxt, dirty = [], False
-        for ch in charts:
-            v = measured_var(ch)
-            if v <= 1.0 + CK_TOLERANCE_FLOAT:
-                nxt.append(ch)
-                continue
-            dirty = True
-            n = max(2, math.ceil(3 * v))
-            # recompose on equal subintervals of the chart's own [-1, 1]
-            for j in range(n):
-                u = Fraction(-1) + Fraction(2 * j, n)
-                w = Fraction(-1) + Fraction(2 * (j + 1), n)
-                sub = Poly.affine((w - u) / 2, (u + w) / 2)
-                cpsi = ch.psi.compose(sub)
-                fc = ch.f_comp.precompose_poly(sub)
-                xa, xb = cpsi(Fraction(-1)), cpsi(Fraction(1))
-                K2 = circle_sup(fc.eval_array, 0j, 2.0, cfg)
-                nxt.append(Chart(psi=cpsi, f_comp=fc, k=0, image=(xa, xb),
-                                 meta={"kind": "a-chart", "K": K2,
-                                       "disk_center": complex(float((xa + xb) / 2)),
-                                       "disk_radius": float(abs(float(xb - xa)))}))
-        charts = nxt
-        if not dirty:
-            break
-    for ch in charts:
-        if measured_var(ch) > 1.0 + CK_TOLERANCE_FLOAT:
-            raise RefinementDiverged(
-                f"chart on {ch.image} still has variation "
-                f"{ch.meta['Kvar_measured']:.3g} after two refinement rounds")
-    return AnalyticParametrization(charts=charts, removed=param.removed,
-                                   delta=param.delta, domain=param.domain,
-                                   normalization=param.normalization,
-                                   meta=dict(param.meta, refined=True))
 
 
 def hyperbola_analytic_charts(eps, delta, cfg: Config = DEFAULT):

@@ -19,7 +19,8 @@ from .analytic_param import analytic_delta_parametrize
 from .charts import sampled_sup
 from .ck_param import ck_parametrize_function
 from .config import DEFAULT, Config
-from .errors import DegreeOverflow, PreconditionFailed
+from .errors import (DegreeOverflow, EvaluationAtSingularity,
+                     PreconditionFailed, SmoothParamError)
 from .funcs import FunctionExpr, _wrap
 from .poly import Poly, _fr
 
@@ -77,18 +78,13 @@ def taylor_polynomial(g: FunctionExpr, d: int, center) -> Poly:
         v = gi.eval(c)
         coeffs.append(_fr(v) / fact if isinstance(v, (int, Fraction))
                       else Fraction(v) / fact)
-    # shift: p(t) = sum coeffs[i] (t - c)^i
-    shifted = Poly([])
-    base = Poly.affine(1, -_fr(c) if isinstance(c, (int, Fraction)) else -Fraction(c))
-    for i in reversed(range(len(coeffs))):
-        shifted = shifted * base + Poly.const(coeffs[i])
-    return shifted
+    # p(t) = sum coeffs[i] (t - c)^i
+    return Poly(coeffs).compose(Poly.affine(1, -Fraction(c)))
 
 
 def _rational_taylor(num: Poly, den: Poly, d: int, c: Fraction) -> Poly:
     """Exact degree-d Taylor polynomial of num/den at c via power-series
     division (no derivative chain, no gcds)."""
-    from .errors import EvaluationAtSingularity
     shift = Poly.affine(1, c)            # t -> t + c
     ns = num.compose(shift).coeffs
     ds = den.compose(shift).coeffs
@@ -228,7 +224,7 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
         xs = np.linspace(float(a), float(b), 64)
         try:
             h = float(np.max(np.abs(f.eval_array(xs))))
-        except Exception:
+        except (SmoothParamError, ArithmeticError, ValueError):
             h = 1.0
         if not math.isfinite(h):
             h = 1.0
@@ -250,33 +246,6 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
                          meta={"d0": d0, "delta": eps,
                                "charts": param.chart_count,
                                "removed": len(param.removed), "slab": slab})
-
-
-def verify_and_score(approx: Approximation, sources: dict = None,
-                     cfg: Config = DEFAULT):
-    """Re-sample every patch at 4x build resolution against its source chart
-    composition; returns {max_error, complexity, per_patch, ok}."""
-    per = []
-    worst = 0.0
-    ok = True
-    for p in approx.patches:
-        if p.source == "removed-box" or len(p.coeffs) < 2:
-            per.append((p.source, p.sup_error))
-            worst = max(worst, p.sup_error)
-            continue
-        src = sources.get(p.source) if sources else None
-        if src is None:
-            per.append((p.source, p.sup_error))
-            worst = max(worst, p.sup_error)
-            continue
-        err = patch_error(src, p.coeffs[1], approx.route, p.center[0],
-                          p.side, 4 * cfg.patch_samples)
-        per.append((p.source, err))
-        worst = max(worst, err)
-        if err > approx.epsilon * (1 + 1e-9):
-            ok = False
-    return {"max_error": worst, "complexity": approx.complexity,
-            "per_patch": per, "ok": ok and worst <= approx.epsilon * (1 + 1e-9)}
 
 
 # -- model comparison helpers --------------------------------------------------

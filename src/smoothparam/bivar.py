@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInY
-from .poly import Poly, _fr, bareiss, lagrange_interpolate
+from .poly import Poly, _fr, bareiss
 
 
 def _mul(a, b):
@@ -208,34 +208,6 @@ def resultant_y(P: BivarPoly, Q: BivarPoly) -> Poly:
         rows += [[zero] * k + cs + [zero] * (shifts - 1 - k)
                  for k in range(shifts)]
     return bareiss(rows)[1] or zero
-
-
-def _scalar_resultant(p: Poly, q: Poly) -> Fraction:
-    """Res(p, q) by the Euclidean remainder recursion
-    Res(p, q) = (-1)^(mn) lc(q)^(m - deg r) Res(q, r), r = p mod q."""
-    m, n = p.degree, q.degree
-    if n == 0:
-        return q.leading() ** m
-    r = p % q
-    if r.is_zero():
-        return Fraction(0)
-    sign = -1 if m * n % 2 else 1
-    return sign * q.leading() ** (m - r.degree) * _scalar_resultant(q, r)
-
-
-def resultant_y_interpolated(P: BivarPoly, Q: BivarPoly) -> Poly:
-    """Independent resultant oracle: evaluate Res_y at many rational x by the
-    Euclidean remainder recursion, then Lagrange-interpolate.  It shares no
-    elimination code with resultant_y."""
-    bound = P.degx * Q.degy + Q.degx * P.degy + 1
-    pts = []
-    x = Fraction(0)
-    while len(pts) < bound:
-        py, qy = P.y_poly_at(x), Q.y_poly_at(x)
-        if py.degree == P.degy and qy.degree == Q.degy:
-            pts.append((x, _scalar_resultant(py, qy)))
-        x += 1
-    return lagrange_interpolate(pts)
 
 
 class BivarRational:

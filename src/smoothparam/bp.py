@@ -25,6 +25,7 @@ from .poly import Poly, _fr, _horner_int, _int_scaled, bareiss
 MK_SAFETY = 1.10                     # inflate sampled C^k norms by 10%
 MK_SAMPLES = 512                     # sample points for a C^k norm
 ENUMERATE_CAP = 10**6                # candidate x numerators per count
+HYPERSURFACE_DEGREE_CAP = 16         # largest cover degree; cost grows fast in d
 
 
 def binom(a: int, b: int) -> int:
@@ -303,10 +304,7 @@ def brute_force_points(f: FunctionExpr, interval, t: int):
     out = []
     for a in range(math.ceil(lo * t), math.floor(hi * t) + 1):
         x = Fraction(a, t)
-        try:
-            kind, y = _eval_exact(f, x)
-        except InexactCurve:
-            raise
+        kind, y = _eval_exact(f, x)
         if kind != "rational":
             continue
         num = y * t
@@ -359,8 +357,9 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int):
     integral points lie on a single degree-d curve; verify per ball by the
     exact rank test."""
     _check_t(t)
-    if d < 1:
-        raise PreconditionFailed(f"d must be >= 1, got {d}")
+    if not 1 <= d <= HYPERSURFACE_DEGREE_CAP:
+        raise PreconditionFailed(
+            f"d must be between 1 and {HYPERSURFACE_DEGREE_CAP}, got {d}")
     f = _wrap(f)
     lo, hi = float(interval[0]), float(interval[1])
     comb = bp_for_degree(1, 2, d)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import EvaluationAtSingularity
-from .funcs import FunctionExpr, RationalExpr, _wrap
+from .funcs import FunctionExpr, RationalExpr
 from .poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
 
 CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
@@ -118,16 +118,16 @@ def circle_sup(values, center: complex, radius: float,
     return float(mags.max())
 
 
-def _report(values: dict, mode: str, tol: float, limit: float = 1.0,
-            per: dict = None, detail: str = "") -> CertificateReport:
+def _report(values: dict, mode: str, tol: float,
+            detail: str) -> CertificateReport:
     """Certificate over measured values keyed by order: ok iff every value is
-    finite and the largest is at most limit * (1 + tol).  A non-finite value
-    fails the report, and `detail` names its order."""
+    finite and the largest is at most 1 + tol.  A non-finite value fails the
+    report, and `detail` names its order."""
     bad = [key for key, v in values.items() if not math.isfinite(v)]
     worst = values[bad[0]] if bad else max([0.0, *values.values()])
     return CertificateReport(
-        ok=not bad and worst <= limit * (1.0 + tol), max_bound=worst,
-        per_order=values if per is None else per, mode=mode, tolerance=tol,
+        ok=not bad and worst <= 1.0 + tol, max_bound=worst,
+        per_order=values, mode=mode, tolerance=tol,
         detail=f"non-finite value at order {bad[0]}" if bad else detail)
 
 
@@ -206,34 +206,3 @@ def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateRepo
     tol = CK_TOLERANCE_FLOAT
     return _report(per, "float", tol,
                    detail=f"float at {len(xs)} points, tolerance {tol}")
-
-
-def verify_mild_chart(chart: Chart, A: float, C: float, order: int,
-                      cfg: Config = DEFAULT) -> CertificateReport:
-    """Mildness: |psi^(i)| <= i! (A i^C)^i for i = 1..order (and the carried
-    function likewise)."""
-    xs = np.linspace(0.0, 1.0, cfg.grid_points)
-    per, ratios = {}, {}
-    chain = chart.f_comp.derivative_chain(order)
-    for i, d in enumerate(chart.psi.derivs(order)[1:], start=1):
-        allowed = math.factorial(i) * (A * i**C) ** i
-        for tag, fn in (("psi", d), ("f", chain[i])):
-            per[(tag, i)] = sampled_sup(fn, xs)
-            ratios[(tag, i)] = per[(tag, i)] / allowed
-    return _report(ratios, "float", CK_TOLERANCE_FLOAT, per=per,
-                   detail=f"A={A}, C={C}")
-
-
-def verify_a_chart(fn: FunctionExpr, center: complex, radius: float, K: float,
-                   cfg: Config = DEFAULT) -> CertificateReport:
-    """Certify |f| <= K on the disk of the given radius about `center` by
-    sampling concentric circles (max modulus makes the boundary decisive, the
-    inner circles guard against evaluation blowups)."""
-    fn = _wrap(fn)
-    try:
-        worst = circle_sup(fn.eval_array, center, radius, cfg)
-    except EvaluationAtSingularity:
-        worst = math.nan
-    return _report({"disk": worst}, "complex", CK_TOLERANCE_FLOAT,
-                   limit=K, per={}, detail=f"K={K}, radius={radius}")
-

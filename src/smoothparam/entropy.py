@@ -107,19 +107,6 @@ def _dist(metric: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def dn_distance(sys: DynSystem, n: int, x, y) -> float:
-    """max_{0<=i<=n} d(f^i x, f^i y)."""
-    if n > sys.iteration_cap:
-        raise PreconditionFailed(f"n={n} exceeds iteration cap")
-    p = np.atleast_2d(np.asarray(x, dtype=float))
-    q = np.atleast_2d(np.asarray(y, dtype=float))
-    best = float(_dist(sys.metric, p, q)[0])
-    for _ in range(n):
-        p, q = sys.step(p), sys.step(q)
-        best = max(best, float(_dist(sys.metric, p, q)[0]))
-    return best
-
-
 # -- covering numbers ----------------------------------------------------------
 
 def _first_true(mask: np.ndarray) -> int:

@@ -53,10 +53,6 @@ class SingularityInsideDisk(SmoothParamError):
     pass
 
 
-class RefinementDiverged(SmoothParamError):
-    pass
-
-
 class DegreeOverflow(SmoothParamError):
     pass
 

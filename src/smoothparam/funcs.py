@@ -17,7 +17,8 @@ from .bivar import (BivarPoly, BivarRational, _mul, _pack, _pydiv,
                     resultant_y)
 from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
-                     OrderOverflow, PathNearSingularity, ZeroCountMismatch)
+                     OrderOverflow, PathNearSingularity, SmoothParamError,
+                     ZeroCountMismatch)
 from .poly import _U, Poly, _fr, complex_roots, isolate_roots
 
 EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
@@ -329,8 +330,8 @@ def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
     xs = np.linspace(float(lo), float(hi), cfg.grid_points)
     try:
         vals = f.eval_array(xs)
-    except Exception:   # a pole, a lost branch or a blackbox failure alike
-        return f, {}
+    except (SmoothParamError, ArithmeticError, ValueError):
+        return f, {}    # a pole, a lost branch or a failed math call alike
     if not np.all(np.isfinite(vals)):
         return f, {}
     vmin, vmax = float(np.min(vals)), float(np.max(vals))

@@ -441,20 +441,6 @@ def complex_roots(p: Poly):
     return out
 
 
-def lagrange_interpolate(points) -> Poly:
-    """Exact Lagrange interpolation through rational (x, y) pairs."""
-    result = Poly([])
-    pts = [(_fr(x), _fr(y)) for x, y in points]
-    for i, (xi, yi) in enumerate(pts):
-        term = Poly.const(yi)
-        for j, (xj, _) in enumerate(pts):
-            if i == j:
-                continue
-            term = term * Poly.affine(Fraction(1, 1) / (xi - xj), -xj / (xi - xj))
-        result = result + term
-    return result
-
-
 # -- exact linear algebra -----------------------------------------------------
 
 def bareiss(rows):

@@ -1,6 +1,6 @@
 """Analytic delta-parametrization: dyadic partitions (distance invariant and
-logarithmic budget), affine a-charts against closed-form disk maxima, unit
-refinement, and the chart-count law."""
+logarithmic budget), affine a-charts against closed-form disk maxima, and the
+chart-count law."""
 
 import dataclasses
 import math
@@ -11,14 +11,11 @@ import numpy as np
 import pytest
 
 from smoothparam.analytic_param import (_a_chart_for_interval,
-                                        AnalyticParametrization,
                                         analytic_delta_parametrize,
                                         dyadic_partition,
                                         hyperbola_analytic_charts,
-                                        refine_to_unit_charts,
                                         verify_a_chart_variation)
 from smoothparam.bivar import BivarPoly
-from smoothparam.charts import verify_a_chart, verify_mild_chart
 from smoothparam.config import DEFAULT
 from smoothparam.errors import SingularityInsideDisk
 from smoothparam.funcs import BranchExpr, RationalExpr, SqrtExpr
@@ -84,9 +81,7 @@ def test_affine_function_unit_charts_without_refinement():
     P = analytic_delta_parametrize(f, F(1, 16), (F(-1), F(1)),
                                    declared_singularities=[], normalize=False)
     assert P.chart_count == 2
-    R = refine_to_unit_charts(P)
-    assert R.chart_count == P.chart_count    # already unit, nothing splits
-    for ch in R.charts:
+    for ch in P.charts:                      # already unit: nothing to split
         assert verify_a_chart_variation(ch) <= 1 + 1e-9
 
 
@@ -122,44 +117,10 @@ def test_bare_branch_kvar_adds_the_value_at_the_disk_center():
     assert ch.meta["Kvar"] == ch.meta["K"] + abs(f.eval_complex(center))
 
 
-def test_verify_a_chart_constant_and_square():
-    const = RationalExpr(Poly([F(1, 2)]))
-    assert verify_a_chart(const, 0j, 5.0, K=0.5).ok
-    sq = RationalExpr(Poly([0, 0, 1]))
-    assert verify_a_chart(sq, 0j, 3.0, K=9.0).ok
-    assert not verify_a_chart(sq, 0j, 3.0, K=8.9).ok
-
-
 def test_singularity_inside_protected_disk_raises():
     g = RationalExpr(Poly([1]), Poly([0, 1]))
     with pytest.raises(SingularityInsideDisk):
         _a_chart_for_interval(g, F(-1), F(1), CHEAP, [0j])
-
-
-def test_refine_to_unit_charts_splits_square():
-    f = RationalExpr(Poly([0, 0, 1]))        # x^2 on [-1, 1]: variation 4
-    ch = _a_chart_for_interval(f, F(-1), F(1), DEFAULT, [])
-    P = AnalyticParametrization(charts=[ch], removed=[], delta=F(1, 16),
-                                domain=(F(-1), F(1)))
-    assert verify_a_chart_variation(ch) > 1
-    R = refine_to_unit_charts(P)
-    assert R.chart_count >= math.ceil(3 * 4) - 2   # one split round of ~3K
-    assert R.meta.get("refined")
-    for sub in R.charts:
-        assert verify_a_chart_variation(sub) <= 1 + 1e-9
-    # the subcharts tile the original interval
-    imgs = sorted((F(a), F(b)) for a, b in (c.image for c in R.charts))
-    assert imgs[0][0] == F(-1) and imgs[-1][1] == F(1)
-    for (a1, b1), (a2, b2) in zip(imgs, imgs[1:]):
-        assert b1 == a2
-
-
-def test_mildness_of_a_chart():
-    f = RationalExpr(Poly([0, 0, 1]))
-    ch = _a_chart_for_interval(f, F(-1), F(1), DEFAULT, [])
-    K = ch.meta["K"]
-    assert verify_mild_chart(ch, A=K, C=0.0, order=3).ok
-    assert not verify_mild_chart(ch, A=0.1, C=0.0, order=3).ok
 
 
 def test_hyperbola_chart_count_law():

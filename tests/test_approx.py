@@ -11,17 +11,22 @@ import pytest
 
 from smoothparam.approx import (analytic_approximate, ck_approximate,
                                 aic_of_fit, compare_log_cubic_vs_power,
-                                taylor_patch, taylor_polynomial,
-                                verify_and_score)
-from smoothparam.analytic_param import (analytic_delta_parametrize,
-                                        hyperbola_analytic_charts)
+                                taylor_patch, taylor_polynomial)
+from smoothparam.analytic_param import hyperbola_analytic_charts
 from smoothparam import serialize
-from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.config import DEFAULT
-from smoothparam.funcs import RationalExpr
+from smoothparam.funcs import (BlackboxExpr, RationalExpr, SqrtExpr,
+                               normalize_values)
 from smoothparam.poly import Poly
 
 CHEAP = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
+PASS = {"ok": True, "kind": "approximation", "failures": []}
+
+
+def _verify(A, source):
+    """verify_bundle's verdict on A's artifact, read back from its text."""
+    return serialize.verify_bundle(serialize.loads(serialize.dumps(
+        serialize.approximation_to_json(A, source=source))))
 
 
 def test_taylor_polynomial_exact_for_polynomials():
@@ -35,6 +40,25 @@ def test_taylor_polynomial_geometric_series():
     g = RationalExpr(Poly([1]), Poly([1, -1]))
     p = taylor_polynomial(g, 6, F(0))
     assert p == Poly([1] * 7)
+
+
+@pytest.mark.parametrize("center", [F(1, 4), 0.3])
+def test_taylor_polynomial_of_sqrt_is_the_shifted_binomial_series(center):
+    # sqrt(x) about c: a_i = binom(1/2, i) c^(1/2 - i), expanded in powers of
+    # x exactly; p(c + h) is then the series sum a_i h^i
+    g = SqrtExpr(RationalExpr(Poly([0, 1])))
+    c = float(center)
+    a, b = [], 1.0
+    for i in range(7):
+        a.append(b * c ** (0.5 - i))
+        b *= (0.5 - i) / (i + 1)
+    for d in range(7):
+        p = taylor_polynomial(g, d, center)
+        assert all(type(q) is F for q in p.coeffs)
+        for h in (-0.1, 0.05, 0.2):
+            want = sum(a[i] * h ** i for i in range(d + 1))
+            got = float(p(F(c) + F(h)))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_analytic_tail_bound_is_K_times_two_to_minus_d():
@@ -70,8 +94,34 @@ def test_removed_boxes_respect_epsilon():
         assert b.sup_error <= eps * (1 + 1e-12)
         assert b.side <= eps * (1 + 1e-12)
         assert b.degree ** b.dim == 1    # each box costs one unit
-    rep = verify_and_score(A)
-    assert rep["ok"] and rep["max_error"] <= eps * (1 + 1e-9)
+    assert _verify(A, f) == PASS
+
+
+@pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
+def test_value_sampling_falls_back_on_math_errors_only(exc):
+    # x, except that a real x in (-1/8, 1/8), inside the strip removed
+    # around 0, raises exc; a math error falls back (no normalization, unit
+    # box height), a programming error propagates
+    def fn(x):
+        if isinstance(x, float) and abs(x) < 0.125:
+            raise exc("blackbox failed")
+        return x
+    f = BlackboxExpr(fn, zero_count=0, deriv_fns=[lambda x: 1.0,
+                                                  lambda x: 0.0])
+
+    def approximate():
+        return analytic_approximate(f, (F(-1), F(1)), 0.25,
+                                    declared_singularities=[0j], slab=True,
+                                    cfg=CHEAP)
+    if exc is TypeError:
+        with pytest.raises(TypeError):
+            normalize_values(f, F(-1), F(1))
+        with pytest.raises(TypeError):
+            approximate()
+        return
+    assert normalize_values(f, F(-1), F(1)) == (f, {})
+    boxes = [p for p in approximate().patches if p.source == "removed-box"]
+    assert len(boxes) == 2 * 4          # width 1/2 and height 1 at eps 1/4
 
 
 def test_ck_route_error_and_patch_scaling():
@@ -93,29 +143,20 @@ def test_ck_route_charts_the_normalized_source_and_verifies():
     A = ck_approximate(f, (F(0), F(1)), 1e-3, 0.5)
     assert A.meta["charts"] == 5
     assert all(p.sup_error <= A.epsilon for p in A.patches)
-    doc = serialize.loads(serialize.dumps(
-        serialize.approximation_to_json(A, source=f)))
-    assert serialize.verify_bundle(doc) == \
-        {"ok": True, "kind": "approximation", "failures": []}
+    assert _verify(A, f) == PASS
 
 
-def test_verify_and_score_resamples_each_patch_on_its_own_interval():
+def test_verify_bundle_resamples_each_patch_on_its_own_interval():
     e = F(1, 2 ** 20)
     hyp = RationalExpr(Poly([e * e]), Poly([0, 1]))
     cube = RationalExpr(Poly([0, 0, 0, 1]))
     cases = [
-        (ck_approximate(cube, (F(0), F(1)), 1e-3, 0.5), "chart",
-         ck_parametrize_function(cube, 3, (F(0), F(1)), normalize=False)),
+        (ck_approximate(cube, (F(0), F(1)), 1e-3, 0.5), cube, "chart"),
         (analytic_approximate(hyp, (e, F(1)), 2.0 ** -8,
                               declared_singularities=[0j], cfg=CHEAP),
-         "a-chart",
-         analytic_delta_parametrize(hyp, F(1, 256), (e, F(1)),
-                                    declared_singularities=[0j], cfg=CHEAP,
-                                    normalize=False))]
-    for A, tag, param in cases:
-        sources = {f"{tag}{i}": ch.f_comp for i, ch in enumerate(param.charts)}
-        rep = verify_and_score(A, sources)
-        assert rep["ok"], A.route
+         hyp, "a-chart")]
+    for A, source, tag in cases:
+        assert _verify(A, source)["ok"], A.route
         # lift one patch by 2 eps at the left end of its parameter interval
         # and by at most 2^-29 eps on the right half; an analytic resample
         # over the patch's x-image (inside (0, 1]) would miss it
@@ -124,7 +165,10 @@ def test_verify_and_score_resamples_each_patch_on_its_own_interval():
                   else (p.center[0] - p.side / 2, p.center[0] + p.side / 2))
         w = Poly([F(hi), -1]) * Poly.const(1 / F(hi - lo))
         p.coeffs[1] = p.coeffs[1] + Poly.const(F(2 * A.epsilon)) * w ** 30
-        assert not verify_and_score(A, sources)["ok"], A.route
+        rep = _verify(A, source)
+        i = A.patches.index(p)
+        assert [m.split(":")[0] for m in rep["failures"]] == [f"patch {i}"], \
+            A.route
 
 
 def test_slab_patches_reverify_at_4x_sampling():

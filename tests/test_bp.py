@@ -205,7 +205,7 @@ def test_t_and_d_below_one_are_precondition_failures():
                 call(f, (F(-1), F(1)), t)
         with pytest.raises(PreconditionFailed, match="t must be"):
             hypersurface_cover(f, (F(-1), F(1)), t, 2)
-    for d in (0, -1):
+    for d in (0, -1, 17):
         with pytest.raises(PreconditionFailed, match="d must be"):
             hypersurface_cover(f, (F(-1), F(1)), 10, d)
 

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from smoothparam.analytic_param import analytic_delta_parametrize
-from smoothparam.charts import (Chart, verify_ck_chart, verify_mild_chart,
-                                verify_slab_chart)
+from smoothparam.charts import verify_ck_chart, verify_slab_chart
 from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   hyperbola_parametrization,
                                   kill_derivative_step, monotone_subdivision)
@@ -232,16 +231,6 @@ def test_slab_branch_count_at_most_twice_function_count():
     P2 = ck_parametrize_slab(g1, g2, 2, (e, F(1)))
     P1 = ck_parametrize_function(g2, 2, (e, F(1)), normalize=False)
     assert P2.chart_count <= 2 * P1.chart_count
-
-
-def test_verify_mild_affine_and_a_chart_cases():
-    f = RationalExpr(Poly([0, F(1, 4)]))
-    psi = Poly([0, F(1, 2)])            # t -> t/2 covers [0, 1/2]
-    ch = Chart(psi=psi, f_comp=f.precompose_poly(psi), k=3)
-    rep = verify_mild_chart(ch, A=0.5, C=0.0, order=3)
-    assert rep.ok
-    rep2 = verify_mild_chart(ch, A=1e-3, C=0.0, order=3)
-    assert not rep2.ok
 
 
 def test_blackbox_sign_pattern_determines_combinatorics():

@@ -217,6 +217,7 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["parametrize-analytic", "--eps", "2"], "eps must be in (0, 1)"),
     (["remez", "--eps", "2", "--samples", "50"], "eps must be in (0, 1)"),
     (["remez", "--eps", "1", "--samples", "50"], "eps must be in (0, 1)"),
+    (["count-points", "--t", "10", "--d", "100"], "between 1 and 16"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):

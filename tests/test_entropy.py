@@ -6,7 +6,6 @@ against per-cell covering numbers; the toral line search and the kd-tree
 grid greedy are checked against full-scan oracles."""
 
 import math
-import random
 from unittest import mock
 
 import numpy as np
@@ -20,46 +19,10 @@ from smoothparam.entropy import (DynSystem, EntropyReport, _brackets,
                                  _orbit_tree, _prefix_cover_count,
                                  _separated_count, _toral_eigen,
                                  _toral_line_separated, _wrap,
-                                 covering_number, dn_distance,
-                                 doubling_system, entropy_sweep,
-                                 identity_system, polynomial_system,
-                                 system_zoo, toral_system)
+                                 covering_number, doubling_system,
+                                 entropy_sweep, identity_system,
+                                 polynomial_system, system_zoo, toral_system)
 from smoothparam.errors import GridTooCoarse, PreconditionFailed
-
-
-def _dn_oracle(sys, n, x, y):
-    """Independent scalar orbit loop (no vectorized helpers)."""
-    x = list(np.atleast_1d(np.asarray(x, float)))
-    y = list(np.atleast_1d(np.asarray(y, float)))
-    best = 0.0
-    for i in range(n + 1):
-        if sys.metric == "toroidal":
-            gaps = [min(abs(a - b) % 1.0, 1.0 - abs(a - b) % 1.0)
-                    for a, b in zip(x, y)]
-        else:
-            gaps = [abs(a - b) for a, b in zip(x, y)]
-        d = gaps[0] if len(gaps) == 1 else math.hypot(*gaps)
-        best = max(best, d)
-        if i < n:
-            x = list(sys.step(np.array([x]))[0])
-            y = list(sys.step(np.array([y]))[0])
-    return best
-
-
-def test_dn_distance_matches_oracle():
-    rng = random.Random(61)
-    for sys in (identity_system(), doubling_system(), toral_system(),
-                polynomial_system()):
-        for _ in range(20):
-            if sys.dim == 1:
-                x = [rng.uniform(*map(float, sys.box[0]))]
-                y = [rng.uniform(*map(float, sys.box[0]))]
-            else:
-                x = [rng.uniform(*map(float, b)) for b in sys.box]
-                y = [rng.uniform(*map(float, b)) for b in sys.box]
-            n = rng.randint(0, 6)
-            assert abs(dn_distance(sys, n, x, y)
-                       - _dn_oracle(sys, n, x, y)) < 1e-12
 
 
 def test_grid_too_coarse_and_iteration_cap():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from smoothparam.analytic_param import (hyperbola_analytic_charts,
                                         verify_a_chart_variation)
 from smoothparam.bivar import BivarPoly
-from smoothparam.charts import circle_sup, verify_a_chart
+from smoothparam.charts import circle_sup
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
@@ -222,5 +222,3 @@ def test_pole_through_compose_and_sqrt_fails_closed_naming_the_radius():
     with np.errstate(all="ignore"):
         with pytest.raises(EvaluationAtSingularity, match=r"radius 0\.5 about"):
             circle_sup(f.eval_array, 0j, 1.0)
-        rep = verify_a_chart(f, 0j, 1.0, K=1e300)
-    assert not rep.ok and rep.detail == "non-finite value at order disk"

@@ -1,9 +1,9 @@
 """Source hygiene, checked with the standard-library `ast` module: every
 top-level import of a package module is used, every top-level function and
-class is read by the package or exported, every `Config` field is read
-somewhere in the package and set by some caller, every parameter is read,
-and `eval_array` stays the one numeric evaluator of the expression
-classes."""
+class is read by the package or exported, every error class is raised,
+every `Config` field is read somewhere in the package and set by some
+caller, every parameter is read, and `eval_array` stays the one numeric
+evaluator of the expression classes."""
 
 import ast
 import dataclasses
@@ -47,10 +47,6 @@ def _names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-# test oracles: kept in the package beside the code they check
-ORACLES = {"bivar.py:resultant_y_interpolated"}
-
-
 def test_every_top_level_def_is_read_or_exported():
     modules = _modules()
     exported = {a.asname or a.name for n in modules["__init__.py"].body
@@ -61,7 +57,23 @@ def test_every_top_level_def_is_read_or_exported():
               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
               and d.name not in exported
               and named[d.name] == _names(d)[d.name]]
-    assert sorted(unread) == sorted(ORACLES)
+    assert unread == []
+
+
+def test_every_error_class_is_raised():
+    # an error type that no code constructs or raises is a failure no caller
+    # can meet; the branch tracker builds its errors first and raises later
+    modules = _modules()
+    classes = [c.name for c in modules["errors.py"].body
+               if isinstance(c, ast.ClassDef) and c.name != "SmoothParamError"]
+    made = Counter()
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                made.update(_names(n.exc))
+            elif isinstance(n, ast.Call):
+                made.update(_names(n.func))
+    assert [c for c in classes if not made[c]] == []
 
 
 def test_every_config_field_is_read():

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smoothparam.bivar import (BivarPoly, resultant_y, resultant_y_interpolated)
+from smoothparam.bivar import BivarPoly, resultant_y
 from smoothparam.funcs import (BranchTracker, MulExpr, RationalExpr, SqrtExpr,
                                isolate_real_zeros, singular_locus)
 from smoothparam.poly import (ROOT_WIDTH, Poly, _refine_interval, bareiss,
                               complex_roots, isolate_roots,
-                              lagrange_interpolate, max_abs_on_rational_grid,
-                              squarefree_part)
+                              max_abs_on_rational_grid, squarefree_part)
 
 
 def _random_poly(rng, degree, bound=5):
@@ -196,6 +195,50 @@ def test_complex_roots_match_numpy():
     p = Poly([F(1), F(0), F(1)])   # x^2 + 1
     rs = sorted((z for z, _err in complex_roots(p)), key=lambda z: z.imag)
     assert abs(rs[0] + 1j) < 1e-9 and abs(rs[1] - 1j) < 1e-9
+
+
+# -- the resultant oracle for bivar.resultant_y --------------------------------
+
+def lagrange_interpolate(points) -> Poly:
+    """Exact Lagrange interpolation through rational (x, y) pairs."""
+    result = Poly([])
+    pts = [(F(x), F(y)) for x, y in points]
+    for i, (xi, yi) in enumerate(pts):
+        term = Poly.const(yi)
+        for j, (xj, _) in enumerate(pts):
+            if i == j:
+                continue
+            term = term * Poly.affine(1 / (xi - xj), -xj / (xi - xj))
+        result = result + term
+    return result
+
+
+def scalar_resultant(p, q):
+    """Res(p, q) by the Euclidean remainder recursion
+    Res(p, q) = (-1)^(mn) lc(q)^(m - deg r) Res(q, r), r = p mod q."""
+    m, n = p.degree, q.degree
+    if n == 0:
+        return q.leading() ** m
+    r = p % q
+    if r.is_zero():
+        return F(0)
+    sign = -1 if m * n % 2 else 1
+    return sign * q.leading() ** (m - r.degree) * scalar_resultant(q, r)
+
+
+def resultant_y_interpolated(P, Q):
+    """Res_y(P, Q) evaluated at many rational x by the Euclidean remainder
+    recursion, then Lagrange-interpolated.  It shares no elimination code
+    with resultant_y."""
+    bound = P.degx * Q.degy + Q.degx * P.degy + 1
+    pts = []
+    x = F(0)
+    while len(pts) < bound:
+        py, qy = P.y_poly_at(x), Q.y_poly_at(x)
+        if py.degree == P.degy and qy.degree == Q.degy:
+            pts.append((x, scalar_resultant(py, qy)))
+        x += 1
+    return lagrange_interpolate(pts)
 
 
 def test_lagrange_interpolation_recovers_poly():
