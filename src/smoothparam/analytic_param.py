@@ -82,7 +82,7 @@ def dyadic_partition(interval, singular_points, delta) -> DyadicPartition:
     lo, hi = _fr(interval[0]), _fr(interval[1])
     delta = _fr(delta)
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise PreconditionFailed(f"delta must lie in (0, 1), got {delta}")
     sings = [complex(z) for z in singular_points]
     raw = []
     for z in sings:
@@ -105,8 +105,6 @@ def dyadic_partition(interval, singular_points, delta) -> DyadicPartition:
         cur = max(cur, b)
     if cur < hi:
         gaps.append((cur, hi))
-    if not gaps:
-        return DyadicPartition([], [], delta, sings)
 
     kept = []
     for A, B in gaps:

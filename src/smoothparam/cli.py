@@ -23,7 +23,7 @@ from .entropy import entropy_sweep, system_zoo
 from .errors import PreconditionFailed, SmoothParamError
 from .funcs import RationalExpr, hyperbola_branch
 from .poly import Poly
-from .remez import (empirical_remez_constant, hyperbola_curve,
+from .remez import (check_measure, empirical_remez_constant, hyperbola_curve,
                     hyperbola_remez_query, remez_parametrization)
 from .serialize import dumps, expr_from_json, loads, verify_bundle
 
@@ -158,6 +158,7 @@ def _run_remez(args) -> int:
         if args.samples < 1:
             raise PreconditionFailed(
                 f"samples must be >= 1, got {args.samples}")
+        check_measure(args.mu)
         ys = np.linspace(-1, 1, args.samples)
         zs = np.linspace(-1, args.mu - 1, args.samples)
         Y = [(float(v), 0.0) for v in ys]

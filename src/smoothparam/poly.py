@@ -12,7 +12,6 @@ from typing import Iterable
 import numpy as np
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _fr(x) -> Fraction:

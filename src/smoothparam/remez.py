@@ -12,15 +12,14 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic_param import dyadic_partition
-from .bivar import BivarPoly
+from .bivar import BivarPoly, resultant_y
 from .errors import PreconditionFailed, SingularCurve
 from .funcs import singular_locus
-from .poly import _fr
+from .poly import _fr, isolate_roots
 from .simplex import norming_lp
 
 REMEZ_C1 = 0.125                     # delta = c1 * rho / 2 proportionality
 NORMALIZE_SAMPLES = 512              # per side of the unit-square grid
-TRACE_COLUMNS = 1000                 # root-finding columns per orientation
 
 
 def chebyshev_value(d: int, x):
@@ -35,12 +34,18 @@ def chebyshev_value(d: int, x):
     return t1
 
 
+def check_measure(mu) -> None:
+    """Reject a measure mu of a subset of [-1, 1] outside (0, 2]; NaN fails
+    the comparison too."""
+    if not 0 < float(mu) <= 2:
+        raise PreconditionFailed(f"measure mu must lie in (0, 2], got {mu}")
+
+
 def classical_remez_bound(d: int, mu):
     """T_d((4 - mu)/mu): the sharp constant for degree-d polynomials bounded
     on a measure-mu subset of [-1, 1]."""
     mu = _fr(mu) if isinstance(mu, (int, Fraction, str)) else mu
-    if not 0 < float(mu) <= 2:
-        raise ValueError("measure must lie in (0, 2]")
+    check_measure(mu)
     arg = (4 - mu) / mu
     return chebyshev_value(d, arg)
 
@@ -105,44 +110,45 @@ def normalize_curve(P: BivarPoly) -> BivarPoly:
     return P * Fraction(1 / m).limit_denominator(10**12)
 
 
-def trace_curve(P: BivarPoly):
-    """Sample points of {P = 0} inside [-1, 1]^2 by per-column root finding
-    (both orientations, so near-vertical pieces are caught)."""
-    pts, xs = [], np.linspace(-1, 1, TRACE_COLUMNS)
-    for Q, swap in ((P, False), (P.swap_xy(), True)):
-        for x, cs in zip(xs, Q.y_poly_coeffs_complex(xs.astype(complex)).T):
-            cs = np.trim_zeros(cs, trim="b")
-            if len(cs) <= 1:
-                continue
-            for r in np.roots(cs[::-1]):
-                if abs(r.imag) < 1e-9:
-                    y = float(r.real)
-                    if -1 - 1e-12 <= y <= 1 + 1e-12:
-                        pts.append((float(x), y) if not swap else (y, float(x)))
-    return pts
+def _curve_points(P: BivarPoly):
+    """Points of {P = 0} in [-1, 1]^2, midpoints of isolating intervals in y,
+    above x = +-1 and above both ends of the isolating interval of each real
+    root in [-1, 1] of
+    - Res_y(P, L), L = P_x G_y - P_y G_x: the critical points of
+      G = |grad P|^2 on the curve;
+    - Res_y(P, P_y): the vertical tangents, which every closed arc has, also
+      one on which L vanishes and G is constant.
+    Both ends, not the midpoint: beside an irrational vertical tangent the
+    midpoint can miss the arc."""
+    Px, Py = P.dx(), P.dy()
+    G = Px * Px + Py * Py
+    L = Px * G.dy() - Py * G.dx()
+    xs = {Fraction(-1), Fraction(1)}
+    for Q in (L, Py):
+        if P.degy > 0 and not Q.is_zero():
+            R = resultant_y(P, Q)
+            if not R.is_zero():     # a shared factor: G is constant on it
+                for a, b in isolate_roots(R, -1, 1):
+                    xs.update((a, b))
+    for x in sorted(xs):
+        ypoly = P.y_poly_at(x)
+        if not ypoly.is_zero():     # a line x = c: found swapped
+            for a, b in isolate_roots(ypoly, -1, 1):
+                yield x, (a + b) / 2
 
 
 def curve_gradient_floor(P: BivarPoly):
-    """rho = min over the curve in the unit square of |grad P|, with local
-    polish around the sampled argmin."""
-    pts = trace_curve(P)
+    """rho = min over the curve in the unit square of |grad P|, and its
+    argmin, by elimination in both orientations, so that critical points on
+    vertical tangents and on lines x = c are found.  |grad P| is exact at
+    points within 2^-41 of the curve."""
+    pts = list(_curve_points(P))
+    pts += [(x, y) for y, x in _curve_points(P.swap_xy())]
     if not pts:
         raise SingularCurve("curve is empty in the unit square")
     Px, Py = P.dx(), P.dy()
-
-    def grad_norm(x, y):
-        return math.hypot(float(Px(x, y)), float(Py(x, y)))
-
-    vals = [(grad_norm(x, y), (x, y)) for (x, y) in pts]
-    rho, arg = min(vals)
-    from scipy.optimize import minimize
-    res = minimize(lambda v: grad_norm(v[0], v[1]), np.array(arg),
-                   method="SLSQP",
-                   constraints=[{"type": "eq",
-                                 "fun": lambda v: float(P(v[0], v[1]))}],
-                   bounds=[(-1, 1), (-1, 1)])
-    if res.success and res.fun < rho and abs(float(P(res.x[0], res.x[1]))) < 1e-8:
-        rho, arg = float(res.fun), (float(res.x[0]), float(res.x[1]))
+    rho, arg = min((math.hypot(float(Px(x, y)), float(Py(x, y))),
+                    (float(x), float(y))) for x, y in pts)
     if rho < 1e-12:
         raise SingularCurve(f"gradient floor {rho:.3g} below threshold")
     return rho, arg
@@ -153,23 +159,16 @@ def remez_parametrization(P: BivarPoly):
     delta = c1*rho/2, plus one implicit-function chart per removed box;
     reports N (total charts) and the heuristic chain bound 2^N."""
     Pn = normalize_curve(P)
-    rho, arg = curve_gradient_floor(Pn)
-    delta = REMEZ_C1 * rho / 2
-    delta = Fraction(delta).limit_denominator(2**40)
     if Pn.degy < 1:
         raise SingularCurve("curve degenerate in y")
+    rho, arg = curve_gradient_floor(Pn)
+    delta = Fraction(REMEZ_C1 * rho / 2).limit_denominator(2**40)
     part = dyadic_partition((-1, 1), singular_locus(Pn),
                             min(delta, Fraction(1, 4)))
     charts = []
     for (a, b) in part.kept:
-        c = (a + b) / 2
-        ypoly = Pn.y_poly_at(c)
-        branch_count = 0
-        for r in np.roots(ypoly.as_float_coeffs()[::-1]) if ypoly.degree > 0 else []:
-            if abs(r.imag) < 1e-9 and -1 - 1e-9 <= r.real <= 1 + 1e-9:
-                branch_count += 1
-        for _ in range(branch_count):
-            charts.append((float(a), float(b)))
+        branches = isolate_roots(Pn.y_poly_at((a + b) / 2), -1, 1)
+        charts += [(float(a), float(b))] * len(branches)
     N = len(charts) + len(part.removed)
     return {"N": N, "chain_bound": 2.0 ** N if N < 1024 else math.inf,
             "chain_bound_log2": N, "rho": rho, "argmin": arg,

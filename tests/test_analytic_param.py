@@ -17,7 +17,7 @@ from smoothparam.analytic_param import (_a_chart_for_interval,
                                         verify_a_chart_variation)
 from smoothparam.bivar import BivarPoly
 from smoothparam.config import DEFAULT
-from smoothparam.errors import SingularityInsideDisk
+from smoothparam.errors import PreconditionFailed, SingularityInsideDisk
 from smoothparam.funcs import BranchExpr, RationalExpr, SqrtExpr
 from smoothparam.poly import Poly
 
@@ -70,10 +70,15 @@ def test_partition_random_instances():
 
 
 def test_partition_rejects_bad_delta():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed, match="delta must lie in"):
         dyadic_partition((F(-1), F(1)), [0j], F(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed, match="delta must lie in"):
         dyadic_partition((F(-1), F(1)), [0j], F(0))
+
+
+def test_partition_keeps_a_removal_that_covers_the_interval():
+    part = dyadic_partition((F(-1, 8), F(1, 8)), [0j], F(1, 4))
+    assert part.kept == [] and part.removed == [(F(-1, 8), F(1, 8))]
 
 
 def test_affine_function_unit_charts_without_refinement():

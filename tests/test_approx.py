@@ -97,6 +97,18 @@ def test_removed_boxes_respect_epsilon():
     assert _verify(A, f) == PASS
 
 
+def test_removed_strip_covering_the_interval_is_boxed():
+    # the strip (-1/4, 1/4) removed around the declared singularity covers
+    # all of [-1/8, 1/8]: no chart is kept, and the strip is still boxed
+    f = RationalExpr(Poly([1]), Poly([1, 1]))
+    A = analytic_approximate(f, (F(-1, 8), F(1, 8)), 0.25,
+                             declared_singularities=[0j])
+    assert A.meta["charts"] == 0 and A.meta["removed"] == 1
+    assert [p.source for p in A.patches] == ["removed-box"]
+    assert A.complexity == 1
+    assert _verify(A, f) == PASS
+
+
 @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
 def test_value_sampling_falls_back_on_math_errors_only(exc):
     # x, except that a real x in (-1/8, 1/8), inside the strip removed

@@ -218,6 +218,13 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["remez", "--eps", "2", "--samples", "50"], "eps must be in (0, 1)"),
     (["remez", "--eps", "1", "--samples", "50"], "eps must be in (0, 1)"),
     (["count-points", "--t", "10", "--d", "100"], "between 1 and 16"),
+    (["parametrize-analytic", "--delta", "0"], "delta must lie in (0, 1)"),
+    (["parametrize-analytic", "--delta", "2"], "delta must lie in (0, 1)"),
+    (["remez", "--classical", "--mu", "-1"], "mu must lie in (0, 2]"),
+    (["remez", "--classical", "--mu", "0"], "mu must lie in (0, 2]"),
+    (["remez", "--classical", "--mu", "3"], "mu must lie in (0, 2]"),
+    (["remez", "--classical", "--mu", "nan"], "mu must lie in (0, 2]"),
+    (["remez", "--classical", "--mu", "inf"], "mu must lie in (0, 2]"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):
@@ -287,6 +294,19 @@ def test_installed_entry_point():
                           "parametrize-ck"], capture_output=True, text=True)
     assert res.returncode == 0
     assert json.loads(res.stdout)["kind"] == "ck-parametrization"
+
+
+def test_remez_parametrize_leaves_scipy_optimize_unimported(tmp_path):
+    # the gradient floor is computed by elimination, not by an optimizer
+    out = tmp_path / "r.json"
+    code = ("import sys; from smoothparam.cli import main; "
+            f"rc = main(['remez', '--eps', '1/10', '--parametrize', "
+            f"'--out', {str(out)!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.stdout.split() == ["0", "False"], res.stderr
+    assert json.loads(out.read_text())["parametrization"]["N"] > 0
 
 
 def test_fractions_past_the_digit_limit_round_trip():

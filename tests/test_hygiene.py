@@ -1,9 +1,10 @@
 """Source hygiene, checked with the standard-library `ast` module: every
 top-level import of a package module is used, every top-level function and
-class is read by the package or exported, every error class is raised,
-every `Config` field is read somewhere in the package and set by some
-caller, every parameter is read, and `eval_array` stays the one numeric
-evaluator of the expression classes."""
+class is read by the package or exported, every module-level constant is
+read by the package, every error class is raised, every `Config` field is
+read somewhere in the package and set by some caller, every parameter is
+read, and `eval_array` stays the one numeric evaluator of the expression
+classes."""
 
 import ast
 import dataclasses
@@ -57,6 +58,23 @@ def test_every_top_level_def_is_read_or_exported():
               if isinstance(d, (ast.FunctionDef, ast.ClassDef))
               and d.name not in exported
               and named[d.name] == _names(d)[d.name]]
+    assert unread == []
+
+
+def test_every_module_level_constant_is_read():
+    modules = _modules()
+    read = set()
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    unread = [f"{mod}:{t.id}" for mod, tree in modules.items()
+              for s in tree.body if isinstance(s, (ast.Assign, ast.AnnAssign))
+              for t in (s.targets if isinstance(s, ast.Assign) else [s.target])
+              if isinstance(t, ast.Name) and not t.id.startswith("__")
+              and t.id not in read]
     assert unread == []
 
 

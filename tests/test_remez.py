@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from smoothparam.errors import UnboundedLP
+from smoothparam.bivar import BivarPoly
+from smoothparam.errors import PreconditionFailed, SingularCurve, UnboundedLP
 from smoothparam.remez import (chebyshev_value, classical_remez_bound,
                                curve_gradient_floor, empirical_remez_constant,
                                hyperbola_curve, hyperbola_remez_query,
@@ -30,8 +31,9 @@ def test_chebyshev_values_exact():
 def test_classical_bound_formula():
     assert classical_remez_bound(2, F(1)) == 17
     assert classical_remez_bound(2, F(2)) == 1  # full interval: T_2(1) = 1
-    with pytest.raises(ValueError):
-        classical_remez_bound(2, F(0))
+    for mu in (F(0), F(-1), F(3), math.nan, math.inf):
+        with pytest.raises(PreconditionFailed, match="mu must lie in"):
+            classical_remez_bound(2, mu)
 
 
 def _grid_1d(lo, hi, n):
@@ -97,12 +99,80 @@ def test_hyperbola_norming_beats_one_over_eps():
 
 
 def test_gradient_floor_closed_form():
-    eps = 0.1
-    Pn = normalize_curve(hyperbola_curve(eps))
-    rho, (x, y) = curve_gradient_floor(Pn)
-    closed = math.sqrt(2) * eps / (1 + eps * eps)
-    assert abs(rho - closed) <= 1e-4 * closed
-    assert abs(abs(x) - eps) < 1e-3 and abs(abs(y) - eps) < 1e-3
+    # on s (xy - eps^2) the floor s sqrt(2) eps sits at x = y = +-eps
+    for j in range(3, 13):
+        eps = 2.0 ** -j
+        Pn = normalize_curve(hyperbola_curve(eps))
+        s = float(Pn.coeffs[(1, 1)])
+        rho, (x, y) = curve_gradient_floor(Pn)
+        closed = s * math.sqrt(2) * eps
+        assert abs(rho - closed) <= 1e-12 * closed, j
+        assert abs(abs(x) - eps) <= 1e-12 * eps, j
+        assert abs(abs(y) - eps) <= 1e-12 * eps, j
+
+
+def _curve(coeffs):
+    return BivarPoly({k: F(v) for k, v in coeffs.items()})
+
+
+def test_gradient_floor_on_a_circle():
+    # |grad P| = 2r everywhere, so L = P_x G_y - P_y G_x vanishes identically;
+    # the vertical tangents x = +-r are irrational, and the midpoints of
+    # their isolating intervals both fall outside this circle
+    rho, (x, y) = curve_gradient_floor(_curve({(2, 0): 1, (0, 2): 1,
+                                               (0, 0): "-2/3"}))
+    assert abs(rho - 2 * math.sqrt(2 / 3)) <= 1e-12
+    assert abs(x * x + y * y - 2 / 3) <= 1e-9
+
+
+def test_gradient_floor_rejects_a_cusp():
+    with pytest.raises(SingularCurve):
+        curve_gradient_floor(_curve({(0, 2): 1, (3, 0): -1}))    # y^2 = x^3
+
+
+def test_gradient_floor_at_a_corner():
+    # xy = 1 meets the square only at the corners (1, 1) and (-1, -1)
+    rho, arg = curve_gradient_floor(_curve({(1, 1): 1, (0, 0): -1}))
+    assert rho == math.sqrt(2) and arg in ((1.0, 1.0), (-1.0, -1.0))
+
+
+def test_gradient_floor_on_a_vertical_line():
+    # (x - 1/3)(y^2 + 1): the line x = 1/3, on which P_y = 0 and P(1/3, .)
+    # vanishes; |grad P| = y^2 + 1 there, least at y = 0
+    rho, (x, y) = curve_gradient_floor(
+        _curve({(1, 2): 1, (1, 0): 1, (0, 2): "-1/3", (0, 0): "-1/3"}))
+    assert rho == 1.0
+    assert abs(x - 1 / 3) <= 1e-12 and y == 0.0
+
+
+def test_gradient_floor_rejects_a_curve_outside_the_square():
+    with pytest.raises(SingularCurve, match="empty"):
+        curve_gradient_floor(_curve({(2, 0): 1, (0, 2): 1, (0, 0): -9}))
+
+
+def _dense_trace_floor(P, columns):
+    """min |grad P| over the real roots of P(x, .) in [-1, 1] at `columns`
+    equispaced x, by np.roots, in both orientations."""
+    best = math.inf
+    for Q, swap in ((P, False), (P.swap_xy(), True)):
+        for x in np.linspace(-1, 1, columns):
+            cs = [float(c) for c in Q.y_poly_at(F(x)).coeffs]
+            for r in np.roots(cs[::-1]):
+                if abs(r.imag) < 1e-9 and -1 <= r.real <= 1:
+                    pt = (r.real, x) if swap else (x, r.real)
+                    best = min(best, math.hypot(float(P.dx()(*pt)),
+                                                float(P.dy()(*pt))))
+    return best
+
+
+def test_gradient_floor_of_a_cubic_against_a_dense_trace():
+    P = normalize_curve(_curve({(0, 2): 1, (3, 0): -1, (1, 0): "1/2",
+                                (0, 0): "-1/10"}))     # y^2 = x^3 - x/2 + 1/10
+    rho, (x, y) = curve_gradient_floor(P)
+    assert abs(float(P(x, y))) <= 1e-9
+    sampled = _dense_trace_floor(P, 2001)
+    assert rho <= sampled * (1 + 1e-12)
+    assert sampled - rho <= 1e-4 * rho
 
 
 def test_parametrization_chain_bound_dominates_lp():
