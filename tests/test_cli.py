@@ -300,7 +300,7 @@ def test_remez_parametrize_leaves_scipy_optimize_unimported(tmp_path):
     # the gradient floor is computed by elimination, not by an optimizer
     out = tmp_path / "r.json"
     code = ("import sys; from smoothparam.cli import main; "
-            f"rc = main(['remez', '--eps', '1/10', '--parametrize', "
+            "rc = main(['remez', '--eps', '1/10', '--parametrize', "
             f"'--out', {str(out)!r}]); "
             "print(rc, 'scipy.optimize' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
