@@ -162,6 +162,9 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
                 p, bound = taylor_patch(ch.f_comp, d, c, half, "ck", cfg=cfg)
                 err = patch_error(ch.f_comp, p, "ck", c, 2 * half,
                                   cfg.patch_samples) / float(a)
+                if not math.isfinite(err):   # halving may resample the point
+                    raise EvaluationAtSingularity(
+                        f"non-finite patch error on chart {idx} at t={c}")
                 if err > eps:
                     ok = False
                     break

@@ -285,7 +285,8 @@ def enumerate_points(f: FunctionExpr, interval, t: int):
     a0 = math.ceil(lo * t)
     a1 = math.floor(hi * t)
     if a1 - a0 + 1 > ENUMERATE_CAP:
-        raise ValueError(f"candidate count exceeds {ENUMERATE_CAP}")
+        raise PreconditionFailed(f"candidate count {a1 - a0 + 1} exceeds "
+                                 f"ENUMERATE_CAP = {ENUMERATE_CAP}")
     ev = _int_evaluator(f, t)
     out = []
     for a in range(a0, a1 + 1):

@@ -5,13 +5,14 @@ A chart is a polynomial (or composed) substitution from the unit interval
 checkers measure derivative suprema on dense grids, exactly in rationals
 when the data allows and in floats otherwise, and certify the unit bound up
 to a stated tolerance; a non-finite measurement fails the certificate.  The
-exact grid max is screened in floats with rigorous error bounds and decided
-in integers only near the max, so it equals the exact scan of every grid
-point; either mode is a sample of the grid, not a proof over the interval,
-and the report's `detail` names the grid it sampled."""
+exact grid max is decided in integers at the grid ends and beside the
+critical points and poles that Descartes' rule locates, so it equals the
+exact scan of every grid point; either mode is a grid sample, not a proof
+over the interval, and the report's `detail` names the grid it sampled."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,6 +93,15 @@ def sampled_sup(fn, xs=None, order: int = 0) -> float:
     return float(np.max(np.abs(fn)))
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n: int) -> np.ndarray:
+    """cos t + i sin t at t = 2 pi j / n, j < n; cached per n, read-only."""
+    angles = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    unit = np.array([complex(math.cos(t), math.sin(t)) for t in angles])
+    unit.flags.writeable = False
+    return unit
+
+
 def circle_sup(values, center: complex, radius: float,
                cfg: Config = DEFAULT) -> float:
     """max |v| over the concentric-circle sample: cfg.a_chart_radii circles
@@ -103,8 +113,7 @@ def circle_sup(values, center: complex, radius: float,
     its seed, entering the circle at its real point center + r_j.  A
     non-finite value raises EvaluationAtSingularity naming the first radius
     where it occurs, so it can never shrink the bound."""
-    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
-    unit = np.array([complex(math.cos(t), math.sin(t)) for t in angles])
+    unit = _unit_circle(cfg.a_chart_angles)
     radii = [radius * j / cfg.a_chart_radii
              for j in range(1, cfg.a_chart_radii + 1)]
     zs = center + np.array(radii)[:, None] * unit
@@ -134,10 +143,10 @@ def _report(values: dict, mode: str, tol: float,
 def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
     """Per-order suprema of |psi - psi(0)|, |psi^(i)| and |(f o psi)^(i)|,
     i = 1..k, sampled on a dense grid.  Exact mode takes the rational max at
-    the cfg.exact_grid_points + 1 points i/N (a float screen, then an exact
-    decision near the max; the same value as an exact scan of every point),
-    float mode the float max at cfg.grid_points points.  Both are grid
-    samples, not bounds over [0, 1]."""
+    the cfg.exact_grid_points + 1 points i/N, in integers at the grid ends
+    and beside the critical points and poles (the same value as an exact
+    scan of every point); float mode the float max at cfg.grid_points
+    points.  Both are grid samples, not bounds over [0, 1]."""
     k = chart.k
     rat = chart.f_comp.as_rational()
     if exact is None:

@@ -19,13 +19,14 @@ from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
                      OrderOverflow, PathNearSingularity, SmoothParamError,
                      ZeroCountMismatch)
-from .poly import _U, Poly, _fr, complex_roots, isolate_roots
+from .poly import Poly, _fr, complex_roots, isolate_roots
 
 EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
 BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
 CONTINUATION_RESIDUAL = 1e-10        # |P(x, y)| accepted on the curve
 CONTINUATION_STEP_FLOOR = 1e-12      # smallest continuation step
 CONTINUATION_CACHE_CAP = 100_000     # real-axis values a tracker caches
+_U = 2.0 ** -53                      # unit roundoff, for _disk_test
 
 
 def _is_exact(x):

@@ -218,17 +218,9 @@ def _int_scaled(p: Poly, N: int):
     n = p.degree
     if n < 0:
         return [0], 1
-    L = 1
-    for c in p.coeffs:
-        L = L * c.denominator // math.gcd(L, c.denominator)
-    D = []
-    pw = 1
-    scaled = [int(c * L) for c in p.coeffs]
-    for j in range(n, -1, -1):
-        D.append(scaled[j] * pw)
-        if j > 0:
-            pw *= N
-    D.reverse()
+    L = math.lcm(*(c.denominator for c in p.coeffs))
+    D = [c.numerator * (L // c.denominator) * N ** (n - j)
+         for j, c in enumerate(p.coeffs)]
     return D, L * N ** n
 
 
@@ -239,92 +231,85 @@ def _horner_int(D, i):
     return acc
 
 
-# The exact grid maxima below screen the grid in floats first.  Float Horner
-# at x = fl(i/N) is off from p(i/N) by at most (3n + 1) u sum |c_j| x^j up to
-# O(n u) factors (Higham, Accuracy and Stability, 5.1, plus the rounding of
-# the coefficients and of i/N); the screen charges 4 (n + 3) u times the float
-# Horner sum of |c_j|, plus a subnormal-sized term for underflow, and pads
-# every comparison by _PAD.  Only the points whose upper bound reaches the
-# best lower bound are evaluated exactly, so the result is the same Fraction
-# as an exact scan of every point.
-_U = 2.0 ** -53
-_PAD = 1.0 + 2.0 ** -44
+def _root_cells(E, N: int) -> set:
+    """Grid indices beside the real roots of the integer polynomial E in
+    (0, N): both ends of each unit cell that holds one, and m - 1, m, m + 1
+    for a root at m.  Descartes' rule splits [0, N] until a cell holds at
+    most one root, then sign bisection narrows it to a unit cell."""
+    out = set()
+    if not any(E):
+        return out
+    stack = [(0, _horner_int(E, 0), N, _horner_int(E, N))]
+    while stack:
+        a, fa, b, fb = stack.pop()
+        v = _variations(E, a, b)
+        if v == 0:
+            continue
+        if b - a == 1:
+            out.update((a, b))
+            continue
+        if v == 1 and (fa or fb):
+            # one simple root in (a, b): follow the sign change
+            while b - a > 1:
+                m = (a + b) // 2
+                fm = _horner_int(E, m)
+                if fm == 0:
+                    out.update((m - 1, m, m + 1))
+                    break
+                if ((fa > 0) != (fm > 0)) if fa else ((fb > 0) == (fm > 0)):
+                    b, fb = m, fm
+                else:
+                    a, fa = m, fm
+            else:
+                out.update((a, b))
+            continue
+        m = (a + b) // 2
+        fm = _horner_int(E, m)
+        if fm == 0:
+            out.update((m - 1, m, m + 1))
+        stack += [(a, fa, m, fm), (m, fm, b, fb)]
+    return out
 
 
-def _screen(p: Poly, xs: np.ndarray):
-    """Float values of p at xs and a rigorous bound on their error, or None
-    when a coefficient or a magnitude sum leaves the float range."""
-    try:
-        cs = p.as_float_coeffs()
-    except OverflowError:
-        return None
-    v = np.full_like(xs, cs[-1])
-    h = np.full_like(xs, abs(cs[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in cs[-2::-1]:
-            v = v * xs + c
-            h = h * xs + abs(c)
-    if not np.all(h < 2.0 ** 1000):          # inf or NaN included
-        return None
-    n = p.degree
-    return v, 4 * (n + 3) * _U * h + (n + 3) * 2.0 ** -1070
+def _grid_candidates(N: int, *polys) -> list:
+    """The indices among 0..N where max |P(i)| can sit when P is monotone
+    between consecutive real roots of the integer polynomials in polys: the
+    ends of those stretches, so 0, 1, N - 1, N (1 and N - 1 for a pole at an
+    end) and the _root_cells."""
+    idx = {0, 1, N - 1, N}
+    for E in polys:
+        idx |= _root_cells(E, N)
+    return sorted(i for i in idx if 0 <= i <= N)
 
 
 def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
-    """max |p(i/N)| over i = 0..N, exact: a float screen with rigorous error
-    bounds picks the points that can reach the max, and integer Horner
-    decides among them.  The result equals an exact scan of all N + 1
-    points; it is still a grid sample, not a bound over [0, 1]."""
+    """max |p(i/N)| over i = 0..N, exact and in integers: the max over the
+    ends of the grid and the unit cells that hold a real root of p'.  The
+    result equals an exact scan of all N + 1 points; it is still a grid
+    sample, not a bound over [0, 1]."""
     D, scale = _int_scaled(p, N)
-    if p.degree <= 1 or N <= 1:
-        idx = (0, N)                # |p| is convex: its max is at an end
-    elif (s := _screen(p, np.arange(N + 1) / N)) is None:
-        idx = range(N + 1)
-    else:
-        a, e = np.abs(s[0]), s[1]
-        idx = np.flatnonzero((a + e) * _PAD >= np.max(a - e) / _PAD).tolist()
+    idx = _grid_candidates(N, [j * d for j, d in enumerate(D)][1:])
     return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
-
-
-def _candidates(num: Poly, den: Poly, N: int):
-    """Grid indices where |num/den| can reach its max over the points with
-    den != 0.  Only points where the screen proves den != 0 give the lower
-    bound; the others cannot be bounded above and are all candidates."""
-    xs = np.arange(N + 1) / N
-    sn, sd = _screen(num, xs), _screen(den, xs)
-    if sn is None or sd is None:
-        return range(N + 1)
-    an, en = np.abs(sn[0]), sn[1]
-    ad, ed = np.abs(sd[0]), sd[1]
-    safe = ad > ed
-    hi = np.full(N + 1, np.inf)
-    with np.errstate(over="ignore"):
-        hi[safe] = (an[safe] + en[safe]) / (ad[safe] - ed[safe]) * _PAD
-        lo = np.max(np.maximum(an[safe] - en[safe], 0.0)
-                    / (ad[safe] + ed[safe]), initial=0.0) / _PAD
-    return np.flatnonzero(hi >= lo).tolist()
 
 
 def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
     """max |num(i/N) / den(i/N)| over i = 0..N (grid points where den
-    vanishes are skipped), exact.  Screened like max_abs_on_rational_grid:
-    the result equals the exact scan of every point."""
-    if num.is_zero() or den.is_zero():
-        return Fraction(0)
+    vanishes are skipped), exact and in integers: the max over the ends of
+    the grid and the unit cells that hold a real root of num' den - num den'
+    or of den.  The result equals the exact scan of every point."""
     Dn, sn = _int_scaled(num, N)
     Dd, sd = _int_scaled(den, N)
-    idx = range(N + 1) if N <= 1 else _candidates(num, den, N)
-    bn, bd = 0, 1        # running best as a nonnegative integer ratio
-    for i in idx:
-        b = _horner_int(Dd, i)
-        if b == 0:
-            continue
-        a = abs(_horner_int(Dn, i))
-        b = abs(b)
-        # compare (a*sd)/(b*sn) against bn/bd by cross-multiplication
-        if a * sd * bd > bn * b * sn:
-            bn, bd = a * sd, b * sn
-    return Fraction(bn, bd)
+    W = [0] * (len(Dn) + len(Dd) - 2)          # Dn' Dd - Dn Dd'
+    for j, u in enumerate(Dn):
+        for l, v in enumerate(Dd):
+            if j != l:
+                W[j + l - 1] += (j - l) * u * v
+    best = Fraction(0)
+    for i in _grid_candidates(N, W, Dd):
+        if b := _horner_int(Dd, i):
+            best = max(best, Fraction(abs(_horner_int(Dn, i) * sd),
+                                      abs(b) * sn))
+    return best
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -338,17 +323,15 @@ def squarefree_part(p: Poly) -> Poly:
 
 # -- real roots: Descartes' rule of signs with bisection ----------------------
 
-def _variations(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Sign variations of (1+x)^n p((a x + b)/(1+x)), the Descartes bound on
-    the roots of p in (a, b); a count of 0 or 1 is exact (Collins & Akritas
-    1976)."""
-    D = math.lcm(a.denominator, b.denominator)
-    A, W = int(a * D), int((b - a) * D)
-    c = []
-    for d in reversed(_int_scaled(p, D)[0]):    # L D^n p((A + W y) / D)
-        c = [A * u + W * v for u, v in zip(c + [0], [0] + c)]
+def _variations(E, a: int, b: int) -> int:
+    """Sign variations of (1+x)^n E((a x + b)/(1+x)) for the integer
+    coefficients E and integer ends a < b: the Descartes bound on the roots
+    of E in (a, b); a count of 0 or 1 is exact (Collins & Akritas 1976)."""
+    c, w = [], b - a
+    for d in reversed(E):                        # E(a + w y)
+        c = [a * u + w * v for u, v in zip(c + [0], [0] + c)]
         c[0] += d
-    c.reverse()                                  # x^n p(a + (b - a) / x)
+    c.reverse()                                  # x^n E(a + w / x)
     n = len(c) - 1
     for i in range(n):                           # Taylor shift x -> x + 1
         for j in range(n - 1, i - 1, -1):
@@ -382,7 +365,8 @@ def isolate_roots(p: Poly, lo, hi):
     stack = [(lo, hi, sf)]
     while stack:
         a, b, q = stack.pop()
-        n = _variations(q, a, b)
+        D = math.lcm(a.denominator, b.denominator)
+        n = _variations(_int_scaled(q, D)[0], int(a * D), int(b * D))
         if n == 1:
             out.append(_refine_interval(q, a, b))
         elif n > 1:

@@ -14,7 +14,9 @@ from smoothparam.approx import (analytic_approximate, ck_approximate,
                                 taylor_patch, taylor_polynomial)
 from smoothparam.analytic_param import hyperbola_analytic_charts
 from smoothparam import serialize
+from smoothparam import approx
 from smoothparam.config import DEFAULT
+from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, RationalExpr, SqrtExpr,
                                normalize_values)
 from smoothparam.poly import Poly
@@ -107,6 +109,38 @@ def test_removed_strip_covering_the_interval_is_boxed():
     assert [p.source for p in A.patches] == ["removed-box"]
     assert A.complexity == 1
     assert _verify(A, f) == PASS
+
+
+def test_nan_patch_error_is_a_failure(monkeypatch):
+    # exp(x)/3 on [0, 1], every derivative given, returning NaN at one point
+    # that only the patch-error sampling visits: a NaN sup_error must fail
+    # (NaN > eps is False, so such a patch was once kept)
+    sampled, elsewhere, inside = [], set(), [False]
+    nan_at = [None]
+
+    def fn(x):
+        if x == nan_at[0]:
+            return math.nan
+        (sampled.append if inside[0] else elsewhere.add)(x)
+        return math.exp(x) / 3
+
+    def patch_error(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_patch_error(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    real_patch_error = approx.patch_error
+    monkeypatch.setattr(approx, "patch_error", patch_error)
+    f = BlackboxExpr(fn, zero_count=0,
+                     deriv_fns=[lambda x: math.exp(x) / 3] * 6)
+    A = ck_approximate(f, (F(0), F(1)), 1e-3, 0.5)
+    assert len(A.patches) == 10
+    only = [x for x in sampled if x not in elsewhere]
+    nan_at[0] = only[len(only) // 2]
+    with pytest.raises(EvaluationAtSingularity, match="non-finite"):
+        ck_approximate(f, (F(0), F(1)), 1e-3, 0.5)
 
 
 @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])

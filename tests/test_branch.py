@@ -24,9 +24,8 @@ from smoothparam.bivar import BivarPoly, _pack
 from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
                                 PathNearSingularity)
-from smoothparam.funcs import (BranchExpr, BranchTracker, _disk_test, _newton,
-                               _npdiv, _polyval, singular_locus)
-from smoothparam.poly import _U
+from smoothparam.funcs import (_U, BranchExpr, BranchTracker, _disk_test,
+                               _newton, _npdiv, _polyval, singular_locus)
 from smoothparam.serialize import dumps, parametrization_to_json
 
 # sha256 of eval_array on y^2 = x^3 + 1 over np.linspace(1, 2, 4096), as

@@ -225,6 +225,7 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["remez", "--classical", "--mu", "3"], "mu must lie in (0, 2]"),
     (["remez", "--classical", "--mu", "nan"], "mu must lie in (0, 2]"),
     (["remez", "--classical", "--mu", "inf"], "mu must lie in (0, 2]"),
+    (["count-points", "--t", "2000001"], "ENUMERATE_CAP"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Exact grid maxima: the float-screened max_abs_on_rational_grid and
-max_abs_ratio_on_grid against a plain Fraction scan of every grid point, on
-denominators with roots on the grid (also at the float argmax), denominators
-that are tiny in floats but not zero, constants, lines and ties, grids that
-are not powers of two, coefficients beyond the float range (the full-scan
-fallback), zero numerators and high degrees."""
+"""Exact grid maxima: max_abs_on_rational_grid and max_abs_ratio_on_grid,
+which search the grid ends and the unit cells that hold a critical point or
+a pole, against a plain Fraction scan of every grid point.  The cases:
+critical points and poles placed on grid points (at bisection midpoints and
+elsewhere), at half-way points and beside grid points, double roots, shared
+roots of num and den, constant ratios, denominators with roots on the grid
+(also at the float argmax), denominators that are tiny in floats but not
+zero, constants, lines and ties, grids that are not powers of two,
+coefficients beyond the float range, zero numerators and high degrees."""
 
 from fractions import Fraction as F
 
@@ -12,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothparam import poly
 from smoothparam.poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
 
 GRIDS = (1, 2, 3, 100, 4096, 4097, 16384)
@@ -62,7 +64,7 @@ def test_grid_ratio_matches_fraction_scan(data):
     kind = data.draw(st.sampled_from(("plain", "root", "near-root")))
     if kind != "plain":
         # a factor (x - r) with r on the grid; "near-root" lifts it by a
-        # nonzero amount far below the float error of the screen
+        # nonzero amount far below float resolution
         r = F(data.draw(st.integers(0, N)), N)
         lift = F(1, 10**30) if kind == "near-root" else 0
         den = den * Poly([-r, 1]) + lift
@@ -90,8 +92,8 @@ def test_grid_ratio_skips_a_root_at_the_float_argmax(N):
 
 
 def test_grid_ratio_finds_a_tiny_nonzero_denominator():
-    # den(37/100) = 10^-40 exactly: the float screen cannot tell it from 0,
-    # so that point stays a candidate and holds the max
+    # den(37/100) = 10^-40 exactly: floats cannot tell it from 0, and that
+    # point holds the max
     N, r = 100, F(37, 100)
     num, den = Poly([1]), Poly([-r, 1]) * Poly([-r, 1]) + F(1, 10**40)
     assert max_abs_ratio_on_grid(num, den, N) == 10**40
@@ -112,12 +114,10 @@ def test_constants_lines_and_ties(N):
 
 
 @pytest.mark.parametrize("N", (100, 4097))
-def test_coefficients_beyond_float_range_take_the_full_scan(N):
+def test_coefficients_beyond_float_range(N):
     huge = Poly([3, -10**400, 1, 10**399])         # float() overflows
     wide = Poly([1, 10**308, 0, 10**308, F(1, 7)])  # float Horner overflows
-    xs = np.arange(N + 1) / N
     for p in (huge, wide):
-        assert poly._screen(p, xs) is None
         assert max_abs_on_rational_grid(p, N) == direct(p, N)
         assert max_abs_ratio_on_grid(p, Poly([1, 1, 2]), N) == \
             direct_ratio(p, Poly([1, 1, 2]), N)
@@ -131,3 +131,114 @@ def test_high_degree_with_large_denominators():
     den = Poly([F(1, 10**15), F(-3, 10**14), F(7, 10**13), F(1, 10**12)])
     assert max_abs_on_rational_grid(num, N) == direct(num, N)
     assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+
+
+# -- critical points and poles placed by construction ------------------------
+
+CHOSEN_GRIDS = (1, 2, 3, 5, 4096)
+
+
+def _bisection_midpoints(N, depth=4):
+    """The first midpoints (a + b) // 2 met by bisecting [0, N]."""
+    out, level = [], [(0, N)]
+    for _ in range(depth):
+        nxt = []
+        for a, b in level:
+            if b - a > 1:
+                m = (a + b) // 2
+                out.append(m)
+                nxt += [(a, m), (m, b)]
+        level = nxt
+    return out
+
+
+@st.composite
+def _point(draw, N):
+    """A root location: an end of [0, 1], a bisection midpoint or another
+    grid point i/N, a half-way point (i + 1/2)/N, a point beside a grid
+    point, or a point off [0, 1]."""
+    kind = draw(st.sampled_from(
+        ("end", "midpoint", "grid", "half", "beside", "outside")))
+    if kind == "end":
+        return F(draw(st.sampled_from((0, N))), N)
+    if kind == "midpoint":
+        return F(draw(st.sampled_from(_bisection_midpoints(N) or [0])), N)
+    i = draw(st.integers(0, N))
+    if kind == "grid":
+        return F(i, N)
+    if kind == "half":
+        return F(2 * i + 1, 2 * N)
+    if kind == "beside":
+        return F(i, N) + draw(st.sampled_from((1, -1))) * F(1, 1000 * N)
+    return draw(st.sampled_from((F(-1, 3), F(5, 4), F(-1, 10**6),
+                                 1 + F(1, 10**6))))
+
+
+@st.composite
+def _roots(draw, N, max_count, min_count=0):
+    """Points from _point, each a simple or a double root."""
+    pts = draw(st.lists(_point(N), min_size=min_count, max_size=max_count))
+    return [r for r in pts for _ in range(draw(st.sampled_from((1, 2))))]
+
+
+def _from_roots(roots, lead=1):
+    p = Poly([lead])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
+
+
+def _antiderivative(p, c):
+    return Poly([c] + [a / (j + 1) for j, a in enumerate(p.coeffs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grid_max_with_chosen_critical_points(data):
+    N = data.draw(st.sampled_from(CHOSEN_GRIDS))
+    lead = data.draw(st.sampled_from((1, -3, F(1, 7))))
+    dp = _from_roots(data.draw(_roots(N, 3)), lead)
+    p = _antiderivative(dp, data.draw(st.sampled_from((0, F(-1, 5), 2))))
+    assert max_abs_on_rational_grid(p, N) == direct(p, N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grid_ratio_with_chosen_critical_points_and_poles(data):
+    N = data.draw(st.sampled_from(CHOSEN_GRIDS))
+    kind = data.draw(st.sampled_from(("shared", "pole", "constant", "bump")))
+    if kind == "shared":
+        # num = p g, den = c g: W = c p' g^2 vanishes at the chosen critical
+        # points of p, and num and den share the roots of g
+        dp = _from_roots(data.draw(_roots(N, 2)))
+        p = _antiderivative(dp, data.draw(st.sampled_from((0, 1, F(-1, 3)))))
+        g = _from_roots(data.draw(_roots(N, 2)))
+        num, den = p * g, g * data.draw(st.sampled_from((1, F(-2, 3))))
+    elif kind == "pole":
+        # den vanishes on, beside or between grid points
+        num = _from_roots(data.draw(_roots(N, 2)),
+                          data.draw(st.sampled_from((1, F(-5, 2)))))
+        den = _from_roots(data.draw(_roots(N, 2, min_count=1)))
+    elif kind == "constant":
+        # num = c den: W is 0 and the ratio is constant off the roots of den
+        den = (_from_roots(data.draw(_roots(N, 3)))
+               + data.draw(st.sampled_from((0, F(1, 9)))))
+        num = den * F(-4, 3)
+    else:
+        # c / ((x - r)^e + lift): W vanishes at r, to order e - 1
+        r = data.draw(_point(N))
+        e = data.draw(st.sampled_from((2, 4)))
+        lift = data.draw(st.sampled_from((F(1, N * N), F(1, 10**9))))
+        num = Poly([data.draw(st.sampled_from((1, F(-7, 3))))])
+        den = Poly([-r, 1]) ** e + lift
+    assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+
+
+@pytest.mark.parametrize("N", CHOSEN_GRIDS)
+def test_grid_ratio_next_to_a_pole(N):
+    # 1/(x - r): no critical point, so the max sits beside the pole, with r
+    # at an end, on an interior grid point, beside one and half-way
+    m = N // 2
+    for r in (F(0), F(1), F(m, N), F(m, N) + F(1, 1000 * N), F(1, 2 * N)):
+        num, den = Poly([1]), Poly([-r, 1])
+        assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
