@@ -17,7 +17,7 @@ from smoothparam import (hyperbola_parametrization, verify_ck_chart,
 P = hyperbola_parametrization(F(1, 100), k=2)
 print(f"eps = 1/100, k = 2  ->  {P.chart_count} charts")
 for i, ch in enumerate(P.charts):
-    rep = verify_ck_chart(ch, exact=True)   # exact rational grid, no floats
+    rep = verify_ck_chart(ch)   # rational chart: exact rational grid, no floats
     a, b = ch.image
     print(f"  chart {i}: image [{a}, {b}], degree {ch.psi.degree}, "
           f"max bound {rep.max_bound:.6f}, ok={rep.ok}")

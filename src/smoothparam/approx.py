@@ -25,6 +25,7 @@ from .funcs import FunctionExpr, _wrap
 from .poly import Poly, _fr
 
 TAYLOR_DEGREE_CAP = 64               # highest Taylor degree of a patch
+CK_PATCH_CAP = 1024                  # most patches on one C^k chart
 
 
 def _check_positive(name, v):
@@ -138,7 +139,8 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
     the value-normalized g = a*f + b (`funcs.normalize_values`), so their
     count does not grow with the sup norm of f.  Each patch p is fitted to g
     at budget a*eps and stored as (p - b)/a, exactly: the approximation of
-    f itself that the artifact's verify resamples against the source."""
+    f itself that the artifact's verify resamples against the source.  A
+    chart that needs more than CK_PATCH_CAP patches raises DegreeOverflow."""
     _check_positive("eps", eps)
     _check_positive("sigma", sigma)
     f = _wrap(f)
@@ -153,6 +155,9 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
         r = eps ** (1.0 / k)
         while True:
             m = max(1, math.ceil(1.0 / r))
+            if m > CK_PATCH_CAP:       # each halving doubles the refits
+                raise DegreeOverflow(f"chart {idx} needs more than "
+                                     f"CK_PATCH_CAP = {CK_PATCH_CAP} patches")
             ok = True
             cand = []
             for j in range(m):
@@ -177,8 +182,6 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
                 patches.extend(cand)
                 break
             r /= 2
-            if r < 1e-9:
-                raise DegreeOverflow("subcube side underflow in ck route")
     return Approximation(patches=patches, epsilon=eps, route="ck",
                          meta={"k": k, "d": d, "charts": param.chart_count})
 

@@ -140,21 +140,19 @@ def _report(values: dict, mode: str, tol: float,
         detail=f"non-finite value at order {bad[0]}" if bad else detail)
 
 
-def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
+def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
     """Per-order suprema of |psi - psi(0)|, |psi^(i)| and |(f o psi)^(i)|,
-    i = 1..k, sampled on a dense grid.  Exact mode takes the rational max at
-    the cfg.exact_grid_points + 1 points i/N, in integers at the grid ends
-    and beside the critical points and poles (the same value as an exact
-    scan of every point); float mode the float max at cfg.grid_points
-    points.  Both are grid samples, not bounds over [0, 1]."""
+    i = 1..k, sampled on a dense grid.  The mode follows the chart: exact
+    when f o psi is rational, float otherwise.  Exact mode takes the
+    rational max at the cfg.exact_grid_points + 1 points i/N, in integers at
+    the grid ends and beside the critical points and poles (the same value
+    as an exact scan of every point); float mode the float max at
+    cfg.grid_points points.  Both are grid samples, not bounds over
+    [0, 1]."""
     k = chart.k
     rat = chart.f_comp.as_rational()
-    if exact is None:
-        exact = rat is not None
     per = {}
-    if exact:
-        if rat is None:
-            raise ValueError("exact verification needs a rational composition")
+    if rat is not None:
         n = cfg.exact_grid_points
         base = chart.psi - Poly.const(chart.psi(Fraction(0)))
         per[("psi", 0)] = float(max_abs_on_rational_grid(base, n))
@@ -180,10 +178,10 @@ def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT, exact=None):
     return per, mode
 
 
-def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT, exact=None) -> CertificateReport:
+def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT) -> CertificateReport:
     """Certify the unit-norm condition: the chart map stays within distance 1
     of its basepoint in C^k, and the carried function does too (orders >= 1)."""
-    per, mode = measure_chart_bounds(chart, cfg, exact)
+    per, mode = measure_chart_bounds(chart, cfg)
     if mode == "exact":
         tol, n = CK_TOLERANCE_EXACT, cfg.exact_grid_points
         detail = f"exact at the {n + 1} points i/{n}"

@@ -962,7 +962,9 @@ def isolate_real_zeros(f: FunctionExpr, interval):
 
     Exact for rational f (`poly.isolate_roots`, Descartes bisection); sampled
     sign-change bisection otherwise, with the declared zero count as a
-    completeness check for blackboxes."""
+    completeness check for blackboxes.  A NaN sample or midpoint value has
+    no sign, so a sign change across it would be lost: it raises
+    EvaluationAtSingularity naming x (+-inf keeps its sign)."""
     lo, hi = interval
     rat = f.as_rational()
     if rat is not None:
@@ -978,6 +980,9 @@ def isolate_real_zeros(f: FunctionExpr, interval):
     n = max(16, int(BISECT_SAMPLES_PER_UNIT * (float(hi) - float(lo))))
     xs = np.linspace(float(lo), float(hi), n + 1)
     vals = f.eval_array(xs)
+    if np.isnan(vals).any():
+        x = xs[np.isnan(vals).argmax()]
+        raise EvaluationAtSingularity(f"NaN value of f at x = {x}")
     out = []
     for i in range(n):
         a, b, va, vb = xs[i], xs[i + 1], vals[i], vals[i + 1]
@@ -988,6 +993,8 @@ def isolate_real_zeros(f: FunctionExpr, interval):
             for _ in range(60):
                 m = 0.5 * (a + b)
                 vm = float(f.eval(m))
+                if math.isnan(vm):
+                    raise EvaluationAtSingularity(f"NaN value of f at x = {m}")
                 if vm == 0:
                     a = b = m
                     break

@@ -1,7 +1,8 @@
 """Exact univariate polynomials over the rationals, plus real-root isolation
-by Descartes' rule of signs with bisection.  Everything downstream (charts,
-resultants, point enumeration) leans on this module for the cases where the
-bounds demand exactness."""
+by Descartes' rule of signs with bisection.  One integer kernel on a grid,
+`_root_cells`, serves both `isolate_roots` and the exact grid maxima.
+Everything downstream (charts, resultants, point enumeration) leans on this
+module for the cases where the bounds demand exactness."""
 
 from __future__ import annotations
 
@@ -212,6 +213,8 @@ class Poly:
         return acc
 
 
+# -- real roots: one integer Descartes kernel ---------------------------------
+
 def _int_scaled(p: Poly, N: int):
     """Integer data for gcd-free grid evaluation: D_j = L*c_j*N^(n-j) with L
     the common denominator, so p(i/N) = Horner(D, i) / (L * N^n)."""
@@ -231,22 +234,42 @@ def _horner_int(D, i):
     return acc
 
 
-def _root_cells(E, N: int) -> set:
-    """Grid indices beside the real roots of the integer polynomial E in
-    (0, N): both ends of each unit cell that holds one, and m - 1, m, m + 1
-    for a root at m.  Descartes' rule splits [0, N] until a cell holds at
-    most one root, then sign bisection narrows it to a unit cell."""
-    out = set()
+def _variations(E, a: int, b: int) -> int:
+    """Sign variations of (1+x)^n E((a x + b)/(1+x)) for the integer
+    coefficients E and integer ends a < b: the Descartes bound on the roots
+    of E in (a, b); a count of 0 or 1 is exact (Collins & Akritas 1976).
+    A root of E at a or b only shifts or scales the transform, so it leaves
+    the count of the roots inside unchanged."""
+    c, w = [], b - a
+    for d in reversed(E):                        # E(a + w y)
+        c = [a * u + w * v for u, v in zip(c + [0], [0] + c)]
+        c[0] += d
+    c.reverse()                                  # x^n E(a + w / x)
+    n = len(c) - 1
+    for i in range(n):                           # Taylor shift x -> x + 1
+        for j in range(n - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    signs = [v > 0 for v in c if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _root_cells(E, a: int, b: int) -> list:
+    """Cells for the real roots of the integer polynomial E in (a, b):
+    (m, m) for a root at the integer m, else the unit cell (u, u + 1) that
+    holds it.  Descartes' rule splits [a, b] at integer midpoints until a
+    cell holds at most one root, then sign bisection narrows it to a unit
+    cell; a unit cell reached by splitting can hold two or more roots."""
+    out = []
     if not any(E):
         return out
-    stack = [(0, _horner_int(E, 0), N, _horner_int(E, N))]
+    stack = [(a, _horner_int(E, a), b, _horner_int(E, b))]
     while stack:
         a, fa, b, fb = stack.pop()
         v = _variations(E, a, b)
         if v == 0:
             continue
         if b - a == 1:
-            out.update((a, b))
+            out.append((a, b))
             continue
         if v == 1 and (fa or fb):
             # one simple root in (a, b): follow the sign change
@@ -254,19 +277,17 @@ def _root_cells(E, N: int) -> set:
                 m = (a + b) // 2
                 fm = _horner_int(E, m)
                 if fm == 0:
-                    out.update((m - 1, m, m + 1))
-                    break
-                if ((fa > 0) != (fm > 0)) if fa else ((fb > 0) == (fm > 0)):
+                    a = b = m
+                elif ((fa > 0) != (fm > 0)) if fa else ((fb > 0) == (fm > 0)):
                     b, fb = m, fm
                 else:
                     a, fa = m, fm
-            else:
-                out.update((a, b))
+            out.append((a, b))
             continue
         m = (a + b) // 2
         fm = _horner_int(E, m)
         if fm == 0:
-            out.update((m - 1, m, m + 1))
+            out.append((m, m))
         stack += [(a, fa, m, fm), (m, fm, b, fb)]
     return out
 
@@ -275,10 +296,12 @@ def _grid_candidates(N: int, *polys) -> list:
     """The indices among 0..N where max |P(i)| can sit when P is monotone
     between consecutive real roots of the integer polynomials in polys: the
     ends of those stretches, so 0, 1, N - 1, N (1 and N - 1 for a pole at an
-    end) and the _root_cells."""
+    end), both ends of each unit root cell, and m - 1, m, m + 1 for a root
+    at m."""
     idx = {0, 1, N - 1, N}
     for E in polys:
-        idx |= _root_cells(E, N)
+        for u, v in _root_cells(E, 0, N):
+            idx.update((u - 1, u, u + 1) if u == v else (u, v))
     return sorted(i for i in idx if 0 <= i <= N)
 
 
@@ -321,25 +344,6 @@ def squarefree_part(p: Poly) -> Poly:
     return p // g
 
 
-# -- real roots: Descartes' rule of signs with bisection ----------------------
-
-def _variations(E, a: int, b: int) -> int:
-    """Sign variations of (1+x)^n E((a x + b)/(1+x)) for the integer
-    coefficients E and integer ends a < b: the Descartes bound on the roots
-    of E in (a, b); a count of 0 or 1 is exact (Collins & Akritas 1976)."""
-    c, w = [], b - a
-    for d in reversed(E):                        # E(a + w y)
-        c = [a * u + w * v for u, v in zip(c + [0], [0] + c)]
-        c[0] += d
-    c.reverse()                                  # x^n E(a + w / x)
-    n = len(c) - 1
-    for i in range(n):                           # Taylor shift x -> x + 1
-        for j in range(n - 1, i - 1, -1):
-            c[j] += c[j + 1]
-    signs = [v > 0 for v in c if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
 ROOT_WIDTH = Fraction(1, 2**40)      # width of a refined isolating interval
 
 
@@ -349,48 +353,33 @@ def isolate_roots(p: Poly, lo, hi):
     Endpoint roots, and roots met at a bisection midpoint, are reported as
     degenerate [r, r] intervals.  The others are bisected down to width
     <= ROOT_WIDTH so callers can use midpoints as subdivision points.
+
+    Every bisection point lies on the grid lo + w*i, i = 0..N, with N the
+    least power of two that makes w = (hi - lo)/N <= ROOT_WIDTH: a unit cell
+    of `_root_cells` is a refined interval.  A cell that holds two roots is
+    searched again on the grid of step w/2, E_2M(i) = 2^n E_M(i/2).
     """
     lo, hi = _fr(lo), _fr(hi)
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree <= 0 or hi <= lo:
         return []
-    sf = squarefree_part(p)
-    out = []
-    for r in (lo, hi):
-        if sf(r) == 0:
-            out.append((r, r))
-            sf = sf // Poly([-r, 1])
-    # invariant: q has no root at a or b
-    stack = [(lo, hi, sf)]
-    while stack:
-        a, b, q = stack.pop()
-        D = math.lcm(a.denominator, b.denominator)
-        n = _variations(_int_scaled(q, D)[0], int(a * D), int(b * D))
-        if n == 1:
-            out.append(_refine_interval(q, a, b))
-        elif n > 1:
-            m = (a + b) / 2
-            if q(m) == 0:
-                out.append((m, m))
-                q = q // Poly([-m, 1])
-            stack += [(a, m, q), (m, b, q)]
+    N = 1 << (math.ceil((hi - lo) / ROOT_WIDTH) - 1).bit_length()
+    w = (hi - lo) / N
+    E = _int_scaled(squarefree_part(p).compose(Poly.affine(w, lo)), 1)[0]
+    out = [(x, x) for i, x in ((0, lo), (N, hi)) if not _horner_int(E, i)]
+    todo = [(E, 1, 0, N)]                # E on the grid of step w/s, (a, b)
+    while todo:
+        E, s, a, b = todo.pop()
+        for u, v in _root_cells(E, a, b):
+            if u < v and _variations(E, u, v) > 1:
+                n = len(E) - 1
+                todo.append(([c << (n - j) for j, c in enumerate(E)],
+                             2 * s, 2 * u, 2 * v))
+            else:
+                out.append((lo + w * u / s, lo + w * v / s))
     out.sort()
     return out
-
-
-def _refine_interval(sf: Poly, a: Fraction, b: Fraction):
-    fa = sf(a)
-    while b - a > ROOT_WIDTH:
-        m = (a + b) / 2
-        fm = sf(m)
-        if fm == 0:
-            return (m, m)
-        if (fa > 0) != (fm > 0):
-            b = m
-        else:
-            a, fa = m, fm
-    return (a, b)
 
 
 # -- numeric root finding (complex) -------------------------------------------

@@ -70,7 +70,7 @@ def test_acceptance_01_hyperbola_golden():
     P = hyperbola_parametrization(e, k=2)
     assert P.chart_count == 4
     for ch in P.charts:
-        rep = verify_ck_chart(ch, exact=True)
+        rep = verify_ck_chart(ch)
         assert rep.ok and rep.mode == "exact"
         assert rep.max_bound <= 1 + 1e-9
     assert time.perf_counter() - t0 < 5.0

@@ -16,7 +16,7 @@ from smoothparam.analytic_param import hyperbola_analytic_charts
 from smoothparam import serialize
 from smoothparam import approx
 from smoothparam.config import DEFAULT
-from smoothparam.errors import EvaluationAtSingularity
+from smoothparam.errors import DegreeOverflow, EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, RationalExpr, SqrtExpr,
                                normalize_values)
 from smoothparam.poly import Poly
@@ -140,6 +140,26 @@ def test_nan_patch_error_is_a_failure(monkeypatch):
     only = [x for x in sampled if x not in elsewhere]
     nan_at[0] = only[len(only) // 2]
     with pytest.raises(EvaluationAtSingularity, match="non-finite"):
+        ck_approximate(f, (F(0), F(1)), 1e-3, 0.5)
+
+
+def test_ck_route_caps_the_patches_per_chart(monkeypatch):
+    # exp(x)/3 plus a jump of 0.01 at x = 1/2 that the declared derivatives
+    # miss: no patch across the jump gets within eps, so each halving refits
+    # twice as many patches; the cap stops the chart after fewer than twice
+    # the cap in fits (about 1 s) instead of halving on towards r = 0
+    fits = [0]
+
+    def taylor_patch(*args, **kwargs):
+        fits[0] += 1
+        assert fits[0] < 2 * 1024, "runaway halving"
+        return real_taylor_patch(*args, **kwargs)
+
+    real_taylor_patch = approx.taylor_patch
+    monkeypatch.setattr(approx, "taylor_patch", taylor_patch)
+    f = BlackboxExpr(lambda x: math.exp(x) / 3 + (0.01 if x > 0.5 else 0.0),
+                     zero_count=0, deriv_fns=[lambda x: math.exp(x) / 3] * 6)
+    with pytest.raises(DegreeOverflow, match="CK_PATCH_CAP = 1024"):
         ck_approximate(f, (F(0), F(1)), 1e-3, 0.5)
 
 

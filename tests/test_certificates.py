@@ -20,7 +20,7 @@ from smoothparam.cli import main
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, ConstExpr, MulExpr, PowExpr,
-                               RationalExpr)
+                               RationalExpr, SqrtExpr)
 from smoothparam.poly import Poly
 from smoothparam.serialize import (approximation_to_json, dumps, loads,
                                    verify_bundle)
@@ -113,14 +113,17 @@ def test_stored_nan_bound_fails_verification(tmp_path, capsys):
 
 
 def test_reports_name_the_grid_they_sampled():
-    # 1/(2 + t) on [0, 1]: rational, so both modes apply
+    # 1/(2 + t) on [0, 1] is rational, so its chart is checked exactly;
+    # sqrt(2 + t) is not, so its chart is checked in floats
     ch = Chart(psi=Poly([0, 1]), f_comp=RationalExpr(Poly([1]), Poly([2, 1])),
                k=2)
-    exact = verify_ck_chart(ch, CFG, exact=True)
+    exact = verify_ck_chart(ch, CFG)
     n = CFG.exact_grid_points
     assert exact.ok and exact.mode == "exact"
     assert exact.detail == f"exact at the {n + 1} points i/{n}"
-    flt = verify_ck_chart(ch, CFG, exact=False)
+    ch = Chart(psi=Poly([0, 1]), f_comp=SqrtExpr(RationalExpr(Poly([2, 1]))),
+               k=2)
+    flt = verify_ck_chart(ch, CFG)
     assert flt.ok and flt.mode == "float"
     assert flt.detail == (f"float at {CFG.grid_points} points, "
                           f"tolerance {CK_TOLERANCE_FLOAT}")

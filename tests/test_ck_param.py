@@ -105,7 +105,7 @@ def test_hyperbola_golden_four_charts_exact():
     P = hyperbola_parametrization(F(1, 100), k=2)
     assert P.chart_count == 4
     for ch in P.charts:
-        rep = verify_ck_chart(ch, exact=True)
+        rep = verify_ck_chart(ch)
         assert rep.ok and rep.mode == "exact"
         assert rep.max_bound <= 1 + 1e-9
 

@@ -11,14 +11,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smoothparam.bivar import BivarPoly, resultant_y
-from smoothparam.funcs import (BranchTracker, MulExpr, RationalExpr, SqrtExpr,
-                               isolate_real_zeros, singular_locus)
-from smoothparam.poly import (ROOT_WIDTH, Poly, _refine_interval, bareiss,
-                              complex_roots, isolate_roots,
+from smoothparam.errors import EvaluationAtSingularity
+from smoothparam.funcs import (BlackboxExpr, BranchTracker, MulExpr,
+                               RationalExpr, SqrtExpr, isolate_real_zeros,
+                               singular_locus)
+from smoothparam.poly import (ROOT_WIDTH, Poly, bareiss, complex_roots,
+                              isolate_roots,
                               max_abs_on_rational_grid, squarefree_part)
 
 
@@ -70,60 +72,47 @@ def count_real_roots(p, lo, hi):
     return _sign_variations(chain, F(lo)) - _sign_variations(chain, F(hi))
 
 
+def _refine_interval(sf, a, b):
+    """Sign bisection of (a, b), which holds one simple root of sf, down to
+    width <= ROOT_WIDTH; a root met at a midpoint gives (m, m).  When a is a
+    root itself, sf just right of a has the sign of sf'(a)."""
+    fa = sf(a) or sf.deriv()(a)
+    while b - a > ROOT_WIDTH:
+        m = (a + b) / 2
+        fm = sf(m)
+        if fm == 0:
+            return (m, m)
+        if (fa > 0) != (fm > 0):
+            b = m
+        else:
+            a, fa = m, fm
+    return (a, b)
+
+
 def sturm_isolate(p, lo, hi):
-    """Sturm-sequence isolation: bisect [lo, hi] at midpoints while the count
-    is >= 2, nudging off roots met at an endpoint or a midpoint."""
+    """Sturm-sequence isolation: a root at an end or at a midpoint is
+    reported as (r, r); [lo, hi] is bisected at midpoints while the open
+    interval holds two or more roots, and one that holds a single root is
+    refined by sign bisection."""
     lo, hi = F(lo), F(hi)
     if p.degree <= 0 or hi <= lo:
         return []
     sf = squarefree_part(p)
     chain = sturm_chain(sf)
-    out = []
-
-    def count(a, b):
-        # roots in the half-open interval (a, b]
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    def nudge_right(x, limit):
-        # smallest convenient eps with no root in (x, x+eps]
-        eps = (limit - x) / 1024
-        while count(x, x + eps) > 0:
-            eps /= 2
-        return x + eps
-
-    def nudge_left(x, limit):
-        eps = (x - limit) / 1024
-        while count(x - eps, x) > (1 if sf(x) == 0 else 0):
-            eps /= 2
-        return x - eps
-
-    a0, b0 = lo, hi
-    if sf(lo) == 0:
-        out.append((lo, lo))
-        a0 = nudge_right(lo, hi)
-    if sf(hi) == 0:
-        out.append((hi, hi))
-        b0 = nudge_left(hi, lo)
-    if b0 <= a0:
-        return sorted(out)
-
-    stack = [(a0, b0)]
+    out = [(r, r) for r in (lo, hi) if sf(r) == 0]
+    stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        n = count(a, b)
-        if n <= 0:
-            continue
+        # V(a) - V(b) counts the roots in (a, b]
+        n = (_sign_variations(chain, a) - _sign_variations(chain, b)
+             - (sf(b) == 0))
         if n == 1:
             out.append(_refine_interval(sf, a, b))
-            continue
-        m = (a + b) / 2
-        if sf(m) == 0:
-            out.append((m, m))
-            stack.append((a, nudge_left(m, a)))
-            stack.append((nudge_right(m, b), b))
-        else:
-            stack.append((a, m))
-            stack.append((m, b))
+        elif n > 1:
+            m = (a + b) / 2
+            if sf(m) == 0:
+                out.append((m, m))
+            stack += [(a, m), (m, b)]
     return sorted(out)
 
 
@@ -156,6 +145,22 @@ def test_isolate_roots_brackets_are_disjoint_and_complete():
             assert b1 < a2
 
 
+def _check_against_the_sturm_oracle(p, lo, hi):
+    got, want = isolate_roots(p, lo, hi), sturm_isolate(p, lo, hi)
+    # a cell (a, b), a < b, is open: beside a root closer than ROOT_WIDTH it
+    # can end where a neighbouring cell or a reported root (r, r) begins
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(got, got[1:]))
+    exact = {a for a, b in got if a == b}
+    for a, b in got:
+        if a == b:
+            assert lo <= a <= hi and p(a) == 0
+        else:
+            assert lo <= a and b <= hi and b - a <= ROOT_WIDTH
+            assert (p(a) != 0 or a in exact) and (p(b) != 0 or b in exact)
+            assert count_real_roots(p, a, b) - (p(b) == 0) == 1
+    assert got == want
+
+
 _small_fraction = st.builds(F, st.integers(-16, 16), st.sampled_from([1, 2, 3, 4, 8]))
 
 
@@ -169,18 +174,37 @@ def test_isolate_roots_matches_the_sturm_oracle(roots, extra, e, i, j):
     p = Poly(extra + [1])
     for r in roots:
         p = p * Poly([-r, 1])
-    lo, hi = F(i, 2 ** e), F(i + j, 2 ** e)
-    got, want = isolate_roots(p, lo, hi), sturm_isolate(p, lo, hi)
-    assert len(got) == len(want)
-    assert all(b1 < a2 for (_, b1), (a2, _) in zip(got, got[1:]))
-    for a, b in got:
-        if a == b:
-            assert lo <= a <= hi and p(a) == 0
-        else:
-            assert lo <= a and b <= hi and b - a <= ROOT_WIDTH
-            assert p(a) != 0 and p(b) != 0 and count_real_roots(p, a, b) == 1
-    if all(a != b for a, b in want):
-        assert got == want
+    _check_against_the_sturm_oracle(p, F(i, 2 ** e), F(i + j, 2 ** e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lo=st.builds(F, st.integers(-40, 40),
+                    st.sampled_from([1, 3, 7, 8, 12])),
+       width=st.builds(F, st.integers(1, 40), st.sampled_from([1, 3, 10])),
+       spots=st.lists(st.tuples(st.integers(0, 97), st.sampled_from([64, 97]),
+                                st.sampled_from(["single", "pair", "double"]),
+                                st.integers(41, 46), st.sampled_from([1, -1])),
+                      min_size=1, max_size=4),
+       extra=st.lists(st.integers(-3, 3), max_size=3))
+@example(lo=F(-1, 3), width=F(7, 3), extra=[1],
+         spots=[(0, 64, "single", 41, 1), (97, 97, "double", 41, 1),
+                (1, 97, "pair", 46, 1), (32, 64, "pair", 41, -1)])
+def test_isolate_roots_on_close_pairs_grid_points_and_repeated_roots(
+        lo, width, spots, extra):
+    # a root at lo + width*k/d, on a bisection point for d = 64 (an end for
+    # k = 0 or k = d) and off the grid for d = 97, then either alone, with a
+    # partner 2^-g away (closer than ROOT_WIDTH, so both can share a unit
+    # cell of the grid) or repeated; the ends need not be dyadic
+    hi = lo + width
+    p = Poly(extra + [1])
+    for k, d, kind, g, side in spots:
+        r = lo + width * F(k, d)
+        p = p * Poly([-r, 1])
+        if kind == "pair":
+            p = p * Poly([-r - F(side, 2 ** g), 1])
+        elif kind == "double":
+            p = p * Poly([-r, 1])
+    _check_against_the_sturm_oracle(p, lo, hi)
 
 
 def test_sturm_chain_endpoints_sign_convention():
@@ -346,6 +370,21 @@ def test_isolate_real_zeros_sqrt_expression():
     assert len(zs) == 1
     a, b = zs[0]
     assert a <= F(1, 4) <= b
+
+
+@pytest.mark.parametrize("where", ["sample", "midpoint"])
+def test_isolate_real_zeros_raises_on_a_nan_value(where):
+    # x - 0.3 on [0, 1]: the root lies between samples 1228 and 1229 of
+    # 4,097; a NaN at sample 1229 (or at the first bisection midpoint) has
+    # no sign, so the sign change across it would be lost or misplaced
+    xs = np.linspace(0.0, 1.0, 4097)
+    bad = float(xs[1229] if where == "sample" else (xs[1228] + xs[1229]) / 2)
+    clean = BlackboxExpr(lambda x: x - 0.3, zero_count=1)
+    assert isolate_real_zeros(clean, (0, 1)) == [(0.3, 0.3)]
+    f = BlackboxExpr(lambda x: math.nan if x == bad else x - 0.3,
+                     zero_count=1)
+    with pytest.raises(EvaluationAtSingularity, match=f"x = {bad}"):
+        isolate_real_zeros(f, (0, 1))
 
 
 def _leibniz_det(m):
