@@ -351,8 +351,10 @@ def isolate_roots(p: Poly, lo, hi):
     """Disjoint isolating intervals, one per distinct real root of p in [lo, hi].
 
     Endpoint roots, and roots met at a bisection midpoint, are reported as
-    degenerate [r, r] intervals.  The others are bisected down to width
-    <= ROOT_WIDTH so callers can use midpoints as subdivision points.
+    degenerate [r, r] intervals.  The others are open intervals bisected
+    down to width <= ROOT_WIDTH so callers can use midpoints as subdivision
+    points; beside a root closer than that, one can end where the next
+    interval begins.
 
     Every bisection point lies on the grid lo + w*i, i = 0..N, with N the
     least power of two that makes w = (hi - lo)/N <= ROOT_WIDTH: a unit cell

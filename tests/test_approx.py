@@ -147,7 +147,7 @@ def test_ck_route_caps_the_patches_per_chart(monkeypatch):
     # exp(x)/3 plus a jump of 0.01 at x = 1/2 that the declared derivatives
     # miss: no patch across the jump gets within eps, so each halving refits
     # twice as many patches; the cap stops the chart after fewer than twice
-    # the cap in fits (about 1 s) instead of halving on towards r = 0
+    # the cap in fits instead of halving on towards r = 0
     fits = [0]
 
     def taylor_patch(*args, **kwargs):
