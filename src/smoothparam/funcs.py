@@ -79,8 +79,11 @@ class FunctionExpr:
             return RationalExpr(num.compose(h), den.compose(h))
         return ComposeExpr(self, RationalExpr(h, Poly([1])))
 
-    # derivative chain with caching
     def derivative_chain(self, order: int):
+        """[f, f', ..., f^(order)], cached on self; each order is the deriv
+        of the one before.  For rational f = n/d that is the recurrence of
+        `RationalExpr.deriv`: f^(i) = N_i/(d h^i) with h = d/gcd(d, d'), so
+        the chain takes gcd(n, d) and gcd(d, d') once, not a gcd per order."""
         chain = getattr(self, "_chain", [self])
         while len(chain) <= order:
             nxt = chain[-1].deriv()
@@ -94,6 +97,8 @@ class FunctionExpr:
 
 class RationalExpr(FunctionExpr):
     """num(x)/den(x) with exact rational coefficients."""
+
+    _step = None          # (h, u, h', i, N_i, d h^i) of an i-th derivative
 
     def __init__(self, num: Poly, den: Poly = None):
         self.num = num
@@ -113,15 +118,45 @@ class RationalExpr(FunctionExpr):
     def size(self):
         return self.num.degree + self.den.degree + 2
 
+    def lowest_terms(self):
+        """(num, den) over their gcd; a polynomial, and a derivative from
+        `deriv`, are in lowest terms already and take no gcd."""
+        num, den = self.num, self.den
+        if self._step is None and not self.is_poly():
+            g = num.gcd(den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        return num, den
+
     def deriv(self):
+        """f' in lowest terms, its den's leading coefficient the square of
+        self.den's (a polynomial's derivative has den 1).
+
+        A chain takes one gcd in total, not one per order.  With n/d in
+        lowest terms, g = gcd(d, d'), h = d/g and u = d'/g, the i-th
+        derivative is N_i/(d h^i), where N_0 = n and
+        N_(i+1) = N_i' h - N_i (u + i h').  A pole of order m has order
+        m + i in f^(i), so every order is again in lowest terms, and one
+        scalar restores the normalization.  The first step reduces n/d and
+        computes h and u; each derivative carries them, its order i and its
+        unscaled N_i and d h^i to the next step."""
         if self.is_poly():
             return RationalExpr(self.num.deriv() * (1 / self.den.coeffs[0]))
-        n = self.num.deriv() * self.den - self.num * self.den.deriv()
-        d = self.den * self.den
-        g = n.gcd(d)
-        if g.degree > 0:
-            n, d = n // g, d // g
-        return RationalExpr(n, d)
+        if self._step is None:
+            num, den = self.lowest_terms()
+            dp = den.deriv()
+            g = den.gcd(dp)
+            h, u = (den // g, dp // g) if g.degree > 0 else (den, dp)
+            step = (h, u, h.deriv(), 0, num, den)
+        else:
+            step = self._step
+        h, u, hp, i, n, d = step
+        n = n.deriv() * h - n * (u + hp * i)
+        d = d * h
+        c = self.den.leading() ** 2 / d.leading()
+        out = RationalExpr(n * c, d * c)
+        out._step = (h, u, hp, i + 1, n, d)
+        return out
 
     def eval(self, x):
         if _is_exact(x):
@@ -960,7 +995,8 @@ class BlackboxExpr(FunctionExpr):
 def isolate_real_zeros(f: FunctionExpr, interval):
     """Disjoint isolating intervals for the real zeros of f on the interval.
 
-    Exact for rational f (`poly.isolate_roots`, Descartes bisection); sampled
+    Exact for rational f (`poly.isolate_roots` on num/gcd(num, den), so a
+    pole is never a zero and a zero beside a pole is kept); sampled
     sign-change bisection otherwise, with the declared zero count as a
     completeness check for blackboxes.  A NaN sample or midpoint value has
     no sign, so a sign change across it would be lost: it raises
@@ -968,14 +1004,11 @@ def isolate_real_zeros(f: FunctionExpr, interval):
     lo, hi = interval
     rat = f.as_rational()
     if rat is not None:
-        num, den = rat
-        if num.is_zero():
+        if rat[0].is_zero():
             raise ValueError("identically zero function")
-        pole_set = set()
-        if den.degree > 0:
-            pole_set = {(a, b) for a, b in isolate_roots(den, lo, hi)}
-        zeros = isolate_roots(num, _fr(lo), _fr(hi))
-        return [z for z in zeros if z not in pole_set]
+        if not isinstance(f, RationalExpr):
+            f = RationalExpr(*rat)
+        return isolate_roots(f.lowest_terms()[0], _fr(lo), _fr(hi))
     # sampled bisection
     n = max(16, int(BISECT_SAMPLES_PER_UNIT * (float(hi) - float(lo))))
     xs = np.linspace(float(lo), float(hi), n + 1)
