@@ -361,12 +361,11 @@ def test_isolate_real_zeros_drops_a_removable_point(pole):
     assert isolate_real_zeros(f, (F(0), F(1))) == []
 
 
-@pytest.mark.parametrize("gap", [F(1, 2**30), F(1, 2**50)])
-def test_isolate_real_zeros_keeps_a_zero_beside_a_pole(gap):
-    # (x - 1/3)/(x - 1/3 - gap) is zero at 1/3; 2^-50 puts the pole in the
+def test_isolate_real_zeros_keeps_a_zero_beside_a_pole():
+    # (x - 1/3)/(x - 1/3 - 2^-50) is zero at 1/3, and its pole lies in the
     # zero's own isolating interval, which must not hide the zero
     r = F(1, 3)
-    f = RationalExpr(Poly([-r, 1]), Poly([-r - gap, 1]))
+    f = RationalExpr(Poly([-r, 1]), Poly([-r - F(1, 2**50), 1]))
     zs = isolate_real_zeros(f, (F(0), F(1)))
     assert len(zs) == 1 and zs[0][0] <= r <= zs[0][1]
 
