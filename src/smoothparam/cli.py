@@ -8,6 +8,8 @@ verification failure, 1 error."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from .approx import analytic_approximate, ck_approximate
 from .bp import brute_force_points, enumerate_points, hypersurface_cover
 from .ck_param import ck_parametrize_function, hyperbola_parametrization
 from .entropy import entropy_sweep, system_zoo
-from .errors import PreconditionFailed, SmoothParamError
+from .errors import MalformedInput, PreconditionFailed, SmoothParamError
 from .funcs import RationalExpr, hyperbola_branch
 from .poly import Poly
 from .remez import (check_measure, empirical_remez_constant, hyperbola_curve,
@@ -35,25 +37,41 @@ def _frac(s) -> Fraction:
         raise ValueError(f"{s!r} has a zero denominator") from None
 
 
+def _float(s) -> float:
+    try:
+        return float(_frac(s))
+    except OverflowError:
+        raise PreconditionFailed(f"{s!r} is outside the float range") from None
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """A missing key or mistyped value in the JSON at path: MalformedInput."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ZeroDivisionError) as exc:
+        raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_spec(path):
-    """Input spec: either {"builtin": "hyperbola", ...} or
+    """(f, (lo, hi), spec) from a spec: {"builtin": "hyperbola", ...} or
     {"function": <expr json>, "interval": [lo, hi], ...}."""
-    with open(path) as fh:
-        spec = json.load(fh)
     allowed = {"builtin", "eps", "function", "interval",
                "declared_singularities"}
-    for key in spec:
-        if key not in allowed:
-            raise ValueError(f"unknown spec key {key!r}")
-    return spec
-
-
-def _spec_function(spec):
-    if spec.get("builtin") == "hyperbola":
-        e = _frac(spec.get("eps", "1/100"))
-        return hyperbola_branch(e), (Fraction(-1), -e), spec
-    f = expr_from_json(spec["function"])
-    lo, hi = (_frac(v) for v in spec["interval"])
+    with open(path) as fh, _reading(path):
+        spec = json.load(fh)
+        for key in spec:
+            if key not in allowed:
+                raise ValueError(f"unknown spec key {key!r}")
+        spec["declared_singularities"] = [
+            complex(*map(float, s)) if isinstance(s, list) else complex(s)
+            for s in spec.get("declared_singularities", [])]
+        if spec.get("builtin") == "hyperbola":
+            e = _frac(spec.get("eps", "1/100"))
+            return hyperbola_branch(e), (Fraction(-1), -e), spec
+        f = expr_from_json(spec["function"])
+        lo, hi = (_frac(v) for v in spec["interval"])
     return f, (lo, hi), spec
 
 
@@ -80,8 +98,7 @@ def _emit_and_verify(args, doc) -> int:
 
 def _run_parametrize_ck(args) -> int:
     if args.spec:
-        spec = _load_spec(args.spec)
-        f, (lo, hi), _ = _spec_function(spec)
+        f, (lo, hi), spec = _load_spec(args.spec)
         if spec.get("builtin"):
             P = hyperbola_parametrization(_frac(spec.get("eps", args.eps)),
                                           k=args.k)
@@ -95,12 +112,10 @@ def _run_parametrize_ck(args) -> int:
 
 def _run_parametrize_analytic(args) -> int:
     if args.spec:
-        spec = _load_spec(args.spec)
-        f, (lo, hi), _ = _spec_function(spec)
-        sings = [complex(*map(float, s)) if isinstance(s, list) else complex(s)
-                 for s in spec.get("declared_singularities", [])] or None
-        P = analytic_delta_parametrize(f, _frac(args.delta), (lo, hi),
-                                       declared_singularities=sings)
+        f, (lo, hi), spec = _load_spec(args.spec)
+        P = analytic_delta_parametrize(
+            f, _frac(args.delta), (lo, hi),
+            declared_singularities=spec["declared_singularities"] or None)
     else:
         P = hyperbola_analytic_charts(_frac(args.eps), _frac(args.delta))
     doc = serialize.parametrization_to_json(P, "analytic")
@@ -109,8 +124,7 @@ def _run_parametrize_analytic(args) -> int:
 
 def _run_approximate(args) -> int:
     if args.spec:
-        spec = _load_spec(args.spec)
-        f, (lo, hi), _ = _spec_function(spec)
+        f, (lo, hi), _ = _load_spec(args.spec)
     else:
         e = _frac(args.curve_eps)
         f, lo, hi = (RationalExpr(Poly([e * e]), Poly([0, 1])),
@@ -127,7 +141,7 @@ def _run_approximate(args) -> int:
 
 def _run_count_points(args) -> int:
     if args.spec:
-        f, (lo, hi), _ = _spec_function(_load_spec(args.spec))
+        f, (lo, hi), _ = _load_spec(args.spec)
     else:
         f, lo, hi = RationalExpr(Poly([0, 0, 0, 1])), Fraction(-1), Fraction(1)
     pts = enumerate_points(f, (lo, hi), args.t)
@@ -159,12 +173,10 @@ def _run_remez(args) -> int:
             raise PreconditionFailed(
                 f"samples must be >= 1, got {args.samples}")
         check_measure(args.mu)
-        ys = np.linspace(-1, 1, args.samples)
-        zs = np.linspace(-1, args.mu - 1, args.samples)
-        Y = [(float(v), 0.0) for v in ys]
-        Z = [(float(v), 0.0) for v in zs]
+        Y, Z = ([(float(v), 0.0) for v in np.linspace(-1, end, args.samples)]
+                for end in (1, args.mu - 1))
     else:
-        Y, Z = hyperbola_remez_query(float(_frac(args.eps)), args.samples)
+        Y, Z = hyperbola_remez_query(_float(args.eps), args.samples)
     rep = empirical_remez_constant(Y, Z, args.d1)
     doc = serialize.remez_report_to_json(rep)
     if args.parametrize:
@@ -180,8 +192,12 @@ def _run_entropy(args) -> int:
         raise ValueError(f"unknown system {args.system!r}; "
                          f"choose from {sorted(zoo)}")
     sys_ = zoo[args.system]
+    if not 0 <= args.n_min <= args.n_max <= sys_.iteration_cap:
+        raise PreconditionFailed(
+            f"n_values {args.n_min}..{args.n_max} must lie in "
+            f"0..{sys_.iteration_cap}")
     ns = list(range(args.n_min, args.n_max + 1))
-    eps = [float(_frac(e)) for e in args.eps_list.split(",")]
+    eps = [_float(e) for e in args.eps_list.split(",")]
     rep = entropy_sweep(sys_, ns, eps)
     if args.csv:
         _write(args.csv, rep.to_csv())
@@ -189,7 +205,7 @@ def _run_entropy(args) -> int:
 
 
 def _run_verify(args) -> int:
-    with open(args.path) as fh:
+    with open(args.path) as fh, _reading(args.path):
         res = verify_bundle(loads(fh.read()))
     for msg in res["failures"]:
         print(f"FAIL: {msg}", file=sys.stderr)
@@ -199,9 +215,10 @@ def _run_verify(args) -> int:
 
 # -- config / dispatch ---------------------------------------------------------
 
+@functools.cache            # one parser per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="smoothparam")
-    ap.add_argument("--config", default=os.environ.get("SMOOTHPARAM_CONFIG"),
+    ap.add_argument("--config", default=None,
                     help="JSON config file with per-subcommand defaults")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -268,21 +285,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     args = ap.parse_args(argv)
+    if args.config is None:
+        args.config = os.environ.get("SMOOTHPARAM_CONFIG")
     if not args.config:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
-    section = conf.get(args.command, conf if len(conf) and
-                       args.command not in conf else {})
     known = set(vars(args))
-    for key, val in section.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ValueError(f"unknown config key {key!r} "
-                             f"for subcommand {args.command}")
-        # explicit command-line flags win over config-file values
-        if f"--{key}" not in argv and f"--{dest}" not in argv:
-            setattr(args, dest, val)
+    with _reading(args.config):
+        section = conf.get(args.command, conf if len(conf) and
+                           args.command not in conf else {})
+        for key, val in section.items():
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise ValueError(f"unknown config key {key!r} "
+                                 f"for subcommand {args.command}")
+            # explicit command-line flags win over config-file values
+            if f"--{key}" not in argv and f"--{dest}" not in argv:
+                setattr(args, dest, val)
     return args
 
 

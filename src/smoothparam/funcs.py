@@ -974,13 +974,13 @@ class BlackboxExpr(FunctionExpr):
         return 2
 
     def deriv(self):
+        """The next of `deriv_fns`; past them, OrderOverflow (no fallback)."""
         if self._level < len(self.deriv_fns):
             return BlackboxExpr(self.deriv_fns[self._level], self.zero_count,
                                 self.deriv_fns, _level=self._level + 1)
-        h = 1e-5
-        f = self.fn
-        return BlackboxExpr(lambda x: (f(x + h) - f(x - h)) / (2 * h),
-                            self.zero_count, _level=self._level + 1)
+        raise OrderOverflow(
+            f"blackbox declares {len(self.deriv_fns)} derivatives; "
+            f"order {self._level + 1} was asked")
 
     def eval(self, x):
         return self.fn(float(x))

@@ -1,4 +1,5 @@
-"""Exact univariate polynomials over the rationals, plus real-root isolation
+"""Exact univariate polynomials over the rationals, held as integers over one
+denominator so that their arithmetic runs over Z, plus real-root isolation
 by Descartes' rule of signs with bisection.  One integer kernel on a grid,
 `_root_cells`, serves both `isolate_roots` and the exact grid maxima.
 Everything downstream (charts, resultants, point enumeration) leans on this
@@ -8,36 +9,71 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
+
+from .errors import PreconditionFailed
 
 _ZERO = Fraction(0)
 
 
 def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (Fraction, int, float, str)):
+        return x if isinstance(x, Fraction) else Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to Fraction")
 
 
+def _imul(a, b) -> list:
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _pdiv(a, b):
+    """(q, r, s) with s a = q b + r over Z, deg r < deg b: pseudo-division
+    that scales by lead(b) only as a quotient term needs (exact: s = 1)."""
+    m, lead, r, s = len(b) - 1, b[-1], list(a), 1
+    q = [0] * max(0, len(r) - m)
+    for k in range(len(r) - 1 - m, -1, -1):
+        if c := r[k + m]:
+            if (g := abs(lead) // math.gcd(c, lead)) > 1:
+                r, q, s = [x * g for x in r], [x * g for x in q], s * g
+            q[k] = f = c * g // lead
+            for i, y in enumerate(b, k):
+                r[i] -= f * y
+    return q, r[:m], s
+
+
+def _primitive(a: list) -> list:
+    """a without trailing zeros, over the gcd of its entries."""
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, low degree first."""
+    """Dense polynomial over Q, low degree first: (a_0 + ... + a_n x^n) / d
+    with integers a_j, d > 0, gcd(a_0, ..., a_n, d) = 1 and a_n != 0, so d is
+    the lcm of the reduced denominators and equal polynomials have equal
+    (a, d).  `coeffs`, the Fractions a_j / d, is built on first read."""
 
-    __slots__ = ("coeffs", "_np")
+    __slots__ = ("_a", "_d", "_c", "_np")
 
-    def __init__(self, coeffs: Iterable):
-        cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._np = None
+    def __init__(self, coeffs: Iterable, _d: int = None):
+        """Poly(cs) from rationals; Poly(ints, _d=d) is ints / d, d != 0."""
+        if _d is None:
+            cs = [_fr(c) for c in coeffs]
+            _d = math.lcm(*(c.denominator for c in cs))
+            coeffs = [c.numerator * (_d // c.denominator) for c in cs]
+        a = _primitive([_d, *coeffs] if _d > 0
+                       else [-_d, *(-x for x in coeffs)])
+        self._d, self._a, self._c, self._np = a[0], tuple(a[1:]), None, None
 
     # -- construction helpers -------------------------------------------------
 
@@ -53,23 +89,30 @@ class Poly:
     # -- basic queries --------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        if self._c is None:
+            self._c = tuple(Fraction(a, self._d) for a in self._a)
+        return self._c
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self._a) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._a
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._a)
 
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else _ZERO
+        return Fraction(self._a[-1], self._d) if self._a else _ZERO
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._a == other._a
+                and self._d == other._d)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._a, self._d))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -78,69 +121,38 @@ class Poly:
 
     def __add__(self, other):
         other = other if isinstance(other, Poly) else Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [_ZERO] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
+        m = math.lcm(self._d, other._d)
+        s, t = m // self._d, m // other._d
+        return Poly([x * s + y * t for x, y in
+                     zip_longest(self._a, other._a, fillvalue=0)], _d=m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly([-x for x in self._a], _d=self._d)
 
     def __sub__(self, other):
-        other = other if isinstance(other, Poly) else Poly.const(other)
-        return self + (-other)
+        return self + (-other if isinstance(other, Poly) else -_fr(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = _fr(other)
-            return Poly([a * c for a in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        other = other if isinstance(other, Poly) else Poly.const(other)
+        return Poly(_imul(self._a, other._a), _d=self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return math.prod([self] * n, start=Poly([1]))
 
     def divmod(self, other: "Poly"):
-        """Exact polynomial division with remainder over Q."""
+        """Division with remainder over Q: pseudo-division over Z, one scale."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = [_ZERO] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= f * c
-            r.pop()
-        return Poly(q), Poly(r)
+        q, r, s = _pdiv(self._a, other._a)
+        return (Poly([x * other._d for x in q], _d=s * self._d),
+                Poly(r, _d=s * self._d))
 
     __divmod__ = divmod
 
@@ -151,17 +163,19 @@ class Poly:
         return self.divmod(other)[0]
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * (1 / a.leading())
+        """The monic gcd (0 for two zeros), by the primitive remainder
+        sequence over Z (Collins, J. ACM 14, 1967; Brown & Traub 1971)."""
+        a, b = _primitive(list(self._a)), _primitive(list(other._a))
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_pdiv(a, b)[1])
+        return Poly(a, _d=a[-1]) if a else Poly([])
 
     # -- calculus -------------------------------------------------------------
 
     def deriv(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly(_ideriv(self._a), _d=self._d)
 
     def derivs(self, order: int) -> list:
         out = [self]
@@ -175,56 +189,56 @@ class Poly:
         if isinstance(x, np.ndarray):
             return self.eval_array(x)
         if isinstance(x, (Fraction, int)):
-            if not self.coeffs:
-                return _ZERO
-            # x = n/d: Horner on the integers L c_j n^j d^(deg-j), L the
-            # coefficients' common denominator, then one reduced Fraction
-            n, d = x.numerator, x.denominator
-            L = math.lcm(*(c.denominator for c in self.coeffs))
-            acc, dp = 0, 1
-            for c in reversed(self.coeffs):
-                acc = acc * n + c.numerator * (L // c.denominator) * dp
-                dp *= d
-            return Fraction(acc, L * dp // d)
+            # x = n/m: Horner on the integers a_j n^j m^(deg-j), over d m^deg
+            D, scale = _int_scaled(self, x.denominator)
+            return Fraction(_horner_int(D, x.numerator), scale)
         acc = 0.0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.as_float_coeffs().tolist()):
             acc = acc * x + c
         return acc
 
     def as_float_coeffs(self) -> np.ndarray:
+        """a_j / d in floats (rounded as float() of the reduced Fraction)."""
         if self._np is None:
-            self._np = np.array([float(c) for c in self.coeffs], dtype=float)
+            try:
+                self._np = np.array([a / self._d for a in self._a], float)
+            except OverflowError:
+                raise PreconditionFailed(
+                    "a coefficient is outside the float range") from None
         return self._np
 
     def eval_array(self, xs: np.ndarray):
         cs = self.as_float_coeffs()
-        if len(cs) == 0:
-            return np.zeros_like(xs)
-        acc = np.full_like(xs, cs[-1])
+        acc = np.full_like(xs, cs[-1] if len(cs) else 0.0)
         for c in cs[-2::-1]:
             acc = acc * xs + c
         return acc
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), exact."""
-        acc = Poly([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        """self(inner(x)), exact: with self = a/d and inner = b/e, Horner
+        over Z gives sum a_j b^j e^(n-j), put over d e^n once."""
+        a, b, e = self._a, inner._a, inner._d
+        acc, ep = list(a[-1:]), 1
+        for c in a[-2::-1]:
+            ep *= e
+            acc = _imul(acc, b) or [0]
+            acc[0] += c * ep
+        return Poly(acc, _d=self._d * ep)
 
 
 # -- real roots: one integer Descartes kernel ---------------------------------
 
 def _int_scaled(p: Poly, N: int):
-    """Integer data for gcd-free grid evaluation: D_j = L*c_j*N^(n-j) with L
-    the common denominator, so p(i/N) = Horner(D, i) / (L * N^n)."""
+    """Integer data for gcd-free grid evaluation: D_j = a_j*N^(n-j) over
+    d*N^n, so p(i/N) = Horner(D, i) / (d * N^n)."""
     n = p.degree
     if n < 0:
         return [0], 1
-    L = math.lcm(*(c.denominator for c in p.coeffs))
-    D = [c.numerator * (L // c.denominator) * N ** (n - j)
-         for j, c in enumerate(p.coeffs)]
-    return D, L * N ** n
+    return [c * N ** (n - j) for j, c in enumerate(p._a)], p._d * N ** n
+
+
+def _ideriv(D) -> list:
+    return [j * c for j, c in enumerate(D)][1:]
 
 
 def _horner_int(D, i):
@@ -311,7 +325,7 @@ def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
     result equals an exact scan of all N + 1 points; it is still a grid
     sample, not a bound over [0, 1]."""
     D, scale = _int_scaled(p, N)
-    idx = _grid_candidates(N, [j * d for j, d in enumerate(D)][1:])
+    idx = _grid_candidates(N, _ideriv(D))
     return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
 
 
@@ -322,11 +336,8 @@ def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
     or of den.  The result equals the exact scan of every point."""
     Dn, sn = _int_scaled(num, N)
     Dd, sd = _int_scaled(den, N)
-    W = [0] * (len(Dn) + len(Dd) - 2)          # Dn' Dd - Dn Dd'
-    for j, u in enumerate(Dn):
-        for l, v in enumerate(Dd):
-            if j != l:
-                W[j + l - 1] += (j - l) * u * v
+    W = [x - y for x, y in zip_longest(            # Dn' Dd - Dn Dd'
+        _imul(_ideriv(Dn), Dd), _imul(Dn, _ideriv(Dd)), fillvalue=0)]
     best = Fraction(0)
     for i in _grid_candidates(N, W, Dd):
         if b := _horner_int(Dd, i):
@@ -336,12 +347,7 @@ def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    if p.degree <= 0:
-        return p
-    g = p.gcd(p.deriv())
-    if g.degree <= 0:
-        return p
-    return p // g
+    return p // p.gcd(p.deriv()) if p.degree > 0 else p
 
 
 ROOT_WIDTH = Fraction(1, 2**40)      # width of a refined isolating interval

@@ -172,7 +172,9 @@ def test_value_sampling_falls_back_on_math_errors_only(exc):
         if isinstance(x, float) and abs(x) < 0.125:
             raise exc("blackbox failed")
         return x
+    # the exact derivatives of x, to the order the analytic route asks
     f = BlackboxExpr(fn, zero_count=0, deriv_fns=[lambda x: 1.0,
+                                                  lambda x: 0.0,
                                                   lambda x: 0.0])
 
     def approximate():

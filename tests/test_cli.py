@@ -1,14 +1,19 @@
 """Command-line pipelines and JSON artifacts: exit codes, byte-determinism,
 round-trips, fault injection, and config resolution."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smoothparam import cli
 from smoothparam.ck_param import hyperbola_parametrization
 from smoothparam.cli import main
 from smoothparam.serialize import dumps, loads, number_to_json
@@ -226,6 +231,11 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["remez", "--classical", "--mu", "nan"], "mu must lie in (0, 2]"),
     (["remez", "--classical", "--mu", "inf"], "mu must lie in (0, 2]"),
     (["count-points", "--t", "2000001"], "ENUMERATE_CAP"),
+    (["remez", "--eps", "1e400"], "'1e400' is outside the float range"),
+    (["entropy", "--eps-list", "1/10,1e400"], "outside the float range"),
+    (["approximate", "--curve-eps", "1e400"], "outside the float range"),
+    (["entropy", "--n-max", "99999999999999999999"], "n_values"),
+    (["entropy", "--n-min", "-99999999999999999999"], "n_values"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):
@@ -236,6 +246,29 @@ def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
     assert err.startswith("error: PreconditionFailed: ")
     assert named in err and "Traceback" not in err
     assert not out.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ([], ["verify"]),
+    ({"schema": "smoothparam@1"}, ["verify"]),
+    ({"interval": ["0", "1"]}, ["parametrize-ck", "--spec"]),
+    ({"function": {"kind": "rational", "num": ["1"], "den": []},
+      "interval": ["0", "1"]}, ["count-points", "--spec"]),
+    ({"builtin": "hyperbola", "declared_singularities": [{}]},
+     ["parametrize-analytic", "--spec"]),
+    ({"remez": 5}, ["remez", "--config"]),
+])
+def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
+                                                   capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if argv[-1] == "--config":
+        argv = ["--config", str(path), argv[0]]
+    else:
+        argv = argv + [str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MalformedInput: {path}: "), err
 
 
 def test_zero_denominator_is_an_input_error(capsys):
@@ -345,3 +378,175 @@ def test_ck_route_artifact_verifies(tmp_path, capsys, scale):
                  "--spec", str(spec), "--out", str(out)]) == 0
     assert "FAIL" not in capsys.readouterr().err
     assert main(["verify", str(out)]) == 0
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_the_parser_is_built_once_and_reads_the_env_per_call(
+        tmp_path, monkeypatch):
+    cli._build_parser.cache_clear()
+    monkeypatch.delenv("SMOOTHPARAM_CONFIG", raising=False)
+    out = tmp_path / "a.json"
+    assert main(["parametrize-ck", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 2
+    # set after the parser exists, and still honoured
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"parametrize-ck": {"k": 3}}))
+    monkeypatch.setenv("SMOOTHPARAM_CONFIG", str(conf))
+    assert main(["parametrize-ck", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 3
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_calls_through_the_cached_parser_share_no_state(tmp_path, monkeypatch):
+    monkeypatch.delenv("SMOOTHPARAM_CONFIG", raising=False)
+    conf, out = tmp_path / "conf.json", tmp_path / "a.json"
+    conf.write_text(json.dumps({"parametrize-ck": {"k": 3, "eps": "1/50"}}))
+    assert main(["--config", str(conf), "parametrize-ck",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 3
+    fresh = cli._build_parser.__wrapped__()          # an uncached parser
+    for argv in (["entropy", "--n-max", "2"], ["parametrize-ck"],
+                 ["count-points", "--t", "5"], ["remez", "--classical"],
+                 ["parametrize-ck", "--k", "3"], ["parametrize-analytic"]):
+        assert vars(cli._apply_config(cli._build_parser(), argv)) == \
+            vars(fresh.parse_args(argv))
+    assert main(["parametrize-ck", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 2
+
+
+# -- the front door under drawn argv --------------------------------------------
+
+_EDGE = ["0", "-1", "-2/3", "1e400", "99999999999999999999", "1/0", "abc",
+         "", "nan", "-inf"]
+_INT_EDGE = ["-99999999999999999999", "1/0", "abc", "1.5", ""]
+
+
+def _values(*good):
+    return st.sampled_from(list(good) + _EDGE)
+
+
+def _ints(lo, hi, *more):
+    return st.one_of(st.integers(lo, hi).map(str),
+                     st.sampled_from(_INT_EDGE + list(more)))
+
+
+@pytest.fixture(scope="module")
+def front_door_files(tmp_path_factory):
+    """Specs, configs and artifacts for the drawn argv: good ones and ones
+    that are missing, not JSON, or JSON of the wrong shape."""
+    root = tmp_path_factory.mktemp("front-door")
+    docs = {
+        "hyperbola": {"builtin": "hyperbola", "eps": "1/20"},
+        "cubic": {"function": {"kind": "rational", "num": ["0", "0", "0", "1"],
+                               "den": ["1"]}, "interval": ["-1", "1"]},
+        "no-function": {"interval": ["0", "1"]},
+        "bad-function": {"function": 3, "interval": ["0", "1"]},
+        "zero-den": {"function": {"kind": "rational", "num": ["1"],
+                                  "den": []}, "interval": ["0", "1"]},
+        "short-interval": {"function": {"kind": "const", "value": "1"},
+                           "interval": ["0"]},
+        "bad-eps": {"builtin": "hyperbola", "eps": [1]},
+        "bad-sings": {"builtin": "hyperbola",
+                      "declared_singularities": [{}]},
+        "list": [], "number": 3,
+        "config": {"parametrize-ck": {"k": 3}},
+        "config-bad-key": {"entropy": {"bogus": 1}},
+        "config-bad-section": {"remez": 5},
+        "no-kind": {"schema": "smoothparam@1"},
+        "bad-kind": {"schema": "smoothparam@1", "kind": 7},
+        "old-schema": {"schema": "smoothparam@0", "kind": "remez"},
+        "short-count": {"schema": "smoothparam@1", "kind": "count-points"},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["not-json"] = root / "not-json.json"
+    paths["not-json"].write_text("{oops")
+    paths["missing"] = root / "missing.json"
+    paths["dir"] = root
+    paths["csv"] = root / "sweep.csv"
+    paths["artifact"] = root / "count.json"
+    assert main(["count-points", "--t", "5", "--out",
+                 str(paths["artifact"])]) == 0
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _files(*names):
+    return st.sampled_from(["@" + n for n in names])
+
+
+_SPECS = _files("hyperbola", "cubic", "no-function", "bad-function",
+                "zero-den", "short-interval", "bad-eps", "bad-sings", "list",
+                "number", "not-json", "missing", "dir")
+_CSV = _files("csv", "dir")
+_FLAGS = {
+    "parametrize-ck": {"--eps": _values("1/100", "100/570", "1/2"),
+                       "--k": _ints(-2, 3), "--spec": _SPECS},
+    "parametrize-analytic": {"--eps": _values("1/100", "1/2"),
+                             "--delta": _values("1/16", "1/2"),
+                             "--spec": _SPECS},
+    "approximate": {"--route": st.sampled_from(["ck", "analytic", "taylor"]),
+                    "--eps": _values("0.25", "0.0625"),
+                    "--sigma": _values("0.5", "1"), "--slab": None,
+                    "--curve-eps": _values("1/67108864"),
+                    "--spec": _SPECS},
+    "count-points": {"--t": _ints(-3, 50), "--d": _ints(-1, 3, "17"),
+                     "--csv": _CSV, "--spec": _SPECS},
+    "remez": {"--d1": _ints(-2, 3), "--eps": _values("1/10", "1/4"),
+              "--classical": None, "--mu": _values("1", "1/2", "2"),
+              "--samples": _ints(-2, 50), "--parametrize": None},
+    "entropy": {"--system": st.sampled_from(
+                    ["identity", "doubling", "polynomial", "nope"]),
+                "--n-min": _ints(-2, 4), "--n-max": _ints(-2, 4),
+                "--eps-list": st.lists(_values("1/10", "1/4"), min_size=1,
+                                       max_size=3).map(",".join),
+                "--csv": _CSV},
+    "verify": {},
+}
+_VERIFY = _files("artifact", "no-kind", "bad-kind", "old-schema",
+                 "short-count", "list", "number", "not-json", "missing", "dir")
+_CONFIG = _files("config", "config-bad-key", "config-bad-section", "list",
+                 "not-json", "missing")
+
+
+@st.composite
+def _argv(draw):
+    """argv for one subcommand: a subset of its flags, each with a good or an
+    edge value (0, negatives, huge values, 1/0 and non-numbers); "@name"
+    names a good, malformed, missing or unreadable file."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = ["--config", draw(_CONFIG)] if draw(st.integers(0, 5)) == 0 else []
+    argv.append(command)
+    flags = _FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
+                              max_size=4)) if flags else []:
+        argv.append(flag if flags[flag] is None
+                    else f"{flag}={draw(flags[flag])}")
+    if command == "verify":
+        argv.append(draw(_VERIFY))
+    return argv
+
+
+@settings(max_examples=200)
+@given(drawn=_argv())
+def test_front_door_fuzz(front_door_files, drawn):
+    # exit 0, 1 or 2 (argparse's usage errors exit 2 too), never a traceback,
+    # and an exit-1 message starts with "error:"
+    argv = []
+    for a in drawn:                          # "--spec=@name" or "@name"
+        head, at, name = a.partition("@")
+        argv.append(head + front_door_files[name] if at else a)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:            # argparse rejects the argv
+            rc = exc.code
+    text = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc, text)
+    assert "Traceback" not in text, argv
+    if rc == 1:
+        assert text.startswith("error:"), (argv, text)

@@ -17,7 +17,7 @@ from smoothparam.analytic_param import (hyperbola_analytic_charts,
 from smoothparam.bivar import BivarPoly
 from smoothparam.charts import circle_sup
 from smoothparam.config import DEFAULT
-from smoothparam.errors import EvaluationAtSingularity
+from smoothparam.errors import EvaluationAtSingularity, OrderOverflow
 from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
                                ConstExpr, MulExpr, PowExpr, RationalExpr,
                                SqrtExpr, scale_shift)
@@ -145,6 +145,16 @@ def test_blackbox_eval_array_keeps_shape_and_takes_complex():
     assert np.array_equal(f.eval_array(xs).ravel(),
                           [float(x) ** 2 + 1 for x in xs.ravel()])
     assert f.eval_complex(1j) == 0j
+
+
+def test_blackbox_derivatives_stop_at_the_declared_ones():
+    # no difference quotient past deriv_fns: the order is named instead
+    f = BlackboxExpr(math.exp, 0, deriv_fns=[math.exp])
+    assert f.deriv().eval(0.5) == math.exp(0.5)
+    with pytest.raises(OrderOverflow, match="order 2 was asked"):
+        f.deriv().deriv()
+    with pytest.raises(OrderOverflow, match="order 1 was asked"):
+        BlackboxExpr(math.exp, 0).derivative_chain(2)
 
 
 def circle_sup_loop(value, center, radius, cfg=DEFAULT, tracker=None):
