@@ -173,8 +173,10 @@ def _run_remez(args) -> int:
             raise PreconditionFailed(
                 f"samples must be >= 1, got {args.samples}")
         check_measure(args.mu)
-        Y, Z = ([(float(v), 0.0) for v in np.linspace(-1, end, args.samples)]
-                for end in (1, args.mu - 1))
+        ys = np.linspace(-1, 1, args.samples)
+        zs = np.linspace(-1, args.mu - 1, args.samples)
+        Y = [(float(v), 0.0) for v in ys]
+        Z = [(float(v), 0.0) for v in zs]
     else:
         Y, Z = hyperbola_remez_query(_float(args.eps), args.samples)
     rep = empirical_remez_constant(Y, Z, args.d1)

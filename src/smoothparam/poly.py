@@ -36,7 +36,7 @@ def _imul(a, b) -> list:
 
 def _pdiv(a, b):
     """(q, r, s) with s a = q b + r over Z, deg r < deg b: pseudo-division
-    that scales by lead(b) only as a quotient term needs (exact: s = 1)."""
+    that scales by lead(b) only where a quotient term is not an integer."""
     m, lead, r, s = len(b) - 1, b[-1], list(a), 1
     q = [0] * max(0, len(r) - m)
     for k in range(len(r) - 1 - m, -1, -1):
@@ -166,8 +166,6 @@ class Poly:
         """The monic gcd (0 for two zeros), by the primitive remainder
         sequence over Z (Collins, J. ACM 14, 1967; Brown & Traub 1971)."""
         a, b = _primitive(list(self._a)), _primitive(list(other._a))
-        if len(a) < len(b):
-            a, b = b, a
         while b:
             a, b = b, _primitive(_pdiv(a, b)[1])
         return Poly(a, _d=a[-1]) if a else Poly([])
