@@ -22,7 +22,7 @@ from .approx import analytic_approximate, ck_approximate
 from .bp import brute_force_points, enumerate_points, hypersurface_cover
 from .ck_param import ck_parametrize_function, hyperbola_parametrization
 from .entropy import entropy_sweep, system_zoo
-from .errors import MalformedInput, PreconditionFailed, SmoothParamError
+from .errors import PreconditionFailed, SmoothParamError
 from .funcs import RationalExpr, hyperbola_branch
 from .poly import Poly
 from .remez import (check_measure, empirical_remez_constant, hyperbola_curve,
@@ -46,17 +46,17 @@ def _float(s) -> float:
 
 @contextlib.contextmanager
 def _reading(path):
-    """A missing key or mistyped value in the JSON at path: MalformedInput."""
+    """PreconditionFailed naming path for a missing key or mistyped value."""
     try:
         yield
     except (AttributeError, IndexError, KeyError, TypeError,
             ZeroDivisionError) as exc:
-        raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
+        raise PreconditionFailed(f"{path}: {exc!r}") from None
 
 
 def _load_spec(path):
-    """(f, (lo, hi), spec) from a spec: {"builtin": "hyperbola", ...} or
-    {"function": <expr json>, "interval": [lo, hi], ...}."""
+    """(f, (lo, hi), spec) from the spec file at path: {"builtin":
+    "hyperbola", ...} or {"function": <expr json>, "interval": [lo, hi], ...}."""
     allowed = {"builtin", "eps", "function", "interval",
                "declared_singularities"}
     with open(path) as fh, _reading(path):
@@ -64,14 +64,19 @@ def _load_spec(path):
         for key in spec:
             if key not in allowed:
                 raise ValueError(f"unknown spec key {key!r}")
-        spec["declared_singularities"] = [
-            complex(*map(float, s)) if isinstance(s, list) else complex(s)
-            for s in spec.get("declared_singularities", [])]
-        if spec.get("builtin") == "hyperbola":
-            e = _frac(spec.get("eps", "1/100"))
-            return hyperbola_branch(e), (Fraction(-1), -e), spec
-        f = expr_from_json(spec["function"])
-        lo, hi = (_frac(v) for v in spec["interval"])
+        return _spec_function(spec)
+
+
+def _spec_function(spec):
+    # a copy of the spec with its declared singularities as complex numbers
+    spec = dict(spec, declared_singularities=[
+        complex(*map(float, s)) if isinstance(s, list) else complex(s)
+        for s in spec.get("declared_singularities", [])])
+    if spec.get("builtin") == "hyperbola":
+        e = _frac(spec.get("eps", "1/100"))
+        return hyperbola_branch(e), (Fraction(-1), -e), spec
+    f = expr_from_json(spec["function"])
+    lo, hi = (_frac(v) for v in spec["interval"])
     return f, (lo, hi), spec
 
 
@@ -195,9 +200,8 @@ def _run_entropy(args) -> int:
                          f"choose from {sorted(zoo)}")
     sys_ = zoo[args.system]
     if not 0 <= args.n_min <= args.n_max <= sys_.iteration_cap:
-        raise PreconditionFailed(
-            f"n_values {args.n_min}..{args.n_max} must lie in "
-            f"0..{sys_.iteration_cap}")
+        raise PreconditionFailed(f"n_values {args.n_min}..{args.n_max} "
+                                 f"must lie in 0..{sys_.iteration_cap}")
     ns = list(range(args.n_min, args.n_max + 1))
     eps = [_float(e) for e in args.eps_list.split(",")]
     rep = entropy_sweep(sys_, ns, eps)

@@ -84,7 +84,3 @@ class GridTooCoarse(SmoothParamError):
 
 class SchemaVersionMismatch(SmoothParamError):
     pass
-
-
-class MalformedInput(SmoothParamError):
-    """A JSON spec, config or artifact lacks a key or mistypes a value."""

@@ -268,7 +268,7 @@ def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
         argv = argv + [str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: MalformedInput: {path}: "), err
+    assert err.startswith(f"error: PreconditionFailed: {path}: "), err
 
 
 def test_zero_denominator_is_an_input_error(capsys):
