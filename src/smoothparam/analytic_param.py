@@ -62,7 +62,9 @@ def _max_feasible_length(q: Fraction, direction: int, singular_points,
         if cap <= 0:
             return Fraction(0)
         if cap < float(best):
-            best = Fraction(cap).limit_denominator(2**40)
+            # the float itself: a dyadic rational below the true cap, so the
+            # cover's ends keep the gap ends' denominators times a power of 2
+            best = Fraction(cap)
             # round down so the invariant holds with margin
             while not _feasible(q, direction, best, z):
                 best = best * Fraction(4095, 4096)

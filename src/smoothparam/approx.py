@@ -84,22 +84,29 @@ def taylor_polynomial(g: FunctionExpr, d: int, center) -> Poly:
 
 
 def _rational_taylor(num: Poly, den: Poly, d: int, c: Fraction) -> Poly:
-    """Exact degree-d Taylor polynomial of num/den at c via power-series
-    division (no derivative chain, no gcds)."""
+    """Exact degree-d Taylor polynomial of num/den at c by power-series
+    division over Z.  With num(t + c) = A(t)/m and den(t + c) = B(t)/n the
+    series coefficients are n Q_j / (m b^(j+1)), b = B_0, where
+    Q_j = A_j b^j - sum_{i<j} Q_i B_(j-i) b^(j-1-i) are integers; they are
+    put over the one denominator m b^(d+1)."""
     shift = Poly.affine(1, c)            # t -> t + c
-    ns = num.compose(shift).coeffs
-    ds = den.compose(shift).coeffs
-    if not ds or ds[0] == 0:
+    ns, ds = num.compose(shift), den.compose(shift)
+    A, B = ns._a, ds._a
+    if not B or B[0] == 0:
         raise EvaluationAtSingularity(f"pole at expansion center {c}")
-    q = []
+    b = B[0]
+    pw = [1]
+    for _ in range(d + 1):
+        pw.append(pw[-1] * b)
+    Q = []
     for j in range(d + 1):
-        acc = ns[j] if j < len(ns) else Fraction(0)
-        for i in range(j):
-            dj = ds[j - i] if j - i < len(ds) else Fraction(0)
-            if dj:
-                acc -= q[i] * dj
-        q.append(acc / ds[0])
-    return Poly(q).compose(Poly.affine(1, -c))
+        acc = A[j] * pw[j] if j < len(A) else 0
+        for i in range(max(0, j + 1 - len(B)), j):
+            acc -= Q[i] * B[j - i] * pw[j - 1 - i]
+        Q.append(acc)
+    p = Poly([ds._d * x * pw[d - j] for j, x in enumerate(Q)],
+             _d=ns._d * pw[d + 1])
+    return p.compose(Poly.affine(1, -c))
 
 
 def taylor_patch(g: FunctionExpr, d: int, center, halfwidth, route: str,

@@ -298,6 +298,9 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace
     with open(args.config) as fh:
         conf = json.load(fh)
     known = set(vars(args))
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions}
     with _reading(args.config):
         section = conf.get(args.command, conf if len(conf) and
                            args.command not in conf else {})
@@ -308,8 +311,27 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace
                                  f"for subcommand {args.command}")
             # explicit command-line flags win over config-file values
             if f"--{key}" not in argv and f"--{dest}" not in argv:
-                setattr(args, dest, val)
+                setattr(args, dest, _config_value(args.config, key, val,
+                                                  flags.get(dest)))
     return args
+
+
+def _config_value(path, key, val, action):
+    """val as its flag would parse it from the command line: through the
+    flag's type (on str(val), so 3.5 is no int) and within its choices."""
+    if action is None:
+        return val
+    if action.type is not None:
+        try:
+            val = action.type(str(val))
+        except (TypeError, ValueError):
+            raise PreconditionFailed(
+                f"{path}: config key {key!r}: {val!r} does not parse "
+                f"as {action.type.__name__}") from None
+    if action.choices is not None and val not in action.choices:
+        raise PreconditionFailed(f"{path}: config key {key!r} must be one "
+                                 f"of {list(action.choices)}, got {val!r}")
+    return val
 
 
 def main(argv=None) -> int:

@@ -75,13 +75,17 @@ class RemezReport:
 def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
     """R = max over y* in Y of  max { Q(y*) : -1 <= Q <= 1 on Z },
     Q ranging over polynomials of degree <= d1 in (x, y).  Z is taken as
-    sampled: no cutting-plane rounds refine it (meta["rounds"] is 0)."""
+    sampled: no cutting-plane rounds refine it (meta["rounds"] is 0).  A d1
+    with more monomials than Z samples is rejected before any is built."""
     if not len(Y_samples) or not len(Z_samples):
         raise PreconditionFailed(
             f"Y_samples and Z_samples must be non-empty, got {len(Y_samples)} "
             f"and {len(Z_samples)} samples")
     if d1 < 0:
         raise PreconditionFailed(f"d1 must be >= 0, got {d1}")
+    if (m := (d1 + 1) * (d1 + 2) // 2) > len(Z_samples):
+        raise PreconditionFailed(f"d1 = {d1} has {m} monomials, more than "
+                                 f"the {len(Z_samples)} Z samples")
     monos = _monomials_2d(d1)
     Z = [tuple(map(float, z)) for z in Z_samples]
     Y = [tuple(map(float, y)) for y in Y_samples]
@@ -190,6 +194,9 @@ def hyperbola_remez_query(eps, n_samples: int = 1000):
         raise PreconditionFailed(f"eps must be in (0, 1), got {eps}")
     if n_samples < 1:
         raise PreconditionFailed(f"n_samples must be >= 1, got {n_samples}")
+    if e * e == 0:
+        raise PreconditionFailed(f"eps = {eps} is so small that eps^2 "
+                                 "underflows to 0 in floats")
     xs_full = np.exp(np.linspace(math.log(e * e), 0.0, n_samples))
     Y = [(x, e * e / x) for x in xs_full]
     xs_half = np.exp(np.linspace(math.log(e), 0.0, n_samples))

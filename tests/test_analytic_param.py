@@ -69,6 +69,27 @@ def test_partition_random_instances():
                 assert b <= lo or a >= hi
 
 
+def _odd_part(n):
+    return n >> ((n & -n).bit_length() - 1)
+
+
+@pytest.mark.parametrize("j", [4, 12, 30, 60, 200])
+def test_partition_ends_keep_the_gap_denominators(j):
+    # each step length is a float, a dyadic rational, so a chart end's
+    # denominator is the gap ends' times a power of 2 (at most 2^1075: a
+    # float's and the midpoint's), however many charts the cover takes
+    interval = (F(-5, 3), F(7, 9))
+    sings = [0j, complex(-1 / 3, 1e-3), complex(0.4, -0.25)]
+    part = dyadic_partition(interval, sings, F(1, 2 ** j))
+    ends = {interval[0], interval[1], *(x for iv in part.removed for x in iv)}
+    base = math.lcm(*(x.denominator for x in ends))
+    assert len(part.kept) >= 4 * j // 3
+    for a, b in part.kept:
+        for x in (a, b):
+            assert _odd_part(base) % _odd_part(x.denominator) == 0
+            assert x.denominator.bit_length() <= base.bit_length() + 1100
+
+
 def test_partition_rejects_bad_delta():
     with pytest.raises(PreconditionFailed, match="delta must lie in"):
         dyadic_partition((F(-1), F(1)), [0j], F(1))

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothparam.approx import (analytic_approximate, ck_approximate,
                                 aic_of_fit, compare_log_cubic_vs_power,
@@ -42,6 +44,52 @@ def test_taylor_polynomial_geometric_series():
     g = RationalExpr(Poly([1]), Poly([1, -1]))
     p = taylor_polynomial(g, 6, F(0))
     assert p == Poly([1] * 7)
+
+
+def _fraction_taylor(num, den, d, c):
+    """The Taylor division over Fraction that `_rational_taylor` ran before
+    it moved to Z: the oracle for the integer recurrence."""
+    shift = Poly.affine(1, c)
+    ns = num.compose(shift).coeffs
+    ds = den.compose(shift).coeffs
+    if not ds or ds[0] == 0:
+        raise EvaluationAtSingularity(f"pole at expansion center {c}")
+    q = []
+    for j in range(d + 1):
+        acc = ns[j] if j < len(ns) else F(0)
+        for i in range(j):
+            dj = ds[j - i] if j - i < len(ds) else F(0)
+            if dj:
+                acc -= q[i] * dj
+        q.append(acc / ds[0])
+    return Poly(q).compose(Poly.affine(1, -c))
+
+
+_fraction = st.builds(F, st.integers(-40, 40), st.integers(1, 16))
+_rational_poly = st.lists(st.one_of(_fraction, st.just(F(0))),
+                          max_size=9).map(Poly)
+
+
+@settings(max_examples=300)
+@given(num=_rational_poly, den=_rational_poly, d=st.integers(0, 30),
+       c=st.one_of(st.just(F(0)), _fraction), pole=st.booleans())
+@example(num=Poly([1]), den=Poly([0, 1]), d=5, c=F(0), pole=False)
+@example(num=Poly([1, 2]), den=Poly([3, 0, 1]), d=12, c=F(-2, 3), pole=True)
+def test_integer_taylor_division_matches_the_fraction_recurrence(
+        num, den, d, c, pole):
+    # the analytic route expands at 0, the C^k route at rational centres;
+    # with pole, den vanishes at c and both must raise
+    if pole:
+        den = den * Poly([-c, 1])
+    try:
+        want = _fraction_taylor(num, den, d, c)
+    except EvaluationAtSingularity:
+        with pytest.raises(EvaluationAtSingularity, match="pole"):
+            approx._rational_taylor(num, den, d, c)
+        return
+    assert not pole
+    got = approx._rational_taylor(num, den, d, c)
+    assert got == want and got.coeffs == want.coeffs
 
 
 @pytest.mark.parametrize("center", [F(1, 4), 0.3])

@@ -27,16 +27,17 @@ CK2_ARTIFACT_SHA256 = \
 CK3_ARTIFACT_SHA256 = \
     "f649b862bdd2329cefd63034a79a719eabb1f92ef2124e311eb55383b1537be2"
 # sha256 of analytic-route artifacts (disk bounds sampled on complex circles),
-# as emitted before circle sampling became one array call per disk
+# with each cover step's length the float cap itself, so chart ends are
+# dyadic rather than rounded to denominators below 2^40
 ANALYTIC_ARTIFACT_SHA256 = {
-    (): "ca54f2709839e24fa199992fca62070cb201321b6b593961303e7f66b88fb13b",
+    (): "ab5733eabe3142e1fcab85be270f75abe256f3e0caa3f3b59f9cc16a0fcf1295",
     ("--eps", "1/100000", "--delta", "1/2048"):
-        "c174194933d828572400207117e31a637160904833c85ef49e53d8dc5da8e980",
+        "cdea90fc9b30729cfce83b8fff13e8579d62f37d98eebdc76ab5be7e2d9c1963",
 }
 APPROX_ARTIFACT_SHA256 = {
-    (): "2bfca1a8c2b605dfcec1c18cf75b7688623ed1ee357d3bc3bcd2906c1045b5b0",
+    (): "0cfaf9771a9d07cb8aeb8e6846e3102147b45fb7270738d3199193b64e09457c",
     ("--slab",):
-        "ff0cf32fdd090d2f494595bda8963898c6f8783e73aa0b997c440b2eb9088032",
+        "3d748496d28b4d396f0510ea192e10b590e22c1523f4e9e6530f5509fa12a93b",
 }
 
 
@@ -157,6 +158,17 @@ def test_config_defaults_and_flag_precedence(tmp_path):
     assert json.loads(out.read_text())["k"] == 2
 
 
+def test_config_values_parse_like_their_flags(tmp_path):
+    # a config value goes through its flag's type: "3" is the int 3, as
+    # --k 3 would be, and "1/64" stays a string for the Fraction flags
+    conf, out = tmp_path / "conf.json", tmp_path / "a.json"
+    conf.write_text(json.dumps({"parametrize-ck": {"k": "3", "eps": "1/64"}}))
+    assert main(["--config", str(conf), "parametrize-ck",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["k"] == 3 and doc["meta"]["eps"] == "1/64"
+
+
 def test_entropy_cli_identity(tmp_path):
     out, csv = tmp_path / "e.json", tmp_path / "e.csv"
     assert main(["entropy", "--system", "identity", "--n-max", "8",
@@ -236,6 +248,11 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
     (["approximate", "--curve-eps", "1e400"], "outside the float range"),
     (["entropy", "--n-max", "99999999999999999999"], "n_values"),
     (["entropy", "--n-min", "-99999999999999999999"], "n_values"),
+    (["remez", "--parametrize", "--eps", "1e-300"], "underflows"),
+    (["remez", "--d1", "99999999999999999999", "--samples", "50"],
+     "more than the 50 Z samples"),
+    (["remez", "--classical", "--d1", "9", "--samples", "54"],
+     "55 monomials, more than the 54 Z samples"),
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):
@@ -257,6 +274,11 @@ def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
     ({"builtin": "hyperbola", "declared_singularities": [{}]},
      ["parametrize-analytic", "--spec"]),
     ({"remez": 5}, ["remez", "--config"]),
+    ({"parametrize-ck": {"k": "abc"}}, ["parametrize-ck", "--config"]),
+    ({"parametrize-ck": {"k": 3.5}}, ["parametrize-ck", "--config"]),
+    ({"parametrize-ck": {"k": None}}, ["parametrize-ck", "--config"]),
+    ({"approximate": {"eps": "tiny"}}, ["approximate", "--config"]),
+    ({"approximate": {"route": "taylor"}}, ["approximate", "--config"]),
 ])
 def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
                                                    capsys):
@@ -358,10 +380,23 @@ def test_fractions_past_the_digit_limit_round_trip():
 
 
 def test_approximate_past_the_digit_limit_verifies(tmp_path):
-    # eps = 2^-19 gives coefficients with more than 4300 decimal digits
+    # eps = 2^-19 once gave coefficients past Python's 4300-digit limit on
+    # int strings; the round trip of such strings is tested above
     out = tmp_path / "approx.json"
     assert main(["approximate", "--eps", repr(2.0 ** -19), "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
+
+
+def test_approximate_coefficients_stay_short(tmp_path):
+    # chart ends are dyadic, so the degree-31 Taylor data at eps = 2^-30
+    # stay short; ends rounded to 40-bit odd denominators gave 9,001 digits
+    out = tmp_path / "approx.json"
+    assert main(["approximate", "--eps", repr(2.0 ** -30), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    digits = [len(part.lstrip("-")) for p in doc["patches"]
+              for poly in p["coeffs"] for c in poly for part in c.split("/")]
+    assert max(p["degree"] for p in doc["patches"]) == 31
+    assert 0 < max(digits) <= 1000
 
 
 @pytest.mark.parametrize("scale", ["1", "4"])
