@@ -297,37 +297,49 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
-    known = set(vars(args))
     sub = next(a for a in ap._actions
                if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[args.command]._actions}
+    flags = {a.dest: a for a in sub.choices[args.command]._actions
+             if a.option_strings and a.dest != "help"}
+    # the flags given after the subcommand, as "--k 3", "--k=3" or an
+    # abbreviation that argparse has already found unambiguous
+    given = {t.split("=", 1)[0] for t in argv[argv.index(args.command) + 1:]
+             if t.startswith("--") and t != "--"}
     with _reading(args.config):
         section = conf.get(args.command, conf if len(conf) and
                            args.command not in conf else {})
         for key, val in section.items():
-            dest = key.replace("-", "_")
-            if dest not in known:
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
                 raise ValueError(f"unknown config key {key!r} "
                                  f"for subcommand {args.command}")
             # explicit command-line flags win over config-file values
-            if f"--{key}" not in argv and f"--{dest}" not in argv:
-                setattr(args, dest, _config_value(args.config, key, val,
-                                                  flags.get(dest)))
+            if not any(o.startswith(g) for o in action.option_strings
+                       for g in given):
+                setattr(args, action.dest,
+                        _config_value(args.config, key, val, action))
     return args
 
 
 def _config_value(path, key, val, action):
-    """val as its flag would parse it from the command line: through the
-    flag's type (on str(val), so 3.5 is no int) and within its choices."""
-    if action is None:
-        return val
-    if action.type is not None:
-        try:
-            val = action.type(str(val))
-        except (TypeError, ValueError):
+    """val as its flag would parse it from the command line: a switch takes
+    true or false; a valued flag takes a string or a number, read as its
+    str() through the flag's type (so 3.5 is no int, and 0.01 is the string
+    "0.01" that `_frac` reads as 1/100) and within its choices."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
             raise PreconditionFailed(
-                f"{path}: config key {key!r}: {val!r} does not parse "
-                f"as {action.type.__name__}") from None
+                f"{path}: config key {key!r} is a switch, got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise PreconditionFailed(f"{path}: config key {key!r} needs a "
+                                 f"string or a number, got {val!r}")
+    try:
+        val = (action.type or str)(str(val))
+    except ValueError:
+        raise PreconditionFailed(
+            f"{path}: config key {key!r}: {val!r} does not parse "
+            f"as {action.type.__name__}") from None
     if action.choices is not None and val not in action.choices:
         raise PreconditionFailed(f"{path}: config key {key!r} must be one "
                                  f"of {list(action.choices)}, got {val!r}")

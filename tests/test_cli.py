@@ -160,13 +160,22 @@ def test_config_defaults_and_flag_precedence(tmp_path):
 
 def test_config_values_parse_like_their_flags(tmp_path):
     # a config value goes through its flag's type: "3" is the int 3, as
-    # --k 3 would be, and "1/64" stays a string for the Fraction flags
+    # --k 3 would be, and the number 0.01 is read as --eps 0.01 is, 1/100
     conf, out = tmp_path / "conf.json", tmp_path / "a.json"
-    conf.write_text(json.dumps({"parametrize-ck": {"k": "3", "eps": "1/64"}}))
+    conf.write_text(json.dumps({"parametrize-ck": {"k": "3", "eps": 0.01}}))
     assert main(["--config", str(conf), "parametrize-ck",
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["k"] == 3 and doc["meta"]["eps"] == "1/64"
+    assert doc["k"] == 3 and doc["meta"]["eps"] == "1/100"
+    # an explicit flag wins in every spelling argparse takes
+    for flag in (["--k", "2"], ["--k=2"]):
+        assert main(["--config", str(conf), "parametrize-ck", *flag,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["k"] == 2
+    conf.write_text(json.dumps({"entropy": {"n-max": 3}}))
+    assert main(["--config", str(conf), "entropy", "--n-ma", "2",
+                 "--eps-list", "1/10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_values"] == [1, 2]
 
 
 def test_entropy_cli_identity(tmp_path):
@@ -279,6 +288,9 @@ def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
     ({"parametrize-ck": {"k": None}}, ["parametrize-ck", "--config"]),
     ({"approximate": {"eps": "tiny"}}, ["approximate", "--config"]),
     ({"approximate": {"route": "taylor"}}, ["approximate", "--config"]),
+    ({"approximate": {"slab": "yes"}}, ["approximate", "--config"]),
+    ({"parametrize-ck": {"out": None}}, ["parametrize-ck", "--config"]),
+    ({"parametrize-ck": {"eps": [1, 100]}}, ["parametrize-ck", "--config"]),
 ])
 def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
                                                    capsys):
@@ -530,7 +542,8 @@ _FLAGS = {
                     "--spec": _SPECS},
     "count-points": {"--t": _ints(-3, 50), "--d": _ints(-1, 3, "17"),
                      "--csv": _CSV, "--spec": _SPECS},
-    "remez": {"--d1": _ints(-2, 3), "--eps": _values("1/10", "1/4"),
+    "remez": {"--d1": _ints(-2, 3, "99999999999999999999"),
+              "--eps": _values("1/10", "1/4", "1e-300"),
               "--classical": None, "--mu": _values("1", "1/2", "2"),
               "--samples": _ints(-2, 50), "--parametrize": None},
     "entropy": {"--system": st.sampled_from(
