@@ -202,10 +202,13 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
     the truncation of f; each removed strip is covered by size-eps boxes of
     degree 0."""
     _check_positive("eps", eps)
+    delta = _fr(eps).limit_denominator(2**40)
+    if not delta:
+        raise PreconditionFailed(
+            f"eps must exceed 2^-41 on the analytic route, got {eps}")
     f = _wrap(f)
     d0 = int(math.floor(math.log2(1.0 / eps))) + 1
-    param = analytic_delta_parametrize(f, _fr(eps).limit_denominator(2**40),
-                                       interval,
+    param = analytic_delta_parametrize(f, delta, interval,
                                        declared_singularities=declared_singularities,
                                        cfg=cfg, normalize=False)
     patches = []

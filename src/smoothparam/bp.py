@@ -297,8 +297,9 @@ def enumerate_points(f: FunctionExpr, interval, t: int):
 
 
 def brute_force_points(f: FunctionExpr, interval, t: int):
-    """Independent oracle: double loop over numerator candidates for x and y,
-    accepting (a/t, b/t) iff f(a/t) == b/t exactly."""
+    """Independent oracle: loop over numerator candidates a for x, accepting
+    (a/t, y) iff y = f(a/t), evaluated over Q by _eval_exact, is a rational
+    whose denominator divides t."""
     _check_t(t)
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
@@ -306,13 +307,8 @@ def brute_force_points(f: FunctionExpr, interval, t: int):
     for a in range(math.ceil(lo * t), math.floor(hi * t) + 1):
         x = Fraction(a, t)
         kind, y = _eval_exact(f, x)
-        if kind != "rational":
-            continue
-        num = y * t
-        for b in range(math.floor(num) - 1, math.ceil(num) + 2):
-            if Fraction(b, t) == y:
-                out.append((x, y))
-                break
+        if kind == "rational" and t % y.denominator == 0:
+            out.append((x, y))
     return out
 
 

@@ -12,6 +12,7 @@ depths where a naive grid would saturate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Optional
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import CoverTestFailed, GridTooCoarse, PreconditionFailed
 
 ENTROPY_INVARIANCE_SAMPLES = 10_000  # random points in the invariance check
-TORAL_LINE_CHUNK = 1 << 16           # toral line rows stepped at a time
+TORAL_LINE_CHUNK = 1 << 16           # line rows (or circle gaps) read at a time
+CIRCLE_GRID_CAP = 1 << 24            # circle grid points; keeps a*G < 2^53
 
 
 # -- systems -------------------------------------------------------------------
@@ -115,36 +117,66 @@ def _first_true(mask: np.ndarray) -> int:
     return k if mask.size and mask[k] else -1
 
 
-def _prefix_cover_count(prof: np.ndarray, eps: float, G: int) -> tuple:
-    """Greedy cover by contiguous arcs: each ball is used through the largest
-    gap-prefix it certainly covers, which keeps the count monotone in n/eps."""
-    width = _first_true(prof[1:] > eps)
-    if width < 0:
-        width = G - 1
-    block = 2 * width + 1
-    return -(-G // block), width
+def _chunks(lo: int, hi: int):
+    """Index arrays over [lo, hi) in doubling chunks of 64 up to
+    TORAL_LINE_CHUNK: an early stop reads little, a full walk little at once."""
+    c = 64
+    while lo < hi:
+        yield np.arange(lo, min(lo + c, hi), dtype=np.int64)
+        lo, c = lo + c, min(2 * c, TORAL_LINE_CHUNK)
 
 
-def _separated_count(far: np.ndarray, circular: bool = True) -> tuple:
+def _separated_count(far, circular: bool = True, G=None, s=0) -> tuple:
     """Largest verified arithmetic progression with pairwise dn > 2*eps,
     where far[k] says whether dn between points 0 and k exceeds 2*eps (a NaN
-    distance is not separated) and G = len(far) points are on the line."""
-    G = len(far)
-    first = _first_true(far[1:])
-    if first < 0:
+    distance is not separated) and G = len(far) points are on the line.
+    `far` may instead read the flags at an index array, given G and s, the
+    least k >= 1 with far[k] (0 if none).  Gaps are read in chunks."""
+    if G is None:
+        G, s, far = len(far), _first_true(far[1:]) + 1, far.__getitem__
+    if s <= 0:
         return 1, G
-    s = first + 1
     while s <= G:
         count = G // s if circular else 1 + (G - 1) // s
         if count <= 1:
             return 1, s
-        gaps = (np.arange(1, count, dtype=np.int64) * s)
-        if circular:
-            gaps %= G
-        if np.all(far[gaps]):
+        if all(far(m * s % G if circular else m * s).all()
+               for m in _chunks(1, count)):
             return count, s
         s += 1
     return 1, G
+
+
+def _circle_prof(a: int, n: int, G: int, ks: np.ndarray) -> np.ndarray:
+    """d_n between circle grid points i and i+k for each gap k of ks:
+    prof[k] = max_{0<=i<=n} circdist(a^i * k / G), folded in floats."""
+    cur = np.array(ks, dtype=np.int64)
+    prof = np.zeros(len(cur))
+    for _ in range(n + 1):
+        frac = cur / G
+        np.maximum(prof, np.minimum(frac, 1.0 - frac), out=prof)
+        cur *= a
+        cur %= G
+    return prof
+
+
+def _circle_first_above(a: int, n: int, G: int, thr: float) -> int:
+    """Least k in [1, G) with prof[k] > thr, or 0 if there is none (no circle
+    distance exceeds 1/2).  Below K0 = ceil(G / (2 a^n)) no fold wraps or
+    reaches 1/2, so prof[k] is the last fold fl(a^n k / G), monotone in k,
+    and is bisected; past K0 the profile is read in chunks."""
+    if thr >= 0.5:
+        return 0
+    K0 = -(-G // (2 * a ** n)) if a > 0 else 1
+    k = 1 + bisect_right(range(1, K0), thr,
+                         key=lambda k: np.int64(a ** n * k) / G)
+    if k < K0:
+        return k
+    for ks in _chunks(K0, G):
+        hit = _first_true(_circle_prof(a, n, G, ks) > thr)
+        if hit >= 0:
+            return int(ks[hit])
+    return 0
 
 
 def _toral_eigen(A: np.ndarray):
@@ -219,12 +251,14 @@ def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
     origin = np.zeros(2)
     far = np.empty(J, dtype=bool)
     for j0 in range(0, J, TORAL_LINE_CHUNK):
-        j = np.arange(j0, min(j0 + TORAL_LINE_CHUNK, J), dtype=float)
-        p = _wrap(np.outer(j * h, vplus))
-        best = _dist("toroidal", p, origin)
+        t = np.arange(j0, min(j0 + TORAL_LINE_CHUNK, J), dtype=float) * h
+        # step 0 on coordinates, in the float operations of _wrap and _dist
+        x, y = _wrap(t * vplus[0]), _wrap(t * vplus[1])
+        best = np.sqrt(np.minimum(x, 1.0 - x) ** 2
+                       + np.minimum(y, 1.0 - y) ** 2)
         done = best > 2.0 * eps
         rows = np.flatnonzero(~done)
-        p, best = p[rows], best[rows]
+        p, best = np.stack([x[rows], y[rows]], axis=1), best[rows]
         for _ in range(n):
             if not rows.size:
                 break
@@ -280,11 +314,11 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
     """Yield the bracket {M_lower, M_upper, meta} of M(f, n, eps) for each n
     of the ascending `n_values`, walking each orbit once.
 
-    d_n only grows with n, so the circle gap profile at n is the running max
-    of the profile at n - 1, and the grid path adds one orbit step per n and
-    carries its 2*eps-separated set forward (it stays separated, so M_lower
-    never falls).  The toral tiling and line search are sized per n.  The
-    grid path computes d_n only on kd-tree candidates (`_dn_ball`)."""
+    The circle path reads its gap profile at n only at the gaps that decide
+    the bracket.  d_n only grows with n, so the grid path adds one orbit step
+    per n and carries its 2*eps-separated set forward (it stays separated, so
+    M_lower never falls).  The toral tiling and line search are sized per n.
+    The grid path computes d_n only on kd-tree candidates (`_dn_ball`)."""
     if resolution > eps / 4.0 + 1e-15:
         raise GridTooCoarse(
             f"resolution {resolution} exceeds eps/4 = {eps / 4.0}")
@@ -292,12 +326,11 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         raise PreconditionFailed(f"n={n_values[-1]} exceeds iteration cap")
     circle = sys.linear_multiplier is not None and sys.dim == 1
     if circle:
-        # d_n between grid points i and i+k depends only on k:
-        # prof[k] = max_{0<=i<=n} circdist(a^i * k / G)
-        G = max(int(round(1.0 / resolution)), 8)
-        cur = np.arange(G, dtype=np.int64)
-        prof = np.zeros(G)
-        folded = 0
+        # d_n between grid points i and i+k depends only on k: `_circle_prof`
+        a, G = sys.linear_multiplier, max(int(round(1.0 / resolution)), 8)
+        if G > CIRCLE_GRID_CAP:
+            raise PreconditionFailed(
+                f"circle grid G={G} exceeds {CIRCLE_GRID_CAP} points")
     elif sys.linear_matrix is None:
         orbits = [_grid_points(sys.box, resolution)]
         if sys.metric == "toroidal":    # the far edge is the near edge again
@@ -307,14 +340,12 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
 
     for n in n_values:
         if circle:
-            while folded <= n:
-                frac = cur / G
-                np.maximum(prof, np.minimum(frac, 1.0 - frac), out=prof)
-                cur *= sys.linear_multiplier
-                cur %= G
-                folded += 1
-            M_upper, width = _prefix_cover_count(prof, eps, G)
-            M_lower, spacing = _separated_count(prof > 2.0 * eps)
+            # contiguous arcs, each through the gap-prefix it surely covers
+            width = (_circle_first_above(a, n, G, eps) or G) - 1
+            M_upper = -(-G // (2 * width + 1))
+            M_lower, spacing = _separated_count(
+                lambda ks: _circle_prof(a, n, G, ks) > 2.0 * eps, G=G,
+                s=_circle_first_above(a, n, G, 2.0 * eps))
             meta = {"path": "circle-linear", "grid": G,
                     "cover_halfwidth": width, "sep_spacing": spacing}
         elif sys.linear_matrix is not None:

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothparam.bivar import BivarPoly
-from smoothparam.bp import (D_table, L_table, bp_combinatorics, bp_for_degree,
+from smoothparam.bp import (D_table, L_table, _eval_exact, _fr,
+                            bp_combinatorics, bp_for_degree,
                             brute_force_points, enumerate_points,
                             hypersurface_cover, on_hypersurface,
                             vandermonde_bound_check)
@@ -195,6 +196,33 @@ def test_integer_enumerator_matches_the_fraction_oracle(f, t, ends):
     got = _points_or_error(enumerate_points, f, interval, t)
     want = _points_or_error(brute_force_points, f, interval, t)
     assert got == want
+
+
+def _window_points(f, interval, t):
+    """The y-window loop: (a/t, b/t) for the b within 1 of t * f(a/t) with
+    Fraction(b, t) == f(a/t)."""
+    out = []
+    for a in range(math.ceil(_fr(interval[0]) * t),
+                   math.floor(_fr(interval[1]) * t) + 1):
+        x = F(a, t)
+        kind, y = _eval_exact(f, x)
+        if kind != "rational":
+            continue
+        num = y * t
+        for b in range(math.floor(num) - 1, math.ceil(num) + 2):
+            if F(b, t) == y:
+                out.append((x, y))
+                break
+    return out
+
+
+@settings(max_examples=150)
+@given(f=_trees, t=st.integers(1, 300), ends=st.tuples(_ends, _ends))
+@example(f=ConstExpr(F(3)), t=5, ends=(F(0), F(1)))    # an integer value
+def test_brute_force_denominator_rule_matches_the_window_loop(f, t, ends):
+    interval = tuple(sorted(ends))
+    assert _points_or_error(brute_force_points, f, interval, t) == \
+        _points_or_error(_window_points, f, interval, t)
 
 
 def test_t_and_d_below_one_are_precondition_failures():

@@ -305,6 +305,28 @@ def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
     assert err.startswith(f"error: PreconditionFailed: {path}: "), err
 
 
+def test_too_fine_circle_grid_is_a_typed_error(capsys):
+    # 4 * 2^40 * 1000 circle grid points; the grid was once allocated whole
+    assert main(["entropy", "--system", "doubling", "--n-max", "40",
+                 "--eps-list", "1/1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PreconditionFailed: circle grid G=")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["4e-13", "1e-300", "5e-324"])
+def test_approximate_eps_below_the_finest_delta_names_eps(eps, tmp_path,
+                                                           capsys):
+    # delta = eps to 40 bits is 0 here; the error named that delta, and at
+    # 5e-324 log2(1/eps) overflowed first
+    out = tmp_path / "a.json"
+    assert main(["approximate", "--eps", eps, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: PreconditionFailed: eps must "
+                                       "exceed 2^-41 on the analytic route, "
+                                       f"got {float(eps)}\n")
+    assert not out.exists()
+
+
 def test_zero_denominator_is_an_input_error(capsys):
     assert main(["entropy", "--eps-list", "1/0"]) == 1
     assert capsys.readouterr().err == \

@@ -6,6 +6,7 @@ against per-cell covering numbers; the toral line search and the kd-tree
 grid greedy are checked against full-scan oracles."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from smoothparam import entropy
 from smoothparam.entropy import (DynSystem, EntropyReport, _brackets,
-                                 _dist, _dn_ball, _grid_points,
-                                 _orbit_tree, _prefix_cover_count,
-                                 _separated_count, _toral_eigen,
+                                 _circle_first_above, _dist, _dn_ball,
+                                 _first_true, _grid_points,
+                                 _orbit_tree, _separated_count, _toral_eigen,
                                  _toral_line_separated, _wrap,
                                  covering_number, doubling_system,
                                  entropy_sweep, identity_system,
@@ -109,6 +110,21 @@ def test_sweep_monotonicity_and_csv():
     assert len(lines) == 1 + 4 * 2
 
 
+def _prefix_cover_count(prof, eps, G):
+    """Greedy cover by contiguous arcs on a full gap profile: each ball is
+    used through the largest gap-prefix it certainly covers."""
+    width = _first_true(prof[1:] > eps)
+    if width < 0:
+        width = G - 1
+    block = 2 * width + 1
+    return -(-G // block), width
+
+
+def _draws(value):
+    """Stands in for st.data() in an @example: every draw gives value."""
+    return SimpleNamespace(draw=lambda strategy: value)
+
+
 def _circle_profile_oracle(a, n, G):
     """d_n between circle grid points i and i+k, rebuilt from i = 0:
     profile[k] = max_{0<=i<=n} circdist(a^i * k / G)."""
@@ -124,6 +140,16 @@ def _circle_profile_oracle(a, n, G):
 @given(a=st.sampled_from([2, 3]), G=st.integers(8, 4096),
        ns=st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True),
        data=st.data())
+# 2 a^n k = G at k = K0 = 5: prof[5] = 1/2 is the first gap above 2*eps (or,
+# at eps = .45, above eps), one past the bisected range
+@example(a=2, G=80, ns=[3], data=_draws(0.225))
+@example(a=2, G=80, ns=[1, 3], data=_draws(0.45))
+# no gap is above 2*eps = .4999 (the nearest to 1/2 is 2048/4097): none
+# below K0, so the chunked scan walks all of G; and none above eps = 1/2
+@example(a=2, G=4097, ns=[0, 7], data=_draws(0.24995))
+@example(a=2, G=4096, ns=[0, 7], data=_draws(0.5))
+# 3^12 > G: K0 = 1, and every first exceedance comes from the chunked scan
+@example(a=3, G=4096, ns=[2, 12], data=_draws(0.01))
 def test_circle_brackets_match_restart_per_n_profile(a, G, ns, data):
     eps = data.draw(st.floats(4.0 / G, 0.5))
     circle = DynSystem(name=f"x{a}", dim=1,
@@ -138,6 +164,33 @@ def test_circle_brackets_match_restart_per_n_profile(a, G, ns, data):
                        "meta": {"path": "circle-linear", "grid": G,
                                 "cover_halfwidth": width,
                                 "sep_spacing": spacing}}
+
+
+@settings(max_examples=60)
+@given(a=st.sampled_from([2, 3]), G=st.integers(8, 1 << 16),
+       n=st.integers(0, 20), thr=st.floats(0.0, 0.55))
+@example(a=2, G=80, n=3, thr=0.45)         # the first exceedance is K0
+# at K0 = 6 the last fold wraps: 48/90 = .53, yet prof[6] = 42/90 = .47
+@example(a=2, G=90, n=3, thr=0.48)
+@example(a=2, G=1 << 16, n=0, thr=0.3)     # bisected over 32,768 gaps
+@example(a=2, G=4096, n=3, thr=0.4999)     # just below 1/2: found at K0
+@example(a=2, G=4097, n=12, thr=0.4999)    # K0 = 1 and no gap is above
+@example(a=-2, G=1000, n=5, thr=0.3)       # K0 = 1 for a <= 0: a plain scan
+@example(a=0, G=1000, n=5, thr=0.3)
+def test_circle_first_above_matches_full_profile(a, G, n, thr):
+    prof = _circle_profile_oracle(a, n, G)
+    assert _circle_first_above(a, n, G, thr) == \
+        _first_true(prof[1:] > thr) + 1
+
+
+def test_circle_grid_is_capped():
+    # G = 4 * 2^40 * 1000 here; the whole grid was once allocated per eps
+    with pytest.raises(PreconditionFailed, match="circle grid G=4398"):
+        entropy_sweep(doubling_system(), [1, 40], [1 / 1000])
+    with mock.patch.object(entropy, "CIRCLE_GRID_CAP", 64):
+        covering_number(doubling_system(), 2, 1 / 8, resolution=1 / 64)
+        with pytest.raises(PreconditionFailed, match="G=65 exceeds 64"):
+            covering_number(doubling_system(), 2, 1 / 8, resolution=1 / 65)
 
 
 @pytest.mark.parametrize("sys, ns, eps_values", [
