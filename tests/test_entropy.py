@@ -148,7 +148,7 @@ def _circle_profile_oracle(a, n, G):
 # below K0, so the chunked scan walks all of G; and none above eps = 1/2
 @example(a=2, G=4097, ns=[0, 7], data=_draws(0.24995))
 @example(a=2, G=4096, ns=[0, 7], data=_draws(0.5))
-# 3^12 > G: K0 = 1, and every first exceedance comes from the chunked scan
+# at n = 12, 3^12 > G: K0 = 1, so both first exceedances come from the scan
 @example(a=3, G=4096, ns=[2, 12], data=_draws(0.01))
 def test_circle_brackets_match_restart_per_n_profile(a, G, ns, data):
     eps = data.draw(st.floats(4.0 / G, 0.5))
@@ -172,7 +172,7 @@ def test_circle_brackets_match_restart_per_n_profile(a, G, ns, data):
 @example(a=2, G=80, n=3, thr=0.45)         # the first exceedance is K0
 # at K0 = 6 the last fold wraps: 48/90 = .53, yet prof[6] = 42/90 = .47
 @example(a=2, G=90, n=3, thr=0.48)
-@example(a=2, G=1 << 16, n=0, thr=0.3)     # bisected over 32,768 gaps
+@example(a=2, G=1 << 16, n=0, thr=0.3)     # bisected below K0 = 32,768
 @example(a=2, G=4096, n=3, thr=0.4999)     # just below 1/2: found at K0
 @example(a=2, G=4097, n=12, thr=0.4999)    # K0 = 1 and no gap is above
 @example(a=-2, G=1000, n=5, thr=0.3)       # K0 = 1 for a <= 0: a plain scan
