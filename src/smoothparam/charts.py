@@ -1,14 +1,15 @@
 """Chart records and certificate checkers.
 
 A chart is a polynomial (or composed) substitution from the unit interval
-(or square, for slabs) into the domain, with the function it carries.  The
-checkers measure derivative suprema on dense grids, exactly in rationals
-when the data allows and in floats otherwise, and certify the unit bound up
-to a stated tolerance; a non-finite measurement fails the certificate.  The
-exact grid max is decided in integers at the grid ends and beside the
-critical points and poles that Descartes' rule locates, so it equals the
-exact scan of every grid point; either mode is a grid sample, not a proof
-over the interval, and the report's `detail` names the grid it sampled."""
+(or square, for slabs) into the domain, with the function it carries.  Both
+checkers measure derivative suprema through one grid routine, exactly in
+rationals when the carried functions are (for a slab, both graphs) and in
+floats otherwise, and certify the unit bound up to a stated tolerance; a
+non-finite measurement fails the certificate.  The exact grid max is decided
+in integers at the grid ends and beside the critical points and poles that
+Descartes' rule locates, so it equals the exact scan of every grid point;
+either mode is a grid sample, not a proof over the interval, and the
+report's `detail` names the grid it sampled."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import EvaluationAtSingularity
-from .funcs import FunctionExpr, RationalExpr
+from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, RationalExpr,
+                    simplify)
 from .poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
 
 CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
@@ -57,10 +59,6 @@ class Chart:
         if self.image is None:
             self.image = (self.psi(Fraction(0)), self.psi(Fraction(1)))
 
-    @property
-    def degree(self):
-        return self.psi.degree
-
 
 @dataclass
 class SlabChart:
@@ -73,11 +71,6 @@ class SlabChart:
     k: int
     bounds: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def eval(self, t1, t2):
-        x = self.x_map(t1)
-        g1, g2 = self.G1.eval(t1), self.G2.eval(t1)
-        return (x, (1 - t2) * g1 + t2 * g2)
 
 
 def sampled_sup(fn, xs=None, order: int = 0) -> float:
@@ -127,11 +120,16 @@ def circle_sup(values, center: complex, radius: float,
     return float(mags.max())
 
 
-def _report(values: dict, mode: str, tol: float,
-            detail: str) -> CertificateReport:
-    """Certificate over measured values keyed by order: ok iff every value is
-    finite and the largest is at most 1 + tol.  A non-finite value fails the
-    report, and `detail` names its order."""
+def _report(values: dict, mode: str, cfg: Config) -> CertificateReport:
+    """Certificate over values keyed by order: ok iff all are finite and the
+    largest is at most 1 + the mode's tolerance.  `detail` names the order of
+    a non-finite value, which fails the report, or else the grid sampled."""
+    if mode == "exact":
+        tol, n = CK_TOLERANCE_EXACT, cfg.exact_grid_points
+        detail = f"exact at the {n + 1} points i/{n}"
+    else:
+        tol = CK_TOLERANCE_FLOAT
+        detail = f"float at {cfg.grid_points} points, tolerance {tol}"
     bad = [key for key, v in values.items() if not math.isfinite(v)]
     worst = values[bad[0]] if bad else max([0.0, *values.values()])
     return CertificateReport(
@@ -140,76 +138,66 @@ def _report(values: dict, mode: str, tol: float,
         detail=f"non-finite value at order {bad[0]}" if bad else detail)
 
 
-def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
-    """Per-order suprema of |psi - psi(0)|, |psi^(i)| and |(f o psi)^(i)|,
-    i = 1..k, sampled on a dense grid.  The mode follows the chart: exact
-    when f o psi is rational, float otherwise.  Exact mode takes the
-    rational max at the cfg.exact_grid_points + 1 points i/N, in integers at
-    the grid ends and beside the critical points and poles (the same value
-    as an exact scan of every point); float mode the float max at
-    cfg.grid_points points.  Both are grid samples, not bounds over
-    [0, 1]."""
-    k = chart.k
-    rat = chart.f_comp.as_rational()
-    per = {}
-    if rat is not None:
-        n = cfg.exact_grid_points
-        base = chart.psi - Poly.const(chart.psi(Fraction(0)))
-        per[("psi", 0)] = float(max_abs_on_rational_grid(base, n))
-        for i, d in enumerate(chart.psi.derivs(k)[1:], start=1):
-            per[("psi", i)] = float(max_abs_on_rational_grid(d, n))
-        fexpr = RationalExpr(rat[0], rat[1])
-        chain = fexpr.derivative_chain(k)
-        for i in range(1, k + 1):
-            num, den = chain[i].as_rational()
-            per[("f", i)] = float(max_abs_ratio_on_grid(num, den, n))
-        mode = "exact"
+def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
+    """{(key, i): max |fn^(i)|} over the chart's grid, i in orders, less
+    `shift` at order 0; fn is a Poly or a FunctionExpr, rational in exact
+    mode, which takes the rational max at the cfg.exact_grid_points + 1
+    points i/N; float mode takes the float max at cfg.grid_points points."""
+    top = max(orders, default=0)
+    if isinstance(fn, Poly):
+        chain = fn.derivs(top)
+    elif mode == "exact":
+        chain = RationalExpr(*fn.as_rational()).derivative_chain(top)
     else:
-        xs = np.linspace(0.0, 1.0, cfg.grid_points)
-        per[("psi", 0)] = sampled_sup(chart.psi.eval_array(xs)
-                                      - float(chart.psi(0.0)))
-        for i, d in enumerate(chart.psi.derivs(k)[1:], start=1):
-            per[("psi", i)] = sampled_sup(d, xs)
-        chain = chart.f_comp.derivative_chain(k)
-        for i in range(1, k + 1):
-            per[("f", i)] = sampled_sup(chain[i], xs)
-        mode = "float"
-    chart.bounds = per
-    return per, mode
+        chain = fn.derivative_chain(top)
+    xs = np.linspace(0.0, 1.0, cfg.grid_points) if mode == "float" else None
+    out, n = {}, cfg.exact_grid_points
+    for i in orders:
+        g, c = chain[i], (shift if i == 0 else 0)
+        if mode == "float":
+            out[key, i] = sampled_sup(g.eval_array(xs) - float(c) if c
+                                      else g.eval_array(xs))
+        elif isinstance(g, Poly):
+            out[key, i] = float(max_abs_on_rational_grid(g - c if c else g, n))
+        else:
+            num, den = g.as_rational()
+            out[key, i] = float(max_abs_ratio_on_grid(
+                num - den * c if c else num, den, n))
+    return out
+
+
+def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
+    """Grid maxima (`_grid_max`) of |psi - psi(0)|, |psi^(i)| and
+    |(f o psi)^(i)|, i = 1..k, and the mode: exact iff f o psi is rational."""
+    mode = "exact" if chart.f_comp.as_rational() is not None else "float"
+    k, psi0 = chart.k, chart.psi(Fraction(0))
+    chart.bounds = {
+        **_grid_max("psi", chart.psi, range(k + 1), psi0, mode, cfg),
+        **_grid_max("f", chart.f_comp, range(1, k + 1), 0, mode, cfg)}
+    return chart.bounds, mode
 
 
 def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT) -> CertificateReport:
     """Certify the unit-norm condition: the chart map stays within distance 1
     of its basepoint in C^k, and the carried function does too (orders >= 1)."""
-    per, mode = measure_chart_bounds(chart, cfg)
-    if mode == "exact":
-        tol, n = CK_TOLERANCE_EXACT, cfg.exact_grid_points
-        detail = f"exact at the {n + 1} points i/{n}"
-    else:
-        tol = CK_TOLERANCE_FLOAT
-        detail = f"float at {cfg.grid_points} points, tolerance {tol}"
-    return _report(per, mode, tol, detail=detail)
+    return _report(*measure_chart_bounds(chart, cfg), cfg)
 
 
 def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateReport:
     """The second component is affine in t2, so all mixed partials reduce to
-    t1-derivatives of G1 and G2 - G1; check those plus the x-map."""
-    k = slab.k
-    xs = np.linspace(0.0, 1.0, cfg.grid_points_2d ** 2 // 4 + 2)
-    per = {("x", 0): sampled_sup(slab.x_map.eval_array(xs)
-                                 - float(slab.x_map(0.0)))}
-    for i, d in enumerate(slab.x_map.derivs(k)[1:], start=1):
-        per[("x", i)] = sampled_sup(d, xs)
-    c1 = slab.G1.derivative_chain(k)
-    c2 = slab.G2.derivative_chain(k)
-    g1v = [g.eval_array(xs) for g in c1]
-    g2v = [g.eval_array(xs) for g in c2]
-    per[("y", 0)] = sampled_sup(np.stack((g1v[0], g2v[0])) - g1v[0][0])
-    for i in range(1, k + 1):
-        # d^i/dt1^i of psi2 at t2 in {0, 1}, and of the t2-slope G2 - G1
-        per[("y", i)] = sampled_sup(np.stack((g1v[i], g2v[i])))
-        per[("y-slope", i - 1)] = sampled_sup(g2v[i - 1] - g1v[i - 1])
+    t1-derivatives of G1 and G2 - G1 (the "y-slope"); check those plus the
+    x-map by `_grid_max`, exact when G1 and G2 are rational.  In exact mode a
+    pole of G1 at t1 = 0 raises EvaluationAtSingularity."""
+    mode = ("float" if None in (slab.G1.as_rational(), slab.G2.as_rational())
+            else "exact")
+    orders, y0 = range(slab.k + 1), (   # a float y0 may be NaN, not a raise
+        slab.G1.eval(0) if mode == "exact" else slab.G1.eval_array(np.zeros(1))[0])
+    gap = simplify(AddExpr(slab.G2, MulExpr(ConstExpr(-1), slab.G1)))
+    per = _grid_max("x", slab.x_map, orders, slab.x_map(0), mode, cfg)
+    g2 = _grid_max("y", slab.G2, orders, y0, mode, cfg)
+    # psi2 at t2 in {0, 1}; np.maximum keeps a NaN
+    per.update((key, float(np.maximum(v, g2[key]))) for key, v in
+               _grid_max("y", slab.G1, orders, y0, mode, cfg).items())
+    per.update(_grid_max("y-slope", gap, orders[:-1], 0, mode, cfg))
     slab.bounds = per
-    tol = CK_TOLERANCE_FLOAT
-    return _report(per, "float", tol,
-                   detail=f"float at {len(xs)} points, tolerance {tol}")
+    return _report(per, mode, cfg)

@@ -10,8 +10,9 @@ split then brings all bounds under 1; every chart is certified.
 
 `ck_parametrize_function` runs it on one function, after an optional
 value-axis normalization, and emits `Chart`s checked by `verify_ck_chart`;
-`ck_parametrize_slab` checks g1 < g2 inside, runs it on the pair and emits
-`SlabChart`s, affine in t2, checked by `verify_slab_chart`."""
+`ck_parametrize_slab` checks g1 < g2 inside (the ends may touch), runs it on
+the pair and emits `SlabChart`s, affine in t2, checked by `verify_slab_chart`.
+Both checkers share one grid routine: exact when the graphs are rational."""
 
 from __future__ import annotations
 
@@ -118,9 +119,13 @@ def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
 
 
 def _split_factor(bounds) -> int:
-    """Smallest n with C_i / n^i <= 1 for all i, i.e. ceil(max C_i^{1/i})."""
+    """Smallest n with C_i / n^i <= 1 for all i, i.e. ceil(max C_i^{1/i});
+    PreconditionFailed, naming i, if a C_i is not finite."""
     need = 1.0
     for i, c in enumerate(bounds, start=1):
+        if not math.isfinite(c):
+            raise PreconditionFailed(
+                f"order-{i} derivative unbounded on a piece (sampled sup {c})")
         if c > 1.0:
             need = max(need, c ** (1.0 / i))
     n = max(1, math.ceil(need - 1e-12))
@@ -239,16 +244,18 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
     rat = diff.as_rational()
     if rat is not None and rat[0].is_zero():
         raise SlabOrderViolation("g1 == g2 identically")
-    zs = isolate_real_zeros(diff, (lo, hi))
-    interior = [z for z in zs if _fr(z[0]) > lo or _fr(z[1]) < hi]
+    # an end reported as a zero [lo, lo] or [hi, hi] is where the graphs touch
+    ends = (lo, hi) if rat is not None else (float(lo), float(hi))
+    interior = [z for z in isolate_real_zeros(diff, (lo, hi))
+                if z[0] != z[1] or z[0] not in ends]
     if interior:
         raise SlabOrderViolation(f"g2 - g1 vanishes inside the slab at {interior}")
-    mid = (lo + hi) / 2
-    if float(diff.eval(mid)) < 0:
+    if float(diff.eval((lo + hi) / 2)) < 0:
         raise SlabOrderViolation("g1 > g2 on the slab")
 
     def chart(psi, gs, steps, m):
-        return SlabChart(x_map=psi, G1=gs[0], G2=gs[1], k=k)
+        return SlabChart(x_map=psi, G1=gs[0], G2=gs[1], k=k,
+                         meta={"steps": steps, "split": m})
 
     charts = _induct((g1, g2), k, lo, hi, cfg, chart, verify_slab_chart,
                      lambda c: float(c.x_map(0.0)))

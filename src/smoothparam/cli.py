@@ -108,7 +108,10 @@ def _run_parametrize_ck(args) -> int:
             P = hyperbola_parametrization(_frac(spec.get("eps", args.eps)),
                                           k=args.k)
         else:
-            P = ck_parametrize_function(f, args.k, (lo, hi))
+            try:
+                P = ck_parametrize_function(f, args.k, (lo, hi))
+            except PreconditionFailed as exc:    # e.g. f unbounded on it
+                raise PreconditionFailed(f"{args.spec}: {exc}") from None
     else:
         P = hyperbola_parametrization(_frac(args.eps), k=args.k)
     doc = serialize.parametrization_to_json(P, "ck")

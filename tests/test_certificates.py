@@ -25,8 +25,8 @@ from smoothparam.poly import Poly
 from smoothparam.serialize import (approximation_to_json, dumps, loads,
                                    verify_bundle)
 
-CFG = dataclasses.replace(DEFAULT, grid_points=512, grid_points_2d=64,
-                          a_chart_radii=4, a_chart_angles=32)
+CFG = dataclasses.replace(DEFAULT, grid_points=512, a_chart_radii=4,
+                          a_chart_angles=32)
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -59,17 +59,27 @@ def test_ck_chart_fails_on_nonfinite(order, bad, idx):
     assert f"('f', {order})" in rep.detail
 
 
-@given(order=st.integers(0, 3), bad=BAD, idx=st.integers(0, 1025),
+@given(order=st.integers(0, 3), bad=BAD, idx=st.integers(0, 511),
        upper=st.booleans())
 @settings(max_examples=40)
 def test_slab_chart_fails_on_nonfinite(order, bad, idx, upper):
-    xs = np.linspace(0.0, 1.0, CFG.grid_points_2d ** 2 // 4 + 2)
+    # a blackbox makes the slab a float one, sampled on the graphs' grid
+    xs = np.linspace(0.0, 1.0, CFG.grid_points)
     poisoned = _poisoned(order, bad, float(xs[idx]))
     g1, g2 = (ConstExpr(0), poisoned) if upper else (poisoned, ConstExpr(0))
     rep = verify_slab_chart(SlabChart(x_map=Poly([0, F(1, 2)]), G1=g1, G2=g2,
                                       k=3), CFG)
     assert not rep.ok
     assert "non-finite" in rep.detail
+
+
+def test_slab_with_a_nan_basepoint_fails():
+    # sqrt(2 t - 1) is NaN at t = 0, where the slab's basepoint y is read
+    slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=SqrtExpr(RationalExpr(
+        Poly([-1, 2]))), G2=RationalExpr(Poly([2])), k=1)
+    with np.errstate(invalid="ignore"):
+        rep = verify_slab_chart(slab, CFG)
+    assert not rep.ok and rep.detail == "non-finite value at order ('y', 0)"
 
 
 def _poisoned_circle(bad, radius):
@@ -114,7 +124,8 @@ def test_stored_nan_bound_fails_verification(tmp_path, capsys):
 
 def test_reports_name_the_grid_they_sampled():
     # 1/(2 + t) on [0, 1] is rational, so its chart is checked exactly;
-    # sqrt(2 + t) is not, so its chart is checked in floats
+    # sqrt(2 + t) is not, so its chart is checked in floats; a slab is exact
+    # when both its graphs are rational
     ch = Chart(psi=Poly([0, 1]), f_comp=RationalExpr(Poly([1]), Poly([2, 1])),
                k=2)
     exact = verify_ck_chart(ch, CFG)
@@ -129,7 +140,14 @@ def test_reports_name_the_grid_they_sampled():
                           f"tolerance {CK_TOLERANCE_FLOAT}")
     slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=RationalExpr(Poly([0])),
                      G2=RationalExpr(Poly([F(1, 2)])), k=1)
-    assert verify_slab_chart(slab, CFG).detail.startswith("float at ")
+    rep = verify_slab_chart(slab, CFG)
+    assert rep.ok and rep.mode == "exact"
+    assert rep.detail == f"exact at the {n + 1} points i/{n}"
+    slab.G2 = SqrtExpr(RationalExpr(Poly([F(1, 4), F(1, 8)])))
+    rep = verify_slab_chart(slab, CFG)
+    assert rep.ok and rep.mode == "float"
+    assert rep.detail == (f"float at {CFG.grid_points} points, "
+                          f"tolerance {CK_TOLERANCE_FLOAT}")
 
 
 def _nan_verdict(doc, path, key):

@@ -1,6 +1,7 @@
 """Derivative-killing parametrization: subdivision, square steps, full
 inductions (1D and slab), and the chart certificates."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,12 +9,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothparam.analytic_param import analytic_delta_parametrize
-from smoothparam.charts import verify_ck_chart, verify_slab_chart
+from smoothparam.charts import SlabChart, verify_ck_chart, verify_slab_chart
 from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   hyperbola_parametrization,
                                   kill_derivative_step, monotone_subdivision)
+from smoothparam.config import DEFAULT
 from smoothparam.errors import PreconditionFailed, SlabOrderViolation
 from smoothparam.funcs import (BlackboxExpr, MulExpr, RationalExpr, SqrtExpr,
                                hyperbola_branch, normalize_values)
@@ -206,6 +210,73 @@ def test_slab_order_violation_detected():
     g2 = RationalExpr(Poly([0, 1]))   # crosses g1 at x = 1/2
     with pytest.raises(SlabOrderViolation):
         ck_parametrize_slab(g1, g2, 2, (F(0), F(1)))
+    g2 = RationalExpr(Poly([F(1, 4), -1, 1]))          # (x - 1/2)^2
+    with pytest.raises(SlabOrderViolation, match="inside the slab"):
+        ck_parametrize_slab(RationalExpr(Poly([0])), g2, 2, (F(0), F(1)))
+
+
+@pytest.mark.parametrize("g2", [Poly([0, 1]), Poly([1, -1]), Poly([0, 1, -1])])
+def test_slab_graphs_may_touch_at_the_ends(g2):
+    # 0 <= y <= x, 1 - x and x(1 - x) on [0, 1]: g2 - g1 vanishes at an end
+    P = ck_parametrize_slab(RationalExpr(Poly([0])), RationalExpr(g2), 2,
+                            (F(0), F(1)))
+    assert P.chart_count >= 1
+    for ch in P.charts:
+        rep = verify_slab_chart(ch)
+        assert rep.ok and rep.mode == "exact"
+        assert ch.meta["steps"][0][0] == "affine" and ch.meta["split"] >= 1
+
+
+def test_slab_with_an_unbounded_graph_is_a_typed_error():
+    inv = RationalExpr(Poly([1]), Poly([0, 1]))         # 1/x on [0, 1]
+    with np.errstate(divide="ignore"), pytest.raises(
+            PreconditionFailed, match="order-1 derivative unbounded"):
+        ck_parametrize_slab(RationalExpr(Poly([0])), inv, 2, (F(0), F(1)))
+
+
+def _scan(num, den, i, N, shift=0):
+    """max |(num/den)^(i) - shift| over the points j/N, j = 0..N, in
+    Fractions, the i-th derivative taken by the quotient rule; the shift
+    applies at order 0 only."""
+    for _ in range(i):
+        num, den = num.deriv() * den - num * den.deriv(), den * den
+        shift = 0
+    return max(abs(num(F(j, N)) / den(F(j, N)) - shift) for j in range(N + 1))
+
+
+_Q = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+_Q_POS = st.builds(F, st.integers(0, 6), st.integers(1, 6))
+
+
+@st.composite
+def _rational_slab(draw):
+    """(x_map, (n1, d1), (n2, d2), k): G1 = n1/d1 below G2 = G1 + gap on
+    [0, 1], with a positive gap and denominators positive there."""
+    x_map = Poly(draw(st.lists(_Q, min_size=1, max_size=3)))
+    n1, d1 = Poly(draw(st.lists(_Q, min_size=1, max_size=3))), Poly(
+        [1, 0, draw(_Q_POS)])
+    gap_n, gap_d = Poly([draw(_Q_POS) + F(1, 6), draw(_Q_POS)]), Poly(
+        [1, draw(_Q_POS)])
+    return (x_map, (n1, d1), (n1 * gap_d + gap_n * d1, d1 * gap_d),
+            draw(st.integers(0, 3)))
+
+
+@settings(max_examples=30)
+@given(slab=_rational_slab(), N=st.integers(1, 24))
+def test_exact_slab_orders_match_a_fraction_scan(slab, N):
+    x_map, (n1, d1), (n2, d2), k = slab
+    cfg = dataclasses.replace(DEFAULT, exact_grid_points=N)
+    rep = verify_slab_chart(SlabChart(x_map=x_map, G1=RationalExpr(n1, d1),
+                                      G2=RationalExpr(n2, d2), k=k), cfg)
+    assert rep.mode == "exact"
+    y0 = n1(F(0)) / d1(F(0))
+    want = {}
+    for i in range(k + 1):
+        want[("x", i)] = _scan(x_map, Poly([1]), i, N, x_map(F(0)))
+        want[("y", i)] = max(_scan(n1, d1, i, N, y0), _scan(n2, d2, i, N, y0))
+    for i in range(k):
+        want[("y-slope", i)] = _scan(n2 * d1 - n1 * d2, d1 * d2, i, N)
+    assert rep.per_order == {key: float(v) for key, v in want.items()}
 
 
 _X2, _X2_1 = RationalExpr(Poly([0, 0, 1])), RationalExpr(Poly([1, 0, 1]))

@@ -291,6 +291,8 @@ def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
     ({"approximate": {"slab": "yes"}}, ["approximate", "--config"]),
     ({"parametrize-ck": {"out": None}}, ["parametrize-ck", "--config"]),
     ({"parametrize-ck": {"eps": [1, 100]}}, ["parametrize-ck", "--config"]),
+    ({"function": {"kind": "rational", "num": ["1"], "den": ["0", "1"]},
+      "interval": ["0", "1"]}, ["parametrize-ck", "--spec"]),
 ])
 def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
                                                    capsys):
