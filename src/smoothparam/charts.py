@@ -5,11 +5,12 @@ A chart is a polynomial (or composed) substitution from the unit interval
 checkers measure derivative suprema through one grid routine, exactly in
 rationals when the carried functions are (for a slab, both graphs) and in
 floats otherwise, and certify the unit bound up to a stated tolerance; a
-non-finite measurement fails the certificate.  The exact grid max is decided
-in integers at the grid ends and beside the critical points and poles that
-Descartes' rule locates, so it equals the exact scan of every grid point;
-either mode is a grid sample, not a proof over the interval, and the
-report's `detail` names the grid it sampled."""
+non-finite measurement fails the certificate, and a pole at a grid point
+reads inf in either mode.  The exact grid max is decided in integers at the
+grid ends and beside the critical points and poles that Descartes' rule
+locates, so it equals the exact scan of every grid point; either mode is a
+grid sample, not a proof over the interval, and the report's `detail` names
+the grid it sampled."""
 
 from __future__ import annotations
 
@@ -59,6 +60,10 @@ class Chart:
         if self.image is None:
             self.image = (self.psi(Fraction(0)), self.psi(Fraction(1)))
 
+    @property
+    def degree(self):
+        return self.psi.degree
+
 
 @dataclass
 class SlabChart:
@@ -71,6 +76,11 @@ class SlabChart:
     k: int
     bounds: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    def eval(self, t1, t2):
+        x = self.x_map(t1)
+        g1, g2 = self.G1.eval(t1), self.G2.eval(t1)
+        return (x, (1 - t2) * g1 + t2 * g2)
 
 
 def sampled_sup(fn, xs=None, order: int = 0) -> float:
@@ -142,7 +152,8 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     """{(key, i): max |fn^(i)|} over the chart's grid, i in orders, less
     `shift` at order 0; fn is a Poly or a FunctionExpr, rational in exact
     mode, which takes the rational max at the cfg.exact_grid_points + 1
-    points i/N; float mode takes the float max at cfg.grid_points points."""
+    points i/N; float mode takes the float max at cfg.grid_points points.
+    A pole on the grid reads inf in either mode."""
     top = max(orders, default=0)
     if isinstance(fn, Poly):
         chain = fn.derivs(top)
@@ -162,7 +173,7 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
         else:
             num, den = g.as_rational()
             out[key, i] = float(max_abs_ratio_on_grid(
-                num - den * c if c else num, den, n))
+                num - den * c if c else num, den, n, pole=math.inf))
     return out
 
 
@@ -186,18 +197,23 @@ def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT) -> CertificateReport:
 def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateReport:
     """The second component is affine in t2, so all mixed partials reduce to
     t1-derivatives of G1 and G2 - G1 (the "y-slope"); check those plus the
-    x-map by `_grid_max`, exact when G1 and G2 are rational.  In exact mode a
-    pole of G1 at t1 = 0 raises EvaluationAtSingularity."""
+    x-map by `_grid_max`, exact when G1 and G2 are rational."""
     mode = ("float" if None in (slab.G1.as_rational(), slab.G2.as_rational())
             else "exact")
-    orders, y0 = range(slab.k + 1), (   # a float y0 may be NaN, not a raise
-        slab.G1.eval(0) if mode == "exact" else slab.G1.eval_array(np.zeros(1))[0])
+    orders = range(slab.k + 1)
+    try:                # the basepoint y; a float one may be NaN or inf
+        y0 = (slab.G1.eval_array(np.zeros(1))[0] if mode == "float"
+              else slab.G1.eval(Fraction(0)))
+    except EvaluationAtSingularity:
+        y0 = None       # an exact pole there: ('y', 0) reads inf below
     gap = simplify(AddExpr(slab.G2, MulExpr(ConstExpr(-1), slab.G1)))
     per = _grid_max("x", slab.x_map, orders, slab.x_map(0), mode, cfg)
-    g2 = _grid_max("y", slab.G2, orders, y0, mode, cfg)
+    g2 = _grid_max("y", slab.G2, orders, y0 or 0, mode, cfg)
     # psi2 at t2 in {0, 1}; np.maximum keeps a NaN
     per.update((key, float(np.maximum(v, g2[key]))) for key, v in
-               _grid_max("y", slab.G1, orders, y0, mode, cfg).items())
+               _grid_max("y", slab.G1, orders, y0 or 0, mode, cfg).items())
     per.update(_grid_max("y-slope", gap, orders[:-1], 0, mode, cfg))
+    if y0 is None:
+        per["y", 0] = math.inf
     slab.bounds = per
     return _report(per, mode, cfg)

@@ -45,13 +45,27 @@ def _float(s) -> float:
 
 
 @contextlib.contextmanager
-def _reading(path):
-    """PreconditionFailed naming path for a missing key or mistyped value."""
+def _reading(path=None):
+    """PreconditionFailed for a missing key or mistyped value, naming path
+    if given (`main` names a spec's path, by `_naming`)."""
     try:
         yield
     except (AttributeError, IndexError, KeyError, TypeError,
             ZeroDivisionError) as exc:
-        raise PreconditionFailed(f"{path}: {exc!r}") from None
+        raise PreconditionFailed(f"{path}: {exc!r}" if path
+                                 else repr(exc)) from None
+
+
+@contextlib.contextmanager
+def _naming(spec):
+    """A PreconditionFailed raised while reading or building on the spec file
+    (if one was given), with its path in front."""
+    try:
+        yield
+    except PreconditionFailed as exc:
+        if spec is None:
+            raise
+        raise PreconditionFailed(f"{spec}: {exc}") from None
 
 
 def _load_spec(path):
@@ -59,7 +73,7 @@ def _load_spec(path):
     "hyperbola", ...} or {"function": <expr json>, "interval": [lo, hi], ...}."""
     allowed = {"builtin", "eps", "function", "interval",
                "declared_singularities"}
-    with open(path) as fh, _reading(path):
+    with open(path) as fh, _reading():
         spec = json.load(fh)
         for key in spec:
             if key not in allowed:
@@ -108,10 +122,7 @@ def _run_parametrize_ck(args) -> int:
             P = hyperbola_parametrization(_frac(spec.get("eps", args.eps)),
                                           k=args.k)
         else:
-            try:
-                P = ck_parametrize_function(f, args.k, (lo, hi))
-            except PreconditionFailed as exc:    # e.g. f unbounded on it
-                raise PreconditionFailed(f"{args.spec}: {exc}") from None
+            P = ck_parametrize_function(f, args.k, (lo, hi))
     else:
         P = hyperbola_parametrization(_frac(args.eps), k=args.k)
     doc = serialize.parametrization_to_json(P, "ck")
@@ -354,7 +365,8 @@ def main(argv=None) -> int:
     ap = _build_parser()
     try:
         args = _apply_config(ap, argv)
-        return args.run(args)
+        with _naming(getattr(args, "spec", None)):
+            return args.run(args)
     except SmoothParamError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -327,11 +327,13 @@ def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
     return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
 
 
-def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
-    """max |num(i/N) / den(i/N)| over i = 0..N (grid points where den
-    vanishes are skipped), exact and in integers: the max over the ends of
-    the grid and the unit cells that hold a real root of num' den - num den'
-    or of den.  The result equals the exact scan of every point."""
+def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int, pole=None):
+    """max |num(i/N) / den(i/N)| over i = 0..N, exact and in integers: the
+    max over the ends of the grid and the unit cells that hold a real root
+    of num' den - num den' or of den.  The result equals the exact scan of
+    every point.  A grid point where den vanishes is skipped, or, when
+    `pole` is given, makes the result `pole` (every grid root of den is a
+    candidate, since each root of den has a cell)."""
     Dn, sn = _int_scaled(num, N)
     Dd, sd = _int_scaled(den, N)
     W = [x - y for x, y in zip_longest(            # Dn' Dd - Dn Dd'
@@ -341,6 +343,8 @@ def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int) -> Fraction:
         if b := _horner_int(Dd, i):
             best = max(best, Fraction(abs(_horner_int(Dn, i) * sd),
                                       abs(b) * sn))
+        elif pole is not None:
+            return pole
     return best
 
 

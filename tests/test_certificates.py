@@ -82,6 +82,35 @@ def test_slab_with_a_nan_basepoint_fails():
     assert not rep.ok and rep.detail == "non-finite value at order ('y', 0)"
 
 
+_TINY_POLE = RationalExpr(Poly([F(1, 10**9)]), Poly([0, 1]))   # 1e-9/t
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=_TINY_POLE, k=1)),
+    lambda: verify_slab_chart(SlabChart(x_map=Poly([0, 1]), G1=RationalExpr(
+        Poly([0])), G2=_TINY_POLE, k=1)),
+    # the pole at the grid point 1/2, inside the slab
+    lambda: verify_slab_chart(SlabChart(x_map=Poly([0, 1]), G1=RationalExpr(
+        Poly([0])), G2=RationalExpr(Poly([F(1, 10**9)]), Poly([F(-1, 2), 1])),
+        k=1)),
+])
+def test_exact_chart_with_a_pole_on_the_grid_fails(check):
+    # the exact grid max skips a point where den vanishes; the check must
+    # read it as inf, as a float grid does, not pass on the points beside it
+    rep = check()
+    assert rep.mode == "exact" and not rep.ok
+    assert rep.detail.startswith("non-finite value at order")
+
+
+def test_exact_slab_with_a_pole_at_its_basepoint_fails():
+    # -1e-9/t has its pole at t = 0, where the slab's basepoint y is read
+    slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=RationalExpr(
+        Poly([F(-1, 10**9)]), Poly([0, 1])), G2=RationalExpr(Poly([2])), k=1)
+    rep = verify_slab_chart(slab, CFG)
+    assert rep.mode == "exact" and not rep.ok
+    assert rep.detail == "non-finite value at order ('y', 0)"
+
+
 def _poisoned_circle(bad, radius):
     """Zero on the disk except on the circle of the given radius."""
     return BlackboxExpr(

@@ -293,6 +293,8 @@ def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
     ({"parametrize-ck": {"eps": [1, 100]}}, ["parametrize-ck", "--config"]),
     ({"function": {"kind": "rational", "num": ["1"], "den": ["0", "1"]},
       "interval": ["0", "1"]}, ["parametrize-ck", "--spec"]),
+    ({"function": {"kind": "rational", "num": ["1"], "den": ["0", "1"]},
+      "interval": ["0", "1"]}, ["approximate", "--route", "ck", "--spec"]),
 ])
 def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
                                                    capsys):

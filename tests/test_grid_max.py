@@ -8,6 +8,7 @@ roots of num and den, constant ratios, denominators with roots on the grid
 zero, constants, lines and ties, grids that are not powers of two,
 coefficients beyond the float range, zero numerators and high degrees."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -69,6 +70,22 @@ def test_grid_ratio_matches_fraction_scan(data):
         lift = F(1, 10**30) if kind == "near-root" else 0
         den = den * Poly([-r, 1]) + lift
     assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_grid_ratio_reports_a_grid_pole_when_asked(data):
+    # with pole= given, a den that vanishes at some i/N returns it, and any
+    # other den returns the skipping max
+    N, deg = data.draw(_grid_and_degree())
+    num = Poly(data.draw(_coeffs(deg, 10)))
+    den = Poly(data.draw(_coeffs(deg // 2, 10)))
+    if data.draw(st.booleans()):
+        r = F(data.draw(st.integers(0, N)), N)
+        den = den * Poly([-r, 1]) ** data.draw(st.integers(1, 2))
+    on_grid = any(den(F(i, N)) == 0 for i in range(N + 1))
+    got = max_abs_ratio_on_grid(num, den, N, pole=math.inf)
+    assert got == (math.inf if on_grid else direct_ratio(num, den, N))
 
 
 @pytest.mark.parametrize("N", (100, 4097))
