@@ -62,25 +62,22 @@ class Approximation:
 
 
 def taylor_polynomial(g: FunctionExpr, d: int, center) -> Poly:
-    """Degree-d Taylor polynomial of g at `center` (exact for rational g at a
-    rational center)."""
+    """Degree-d Taylor polynomial of g at `center`: exact for rational g at a
+    rational center, else from `eval` of each derivative at the center."""
     if d > TAYLOR_DEGREE_CAP:
         raise DegreeOverflow(f"degree {d} exceeds cap {TAYLOR_DEGREE_CAP}")
     rat = g.as_rational()
     if rat is not None and isinstance(center, (int, Fraction)):
         return _rational_taylor(rat[0], rat[1], d, _fr(center))
     chain = g.derivative_chain(d)
-    c = _fr(center) if isinstance(center, (int, Fraction)) else center
     coeffs = []
     fact = 1
     for i, gi in enumerate(chain):
         if i > 0:
             fact *= i
-        v = gi.eval(c)
-        coeffs.append(_fr(v) / fact if isinstance(v, (int, Fraction))
-                      else Fraction(v) / fact)
-    # p(t) = sum coeffs[i] (t - c)^i
-    return Poly(coeffs).compose(Poly.affine(1, -Fraction(c)))
+        coeffs.append(Fraction(gi.eval(center)) / fact)
+    # p(t) = sum coeffs[i] (t - center)^i
+    return Poly(coeffs).compose(Poly.affine(1, -Fraction(center)))
 
 
 def _rational_taylor(num: Poly, den: Poly, d: int, c: Fraction) -> Poly:
@@ -239,7 +236,8 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
         w = float(b - a)
         xs = np.linspace(float(a), float(b), 64)
         try:
-            h = float(np.max(np.abs(f.eval_array(xs))))
+            with np.errstate(all="ignore"):     # inf or NaN: h = 1 below
+                h = float(np.max(np.abs(f.eval_array(xs))))
         except (SmoothParamError, ArithmeticError, ValueError):
             h = 1.0
         if not math.isfinite(h):

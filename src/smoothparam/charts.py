@@ -92,7 +92,8 @@ def sampled_sup(fn, xs=None, order: int = 0) -> float:
         if order:
             fn = (fn.derivs(order)[-1] if isinstance(fn, Poly)
                   else fn.derivative_chain(order)[order])
-        fn = fn.eval_array(xs)
+        with np.errstate(all="ignore"):     # a non-finite value is returned
+            fn = fn.eval_array(xs)
     return float(np.max(np.abs(fn)))
 
 
@@ -201,11 +202,10 @@ def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateRepo
     mode = ("float" if None in (slab.G1.as_rational(), slab.G2.as_rational())
             else "exact")
     orders = range(slab.k + 1)
-    try:                # the basepoint y; a float one may be NaN or inf
-        y0 = (slab.G1.eval_array(np.zeros(1))[0] if mode == "float"
-              else slab.G1.eval(Fraction(0)))
+    try:                # the basepoint y
+        y0 = slab.G1.eval(Fraction(0))
     except EvaluationAtSingularity:
-        y0 = None       # an exact pole there: ('y', 0) reads inf below
+        y0 = None       # a pole or a non-finite value: ('y', 0) reads inf
     gap = simplify(AddExpr(slab.G2, MulExpr(ConstExpr(-1), slab.G1)))
     per = _grid_max("x", slab.x_map, orders, slab.x_map(0), mode, cfg)
     g2 = _grid_max("y", slab.G2, orders, y0 or 0, mode, cfg)

@@ -143,7 +143,7 @@ def _run_parametrize_analytic(args) -> int:
 
 def _run_approximate(args) -> int:
     if args.spec:
-        f, (lo, hi), _ = _load_spec(args.spec)
+        f, (lo, hi), spec = _load_spec(args.spec)
     else:
         e = _frac(args.curve_eps)
         f, lo, hi = (RationalExpr(Poly([e * e]), Poly([0, 1])),
@@ -151,9 +151,10 @@ def _run_approximate(args) -> int:
     if args.route == "ck":
         A = ck_approximate(f, (lo, hi), args.eps, args.sigma)
     else:
-        A = analytic_approximate(f, (lo, hi), args.eps,
-                                 declared_singularities=[0j],
-                                 slab=args.slab)
+        A = analytic_approximate(
+            f, (lo, hi), args.eps, slab=args.slab,
+            declared_singularities=(spec["declared_singularities"] or None)
+            if args.spec else [0j])
     doc = serialize.approximation_to_json(A, source=f)
     return _emit_and_verify(args, doc)
 

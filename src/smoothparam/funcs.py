@@ -3,7 +3,11 @@ radical/composition trees, algebraic branches of P(x, y) = 0 tracked by
 continuation, and blackboxes with declared zero-count bounds.
 
 Symbolic differentiation is closed on the tree; rational subtrees are kept
-collapsed to num/den pairs so high-order derivatives stay cheap and exact."""
+collapsed to num/den pairs so high-order derivatives stay cheap and exact.
+Each class evaluates through one numeric evaluator, eval_array; `eval` (one
+real point, exact for a rational expression at a rational point, failing
+closed at a pole or a non-finite value) and `eval_complex` are its
+one-point cases."""
 
 from __future__ import annotations
 
@@ -29,10 +33,6 @@ CONTINUATION_CACHE_CAP = 100_000     # real-axis values a tracker caches
 _U = 2.0 ** -53                      # unit roundoff, for _disk_test
 
 
-def _is_exact(x):
-    return isinstance(x, (Fraction, int))
-
-
 def _sqrt_exact(v: Fraction):
     """Rational square root if it exists, else None."""
     if v < 0:
@@ -45,17 +45,31 @@ def _sqrt_exact(v: Fraction):
 
 
 class FunctionExpr:
-    """Base class.  Subclasses implement eval (one point, exact where the
-    input is), eval_array (over a real or complex numpy array; the one
-    numeric evaluator) and deriv.  eval_array is elementwise, except that a
-    branch reads each row (last axis) of a complex array as one continuation
-    path from its seed, so a row's points must follow one another closely."""
+    """Base class.  Subclasses implement eval_array (over a real or complex
+    numpy array; the one numeric evaluator) and deriv.  eval_array is
+    elementwise, except that a branch reads each row (last axis) of a
+    complex array as one continuation path from its seed, so a row's points
+    must follow one another closely.  eval and eval_complex are its
+    one-point cases."""
 
     def deriv(self) -> "FunctionExpr":
         raise NotImplementedError
 
     def eval(self, x):
-        raise NotImplementedError
+        """f(x) at one real point: the exact num(x)/den(x) when f is rational
+        and x an int or a Fraction, else the one-point case of eval_array.
+        It fails closed: a pole, a NaN or an infinite value raises
+        EvaluationAtSingularity, and is never returned."""
+        rat = self.as_rational()
+        if rat is not None and isinstance(x, (int, Fraction)):
+            if (dv := rat[1](x)) == 0:
+                raise EvaluationAtSingularity(f"pole at {x}")
+            return rat[0](x) / dv
+        with np.errstate(all="ignore"):
+            v = float(self.eval_array(np.array([float(x)]))[0])
+        if not math.isfinite(v):
+            raise EvaluationAtSingularity(f"value {v} of f at x = {x}")
+        return v
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -158,17 +172,6 @@ class RationalExpr(FunctionExpr):
         out._step = (h, u, hp, i + 1, n, d)
         return out
 
-    def eval(self, x):
-        if _is_exact(x):
-            dv = self.den(_fr(x))
-            if dv == 0:
-                raise EvaluationAtSingularity(f"pole at {x}")
-            return self.num(_fr(x)) / dv
-        dv = self.den(float(x))
-        if dv == 0:
-            raise EvaluationAtSingularity(f"pole at {x}")
-        return self.num(float(x)) / dv
-
     def eval_array(self, xs):
         return self.num.eval_array(xs) / self.den.eval_array(xs)
 
@@ -182,20 +185,8 @@ class SqrtExpr(FunctionExpr):
 
     def deriv(self):
         # (sqrt f)' = f' / (2 sqrt f)
-        return MulExpr(self.inner.deriv(),
-                       PowExpr(self, -1)) * Fraction(1, 2)
-
-    def __mul__(self, c):
-        return MulExpr(self, ConstExpr(c))
-
-    def eval(self, x):
-        v = self.inner.eval(x)
-        if _is_exact(v):
-            r = _sqrt_exact(_fr(v))
-            if r is not None:
-                return r
-            return math.sqrt(float(v))
-        return math.sqrt(v)
+        return MulExpr(MulExpr(self.inner.deriv(), PowExpr(self, -1)),
+                       ConstExpr(Fraction(1, 2)))
 
     def eval_array(self, xs):
         return np.sqrt(self.inner.eval_array(xs))
@@ -210,9 +201,6 @@ class ConstExpr(FunctionExpr):
 
     def as_rational(self):
         return (Poly([self.c]), Poly([1]))
-
-    def eval(self, x):
-        return self.c if _is_exact(x) else float(self.c)
 
     def eval_array(self, xs):
         return np.full_like(xs, float(self.c))
@@ -236,9 +224,6 @@ class AddExpr(FunctionExpr):
     def deriv(self):
         return simplify(AddExpr(*[t.deriv() for t in self.terms]))
 
-    def eval(self, x):
-        return sum(t.eval(x) for t in self.terms)
-
     def eval_array(self, xs):
         acc = np.zeros_like(xs)
         for t in self.terms:
@@ -250,18 +235,12 @@ class MulExpr(FunctionExpr):
     def __init__(self, f, g):
         self.f, self.g = _wrap(f), _wrap(g)
 
-    def __mul__(self, c):
-        return MulExpr(self, ConstExpr(c))
-
     def size(self):
         return 1 + self.f.size() + self.g.size()
 
     def deriv(self):
         return simplify(AddExpr(MulExpr(self.f.deriv(), self.g),
                                 MulExpr(self.f, self.g.deriv())))
-
-    def eval(self, x):
-        return self.f.eval(x) * self.g.eval(x)
 
     def eval_array(self, xs):
         return self.f.eval_array(xs) * self.g.eval_array(xs)
@@ -280,14 +259,6 @@ class PowExpr(FunctionExpr):
         return simplify(MulExpr(MulExpr(ConstExpr(self.n), PowExpr(self.f, self.n - 1)),
                                 self.f.deriv()))
 
-    def eval(self, x):
-        v = self.f.eval(x)
-        if self.n < 0 and v == 0:
-            raise EvaluationAtSingularity("zero base with negative power")
-        if _is_exact(v):
-            return _fr(v) ** self.n
-        return float(v) ** self.n
-
     def eval_array(self, xs):
         return self.f.eval_array(xs) ** self.n
 
@@ -302,9 +273,6 @@ class ComposeExpr(FunctionExpr):
     def deriv(self):
         return simplify(MulExpr(ComposeExpr(self.outer.deriv(), self.inner),
                                 self.inner.deriv()))
-
-    def eval(self, x):
-        return self.outer.eval(self.inner.eval(x))
 
     def eval_array(self, xs):
         return self.outer.eval_array(self.inner.eval_array(xs))
@@ -365,7 +333,8 @@ def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
     [0, 1], or when sampling fails or gives a non-finite value."""
     xs = np.linspace(float(lo), float(hi), cfg.grid_points)
     try:
-        vals = f.eval_array(xs)
+        with np.errstate(all="ignore"):     # non-finite: checked below
+            vals = f.eval_array(xs)
     except (SmoothParamError, ArithmeticError, ValueError):
         return f, {}    # a pole, a lost branch or a failed math call alike
     if not np.all(np.isfinite(vals)):
@@ -916,21 +885,12 @@ class BranchExpr(FunctionExpr):
         return BranchExpr(self.P, self.seed, base.implicit_deriv(self.P),
                           tracker=self.tracker)
 
-    def eval(self, x):
-        w = self.tracker.eval_real(x)
-        if abs(w.imag) > 1e-8:
-            raise EvaluationAtSingularity(
-                f"branch left the real line at x = {x} (w = {w})")
-        if self.rat is None:
-            return w.real
-        return self.rat(float(x), w.real)
-
     def eval_array(self, xs):
-        """Real xs: `eval` at each point, the points continued in increasing
-        order from the nearest cached real point by one sweep
-        (`BranchTracker.eval_grid`), each value checked as `eval` checks it.
-        Complex xs: each row (last axis) is one continuation path, entered
-        from the seed and continued point to point
+        """Real xs: the value at each point, the points continued in
+        increasing order from the nearest cached real point by one sweep
+        (`BranchTracker.eval_grid`); a value off the real line or at a pole
+        of rat raises.  Complex xs: each row (last axis) is one continuation
+        path, entered from the seed and continued point to point
         (`BranchTracker.eval_path`); a 1-D array is one row.  rat is applied
         over the arrays, with the bits of its one-point evaluation."""
         if np.iscomplexobj(xs):
@@ -943,8 +903,8 @@ class BranchExpr(FunctionExpr):
         return self.rat.eval_array(xs, ws.real)
 
     def _rejected(self, x, w):
-        """(k, error) for the first branch value w[k] at x[k] where `eval`
-        raises, or None."""
+        """(k, error) for the first branch value w[k] at x[k] that is off
+        the real line or at a pole of rat, or None."""
         off = np.abs(w.imag) > 1e-8
         pole = np.zeros_like(off)
         if self.rat is not None:
@@ -982,9 +942,6 @@ class BlackboxExpr(FunctionExpr):
             f"blackbox declares {len(self.deriv_fns)} derivatives; "
             f"order {self._level + 1} was asked")
 
-    def eval(self, x):
-        return self.fn(float(x))
-
     def eval_array(self, xs):
         return np.array([self.fn(x) for x in xs.ravel().tolist()]
                         ).reshape(xs.shape)
@@ -998,9 +955,10 @@ def isolate_real_zeros(f: FunctionExpr, interval):
     Exact for rational f (`poly.isolate_roots` on num/gcd(num, den), so a
     pole is never a zero and a zero beside a pole is kept); sampled
     sign-change bisection otherwise, with the declared zero count as a
-    completeness check for blackboxes.  A NaN sample or midpoint value has
-    no sign, so a sign change across it would be lost: it raises
-    EvaluationAtSingularity naming x (+-inf keeps its sign)."""
+    completeness check for blackboxes.  A NaN sample has no sign, so a sign
+    change across it would be lost: it raises EvaluationAtSingularity naming
+    x (a +-inf sample keeps its sign).  A bisection midpoint is read by
+    `eval`, which raises at a NaN or infinite value."""
     lo, hi = interval
     rat = f.as_rational()
     if rat is not None:
@@ -1025,9 +983,7 @@ def isolate_real_zeros(f: FunctionExpr, interval):
         if va * vb < 0:
             for _ in range(60):
                 m = 0.5 * (a + b)
-                vm = float(f.eval(m))
-                if math.isnan(vm):
-                    raise EvaluationAtSingularity(f"NaN value of f at x = {m}")
+                vm = f.eval(m)
                 if vm == 0:
                     a = b = m
                     break

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,51 @@ def test_approximate_cli(tmp_path):
     assert doc["kind"] == "approximation"
     for p in doc["patches"]:
         assert p["sup_error"] <= doc["epsilon"] * (1 + 1e-9)
+
+
+def test_analytic_approximate_reads_the_spec_singularities(tmp_path):
+    # (1 - x^2)/(2 + x^2) has its poles at +-i sqrt 2, the roots of its
+    # denominator; one declared at 0 cuts the cover into 14 charts
+    spec, out = tmp_path / "ratio.json", tmp_path / "a.json"
+    spec.write_text(json.dumps({
+        "function": {"kind": "rational", "num": ["1", "0", "-1"],
+                     "den": ["2", "0", "1"]},
+        "interval": ["-1", "1"]}))
+    argv = ["approximate", "--route", "analytic", "--eps", "0.015625",
+            "--spec", str(spec), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["meta"]["charts"] == 4
+    assert main(["verify", str(out)]) == 0
+    # a declared singularity is read as declared
+    spec.write_text(json.dumps({**json.loads(spec.read_text()),
+                                "declared_singularities": [0]}))
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["meta"]["charts"] == 14
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["parametrize-ck"],
+     "order-1 derivative unbounded on a piece (sampled sup inf)"),
+    (["approximate", "--route", "ck"],
+     "order-1 derivative unbounded on a piece (sampled sup inf)"),
+    (["parametrize-analytic"], None),
+    (["approximate", "--route", "analytic"], None),
+])
+def test_a_pole_on_the_spec_interval_prints_no_numpy_warning(
+        argv, err, tmp_path, capsys):
+    # 1/x on [0, 1]: the sampled values are inf at 0, which the build
+    # reports as a typed error or leaves out; numpy's RuntimeWarning is noise
+    spec, out = tmp_path / "inv.json", tmp_path / "o.json"
+    spec.write_text(json.dumps({
+        "function": {"kind": "rational", "num": ["1"], "den": ["0", "1"]},
+        "interval": ["0", "1"]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + ["--spec", str(spec), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert rc == (1 if err else 0)
+    assert capsys.readouterr().err == (
+        f"error: PreconditionFailed: {spec}: {err}\n" if err else "")
 
 
 def test_verify_resamples_slab_patches(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """The one numeric evaluator: `eval_array` on complex arrays against a
 per-point Python-complex oracle (the recursion each expression class once
-carried as its own `eval_complex`), `circle_sup` against the per-circle
-loop it replaced, and fail-closed sampling at a pole."""
+carried as its own `eval_complex`), `eval` as its one-point real case,
+`circle_sup` against the per-circle loop it replaced, and fail-closed
+sampling at a pole."""
 
 import dataclasses
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -136,6 +138,39 @@ def test_eval_array_matches_the_per_point_oracle(e, zs):
     ok = np.isfinite(want) & (scale * U <= 1e-13 * np.abs(want))
     assume(ok.any())
     assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.abs(want[ok]))
+
+
+@settings(max_examples=300)
+@given(_poly, _poly.filter(lambda p: not p.is_zero()),
+       st.floats(-4, 4, allow_subnormal=False))
+def test_rational_eval_is_poly_call_at_a_float_and_exact_at_a_fraction(
+        num, den, x):
+    f = RationalExpr(num, den)
+    for pt in (x, F(x)):        # Poly.__call__ is exact at a Fraction
+        dv = den(pt)
+        if dv == 0:
+            with pytest.raises(EvaluationAtSingularity):
+                f.eval(pt)
+            continue
+        got, want = f.eval(pt), num(pt) / dv
+        assert type(got) is type(want)
+        assert (got.hex() == want.hex() if isinstance(pt, float)
+                else got == want)
+
+
+@pytest.mark.parametrize("f, x", [
+    (SqrtExpr(RationalExpr(Poly([-1, 1]))), 0.5),          # sqrt(-1/2)
+    # 1/(x - 1/2), at a float and at a Fraction: not rational as a tree
+    (ComposeExpr(RationalExpr(Poly([1]), Poly([0, 1])),
+                 RationalExpr(Poly([F(-1, 2), 1]))), 0.5),
+    (ComposeExpr(RationalExpr(Poly([1]), Poly([0, 1])),
+                 RationalExpr(Poly([F(-1, 2), 1]))), F(1, 2)),
+    (PowExpr(RationalExpr(Poly([0, 1])), 400), 10.0),       # overflows
+])
+def test_eval_fails_closed_at_a_non_finite_value(f, x):
+    # a NaN, an inf or an overflow is never returned; the message names x
+    with pytest.raises(EvaluationAtSingularity, match=re.escape(f"x = {x}")):
+        f.eval(x)
 
 
 def test_blackbox_eval_array_keeps_shape_and_takes_complex():

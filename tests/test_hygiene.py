@@ -151,15 +151,16 @@ def test_every_parameter_is_read():
 
 
 def test_eval_complex_only_on_the_base_class():
-    # FunctionExpr's is the one-point case of eval_array, which continues a
-    # branch along each row from its seed.  No class grows a second,
-    # per-point evaluator, and bivar.py's rationals evaluate through
-    # __call__ at complex points too.
+    # FunctionExpr's eval_complex and eval are the one-point cases of
+    # eval_array, which continues a branch along each row from its seed.  No
+    # class grows a second, per-point evaluator, and bivar.py's rationals
+    # evaluate through __call__ at complex points too.
     modules = _modules()
-    owners = [c.name for c in modules["funcs.py"].body
-              if isinstance(c, ast.ClassDef)
-              and any(isinstance(d, ast.FunctionDef) and d.name == "eval_complex"
-                      for d in c.body)]
-    assert owners == ["FunctionExpr"]
+    for name in ("eval_complex", "eval"):
+        owners = [c.name for c in modules["funcs.py"].body
+                  if isinstance(c, ast.ClassDef)
+                  and any(isinstance(d, ast.FunctionDef) and d.name == name
+                          for d in c.body)]
+        assert owners == ["FunctionExpr"], name
     assert not [n for n in ast.walk(modules["bivar.py"])
                 if isinstance(n, ast.FunctionDef) and n.name == "eval_complex"]
