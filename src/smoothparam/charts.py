@@ -167,8 +167,9 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     for i in orders:
         g, c = chain[i], (shift if i == 0 else 0)
         if mode == "float":
-            out[key, i] = sampled_sup(g.eval_array(xs) - float(c) if c
-                                      else g.eval_array(xs))
+            with np.errstate(all="ignore"):     # a NaN sup fails closed
+                vals = g.eval_array(xs) - float(c) if c else g.eval_array(xs)
+            out[key, i] = sampled_sup(vals)
         elif isinstance(g, Poly):
             out[key, i] = float(max_abs_on_rational_grid(g - c if c else g, n))
         else:

@@ -970,7 +970,8 @@ def isolate_real_zeros(f: FunctionExpr, interval):
     # sampled bisection
     n = max(16, int(BISECT_SAMPLES_PER_UNIT * (float(hi) - float(lo))))
     xs = np.linspace(float(lo), float(hi), n + 1)
-    vals = f.eval_array(xs)
+    with np.errstate(all="ignore"):     # a NaN sample raises below
+        vals = f.eval_array(xs)
     if np.isnan(vals).any():
         x = xs[np.isnan(vals).argmax()]
         raise EvaluationAtSingularity(f"NaN value of f at x = {x}")

@@ -16,7 +16,8 @@ from .bivar import BivarPoly, resultant_y
 from .errors import PreconditionFailed, SingularCurve
 from .funcs import singular_locus
 from .poly import _fr, isolate_roots
-from .simplex import norming_lp
+from .simplex import (LP_TOLERANCE, dual_bounds, norming_lp,
+                      norming_objectives)
 
 REMEZ_C1 = 0.125                     # delta = c1 * rho / 2 proportionality
 NORMALIZE_SAMPLES = 512              # per side of the unit-square grid
@@ -76,7 +77,20 @@ def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
     """R = max over y* in Y of  max { Q(y*) : -1 <= Q <= 1 on Z },
     Q ranging over polynomials of degree <= d1 in (x, y).  Z is taken as
     sampled: no cutting-plane rounds refine it (meta["rounds"] is 0).  A d1
-    with more monomials than Z samples is rejected before any is built."""
+    with more monomials than Z samples is rejected before any is built.
+
+    The LP is solved only at the y that can still be the maximum.  First
+    every objective is tested, in Y order, for a component off the row
+    space of Z's monomials (UnboundedLP at the first that has one).  Then
+    the optimal vertex of each solved LP bounds the value at every y by
+    weak duality (`simplex.dual_bounds`), and UB(y) is the least bound so
+    far.  The unsolved y with the largest UB is solved next, warm-started
+    from the optimum of the solved y nearest it in Y order.  The sweep
+    stops when every unsolved y has UB below best - 1e-12 - pad, pad =
+    LP_TOLERANCE * max(1, |best|): those y provably cannot reach the
+    maximum or tie with it.  The solved y are then scanned in Y order,
+    and the witness is the lexicographically smallest y within 1e-12 of
+    the largest value."""
     if not len(Y_samples) or not len(Z_samples):
         raise PreconditionFailed(
             f"Y_samples and Z_samples must be non-empty, got {len(Y_samples)} "
@@ -89,12 +103,28 @@ def empirical_remez_constant(Y_samples, Z_samples, d1: int) -> RemezReport:
     monos = _monomials_2d(d1)
     Z = [tuple(map(float, z)) for z in Z_samples]
     Y = [tuple(map(float, y)) for y in Y_samples]
-    M = _design_matrix(Z, monos)
+    C = np.array([[y[0] ** i * y[1] ** j for (i, j) in monos] for y in Y])
+    CU, state = norming_objectives(C, _design_matrix(Z, monos))
+    ub = np.full(len(Y), np.inf)     # -inf once solved
+    solved = {}                      # index in Y -> (value, x, u, active)
+    best = -math.inf
+    while len(solved) < len(Y):
+        i = int(np.argmax(ub))
+        if ub[i] < best - 1e-12 - LP_TOLERANCE * max(1.0, abs(best)):
+            break
+        near = min(solved, key=lambda j: (abs(j - i), j), default=None)
+        if near is not None:
+            state.u, state.active = solved[near][2:]
+        x, val, state = norming_lp(C[i], state.M, state)
+        solved[i] = (val, x, state.u, state.active)
+        bound = dual_bounds(state, CU)
+        if bound is not None:
+            np.minimum(ub, bound, out=ub)
+        ub[i] = -np.inf
+        best = max(best, val)
     R, Q, y_star = -math.inf, None, None
-    state = None                     # warm start: the last y's optimum
-    for y in Y:
-        cvec = np.array([y[0] ** i * y[1] ** j for (i, j) in monos])
-        x, val, state = norming_lp(cvec, M, state)
+    for i in sorted(solved):
+        val, x, y = *solved[i][:2], Y[i]
         # deterministic tie-break: lexicographically smallest witness
         if val > R + 1e-12 or (abs(val - R) <= 1e-12
                                and (y_star is None or y < y_star)):

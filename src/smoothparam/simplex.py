@@ -12,12 +12,16 @@ in U it steps along c projected off W; otherwise it stops when the
 multipliers of c over W are >= -tol, and else leaves the row with the most
 negative one.  Each step is a unit direction with one ratio test over all
 m rows.  The optimum is solved for in monomials from its active rows.
-Feasibility does not depend on c, so a sweep over objectives starts each
-LP from the previous optimum.
+Feasibility does not depend on c, so any stored optimum over the same M
+is a warm start for another objective.  For a sweep over many objectives,
+`norming_objectives` reduces M and moves every c onto U at once, and
+`dual_bounds` turns the active rows of one optimum into an upper bound on
+the LP value at every objective, by weak duality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,36 +64,74 @@ def _reduce(M):
                         np.zeros(len(keep)), [])
 
 
+def _check_row_space(state, C, gaps):
+    """Raise UnboundedLP at the first row c of C whose gap, its component
+    off the row space of M, is above tolerance; the direction d has M d = 0
+    and c.d > 0."""
+    off = np.max(np.abs(gaps), axis=1) > LP_TOLERANCE * np.maximum(
+        1.0, np.max(np.abs(C), axis=1))
+    if off.any():
+        i = int(np.argmax(off))
+        k = int(np.argmax(np.abs(gaps[i])))
+        d = np.zeros(C.shape[1])
+        d[k] = np.sign(gaps[i, k])
+        d[state.keep] = -state.G_inv @ state.W[:, k] * d[k]
+        raise UnboundedLP("objective has a component along a column that "
+                          "depends on the others", direction=d)
+
+
 def norming_lp(c, M, state=None):
     """maximize c.x subject to -1 <= M x <= 1.
 
     Returns (x, value, state).  Passing `state` back in with the same M
-    reuses its reduction and starts from this optimum.  Raises UnboundedLP,
-    with a direction d such that M d = 0 and c.d > 0, when c has a
-    component along a dependent column."""
+    reuses its reduction and starts from its optimum (`u`, `active`).
+    Raises UnboundedLP, with a direction d such that M d = 0 and c.d > 0,
+    when c has a component along a dependent column."""
     c = np.asarray(c, dtype=float)
     if state is None or state.M is not M:
         state = _reduce(np.asarray(M, dtype=float))
     cu = state.G_inv.T @ c[state.keep]
-    gap = c - state.W.T @ cu         # c off the row space of M
-    k = int(np.argmax(np.abs(gap)))
-    if abs(gap[k]) > LP_TOLERANCE * max(1.0, np.max(np.abs(c))):
-        d = np.zeros(len(c))
-        d[k] = np.sign(gap[k])
-        d[state.keep] = -state.G_inv @ state.W[:, k] * d[k]
-        raise UnboundedLP("objective has a component along a column that "
-                          "depends on the others", direction=d)
+    _check_row_space(state, c[None], (c - state.W.T @ cu)[None])
     state.u, _, state.active = simplex_maximize(cu, state.U, state.u,
                                                 state.active)
     if 0 < len(state.active) == len(state.keep):
-        # a vertex: solve M[row] . z = sign on its rows, in monomials
-        rows, signs = zip(*state.active)
+        # a vertex: solve M[row] . z = sign on its rows, in monomials, in
+        # row order, so that z depends on the vertex, not the pivots to it
+        rows, signs = zip(*sorted(state.active))
         z = np.linalg.solve(state.M[np.ix_(rows, state.keep)], signs)
     else:
         z = state.G_inv @ state.u
     x = np.zeros(len(c))
     x[state.keep] = z
     return x, float(c[state.keep] @ z), state
+
+
+def norming_objectives(C, M):
+    """(CU, state) for the objectives in the rows of C: row i of CU is the
+    objective over U that `norming_lp` solves at C[i], and state is the
+    reduction of M to pass to it.  Runs norming_lp's row-space test on
+    every row, in order, and raises its UnboundedLP at the first that
+    fails."""
+    state = _reduce(np.asarray(M, dtype=float))
+    C = np.asarray(C, dtype=float)
+    CU = C[:, state.keep] @ state.G_inv
+    _check_row_space(state, C, C - CU @ state.W)
+    return CU, state
+
+
+def dual_bounds(state, CU):
+    """An upper bound on the LP value at each row cu of CU, from the active
+    rows B of state's optimum when they make a vertex, else None.  With
+    Lam = B^-T cu and res = cu - B^T Lam, every feasible u has
+    cu.u = Lam.(B u) + res.u <= sum |Lam| + sqrt(m) |res|, because
+    |B u| <= 1 entrywise and |u| = |U u| <= sqrt(m).  At the objective
+    that state is optimal for, Lam >= 0 and the bound is its value."""
+    if not 0 < len(state.active) == len(state.keep):
+        return None
+    B = state.U[[i for i, _ in state.active]]
+    lam = np.linalg.solve(B.T, CU.T)
+    res = np.linalg.norm(CU.T - B.T @ lam, axis=0)
+    return np.sum(np.abs(lam), axis=0) + math.sqrt(len(state.U)) * res
 
 
 def simplex_maximize(c, A, x, active):

@@ -20,7 +20,7 @@ from smoothparam.cli import main
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, ConstExpr, MulExpr, PowExpr,
-                               RationalExpr, SqrtExpr)
+                               RationalExpr, SqrtExpr, isolate_real_zeros)
 from smoothparam.poly import Poly
 from smoothparam.serialize import (approximation_to_json, dumps, loads,
                                    verify_bundle)
@@ -48,6 +48,17 @@ def test_roadmap_repro_fails():
     assert math.isnan(rep.per_order[("f", 1)])
     assert not rep.ok
     assert "('f', 1)" in rep.detail
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonfinite_samples_fail_without_numpy_warnings():
+    # the float grid max of 1/x above, and the sampled zero search on the
+    # derivative of x sqrt(x), NaN at x = 0: each fails closed, and numpy
+    # warns of neither
+    test_roadmap_repro_fails()
+    x = RationalExpr(Poly([0, 1]))
+    with pytest.raises(EvaluationAtSingularity, match="NaN value of f at x"):
+        isolate_real_zeros(MulExpr(x, SqrtExpr(x)).deriv(), (F(0), F(1)))
 
 
 @given(order=st.integers(1, 3), bad=BAD, idx=st.integers(0, 511))

@@ -1,19 +1,26 @@
 """Norming constants: Chebyshev closed forms, the empirical LP constant
-against them, pinned LP constants, hyperbola witnesses, gradient floors, and
-the chart-count law for the curve parametrization."""
+against them and against the one-LP-per-sample sweep, pinned LP constants,
+hyperbola witnesses, gradient floors, and the chart-count law for the curve
+parametrization."""
 
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smoothparam import remez
 from smoothparam.bivar import BivarPoly
 from smoothparam.errors import PreconditionFailed, SingularCurve, UnboundedLP
-from smoothparam.remez import (chebyshev_value, classical_remez_bound,
+from smoothparam.remez import (RemezReport, _design_matrix, _monomials_2d,
+                               chebyshev_value, classical_remez_bound,
                                curve_gradient_floor, empirical_remez_constant,
                                hyperbola_curve, hyperbola_remez_query,
                                normalize_curve, remez_parametrization)
+from smoothparam.serialize import dumps, remez_report_to_json
+from smoothparam.simplex import norming_lp
 
 
 def test_chebyshev_values_exact():
@@ -66,6 +73,8 @@ def test_lp_monotone_in_constraint_set():
 PINNED = [
     ("classical", 2, 400, 17.000100502512087, (1.0, 0.0)),
     ("classical", 3, 200, 99.00242424242147, (1.0, 0.0)),
+    # the LP at y* has two optimal vertices (Z rows 148 and 149)
+    ("classical", 3, 199, 99.00979591836733, (1.0, 0.0)),
     (0.1, 2, 400, 3058.8858685844816,
      (0.010000000000000004, 0.9999999999999998)),
     (0.02, 2, 400, 35852.4538879688,
@@ -88,6 +97,101 @@ def test_lp_unbounded_off_the_constraint_line():
     # Z on y = 0 says nothing about the y-monomials, so Q(0, 1/2) is unbounded
     with pytest.raises(UnboundedLP):
         empirical_remez_constant([(0.0, 0.5)], _grid_1d(-1, 0, 50), 2)
+
+
+def _one_lp_per_y(Y_samples, Z_samples, d1):
+    """The oracle: one LP at every y in Y order, each warm-started from the
+    last y's optimum, and the same tie-break."""
+    monos = _monomials_2d(d1)
+    Z = [tuple(map(float, z)) for z in Z_samples]
+    Y = [tuple(map(float, y)) for y in Y_samples]
+    M = _design_matrix(Z, monos)
+    R, Q, y_star = -math.inf, None, None
+    state = None
+    for y in Y:
+        cvec = np.array([y[0] ** i * y[1] ** j for (i, j) in monos])
+        x, val, state = norming_lp(cvec, M, state)
+        if val > R + 1e-12 or (abs(val - R) <= 1e-12
+                               and (y_star is None or y < y_star)):
+            R, Q, y_star = val, x, y
+    return RemezReport(R=float(R), Q_star=Q, monomials=monos,
+                       y_star=y_star, meta={"d1": d1, "n_Z": len(Z),
+                                            "n_Y": len(Y), "rounds": 0})
+
+
+def _line(mu_64, n_y, n_z):
+    """Y on [-1, 1] and Z on [-1, mu - 1], both on y = 0."""
+    return (_grid_1d(-1, 1, n_y),
+            _grid_1d(-1, mu_64 / 64 - 1, n_z))
+
+
+def _hyperbola(q, n_y, n_z):
+    """Y on xy = eps^2 at x in [eps^2, 1], Z at x in [eps, 1]; eps = 1/q."""
+    return hyperbola_remez_query(1 / q, n_y)[0], \
+        hyperbola_remez_query(1 / q, n_z)[1]
+
+
+def _arc(turns_64, n_y, n_z):
+    """Y on the arc of the circle of radius 3/4 at angles [0, t], Z on its
+    first 40%."""
+    t = 2 * math.pi * turns_64 / 64
+    return [[(0.75 * math.cos(a), 0.75 * math.sin(a))
+             for a in np.linspace(0, s, n)] for s, n in ((t, n_y),
+                                                         (0.4 * t, n_z))]
+
+
+FAMILIES = {"line": (_line, st.integers(4, 128)),
+            "hyperbola": (_hyperbola, st.integers(3, 256)),
+            "arc": (_arc, st.integers(4, 48))}
+
+
+@st.composite
+def _cases(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    build, param = FAMILIES[family]
+    Y, Z = build(draw(param), draw(st.integers(1, 120)),
+                 draw(st.integers(10, 120)))
+    return Y, Z, draw(st.integers(1, 3))
+
+
+@settings(max_examples=90)
+@given(_cases())
+def test_sweep_by_dual_bounds_matches_one_lp_per_y(case):
+    Y, Z, d1 = case
+    try:
+        want = _one_lp_per_y(Y, Z, d1)
+    except UnboundedLP as off:
+        with pytest.raises(UnboundedLP) as got:
+            empirical_remez_constant(Y, Z, d1)
+        assert np.array_equal(got.value.direction, off.direction)
+        return
+    got = empirical_remez_constant(Y, Z, d1)
+    assert got.y_star == want.y_star
+    assert abs(got.R - want.R) <= 1e-12 * abs(want.R)
+    assert dumps(remez_report_to_json(got)) == \
+        dumps(remez_report_to_json(want))
+
+
+def test_unbounded_objective_after_the_pruning_point(monkeypatch):
+    # on y = 0 the sweep needs 3 LPs of 200; an objective off that line at
+    # the last y still raises, with the oracle's direction, before any LP
+    Y, Z = _grid_1d(-1, 1, 200), _grid_1d(-1, 0, 200)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return norming_lp(*args)
+    monkeypatch.setattr(remez, "norming_lp", counted)
+    empirical_remez_constant(Y, Z, 2)
+    assert len(calls) < len(Y) - 1
+    calls.clear()
+    Y.append((0.3, 0.5))
+    with pytest.raises(UnboundedLP) as want:
+        _one_lp_per_y(Y, Z, 2)
+    with pytest.raises(UnboundedLP) as got:
+        empirical_remez_constant(Y, Z, 2)
+    assert not calls
+    assert np.array_equal(got.value.direction, want.value.direction)
 
 
 def test_hyperbola_norming_beats_one_over_eps():

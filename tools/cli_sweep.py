@@ -56,6 +56,11 @@ CALLS = [
                         "--spec", "sqrt.json"]),
     ("count", ["count-points", "--t", "60", "--d", "2"]),
     ("count-ratio", ["count-points", "--t", "60", "--spec", "ratio.json"]),
+    ("remez-classical", ["remez", "--classical"]),
+    ("remez-classical-d3", ["remez", "--classical", "--d1", "3",
+                            "--samples", "199"]),
+    ("remez-classical-mu", ["remez", "--classical", "--mu", "0.5"]),
+    ("remez-eps", ["remez", "--eps", "1/34"]),
     ("remez-param", ["remez", "--eps", "1/10", "--parametrize"]),
     ("entropy", ["entropy", "--system", "doubling", "--n-max", "8"]),
 ]
