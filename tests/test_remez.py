@@ -120,7 +120,7 @@ def _one_lp_per_y(Y_samples, Z_samples, d1):
 
 
 def _line(mu_64, n_y, n_z):
-    """Y on [-1, 1] and Z on [-1, mu - 1], both on y = 0."""
+    """Y on [-1, 1] and Z on [-1, mu - 1], mu = mu_64/64, both on y = 0."""
     return (_grid_1d(-1, 1, n_y),
             _grid_1d(-1, mu_64 / 64 - 1, n_z))
 
