@@ -73,12 +73,12 @@ def test_lp_monotone_in_constraint_set():
 PINNED = [
     ("classical", 2, 400, 17.000100502512087, (1.0, 0.0)),
     ("classical", 3, 200, 99.00242424242147, (1.0, 0.0)),
-    # the LP at y* has two optimal vertices (Z rows 148 and 149)
-    ("classical", 3, 199, 99.00979591836733, (1.0, 0.0)),
     (0.1, 2, 400, 3058.8858685844816,
      (0.010000000000000004, 0.9999999999999998)),
     (0.02, 2, 400, 35852.4538879688,
      (0.0004000000000000001, 0.9999999999999999)),
+    # the LP at y* has two optimal vertices (Z rows 148 and 149)
+    ("classical", 3, 199, 99.00979591836733, (1.0, 0.0)),
 ]
 
 
