@@ -6,7 +6,8 @@ checkers measure derivative suprema through one grid routine, exactly in
 rationals when the carried functions are (for a slab, both graphs) and in
 floats otherwise, and certify the unit bound up to a stated tolerance; a
 non-finite measurement fails the certificate, and a pole at a grid point
-reads inf in either mode.  The exact grid max is decided in integers at the
+reads inf in either mode (in exact mode, so does a pole between grid
+points).  The exact grid max is decided in integers at the
 grid ends and beside the critical points and poles that Descartes' rule
 locates, so it equals the exact scan of every grid point; either mode is a
 grid sample, not a proof over the interval, and the report's `detail` names
@@ -154,7 +155,8 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     `shift` at order 0; fn is a Poly or a FunctionExpr, rational in exact
     mode, which takes the rational max at the cfg.exact_grid_points + 1
     points i/N; float mode takes the float max at cfg.grid_points points.
-    A pole on the grid reads inf in either mode."""
+    A pole on the grid reads inf in either mode, and in exact mode so does a
+    pole between grid points."""
     top = max(orders, default=0)
     if isinstance(fn, Poly):
         chain = fn.derivs(top)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -47,7 +48,8 @@ class DynSystem:
 
 
 def _wrap(p: np.ndarray) -> np.ndarray:
-    return np.mod(p, 1.0)
+    """p mod 1, with the bits of np.mod(p, 1.0) for finite p, in less time."""
+    return p - np.floor(p)
 
 
 def identity_system() -> DynSystem:
@@ -100,13 +102,14 @@ def check_invariance(sys: DynSystem) -> None:
 # -- orbit metric --------------------------------------------------------------
 
 def _dist(metric: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances between points whose coordinates run along the first axis
+    (the squares summed in coordinate order)."""
     d = p - q
     if metric == "toroidal":
-        d = np.abs(d)
-        d = np.minimum(d, 1.0 - d)
-    if d.ndim == 1:
-        return np.abs(d)
-    return np.sqrt(np.sum(d * d, axis=-1))
+        np.abs(d, out=d)
+        np.minimum(d, 1.0 - d, out=d)
+    d *= d
+    return np.sqrt(sum(d))
 
 
 # -- covering numbers ----------------------------------------------------------
@@ -248,7 +251,6 @@ def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
     h = eps / (2.0 * lam ** n)
     L = 1.0 / (2.0 * eps)
     J = min(int(math.ceil(L / h)), 4_000_000)
-    origin = np.zeros(2)
     far = np.empty(J, dtype=bool)
     for j0 in range(0, J, TORAL_LINE_CHUNK):
         t = np.arange(j0, min(j0 + TORAL_LINE_CHUNK, J), dtype=float) * h
@@ -263,7 +265,7 @@ def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
             if not rows.size:
                 break
             p = sys.step(p)
-            best = np.maximum(best, _dist("toroidal", p, origin))
+            best = np.maximum(best, _dist("toroidal", p.T, 0.0))
             hit = best > 2.0 * eps
             done[rows[hit]] = True
             rows, p, best = rows[~hit], p[~hit], best[~hit]
@@ -275,39 +277,47 @@ def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
         J //= 2
 
 
-def _grid_points(box, resolution: float) -> np.ndarray:
+def _grid_axes(box, resolution: float, torus: bool) -> list:
+    """The coordinates along each axis of the product grid; a torus leaves
+    out the far edge, which is the near edge again."""
     axes = []
     for lo, hi in box:
         m = max(int(math.ceil((hi - lo) / resolution)), 1)
-        axes.append(np.linspace(lo, hi, m + 1))
+        ax = np.linspace(lo, hi, m + 1)
+        axes.append(ax[ax < 1.0] if torus else ax)
+    return axes
+
+
+def _grid_points(axes) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _orbit_tree(orbit: np.ndarray, metric: str):
-    """kd-tree over the stacked orbits: row i of `orbit` (N, n+1, dim) is the
-    orbit of point i, flattened to one point of R^((n+1)*dim)."""
-    # scipy.spatial is slow to import, and only the grid path needs it
-    from scipy.spatial import cKDTree
-    X = orbit.reshape(len(orbit), -1)
-    if metric != "toroidal":
-        return cKDTree(X)
-    # the periodic box is [0, 1): a mod that rounds up to 1.0 gives the same
-    # torus point as 0.0
-    X = _wrap(X)
-    X[X >= 1.0] = 0.0
-    return cKDTree(X, boxsize=1.0)
+def _dn_balls(orbit: np.ndarray, metric: str, axes, r: float):
+    """ball(idx): the indices j with d_n(idx, j) <= r on the product grid over
+    `axes`, whose point j has the orbit orbit[j] (shape (n+1, dim)).  d_n
+    bounds every step-0 coordinate gap, and c index steps along an axis span
+    at least c*h (h its least spacing; on a torus, with the wrap gap, stepping
+    cyclically), so j lies within r/h steps, padded against rounding, of idx
+    on each axis; d_n itself is computed on that window only (a torus axis
+    shorter than the window repeats indices)."""
+    torus = metric == "toroidal"
+    shape = [len(ax) for ax in axes]
+    win = []
+    for ax, m in zip(axes, shape):
+        h = np.diff(np.append(ax, ax[0] + 1.0) if torus else ax).min(
+            initial=np.inf)
+        w = int(min(r * (1 + 1e-9) / h, m))
+        win.append((w, np.arange(-w, m + w) % m if torus else np.arange(m)))
 
-
-def _dn_ball(tree, orbit: np.ndarray, metric: str, idx: int,
-             r: float) -> np.ndarray:
-    """Indices j with d_n(idx, j) <= r.  d_n bounds every coordinate gap of
-    the stacked orbits, so the tree's L-inf ball, padded against rounding,
-    holds every such j; d_n itself is computed on those candidates only."""
-    cand = np.asarray(tree.query_ball_point(tree.data[idx], r * (1 + 1e-9),
-                                            p=np.inf), dtype=np.intp)
-    d = _dist(metric, orbit[idx], orbit[cand]).max(axis=1)
-    return cand[d <= r]
+    def ball(idx):
+        cand = np.zeros(1, dtype=np.intp)
+        for i, m, (w, ext) in zip(np.unravel_index(idx, shape), shape, win):
+            ix = ext[i:i + 2 * w + 1] if torus else ext[max(i - w, 0):i + w + 1]
+            cand = (cand[:, None] * m + ix).ravel()
+        d = _dist(metric, orbit[idx].T[..., None], orbit.take(cand, axis=0).T)
+        return cand[reduce(np.maximum, d) <= r]     # max over the steps
+    return ball
 
 
 def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
@@ -318,7 +328,8 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
     the bracket.  d_n only grows with n, so the grid path adds one orbit step
     per n and carries its 2*eps-separated set forward (it stays separated, so
     M_lower never falls).  The toral tiling and line search are sized per n.
-    The grid path computes d_n only on kd-tree candidates (`_dn_ball`)."""
+    The grid path computes d_n only on a window of grid indices about each
+    ball's centre (`_dn_balls`)."""
     if resolution > eps / 4.0 + 1e-15:
         raise GridTooCoarse(
             f"resolution {resolution} exceeds eps/4 = {eps / 4.0}")
@@ -332,9 +343,8 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
             raise PreconditionFailed(
                 f"circle grid G={G} exceeds {CIRCLE_GRID_CAP} points")
     elif sys.linear_matrix is None:
-        orbits = [_grid_points(sys.box, resolution)]
-        if sys.metric == "toroidal":    # the far edge is the near edge again
-            orbits[0] = orbits[0][np.all(orbits[0] < 1.0, axis=1)]
+        axes = _grid_axes(sys.box, resolution, sys.metric == "toroidal")
+        orbits = [_grid_points(axes)]
         N = len(orbits[0])
         chosen = []
 
@@ -357,23 +367,21 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
             while len(orbits) <= n:
                 orbits.append(sys.step(orbits[-1]))
             orbit = np.stack(orbits, axis=1)
-            tree = _orbit_tree(orbit, sys.metric)
+            ball = _dn_balls(orbit, sys.metric, axes, eps + 1e-12)
             covered = np.zeros(N, dtype=bool)
             M_upper = 0
             for idx in range(N):
                 if not covered[idx]:
-                    covered[_dn_ball(tree, orbit, sys.metric, idx,
-                                     eps + 1e-12)] = True
+                    covered[ball(idx)] = True
                     M_upper += 1
+            ball = _dn_balls(orbit, sys.metric, axes, 2.0 * eps)
             blocked = np.zeros(N, dtype=bool)
             for idx in chosen:
-                blocked[_dn_ball(tree, orbit, sys.metric, idx,
-                                 2.0 * eps)] = True
+                blocked[ball(idx)] = True
             for idx in range(N):
                 if not blocked[idx]:
                     chosen.append(idx)
-                    blocked[_dn_ball(tree, orbit, sys.metric, idx,
-                                     2.0 * eps)] = True
+                    blocked[ball(idx)] = True
             M_lower = len(chosen)
             meta = {"path": "grid-greedy", "grid_points": N}
         if M_lower > M_upper:

@@ -304,15 +304,15 @@ def _root_cells(E, a: int, b: int) -> list:
     return out
 
 
-def _grid_candidates(N: int, *polys) -> list:
+def _grid_candidates(N: int, *cell_lists) -> list:
     """The indices among 0..N where max |P(i)| can sit when P is monotone
-    between consecutive real roots of the integer polynomials in polys: the
-    ends of those stretches, so 0, 1, N - 1, N (1 and N - 1 for a pole at an
-    end), both ends of each unit root cell, and m - 1, m, m + 1 for a root
-    at m."""
+    between consecutive real roots of integer polynomials, given the
+    `_root_cells` of each on (0, N): the ends of those stretches, so 0, 1,
+    N - 1, N (1 and N - 1 for a pole at an end), both ends of each unit root
+    cell, and m - 1, m, m + 1 for a root at m."""
     idx = {0, 1, N - 1, N}
-    for E in polys:
-        for u, v in _root_cells(E, 0, N):
+    for cells in cell_lists:
+        for u, v in cells:
             idx.update((u - 1, u, u + 1) if u == v else (u, v))
     return sorted(i for i in idx if 0 <= i <= N)
 
@@ -323,7 +323,7 @@ def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
     result equals an exact scan of all N + 1 points; it is still a grid
     sample, not a bound over [0, 1]."""
     D, scale = _int_scaled(p, N)
-    idx = _grid_candidates(N, _ideriv(D))
+    idx = _grid_candidates(N, _root_cells(_ideriv(D), 0, N))
     return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
 
 
@@ -332,14 +332,19 @@ def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int, pole=None):
     max over the ends of the grid and the unit cells that hold a real root
     of num' den - num den' or of den.  The result equals the exact scan of
     every point.  A grid point where den vanishes is skipped, or, when
-    `pole` is given, makes the result `pole` (every grid root of den is a
-    candidate, since each root of den has a cell)."""
+    `pole` is given, makes the result `pole`, as does a real root of den
+    between grid points (a unit cell of den is confirmed by `isolate_roots`,
+    since two sign variations need not be a root)."""
     Dn, sn = _int_scaled(num, N)
     Dd, sd = _int_scaled(den, N)
     W = [x - y for x, y in zip_longest(            # Dn' Dd - Dn Dd'
         _imul(_ideriv(Dn), Dd), _imul(Dn, _ideriv(Dd)), fillvalue=0)]
+    poles = _root_cells(Dd, 0, N)
+    if pole is not None and any(u == v or isolate_roots(
+            den, Fraction(u, N), Fraction(v, N)) for u, v in poles):
+        return pole
     best = Fraction(0)
-    for i in _grid_candidates(N, W, Dd):
+    for i in _grid_candidates(N, _root_cells(W, 0, N), poles):
         if b := _horner_int(Dd, i):
             best = max(best, Fraction(abs(_horner_int(Dn, i) * sd),
                                       abs(b) * sn))

@@ -122,6 +122,16 @@ def test_exact_slab_with_a_pole_at_its_basepoint_fails():
     assert rep.detail == "non-finite value at order ('y', 0)"
 
 
+def test_exact_chart_with_a_pole_between_grid_points_fails():
+    # 1e-12/(t - 1/8193) is unbounded on [0, 1], yet its pole sits between
+    # the points i/4096 and is so weak that every grid value is below 1
+    f = RationalExpr(Poly([F(1, 10**12)]), Poly([F(-1, 8193), 1]))
+    rep = verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=f, k=1))
+    assert rep.mode == "exact" and not rep.ok
+    assert rep.per_order[("f", 1)] == math.inf
+    assert rep.detail == "non-finite value at order ('f', 1)"
+
+
 def _poisoned_circle(bad, radius):
     """Zero on the disk except on the circle of the given radius."""
     return BlackboxExpr(

@@ -449,6 +449,23 @@ def test_remez_parametrize_leaves_scipy_optimize_unimported(tmp_path):
     assert json.loads(out.read_text())["parametrization"]["N"] > 0
 
 
+def test_entropy_leaves_scipy_unimported(tmp_path):
+    # the grid greedy finds its balls on index windows, not with a kd-tree
+    runs = [["--system", "polynomial", "--eps-list", "1/5", "--n-max", "2"],
+            ["--system", "identity", "--n-max", "3"],
+            ["--system", "toral", "--n-min", "3", "--n-max", "4"]]
+    code = ("import sys; from smoothparam.cli import main; "
+            f"rcs = [main(['entropy', *a, '--out', {str(tmp_path)!r} + "
+            f"f'/{{i}}.json']) for i, a in enumerate({runs!r})]; "
+            "print(*rcs, any(m.split('.')[0] == 'scipy' "
+            "for m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.stdout.split() == ["0", "0", "0", "False"], res.stderr
+    assert [json.loads((tmp_path / f"{i}.json").read_text())["system"]
+            for i in range(3)] == ["polynomial", "identity", "toral"]
+
+
 def test_fractions_past_the_digit_limit_round_trip():
     from fractions import Fraction
     from smoothparam.serialize import frac_to_str, str_to_frac

@@ -2,8 +2,9 @@
 doubling, the toral automorphism, and a nonlinear polynomial map.  Brackets
 are checked against orbit-loop oracles and known growth rates; the one-walk
 bracket generator is checked against a restart-per-n circle profile and
-against per-cell covering numbers; the toral line search and the kd-tree
-grid greedy are checked against full-scan oracles."""
+against per-cell covering numbers; the toral line search, the grid greedy
+and its index-window balls are checked against full-scan oracles, and the
+floor-based torus wrap against np.mod."""
 
 import math
 from types import SimpleNamespace
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from smoothparam import entropy
 from smoothparam.entropy import (DynSystem, EntropyReport, _brackets,
-                                 _circle_first_above, _dist, _dn_ball,
-                                 _first_true, _grid_points,
-                                 _orbit_tree, _separated_count, _toral_eigen,
+                                 _circle_first_above, _dn_balls,
+                                 _first_true, _grid_axes, _grid_points,
+                                 _separated_count, _toral_eigen,
                                  _toral_line_separated, _wrap,
                                  covering_number, doubling_system,
                                  entropy_sweep, identity_system,
@@ -252,6 +253,15 @@ def test_first_exceedance_counts_match_nonzero_scan(prof, circular):
         _separated_count_oracle(prof, eps, G, circular)
 
 
+def _rows_dist(metric, p, q):
+    """The orbit metric on points stored as rows (coordinates last), kept
+    apart from `_dist` so the oracles below check its bits."""
+    d = np.abs(p - q)
+    if metric == "toroidal":
+        d = np.minimum(d, 1.0 - d)
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
 def _toral_line_oracle(sys, n, eps):
     """The full-profile line search: every candidate on the line is stepped
     n times, and each halving of J rebuilds the profile."""
@@ -260,11 +270,11 @@ def _toral_line_oracle(sys, n, eps):
     J = min(int(math.ceil((1.0 / (2.0 * eps)) / h)), 4_000_000)
     while True:
         pts = _wrap(np.outer(np.arange(J, dtype=float) * h, vplus))
-        prof = _dist("toroidal", pts, np.zeros(2))
+        prof = _rows_dist("toroidal", pts, np.zeros(2))
         p = pts
         for _ in range(n):
             p = sys.step(p)
-            prof = np.maximum(prof, _dist("toroidal", p, np.zeros(2)))
+            prof = np.maximum(prof, _rows_dist("toroidal", p, np.zeros(2)))
         count, spacing = _separated_count(prof > 2.0 * eps, circular=False)
         if count > 1 or J < 64:
             return {"count": count, "spacing": spacing, "J": J, "h": h}
@@ -289,14 +299,14 @@ def test_toral_line_matches_full_profile(eps, n, chunk):
 def _grid_greedy_oracle(sys, ns, eps, resolution):
     """(M_lower, M_upper) per ascending n from d_n to every grid point, the
     separated set carried across n."""
-    orbits = [_grid_points(sys.box, resolution)]
+    orbits = [_grid_points(_grid_axes(sys.box, resolution, False))]
     N = len(orbits[0])
     chosen = []
 
     def dn_from(idx):
-        d = _dist(sys.metric, orbits[0][idx], orbits[0])
+        d = _rows_dist(sys.metric, orbits[0][idx], orbits[0])
         for orb in orbits[1:]:
-            d = np.maximum(d, _dist(sys.metric, orb[idx], orb))
+            d = np.maximum(d, _rows_dist(sys.metric, orb[idx], orb))
         return d
 
     for n in ns:
@@ -319,8 +329,8 @@ def _grid_greedy_oracle(sys, ns, eps, resolution):
 
 
 def _skew_torus():
-    """A non-linear toral map with no fast path: the grid path on the
-    periodic kd-tree."""
+    """A non-linear toral map with no fast path: the grid path with cyclic
+    index windows."""
     def step(p):
         x, y = p[..., 0], p[..., 1]
         return _wrap(np.stack([2 * x + y + 0.05 * np.sin(2 * np.pi * x),
@@ -334,6 +344,9 @@ def _skew_torus():
        ns=st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True),
        eps=st.one_of(st.floats(0.12, 0.5),
                      st.integers(2, 8).map(lambda k: 1 / k)))
+# the benchmark's polynomial job, below the drawn eps range
+@example(which="polynomial", ns=[1, 2, 3], eps=1 / 10)
+@example(which="skew", ns=[0, 1, 2, 3], eps=1 / 10)
 def test_grid_brackets_match_full_grid_greedy(which, ns, eps):
     sys = {"identity": identity_system(), "polynomial": polynomial_system(),
            "skew": _skew_torus()}[which]
@@ -342,33 +355,57 @@ def test_grid_brackets_match_full_grid_greedy(which, ns, eps):
     assert [(b["M_lower"], b["M_upper"]) for b in got] == \
         list(_grid_greedy_oracle(sys, ns, eps, eps / 4.0))
     if sys.metric == "toroidal":      # no torus point twice on the grid
-        torus = np.mod(_grid_points(sys.box, eps / 4.0), 1.0)
+        torus = np.mod(_grid_points(_grid_axes(sys.box, eps / 4.0, False)),
+                       1.0)
         assert got[0]["meta"]["grid_points"] == len(np.unique(torus, axis=0))
 
 
-@settings(max_examples=100)
-@given(metric=st.sampled_from(["euclidean", "toroidal"]),
-       m=st.integers(2, 12),
-       shape=st.tuples(st.integers(1, 40), st.integers(1, 3),
-                       st.integers(1, 2)),
-       ks=st.lists(st.integers(0, 12), min_size=240, max_size=240),
-       idx=st.integers(0, 39), j=st.integers(0, 39))
-# d(1.0, 0.1) on the circle is 1 - (1 - 0.1) = 0.09999999999999998, while
-# the tree, which sees 1.0 as 0.0, measures 0.1
-@example(metric="toroidal", m=10, shape=(2, 1, 1), ks=[10, 1] + [0] * 238,
-         idx=0, j=1)
-def test_dn_ball_holds_every_point_at_the_radius(metric, m, shape, ks, idx,
-                                                 j):
-    # coordinates on the grid k/m, 1.0 included, and the radius equal to a
-    # drawn pair's d_n, so ties and the periodic wrap of 1.0 are common
-    N, k, dim = shape
-    orbit = np.array([v % (m + 1) for v in ks[:N * k * dim]],
-                     dtype=float).reshape(N, k, dim) / m
-    idx, j = idx % N, j % N
-    dn = [_dist(metric, orbit[idx], orbit[i]).max() for i in range(N)]
-    r = dn[j]
-    got = _dn_ball(_orbit_tree(orbit, metric), orbit, metric, idx, r)
-    assert sorted(got) == [i for i in range(N) if dn[i] <= r]
+@settings(max_examples=150)
+@given(torus=st.booleans(),
+       grid=st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=6,
+                              unique=True), min_size=1, max_size=2),
+       M=st.integers(1, 24), shift=st.sampled_from([0.0, 0.5, 1.0]),
+       later=st.integers(0, 2), m=st.integers(1, 12),
+       ks=st.lists(st.integers(0, 12), min_size=144, max_size=144),
+       idx=st.integers(0, 35))
+# a later step at 1.0 is the torus point 0.0: d(1.0, 0.1) is
+# 1 - (1 - 0.1) = 0.09999999999999998, the radius of the ball about point 0
+@example(torus=True, grid=[[0, 1]], M=20, shift=0.0, later=1, m=10,
+         ks=[10, 1] + [0] * 142, idx=0)
+# the gap across the wrap, 1 - (5/6 - 1/6) = 0.33333333333333326, is below
+# the wrap spacing 1/6 + 1 - 5/6 = 0.33333333333333337: at the radius of
+# that gap, only the rounding pad keeps the one step to point 1 in the window
+@example(torus=True, grid=[[1, 5]], M=6, shift=0.0, later=0, m=1,
+         ks=[0] * 144, idx=0)
+def test_dn_ball_window_matches_full_scan(torus, grid, M, shift, later, m,
+                                          ks, idx):
+    # product grids with uneven spacing (on a torus, in [0, 1), so the wrap
+    # gap can be the least), random later orbit steps on the points k/m,
+    # 1.0 included, and every d_n from the centre as a radius, so ties at
+    # the window's edge are common
+    metric = "toroidal" if torus else "euclidean"
+    axes = [np.array(sorted({v % M for v in vs})) / M if torus
+            else np.array(sorted(vs)) / M - shift for vs in grid]
+    pts = _grid_points(axes)
+    N, dim = pts.shape
+    rows = np.array([v % (m + 1) for v in ks[:N * later * dim]]) / m
+    orbit = np.concatenate([pts[:, None], rows.reshape(N, later, dim)], 1)
+    idx %= N
+    dn = _rows_dist(metric, orbit[idx], orbit).max(axis=1)
+    for r in dn:
+        got = _dn_balls(orbit, metric, axes, r)(idx)  # may repeat an index
+        assert np.unique(got).tolist() == [i for i in range(N) if dn[i] <= r]
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.integers(-2**60, 2**60).map(float),
+                 st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324,
+                                  1.0, -1.0, 0.5, -0.5,
+                                  np.nextafter(1.0, 0.0),
+                                  -np.nextafter(1.0, 0.0)])))
+def test_wrap_has_the_bits_of_np_mod(x):
+    x = np.array([x, -x])
+    assert _wrap(x).tobytes() == np.mod(x, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])

@@ -72,20 +72,48 @@ def test_grid_ratio_matches_fraction_scan(data):
     assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
 
 
+def sturm_root_in_unit_interval(p):
+    """Whether p, nonzero at 0 and 1, has a real root in (0, 1): Sturm's
+    theorem over Q (a square factor scales every term alike)."""
+    seq = [p, p.deriv()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+
+    def changes(x):
+        signs = [v > 0 for v in (q(x) for q in seq) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(F(0)) > changes(F(1))
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_grid_ratio_reports_a_grid_pole_when_asked(data):
-    # with pole= given, a den that vanishes at some i/N returns it, and any
-    # other den returns the skipping max
+    # with pole= given, a den with a real root in [0, 1], on the grid or
+    # between its points, returns it, and any other den returns the
+    # skipping max; the drawn roots sit on the grid, at the half-way point
+    # of a cell and at a double root inside one, or nowhere
     N, deg = data.draw(_grid_and_degree())
     num = Poly(data.draw(_coeffs(deg, 10)))
     den = Poly(data.draw(_coeffs(deg // 2, 10)))
     if data.draw(st.booleans()):
-        r = F(data.draw(st.integers(0, N)), N)
+        r = F(data.draw(st.integers(0, 2 * N)), 2 * N)
+        r += data.draw(st.sampled_from([0, F(1, 10**6 * N)]))
         den = den * Poly([-r, 1]) ** data.draw(st.integers(1, 2))
-    on_grid = any(den(F(i, N)) == 0 for i in range(N + 1))
+    pole = (any(den(F(i, N)) == 0 for i in range(N + 1))
+            or sturm_root_in_unit_interval(den))
     got = max_abs_ratio_on_grid(num, den, N, pole=math.inf)
-    assert got == (math.inf if on_grid else direct_ratio(num, den, N))
+    assert got == (math.inf if pole else direct_ratio(num, den, N))
+
+
+def test_grid_ratio_pole_needs_a_real_root_in_its_cell():
+    # (x - 1/3)^2 + 10^-30 has two sign variations on the unit cell about
+    # 1/3 at N = 4 and 100, but no real root: its max is a grid value
+    den = Poly([F(1, 9) + F(1, 10**30), F(-2, 3), 1])
+    for N in (4, 100):
+        assert max_abs_ratio_on_grid(Poly([1]), den, N, pole=math.inf) == \
+            direct_ratio(Poly([1]), den, N)
+    assert max_abs_ratio_on_grid(Poly([1]), den * Poly([F(-1, 7), 1]), 4,
+                                 pole=math.inf) == math.inf
 
 
 @pytest.mark.parametrize("N", (100, 4097))

@@ -63,6 +63,11 @@ CALLS = [
     ("remez-eps", ["remez", "--eps", "1/34"]),
     ("remez-param", ["remez", "--eps", "1/10", "--parametrize"]),
     ("entropy", ["entropy", "--system", "doubling", "--n-max", "8"]),
+    ("entropy-polynomial", ["entropy", "--system", "polynomial",
+                            "--eps-list", "1/10", "--n-max", "3"]),
+    ("entropy-identity", ["entropy", "--system", "identity", "--n-max", "12"]),
+    ("entropy-toral", ["entropy", "--system", "toral", "--n-min", "3",
+                       "--n-max", "8"]),
 ]
 
 
