@@ -7,11 +7,11 @@ rationals when the carried functions are (for a slab, both graphs) and in
 floats otherwise, and certify the unit bound up to a stated tolerance; a
 non-finite measurement fails the certificate, and a pole at a grid point
 reads inf in either mode (in exact mode, so does a pole between grid
-points).  The exact grid max is decided in integers at the
-grid ends and beside the critical points and poles that Descartes' rule
-locates, so it equals the exact scan of every grid point; either mode is a
-grid sample, not a proof over the interval, and the report's `detail` names
-the grid it sampled."""
+points).  The exact grid max is decided in integers at the grid ends and
+beside the critical points and poles that Descartes' rule locates, so it
+equals the exact scan of every grid point; either mode is a grid sample,
+not a proof over the interval, and the report's `detail` names the grid it
+sampled."""
 
 from __future__ import annotations
 

@@ -339,12 +339,12 @@ def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int, pole=None):
     Dd, sd = _int_scaled(den, N)
     W = [x - y for x, y in zip_longest(            # Dn' Dd - Dn Dd'
         _imul(_ideriv(Dn), Dd), _imul(Dn, _ideriv(Dd)), fillvalue=0)]
-    poles = _root_cells(Dd, 0, N)
+    den_cells = _root_cells(Dd, 0, N)
     if pole is not None and any(u == v or isolate_roots(
-            den, Fraction(u, N), Fraction(v, N)) for u, v in poles):
+            den, Fraction(u, N), Fraction(v, N)) for u, v in den_cells):
         return pole
     best = Fraction(0)
-    for i in _grid_candidates(N, _root_cells(W, 0, N), poles):
+    for i in _grid_candidates(N, _root_cells(W, 0, N), den_cells):
         if b := _horner_int(Dd, i):
             best = max(best, Fraction(abs(_horner_int(Dn, i) * sd),
                                       abs(b) * sn))

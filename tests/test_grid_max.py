@@ -90,8 +90,8 @@ def sturm_root_in_unit_interval(p):
 def test_grid_ratio_reports_a_grid_pole_when_asked(data):
     # with pole= given, a den with a real root in [0, 1], on the grid or
     # between its points, returns it, and any other den returns the
-    # skipping max; the drawn roots sit on the grid, at the half-way point
-    # of a cell and at a double root inside one, or nowhere
+    # skipping max; a drawn root, simple or double, sits at a grid point or
+    # a cell's midpoint, or a millionth of a cell past one
     N, deg = data.draw(_grid_and_degree())
     num = Poly(data.draw(_coeffs(deg, 10)))
     den = Poly(data.draw(_coeffs(deg // 2, 10)))
