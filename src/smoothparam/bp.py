@@ -278,7 +278,8 @@ def enumerate_points(f: FunctionExpr, interval, t: int):
     Exact integer arithmetic, no tolerance: f(a/t) = p/q is a point iff q
     divides t*p, and Fractions are built only for the points.  Curves that
     cannot be evaluated exactly raise InexactCurve rather than guessing
-    near-integrality.  brute_force_points is the Fraction oracle."""
+    near-integrality.  brute_force_points is the Fraction oracle at one t,
+    and brute_force_sweep gives its rows for t = 1..T in layers."""
     _check_t(t)
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
@@ -299,7 +300,8 @@ def enumerate_points(f: FunctionExpr, interval, t: int):
 def brute_force_points(f: FunctionExpr, interval, t: int):
     """Independent oracle: loop over numerator candidates a for x, accepting
     (a/t, y) iff y = f(a/t), evaluated over Q by _eval_exact, is a rational
-    whose denominator divides t."""
+    whose denominator divides t.  brute_force_sweep gives the same rows for
+    a whole sweep of t, evaluating each reduced x once."""
     _check_t(t)
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
@@ -310,6 +312,36 @@ def brute_force_points(f: FunctionExpr, interval, t: int):
         if kind == "rational" and t % y.denominator == 0:
             out.append((x, y))
     return out
+
+
+def brute_force_sweep(f: FunctionExpr, interval, T: int):
+    """Yields set(brute_force_points(f, interval, t)) for t = 1..T in turn,
+    evaluating each reduced x = p/q once, at step q and in p order, so a
+    bad x raises at its first row.  (x, y) is in row t iff L = lcm(q,
+    den y) divides t, so step q files it under L and row t unites the files
+    under the divisors of t.  Raises PreconditionFailed before evaluating
+    anything when the T rows hold more than ENUMERATE_CAP candidates."""
+    _check_t(T)
+    f = _wrap(f)
+    lo, hi = _fr(interval[0]), _fr(interval[1])
+    total = 0
+    for t in range(1, T + 1):
+        total += max(0, math.floor(hi * t) - math.ceil(lo * t) + 1)
+        if total > ENUMERATE_CAP:
+            raise PreconditionFailed(
+                f"candidate count of the sweep to t = {T} exceeds "
+                f"ENUMERATE_CAP = {ENUMERATE_CAP}")
+    filed = {}
+    for t in range(1, T + 1):
+        for p in range(math.ceil(lo * t), math.floor(hi * t) + 1):
+            if math.gcd(p, t) == 1:
+                x = Fraction(p, t)
+                kind, y = _eval_exact(f, x)
+                if kind == "rational" and (
+                        L := math.lcm(t, y.denominator)) <= T:
+                    filed.setdefault(L, []).append((x, y))
+        yield {pt for d in range(1, math.isqrt(t) + 1) if t % d == 0
+               for L in {d, t // d} for pt in filed.get(L, ())}
 
 
 # -- hypersurface cover -------------------------------------------------------

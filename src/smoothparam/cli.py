@@ -19,7 +19,7 @@ from . import serialize
 from .analytic_param import (analytic_delta_parametrize,
                              hyperbola_analytic_charts)
 from .approx import analytic_approximate, ck_approximate
-from .bp import brute_force_points, enumerate_points, hypersurface_cover
+from .bp import brute_force_sweep, enumerate_points, hypersurface_cover
 from .ck_param import ck_parametrize_function, hyperbola_parametrization
 from .entropy import entropy_sweep, system_zoo
 from .errors import PreconditionFailed, SmoothParamError
@@ -174,11 +174,12 @@ def _run_count_points(args) -> int:
     rc = 0
     if args.csv:
         lines = ["t,count,brute_count"]
+        sweep = brute_force_sweep(f, (lo, hi), args.t)
         for t in range(1, args.t + 1):
             got = enumerate_points(f, (lo, hi), t)
-            ref = brute_force_points(f, (lo, hi), t)
+            ref = next(sweep)
             lines.append(f"{t},{len(got)},{len(ref)}")
-            if set(got) != set(ref):
+            if set(got) != ref:
                 rc = 2
         _write(args.csv, "\n".join(lines) + "\n")
     doc = serialize.count_report_to_json(args.t, args.d or 0, pts, cover)

@@ -62,9 +62,12 @@ class FunctionExpr:
         EvaluationAtSingularity, and is never returned."""
         rat = self.as_rational()
         if rat is not None and isinstance(x, (int, Fraction)):
-            if (dv := rat[1](x)) == 0:
+            n, m = x.numerator, x.denominator
+            hd, sd = rat[1].at_ratio(n, m)
+            if hd == 0:
                 raise EvaluationAtSingularity(f"pole at {x}")
-            return rat[0](x) / dv
+            hn, sn = rat[0].at_ratio(n, m)
+            return Fraction(hn * sd, sn * hd)
         with np.errstate(all="ignore"):
             v = float(self.eval_array(np.array([float(x)]))[0])
         if not math.isfinite(v):

@@ -187,13 +187,21 @@ class Poly:
         if isinstance(x, np.ndarray):
             return self.eval_array(x)
         if isinstance(x, (Fraction, int)):
-            # x = n/m: Horner on the integers a_j n^j m^(deg-j), over d m^deg
-            D, scale = _int_scaled(self, x.denominator)
-            return Fraction(_horner_int(D, x.numerator), scale)
+            return Fraction(*self.at_ratio(x.numerator, x.denominator))
         acc = 0.0
         for c in reversed(self.as_float_coeffs().tolist()):
             acc = acc * x + c
         return acc
+
+    def at_ratio(self, n: int, m: int):
+        """(h, s) with p(n/m) = h/s, for integers n and m > 0: homogeneous
+        Horner over Z, h = sum a_j n^j m^(deg-j) and s = d m^deg."""
+        a = self._a
+        acc, mk = (a[-1] if a else 0), 1
+        for c in a[-2::-1]:
+            mk *= m
+            acc = acc * n + c * mk
+        return acc, self._d * mk
 
     def as_float_coeffs(self) -> np.ndarray:
         """a_j / d in floats (rounded as float() of the reduced Fraction)."""

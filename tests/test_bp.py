@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from smoothparam.bivar import BivarPoly
 from smoothparam.bp import (D_table, L_table, _eval_exact, _fr,
                             bp_combinatorics, bp_for_degree,
-                            brute_force_points, enumerate_points,
-                            hypersurface_cover, on_hypersurface,
-                            vandermonde_bound_check)
-from smoothparam.errors import PreconditionFailed
+                            brute_force_points, brute_force_sweep,
+                            enumerate_points, hypersurface_cover,
+                            on_hypersurface, vandermonde_bound_check)
+from smoothparam.errors import EvaluationAtSingularity, PreconditionFailed
 from smoothparam.funcs import (AddExpr, ConstExpr, MulExpr, PowExpr,
                                RationalExpr, SqrtExpr)
 from smoothparam.poly import Poly
@@ -225,10 +225,51 @@ def test_brute_force_denominator_rule_matches_the_window_loop(f, t, ends):
         _points_or_error(_window_points, f, interval, t)
 
 
+def _drive(f, interval, T, row):
+    """The rows t = 1..T as `count-points --csv` takes them: enumerate_points
+    at t, then row(t).  (rows, None), or (rows so far, (t, error class,
+    message)) at the first error."""
+    rows = []
+    for t in range(1, T + 1):
+        try:
+            enumerate_points(f, interval, t)
+            rows.append(row(t))
+        except Exception as exc:    # pole, negative radicand, undecidable
+            return rows, (t, type(exc), str(exc))
+    return rows, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_trees, T=st.integers(1, 40), ends=st.tuples(_ends, _ends))
+@example(f=ConstExpr(F(3)), T=6, ends=(F(0), F(1)))
+@example(f=MulExpr(RationalExpr(Poly([0, 1])),
+                   SqrtExpr(RationalExpr(Poly([0, 1])))),
+         T=36, ends=(F(0), F(1)))
+@example(f=RationalExpr(Poly([1]), Poly([-1, 3])), T=7, ends=(F(0), F(1)))
+def test_sweep_rows_are_the_per_t_oracle_rows(f, T, ends):
+    interval = tuple(sorted(ends))
+    sweep = brute_force_sweep(f, interval, T)
+    assert _drive(f, interval, T, lambda t: next(sweep)) == \
+        _drive(f, interval, T,
+               lambda t: set(brute_force_points(f, interval, t)))
+
+
+def test_sweep_caps_its_candidates_before_evaluating():
+    # on [-1, 1] the rows to T hold T^2 + 2T candidates; 1/x has a pole
+    # at x = 0, the first candidate, so only a check made first can name
+    # the cap
+    f = RationalExpr(Poly([1]), Poly([0, 1]))
+    with pytest.raises(PreconditionFailed, match="ENUMERATE_CAP"):
+        next(brute_force_sweep(f, (F(-1), F(1)), 1000))
+    with pytest.raises(EvaluationAtSingularity, match="pole at 0"):
+        next(brute_force_sweep(f, (F(-1), F(1)), 999))
+
+
 def test_t_and_d_below_one_are_precondition_failures():
     f = RationalExpr(Poly([0, 0, 0, 1]))
     for t in (0, -3):
-        for call in (enumerate_points, brute_force_points):
+        for call in (enumerate_points, brute_force_points,
+                     lambda *a: next(brute_force_sweep(*a))):
             with pytest.raises(PreconditionFailed, match="t must be"):
                 call(f, (F(-1), F(1)), t)
         with pytest.raises(PreconditionFailed, match="t must be"):

@@ -35,6 +35,15 @@ ANALYTIC_ARTIFACT_SHA256 = {
     ("--eps", "1/100000", "--delta", "1/2048"):
         "cdea90fc9b30729cfce83b8fff13e8579d62f37d98eebdc76ab5be7e2d9c1963",
 }
+# sha256 of `count-points --t 60 --csv` on the cube (no spec), on
+# (1 - x^2)/(2 + x^2) over [-1, 1] and on x sqrt(x) over [0, 1]
+COUNT_CSV_SHA256 = {
+    None: "27606fd866ac172b91fd90cc013dfc655ee1eefde014c5d443a2e166277fa454",
+    "ratio":
+        "57e0780233bffc5e52b3beca1beed123f6b70761c5047dcb2909f142e20ed760",
+    "xsqrtx":
+        "32b29de4ecc658219c601bb9cb96f0eea9813086c53d70f24df7093bb7e66a33",
+}
 APPROX_ARTIFACT_SHA256 = {
     (): "0cfaf9771a9d07cb8aeb8e6846e3102147b45fb7270738d3199193b64e09457c",
     ("--slab",):
@@ -263,6 +272,7 @@ def test_bad_entropy_and_remez_inputs_are_typed_errors(argv, named, capsys):
      "more than the 50 Z samples"),
     (["remez", "--classical", "--d1", "9", "--samples", "54"],
      "55 monomials, more than the 54 Z samples"),
+    (["count-points", "--t", "3000"], "ENUMERATE_CAP"),      # the CSV sweep
 ])
 def test_bad_count_approximate_and_remez_inputs_are_typed_errors(
         argv, named, tmp_path, capsys):
@@ -338,16 +348,42 @@ def test_zero_denominator_is_an_input_error(capsys):
         "error: '1/0' has a zero denominator\n"
 
 
-def test_count_points_csv_matches_oracle(tmp_path):
+def test_count_points_csv_matches_oracle(tmp_path, capsys):
+    x = {"kind": "rational", "num": ["0", "1"], "den": ["1"]}
+    specs = {
+        "ratio": {"function": {"kind": "rational", "num": ["1", "0", "-1"],
+                               "den": ["2", "0", "1"]},
+                  "interval": ["-1", "1"]},
+        "xsqrtx": {"function": {"kind": "mul", "f": x,
+                                "g": {"kind": "sqrt", "inner": x}},
+                   "interval": ["0", "1"]},
+        "pole": {"function": {"kind": "rational", "num": ["1"],
+                              "den": ["-1", "3"]},
+                 "interval": ["0", "1"]}}
+    for name, doc in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     out, csv = tmp_path / "c.json", tmp_path / "c.csv"
-    assert main(["count-points", "--t", "30", "--csv", str(csv),
-                 "--out", str(out)]) == 0
-    rows = [r.split(",") for r in csv.read_text().strip().split("\n")[1:]]
-    assert len(rows) == 30
-    for t, count, brute in rows:
-        assert count == brute
-    doc = json.loads(out.read_text())
-    assert doc["count"] == len(doc["points"])
+    for spec, digest in COUNT_CSV_SHA256.items():
+        argv = ["--spec", str(tmp_path / f"{spec}.json")] if spec else []
+        assert main(["count-points", "--t", "60", *argv, "--csv", str(csv),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in csv.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 60
+        for t, count, brute in rows:
+            assert count == brute
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest, spec
+        doc = json.loads(out.read_text())
+        assert doc["count"] == len(doc["points"])
+    # 1/(3x - 1) fails at t = 3 and leaves neither file
+    out.unlink()
+    csv.unlink()
+    capsys.readouterr()
+    assert main(["count-points", "--t", "61", "--spec",
+                 str(tmp_path / "pole.json"), "--csv", str(csv),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: EvaluationAtSingularity: pole at 1/3\n"
+    assert not out.exists() and not csv.exists()
 
 
 def test_remez_cli_classical(tmp_path):
@@ -629,7 +665,7 @@ _FLAGS = {
                     "--sigma": _values("0.5", "1"), "--slab": None,
                     "--curve-eps": _values("1/67108864"),
                     "--spec": _SPECS},
-    "count-points": {"--t": _ints(-3, 50), "--d": _ints(-1, 3, "17"),
+    "count-points": {"--t": _ints(-3, 50, "3000"), "--d": _ints(-1, 3, "17"),
                      "--csv": _CSV, "--spec": _SPECS},
     "remez": {"--d1": _ints(-2, 3, "99999999999999999999"),
               "--eps": _values("1/10", "1/4", "1e-300"),

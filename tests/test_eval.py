@@ -158,6 +158,32 @@ def test_rational_eval_is_poly_call_at_a_float_and_exact_at_a_fraction(
                 else got == want)
 
 
+def _power_sum(p, x):
+    return sum((c * F(x) ** j for j, c in enumerate(p.coeffs)), F(0))
+
+
+@settings(max_examples=300)
+@given(_poly, _poly.filter(lambda p: not p.is_zero()),
+       st.one_of(st.integers(-10**30, 10**30),
+                 st.builds(F, st.integers(-10**30, 10**30),
+                           st.integers(1, 10**30))),
+       st.builds(F, st.integers(-20, 20), st.integers(1, 20)))
+def test_rational_eval_at_a_fraction_is_the_quotient_of_power_sums(
+        num, den, x, r):
+    f = RationalExpr(num, den)
+    dv = _power_sum(den, x)
+    if dv == 0:
+        with pytest.raises(EvaluationAtSingularity):
+            f.eval(x)
+    else:
+        got = f.eval(x)
+        assert type(got) is F and got == _power_sum(num, x) / dv
+    # r is a root of den (x - r): a pole, whatever num is there
+    with pytest.raises(EvaluationAtSingularity,
+                       match=re.escape(f"pole at {r}")):
+        RationalExpr(num, den * Poly([-r, 1])).eval(r)
+
+
 @pytest.mark.parametrize("f, x", [
     (SqrtExpr(RationalExpr(Poly([-1, 1]))), 0.5),          # sqrt(-1/2)
     # 1/(x - 1/2), at a float and at a Fraction: not rational as a tree

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothparam import poly
@@ -196,6 +196,30 @@ def test_the_gcd_runs_a_primitive_remainder_sequence(monkeypatch):
     assert p.gcd(q) == g
     assert len(divisors) >= 4
     assert all(math.gcd(*b) == 1 for b in divisors)
+
+
+def _power_sum(cs, x):
+    """sum c_j x^j, each power taken whole in Fractions."""
+    return sum((F(c) * F(x) ** j for j, c in enumerate(cs)), F(0))
+
+
+_huge = st.integers(-10**40, 10**40)
+_point = st.one_of(st.integers(-50, 50), _huge, _fraction,
+                   st.builds(F, _huge, st.integers(1, 10**40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_coeffs, x=_point)
+@example(a=[], x=F(-7, 3))                  # the zero polynomial
+@example(a=[F(5, 6)], x=10**40)             # a constant at a huge int
+@example(a=[0, 0, F(-1, 3)], x=F(-9, 1))    # denominator 1
+def test_exact_evaluation_is_the_power_sum(a, x):
+    p, want = Poly(a), _power_sum(_trim(a), x)
+    n, m = F(x).numerator, F(x).denominator
+    h, s = p.at_ratio(n, m)
+    assert s == p._d * m ** max(p.degree, 0)
+    assert F(h, s) == want
+    assert type(p(x)) is F and p(x) == want
 
 
 @given(a=_coeffs, N=st.integers(1, 2**20))

@@ -6,7 +6,8 @@ Each call runs `python -m smoothparam.cli` in a fresh process, with
 PYTHONPATH at the checkout's `src` (default: the checkout holding this
 script) and OUTDIR as its working directory.  For a call named NAME it
 writes NAME.json (the artifact, if the call wrote one) and NAME.log (exit
-code, stdout and stderr); `verify` on the artifact writes NAME.verify.log.
+code, stdout and stderr); a call with `--csv NAME.csv` writes that too, and
+`verify` on the artifact writes NAME.verify.log.
 The checkout's path is replaced by `<checkout>` in the logs, so
 `diff -r` of two OUTDIRs made from two checkouts lists exactly the calls
 whose output moved.
@@ -21,8 +22,10 @@ import subprocess
 import sys
 
 # Spec files written into OUTDIR: (1 - x^2)/(2 + x^2), with complex poles
-# at +-i sqrt 2, and sqrt((2 + x^2)/(3 + x)), whose branch points (the same
-# two and -3) are declared.
+# at +-i sqrt 2; sqrt((2 + x^2)/(3 + x)), whose branch points (the same
+# two and -3) are declared; x sqrt(x), rational at the rational squares;
+# and 1/(3x - 1), whose pole at 1/3 fails a count from t = 3 on.
+_X = {"kind": "rational", "num": ["0", "1"], "den": ["1"]}
 SPECS = {
     "ratio.json": {"function": {"kind": "rational", "num": ["1", "0", "-1"],
                                 "den": ["2", "0", "1"]},
@@ -31,6 +34,12 @@ SPECS = {
         "kind": "rational", "num": ["2", "0", "1"], "den": ["3", "1"]}},
         "interval": ["0", "1"],
         "declared_singularities": [-3, [0, 2 ** 0.5], [0, -2 ** 0.5]]},
+    "xsqrtx.json": {"function": {"kind": "mul", "f": _X,
+                                 "g": {"kind": "sqrt", "inner": _X}},
+                    "interval": ["0", "1"]},
+    "pole.json": {"function": {"kind": "rational", "num": ["1"],
+                               "den": ["-1", "3"]},
+                  "interval": ["0", "1"]},
 }
 
 CALLS = [
@@ -56,6 +65,11 @@ CALLS = [
                         "--spec", "sqrt.json"]),
     ("count", ["count-points", "--t", "60", "--d", "2"]),
     ("count-ratio", ["count-points", "--t", "60", "--spec", "ratio.json"]),
+    ("count-csv", ["count-points", "--t", "60", "--csv", "count-csv.csv"]),
+    ("count-csv-xsqrtx", ["count-points", "--t", "60", "--spec",
+                          "xsqrtx.json", "--csv", "count-csv-xsqrtx.csv"]),
+    ("count-csv-pole", ["count-points", "--t", "61", "--spec", "pole.json",
+                        "--csv", "count-csv-pole.csv"]),
     ("remez-classical", ["remez", "--classical"]),
     ("remez-classical-d3", ["remez", "--classical", "--d1", "3",
                             "--samples", "199"]),
@@ -96,8 +110,9 @@ def main(argv=None):
             json.dump(doc, fh)
     for name, call in CALLS:
         artifact = os.path.join(args.outdir, f"{name}.json")
-        if os.path.exists(artifact):        # left by an earlier sweep
-            os.remove(artifact)
+        for left in (artifact, os.path.join(args.outdir, f"{name}.csv")):
+            if os.path.exists(left):        # left by an earlier sweep
+                os.remove(left)
         run(checkout, args.outdir, name, call + ["--out", f"{name}.json"])
         if os.path.exists(artifact):
             run(checkout, args.outdir, f"{name}.verify",
