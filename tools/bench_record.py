@@ -6,11 +6,12 @@
 
 Runs `perfbench/run.py` once per (workload, seed, checkout), from each
 checkout's root, for the `run_seconds` that BENCHMARK.json declares.  It
-keeps every run's `env` line and final JSON result line with the
-checkout's git rev (`+dirty` when its tree has uncommitted changes) and
-its `src/smoothparam` line count.  Each seed runs every checkout, in an
-order reversed from one seed to the next, so two checkouts give
-before/after pairs run on one host, each side first in half of them.  The
+keeps every run's `env` line, its final JSON result line and the
+uncalibrated figures it prints, with the checkout's git rev (`+dirty` when
+its tree has uncommitted changes) and its `src/smoothparam` line count.
+Each seed runs every checkout, in an order reversed from one seed to the
+next, so two checkouts give before/after pairs run on one host, each side
+first in half of them.  The
 file is written to the current directory and rewritten after every run,
 so an interrupted session keeps the runs it finished.
 """
@@ -55,13 +56,15 @@ def _run_seconds():
 
 
 def run_one(path, workload, seed, seconds, trace):
-    """One perfbench run from the checkout at path: (env, result), each the
-    parsed JSON line, or None where the run printed none."""
+    """One perfbench run from the checkout at path: (env, result, raw), env
+    and result each the parsed JSON line, or None where the run printed
+    none, and raw the printed uncalibrated figures by name."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True)
     env = result = None
+    raw = {}
     for line in proc.stdout.splitlines():
         if line.startswith("{"):
             doc = json.loads(line)
@@ -69,9 +72,12 @@ def run_one(path, workload, seed, seconds, trace):
                 env = doc["env"]
             else:
                 result = doc
+        elif line.startswith("uncalibrated: "):
+            raw = {name: float(v) for name, v in (
+                item.rsplit(" ", 1) for item in line[14:].split(", "))}
     if result is None:
         sys.stderr.write(proc.stderr)
-    return env, result
+    return env, result, raw
 
 
 def _parse(argv):
@@ -96,12 +102,13 @@ def main(argv=None):
     for workload in args.workload:
         for i, seed in enumerate(args.seeds):
             for name, path in checkouts[::-1] if i % 2 else checkouts:
-                env, result = run_one(path, workload, seed, seconds,
-                                      args.trace)
+                env, result, raw = run_one(path, workload, seed, seconds,
+                                           args.trace)
                 doc["runs"].append({
                     "checkout": name, "rev": _rev(path),
                     "src_lines": _src_lines(path), "workload": workload,
-                    "seed": seed, "env": env, "result": result})
+                    "seed": seed, "env": env, "result": result,
+                    "uncalibrated": raw})
                 metrics = (result or {}).get("metrics", {})
                 shown = {k: metrics[k]["value"] for k in
                          ("jobs_per_s", "serialize.outputs_changed")
