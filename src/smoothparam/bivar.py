@@ -7,7 +7,9 @@ complex evaluation.  numpy's complex multiply is fused (FMA) on CPUs that
 have it and its complex division and `**` use other formulas, so off the
 real axis they round differently from Python's complex arithmetic; complex
 arrays are therefore worked on as (real, imag) pairs of float arrays, with
-Python's formulas spelled out in `_mul`, `_pow` and `_pydiv`."""
+Python's formulas spelled out in `_mul`, `_pow` and `_pydiv`.  `_mul`,
+`_pow` and `y_poly_coeffs` also take 1-tuples (real,) at real x, equal to
+the pair form but at zeros and overflows (`funcs.BranchTracker._correct`)."""
 
 from __future__ import annotations
 
@@ -20,14 +22,16 @@ from .poly import Poly, _fr, bareiss
 
 
 def _mul(a, b):
-    """a * b on (real, imag) pairs, rounded as Python's complex product."""
+    """a * b on (real, imag) pairs as Python's complex product, or 1-tuples."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def _pow(z, n):
-    """z ** n on a (real, imag) pair for an int 0 <= n <= 100, by Python's
-    square-and-multiply from 1."""
-    r, p = (np.ones_like(z[0]), np.zeros_like(z[0])), z
+    """z ** n on a (real, imag) pair or a 1-tuple (real,) for an int
+    0 <= n <= 100, by Python's square-and-multiply from 1."""
+    r, p = (np.ones_like(z[0]), np.zeros_like(z[0]))[:len(z)], z
     while n:
         if n & 1:
             r = _mul(r, p)
@@ -139,21 +143,23 @@ class BivarPoly:
             cs[j] += c * _fr(x) ** i
         return Poly(cs)
 
-    def y_poly_coeffs_complex(self, x) -> np.ndarray:
-        """Complex coefficients of P(x, .), lowest degree first, at a complex
-        x or at each point of a complex array x (shape (degy + 1, *x.shape)),
-        rounded as `cs[j] += c * x**i` in Python complex arithmetic."""
-        x = np.asarray(x, dtype=complex)
-        z, pw = (x.real, x.imag), {}
-        re = np.zeros((self.degy + 1,) + x.shape)
-        im = np.zeros_like(re)
+    def y_poly_coeffs(self, z) -> tuple:
+        """Coefficients of P(x, .), lowest degree first, at each point of x
+        (a pair or 1-tuple of float arrays) in its form, parts of shape
+        (degy + 1, *x.shape): `cs[j] += c * x**i` from +0.0, as in Python."""
+        out, pw = tuple(np.zeros((self.degy + 1,) + np.shape(z[0]))
+                        for _ in z), {}
         for i, j, c in self.float_terms():
             if i not in pw:
                 pw[i] = _pow(z, i)
-            t = _mul((c, 0.0), pw[i])
-            re[j] += t[0]
-            im[j] += t[1]
-        return _pack(re, im)
+            for o, t in zip(out, _mul((c, 0.0)[:len(z)], pw[i])):
+                o[j] += t
+        return out
+
+    def y_poly_coeffs_complex(self, x) -> np.ndarray:
+        """y_poly_coeffs at a complex x or array x, as one complex array."""
+        x = np.asarray(x, dtype=complex)
+        return _pack(*self.y_poly_coeffs((x.real, x.imag)))
 
     def eval_array(self, x, y):
         """P at each point of the arrays x and y, both real or both complex,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -382,20 +383,31 @@ def singular_locus(P: BivarPoly) -> list:
     return [points[i] for i in keep]
 
 
+def _zip(op, a, b):
+    """a + b or a - b (op np.add or np.subtract) in the form of a and b."""
+    return tuple(map(op, a, b))
+
+
+def _abs(a):
+    """|a|: np.hypot (Python's abs) on a pair, np.abs on a 1-tuple."""
+    return np.abs(a[0]) if len(a) == 1 else np.hypot(*a)
+
+
 def _polyval(cs, w):
-    """sum cs[i] w^(m-1-i) by Horner's rule from y = 0, on (real, imag)
-    pairs: cs a list of m coefficient pairs, highest degree first."""
-    y = (0.0, 0.0)
+    """sum cs[i] w^(m-1-i) by Horner's rule from y = 0: cs a list of m
+    coefficients in the form of w, highest degree first."""
+    y = (0.0, 0.0)[:len(w)]
     for c in cs:
-        y = _mul(y, w)
-        y = (y[0] + c[0], y[1] + c[1])
+        y = _zip(np.add, _mul(y, w), c)
     return y
 
 
 def _npdiv(a, b):
-    """a / b (b != 0) on (real, imag) pairs by numpy's complex-division
-    formula (Smith's method through a reciprocal), which rounds differently
-    from Python's `/`."""
+    """a / b (b != 0) by numpy's complex-division formula (Smith's method
+    through a reciprocal), not Python's `/`; on 1-tuples (real,), that
+    formula at b_1 = +-0: a * (1 / b), which is not a / b."""
+    if len(b) == 1:
+        return (a[0] * (1.0 / b[0]),)
     big = np.abs(b[0]) >= np.abs(b[1])
     rat = np.where(big, b[1] / b[0], b[0] / b[1])
     scl = 1.0 / np.where(big, b[0] + b[1] * rat, b[1] + b[0] * rat)
@@ -405,47 +417,48 @@ def _npdiv(a, b):
 
 def _newton(cs, w):
     """Newton's method on the fibre polynomials sum_j cs[j] y^j, one per
-    column of the coefficient pair cs, from the start values w: returns
+    column of the coefficients cs, from the start values w: returns
     (wn, conv).  An element stops after 50 iterations or once its step is
     at most 1e-15 max(1, |w|); conv is False where the derivative vanished
     or the final residual exceeds CONTINUATION_RESIDUAL.
 
-    Products are formed from real and imaginary parts (`bivar._mul`), so
-    they round as Python's complex product, and quotients use numpy's
-    formula: on the real axis (zero imaginary parts) that is also exactly
-    how numpy's complex arrays round, and off it the values are those of
-    the one-point Python evaluation.  Run under np.errstate(all="ignore")."""
+    cs, w and wn are (real, imag) pairs or, on the real axis, 1-tuples
+    (BranchTracker._correct).  Products round as Python's complex product
+    (`bivar._mul`) and quotients by numpy's formula, which on the real axis
+    is how numpy's complex arrays round and off it gives the one-point
+    Python values.  Run under np.errstate(all="ignore")."""
     n = len(cs[0]) - 1
-    p = [(cs[0][k], cs[1][k]) for k in range(n, -1, -1)]
-    dp = [_mul((cs[0][k], cs[1][k]), (float(k), 0.0)) for k in range(n, 0, -1)]
-    wn = (w[0].copy(), w[1].copy())
+    p = [tuple(c[k] for c in cs) for k in range(n, -1, -1)]
+    dp = [_mul(c, (float(n - i), 0.0)[:len(cs)]) for i, c in enumerate(p[:-1])]
+    wn = tuple(v.copy() for v in w)
     conv = np.ones(len(w[0]), dtype=bool)
     act, ap, adp, aw = np.arange(len(w[0])), p, dp, wn
     for _ in range(50):
         dv = _polyval(adp, aw)
-        zero = (dv[0] == 0) & (dv[1] == 0)
+        zero = (dv[0] == 0) & (dv[-1] == 0)     # dv[-1]: the imaginary part
         step = _npdiv(_polyval(ap, aw), dv)
-        aw = (aw[0] - step[0], aw[1] - step[1])
-        done = zero | (np.hypot(*step)
-                       <= 1e-15 * np.fmax(1.0, np.hypot(*aw)))
+        aw = _zip(np.subtract, aw, step)
+        done = zero | (_abs(step) <= 1e-15 * np.fmax(1.0, _abs(aw)))
         if done.any():
             conv[act[zero]] = False
-            wn[0][act[done]], wn[1][act[done]] = aw[0][done], aw[1][done]
+            for v, a in zip(wn, aw):
+                v[act[done]] = a[done]
             keep = ~done
-            act, aw = act[keep], (aw[0][keep], aw[1][keep])
-            ap = [(c[0][keep], c[1][keep]) for c in ap]
-            adp = [(c[0][keep], c[1][keep]) for c in adp]
+            act, aw = act[keep], tuple(v[keep] for v in aw)
+            ap = [tuple(v[keep] for v in c) for c in ap]
+            adp = [tuple(v[keep] for v in c) for c in adp]
             if not act.size:
                 break
-    wn[0][act], wn[1][act] = aw
-    conv &= ~(np.hypot(*_polyval(p, wn)) > CONTINUATION_RESIDUAL)
+    for v, a in zip(wn, aw):
+        v[act] = a
+    conv &= ~(_abs(_polyval(p, wn)) > CONTINUATION_RESIDUAL)
     return wn, conv
 
 
 def _disk_test(cs, w, wn):
     """Per column: True only if p(y) = sum_j cs[j] y^j has exactly one root
     in the open disk |y - wn| < r, r = 2 |wn - w|, by Rouche's theorem
-    against the linear term.  cs, w and wn are (real, imag) pairs.
+    against the linear term.  cs, w and wn are (real, imag) pairs or 1-tuples.
 
     The Taylor coefficients b_k of p at wn come from repeated synthetic
     division, and B_k, the same division run on |cs[j]| at |wn|, bounds the
@@ -467,19 +480,16 @@ def _disk_test(cs, w, wn):
     inside as b_1 (y - wn): one.  A NaN, an inf or an overflow rejects.
     Run under np.errstate(all="ignore")."""
     n = len(cs[0]) - 1
-    r = 2 * np.hypot(wn[0] - w[0], wn[1] - w[1])
-    b = [(cs[0][k], cs[1][k]) for k in range(n, -1, -1)]   # descending
-    h = [np.hypot(*c) for c in b]
-    aw = np.hypot(*wn)
+    r = 2 * _abs(_zip(np.subtract, wn, w))
+    b = [tuple(c[k] for c in cs) for k in range(n, -1, -1)]   # descending
+    h = [_abs(c) for c in b]
+    aw = _abs(wn)
     for k in range(n):                  # b[n - k] becomes b_k
         for i in range(1, n + 1 - k):
-            t = _mul(wn, b[i - 1])
-            b[i] = (b[i][0] + t[0], b[i][1] + t[1])
+            b[i] = _zip(np.add, b[i], _mul(wn, b[i - 1]))
             h[i] = h[i] + aw * h[i - 1]
-    a = [np.hypot(*c) for c in b]
-    finite = np.isfinite(r) & np.isfinite(aw)
-    for v in h + a:
-        finite &= np.isfinite(v)
+    a = [_abs(c) for c in b]
+    finite = np.isfinite([r, aw] + h + a).all(axis=0)
     lhs = a[n - 1] * r
     rhs, big = a[n], h[n] + h[n - 1] * r
     eta = (n + 3) ** 2 * 2.0 ** -1070
@@ -494,9 +504,9 @@ def _disk_test(cs, w, wn):
 
 
 def _same(a, b):
-    """Elementwise bit-for-bit equality of two complex arrays."""
-    return (a.view(np.int64).reshape(-1, 2)
-            == b.view(np.int64).reshape(-1, 2)).all(axis=1)
+    """Elementwise bit-for-bit equality of two 1-D complex arrays."""
+    a, b = a.view(np.int64), b.view(np.int64)
+    return (a[::2] == b[::2]) & (a[1::2] == b[1::2])
 
 
 class BranchTracker:
@@ -521,17 +531,18 @@ class BranchTracker:
     distance to the nearest singular point, each halved while the corrector
     rejects it (counted in `halvings`) down to CONTINUATION_STEP_FLOOR.
 
-    A whole real grid (`eval_grid`) or every row of a disk (`eval_path`)
-    is one recurrence W_i = step(W_pred(i)), solved by `_sweep` as an exact
-    fixed point.  Each sweep runs the corrector, as numpy arrays, at every
-    open point whose start value changed since it last ran.  A point is
-    final once its start is final and it ran from that start, so a run of
-    final points grows while each value equals, bit for bit, the start its
-    successor ran from, and every value is the one the point-by-point walk
-    gives.  Points the one batched step cannot take (several substeps, a
-    step that does not land exactly on the target, tests 1 and 2 failing
-    from a final start) go to `_advance` once their start is final, a
-    sweep's all in lockstep, and are counted in `single_steps`.
+    A whole real grid (`eval_grid`) or every row of a disk (`eval_path`) is
+    one recurrence W_i = step(W_pred(i)), solved by `_sweep` as an exact
+    fixed point.  Each sweep runs the corrector, as numpy arrays (float ones
+    on the real axis, bit for bit: `_correct`), at every open point whose
+    start value changed since it last ran.  A point is final once its start
+    is final and it ran from that start, so a run of final points grows
+    while each value equals, bit for bit, the start its successor ran from,
+    and every value is the one the point-by-point walk gives.  Points the
+    one batched step cannot take (several substeps, a step that does not
+    land exactly on the target, tests 1 and 2 failing from a final start)
+    go to `_advance` once their start is final, a sweep's all in lockstep,
+    and are counted in `single_steps`.
 
     The cache keys are also kept in a sorted array, so finding the nearest
     known point costs O(log n) comparisons: bisect, then walk outward while
@@ -563,29 +574,55 @@ class BranchTracker:
         """Distance from z (a point or an array) to the nearest singular
         point; |.| is hypot, as Python's abs."""
         z = np.asarray(z, dtype=complex)
-        if not self.singularities:
-            return np.full(z.shape, math.inf)
-        s = self._sing
-        return np.hypot(z.real[..., None] - s.real,
-                        z.imag[..., None] - s.imag).min(axis=-1)
+        return reduce(np.minimum, [np.hypot(z.real - s.real, z.imag - s.imag)
+                                   for s in self.singularities],
+                      np.full(z.shape, math.inf))
 
     def _correct(self, w, zn, h):
         """The corrector at complex arrays of start values w, targets zn and
         step lengths h: Newton from w on the fibre at zn, then tests 1 and 2
-        of the sheet guard.  Returns (cs, wn, conv, ok): the fibre
-        coefficients (one column per element), Newton's values, where Newton
-        converged, and where tests 1 and 2 accept the step."""
-        cs = self.P.y_poly_coeffs_complex(zn)
-        c, w = (cs.real, cs.imag), (w.real, w.imag)
+        of the sheet guard.  Returns (wn, conv, ok): Newton's values, where
+        Newton converged, and where tests 1 and 2 accept the step.
+
+        Where every imaginary part of zn and w is +-0 (`any()` reads -0.0
+        as zero), it all runs on 1-tuples of the real parts, with the pair
+        form's result bit for bit: while the real parts stay finite, the
+        pair form's imaginary parts stay +-0 (a cross term a_1 b_1 is +-0
+        and moves only a zero difference; hypot(x, +-0) = |x|; numpy's
+        quotient at b_1 = +-0 is a_0 (1 / b_0)), so each real part is the
+        float result but for the sign of an exact zero, which reaches no
+        nonzero value (a zero derivative sets conv False in both forms), and
+        Newton keeps a start's imaginary part +0.  The pair form is rerun on
+        the rest: a start or value of +-0, a start with imaginary part -0,
+        and a value not finite or whose Horner sums may overflow (a
+        coefficient of 2^400, or |wn|^n of 2^500, or more).  A non-finite
+        value stays so but for an overflowed derivative, which stops Newton
+        at a zero step; the disk test rejects non-finite values either way."""
+        if zn.imag.any() or w.imag.any():
+            return self._correct_parts((w.real, w.imag), (zn.real, zn.imag),
+                                       h)[:3]
+        wn, conv, ok, (c,) = self._correct_parts((w.real,), (zn.real,), h)
+        v = wn.real
+        g = np.flatnonzero((w.real == 0) | np.signbit(w.imag) | (v == 0)
+                           | ~((np.abs(c).max(axis=0) < 2.0 ** 400)
+                               & (np.abs(v) < 2.0 ** (500 / (len(c) - 1)))))
+        if g.size:
+            wn[g], conv[g], ok[g], _ = self._correct_parts(
+                (w.real[g], w.imag[g]), (zn.real[g], zn.imag[g]), h[g])
+        return wn, conv, ok
+
+    def _correct_parts(self, w, zn, h):
+        """_correct on parts (pairs or 1-tuples): (wn, conv, ok, cs)."""
+        cs = self.P.y_poly_coeffs(zn)
         with np.errstate(all="ignore"):
-            wn, conv = _newton(c, w)
-            ok = conv & (np.hypot(wn[0] - w[0], wn[1] - w[1]) <= h)
+            wn, conv = _newton(cs, w)
+            ok = conv & (_abs(_zip(np.subtract, wn, w)) <= h)
             rest = np.flatnonzero(conv & ~ok)
             if rest.size:
-                ok[rest] = _disk_test((c[0][:, rest], c[1][:, rest]),
-                                      (w[0][rest], w[1][rest]),
-                                      (wn[0][rest], wn[1][rest]))
-        return cs, _pack(*wn), conv, ok
+                ok[rest] = _disk_test(tuple(c[:, rest] for c in cs),
+                                      tuple(v[rest] for v in w),
+                                      tuple(v[rest] for v in wn))
+        return _pack(wn[0], wn[-1] if len(wn) == 2 else 0.0), conv, ok, cs
 
     @staticmethod
     def _roots_guard(cs, w, wn):
@@ -642,10 +679,12 @@ class BranchTracker:
                 if not act.size:
                     return w, errs, roots, halved
                 h = np.hypot(step.real[act], step.imag[act])
-                cs, wn, conv, ok = self._correct(w[act], zn, h)
-                for j in np.flatnonzero(conv & ~ok):
+                wn, conv, ok = self._correct(w[act], zn, h)
+                rest = np.flatnonzero(conv & ~ok)
+                cs = self.P.y_poly_coeffs_complex(zn[rest]).T
+                for j, c in zip(rest, cs):
                     roots[act[j]] += 1
-                    ok[j] = self._roots_guard(cs[:, j], complex(w[act[j]]),
+                    ok[j] = self._roots_guard(c, complex(w[act[j]]),
                                               complex(wn[j]))
                 a = act[ok]
                 z[a], w[a], d[a], fresh[a] = zn[ok], wn[ok], dn[ok], True
@@ -699,7 +738,7 @@ class BranchTracker:
             W[i[zero[i]]], ok[i[zero[i]]] = wk[zero[i]], True
             b = batch[i]
             if b.any():
-                _, wn, conv, ok[i[b]] = self._correct(wk[b], zt[i[b]], h[i[b]])
+                wn, conv, ok[i[b]] = self._correct(wk[b], zt[i[b]], h[i[b]])
                 W[i[b]] = np.where(conv, wn, W[i[b]])
             used[i], ran[i] = wk, True
             valid = ran[todo] & ok[todo] & _same(used[todo], start)

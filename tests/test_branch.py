@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smoothparam import funcs
+from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly, _pack
 from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
@@ -36,6 +37,14 @@ CUBIC_GRID_SHA256 = \
 # tracker that ran np.roots at every step its cheap test failed
 CUBIC_C2_SHA256 = \
     "fe59e6c1c281e8e8a5958ac7881e8b1229178826f7888bf51de1caca8adc8387"
+# sha256 of the analytic artifact (delta 1/16 over [1, 2]: a real grid and
+# complex disk rows) and of the k=1 artifact over [1, 5/4] of the branch of
+# y^2 = x^3 - x/4 + 15/4, as computed by the corrector that worked on the
+# real axis in complex (real, imag) pairs
+CUBIC_ANALYTIC_SHA256 = \
+    "b9ed364a7536cc65fd4f3fc0769dde66dc1d78217d00a54b92e0c9943583b895"
+CUBIC_C1_SHA256 = \
+    "1427f1166a28980362bd8727e70dd6b87cdb20827c748ecd332b0f53f2def9e3"
 
 
 def _cubic_branch(a=0, b=1):
@@ -315,10 +324,10 @@ def test_disk_test_accepts_only_steps_the_roots_guard_accepts(P, zn, w0, dw):
     # finds exactly one root within r = 2 |wn - w| of wn, and the np.roots
     # guard it stands in for accepts the same step.
     t = BranchTracker(P, (0.0, 0.0))
-    cs, wn, conv, _ = t._correct(np.array([w0]), np.array([complex(zn)]),
-                                 np.array([0.0]))
+    wn, conv, _ = t._correct(np.array([w0]), np.array([complex(zn)]),
+                             np.array([0.0]))
     assume(conv[0])
-    cs, wn = cs[:, 0], complex(wn[0])
+    cs, wn = P.y_poly_coeffs_complex(zn), complex(wn[0])
     w = wn + dw
     if not _disk(cs, w, wn):
         return
@@ -404,6 +413,8 @@ def test_cubic_branch_rejects_non_finite_x():
 
 
 _CUBIC = BivarPoly({(0, 2): 1, (3, 0): -1, (0, 0): -1})     # y^2 = x^3 + 1
+_Y3 = BivarPoly({(0, 3): 1, (0, 1): 1, (1, 0): -1})         # y^3 + y = x
+_Y3_HALF = 0.42385379906978327                             # y^3 + y = 1/2
 
 
 @pytest.mark.parametrize("P, seed", [
@@ -422,6 +433,19 @@ def test_cubic_branch_c2_charts_are_certified_and_pinned():
     assert all(ch.meta["certificate"].ok for ch in par.charts)
     text = dumps(parametrization_to_json(par, "ck"))
     assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_C2_SHA256
+
+
+def test_cubic_branch_analytic_and_c1_artifacts_are_pinned():
+    f = _cubic_branch(F(-1, 4), F(15, 4))
+    par = analytic_delta_parametrize(f, F(1, 16), (1, 2))
+    assert len(par.charts) == 2
+    text = dumps(parametrization_to_json(par, "analytic"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_ANALYTIC_SHA256
+    par = ck_parametrize_function(_cubic_branch(F(-1, 4), F(15, 4)), 1,
+                                  (1, F(5, 4)))
+    assert len(par.charts) == 1
+    text = dumps(parametrization_to_json(par, "ck"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_C1_SHA256
 
 
 # -- the batch against the oracle ----------------------------------------------
@@ -453,6 +477,93 @@ def test_array_kernels_round_like_the_scalar_oracle(coeffs, pairs):
         if want is not None:
             assert repr(complex(newton[0][i], newton[1][i])) == repr(want)
         assert disk[i] == _one_root_in_disk(cs, a, b)
+
+
+# real inputs where float arithmetic parts from complex arithmetic: signed
+# zeros, subnormals, values whose products overflow, inf and NaN
+_EDGES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030,
+                                    1e300, -1e300, 1e-300, -1e-300, math.inf,
+                                    -math.inf, math.nan]),
+                   st.floats(-8, 8), st.integers(-3, 3).map(float))
+
+
+def _bits_alike(a, b):
+    """Elementwise: equal bits, or both NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+@st.composite
+def _real_kernel_inputs(draw):
+    """(cs, w, wn): the coefficients, lowest degree first, of m fibre
+    polynomials of degree 1 to 4, and m starts and m Newton values."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    col = st.lists(_EDGES, min_size=m, max_size=m)
+    return (np.array([draw(col) for _ in range(n + 1)]), np.array(draw(col)),
+            np.array(draw(col)))
+
+
+@given(_real_kernel_inputs(),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.sampled_from([1, -1, F(1, 3), 10 ** 300,
+                                        F(1, 10 ** 300)]), max_size=6),
+       _EDGES)
+@example((np.array([[1.0], [-4.0], [1.0]]), np.array([3.0]),
+          np.array([3.5])), {(1, 1): 1}, 0.3)
+def test_real_form_kernels_round_like_the_pair_form(args, terms, x):
+    # Newton, the disk test and the fibre coefficients on 1-tuples of real
+    # parts against the same kernels on pairs with zero imaginary parts:
+    # the disk test agrees everywhere, and Newton and the coefficients
+    # wherever BranchTracker._correct keeps the 1-tuple result, that is
+    # where every value stays finite and far from overflow and the start
+    # and Newton's value are not zero
+    cs, w, wt = args
+    n, zero = len(cs) - 1, np.zeros_like
+    with np.errstate(all="ignore"):
+        (wn,), conv = _newton((cs,), (w,))
+        pn, pconv = _newton((cs, zero(cs)), (w, zero(w)))
+        disk = _disk_test((cs,), (w,), (wt,))
+        pdisk = _disk_test((cs, zero(cs)), (w, zero(w)), (wt, zero(wt)))
+    assert disk.tolist() == pdisk.tolist()
+    held = ((np.abs(cs).max(axis=0) < 2.0 ** 400) & (w != 0) & (wn != 0)
+            & (np.abs(wn) < 2.0 ** (500 / n)) & np.isfinite(w))
+    assert conv[held].tolist() == pconv[held].tolist()
+    held &= conv
+    assert _bits_alike(wn[held], pn[0][held]).all()
+    assert _bits_alike(pn[1][held], 0.0).all()
+    P = BivarPoly(terms or {(0, 1): 1})
+    with np.errstate(all="ignore"):
+        (c,) = P.y_poly_coeffs((np.array(x),))
+        pc = P.y_poly_coeffs((np.array(x), np.array(0.0)))
+    fin = np.isfinite(c)
+    assert fin.tolist() == (np.isfinite(pc[0]) & np.isfinite(pc[1])).tolist()
+    assert (c[fin] == pc[0][fin]).all() and (pc[1][fin] == 0).all()
+    assert _bits_alike(c[fin & (c != 0)], pc[0][fin & (c != 0)]).all()
+
+
+@settings(max_examples=200)
+@given(_fibre_polys(),
+       st.lists(st.tuples(_EDGES, _EDGES, _EDGES, st.booleans(),
+                          st.booleans()), min_size=1, max_size=8))
+@example(_Y3, [(0.0, 1e-20, 1.0, False, False),
+               (-0.0, -0.0, 1.0, True, True), (0.25, 0.2, 0.1, False, True),
+               (1e300, 1e100, 1.0, False, False)])
+def test_the_corrector_on_the_real_axis_is_its_pair_form(P, rows):
+    # _correct at targets and starts whose imaginary parts are all +-0
+    # runs in float arithmetic; its values (both parts, bit for bit, NaNs
+    # alike), convergence flags and sheet-guard verdicts are those of the
+    # pair form on the same inputs
+    x, w, h, xneg, wneg = (np.array(v) for v in zip(*rows))
+    zn = _pack(x, np.where(xneg, -0.0, 0.0))
+    w = _pack(w, np.where(wneg, -0.0, 0.0))
+    h = np.abs(h)
+    t = BranchTracker(P, (0.0, 0.0))
+    with np.errstate(all="ignore"):
+        wn, conv, ok = t._correct(w, zn, h)
+        pn, pconv, pok, _ = t._correct_parts(_pair(w), _pair(zn), h)
+    assert conv.tolist() == pconv.tolist() and ok.tolist() == pok.tolist()
+    assert _bits_alike(wn.real[conv], pn.real[conv]).all()
+    assert _bits_alike(wn.imag[conv], pn.imag[conv]).all()
 
 
 @st.composite
@@ -515,8 +626,19 @@ def _check_real(br, grids, deriv):
 # a pole of rat at a cached point comes before a later failed continuation
 @example((BivarPoly({(0, 3): 1, (0, 1): -3, (0, 0): -2}), (0.0, -1.0)),
          [0.0, 1 / 8], [0.0], True)
+# the smooth branch y^3 + y = x, whose value at x = 0 is exactly 0: Newton
+# lands on +-0 there and the next point starts from it
+@example((_Y3, (0.5, _Y3_HALF)), [-0.5], [-0.25, -0.5, -1.0, 0.0], False)
+@example((_Y3, (0.5, _Y3_HALF)), [], [-0.5, 0.25, -0.75], True)
 def test_real_grids_match_the_point_by_point_tracker(br, earlier, grid, deriv):
     _check_real(br, [br[1][0] + np.array(g) for g in (earlier, grid)], deriv)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+def test_signed_zero_grid_points_match_the_point_by_point_tracker(deriv):
+    # 0.0 and -0.0 are one cache key; subnormal points beside it
+    _check_real((_Y3, (0.5, _Y3_HALF)),
+                [[0.0, -0.0, 0.25], [-0.0, 5e-324, -5e-324, -0.5]], deriv)
 
 
 def test_rounding_ties_continue_from_the_key_cached_first():

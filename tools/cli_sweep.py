@@ -8,6 +8,10 @@ script) and OUTDIR as its working directory.  For a call named NAME it
 writes NAME.json (the artifact, if the call wrote one) and NAME.log (exit
 code, stdout and stderr); a call with `--csv NAME.csv` writes that too, and
 `verify` on the artifact writes NAME.verify.log.
+No CLI call reaches an algebraic branch, so one more fresh process makes
+the Python-API calls of BRANCH_SCRIPT and writes their outputs beside the
+CLI's: branch-*.hex (value grids as hex bytes), branch-*.json (artifacts)
+and branches.log (its exit code, output and the trackers' counters).
 The checkout's path is replaced by `<checkout>` in the logs, so
 `diff -r` of two OUTDIRs made from two checkouts lists exactly the calls
 whose output moved.
@@ -16,6 +20,7 @@ whose output moved.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -84,14 +89,59 @@ CALLS = [
                        "--n-max", "8"]),
 ]
 
+# Branches of y^2 = x^3 + a x + b from the `curves` benchmark family (the
+# upper branch through x = 1): a 4,096-point grid on [1, 2], and k = 1 and
+# analytic artifacts for two curves; and the branch of y^3 + y - x through
+# x = 1/2 on a grid through 0.0 and -0.0, where the value is exactly 0.
+BRANCH_SCRIPT = """
+import math
+from fractions import Fraction as F
+import numpy as np
+from smoothparam.analytic_param import analytic_delta_parametrize
+from smoothparam.bivar import BivarPoly
+from smoothparam.ck_param import ck_parametrize_function
+from smoothparam.funcs import BranchExpr
+from smoothparam.serialize import dumps, parametrization_to_json
 
-def run(checkout, outdir, name, argv):
-    """One CLI call from outdir; writes NAME.log with its exit code and
-    output, the checkout's path masked."""
+def cubic(a, b):
+    P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -a, (0, 0): -b})
+    return BranchExpr(P, (1.0, math.sqrt(float(1 + a + b))))
+
+def save(name, f, text):
+    t = f.tracker
+    print(name, t.roots_calls, t.halvings, t.single_steps)
+    with open(name, "w") as fh:
+        fh.write(text)
+
+f = cubic(F(-1, 4), F(15, 4))
+save("branch-eval.hex", f, f.eval_array(np.linspace(1.0, 2.0, 4096)).tobytes().hex())
+for a, b in ((F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))):
+    tag = f"{a.numerator}_{a.denominator}-{b.numerator}_{b.denominator}"
+    f = cubic(a, b)
+    par = ck_parametrize_function(f, 1, (1, F(5, 4)))
+    save(f"branch-ck1-{tag}.json", f, dumps(parametrization_to_json(par, "ck")))
+    f = cubic(a, b)
+    par = analytic_delta_parametrize(f, F(1, 16), (1, 2))
+    save(f"branch-analytic-{tag}.json", f,
+         dumps(parametrization_to_json(par, "analytic")))
+y0 = 0.42385379906978327        # y^3 + y = 1/2
+f = BranchExpr(BivarPoly({(0, 3): 1, (0, 1): 1, (1, 0): -1}), (0.5, y0))
+xs = np.concatenate([np.linspace(-1.0, 1.0, 257), [-0.0, 0.0, 5e-324]])
+save("branch-y3.hex", f, f.eval_array(xs).tobytes().hex())
+"""
+
+
+def run(checkout, outdir, name, argv, script=None):
+    """One CLI call from outdir, or the Python code `script` in place of
+    the CLI; writes NAME.log with its exit code and output, the checkout's
+    path masked."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    proc = subprocess.run([sys.executable, "-m", "smoothparam.cli", *argv],
-                          cwd=outdir, env=env, capture_output=True, text=True)
-    log = (f"$ smoothparam {' '.join(argv)}\nexit {proc.returncode}\n"
+    cmd = ["-c", script] if script else ["-m", "smoothparam.cli", *argv]
+    proc = subprocess.run([sys.executable, *cmd], cwd=outdir, env=env,
+                          capture_output=True, text=True)
+    what = f"python -c <{name} script>" if script else \
+        f"smoothparam {' '.join(argv)}"
+    log = (f"$ {what}\nexit {proc.returncode}\n"
            f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
     with open(os.path.join(outdir, f"{name}.log"), "w") as fh:
         fh.write(log.replace(checkout, "<checkout>"))
@@ -118,6 +168,10 @@ def main(argv=None):
             run(checkout, args.outdir, f"{name}.verify",
                 ["verify", f"{name}.json"])
         print(name, flush=True)
+    for left in glob.glob(os.path.join(args.outdir, "branch-*")):
+        os.remove(left)                     # left by an earlier sweep
+    run(checkout, args.outdir, "branches", [], script=BRANCH_SCRIPT)
+    print("branches", flush=True)
 
 
 if __name__ == "__main__":
