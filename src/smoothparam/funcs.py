@@ -556,7 +556,6 @@ class BranchTracker:
         self.P = P
         self.seed = (complex(seed[0]), complex(seed[1]))
         self.singularities = singular_locus(P)
-        self._sing = np.array(self.singularities, dtype=complex)
         r = abs(P(*self.seed))
         if not (all(map(cmath.isfinite, self.seed))
                 and r <= CONTINUATION_RESIDUAL):
