@@ -538,11 +538,12 @@ class BranchTracker:
     start value changed since it last ran.  A point is final once its start
     is final and it ran from that start, so a run of final points grows
     while each value equals, bit for bit, the start its successor ran from,
-    and every value is the one the point-by-point walk gives.  Points the
-    one batched step cannot take (several substeps, a step that does not
-    land exactly on the target, tests 1 and 2 failing from a final start)
-    go to `_advance` once their start is final, a sweep's all in lockstep,
-    and are counted in `single_steps`.
+    and every value is the one the point-by-point walk gives.  Each sweep
+    then hands every point whose start is final and that the batch did not
+    take (a zero-length step, several substeps, a step that does not land
+    exactly on the target, tests 1 and 2 failing) to `_advance` once, all
+    in lockstep, counted in `single_steps`; k such points in a row take k
+    sweeps.
 
     The cache keys are also kept in a sorted array, so finding the nearest
     known point costs O(log n) comparisons: bisect, then walk outward while
@@ -701,7 +702,9 @@ class BranchTracker:
         """W[i] = _advance(zs[i], start_i, zt[i]) for every i, the start
         being w0[i] where pred[i] < 0 and W[pred[i]] otherwise (pred[i] < i,
         pred[0] < 0), solved by exact fixed-point sweeps (see the class
-        docstring).  Returns (W, err, roots, halved): W for the points
+        docstring): each runs the batch where a start changed, then hands
+        the points with a final start that it did not take to `_advance`
+        once.  Returns (W, err, roots, halved): W for the points
         before the first whose continuation fails, that failure (None if
         there is none), and per point the np.roots tests and halved steps
         of its walk, which the point-by-point walk makes only up to the
@@ -710,8 +713,7 @@ class BranchTracker:
         # the batch takes a point when _advance's first step lands on zt
         step, ab, sl = self._step_toward(zs, zt, self._sing_dist(zs))
         h = np.hypot(step.real, step.imag)
-        zero = ~(ab > 0)                # _advance returns its start
-        batch = (~zero & (sl == ab) & (zs + step == zt)
+        batch = ((ab > 0) & (sl == ab) & (zs + step == zt)
                  & (self._sing_dist(zt) >= 10 * CONTINUATION_STEP_FLOOR))
         chained = (pred >= 0) & (pred == np.arange(n) - 1)
         W = w0[np.maximum.accumulate(np.where(pred < 0, np.arange(n), 0))]
@@ -729,25 +731,19 @@ class BranchTracker:
             known = p < 0
             exact = known | final[p]        # the start is final
             start = np.where(known, w0[todo], W[p])
-            # a value depends on its start alone: run the points whose start
-            # changed since they last ran
-            k = np.flatnonzero((batch[todo] | zero[todo])
+            # a value depends on its start alone: run the batch points whose
+            # start changed since they last ran
+            k = np.flatnonzero(batch[todo]
                                & ~(ran[todo] & _same(used[todo], start)))
-            i, wk = todo[k], start[k]
-            W[i[zero[i]]], ok[i[zero[i]]] = wk[zero[i]], True
-            b = batch[i]
-            if b.any():
-                wn, conv, ok[i[b]] = self._correct(wk[b], zt[i[b]], h[i[b]])
-                W[i[b]] = np.where(conv, wn, W[i[b]])
-            used[i], ran[i] = wk, True
+            if k.size:
+                i = todo[k]
+                wn, conv, ok[i] = self._correct(start[k], zt[i], h[i])
+                W[i] = np.where(conv, wn, W[i])
+                used[i], ran[i] = start[k], True
             valid = ran[todo] & ok[todo] & _same(used[todo], start)
-            # points with a final start that the batch could not take, then
-            # the chained points after them that the batch never takes
+            # points with a final start that the batch did not take
             ks = np.flatnonzero(exact & ~valid)
-            while ks.size:
-                ks = ks[todo[ks] < end]
-                if not ks.size:
-                    break
+            if ks.size:
                 i = todo[ks]
                 self.single_steps += len(ks)
                 w1, errs, roots[i], halved[i] = self._advance(
@@ -758,12 +754,6 @@ class BranchTracker:
                     ks, i, w1 = ks[:bad[0]], i[:bad[0]], w1[:bad[0]]
                 W[i], used[i] = w1, start[ks]
                 ran[i] = ok[i] = valid[ks] = True
-                nxt = i + 1 < n
-                ks, i = ks[nxt] + 1, i[nxt] + 1
-                more = ((ks < len(todo)) & chained[i] & ~batch[i] & ~zero[i])
-                more[more] = todo[ks[more]] == i[more]
-                ks = ks[more]
-                exact[ks], start[ks] = True, W[i[more] - 1]
             # a run of final points starts at a final start and goes on while
             # each point ran from its predecessor's value, bit for bit
             head = exact & valid
