@@ -154,7 +154,8 @@ def _detect_singularities(f: FunctionExpr, declared=None):
         return [z for z, _ in complex_roots(den)]
     if isinstance(f, BranchExpr):
         return [complex(z) for z in f.tracker.singularities]
-    raise ValueError("singularities must be declared for opaque functions")
+    raise PreconditionFailed(
+        "singularities must be declared for opaque functions")
 
 
 def _a_chart_for_interval(f, a, b, cfg, declared_sings):

@@ -144,11 +144,15 @@ def _eval_exact(f: FunctionExpr, x: Fraction):
         kind, v = _eval_exact(f.inner, x)
         if kind == "irrational":
             return ("irrational", None)     # sqrt of an irrational is irrational
+        if v < 0:
+            raise EvaluationAtSingularity(f"sqrt of {v} at x = {x}")
         r = _sqrt_exact(v)
         return ("rational", r) if r is not None else ("irrational", None)
     if isinstance(f, PowExpr):
         kind, v = _eval_exact(f.f, x)
         if kind == "rational":
+            if v == 0 and f.n < 0:
+                raise EvaluationAtSingularity(f"0 to the power {f.n} at x = {x}")
             return ("rational", v ** f.n)
         raise InexactCurve("integer power of an irrational is undecidable here")
     if isinstance(f, MulExpr):
@@ -209,7 +213,8 @@ def _int_evaluator(f: FunctionExpr, t: int):
             if q < 0:
                 p, q = -p, -q
             if p < 0:
-                raise ValueError("sqrt of negative value")
+                raise EvaluationAtSingularity(
+                    f"sqrt of {Fraction(p, q)} at x = {Fraction(a, t)}")
             g = math.gcd(p, q)
             p, q = p // g, q // g
             rp, rq = math.isqrt(p), math.isqrt(q)
@@ -227,7 +232,8 @@ def _int_evaluator(f: FunctionExpr, t: int):
             if n >= 0:
                 return p ** n, q ** n
             if p == 0:
-                raise ZeroDivisionError(f"zero to the power {n}")
+                raise EvaluationAtSingularity(
+                    f"0 to the power {n} at x = {Fraction(a, t)}")
             return q ** -n, p ** -n
         return power
     if isinstance(f, MulExpr):
@@ -416,7 +422,10 @@ def hypersurface_cover(f: FunctionExpr, interval, t: int, d: int):
     rtil = math.exp(log_rtil) * (1 - 1e-12)
     ball_count = max(1, math.ceil((hi - lo) / rtil)) if rtil > 0 else None
     if ball_count is None or ball_count > 10 ** 9:
-        raise ValueError(f"ball count {ball_count} unreasonably large")
+        why = (f"ball radius e^{log_rtil:.1f}" if math.isfinite(log_rtil)
+               else f"the order-{ktil} derivative bound M_k is not finite")
+        raise PreconditionFailed(f"ball count above 10^9 on an interval of "
+                                 f"length {hi - lo}: {why}")
 
     points = enumerate_points(f, interval, t)
     balls = {}

@@ -177,7 +177,7 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
         else:
             num, den = g.as_rational()
             out[key, i] = float(max_abs_ratio_on_grid(
-                num - den * c if c else num, den, n, pole=math.inf))
+                num - den * c if c else num, den, n))
     return out
 
 

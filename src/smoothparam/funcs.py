@@ -31,13 +31,12 @@ BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
 CONTINUATION_RESIDUAL = 1e-10        # |P(x, y)| accepted on the curve
 CONTINUATION_STEP_FLOOR = 1e-12      # smallest continuation step
 CONTINUATION_CACHE_CAP = 100_000     # real-axis values a tracker caches
+CONTINUATION_ROUND_CAP = 1_000       # corrector rounds in one walk
 _U = 2.0 ** -53                      # unit roundoff, for _disk_test
 
 
 def _sqrt_exact(v: Fraction):
-    """Rational square root if it exists, else None."""
-    if v < 0:
-        raise ValueError("sqrt of negative value")
+    """Rational square root of v >= 0 if it exists, else None."""
     n, d = v.numerator, v.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
@@ -420,7 +419,7 @@ def _newton(cs, w):
     column of the coefficients cs, from the start values w: returns
     (wn, conv).  An element stops after 50 iterations or once its step is
     at most 1e-15 max(1, |w|); conv is False where the derivative vanished
-    or the final residual exceeds CONTINUATION_RESIDUAL.
+    or the final residual is not at most CONTINUATION_RESIDUAL (NaN is not).
 
     cs, w and wn are (real, imag) pairs or, on the real axis, 1-tuples
     (BranchTracker._correct).  Products round as Python's complex product
@@ -451,7 +450,7 @@ def _newton(cs, w):
                 break
     for v, a in zip(wn, aw):
         v[act] = a
-    conv &= ~(_abs(_polyval(p, wn)) > CONTINUATION_RESIDUAL)
+    conv &= _abs(_polyval(p, wn)) <= CONTINUATION_RESIDUAL
     return wn, conv
 
 
@@ -649,8 +648,10 @@ class BranchTracker:
         """Track each (z0[i], w0[i]) to x = z1[i] (complex arrays) point by
         point, all in lockstep: steps of at most half the distance to the
         nearest singular point, each halved while the corrector rejects it,
-        down to CONTINUATION_STEP_FLOOR.  The step arithmetic rounds as
-        Python's complex arithmetic.  Returns (w1, errs, roots, halved):
+        down to CONTINUATION_STEP_FLOOR; a walk that needs more than
+        CONTINUATION_ROUND_CAP corrector rounds fails with BranchJump.  The
+        step arithmetic rounds as Python's complex arithmetic.  Returns
+        (w1, errs, roots, halved):
         errs[i] is the error that stopped element i, else None, and roots[i]
         and halved[i] count its np.roots tests and halved steps."""
         floor = CONTINUATION_STEP_FLOOR
@@ -658,6 +659,7 @@ class BranchTracker:
         step = np.zeros_like(z)
         errs = [None] * len(z)
         roots, halved = np.zeros(len(z), dtype=int), np.zeros(len(z), dtype=int)
+        rounds = np.zeros(len(z), dtype=int)
         act, fresh = np.arange(len(z)), np.ones(len(z), dtype=bool)
         with np.errstate(all="ignore"):
             while True:
@@ -670,11 +672,17 @@ class BranchTracker:
                     return w, errs, roots, halved
                 zn = z[act] + step[act]
                 dn = self._sing_dist(zn)
-                for j in np.flatnonzero(dn < 10 * floor):
-                    errs[act[j]] = PathNearSingularity(
-                        "path within floor of singularity at "
-                        f"{complex(zn[j])}")
-                keep = dn >= 10 * floor
+                rounds[act] += 1
+                near = dn < 10 * floor
+                spent = rounds[act] > CONTINUATION_ROUND_CAP
+                for j in np.flatnonzero(near | spent):
+                    errs[act[j]] = (
+                        PathNearSingularity("path within floor of singularity "
+                                            f"at {complex(zn[j])}")
+                        if near[j] else BranchJump(
+                            f"no branch value at x = {complex(z1[act[j]])} "
+                            f"within {CONTINUATION_ROUND_CAP} corrector rounds"))
+                keep = ~(near | spent)
                 act, zn, dn = act[keep], zn[keep], dn[keep]
                 if not act.size:
                     return w, errs, roots, halved

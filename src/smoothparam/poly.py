@@ -335,29 +335,26 @@ def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
     return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
 
 
-def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int, pole=None):
+def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int):
     """max |num(i/N) / den(i/N)| over i = 0..N, exact and in integers: the
     max over the ends of the grid and the unit cells that hold a real root
     of num' den - num den' or of den.  The result equals the exact scan of
-    every point.  A grid point where den vanishes is skipped, or, when
-    `pole` is given, makes the result `pole`, as does a real root of den
-    between grid points (a unit cell of den is confirmed by `isolate_roots`,
-    since two sign variations need not be a root)."""
+    every point, or is math.inf where den has a real root in [0, 1], at a
+    grid point or between two (a unit cell of den is confirmed by
+    `isolate_roots`, since two sign variations need not be a root)."""
     Dn, sn = _int_scaled(num, N)
     Dd, sd = _int_scaled(den, N)
     W = [x - y for x, y in zip_longest(            # Dn' Dd - Dn Dd'
         _imul(_ideriv(Dn), Dd), _imul(Dn, _ideriv(Dd)), fillvalue=0)]
     den_cells = _root_cells(Dd, 0, N)
-    if pole is not None and any(u == v or isolate_roots(
-            den, Fraction(u, N), Fraction(v, N)) for u, v in den_cells):
-        return pole
+    if any(u == v or isolate_roots(den, Fraction(u, N), Fraction(v, N))
+           for u, v in den_cells):
+        return math.inf
     best = Fraction(0)
     for i in _grid_candidates(N, _root_cells(W, 0, N), den_cells):
-        if b := _horner_int(Dd, i):
-            best = max(best, Fraction(abs(_horner_int(Dn, i) * sd),
-                                      abs(b) * sn))
-        elif pole is not None:
-            return pole
+        if not (b := _horner_int(Dd, i)):
+            return math.inf             # den vanishes at x = 0 or x = 1
+        best = max(best, Fraction(abs(_horner_int(Dn, i) * sd), abs(b) * sn))
     return best
 
 

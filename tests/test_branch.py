@@ -121,7 +121,7 @@ def _scalar_newton(cs, w0):
         w = w - step
         if abs(step) <= 1e-15 * max(1.0, abs(w)):
             break
-    if abs(_horner(p, w)) > funcs.CONTINUATION_RESIDUAL:
+    if not abs(_horner(p, w)) <= funcs.CONTINUATION_RESIDUAL:
         return None
     return w
 
@@ -158,7 +158,7 @@ class _Oracle:
         floor = funcs.CONTINUATION_STEP_FLOOR
         z, w = z0, w0
         d = self._min_sing_dist(z)
-        remaining = z1 - z
+        remaining, rounds = z1 - z, 0
         while abs(remaining) > 0:
             step_len = min(abs(remaining), max(d / 2, floor))
             step = remaining / abs(remaining) * step_len
@@ -167,6 +167,9 @@ class _Oracle:
                 dn = self._min_sing_dist(zn)
                 if dn < 10 * floor:
                     raise PathNearSingularity(f"near {zn}")
+                rounds += 1
+                if rounds > funcs.CONTINUATION_ROUND_CAP:
+                    raise BranchJump(f"no value at {z1}")
                 cs = self.P.y_poly_coeffs_complex(zn)
                 wn = _scalar_newton(cs, w)
                 if wn is not None and self._on_sheet(cs, w, wn, step):
@@ -479,6 +482,19 @@ def test_array_kernels_round_like_the_scalar_oracle(coeffs, pairs):
         assert disk[i] == _one_root_in_disk(cs, a, b)
 
 
+def test_a_nan_residual_is_not_convergence():
+    # from -1e300 the pair form's Newton value and residual are NaN; the
+    # real form stops at its start, whose residual overflows
+    cs = np.array([1.0, -2.0, 1e-300, 1e300, 1.0])
+    with np.errstate(all="ignore"):
+        (wn,), conv = _newton((cs[:, None],), (np.array([-1e300]),))
+        pn, pconv = _newton((cs[:, None], np.zeros((5, 1))),
+                            (np.array([-1e300]), np.zeros(1)))
+    assert np.isnan(pn[0][0])
+    assert not conv[0] and not pconv[0]
+    assert _scalar_newton(cs.astype(complex), -1e300 + 0j) is None
+
+
 # real inputs where float arithmetic parts from complex arithmetic: signed
 # zeros, subnormals, values whose products overflow, inf and NaN
 _EDGES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030,
@@ -664,21 +680,27 @@ def test_the_cache_cap_holds_across_a_grid(br, earlier, grid, cap):
                     False)
 
 
-@settings(max_examples=40)
-@given(_branches(), st.floats(-0.5, 0.5), st.floats(0.01, 0.6),
-       st.integers(1, 3), st.integers(2, 24), st.booleans())
-def test_circle_rows_match_the_point_by_point_tracker(br, shift, radius, rows,
-                                                      angles, deriv):
-    # rows as circle_sup lays them out: row j the circle of radius r_j about
-    # c, starting at its real point c + r_j; equal bit for bit, which is
-    # within any relative tolerance
+_FAR = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -F(1, 2), (0, 0): -F(17, 4)})
+_FIBRE = BivarPoly({(0, 3): 1, (1, 1): 1, (0, 1): 1, (2, 0): -1, (1, 0): 2,
+                    (0, 0): -2})
+
+
+@pytest.mark.parametrize("P, seed, x", [(_FAR, (1.0, math.sqrt(23 / 4)), 1e5),
+                                        (_FIBRE, (0.0, 1.0), 1e6)])
+def test_a_walk_past_the_round_cap_is_a_branch_jump(P, seed, x):
+    # far from the seed the corrector's steps keep failing; these walks ran
+    # for seconds before each was capped at CONTINUATION_ROUND_CAP rounds
+    with pytest.raises(BranchJump, match="corrector rounds"):
+        BranchExpr(P, seed).eval_array(np.array([x]))
+    _check_real((P, seed), [[x]], False)
+
+
+def _check_path(br, zs, deriv):
+    # values (bit for bit, which is within any relative tolerance), error
+    # types and the fallback counters agree with the oracle
     P, seed = br
     f, t = BranchExpr(P, seed), _Oracle(P, seed)
     g = f.deriv() if deriv else f
-    unit = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
-    radii = radius * np.arange(1, rows + 1) / rows
-    zs = seed[0] + shift + radii[:, None] * unit
-    zs[:, 0] = seed[0] + shift + radii
     got, gerr = _outcome(lambda: g.eval_array(zs))
     want, werr = _outcome(lambda: _oracle_eval(t, zs, g.rat))
     assert gerr == werr
@@ -686,3 +708,33 @@ def test_circle_rows_match_the_point_by_point_tracker(br, shift, radius, rows,
         assert got.tobytes() == want.tobytes()
     tr = f.tracker
     assert (tr.roots_calls, tr.halvings) == (t.roots_calls, t.halvings)
+
+
+@settings(max_examples=40)
+@given(_branches(), st.floats(-0.5, 0.5), st.floats(0.01, 0.6),
+       st.integers(1, 3), st.integers(2, 24), st.booleans())
+def test_circle_rows_match_the_point_by_point_tracker(br, shift, radius, rows,
+                                                      angles, deriv):
+    # rows as circle_sup lays them out: row j the circle of radius r_j about
+    # c, starting at its real point c + r_j
+    P, seed = br
+    unit = np.exp(1j * np.linspace(0.0, 2 * math.pi, angles, endpoint=False))
+    radii = radius * np.arange(1, rows + 1) / rows
+    zs = seed[0] + shift + radii[:, None] * unit
+    zs[:, 0] = seed[0] + shift + radii
+    _check_path(br, zs, deriv)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("br, rows", [
+    ((_CUBIC, (1.0, math.sqrt(2.0))), [[1, 1, 1.25 + 0.1j, 1.25 + 0.1j, 1.5,
+                                        1.5]]),
+    ((_Y3, (0.5, _Y3_HALF)), [[0.5, 0.25 + 0.1j, 0.25 + 0.1j, 0, 0, -0.5],
+                              [0.5, 0.5, 0.5, -0.25j, 0, 0]]),
+])
+def test_repeated_path_points_match_the_point_by_point_tracker(br, rows,
+                                                               deriv):
+    # rows that start at the seed's x or repeat a point: zero-length steps,
+    # which the sweep hands to _advance, a point at a time, like any step
+    # its batch cannot take; on y^3 + y = x the value at 0 is exactly 0
+    _check_path(br, np.array(rows, dtype=complex), deriv)

@@ -320,6 +320,44 @@ def test_malformed_json_documents_are_typed_errors(doc, argv, tmp_path,
     assert err.startswith(f"error: PreconditionFailed: {path}: "), err
 
 
+_X = {"kind": "rational", "num": ["0", "1"], "den": ["1"]}
+_INVERSE = {"function": {"kind": "pow", "f": _X, "n": -1},
+            "interval": ["-1", "1"]}
+_SQRT_X = {"function": {"kind": "sqrt", "inner": _X}, "interval": ["-1", "1"]}
+_SQRT_2_PLUS_X = {"function": {"kind": "sqrt", "inner": {
+    "kind": "rational", "num": ["2", "1"], "den": ["1"]}}, "interval": ["0", "1"]}
+_PEAK = {"function": {"kind": "rational", "num": ["1"],
+                      "den": ["1/1000000", "0", "1"]}, "interval": ["-1", "1"]}
+
+
+@pytest.mark.parametrize("doc, argv, typed, named", [
+    # a pole and a negative radicand at a grid point x = a/t
+    (_INVERSE, ["count-points"], "EvaluationAtSingularity",
+     "0 to the power -1 at x = 0"),
+    (_SQRT_X, ["count-points"], "EvaluationAtSingularity", "sqrt of -1 at x = -1"),
+    # an opaque function on the analytic route without declared singularities
+    (_SQRT_2_PLUS_X, ["parametrize-analytic"], "PreconditionFailed",
+     "must be declared"),
+    (_SQRT_2_PLUS_X, ["approximate"], "PreconditionFailed", "must be declared"),
+    # a cover of more than 10^9 balls; from d = 9 on (up to 16) the sampled
+    # derivative bound overflows, and the radius with it
+    (_PEAK, ["count-points", "--d", "8"], "PreconditionFailed",
+     "ball count above 10^9 on an interval of length 2.0: ball radius e^-"),
+    (_PEAK, ["count-points", "--d", "9"], "PreconditionFailed",
+     "the order-54 derivative bound M_k is not finite"),
+])
+def test_spec_functions_a_route_cannot_take_are_typed_errors(
+        doc, argv, typed, named, tmp_path, capsys):
+    path, out = tmp_path / "spec.json", tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--spec", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    head = f"{path}: " if typed == "PreconditionFailed" else ""
+    assert err.startswith(f"error: {typed}: {head}"), err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_too_fine_circle_grid_is_a_typed_error(capsys):
     # 4 * 2^40 * 1000 circle grid points; the grid was once allocated whole
     assert main(["entropy", "--system", "doubling", "--n-max", "40",
@@ -622,6 +660,7 @@ def front_door_files(tmp_path_factory):
         "bad-eps": {"builtin": "hyperbola", "eps": [1]},
         "bad-sings": {"builtin": "hyperbola",
                       "declared_singularities": [{}]},
+        "inverse": _INVERSE, "sqrt-x": _SQRT_X,
         "list": [], "number": 3,
         "config": {"parametrize-ck": {"k": 3}},
         "config-bad-key": {"entropy": {"bogus": 1}},
@@ -651,8 +690,8 @@ def _files(*names):
 
 
 _SPECS = _files("hyperbola", "cubic", "no-function", "bad-function",
-                "zero-den", "short-interval", "bad-eps", "bad-sings", "list",
-                "number", "not-json", "missing", "dir")
+                "zero-den", "short-interval", "bad-eps", "bad-sings", "inverse",
+                "sqrt-x", "list", "number", "not-json", "missing", "dir")
 _CSV = _files("csv", "dir")
 _FLAGS = {
     "parametrize-ck": {"--eps": _values("1/100", "100/570", "1/2"),

@@ -1,17 +1,17 @@
 """Exact grid maxima: max_abs_on_rational_grid and max_abs_ratio_on_grid,
 which search the grid ends and the unit cells that hold a critical point or
-a pole, against a plain Fraction scan of every grid point.  The cases:
-critical points and poles placed on grid points (at bisection midpoints and
-elsewhere), at half-way points and beside grid points, double roots, shared
-roots of num and den, constant ratios, denominators with roots on the grid
-(also at the float argmax), denominators that are tiny in floats but not
-zero, constants, lines and ties, grids that are not powers of two,
-coefficients beyond the float range, zero numerators and high degrees."""
+a pole, against a plain Fraction scan of every grid point; a ratio whose
+den has a real root in [0, 1] reads inf.  The cases: critical points and
+poles placed on grid points (at bisection midpoints and elsewhere), at
+half-way points and beside grid points, double roots, shared roots of num
+and den, constant ratios, denominators with roots on the grid, denominators
+that are tiny in floats but not zero, constants, lines and ties, grids that
+are not powers of two, coefficients beyond the float range, zero numerators
+and high degrees."""
 
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +26,12 @@ def direct(p, N):
 
 
 def direct_ratio(num, den, N):
-    best = F(0)
-    for i in range(N + 1):
-        d = den(F(i, N))
-        if d != 0:
-            best = max(best, abs(num(F(i, N)) / d))
-    return best
+    """The scan of every grid point, or math.inf where den has a real root
+    in [0, 1]: at a grid point or, by Sturm's theorem, between two."""
+    vals = [den(F(i, N)) for i in range(N + 1)]
+    if 0 in vals or sturm_root_in_unit_interval(den):
+        return math.inf
+    return max(abs(num(F(i, N)) / d) for i, d in enumerate(vals))
 
 
 def _coeffs(max_degree, bound):
@@ -87,11 +87,11 @@ def sturm_root_in_unit_interval(p):
 
 @settings(max_examples=40)
 @given(st.data())
-def test_grid_ratio_reports_a_grid_pole_when_asked(data):
-    # with pole= given, a den with a real root in [0, 1], on the grid or
-    # between its points, returns it, and any other den returns the
-    # skipping max; a drawn root, simple or double, sits at a grid point or
-    # a cell's midpoint, or a millionth of a cell past one
+def test_grid_ratio_reports_a_pole_in_the_unit_interval(data):
+    # a den with a real root in [0, 1], on the grid or between its points,
+    # gives inf, and any other den the grid max; a drawn root, simple or
+    # double, sits at a grid point or a cell's midpoint, or a millionth of a
+    # cell past one
     N, deg = data.draw(_grid_and_degree())
     num = Poly(data.draw(_coeffs(deg, 10)))
     den = Poly(data.draw(_coeffs(deg // 2, 10)))
@@ -99,10 +99,7 @@ def test_grid_ratio_reports_a_grid_pole_when_asked(data):
         r = F(data.draw(st.integers(0, 2 * N)), 2 * N)
         r += data.draw(st.sampled_from([0, F(1, 10**6 * N)]))
         den = den * Poly([-r, 1]) ** data.draw(st.integers(1, 2))
-    pole = (any(den(F(i, N)) == 0 for i in range(N + 1))
-            or sturm_root_in_unit_interval(den))
-    got = max_abs_ratio_on_grid(num, den, N, pole=math.inf)
-    assert got == (math.inf if pole else direct_ratio(num, den, N))
+    assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
 
 
 def test_grid_ratio_pole_needs_a_real_root_in_its_cell():
@@ -110,30 +107,10 @@ def test_grid_ratio_pole_needs_a_real_root_in_its_cell():
     # 1/3 at N = 4 and 100, but no real root: its max is a grid value
     den = Poly([F(1, 9) + F(1, 10**30), F(-2, 3), 1])
     for N in (4, 100):
-        assert max_abs_ratio_on_grid(Poly([1]), den, N, pole=math.inf) == \
-            direct_ratio(Poly([1]), den, N)
-    assert max_abs_ratio_on_grid(Poly([1]), den * Poly([F(-1, 7), 1]), 4,
-                                 pole=math.inf) == math.inf
-
-
-@pytest.mark.parametrize("N", (100, 4097))
-def test_grid_ratio_skips_a_root_at_the_float_argmax(N):
-    # den vanishes exactly at the grid point i/N, where its float value is
-    # rounding noise and |num/den| is the largest float ratio on the grid;
-    # that point must neither be the max nor vouch for a lower bound
-    num, xs = Poly([1, 3, -2]), np.arange(N + 1) / N
-    for i in range(1, N):
-        den = Poly([-F(i, N), 1]) * Poly([F(1, 3), 1])
-        d = den.eval_array(xs)
-        with np.errstate(divide="ignore"):
-            ratio = np.abs(num.eval_array(xs) / d)
-        if d[i] != 0 and np.argmax(ratio) == i:
-            break
-    else:
-        pytest.fail("no grid root with a nonzero float value at the argmax")
-    got = max_abs_ratio_on_grid(num, den, N)
-    assert got == direct_ratio(num, den, N)
-    assert 0 < got < ratio[i] / 1e6
+        assert max_abs_ratio_on_grid(Poly([1]), den, N) == \
+            direct_ratio(Poly([1]), den, N) < math.inf
+    assert max_abs_ratio_on_grid(Poly([1]), den * Poly([F(-1, 7), 1]),
+                                 4) == math.inf
 
 
 def test_grid_ratio_finds_a_tiny_nonzero_denominator():
@@ -155,7 +132,7 @@ def test_constants_lines_and_ties(N):
     den = Poly([2, 5, 1])
     for num in (den * F(-3, 7), Poly([F(5, 2)]), Poly([])):
         assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
-    assert max_abs_ratio_on_grid(Poly([1]), Poly([]), N) == 0
+    assert max_abs_ratio_on_grid(Poly([1]), Poly([]), N) == math.inf
 
 
 @pytest.mark.parametrize("N", (100, 4097))
@@ -281,9 +258,11 @@ def test_grid_ratio_with_chosen_critical_points_and_poles(data):
 
 @pytest.mark.parametrize("N", CHOSEN_GRIDS)
 def test_grid_ratio_next_to_a_pole(N):
-    # 1/(x - r): no critical point, so the max sits beside the pole, with r
-    # at an end, on an interior grid point, beside one and half-way
+    # 1/(x - r): inf with r at an end, on an interior grid point, beside one
+    # and half-way; with r just outside [0, 1] there is no critical point,
+    # so the max sits at the end beside the pole
     m = N // 2
-    for r in (F(0), F(1), F(m, N), F(m, N) + F(1, 1000 * N), F(1, 2 * N)):
+    for r in (F(0), F(1), F(m, N), F(m, N) + F(1, 1000 * N), F(1, 2 * N),
+              -F(1, 1000 * N), 1 + F(1, 1000 * N)):
         num, den = Poly([1]), Poly([-r, 1])
         assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)

@@ -91,8 +91,10 @@ CALLS = [
 
 # Branches of y^2 = x^3 + a x + b from the `curves` benchmark family (the
 # upper branch through x = 1): a 4,096-point grid on [1, 2], and k = 1 and
-# analytic artifacts for two curves; and the branch of y^3 + y - x through
-# x = 1/2 on a grid through 0.0 and -0.0, where the value is exactly 0.
+# analytic artifacts for two curves; a complex path on y^2 = x^3 + 1 that
+# starts at the seed's x and repeats points (zero-length steps); and the
+# branch of y^3 + y - x through x = 1/2 on a grid through 0.0 and -0.0,
+# where the value is exactly 0.
 BRANCH_SCRIPT = """
 import math
 from fractions import Fraction as F
@@ -124,6 +126,9 @@ for a, b in ((F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))):
     par = analytic_delta_parametrize(f, F(1, 16), (1, 2))
     save(f"branch-analytic-{tag}.json", f,
          dumps(parametrization_to_json(par, "analytic")))
+f = cubic(0, 1)
+path = np.array([[1, 1, 1.25 + 0.1j, 1.25 + 0.1j, 1.5, 1.5]])
+save("branch-path.hex", f, f.eval_array(path).tobytes().hex())
 y0 = 0.42385379906978327        # y^3 + y = 1/2
 f = BranchExpr(BivarPoly({(0, 3): 1, (0, 1): 1, (1, 0): -1}), (0.5, y0))
 xs = np.concatenate([np.linspace(-1.0, 1.0, 257), [-0.0, 0.0, 5e-324]])
