@@ -6,7 +6,8 @@ the linear scan it replaces, the Rouche disk test of its sheet guard against
 np.roots and against exactly known roots, byte-identity of a fixed grid
 evaluation and how rarely it falls back to np.roots, halving or single
 steps there, values against the closed form, the typed errors at a
-non-finite x and a non-finite seed, and C^1 and C^2 builds end to end."""
+non-finite x, a non-finite seed and a walk past the round cap, a NaN
+residual that is not convergence, and C^1 and C^2 builds end to end."""
 
 import cmath
 import hashlib
@@ -688,8 +689,8 @@ _FIBRE = BivarPoly({(0, 3): 1, (1, 1): 1, (0, 1): 1, (2, 0): -1, (1, 0): 2,
 @pytest.mark.parametrize("P, seed, x", [(_FAR, (1.0, math.sqrt(23 / 4)), 1e5),
                                         (_FIBRE, (0.0, 1.0), 1e6)])
 def test_a_walk_past_the_round_cap_is_a_branch_jump(P, seed, x):
-    # far from the seed the corrector's steps keep failing; these walks ran
-    # for seconds before each was capped at CONTINUATION_ROUND_CAP rounds
+    # far from the seed the corrector's steps keep failing and halving; the
+    # walk ends at CONTINUATION_ROUND_CAP rounds, well within a second
     with pytest.raises(BranchJump, match="corrector rounds"):
         BranchExpr(P, seed).eval_array(np.array([x]))
     _check_real((P, seed), [[x]], False)
