@@ -85,9 +85,19 @@ def bp_for_degree(n: int, m_ambient: int, d: int) -> BPCombinatorics:
 # -- interpolation determinant bound ------------------------------------------
 
 def _all_derivative_max(funcs, order: int, lo: float, hi: float) -> float:
+    """max |f^(i)| over MK_SAMPLES points of [lo, hi], every f of funcs and
+    i <= order, sampled order by order: the first NaN or inf sampled is
+    returned at once, before any higher derivative is built."""
     xs = np.linspace(lo, hi, MK_SAMPLES)
-    return max([0.0] + [sampled_sup(g, xs) for f in funcs
-                        for g in _wrap(f).derivative_chain(order)])
+    funcs = [_wrap(f) for f in funcs]
+    worst = 0.0
+    for i in range(order + 1):
+        for f in funcs:
+            v = sampled_sup(f.derivative_chain(i)[i], xs)
+            if not math.isfinite(v):
+                return v
+            worst = max(worst, v)
+    return worst
 
 
 def _all_partial_max_2d(polys, order: int) -> float:

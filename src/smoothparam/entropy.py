@@ -3,10 +3,22 @@ systems.
 
 The orbit pseudo-metric d_n(x, y) = max_{0<=i<=n} d(f^i x, f^i y) turns the
 covering number M(f, n, eps) into a computable bracket: a greedy cover of a
-point cloud from above and a 2*eps-separated set from below.  Linear circle
-and toral maps get structure-aware fast paths (translation invariance makes
-d_n a function of the gap alone) so the bracket stays resolved at iteration
-depths where a naive grid would saturate.
+point cloud from above and a 2*eps-separated set from below (Bowen's
+spanning and separated sets, 1971).  Linear circle and toral maps get
+structure-aware fast paths (translation invariance makes d_n a function of
+the gap alone) so the bracket stays resolved at iteration depths where a
+naive grid would saturate.
+
+Each path computes only the evidence that decides its bracket, and every
+flag, ball and count has the bits of the full computation:
+- circle: a gap's d_n is a max of folds, so it exceeds a threshold at the
+  first fold that does; the folds are read from the last one down;
+- toral line: a row whose point lies more than 2*eps + 1e-9 from every
+  lattice point is far at step 0 (its float distance errs by about 1e-12),
+  so only the rows near a lattice point are evaluated;
+- grid: d_{n+1} = max(d_n, the distance at step n + 1), so each d_n ball is
+  carried to n + 1 and cut by the new step alone, and a step that moves no
+  orbit point repeats the bracket before it.
 """
 
 from __future__ import annotations
@@ -150,24 +162,33 @@ def _separated_count(far, circular: bool = True, G=None, s=0) -> tuple:
     return 1, G
 
 
-def _circle_prof(a: int, n: int, G: int, ks: np.ndarray) -> np.ndarray:
-    """d_n between circle grid points i and i+k for each gap k of ks:
-    prof[k] = max_{0<=i<=n} circdist(a^i * k / G), folded in floats."""
-    cur = np.array(ks, dtype=np.int64)
-    prof = np.zeros(len(cur))
-    for _ in range(n + 1):
-        frac = cur / G
-        np.maximum(prof, np.minimum(frac, 1.0 - frac), out=prof)
-        cur *= a
-        cur %= G
-    return prof
+def _circle_above(a: int, n: int, G: int, ks: np.ndarray,
+                  thr: float) -> np.ndarray:
+    """Whether d_n between circle grid points i and i+k exceeds thr, for
+    each gap 0 <= k < G of ks: prof[k] = max_{0<=i<=n} circdist(a^i k / G),
+    a max of n + 1 folds.  Fold i is the integer (a^i mod G) k mod G (both
+    factors are below G <= 2^24, so the int64 product stays below 2^48)
+    divided by G, the value the fold loop x -> a x mod G reaches.  The max
+    exceeds thr iff one fold does, so the folds are read from the last one
+    down, each only at the gaps that no later fold has decided."""
+    ks = np.asarray(ks, dtype=np.int64)
+    above = np.zeros(len(ks), dtype=bool)
+    rest = np.arange(len(ks))
+    for i in range(n, -1, -1):
+        frac = ks[rest] * pow(a, i, G) % G / G
+        hit = np.minimum(frac, 1.0 - frac) > thr
+        above[rest[hit]] = True
+        rest = rest[~hit]
+        if not rest.size:
+            break
+    return above
 
 
 def _circle_first_above(a: int, n: int, G: int, thr: float) -> int:
     """Least k in [1, G) with prof[k] > thr, or 0 if there is none (no circle
     distance exceeds 1/2).  Below K0 = ceil(G / (2 a^n)) no fold wraps or
     reaches 1/2, so prof[k] is the last fold fl(a^n k / G), monotone in k,
-    and is bisected; past K0 the profile is read in chunks."""
+    and is bisected; past K0 the flags are read in chunks."""
     if thr >= 0.5:
         return 0
     K0 = -(-G // (2 * a ** n)) if a > 0 else 1
@@ -176,7 +197,7 @@ def _circle_first_above(a: int, n: int, G: int, thr: float) -> int:
     if k < K0:
         return k
     for ks in _chunks(K0, G):
-        hit = _first_true(_circle_prof(a, n, G, ks) > thr)
+        hit = _first_true(_circle_above(a, n, G, ks, thr))
         if hit >= 0:
             return int(ks[hit])
     return 0
@@ -236,42 +257,87 @@ def _toral_tile_cover_count(A: np.ndarray, n: int, eps: float) -> dict:
             "rows": j1 - j0 + 1}
 
 
+def _toral_near_rows(vplus, h: float, J: int, R: float) -> np.ndarray:
+    """Mask of the rows j < J whose point j h vplus may lie within R of a
+    lattice point: for each (p, q) within R of the segment t vplus,
+    0 <= t <= (J - 1) h, the rows whose t lies on its chord of radius R,
+    padded by 2 rows each way.  These float projections and distances err
+    by far less than the 1e-9 by which callers pad R, or than one row."""
+    T = (J - 1) * h
+    ends = np.array([[0.0, 0.0], T * vplus])
+    lo = np.floor(ends.min(axis=0) - R).astype(int)
+    hi = np.ceil(ends.max(axis=0) + R).astype(int)
+    P = _grid_points([np.arange(lo[0], hi[0] + 1.0),
+                      np.arange(lo[1], hi[1] + 1.0)])
+    t = P @ vplus                                   # projections on the line
+    off = np.hypot(*(P - t[:, None] * vplus).T)     # distances to the line
+    along = np.clip(t, 0.0, T)
+    near = np.hypot(*(P - along[:, None] * vplus).T) <= R
+    mask = np.zeros(J, dtype=bool)
+    for tc, d in zip(t[near], off[near]):
+        w = math.sqrt(max(R * R - d * d, 0.0))
+        j0 = max(math.floor((tc - w) / h) - 2, 0)
+        mask[j0:max(math.ceil((tc + w) / h) + 3, j0)] = True
+    return mask
+
+
+def _line_separated_count(close: np.ndarray, J: int) -> tuple:
+    """_separated_count(far, circular=False) for the J flags far that are
+    False exactly at the rows of `close` (ascending): the multiples of a
+    spacing s below J are all far iff no row of close in [1, J) is one."""
+    close = close[(close >= 1) & (close < J)]
+    lead = np.flatnonzero(close != np.arange(1, len(close) + 1))
+    s = int(lead[0]) + 1 if lead.size else len(close) + 1   # the first far
+    while s < J and (close % s == 0).any():
+        s += 1
+    return (1 + (J - 1) // s, s) if s < J else (1, J)
+
+
 def _toral_line_separated(sys: DynSystem, n: int, eps: float) -> dict:
     """2*eps-separated set along the expanding eigendirection.  The map is
     linear mod 1, so dn between candidates j and j+m depends only on m; the
     1D arithmetic-progression search applies verbatim.
 
-    The search reads only whether dn(0, j) > 2*eps, so the line is walked in
-    chunks of rows and a row is stepped only while its running max is still
-    undecided.  Every value is elementwise and A is an integer matrix, so the
-    flags equal those of a full profile; halving J keeps the same points, so
-    it searches a prefix of the same flags."""
+    The search reads only whether dn(0, j) > 2*eps.  Step 0 decides a row
+    whose point is far from every lattice point: its float distance (the
+    products fl(j h) and fl(t vplus[i]), the wrap, the folds, squares and
+    sqrt, each rounding within an ulp of a value at most T = (J - 1) h <=
+    1/(2 eps), with T <= 1,000 since J <= 4,000,000) lies within about
+    1e-12 of the exact distance of j h vplus from Z^2, so a row more than
+    R = 2*eps + 1e-9 from every lattice point reads far at step 0 with no
+    evaluation (`_toral_near_rows`).  The other rows are walked in chunks,
+    and a row is stepped only while its running max is still undecided.
+    Every value is elementwise and A is an integer matrix, so the flags
+    equal those of a full profile; the search reads only the few rows that
+    are not far.  Halving J keeps the same points, so it searches a prefix
+    of the same flags."""
     A = sys.linear_matrix
     lam, vplus, _ = _toral_eigen(A)
     h = eps / (2.0 * lam ** n)
     L = 1.0 / (2.0 * eps)
     J = min(int(math.ceil(L / h)), 4_000_000)
-    far = np.empty(J, dtype=bool)
+    mask = _toral_near_rows(vplus, h, J, 2.0 * eps + 1e-9)
+    close = []
     for j0 in range(0, J, TORAL_LINE_CHUNK):
-        t = np.arange(j0, min(j0 + TORAL_LINE_CHUNK, J), dtype=float) * h
+        rows = j0 + np.flatnonzero(mask[j0:j0 + TORAL_LINE_CHUNK])
+        t = rows.astype(float) * h
         # step 0 on coordinates, in the float operations of _wrap and _dist
         x, y = _wrap(t * vplus[0]), _wrap(t * vplus[1])
         best = np.sqrt(np.minimum(x, 1.0 - x) ** 2
                        + np.minimum(y, 1.0 - y) ** 2)
-        done = best > 2.0 * eps
-        rows = np.flatnonzero(~done)
-        p, best = np.stack([x[rows], y[rows]], axis=1), best[rows]
+        keep = ~(best > 2.0 * eps)
+        rows, p, best = rows[keep], np.stack([x, y], axis=1)[keep], best[keep]
         for _ in range(n):
             if not rows.size:
                 break
             p = sys.step(p)
             best = np.maximum(best, _dist("toroidal", p.T, 0.0))
-            hit = best > 2.0 * eps
-            done[rows[hit]] = True
-            rows, p, best = rows[~hit], p[~hit], best[~hit]
-        far[j0:j0 + len(done)] = done
+            keep = ~(best > 2.0 * eps)
+            rows, p, best = rows[keep], p[keep], best[keep]
+        close.append(rows)
+    close = np.concatenate(close)
     while True:
-        count, spacing = _separated_count(far[:J], circular=False)
+        count, spacing = _line_separated_count(close, J)
         if count > 1 or J < 64:
             return {"count": count, "spacing": spacing, "J": J, "h": h}
         J //= 2
@@ -293,16 +359,23 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _dn_balls(orbit: np.ndarray, metric: str, axes, r: float):
+def _dn_balls(orbit: np.ndarray, metric: str, axes, r: float, memo=None):
     """ball(idx): the indices j with d_n(idx, j) <= r on the product grid over
     `axes`, whose point j has the orbit orbit[j] (shape (n+1, dim)).  d_n
     bounds every step-0 coordinate gap, and c index steps along an axis span
     at least c*h (h its least spacing; on a torus, with the wrap gap, stepping
     cyclically), so j lies within r/h steps, padded against rounding, of idx
     on each axis; d_n itself is computed on that window only (a torus axis
-    shorter than the window repeats indices)."""
+    shorter than the window repeats indices).
+
+    `memo` maps a centre to (m, its ball in d_{m-1}) and takes each ball
+    computed here.  d_n = max(d_{m-1}, the distances at steps m..n), and a
+    max of floats is exact, so a memo ball cut by those steps alone is the
+    ball in d_n."""
     torus = metric == "toroidal"
     shape = [len(ax) for ax in axes]
+    steps = orbit.shape[1]
+    memo = {} if memo is None else memo
     win = []
     for ax, m in zip(axes, shape):
         h = np.diff(np.append(ax, ax[0] + 1.0) if torus else ax).min(
@@ -311,25 +384,45 @@ def _dn_balls(orbit: np.ndarray, metric: str, axes, r: float):
         win.append((w, np.arange(-w, m + w) % m if torus else np.arange(m)))
 
     def ball(idx):
-        cand = np.zeros(1, dtype=np.intp)
-        for i, m, (w, ext) in zip(np.unravel_index(idx, shape), shape, win):
-            ix = ext[i:i + 2 * w + 1] if torus else ext[max(i - w, 0):i + w + 1]
-            cand = (cand[:, None] * m + ix).ravel()
-        d = _dist(metric, orbit[idx].T[..., None], orbit.take(cand, axis=0).T)
-        return cand[reduce(np.maximum, d) <= r]     # max over the steps
+        m, cand = memo.get(idx, (0, None))
+        if cand is None:
+            cand = np.zeros(1, dtype=np.intp)
+            for i, c, (w, ext) in zip(np.unravel_index(idx, shape), shape,
+                                      win):
+                ix = (ext[i:i + 2 * w + 1] if torus
+                      else ext[max(i - w, 0):i + w + 1])
+                cand = (cand[:, None] * c + ix).ravel()
+        if m < steps:
+            d = _dist(metric, orbit[idx, m:].T[..., None],
+                      orbit[cand, m:].T)
+            cand = cand[reduce(np.maximum, d) <= r]     # max over the steps
+            memo[idx] = (steps, cand)
+        return cand
     return ball
 
 
 def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
     """Yield the bracket {M_lower, M_upper, meta} of M(f, n, eps) for each n
-    of the ascending `n_values`, walking each orbit once.
+    of the ascending `n_values`, walking each orbit once.  Each path skips
+    the work whose outcome is already fixed, with the same bits in every
+    flag, ball and count:
 
-    The circle path reads its gap profile at n only at the gaps that decide
-    the bracket.  d_n only grows with n, so the grid path adds one orbit step
-    per n and carries its 2*eps-separated set forward (it stays separated, so
-    M_lower never falls).  The toral tiling and line search are sized per n.
-    The grid path computes d_n only on a window of grid indices about each
-    ball's centre (`_dn_balls`)."""
+    - circle (x -> a x on G grid points): d_n between points i and i+k
+      depends on the gap k alone.  The cover width and the first spacing are
+      bisected on the monotone prefix below K0 (`_circle_first_above`), and
+      every other flag is decided by its folds from the last one down, each
+      read only where no later fold exceeds the threshold (`_circle_above`).
+    - toral line: a row whose point lies more than 2*eps + 1e-9 from every
+      lattice point is far at step 0 and is never evaluated, and the spacing
+      search reads only the rows that are not far
+      (`_toral_line_separated`); the tiling is counted in closed form.
+    - grid (any other map): d_n only grows with n, so the 2*eps-separated
+      set is carried forward (it stays separated, so M_lower never falls),
+      and each d_n ball, found first on a window of grid indices about its
+      centre, is carried to the next n and cut by the new steps alone
+      (`_dn_balls`, one memo per radius).  A step that leaves every orbit
+      point bitwise where it was adds nothing to d_n: the bracket of the
+      n before is yielded again."""
     if resolution > eps / 4.0 + 1e-15:
         raise GridTooCoarse(
             f"resolution {resolution} exceeds eps/4 = {eps / 4.0}")
@@ -337,7 +430,7 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         raise PreconditionFailed(f"n={n_values[-1]} exceeds iteration cap")
     circle = sys.linear_multiplier is not None and sys.dim == 1
     if circle:
-        # d_n between grid points i and i+k depends only on k: `_circle_prof`
+        # d_n between grid points i and i+k depends only on k: `_circle_above`
         a, G = sys.linear_multiplier, max(int(round(1.0 / resolution)), 8)
         if G > CIRCLE_GRID_CAP:
             raise PreconditionFailed(
@@ -346,7 +439,7 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
         axes = _grid_axes(sys.box, resolution, sys.metric == "toroidal")
         orbits = [_grid_points(axes)]
         N = len(orbits[0])
-        chosen = []
+        chosen, cover_memo, sep_memo, last = [], {}, {}, None
 
     for n in n_values:
         if circle:
@@ -354,7 +447,7 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
             width = (_circle_first_above(a, n, G, eps) or G) - 1
             M_upper = -(-G // (2 * width + 1))
             M_lower, spacing = _separated_count(
-                lambda ks: _circle_prof(a, n, G, ks) > 2.0 * eps, G=G,
+                lambda ks: _circle_above(a, n, G, ks, 2.0 * eps), G=G,
                 s=_circle_first_above(a, n, G, 2.0 * eps))
             meta = {"path": "circle-linear", "grid": G,
                     "cover_halfwidth": width, "sep_spacing": spacing}
@@ -364,17 +457,24 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
             M_lower, M_upper = lo["count"], up["count"]
             meta = {"path": "toral-linear", "tile": up, "line": lo}
         else:
+            seen = len(orbits)
             while len(orbits) <= n:
                 orbits.append(sys.step(orbits[-1]))
+            if last is not None and all(
+                    np.array_equal(o, orbits[seen - 1])
+                    for o in orbits[seen:n + 1]):
+                yield last
+                continue
             orbit = np.stack(orbits, axis=1)
-            ball = _dn_balls(orbit, sys.metric, axes, eps + 1e-12)
+            ball = _dn_balls(orbit, sys.metric, axes, eps + 1e-12,
+                             cover_memo)
             covered = np.zeros(N, dtype=bool)
             M_upper = 0
             for idx in range(N):
                 if not covered[idx]:
                     covered[ball(idx)] = True
                     M_upper += 1
-            ball = _dn_balls(orbit, sys.metric, axes, 2.0 * eps)
+            ball = _dn_balls(orbit, sys.metric, axes, 2.0 * eps, sep_memo)
             blocked = np.zeros(N, dtype=bool)
             for idx in chosen:
                 blocked[ball(idx)] = True
@@ -384,11 +484,16 @@ def _brackets(sys: DynSystem, n_values, eps: float, resolution: float):
                     blocked[ball(idx)] = True
             M_lower = len(chosen)
             meta = {"path": "grid-greedy", "grid_points": N}
+            # only this n's centres stay, so a memo holds one greedy's balls
+            cover_memo = {k: v for k, v in cover_memo.items()
+                          if v[0] > n}
+            sep_memo = {k: v for k, v in sep_memo.items() if v[0] > n}
         if M_lower > M_upper:
             raise CoverTestFailed(
                 f"{sys.name}: a {M_lower}-point 2*eps-separated set exceeds "
                 f"a {M_upper}-ball eps-cover at n={n}, eps={eps}")
-        yield {"M_lower": M_lower, "M_upper": M_upper, "meta": meta}
+        last = {"M_lower": M_lower, "M_upper": M_upper, "meta": meta}
+        yield last
 
 
 def covering_number(sys: DynSystem, n: int, eps: float,

@@ -29,10 +29,10 @@ from .poly import Poly, _fr, complex_roots, isolate_roots
 EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
 BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
 CONTINUATION_RESIDUAL = 1e-10        # |P(x, y)| accepted on the curve
-CONTINUATION_STEP_FLOOR = 1e-12      # smallest continuation step
+CONTINUATION_STEP_FLOOR = 1e-12      # smallest step, times max(1, |x|)
 CONTINUATION_CACHE_CAP = 100_000     # real-axis values a tracker caches
 CONTINUATION_ROUND_CAP = 1_000       # corrector rounds in one walk
-_U = 2.0 ** -53                      # unit roundoff, for _disk_test
+_U = 2.0 ** -53                      # unit roundoff, for the corrector
 
 
 def _sqrt_exact(v: Fraction):
@@ -419,7 +419,12 @@ def _newton(cs, w):
     column of the coefficients cs, from the start values w: returns
     (wn, conv).  An element stops after 50 iterations or once its step is
     at most 1e-15 max(1, |w|); conv is False where the derivative vanished
-    or the final residual is not at most CONTINUATION_RESIDUAL (NaN is not).
+    or the final residual exceeds both CONTINUATION_RESIDUAL and
+    16 (n + 1) u H, H = sum_j |cs[j]| |wn|^j finite: Horner's rule rounds
+    within 2n u H (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 5.1), so far from 0 rounding alone can exceed the absolute
+    bound.  H is formed only where the absolute test fails; a NaN residual
+    fails both.
 
     cs, w and wn are (real, imag) pairs or, on the real axis, 1-tuples
     (BranchTracker._correct).  Products round as Python's complex product
@@ -450,8 +455,15 @@ def _newton(cs, w):
                 break
     for v, a in zip(wn, aw):
         v[act] = a
-    conv &= _abs(_polyval(p, wn)) <= CONTINUATION_RESIDUAL
-    return wn, conv
+    res = _abs(_polyval(p, wn))
+    ok = res <= CONTINUATION_RESIDUAL
+    far = np.flatnonzero(conv & ~ok)
+    if far.size:
+        a, H = _abs(tuple(v[far] for v in wn)), 0.0
+        for c in p:
+            H = H * a + _abs(tuple(v[far] for v in c))
+        ok[far] = np.isfinite(H) & (res[far] <= 16 * (n + 1) * _U * H)
+    return wn, conv & ok
 
 
 def _disk_test(cs, w, wn):
@@ -637,10 +649,12 @@ class BranchTracker:
         """_advance's next step from z toward z1 (complex arrays), d being
         the distance from z to the nearest singular point: (step, |z1 - z|,
         |step|), with step = (z1 - z) / |z1 - z| * min(|z1 - z|, max(d / 2,
-        CONTINUATION_STEP_FLOOR)) rounded as Python's complex arithmetic."""
+        CONTINUATION_STEP_FLOOR max(1, |z|))) rounded as Python's complex
+        arithmetic."""
         rem = (z1.real - z.real, z1.imag - z.imag)
         ab = np.hypot(*rem)
-        sl = np.minimum(ab, np.fmax(d / 2, CONTINUATION_STEP_FLOOR))
+        sl = np.minimum(ab, np.fmax(d / 2, CONTINUATION_STEP_FLOOR
+                                    * np.fmax(1.0, np.abs(z))))
         with np.errstate(all="ignore"):     # ab = 0: _advance is done
             return _pack(*_mul(_pydiv(rem, (ab, 0.0)), (sl, 0.0))), ab, sl
 
@@ -648,7 +662,8 @@ class BranchTracker:
         """Track each (z0[i], w0[i]) to x = z1[i] (complex arrays) point by
         point, all in lockstep: steps of at most half the distance to the
         nearest singular point, each halved while the corrector rejects it,
-        down to CONTINUATION_STEP_FLOOR; a walk that needs more than
+        down to CONTINUATION_STEP_FLOOR max(1, |z|), which stays above one
+        ulp of z; a walk that needs more than
         CONTINUATION_ROUND_CAP corrector rounds fails with BranchJump.  The
         step arithmetic rounds as Python's complex arithmetic.  Returns
         (w1, errs, roots, halved):
@@ -696,7 +711,7 @@ class BranchTracker:
                                               complex(wn[j]))
                 a = act[ok]
                 z[a], w[a], d[a], fresh[a] = zn[ok], wn[ok], dn[ok], True
-                lost = ~ok & (h / 2 < floor)
+                lost = ~ok & (h / 2 < floor * np.fmax(1.0, np.abs(z[act])))
                 for j in np.flatnonzero(lost):
                     errs[act[j]] = BranchJump(
                         f"corrector lost the branch near x = {complex(zn[j])}")

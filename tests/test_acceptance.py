@@ -21,7 +21,9 @@ from smoothparam.bp import (bp_for_degree, brute_force_points,
 from smoothparam.charts import verify_ck_chart
 from smoothparam.ck_param import hyperbola_parametrization, kill_derivative_step
 from smoothparam.config import DEFAULT
-from smoothparam.entropy import doubling_system, entropy_sweep, identity_system
+from smoothparam.entropy import (doubling_system, entropy_sweep,
+                                 identity_system, polynomial_system,
+                                 toral_system)
 from smoothparam.funcs import MulExpr, RationalExpr, SqrtExpr
 from smoothparam.poly import Poly
 from smoothparam.remez import (curve_gradient_floor, empirical_remez_constant,
@@ -40,6 +42,14 @@ ENTROPY_SHA256 = {
     "doubling": (
         "573d591d8e37ad28ebe01cef44f5089e47d86e902ef9f252f4e0a5dc277700a5",
         "7aeb7f1bf54be32fdedf2194a3c1c5435f92ba94dfb82bc72c3542e946d5d0a8"),
+    # the benchmark's ranges, pinned before the toral screen and the carried
+    # grid balls
+    "toral": (
+        "351c009f6a03fa276a1d65b091f2012ae2efeb6545a82e23fbcc360f90788021",
+        "167ea47f49e6c0b4d12194b6b7cd6645443b78480235af1da079f98c207ac1f9"),
+    "polynomial": (
+        "fa9176ae15c64e5a3f637e92702b52950cfa435aab88b0183ace0fe1303b2d54",
+        "d4629f294aa59ad48b32f49322d73d315fcc4e31f59ec9a17b49d921f1d34708"),
 }
 
 
@@ -237,3 +247,16 @@ def test_acceptance_10_entropy():
                         (dumps(entropy_report_to_json(rep)), rep.to_csv()))
         assert digests == ENTROPY_SHA256[rep.system]
     assert time.perf_counter() - t0 < 120.0
+
+
+@pytest.mark.parametrize("system, ns, eps_values", [
+    (toral_system, range(1, 9), [1 / 10, 1 / 20]),
+    (polynomial_system, range(1, 5), [1 / 10]),
+])
+def test_entropy_sweeps_of_the_benchmark_ranges_are_pinned(system, ns,
+                                                           eps_values):
+    rep = entropy_sweep(system(), list(ns), eps_values)
+    assert rep.check_invariants() == []
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                    (dumps(entropy_report_to_json(rep)), rep.to_csv()))
+    assert digests == ENTROPY_SHA256[rep.system]

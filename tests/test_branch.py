@@ -122,8 +122,14 @@ def _scalar_newton(cs, w0):
         w = w - step
         if abs(step) <= 1e-15 * max(1.0, abs(w)):
             break
-    if not abs(_horner(p, w)) <= funcs.CONTINUATION_RESIDUAL:
-        return None
+    res = abs(_horner(p, w))
+    if not res <= funcs.CONTINUATION_RESIDUAL:
+        # the rounding scale of Horner's rule, where the absolute test fails
+        H = 0.0
+        for c in p:
+            H = H * abs(w) + abs(c)
+        if not (math.isfinite(H) and res <= 16 * len(p) * _U * H):
+            return None
     return w
 
 
@@ -161,7 +167,7 @@ class _Oracle:
         d = self._min_sing_dist(z)
         remaining, rounds = z1 - z, 0
         while abs(remaining) > 0:
-            step_len = min(abs(remaining), max(d / 2, floor))
+            step_len = min(abs(remaining), max(d / 2, floor * max(1.0, abs(z))))
             step = remaining / abs(remaining) * step_len
             while True:
                 zn = z + step
@@ -175,7 +181,7 @@ class _Oracle:
                 wn = _scalar_newton(cs, w)
                 if wn is not None and self._on_sheet(cs, w, wn, step):
                     break
-                if abs(step) / 2 < floor:
+                if abs(step) / 2 < floor * max(1.0, abs(z)):
                     raise BranchJump(f"near {zn}")
                 step /= 2
                 self.halvings += 1
@@ -686,14 +692,61 @@ _FIBRE = BivarPoly({(0, 3): 1, (1, 1): 1, (0, 1): 1, (2, 0): -1, (1, 0): 2,
                     (0, 0): -2})
 
 
-@pytest.mark.parametrize("P, seed, x", [(_FAR, (1.0, math.sqrt(23 / 4)), 1e5),
+def _nearest_root(g, y):
+    """The float nearest the root of g, increasing, from the float y: exact
+    signs of g at the midpoints between y and its neighbours."""
+    while True:
+        lo, hi = math.nextafter(y, -math.inf), math.nextafter(y, math.inf)
+        if g((F(lo) + F(y)) / 2) > 0:
+            y = lo
+        elif g((F(y) + F(hi)) / 2) < 0:
+            y = hi
+        else:
+            return y
+
+
+def _far_root(x):
+    r = F(x) ** 3 + F(x) / 2 + F(17, 4)
+    return _nearest_root(lambda y: y * y - r, math.sqrt(r))
+
+
+def _fibre_root(x):
+    near = max(np.roots([1.0, 0.0, x + 1.0, -(x * x - 2 * x + 2)]).real)
+    x = F(x)
+    return _nearest_root(lambda y: y ** 3 + (x + 1) * y - x * x + 2 * x - 2,
+                         float(near))
+
+
+_FAR_SEED = (1.0, math.sqrt(23 / 4))
+
+
+@pytest.mark.parametrize("P, seed, x", [(_FAR, _FAR_SEED, 1e5),
                                         (_FIBRE, (0.0, 1.0), 1e6)])
 def test_a_walk_past_the_round_cap_is_a_branch_jump(P, seed, x):
-    # far from the seed the corrector's steps keep failing and halving; the
-    # walk ends at CONTINUATION_ROUND_CAP rounds, well within a second
-    with pytest.raises(BranchJump, match="corrector rounds"):
-        BranchExpr(P, seed).eval_array(np.array([x]))
-    _check_real((P, seed), [[x]], False)
+    # far from the seed these walks take 29 and 38 corrector rounds; under a
+    # cap of 20 they end there, well within a second, and under the real cap
+    # they reach the root of their fibre
+    root = _far_root if P is _FAR else _fibre_root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcs, "CONTINUATION_ROUND_CAP", 20)
+        with pytest.raises(BranchJump, match="corrector rounds"):
+            BranchExpr(P, seed).eval_array(np.array([x]))
+        _check_real((P, seed), [[x]], False)
+    y = BranchExpr(P, seed).eval_array(np.array([x]))[0]
+    assert abs(y - root(x)) <= 2 * math.ulp(y)
+
+
+@pytest.mark.parametrize("xs", [np.linspace(1.0, 200.0, 4096),
+                                [100.0], [1e3], [3e3], [2e4], [1e5]])
+def test_a_smooth_branch_evaluates_far_from_its_seed(xs):
+    # from x ~ 81 on, the terms of P round by more than 1e-10: the corrector
+    # accepts a residual at the scale of that rounding
+    xs = np.array(xs, dtype=float)
+    ys = BranchExpr(_FAR, _FAR_SEED).eval_array(xs)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        assert abs(y - _far_root(x)) <= 4 * math.ulp(y)
+    if len(xs) == 1:
+        _check_real((_FAR, _FAR_SEED), [xs], False)
 
 
 def _check_path(br, zs, deriv):

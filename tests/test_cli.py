@@ -328,6 +328,9 @@ _SQRT_2_PLUS_X = {"function": {"kind": "sqrt", "inner": {
     "kind": "rational", "num": ["2", "1"], "den": ["1"]}}, "interval": ["0", "1"]}
 _PEAK = {"function": {"kind": "rational", "num": ["1"],
                       "den": ["1/1000000", "0", "1"]}, "interval": ["-1", "1"]}
+_X_SQRT_X = {"function": {"kind": "mul", "f": _X,
+                          "g": {"kind": "sqrt", "inner": _X}},
+             "interval": ["0", "1"]}
 
 
 @pytest.mark.parametrize("doc, argv, typed, named", [
@@ -345,6 +348,13 @@ _PEAK = {"function": {"kind": "rational", "num": ["1"],
      "ball count above 10^9 on an interval of length 2.0: ball radius e^-"),
     (_PEAK, ["count-points", "--d", "9"], "PreconditionFailed",
      "the order-54 derivative bound M_k is not finite"),
+    # the sampling stops at the first order that overflows (45 of 152)
+    (_PEAK, ["count-points", "--d", "16"], "PreconditionFailed",
+     "the order-152 derivative bound M_k is not finite"),
+    # x sqrt(x) has f'' = 3/(4 sqrt x): its derivatives sample NaN at x = 0,
+    # which a max over the samples once skipped
+    (_X_SQRT_X, ["count-points", "--t", "50", "--d", "2"],
+     "PreconditionFailed", "the order-5 derivative bound M_k is not finite"),
 ])
 def test_spec_functions_a_route_cannot_take_are_typed_errors(
         doc, argv, typed, named, tmp_path, capsys):

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from smoothparam import entropy
 from smoothparam.entropy import (DynSystem, EntropyReport, _brackets,
-                                 _circle_first_above, _dn_balls,
-                                 _first_true, _grid_axes, _grid_points,
+                                 _circle_above, _circle_first_above,
+                                 _dn_balls, _first_true, _grid_axes,
+                                 _grid_points, _line_separated_count,
                                  _separated_count, _toral_eigen,
                                  _toral_line_separated, _wrap,
                                  covering_number, doubling_system,
@@ -419,3 +420,100 @@ def test_sweep_rejects_a_repeated_n():
     # h divides by n - n_min, which a repeated base row makes 0
     with pytest.raises(PreconditionFailed, match="n_values"):
         entropy_sweep(doubling_system(), [1, 1, 2], [0.1])
+
+
+@settings(max_examples=60)
+@given(a=st.integers(-3, 3), G=st.integers(8, 1 << 16), n=st.integers(0, 20),
+       thr=st.floats(0.0, 0.55),
+       ks=st.lists(st.integers(0, (1 << 16) - 1), min_size=1, max_size=64))
+@example(a=2, G=90, n=3, thr=0.48, ks=[6])   # the last fold wraps past 1/2
+@example(a=2, G=4096, n=12, thr=0.0, ks=[0, 4095])
+def test_circle_flags_from_the_last_fold_match_the_full_profile(a, G, n, thr,
+                                                                ks):
+    ks = np.array(ks) % G
+    prof = _circle_profile_oracle(a, n, G)
+    assert _circle_above(a, n, G, ks, thr).tolist() == (prof[ks] > thr).tolist()
+
+
+def _toral_flags_oracle(sys, n, eps, J):
+    """dn(0, j) > 2*eps for every row j < J, every row stepped n times."""
+    lam, vplus, _ = _toral_eigen(sys.linear_matrix)
+    p = _wrap(np.outer(np.arange(J, dtype=float) * (eps / (2.0 * lam ** n)),
+                       vplus))
+    prof = _rows_dist("toroidal", p, np.zeros(2))
+    for _ in range(n):
+        p = sys.step(p)
+        prof = np.maximum(prof, _rows_dist("toroidal", p, np.zeros(2)))
+    return prof > 2.0 * eps
+
+
+@settings(max_examples=30)
+@given(eps=st.floats(1 / 64, 1 / 4), n=st.integers(0, 8))
+@example(eps=1 / 20, n=6)
+@example(eps=1 / 64, n=3)
+def test_toral_screen_keeps_every_row_flag(eps, n):
+    # rows far from every lattice point are never evaluated; the flags the
+    # spacing search reads are still those of every row stepped n times
+    sys = toral_system()
+    lam = _toral_eigen(sys.linear_matrix)[0]
+    n = min(n, int(math.log(300_000 * eps * eps) / math.log(lam)))
+    seen = []
+    count = entropy._line_separated_count
+
+    def spy(close, J):
+        seen.append((close.copy(), J))
+        return count(close, J)
+    with mock.patch.object(entropy, "_line_separated_count", spy):
+        _toral_line_separated(sys, n, eps)
+    close, J = seen[0]
+    far = np.ones(J, dtype=bool)
+    far[close] = False
+    assert far.tolist() == _toral_flags_oracle(sys, n, eps, J).tolist()
+
+
+@given(close=st.lists(st.integers(0, 80), max_size=12, unique=True),
+       J=st.integers(1, 90))
+@example(close=[1, 2, 3], J=4)            # no far row below J
+@example(close=[], J=1)
+def test_line_count_from_the_close_rows_matches_the_flag_scan(close, J):
+    far = np.ones(J, dtype=bool)
+    far[[j for j in close if j < J]] = False
+    assert _line_separated_count(np.array(sorted(close), dtype=np.int64),
+                                 J) == _separated_count(far, circular=False)
+
+
+def _settling():
+    """Orbits that move for at most four steps, then stay bitwise put."""
+    return DynSystem(name="settling", dim=2,
+                     step=lambda p: np.minimum(p + 0.25, 1.0),
+                     metric="euclidean", box=((0.0, 1.0), (0.0, 1.0)))
+
+
+@settings(max_examples=30)
+@given(which=st.sampled_from(["identity", "polynomial", "skew", "settling"]),
+       ns=st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+       eps=st.sampled_from([1 / 4, 1 / 6, 1 / 10]),
+       data=st.data())
+@example(which="settling", ns=[0, 2, 5, 6], eps=1 / 6, data=_draws([0, 7]))
+def test_carried_balls_equal_fresh_window_scans(which, ns, eps, data):
+    sys = {"identity": identity_system(), "polynomial": polynomial_system(),
+           "skew": _skew_torus(), "settling": _settling()}[which]
+    axes = _grid_axes(sys.box, eps / 4.0, sys.metric == "toroidal")
+    orbits = [_grid_points(axes)]
+    N = len(orbits[0])
+    idxs = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=8))
+    memos = {eps + 1e-12: {}, 2.0 * eps: {}}
+    for n in sorted(ns):
+        while len(orbits) <= n:
+            orbits.append(sys.step(orbits[-1]))
+        orbit = np.stack(orbits, axis=1)
+        for r, memo in memos.items():
+            carried = _dn_balls(orbit, sys.metric, axes, r, memo)
+            fresh = _dn_balls(orbit, sys.metric, axes, r)
+            for idx in idxs:
+                assert carried(idx).tolist() == fresh(idx).tolist()
+    if which == "settling":      # a step that moves nothing repeats a bracket
+        ns = sorted(ns)
+        got = list(_brackets(sys, ns, eps, eps / 4.0))
+        assert [(b["M_lower"], b["M_upper"]) for b in got] == \
+            list(_grid_greedy_oracle(sys, ns, eps, eps / 4.0))

@@ -75,6 +75,8 @@ CALLS = [
                           "xsqrtx.json", "--csv", "count-csv-xsqrtx.csv"]),
     ("count-csv-pole", ["count-points", "--t", "61", "--spec", "pole.json",
                         "--csv", "count-csv-pole.csv"]),
+    ("count-xsqrtx-d2", ["count-points", "--spec", "xsqrtx.json", "--t", "50",
+                         "--d", "2"]),
     ("remez-classical", ["remez", "--classical"]),
     ("remez-classical-d3", ["remez", "--classical", "--d1", "3",
                             "--samples", "199"]),
@@ -87,6 +89,15 @@ CALLS = [
     ("entropy-identity", ["entropy", "--system", "identity", "--n-max", "12"]),
     ("entropy-toral", ["entropy", "--system", "toral", "--n-min", "3",
                        "--n-max", "8"]),
+    # the n ranges of the benchmark's entropy jobs, each at its widest
+    ("entropy-toral-bench", ["entropy", "--system", "toral", "--n-min", "1",
+                             "--n-max", "8"]),
+    ("entropy-polynomial-bench", ["entropy", "--system", "polynomial",
+                                  "--eps-list", "1/10", "--n-max", "4"]),
+    ("entropy-identity-bench", ["entropy", "--system", "identity",
+                                "--n-max", "20"]),
+    ("entropy-doubling-bench", ["entropy", "--system", "doubling",
+                                "--n-min", "2", "--n-max", "12"]),
 ]
 
 # Branches of y^2 = x^3 + a x + b from the `curves` benchmark family (the
@@ -94,7 +105,9 @@ CALLS = [
 # analytic artifacts for two curves; a complex path on y^2 = x^3 + 1 that
 # starts at the seed's x and repeats points (zero-length steps); and the
 # branch of y^3 + y - x through x = 1/2 on a grid through 0.0 and -0.0,
-# where the value is exactly 0.
+# where the value is exactly 0; and a 4,096-point grid on [1, 200] of the
+# curve y^2 = x^3 + x/2 + 17/4, whose terms there reach ~10^7 (an error is
+# logged in place of its file).
 BRANCH_SCRIPT = """
 import math
 from fractions import Fraction as F
@@ -133,6 +146,13 @@ y0 = 0.42385379906978327        # y^3 + y = 1/2
 f = BranchExpr(BivarPoly({(0, 3): 1, (0, 1): 1, (1, 0): -1}), (0.5, y0))
 xs = np.concatenate([np.linspace(-1.0, 1.0, 257), [-0.0, 0.0, 5e-324]])
 save("branch-y3.hex", f, f.eval_array(xs).tobytes().hex())
+f = cubic(F(1, 2), F(17, 4))
+try:
+    ys = f.eval_array(np.linspace(1.0, 200.0, 4096))
+except Exception as e:
+    print("branch-far.hex", type(e).__name__, e)
+else:
+    save("branch-far.hex", f, ys.tobytes().hex())
 """
 
 
