@@ -9,16 +9,11 @@ structure-aware fast paths (translation invariance makes d_n a function of
 the gap alone) so the bracket stays resolved at iteration depths where a
 naive grid would saturate.
 
-Each path computes only the evidence that decides its bracket, and every
-flag, ball and count has the bits of the full computation:
-- circle: a gap's d_n is a max of folds, so it exceeds a threshold at the
-  first fold that does; the folds are read from the last one down;
-- toral line: a row whose point lies more than 2*eps + 1e-9 from every
-  lattice point is far at step 0 (its float distance errs by about 1e-12),
-  so only the rows near a lattice point are evaluated;
-- grid: d_{n+1} = max(d_n, the distance at step n + 1), so each d_n ball is
-  carried to n + 1 and cut by the new step alone, and a step that moves no
-  orbit point repeats the bracket before it.
+Each path computes only the evidence that decides its bracket, with the
+bits of the full computation (`_brackets`): circle flags from the last fold
+down, toral line rows screened by their distance to the lattice (a float
+error of about 1e-12 against a 1e-9 pad), and grid d_n balls carried to
+n + 1 and cut by the new step alone.
 """
 
 from __future__ import annotations
@@ -259,23 +254,19 @@ def _toral_tile_cover_count(A: np.ndarray, n: int, eps: float) -> dict:
 
 def _toral_near_rows(vplus, h: float, J: int, R: float) -> np.ndarray:
     """Mask of the rows j < J whose point j h vplus may lie within R of a
-    lattice point: for each (p, q) within R of the segment t vplus,
-    0 <= t <= (J - 1) h, the rows whose t lies on its chord of radius R,
-    padded by 2 rows each way.  These float projections and distances err
+    lattice point: for each (p, q) in the box about the segment t vplus,
+    0 <= t <= (J - 1) h, padded by R, and within R of its line, the rows
+    whose t lies on its chord of radius R, padded by 2 rows each way.  These float projections and distances err
     by far less than the 1e-9 by which callers pad R, or than one row."""
-    T = (J - 1) * h
-    ends = np.array([[0.0, 0.0], T * vplus])
-    lo = np.floor(ends.min(axis=0) - R).astype(int)
-    hi = np.ceil(ends.max(axis=0) + R).astype(int)
+    ends = np.array([[0.0, 0.0], (J - 1) * h * vplus])
+    lo, hi = np.floor(ends.min(axis=0) - R), np.ceil(ends.max(axis=0) + R)
     P = _grid_points([np.arange(lo[0], hi[0] + 1.0),
                       np.arange(lo[1], hi[1] + 1.0)])
     t = P @ vplus                                   # projections on the line
     off = np.hypot(*(P - t[:, None] * vplus).T)     # distances to the line
-    along = np.clip(t, 0.0, T)
-    near = np.hypot(*(P - along[:, None] * vplus).T) <= R
     mask = np.zeros(J, dtype=bool)
-    for tc, d in zip(t[near], off[near]):
-        w = math.sqrt(max(R * R - d * d, 0.0))
+    for tc, d in zip(t[off <= R], off[off <= R]):
+        w = math.sqrt(R * R - d * d)
         j0 = max(math.floor((tc - w) / h) - 2, 0)
         mask[j0:max(math.ceil((tc + w) / h) + 3, j0)] = True
     return mask
@@ -368,8 +359,8 @@ def _dn_balls(orbit: np.ndarray, metric: str, axes, r: float, memo=None):
     on each axis; d_n itself is computed on that window only (a torus axis
     shorter than the window repeats indices).
 
-    `memo` maps a centre to (m, its ball in d_{m-1}) and takes each ball
-    computed here.  d_n = max(d_{m-1}, the distances at steps m..n), and a
+    `memo` maps a centre to (k, its ball in d_{k-1}) and takes each ball
+    computed here.  d_n = max(d_{k-1}, the distances at steps k..n), and a
     max of floats is exact, so a memo ball cut by those steps alone is the
     ball in d_n."""
     torus = metric == "toroidal"
@@ -384,17 +375,16 @@ def _dn_balls(orbit: np.ndarray, metric: str, axes, r: float, memo=None):
         win.append((w, np.arange(-w, m + w) % m if torus else np.arange(m)))
 
     def ball(idx):
-        m, cand = memo.get(idx, (0, None))
+        k, cand = memo.get(idx, (0, None))
         if cand is None:
             cand = np.zeros(1, dtype=np.intp)
-            for i, c, (w, ext) in zip(np.unravel_index(idx, shape), shape,
+            for i, m, (w, ext) in zip(np.unravel_index(idx, shape), shape,
                                       win):
                 ix = (ext[i:i + 2 * w + 1] if torus
                       else ext[max(i - w, 0):i + w + 1])
-                cand = (cand[:, None] * c + ix).ravel()
-        if m < steps:
-            d = _dist(metric, orbit[idx, m:].T[..., None],
-                      orbit[cand, m:].T)
+                cand = (cand[:, None] * m + ix).ravel()
+        if k < steps:
+            d = _dist(metric, orbit[idx, k:].T[..., None], orbit[cand, k:].T)
             cand = cand[reduce(np.maximum, d) <= r]     # max over the steps
             memo[idx] = (steps, cand)
         return cand

@@ -167,7 +167,8 @@ class _Oracle:
         d = self._min_sing_dist(z)
         remaining, rounds = z1 - z, 0
         while abs(remaining) > 0:
-            step_len = min(abs(remaining), max(d / 2, floor * max(1.0, abs(z))))
+            step_len = min(abs(remaining),
+                           max(d / 2, floor * max(1.0, abs(z))))
             step = remaining / abs(remaining) * step_len
             while True:
                 zn = z + step

@@ -432,7 +432,8 @@ def test_circle_flags_from_the_last_fold_match_the_full_profile(a, G, n, thr,
                                                                 ks):
     ks = np.array(ks) % G
     prof = _circle_profile_oracle(a, n, G)
-    assert _circle_above(a, n, G, ks, thr).tolist() == (prof[ks] > thr).tolist()
+    assert _circle_above(a, n, G, ks, thr).tolist() == \
+        (prof[ks] > thr).tolist()
 
 
 def _toral_flags_oracle(sys, n, eps, J):
