@@ -256,8 +256,9 @@ def _toral_near_rows(vplus, h: float, J: int, R: float) -> np.ndarray:
     """Mask of the rows j < J whose point j h vplus may lie within R of a
     lattice point: for each (p, q) in the box about the segment t vplus,
     0 <= t <= (J - 1) h, padded by R, and within R of its line, the rows
-    whose t lies on its chord of radius R, padded by 2 rows each way.  These float projections and distances err
-    by far less than the 1e-9 by which callers pad R, or than one row."""
+    whose t lies on its chord of radius R, padded by 2 rows each way.  These
+    float projections and distances err by far less than the 1e-9 by which
+    callers pad R, or than one row."""
     ends = np.array([[0.0, 0.0], (J - 1) * h * vplus])
     lo, hi = np.floor(ends.min(axis=0) - R), np.ceil(ends.max(axis=0) + R)
     P = _grid_points([np.arange(lo[0], hi[0] + 1.0),
