@@ -29,6 +29,11 @@ class BranchJump(SmoothParamError):
     pass
 
 
+class FibreOverflow(SmoothParamError):
+    """A coefficient of the fibre polynomial P(x, .) is not finite in floats
+    at a point the continuation must reach."""
+
+
 class InexactCurve(SmoothParamError):
     pass
 

@@ -22,8 +22,8 @@ from .bivar import (BivarPoly, BivarRational, _mul, _pack, _pydiv,
                     resultant_y)
 from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
-                     OrderOverflow, PathNearSingularity, SmoothParamError,
-                     ZeroCountMismatch)
+                     FibreOverflow, OrderOverflow, PathNearSingularity,
+                     SmoothParamError, ZeroCountMismatch)
 from .poly import Poly, _fr, complex_roots, isolate_roots
 
 EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
@@ -540,7 +540,13 @@ class BranchTracker:
     np.roots; test 3 still decides every step that test 2 cannot certify.
     `_advance` walks from point to point: steps of at most half the
     distance to the nearest singular point, each halved while the corrector
-    rejects it (counted in `halvings`) down to CONTINUATION_STEP_FLOOR.
+    rejects it (counted in `halvings`) down to CONTINUATION_STEP_FLOOR: the
+    predictor-corrector walk of Allgower & Georg, Introduction to Numerical
+    Continuation Methods (1990).  A whole step, one as long as the distance
+    left and not halved, lands on the target itself, not on z + step, which
+    can miss it by a rounding and leave a step of about 1e-17 to take.  A
+    target where a coefficient of the fibre P(x, .) is not finite fails
+    with FibreOverflow before any step.
 
     A whole real grid (`eval_grid`) or every row of a disk (`eval_path`) is
     one recurrence W_i = step(W_pred(i)), solved by `_sweep` as an exact
@@ -549,12 +555,13 @@ class BranchTracker:
     start value changed since it last ran.  A point is final once its start
     is final and it ran from that start, so a run of final points grows
     while each value equals, bit for bit, the start its successor ran from,
-    and every value is the one the point-by-point walk gives.  Each sweep
-    then hands every point whose start is final and that the batch did not
-    take (a zero-length step, several substeps, a step that does not land
-    exactly on the target, tests 1 and 2 failing) to `_advance` once, all
+    and every value is the one the point-by-point walk gives.  The batch
+    takes a point whose first step is whole, so that `_advance` would make
+    exactly that one corrector run.  Each sweep then hands every point
+    whose start is final and that the batch did not take (a zero-length
+    step, several substeps, tests 1 and 2 failing) to `_advance` once, all
     in lockstep, counted in `single_steps`; k such points in a row take k
-    sweeps.
+    sweeps.  On a disk row only the entry from the seed can need substeps.
 
     The cache keys are also kept in a sorted array, so finding the nearest
     known point costs O(log n) comparisons: bisect, then walk outward while
@@ -577,6 +584,12 @@ class BranchTracker:
         self._real_cache = {x0: self.seed[1]}   # in the order cached
         self._keys = np.array([x0])     # sorted cache keys
         self._ranks = np.array([0])     # their places in the cache order
+        # |x| <= _no_overflow bounds each coefficient of P(x, .) by
+        # s max(1, |x|)^degx <= 2^1000, s the sum of P's |coefficients|
+        s = sum(abs(c) for *_, c in P.float_terms())
+        self._no_overflow = (
+            (2.0 ** 1000 / max(s, 1.0)) ** (1 / max(P.degx, 1))
+            if s <= 2.0 ** 1000 else -1.0)
         self.roots_calls = 0            # np.roots fallbacks of the sheet guard
         self.halvings = 0               # continuation steps halved
         self.single_steps = 0           # points a sweep hands to _advance
@@ -665,8 +678,9 @@ class BranchTracker:
         down to CONTINUATION_STEP_FLOOR max(1, |z|), which stays above one
         ulp of z; a walk that needs more than
         CONTINUATION_ROUND_CAP corrector rounds fails with BranchJump.  The
-        step arithmetic rounds as Python's complex arithmetic.  Returns
-        (w1, errs, roots, halved):
+        step arithmetic rounds as Python's complex arithmetic, and a whole
+        step (as long as the distance left, not halved) goes to z1[i]
+        itself.  Returns (w1, errs, roots, halved):
         errs[i] is the error that stopped element i, else None, and roots[i]
         and halved[i] count its np.roots tests and halved steps."""
         floor = CONTINUATION_STEP_FLOOR
@@ -676,16 +690,18 @@ class BranchTracker:
         roots, halved = np.zeros(len(z), dtype=int), np.zeros(len(z), dtype=int)
         rounds = np.zeros(len(z), dtype=int)
         act, fresh = np.arange(len(z)), np.ones(len(z), dtype=bool)
+        whole = np.zeros(len(z), dtype=bool)    # the step reaches z1, unhalved
         with np.errstate(all="ignore"):
             while True:
                 # a new step where the last one was accepted; done on arrival
                 f = act[fresh[act]]
-                step[f], ab, _ = self._step_toward(z[f], z1[f], d[f])
+                step[f], ab, sl = self._step_toward(z[f], z1[f], d[f])
+                whole[f] = sl == ab
                 act = np.setdiff1d(act, f[~(ab > 0)], assume_unique=True)
                 fresh[f] = False
                 if not act.size:
                     return w, errs, roots, halved
-                zn = z[act] + step[act]
+                zn = np.where(whole[act], z1[act], z[act] + step[act])
                 dn = self._sing_dist(zn)
                 rounds[act] += 1
                 near = dn < 10 * floor
@@ -718,8 +734,27 @@ class BranchTracker:
                 r = act[~ok & ~lost]
                 step[r] = _pack(*_pydiv((step.real[r], step.imag[r]),
                                         (2.0, 0.0)))
+                whole[r] = False
                 halved[r] += 1
                 act = act[~lost]
+
+    def _overflow(self, zt):
+        """(k, error) for the first target zt[k] (a complex array) where a
+        coefficient of the fibre P(zt[k], .) is not finite, else (len(zt),
+        None): no float walk reaches a root there, so the walk to it fails
+        at once."""
+        if (np.abs(zt.real).max(initial=0) + np.abs(zt.imag).max(initial=0)
+                <= self._no_overflow):
+            return len(zt), None
+        parts = (zt.real, zt.imag) if zt.imag.any() else (zt.real,)
+        with np.errstate(all="ignore"):
+            cs = self.P.y_poly_coeffs(parts)
+        bad = ~np.isfinite(cs).all(axis=(0, 1))
+        if not bad.any():
+            return len(zt), None
+        k = int(np.argmax(bad))
+        return k, FibreOverflow("a coefficient of the fibre P(x, y) "
+                                f"overflows at x = {complex(zt[k])}")
 
     def _sweep(self, zs, zt, w0, pred):
         """W[i] = _advance(zs[i], start_i, zt[i]) for every i, the start
@@ -727,16 +762,19 @@ class BranchTracker:
         pred[0] < 0), solved by exact fixed-point sweeps (see the class
         docstring): each runs the batch where a start changed, then hands
         the points with a final start that it did not take to `_advance`
-        once.  Returns (W, err, roots, halved): W for the points
-        before the first whose continuation fails, that failure (None if
-        there is none), and per point the np.roots tests and halved steps
-        of its walk, which the point-by-point walk makes only up to the
-        first failure."""
+        once.  The batch takes the points whose first step is whole: there
+        `_advance` runs the corrector once, at zt itself.  A target whose
+        fibre overflows (`_overflow`) is a failure at once.  Returns (W,
+        err, roots, halved): W for the points before the first whose
+        continuation fails, that failure (None if there is none), and per
+        point the np.roots tests and halved steps of its walk, which the
+        point-by-point walk makes only up to the first failure."""
         n = len(zt)
-        # the batch takes a point when _advance's first step lands on zt
+        # the batch takes a point when _advance's first step is whole, so
+        # that it lands on zt in one corrector run
         step, ab, sl = self._step_toward(zs, zt, self._sing_dist(zs))
         h = np.hypot(step.real, step.imag)
-        batch = ((ab > 0) & (sl == ab) & (zs + step == zt)
+        batch = ((ab > 0) & (sl == ab)
                  & (self._sing_dist(zt) >= 10 * CONTINUATION_STEP_FLOOR))
         chained = (pred >= 0) & (pred == np.arange(n) - 1)
         W = w0[np.maximum.accumulate(np.where(pred < 0, np.arange(n), 0))]
@@ -745,7 +783,7 @@ class BranchTracker:
         ok = np.zeros(n, dtype=bool)       # the corrector accepted that step
         final = np.zeros(n, dtype=bool)
         roots, halved = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-        end, err = n, None
+        end, err = self._overflow(zt)
         while True:
             todo = np.flatnonzero(~final[:end])
             if not todo.size:

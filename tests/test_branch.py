@@ -24,8 +24,10 @@ from smoothparam import funcs
 from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly, _pack
 from smoothparam.ck_param import ck_parametrize_function
+from smoothparam.charts import circle_sup
+from smoothparam.config import DEFAULT
 from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
-                                PathNearSingularity)
+                                FibreOverflow, PathNearSingularity)
 from smoothparam.funcs import (_U, BranchExpr, BranchTracker, _disk_test,
                                _newton, _npdiv, _polyval, singular_locus)
 from smoothparam.serialize import dumps, parametrization_to_json
@@ -163,6 +165,9 @@ class _Oracle:
 
     def _advance(self, z0, w0, z1):
         floor = funcs.CONTINUATION_STEP_FLOOR
+        with np.errstate(all="ignore"):
+            if not np.isfinite(self.P.y_poly_coeffs_complex(z1)).all():
+                raise FibreOverflow(f"overflow at {z1}")
         z, w = z0, w0
         d = self._min_sing_dist(z)
         remaining, rounds = z1 - z, 0
@@ -170,8 +175,9 @@ class _Oracle:
             step_len = min(abs(remaining),
                            max(d / 2, floor * max(1.0, abs(z))))
             step = remaining / abs(remaining) * step_len
+            whole = step_len == abs(remaining)
             while True:
-                zn = z + step
+                zn = z1 if whole else z + step
                 dn = self._min_sing_dist(zn)
                 if dn < 10 * floor:
                     raise PathNearSingularity(f"near {zn}")
@@ -185,6 +191,7 @@ class _Oracle:
                 if abs(step) / 2 < floor * max(1.0, abs(z)):
                     raise BranchJump(f"near {zn}")
                 step /= 2
+                whole = False
                 self.halvings += 1
             z, w, d = zn, wn, dn
             remaining = z1 - z
@@ -248,8 +255,8 @@ def _oracle_eval(t, xs, rat=None):
 def _outcome(fn):
     try:
         return fn(), None
-    except (BranchJump, EvaluationAtSingularity, PathNearSingularity,
-            ZeroDivisionError) as e:
+    except (BranchJump, EvaluationAtSingularity, FibreOverflow,
+            PathNearSingularity, ZeroDivisionError) as e:
         return None, type(e)
 
 
@@ -452,6 +459,7 @@ def test_cubic_branch_analytic_and_c1_artifacts_are_pinned():
     assert len(par.charts) == 2
     text = dumps(parametrization_to_json(par, "analytic"))
     assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_ANALYTIC_SHA256
+    assert f.tracker.roots_calls == 0
     par = ck_parametrize_function(_cubic_branch(F(-1, 4), F(15, 4)), 1,
                                   (1, F(5, 4)))
     assert len(par.charts) == 1
@@ -748,6 +756,53 @@ def test_a_smooth_branch_evaluates_far_from_its_seed(xs):
         assert abs(y - _far_root(x)) <= 4 * math.ulp(y)
     if len(xs) == 1:
         _check_real((_FAR, _FAR_SEED), [xs], False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(-4, 4), st.integers(12, 20), st.sampled_from([1.25, 1.75]))
+@example(-1, 15, 1.75)
+@example(2, 17, 1.75)
+def test_disk_rows_take_only_their_entries_one_at_a_time(a, b, center):
+    # curves of the benchmark family, y^2 = x^3 + a/4 x + b/4, every
+    # singular point at least 1/2 from [1, 2]: each disk row's points after
+    # its first land on their targets in one whole step, which the batch
+    # takes; only a row's entry from the seed may need several substeps
+    a, b = F(a, 4), F(b, 4)
+    assume(all(abs(r - min(2.0, max(1.0, r.real))) >= 0.5
+               for r in np.roots([1.0, 0.0, float(a), float(b)])))
+    f = _cubic_branch(a, b)
+    circle_sup(f.eval_array, complex(center), 0.5)
+    assert f.tracker.single_steps <= DEFAULT.a_chart_radii
+    assert (f.tracker.roots_calls, f.tracker.halvings) == (0, 0)
+
+
+@pytest.mark.parametrize("a, b", [(F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))])
+def test_the_sweep_tools_analytic_branches_need_no_np_roots(a, b):
+    # the two analytic builds of tools/cli_sweep.py's branch script
+    f = _cubic_branch(a, b)
+    analytic_delta_parametrize(f, F(1, 16), (1, 2))
+    assert f.tracker.roots_calls == 0
+
+
+@pytest.mark.parametrize("x", [1e103, 1e150])
+def test_a_fibre_that_overflows_fails_at_once(x):
+    # x^3 is inf in floats from x ~ 5.6e102 on: the walk there fails before
+    # its first step, where it used to halve its steps until it lost the
+    # branch; the points before it are evaluated and cached, among them
+    # 2e102, whose coefficients are finite but too large to screen out
+    f = BranchExpr(_FAR, _FAR_SEED)
+    with pytest.raises(FibreOverflow, match="overflows"):
+        f.eval(x)
+    with pytest.raises(FibreOverflow, match="overflows"):
+        f.eval_array(np.array([2.0, x]))
+    with pytest.raises(FibreOverflow, match="overflows"):
+        f.eval_array(np.array([1.5, 1.5 + 1j, x + 1j]))
+    t = f.tracker
+    assert (t.roots_calls, t.halvings) == (0, 0)
+    assert list(t._real_cache) == [1.0, 2.0]
+    assert f.eval_array(np.array([1e100]))[0] == _far_root(1e100)
+    _check_real((_FAR, _FAR_SEED), [[2.0, 1e100], [2e102, x]], False)
+    _check_path((_FAR, _FAR_SEED), np.array([[1.5, 1.5 + 1j, x + 1j]]), True)
 
 
 def _check_path(br, zs, deriv):

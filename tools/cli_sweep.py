@@ -102,7 +102,9 @@ CALLS = [
 
 # Branches of y^2 = x^3 + a x + b from the `curves` benchmark family (the
 # upper branch through x = 1): a 4,096-point grid on [1, 2], and k = 1 and
-# analytic artifacts for two curves; a complex path on y^2 = x^3 + 1 that
+# analytic artifacts for two curves; the raw 8 x 256 circle_sup rows of the
+# first curve's disk about 7/4 of radius 1/2, which its analytic chart on
+# [3/2, 2] reduces to their max K; a complex path on y^2 = x^3 + 1 that
 # starts at the seed's x and repeats points (zero-length steps); and the
 # branch of y^3 + y - x through x = 1/2 on a grid through 0.0 and -0.0,
 # where the value is exactly 0; and a 4,096-point grid on [1, 200] of the
@@ -114,6 +116,7 @@ from fractions import Fraction as F
 import numpy as np
 from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly
+from smoothparam.charts import circle_sup
 from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.funcs import BranchExpr
 from smoothparam.serialize import dumps, parametrization_to_json
@@ -139,6 +142,9 @@ for a, b in ((F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))):
     par = analytic_delta_parametrize(f, F(1, 16), (1, 2))
     save(f"branch-analytic-{tag}.json", f,
          dumps(parametrization_to_json(par, "analytic")))
+f, rows = cubic(F(-1, 4), F(15, 4)), []
+circle_sup(lambda zs: rows.append(f.eval_array(zs)) or rows[0], 1.75, 0.5)
+save("branch-circle.hex", f, rows[0].tobytes().hex())
 f = cubic(0, 1)
 path = np.array([[1, 1, 1.25 + 0.1j, 1.25 + 0.1j, 1.5, 1.5]])
 save("branch-path.hex", f, f.eval_array(path).tobytes().hex())
