@@ -21,7 +21,7 @@ from .entropy import (DynSystem, EntropyReport, covering_number, entropy_sweep,
 from .funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr, ConstExpr,
                     FunctionExpr, MulExpr, PowExpr, RationalExpr, SqrtExpr,
                     hyperbola_branch, singular_locus)
-from .poly import Poly
+from .poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
 from .remez import (classical_remez_bound, curve_gradient_floor,
                     empirical_remez_constant, hyperbola_curve,
                     hyperbola_remez_query, remez_parametrization)

@@ -8,10 +8,13 @@ floats otherwise, and certify the unit bound up to a stated tolerance; a
 non-finite measurement fails the certificate, and a pole at a grid point
 reads inf in either mode (in exact mode, so does a pole between grid
 points).  The exact grid max is decided in integers at the grid ends and
-beside the critical points and poles that Descartes' rule locates, so it
-equals the exact scan of every grid point; either mode is a grid sample,
-not a proof over the interval, and the report's `detail` names the grid it
-sampled."""
+beside the critical points that Descartes' rule locates, so it equals the
+exact scan of every grid point.  A rational function's orders all come from
+one integer derivative chain (`poly.ratio_chain_maxima`): one pole test
+serves every order >= 1, since f^(i) = N_i/(d h^i) has the poles of d, and
+the critical cells of f^(i) are the root cells of the next order's
+numerator N_(i+1).  Either mode is a grid sample, not a proof over the
+interval, and the report's `detail` names the grid it sampled."""
 
 from __future__ import annotations
 
@@ -24,9 +27,8 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import EvaluationAtSingularity
-from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, RationalExpr,
-                    simplify)
-from .poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
+from .funcs import AddExpr, ConstExpr, FunctionExpr, MulExpr, simplify
+from .poly import Poly, ratio_chain_maxima
 
 CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
 CK_TOLERANCE_FLOAT = 1e-6            # relative slack on a float sample
@@ -156,28 +158,23 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     mode, which takes the rational max at the cfg.exact_grid_points + 1
     points i/N; float mode takes the float max at cfg.grid_points points.
     A pole on the grid reads inf in either mode, and in exact mode so does a
-    pole between grid points."""
+    pole between grid points.  Exact mode takes all the orders from one
+    call of `ratio_chain_maxima` (a Poly over 1): one integer derivative
+    chain, one pole test for the orders >= 1, and the critical cells of
+    each order from the next order's numerator."""
+    if mode == "exact":
+        num, den = (fn, Poly([1])) if isinstance(fn, Poly) else fn.as_rational()
+        return {(key, i): float(v) for i, v in ratio_chain_maxima(
+            num, den, orders, shift, cfg.exact_grid_points).items()}
     top = max(orders, default=0)
-    if isinstance(fn, Poly):
-        chain = fn.derivs(top)
-    elif mode == "exact":
-        chain = RationalExpr(*fn.as_rational()).derivative_chain(top)
-    else:
-        chain = fn.derivative_chain(top)
-    xs = np.linspace(0.0, 1.0, cfg.grid_points) if mode == "float" else None
-    out, n = {}, cfg.exact_grid_points
+    chain = fn.derivs(top) if isinstance(fn, Poly) else fn.derivative_chain(top)
+    xs = np.linspace(0.0, 1.0, cfg.grid_points)
+    out = {}
     for i in orders:
         g, c = chain[i], (shift if i == 0 else 0)
-        if mode == "float":
-            with np.errstate(all="ignore"):     # a NaN sup fails closed
-                vals = g.eval_array(xs) - float(c) if c else g.eval_array(xs)
-            out[key, i] = sampled_sup(vals)
-        elif isinstance(g, Poly):
-            out[key, i] = float(max_abs_on_rational_grid(g - c if c else g, n))
-        else:
-            num, den = g.as_rational()
-            out[key, i] = float(max_abs_ratio_on_grid(
-                num - den * c if c else num, den, n))
+        with np.errstate(all="ignore"):     # a NaN sup fails closed
+            vals = g.eval_array(xs) - float(c) if c else g.eval_array(xs)
+        out[key, i] = sampled_sup(vals)
     return out
 
 

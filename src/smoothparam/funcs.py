@@ -24,7 +24,8 @@ from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
                      FibreOverflow, OrderOverflow, PathNearSingularity,
                      SmoothParamError, ZeroCountMismatch)
-from .poly import Poly, _fr, complex_roots, isolate_roots
+from .poly import (Poly, _fr, complex_roots, isolate_roots, lowest_terms,
+                   rational_deriv)
 
 EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
 BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
@@ -115,7 +116,7 @@ class FunctionExpr:
 class RationalExpr(FunctionExpr):
     """num(x)/den(x) with exact rational coefficients."""
 
-    _step = None          # (h, u, h', i, N_i, d h^i) of an i-th derivative
+    _step = None          # (H, U, i) of an i-th derivative (rational_deriv)
 
     def __init__(self, num: Poly, den: Poly = None):
         self.num = num
@@ -138,41 +139,18 @@ class RationalExpr(FunctionExpr):
     def lowest_terms(self):
         """(num, den) over their gcd; a polynomial, and a derivative from
         `deriv`, are in lowest terms already and take no gcd."""
-        num, den = self.num, self.den
-        if self._step is None and not self.is_poly():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        return num, den
+        if self._step is None:
+            return lowest_terms(self.num, self.den)
+        return self.num, self.den
 
     def deriv(self):
         """f' in lowest terms, its den's leading coefficient the square of
-        self.den's (a polynomial's derivative has den 1).
-
-        A chain takes one gcd in total, not one per order.  With n/d in
-        lowest terms, g = gcd(d, d'), h = d/g and u = d'/g, the i-th
-        derivative is N_i/(d h^i), where N_0 = n and
-        N_(i+1) = N_i' h - N_i (u + i h').  A pole of order m has order
-        m + i in f^(i), so every order is again in lowest terms, and one
-        scalar restores the normalization.  The first step reduces n/d and
-        computes h and u; each derivative carries them, its order i and its
-        unscaled N_i and d h^i to the next step."""
-        if self.is_poly():
-            return RationalExpr(self.num.deriv() * (1 / self.den.coeffs[0]))
-        if self._step is None:
-            num, den = self.lowest_terms()
-            dp = den.deriv()
-            g = den.gcd(dp)
-            h, u = (den // g, dp // g) if g.degree > 0 else (den, dp)
-            step = (h, u, h.deriv(), 0, num, den)
-        else:
-            step = self._step
-        h, u, hp, i, n, d = step
-        n = n.deriv() * h - n * (u + hp * i)
-        d = d * h
-        c = self.den.leading() ** 2 / d.leading()
-        out = RationalExpr(n * c, d * c)
-        out._step = (h, u, hp, i + 1, n, d)
+        self.den's (a polynomial's derivative has den 1): one step of the
+        chain of `poly.rational_deriv`, which takes one gcd for a whole
+        chain; each derivative carries the step's data to the next."""
+        num, den, step = rational_deriv(self.num, self.den, self._step)
+        out = RationalExpr(num, den)
+        out._step = step
         return out
 
     def eval_array(self, xs):
@@ -423,8 +401,9 @@ def _newton(cs, w):
     16 (n + 1) u H, H = sum_j |cs[j]| |wn|^j finite: Horner's rule rounds
     within 2n u H (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 5.1), so far from 0 rounding alone can exceed the absolute
-    bound.  H is formed only where the absolute test fails; a NaN residual
-    fails both.
+    bound.  H is formed only where the absolute test fails, and where it
+    overflows, H and the residual are formed over a power of two 2^s
+    (`_down_shift`); a NaN residual fails both.
 
     cs, w and wn are (real, imag) pairs or, on the real axis, 1-tuples
     (BranchTracker._correct).  Products round as Python's complex product
@@ -459,11 +438,45 @@ def _newton(cs, w):
     ok = res <= CONTINUATION_RESIDUAL
     far = np.flatnonzero(conv & ~ok)
     if far.size:
-        a, H = _abs(tuple(v[far] for v in wn)), 0.0
-        for c in p:
-            H = H * a + _abs(tuple(v[far] for v in c))
-        ok[far] = np.isfinite(H) & (res[far] <= 16 * (n + 1) * _U * H)
+        pf, a = [tuple(v[far] for v in c) for c in p], _abs(
+            tuple(v[far] for v in wn))
+        H, res = _abs_polyval(pf, a), res[far]
+        big = np.flatnonzero(~np.isfinite(H))
+        if big.size:    # H overflows: form it and the residual over 2^s
+            pf = [tuple(v[big] for v in c) for c in pf]
+            s, fit = _down_shift([_abs(c) for c in pf[::-1]], a[big])
+            big, s = big[fit], s[fit]
+            sc = [tuple(np.ldexp(v[fit], -s) for v in c) for c in pf]
+            H[big] = _abs_polyval(sc, a[big])
+            res[big] = _abs(_polyval(sc, tuple(v[far[big]] for v in wn)))
+        ok[far] = np.isfinite(H) & (res <= 16 * (n + 1) * _U * H)
     return wn, conv & ok
+
+
+def _down_shift(mags, a):
+    """(s, fit) per column for the magnitudes mags[j] = |c_j| of a
+    polynomial's coefficients, lowest degree first, at a >= 0:
+    s >= 0 puts 2^-s sum_j mags[j] a^j below 2^1000, from the exponents of
+    the largest term, and fit says that a is finite and every nonzero
+    2^-s mags[j] stays a normal float, so that the scaling is exact and,
+    over a power of two, moves no rounding."""
+    e = [np.frexp(m)[1] for m in mags]
+    ea = np.frexp(a)[1]
+    top = np.max([np.where(m > 0, ej + j * ea, -2**20)
+                  for j, (m, ej) in enumerate(zip(mags, e))], axis=0)
+    s = np.maximum(top + len(mags).bit_length() - 1000, 0)
+    low = np.min([np.where(m > 0, ej, 2**20) for m, ej in zip(mags, e)],
+                 axis=0)
+    return s, (s > 0) & np.isfinite(a) & (low - s >= -1021)
+
+
+def _abs_polyval(cs, a):
+    """sum |cs[i]| a^(m-1-i) by Horner's rule: `_polyval` on the absolute
+    values, at a >= 0."""
+    h = 0.0
+    for c in cs:
+        h = h * a + _abs(c)
+    return h
 
 
 def _disk_test(cs, w, wn):
@@ -488,8 +501,9 @@ def _disk_test(cs, w, wn):
     eta = (n+3)^2 2^-1070 (2 max(1, |wn|) max(1, r))^n covers the absolute
     errors of subnormal products.  On the circle |y - wn| = r the exact
     |p - b_1 (y - wn)| is then below |b_1 (y - wn)|, so p has as many zeros
-    inside as b_1 (y - wn): one.  A NaN, an inf or an overflow rejects.
-    Run under np.errstate(all="ignore")."""
+    inside as b_1 (y - wn): one.  A NaN or an inf rejects; where a sum
+    overflows, the test is rerun on p / 2^s, which has the roots of p
+    (`_down_shift`).  Run under np.errstate(all="ignore")."""
     n = len(cs[0]) - 1
     r = 2 * _abs(_zip(np.subtract, wn, w))
     b = [tuple(c[k] for c in cs) for k in range(n, -1, -1)]   # descending
@@ -511,7 +525,17 @@ def _disk_test(cs, w, wn):
         big = big + h[n - k] * rk
     for _ in range(n):
         eta = eta * grow
-    return finite & (lhs > rhs + 8 * (n + 3) * _U * big + eta)
+    ok = finite & (lhs > rhs + 8 * (n + 3) * _U * big + eta)
+    redo = np.flatnonzero(~finite)
+    if redo.size:       # an overflow: the same test on p / 2^s
+        cs = tuple(c[:, redo] for c in cs)
+        s, fit = _down_shift(_abs(cs), (aw + r)[redo])
+        redo, s = redo[fit], s[fit]
+        if redo.size:
+            ok[redo] = _disk_test(
+                tuple(np.ldexp(c[:, fit], -s) for c in cs),
+                tuple(v[redo] for v in w), tuple(v[redo] for v in wn))
+    return ok
 
 
 def _same(a, b):

@@ -49,11 +49,16 @@ def _pdiv(a, b):
     return q, r[:m], s
 
 
-def _primitive(a: list) -> list:
-    """a without trailing zeros, over the gcd of its entries."""
+def _trim(a: list) -> list:
+    """a without trailing zeros, in place."""
     while a and not a[-1]:
         a.pop()
-    g = math.gcd(*a)
+    return a
+
+
+def _primitive(a: list) -> list:
+    """a without trailing zeros, over the gcd of its entries."""
+    g = math.gcd(*_trim(a))
     return [x // g for x in a] if g > 1 else a
 
 
@@ -232,15 +237,22 @@ class Poly:
         return Poly(acc, _d=self._d * ep)
 
 
+_ONE = Poly([1])
+
+
 # -- real roots: one integer Descartes kernel ---------------------------------
 
 def _int_scaled(p: Poly, N: int):
     """Integer data for gcd-free grid evaluation: D_j = a_j*N^(n-j) over
     d*N^n, so p(i/N) = Horner(D, i) / (d * N^n)."""
-    n = p.degree
-    if n < 0:
-        return [0], 1
-    return [c * N ** (n - j) for j, c in enumerate(p._a)], p._d * N ** n
+    return _int_scaled_list(p._a, N) or [0], p._d * N ** max(p.degree, 0)
+
+
+def _int_scaled_list(A, N: int) -> list:
+    """A_j N^(n-j), n = len(A) - 1: the integers with
+    Horner(., i) = N^n A(i/N)."""
+    n = len(A) - 1
+    return [c * N ** (n - j) for j, c in enumerate(A)]
 
 
 def _ideriv(D) -> list:
@@ -326,36 +338,144 @@ def _grid_candidates(N: int, *cell_lists) -> list:
 
 
 def max_abs_on_rational_grid(p: Poly, N: int) -> Fraction:
-    """max |p(i/N)| over i = 0..N, exact and in integers: the max over the
-    ends of the grid and the unit cells that hold a real root of p'.  The
-    result equals an exact scan of all N + 1 points; it is still a grid
-    sample, not a bound over [0, 1]."""
-    D, scale = _int_scaled(p, N)
-    idx = _grid_candidates(N, _root_cells(_ideriv(D), 0, N))
-    return Fraction(max(abs(_horner_int(D, i)) for i in idx), scale)
+    """max |p(i/N)| over i = 0..N, exact and in integers: the order-0 case
+    of `ratio_chain_maxima`.  It is still a grid sample, not a bound over
+    [0, 1]."""
+    return ratio_chain_maxima(p, _ONE, (0,), 0, N)[0]
 
 
 def max_abs_ratio_on_grid(num: Poly, den: Poly, N: int):
-    """max |num(i/N) / den(i/N)| over i = 0..N, exact and in integers: the
-    max over the ends of the grid and the unit cells that hold a real root
-    of num' den - num den' or of den.  The result equals the exact scan of
-    every point, or is math.inf where den has a real root in [0, 1], at a
-    grid point or between two (a unit cell of den is confirmed by
-    `isolate_roots`, since two sign variations need not be a root)."""
-    Dn, sn = _int_scaled(num, N)
-    Dd, sd = _int_scaled(den, N)
-    W = [x - y for x, y in zip_longest(            # Dn' Dd - Dn Dd'
-        _imul(_ideriv(Dn), Dd), _imul(Dn, _ideriv(Dd)), fillvalue=0)]
-    den_cells = _root_cells(Dd, 0, N)
-    if any(u == v or isolate_roots(den, Fraction(u, N), Fraction(v, N))
-           for u, v in den_cells):
-        return math.inf
-    best = Fraction(0)
-    for i in _grid_candidates(N, _root_cells(W, 0, N), den_cells):
-        if not (b := _horner_int(Dd, i)):
-            return math.inf             # den vanishes at x = 0 or x = 1
-        best = max(best, Fraction(abs(_horner_int(Dn, i) * sd), abs(b) * sn))
-    return best
+    """max |num(i/N) / den(i/N)| over i = 0..N, exact and in integers, or
+    math.inf where den has a real root in [0, 1]: the order-0 case of
+    `ratio_chain_maxima`."""
+    return ratio_chain_maxima(num, den, (0,), 0, N)[0]
+
+
+def ratio_chain_maxima(num: Poly, den: Poly, orders, shift, N: int) -> dict:
+    """{i: max |f^(i)(j/N)| over j = 0..N} for f = num/den and i in orders,
+    less `shift` at order 0: exact Fractions, or math.inf where f^(i) has a
+    pole in [0, 1].  Each max equals the exact scan of every grid point.
+
+    Orders >= 1 read the chain of n/d, num/den in lowest terms:
+    f^(i) = N_i/(d h^i) (`rational_deriv`), kept here as integer lists
+    over the one constant d._d/n._d.  Since d h^i has the real roots of d,
+    one pole test on d serves every order >= 1; order 0 reads inf at a real
+    root in [0, 1] of den as given, even one that n/d cancels.  Off the
+    poles f^(i) is monotone between the real roots of its derivative's
+    numerator N_(i+1), so the max sits at the grid ends or beside the
+    root cells of N_(i+1); there d and h are evaluated once per grid index
+    and d h^i is formed from their values."""
+    n, d = lowest_terms(num, den)
+    if 0 in orders:
+        pole0 = _pole_in_unit(den, N)
+        pole = pole0 and (d == den or _pole_in_unit(d, N))
+    else:
+        pole0, pole = False, _pole_in_unit(d, N)
+    out = {i: math.inf for i in orders if (pole0 if i == 0 else pole)}
+    todo = [i for i in orders if i not in out]
+    if not todo:
+        return {i: out[i] for i in orders}
+    H, U = _chain_basis(d)
+    B, chain = d._a, [n._a]
+    for i in range(max(todo) + 1):
+        chain.append(_chain_next(chain[-1], H, U, i))
+    Bs, Hs = _int_scaled_list(B, N), _int_scaled_list(H, N)
+    bvals, hvals = {}, {}
+    for i in todo:
+        P, kn, kd = chain[i], d._d, n._d       # f^(i) = (kn/kd) P/(d h^i)
+        if i == 0 and shift:
+            s = _fr(shift)                      # f - s = P'/(kd s_den d)
+            P = _trim([x - y for x, y in zip_longest(
+                [x * kn * s.denominator for x in P],
+                [x * kd * s.numerator for x in B], fillvalue=0)])
+            kn, kd = 1, kd * s.denominator
+        if not P:
+            out[i] = _ZERO
+            continue
+        Ps = _int_scaled_list(P, N)
+        bp, bq = 0, 1
+        for j in _grid_candidates(N, _root_cells(
+                _int_scaled_list(chain[i + 1], N), 0, N)):
+            if j not in bvals:
+                bvals[j], hvals[j] = _horner_int(Bs, j), _horner_int(Hs, j)
+            p, q = abs(_horner_int(Ps, j)), abs(bvals[j] * hvals[j] ** i)
+            if p * bq > bp * q:
+                bp, bq = p, q
+        e = len(B) - 1 + i * (len(H) - 1) - (len(P) - 1)  # N^e from scaling
+        out[i] = Fraction(kn * bp * N ** max(e, 0), kd * bq * N ** max(-e, 0))
+    return {i: out[i] for i in orders}
+
+
+def _pole_in_unit(den: Poly, N: int) -> bool:
+    """Whether den has a real root in [0, 1] (the zero polynomial has):
+    at 0 or 1, at a grid point i/N, or in a unit cell of `_root_cells`,
+    confirmed by `isolate_roots` since two sign variations need not be a
+    root."""
+    D = _int_scaled(den, N)[0]
+    return (not D[0] or not _horner_int(D, N)
+            or any(u == v or isolate_roots(den, Fraction(u, N), Fraction(v, N))
+                   for u, v in _root_cells(D, 0, N)))
+
+
+# -- rational derivative chains -----------------------------------------------
+
+def lowest_terms(num: Poly, den: Poly):
+    """(num, den) over their monic gcd, so den keeps its leading
+    coefficient; a constant den takes no gcd."""
+    if den.degree > 0:
+        g = num.gcd(den)
+        if g.degree > 0:
+            return num // g, den // g
+    return num, den
+
+
+def _chain_basis(d: Poly):
+    """(H, U) for d in lowest terms: integer lists over one denominator e
+    with h = H/e = d/g and u = U/e = d'/g, g = gcd(d, d'); h = 1 and u = 0
+    for a constant d."""
+    if d.degree <= 0:
+        return [1], []
+    dp = d.deriv()
+    g = d.gcd(dp)
+    h, u = (d // g, dp // g) if g.degree > 0 else (d, dp)
+    m = math.lcm(h._d, u._d)
+    return [x * (m // h._d) for x in h._a], [x * (m // u._d) for x in u._a]
+
+
+def _chain_next(A, H, U, i: int) -> list:
+    """A' H - A (U + i H'): the numerator N_(i+1) of f^(i+1) from N_i = A,
+    both over the one constant of `_chain_basis` (the e of h = H/e and
+    u = U/e cancels between f^(i+1)'s numerator and d h^(i+1))."""
+    V = [x + i * y for x, y in zip_longest(U, _ideriv(H), fillvalue=0)]
+    return _trim([x - y for x, y in zip_longest(
+        _imul(_ideriv(A), H), _imul(A, V), fillvalue=0)])
+
+
+def rational_deriv(num: Poly, den: Poly, step=None):
+    """(num', den', step') with num'/den' = (num/den)' in lowest terms and
+    lead(den') = lead(den)^2 (den' = 1 for a constant den).
+
+    A chain takes one gcd in total, not one per order.  With n/d in lowest
+    terms, g = gcd(d, d'), h = d/g and u = d'/g, the i-th derivative is
+    N_i/(d h^i), where N_0 = n and N_(i+1) = N_i' h - N_i (u + i h').  A pole
+    of order m has order m + i in f^(i), so every order is again in lowest
+    terms, and one scalar restores the normalization.  step is None for an
+    f not yet reduced: the first step reduces num/den and takes h and u
+    (`_chain_basis`); each step returns them with its order i + 1 for the
+    next.  The recurrence runs on the integer coefficient lists of num and
+    den, so each order builds just its two Polys."""
+    if den.degree == 0:
+        return (Poly([x * den._d for x in _ideriv(num._a)],
+                     _d=num._d * den._a[0]), _ONE, None)
+    if step is None:
+        num, den = lowest_terms(num, den)
+        step = (*_chain_basis(den), 0)
+    H, U, i = step
+    s, t = den._a[-1], den._d * H[-1]
+    return (Poly([x * s for x in _chain_next(num._a, H, U, i)],
+                 _d=num._d * t),
+            Poly([x * s for x in _imul(den._a, H)], _d=den._d * t),
+            (H, U, i + 1))
 
 
 def squarefree_part(p: Poly) -> Poly:

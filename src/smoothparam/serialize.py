@@ -92,11 +92,33 @@ def _fix(obj):
 
 
 def poly_to_json(p: Poly) -> list:
-    return [frac_to_str(c) for c in p.coeffs]
+    """The "p/q" strings of p's coefficients a_j/d, each reduced by one gcd."""
+    out = []
+    for a in p._a:
+        g = math.gcd(a, p._d)
+        out.append(f"{_int_to_str(a // g)}/{_int_to_str(p._d // g)}")
+    return out
+
+
+def _int_pair(s):
+    """(p, q), q > 0, with p/q the rational s: a plain "p/q" of decimal
+    digits (p signed, q nonzero) read as two integers, any other form, and
+    any non-string, by str_to_frac."""
+    if isinstance(s, str):
+        p, sep, q = s.partition("/")
+        digits = p[1:] if p[:1] == "-" else p
+        if (sep and digits.isascii() and digits.isdigit() and q.isascii()
+                and q.isdigit() and q.strip("0")):
+            return _str_to_int(p), _str_to_int(q)
+    f = str_to_frac(s)
+    return f.numerator, f.denominator
 
 
 def poly_from_json(cs: list) -> Poly:
-    return Poly([str_to_frac(c) for c in cs])
+    """The Poly of the rationals cs, put over the lcm of their denominators."""
+    pairs = [_int_pair(c) for c in cs]
+    m = math.lcm(*(q for _, q in pairs))
+    return Poly([p * (m // q) for p, q in pairs], _d=m)
 
 
 def number_to_json(x):

@@ -761,6 +761,16 @@ def test_a_smooth_branch_evaluates_far_from_its_seed(xs):
         _check_real((_FAR, _FAR_SEED), [xs], False)
 
 
+@pytest.mark.parametrize("x", [5e102, 5.6e102])
+def test_a_smooth_branch_evaluates_where_its_sums_overflow(x):
+    # every coefficient of the fibre is finite up to x ~ 5.6e102, but
+    # |y|^2 + |x^3| passes the float range from x ~ 4.3e102 on: the
+    # corrector's residual bound and the disk test's sums are formed over a
+    # power of two there, where they used to reject every step
+    y = BranchExpr(_FAR, _FAR_SEED).eval(x)
+    assert abs(y - _far_root(x)) <= 4 * math.ulp(y)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(-4, 4), st.integers(12, 20), st.sampled_from([1.25, 1.75]))
 @example(-1, 15, 1.75)

@@ -1,4 +1,5 @@
-"""Exact grid maxima: max_abs_on_rational_grid and max_abs_ratio_on_grid,
+"""Exact grid maxima: max_abs_on_rational_grid, max_abs_ratio_on_grid and
+ratio_chain_maxima (every order of a rational f from one derivative chain),
 which search the grid ends and the unit cells that hold a critical point or
 a pole, against a plain Fraction scan of every grid point; a ratio whose
 den has a real root in [0, 1] reads inf.  The cases: critical points and
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothparam.poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid
+from smoothparam.funcs import RationalExpr
+from smoothparam.poly import (Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid,
+                              ratio_chain_maxima)
 
 GRIDS = (1, 2, 3, 100, 4096, 4097, 16384)
 
@@ -266,3 +269,55 @@ def test_grid_ratio_next_to_a_pole(N):
               -F(1, 1000 * N), 1 + F(1, 1000 * N)):
         num, den = Poly([1]), Poly([-r, 1])
         assert max_abs_ratio_on_grid(num, den, N) == direct_ratio(num, den, N)
+
+
+# -- every order of one chain ----------------------------------------------------
+
+_SMALL = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _chain_rationals(draw):
+    """(num, den) of degree <= 4: den dense, constant, or with a pole in
+    [0, 1] (at a grid point of every drawn N, at a half-way point, or
+    elsewhere) or outside it; num dense or zero; and a factor common to
+    both, with a root inside [0, 1] or outside it, or none."""
+    kind = draw(st.sampled_from(("dense", "constant", "pole", "far pole")))
+    den = Poly(draw(st.lists(_SMALL, min_size=1, max_size=4 if kind in (
+        "pole", "far pole") else 5)))
+    if den.is_zero() or kind == "constant":
+        den = Poly([draw(_SMALL.filter(bool))])
+    if kind != "dense" and kind != "constant":
+        r = draw(st.sampled_from((F(0), F(1), F(1, 2), F(1, 3), F(1, 10**6)))
+                 if kind == "pole" else st.sampled_from((F(-1, 3), F(5, 4))))
+        den = den * Poly([-r, 1])
+    num = Poly(draw(st.lists(_SMALL, max_size=5)))
+    if draw(st.booleans()):
+        common = Poly([-draw(st.sampled_from((F(1, 4), F(3, 2)))), 1])
+        num, den = num * common, den * common
+    return num, den
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chain_rationals(), st.sampled_from((1, 5, 4096, 16384)),
+       st.integers(1, 3), st.sampled_from((0, F(1, 3), -2)))
+def test_chain_maxima_match_the_scan_of_each_order(rat, N, top, shift):
+    # order 0 reads the den as given, less the shift; every order i >= 1
+    # the chain's own f^(i), as RationalExpr.derivative_chain builds it
+    num, den = rat
+    chain = RationalExpr(num, den).derivative_chain(top)
+    got = ratio_chain_maxima(num, den, range(top + 1), shift, N)
+    assert list(got) == list(range(top + 1))
+    assert got[0] == direct_ratio(num - den * shift, den, N)
+    for i in range(1, top + 1):
+        assert got[i] == direct_ratio(*chain[i].as_rational(), N)
+
+
+def test_chain_maxima_keep_the_order_0_pole_that_lowest_terms_cancels():
+    # 0/(x - 1/2) and (x - 1/2)/(x - 1/2): order 0 reads inf at the root of
+    # the den as given, and the orders >= 1 of n/d in lowest terms are 0
+    N, g = 8, Poly([F(-1, 2), 1])
+    for num in (Poly([]), g):
+        got = ratio_chain_maxima(num, g, range(3), 0, N)
+        assert got == {0: math.inf, 1: 0, 2: 0}
+        assert ratio_chain_maxima(num, g, (2, 1), 0, N) == {2: 0, 1: 0}

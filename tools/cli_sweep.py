@@ -8,9 +8,10 @@ script) and OUTDIR as its working directory.  For a call named NAME it
 writes NAME.json (the artifact, if the call wrote one) and NAME.log (exit
 code, stdout and stderr); a call with `--csv NAME.csv` writes that too, and
 `verify` on the artifact writes NAME.verify.log.
-No CLI call reaches an algebraic branch, so one more fresh process makes
-the Python-API calls of BRANCH_SCRIPT and writes their outputs beside the
-CLI's: branch-*.hex (value grids as hex bytes), branch-*.json (artifacts)
+No CLI call reaches an algebraic branch or a slab chart, so one more fresh
+process makes the Python-API calls of BRANCH_SCRIPT and writes their
+outputs beside the CLI's: branch-*.hex (value grids as hex bytes),
+branch-*.json (artifacts), slab-*.json (slab charts with their bounds)
 and branches.log (its exit code, output and the trackers' counters).
 The checkout's path is replaced by `<checkout>` in the logs, so
 `diff -r` of two OUTDIRs made from two checkouts lists exactly the calls
@@ -109,17 +110,26 @@ CALLS = [
 # branch of y^3 + y - x through x = 1/2 on a grid through 0.0 and -0.0,
 # where the value is exactly 0; and a 4,096-point grid on [1, 200] of the
 # curve y^2 = x^3 + x/2 + 17/4, whose terms there reach ~10^7 (an error is
-# logged in place of its file).
+# logged in place of its file).  Last, the rational slab
+# x^2/2 <= y <= 1/2 + x/(2 + x) on [0, 1] at k = 2 and 3: each slab chart's
+# maps, the bounds of its build and of a re-check on a grid 4 times finer,
+# floats as hex; these exact slab checks read order 0 less the basepoint y
+# and the y-slope G2 - G1, which no CLI call reaches.
 BRANCH_SCRIPT = """
+import dataclasses
+import json
 import math
 from fractions import Fraction as F
 import numpy as np
 from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly
-from smoothparam.charts import circle_sup
-from smoothparam.ck_param import ck_parametrize_function
-from smoothparam.funcs import BranchExpr
-from smoothparam.serialize import dumps, parametrization_to_json
+from smoothparam.charts import circle_sup, verify_slab_chart
+from smoothparam.ck_param import ck_parametrize_function, ck_parametrize_slab
+from smoothparam.config import DEFAULT
+from smoothparam.funcs import BranchExpr, RationalExpr
+from smoothparam.poly import Poly
+from smoothparam.serialize import (dumps, expr_to_json, parametrization_to_json,
+                                   poly_to_json)
 
 def cubic(a, b):
     P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -a, (0, 0): -b})
@@ -159,6 +169,26 @@ except Exception as e:
     print("branch-far.hex", type(e).__name__, e)
 else:
     save("branch-far.hex", f, ys.tobytes().hex())
+
+def hexed(bounds):
+    return {str(key): float(v).hex() for key, v in bounds.items()}
+
+g1 = RationalExpr(Poly([0, 0, F(1, 2)]))
+g2 = RationalExpr(Poly([2, 3]), Poly([4, 2]))    # 1/2 + x/(2 + x)
+fine = dataclasses.replace(DEFAULT,
+                           exact_grid_points=4 * DEFAULT.exact_grid_points)
+for k in (2, 3):
+    charts = []
+    for c in ck_parametrize_slab(g1, g2, k, (0, 1)).charts:
+        built, rep = hexed(c.bounds), verify_slab_chart(c, fine)
+        charts.append({"x_map": poly_to_json(c.x_map),
+                       "G1": expr_to_json(c.G1), "G2": expr_to_json(c.G2),
+                       "steps": repr(c.meta["steps"]), "bounds": built,
+                       "recheck": {"ok": rep.ok, "detail": rep.detail,
+                                   "bounds": hexed(rep.per_order)}})
+    print(f"slab-k{k}.json", len(charts))
+    with open(f"slab-k{k}.json", "w") as fh:
+        fh.write(json.dumps(charts, sort_keys=True, indent=1) + "\\n")
 """
 
 
@@ -199,7 +229,8 @@ def main(argv=None):
             run(checkout, args.outdir, f"{name}.verify",
                 ["verify", f"{name}.json"])
         print(name, flush=True)
-    for left in glob.glob(os.path.join(args.outdir, "branch-*")):
+    for left in glob.glob(os.path.join(args.outdir, "branch-*")) + \
+            glob.glob(os.path.join(args.outdir, "slab-*")):
         os.remove(left)                     # left by an earlier sweep
     run(checkout, args.outdir, "branches", [], script=BRANCH_SCRIPT)
     print("branches", flush=True)
