@@ -156,11 +156,6 @@ class BivarPoly:
                 o[j] += t
         return out
 
-    def y_poly_coeffs_complex(self, x) -> np.ndarray:
-        """y_poly_coeffs at a complex x or array x, as one complex array."""
-        x = np.asarray(x, dtype=complex)
-        return _pack(*self.y_poly_coeffs((x.real, x.imag)))
-
     def eval_array(self, x, y):
         """P at each point of the arrays x and y, both real or both complex,
         with the bits of __call__ at that point: float pow for real input,

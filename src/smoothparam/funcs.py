@@ -481,12 +481,22 @@ def _abs_polyval(cs, a):
 
 def _disk_test(cs, w, wn):
     """Per column: True only if p(y) = sum_j cs[j] y^j has exactly one root
-    in the open disk |y - wn| < r, r = 2 |wn - w|, by Rouche's theorem
-    against the linear term.  cs, w and wn are (real, imag) pairs or 1-tuples.
+    in the open disk |y - wn| < r, r >= 2 |wn - w|, by Rouche's theorem
+    against the linear term, so that every other root lies at least
+    2 |wn - w| from wn.  cs, w and wn are (real, imag) pairs or 1-tuples.
 
     The Taylor coefficients b_k of p at wn come from repeated synthetic
     division, and B_k, the same division run on |cs[j]| at |wn|, bounds the
-    exact b_k term by term.  The test accepts when
+    exact b_k term by term.  The radius is
+        r = max(2 |wn - w|, 4 (|b_0| + 8(n+3) u B_0) / |b_1|):
+    a step of an ulp or two makes 2 |wn - w| so small that the rounding
+    margin below exceeds |b_1| 2 |wn - w|, and no disk that small can be
+    certified, while at the floor |b_1| r is four times the constant term
+    and its margin, which leaves room for the rest.  A larger disk keeps
+    what the test proves, since one root within r >= 2 |wn - w| of wn
+    leaves every other root at least that far away.  At b_1 = 0 the floor
+    is inf or NaN and the test rejects, as no radius can pass it there.
+    The test accepts when
         |b_1| r > |b_0| + sum_{k>=2} |b_k| r^k + 8(n+3) u H + eta,
     H = sum_k B_k r^k, u = 2^-53, n = len(cs) - 1.  The arithmetic is that
     of Python complex numbers, bit for bit: each product is formed from its
@@ -502,10 +512,11 @@ def _disk_test(cs, w, wn):
     errors of subnormal products.  On the circle |y - wn| = r the exact
     |p - b_1 (y - wn)| is then below |b_1 (y - wn)|, so p has as many zeros
     inside as b_1 (y - wn): one.  A NaN or an inf rejects; where a sum
-    overflows, the test is rerun on p / 2^s, which has the roots of p
-    (`_down_shift`).  Run under np.errstate(all="ignore")."""
+    overflows, the test is rerun on p / 2^s, which has the roots of p, with
+    s sized from |wn| + 2 |wn - w| (`_down_shift`), not from r, which an
+    overflowed B_0 makes inf.  Run under np.errstate(all="ignore")."""
     n = len(cs[0]) - 1
-    r = 2 * _abs(_zip(np.subtract, wn, w))
+    gap = 2 * _abs(_zip(np.subtract, wn, w))
     b = [tuple(c[k] for c in cs) for k in range(n, -1, -1)]   # descending
     h = [_abs(c) for c in b]
     aw = _abs(wn)
@@ -514,6 +525,7 @@ def _disk_test(cs, w, wn):
             b[i] = _zip(np.add, b[i], _mul(wn, b[i - 1]))
             h[i] = h[i] + aw * h[i - 1]
     a = [_abs(c) for c in b]
+    r = np.maximum(gap, 4 * (a[n] + 8 * (n + 3) * _U * h[n]) / a[n - 1])
     finite = np.isfinite([r, aw] + h + a).all(axis=0)
     lhs = a[n - 1] * r
     rhs, big = a[n], h[n] + h[n - 1] * r
@@ -529,7 +541,7 @@ def _disk_test(cs, w, wn):
     redo = np.flatnonzero(~finite)
     if redo.size:       # an overflow: the same test on p / 2^s
         cs = tuple(c[:, redo] for c in cs)
-        s, fit = _down_shift(_abs(cs), (aw + r)[redo])
+        s, fit = _down_shift(_abs(cs), (aw + gap)[redo])
         redo, s = redo[fit], s[fit]
         if redo.size:
             ok[redo] = _disk_test(
@@ -551,17 +563,13 @@ class BranchTracker:
 
     A continuation step from (z, w) to zn runs the corrector `_correct`:
     Newton's method on the fibre polynomial P(zn, .) from w, then the sheet
-    guard, which accepts the step w -> wn at the first of three tests that
-    holds:
+    guard, which accepts the step w -> wn if either of two tests holds:
     1. |wn - w| <= |step|;
     2. the Rouche disk test `_disk_test`: the fibre polynomial has exactly
-       one root within r = 2 |wn - w| of wn, so every other root lies at
-       least 2 |wn - w| from wn;
-    3. the fibre roots from `np.roots` (counted in `roots_calls`): |wn - w|
-       is at most half the distance from wn to the nearest other root.
-    Test 2 proves of the exact roots what test 3 checks of numpy's, so it
-    accepts no step that test 3 would reject, up to the rounding of
-    np.roots; test 3 still decides every step that test 2 cannot certify.
+       one root within some r >= 2 |wn - w| of wn, so every other root lies
+       at least 2 |wn - w| from wn.
+    Both are proofs about the exact fibre roots, up to the rounding margin
+    that the disk test carries, and a step that neither accepts is halved.
     `_advance` walks from point to point: steps of at most half the
     distance to the nearest singular point, each halved while the corrector
     rejects it (counted in `halvings`) down to CONTINUATION_STEP_FLOOR: the
@@ -614,7 +622,6 @@ class BranchTracker:
         self._no_overflow = (
             (2.0 ** 1000 / max(s, 1.0)) ** (1 / max(P.degx, 1))
             if s <= 2.0 ** 1000 else -1.0)
-        self.roots_calls = 0            # np.roots fallbacks of the sheet guard
         self.halvings = 0               # continuation steps halved
         self.single_steps = 0           # points a sweep hands to _advance
 
@@ -673,15 +680,6 @@ class BranchTracker:
         return _pack(wn[0], wn[-1] if len(wn) == 2 else 0.0), conv, ok, cs
 
     @staticmethod
-    def _roots_guard(cs, w, wn):
-        """Test 3 of the sheet guard, at one point."""
-        cs = np.trim_zeros(cs, trim="b")
-        roots = np.roots(cs[::-1]) if len(cs) > 1 else []
-        near = min((abs(r - wn) for r in roots if abs(r - wn) > 1e-12),
-                   default=math.inf)
-        return abs(wn - w) <= 0.5 * near
-
-    @staticmethod
     def _step_toward(z, z1, d):
         """_advance's next step from z toward z1 (complex arrays), d being
         the distance from z to the nearest singular point: (step, |z1 - z|,
@@ -704,14 +702,14 @@ class BranchTracker:
         CONTINUATION_ROUND_CAP corrector rounds fails with BranchJump.  The
         step arithmetic rounds as Python's complex arithmetic, and a whole
         step (as long as the distance left, not halved) goes to z1[i]
-        itself.  Returns (w1, errs, roots, halved):
-        errs[i] is the error that stopped element i, else None, and roots[i]
-        and halved[i] count its np.roots tests and halved steps."""
+        itself.  Returns (w1, errs, halved): errs[i] is the error that
+        stopped element i, else None, and halved[i] counts its halved
+        steps."""
         floor = CONTINUATION_STEP_FLOOR
         z, w, d = z0.copy(), w0.copy(), self._sing_dist(z0)
         step = np.zeros_like(z)
         errs = [None] * len(z)
-        roots, halved = np.zeros(len(z), dtype=int), np.zeros(len(z), dtype=int)
+        halved = np.zeros(len(z), dtype=int)
         rounds = np.zeros(len(z), dtype=int)
         act, fresh = np.arange(len(z)), np.ones(len(z), dtype=bool)
         whole = np.zeros(len(z), dtype=bool)    # the step reaches z1, unhalved
@@ -724,7 +722,7 @@ class BranchTracker:
                 act = np.setdiff1d(act, f[~(ab > 0)], assume_unique=True)
                 fresh[f] = False
                 if not act.size:
-                    return w, errs, roots, halved
+                    return w, errs, halved
                 zn = np.where(whole[act], z1[act], z[act] + step[act])
                 dn = self._sing_dist(zn)
                 rounds[act] += 1
@@ -740,15 +738,9 @@ class BranchTracker:
                 keep = ~(near | spent)
                 act, zn, dn = act[keep], zn[keep], dn[keep]
                 if not act.size:
-                    return w, errs, roots, halved
+                    return w, errs, halved
                 h = np.hypot(step.real[act], step.imag[act])
-                wn, conv, ok = self._correct(w[act], zn, h)
-                rest = np.flatnonzero(conv & ~ok)
-                cs = self.P.y_poly_coeffs_complex(zn[rest]).T
-                for j, c in zip(rest, cs):
-                    roots[act[j]] += 1
-                    ok[j] = self._roots_guard(c, complex(w[act[j]]),
-                                              complex(wn[j]))
+                wn, _, ok = self._correct(w[act], zn, h)
                 a = act[ok]
                 z[a], w[a], d[a], fresh[a] = zn[ok], wn[ok], dn[ok], True
                 lost = ~ok & (h / 2 < floor * np.fmax(1.0, np.abs(z[act])))
@@ -789,10 +781,10 @@ class BranchTracker:
         once.  The batch takes the points whose first step is whole: there
         `_advance` runs the corrector once, at zt itself.  A target whose
         fibre overflows (`_overflow`) is a failure at once.  Returns (W,
-        err, roots, halved): W for the points before the first whose
-        continuation fails, that failure (None if there is none), and per
-        point the np.roots tests and halved steps of its walk, which the
-        point-by-point walk makes only up to the first failure."""
+        err, halved): W for the points before the first whose continuation
+        fails, that failure (None if there is none), and per point the
+        halved steps of its walk, which the point-by-point walk makes only
+        up to the first failure."""
         n = len(zt)
         # the batch takes a point when _advance's first step is whole, so
         # that it lands on zt in one corrector run
@@ -806,12 +798,12 @@ class BranchTracker:
         ran = np.zeros(n, dtype=bool)      # ... once it was
         ok = np.zeros(n, dtype=bool)       # the corrector accepted that step
         final = np.zeros(n, dtype=bool)
-        roots, halved = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        halved = np.zeros(n, dtype=int)
         end, err = self._overflow(zt)
         while True:
             todo = np.flatnonzero(~final[:end])
             if not todo.size:
-                return W[:end], err, roots, halved
+                return W[:end], err, halved
             p = pred[todo]
             known = p < 0
             exact = known | final[p]        # the start is final
@@ -831,7 +823,7 @@ class BranchTracker:
             if ks.size:
                 i = todo[ks]
                 self.single_steps += len(ks)
-                w1, errs, roots[i], halved[i] = self._advance(
+                w1, errs, halved[i] = self._advance(
                     zs[i], start[ks], zt[i])
                 bad = [j for j, e in enumerate(errs) if e is not None]
                 if bad:     # raised once the points before it are done
@@ -935,10 +927,10 @@ class BranchTracker:
         vals = np.empty(len(keys), dtype=complex)
         vals[hit] = [self._real_cache[k] for k in keys[hit].tolist()]
         new = np.flatnonzero(~hit)
-        W, err, roots, halved = np.empty(0, dtype=complex), None, 0, 0
+        W, err, halved = np.empty(0, dtype=complex), None, 0
         if new.size:
             zs, w0, pred = self._starts(keys[new])
-            W, err, roots, halved = self._sweep(
+            W, err, halved = self._sweep(
                 zs, keys[new].astype(complex), w0, pred)
             vals[new[:len(W)]] = W
         done = len(keys) if err is None else new[len(W)]
@@ -952,7 +944,6 @@ class BranchTracker:
         room = CONTINUATION_CACHE_CAP - len(self._real_cache)
         times = np.where(np.arange(len(new)) < room, 1, reps[new])
         times = np.where(new == walked - 1, 1, times) * (new < walked)
-        self.roots_calls += int(np.sum(roots * times))
         self.halvings += int(np.sum(halved * times))
         self._remember(keys[new[new < cached]], vals[new[new < cached]])
         if err is not None:
@@ -971,9 +962,8 @@ class BranchTracker:
         zs[:, 0], zs[:, 1:] = self.seed[0], rows[:, :-1]
         pred = np.arange(rows.size) - 1
         pred[::rows.shape[1]] = -1
-        W, err, roots, halved = self._sweep(
+        W, err, halved = self._sweep(
             zs.ravel(), rows.ravel(), np.full(rows.size, self.seed[1]), pred)
-        self.roots_calls += int(roots[:len(W) + 1].sum())
         self.halvings += int(halved[:len(W) + 1].sum())
         if err is not None:
             raise err

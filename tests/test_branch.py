@@ -2,13 +2,15 @@
 batched corrector and its exact fixed-point sweep against the point-by-point
 tracker it replaced (kept here, in scalar Python arithmetic, as the oracle),
 its kernels against the oracle's, the tracker's nearest-point lookup against
-the linear scan it replaces, the Rouche disk test of its sheet guard against
-np.roots and against exactly known roots, byte-identity of a fixed grid
-evaluation and how rarely it falls back to np.roots, halving or single
-steps there and on disk rows, values against the closed form, the typed
-errors at a non-finite x, a non-finite seed, a walk past the round cap and
-a fibre that overflows, a NaN residual that is not convergence, and C^1
-and C^2 builds end to end."""
+the linear scan it replaces, the Rouche disk test of its sheet guard (with
+the displacement test, the whole guard) against np.roots and against
+exactly known roots, within the radius it certified, and on a step of one
+ulp, byte-identity of a fixed grid evaluation and how rarely it falls back
+to halving or single steps there and on disk rows, values against the
+closed form and, on grids up to x = 10^6, against the correctly rounded
+root, the typed errors at a non-finite x, a non-finite seed, a walk past
+the round cap and a fibre that overflows, a NaN residual that is not
+convergence, and C^1 and C^2 builds end to end."""
 
 import cmath
 import hashlib
@@ -31,6 +33,7 @@ from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
                                 FibreOverflow, PathNearSingularity)
 from smoothparam.funcs import (_U, BranchExpr, BranchTracker, _disk_test,
                                _newton, _npdiv, _polyval, singular_locus)
+from smoothparam.poly import Poly, isolate_roots
 from smoothparam.serialize import dumps, parametrization_to_json
 
 # sha256 of eval_array on y^2 = x^3 + 1 over np.linspace(1, 2, 4096), as
@@ -84,10 +87,12 @@ def _cdiv(a, b):
     return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
-def _one_root_in_disk(cs, w, wn) -> bool:
-    """Scalar Rouche disk test (see funcs._disk_test): exactly one root of
-    sum cs[j] y^j within 2 |wn - w| of wn, in Python complex arithmetic."""
-    n, r = len(cs) - 1, 2 * abs(wn - w)
+def _disk_radius(cs, w, wn):
+    """Scalar Rouche disk test (see funcs._disk_test), in Python complex
+    arithmetic: the radius r = max(2 |wn - w|, 4 (|b_0| + 8(n+3) u B_0) /
+    |b_1|) if sum cs[j] y^j has exactly one root within r of wn, else
+    None."""
+    n = len(cs) - 1
     try:
         b = cs[::-1].tolist()               # descending, Python complex
         h = [abs(c) for c in b]
@@ -96,6 +101,10 @@ def _one_root_in_disk(cs, w, wn) -> bool:
             for i in range(1, n + 1 - k):
                 b[i] = b[i] + wn * b[i - 1]
                 h[i] = h[i] + aw * h[i - 1]
+        if b[n - 1] == 0:
+            return None
+        r = max(2 * abs(wn - w),
+                4 * (abs(b[n]) + 8 * (n + 3) * _U * h[n]) / abs(b[n - 1]))
         lhs = abs(b[n - 1]) * r
         rhs, big = abs(b[n]), h[n] + h[n - 1] * r
         eta = (n + 3) ** 2 * 2.0 ** -1070
@@ -106,9 +115,19 @@ def _one_root_in_disk(cs, w, wn) -> bool:
             big += h[n - k] * rk
         for _ in range(n):
             eta *= grow
-        return lhs > rhs + 8 * (n + 3) * _U * big + eta
+        return r if lhs > rhs + 8 * (n + 3) * _U * big + eta else None
     except OverflowError:
-        return False
+        return None
+
+
+def _one_root_in_disk(cs, w, wn) -> bool:
+    return _disk_radius(cs, w, wn) is not None
+
+
+def _coeffs_complex(P, x):
+    """P.y_poly_coeffs at a complex x or array x, as one complex array."""
+    x = np.asarray(x, dtype=complex)
+    return _pack(*P.y_poly_coeffs((x.real, x.imag)))
 
 
 def _scalar_newton(cs, w0):
@@ -151,26 +170,19 @@ class _Oracle:
         self._real_cache = {x0: self.seed[1]}
         self._keys = [x0]
         self._rank = {x0: 0}
-        self.roots_calls = self.halvings = 0
+        self.halvings = 0
 
     def _min_sing_dist(self, z):
         return min((abs(z - s) for s in self.singularities), default=math.inf)
 
-    def _on_sheet(self, cs, w, wn, step):
-        gap = abs(wn - w)
-        if gap <= abs(step) or _one_root_in_disk(cs, w, wn):
-            return True
-        self.roots_calls += 1
-        cs = np.trim_zeros(cs, trim="b")
-        roots = np.roots(cs[::-1]) if len(cs) > 1 else []
-        near = min((abs(r - wn) for r in roots if abs(r - wn) > 1e-12),
-                   default=math.inf)
-        return gap <= 0.5 * near
+    @staticmethod
+    def _on_sheet(cs, w, wn, step):
+        return abs(wn - w) <= abs(step) or _one_root_in_disk(cs, w, wn)
 
     def _advance(self, z0, w0, z1):
         floor = funcs.CONTINUATION_STEP_FLOOR
         with np.errstate(all="ignore"):
-            if not np.isfinite(self.P.y_poly_coeffs_complex(z1)).all():
+            if not np.isfinite(_coeffs_complex(self.P, z1)).all():
                 raise FibreOverflow(f"overflow at {z1}")
         z, w = z0, w0
         d = self._min_sing_dist(z)
@@ -188,7 +200,7 @@ class _Oracle:
                 rounds += 1
                 if rounds > funcs.CONTINUATION_ROUND_CAP:
                     raise BranchJump(f"no value at {z1}")
-                cs = self.P.y_poly_coeffs_complex(zn)
+                cs = _coeffs_complex(self.P, zn)
                 wn = _scalar_newton(cs, w)
                 if wn is not None and self._on_sheet(cs, w, wn, step):
                     break
@@ -343,22 +355,23 @@ def _disk(cs, w, wn):
 def test_disk_test_accepts_only_steps_the_roots_guard_accepts(P, zn, w0, dw):
     # wn is the corrector's output, as in the tracker; w is the previous
     # value, dw away.  Whenever the disk test certifies the step, np.roots
-    # finds exactly one root within r = 2 |wn - w| of wn, and the np.roots
-    # guard it stands in for accepts the same step.
+    # finds exactly one root within the radius r >= 2 |wn - w| it certified,
+    # so |wn - w| is at most half the distance from wn to any other root:
+    # the np.roots guard it replaced would accept the same step.
     t = BranchTracker(P, (0.0, 0.0))
     wn, conv, _ = t._correct(np.array([w0]), np.array([complex(zn)]),
                              np.array([0.0]))
     assume(conv[0])
-    cs, wn = P.y_poly_coeffs_complex(zn), complex(wn[0])
+    cs, wn = _coeffs_complex(P, zn), complex(wn[0])
     w = wn + dw
     if not _disk(cs, w, wn):
         return
-    roots = np.roots(np.trim_zeros(cs, trim="b")[::-1])
-    r = 2 * abs(wn - w)
-    assert sum(abs(x - wn) < r for x in roots) == 1
-    near = min((abs(x - wn) for x in roots if abs(x - wn) > 1e-12),
-               default=math.inf)
-    assert abs(wn - w) <= 0.5 * near
+    r = _disk_radius(cs, w, wn)
+    assert r is not None and r >= 2 * abs(wn - w)
+    dist = sorted(abs(x - wn) for x in
+                  np.roots(np.trim_zeros(cs, trim="b")[::-1]))
+    assert dist[0] < r <= dist[1]
+    assert abs(wn - w) <= 0.5 * dist[1]
 
 
 _DYADIC = st.integers(-16, 16).map(lambda i: i / 4)
@@ -375,12 +388,14 @@ def test_disk_test_against_exact_roots(lines, zn, wn, pick, ulps, up):
     # P is a product of lines y = a + c x, so the fibre over the dyadic zn
     # has the exact roots a + c zn and float coefficients without rounding.
     # w puts the circle |y - wn| = 2 |wn - w| through one root, give or take
-    # a few ulps, where only the rounding margin keeps the test honest.
+    # a few ulps, where only the rounding margin keeps the test honest.  The
+    # roots are counted within the radius the test certified, which its
+    # floor can make larger than 2 |wn - w|.
     P = BivarPoly({(0, 0): 1})
     for a, c in lines:
         P = P * BivarPoly({(0, 1): 1, (0, 0): -F(a), (1, 0): -F(c)})
     roots = [F(a) + F(c) * F(zn) for a, c in lines]
-    cs = P.y_poly_coeffs_complex(zn)
+    cs = _coeffs_complex(P, zn)
     assert cs.tolist() == [float(c) for c in P.y_poly_at(F(zn)).coeffs]
     gap = abs(float(roots[pick % len(roots)]) - wn) / 2
     w = wn + gap if up else wn - gap
@@ -388,8 +403,9 @@ def test_disk_test_against_exact_roots(lines, zn, wn, pick, ulps, up):
         w = math.nextafter(w, math.copysign(math.inf, ulps))
     if not _disk(cs, complex(w), complex(wn)):
         return
-    r = F(2 * abs(wn - w))
-    assert sum(abs(y - F(wn)) < r for y in roots) == 1
+    r = _disk_radius(cs, complex(w), complex(wn))
+    assert r is not None and r >= 2 * abs(complex(wn) - complex(w))
+    assert sum(abs(y - F(wn)) < F(r) for y in roots) == 1
 
 
 def test_cubic_branch_grid_is_byte_identical_and_exact():
@@ -399,8 +415,6 @@ def test_cubic_branch_grid_is_byte_identical_and_exact():
     digest = hashlib.sha256(np.ascontiguousarray(vals).tobytes()).hexdigest()
     assert digest == CUBIC_GRID_SHA256
     assert float(np.max(np.abs(vals - np.sqrt(xs ** 3 + 1)))) <= 1e-9
-    # np.roots at fewer than 1% of the 4,095 or more continuation steps
-    assert f.tracker.roots_calls < 0.01 * 4095
     # no step halved, and at most 1% of the points taken one at a time
     assert f.tracker.halvings == 0
     assert f.tracker.single_steps <= 0.01 * 4095
@@ -455,6 +469,27 @@ def test_cubic_branch_c2_charts_are_certified_and_pinned():
     assert all(ch.meta["certificate"].ok for ch in par.charts)
     text = dumps(parametrization_to_json(par, "ck"))
     assert hashlib.sha256(text.encode()).hexdigest() == CUBIC_C2_SHA256
+
+
+def test_a_step_of_one_ulp_is_certified_by_the_disk_test():
+    # the k = 2 build over [1, 2] of y^2 = x^3 + 1 continues x below from
+    # the cached key one ulp above it, and |wn - w| is one ulp of w: a disk
+    # of radius 2 |wn - w| is below the rounding margin, while the radius
+    # floor certifies the step, so the batch takes every point of the build
+    x, w = 1.5785103785103785, 2.2210732633937686
+    cs = _CUBIC.y_poly_coeffs((np.array([x]),))
+    with np.errstate(all="ignore"):
+        wn, conv = _newton(cs, (np.array([w]),))
+        assert conv[0] and abs(wn[0][0] - w) == math.ulp(w)
+        assert _disk_test(cs, (np.array([w]),), wn)[0]
+    assert _one_root_in_disk(cs[0][:, 0].astype(complex), complex(w),
+                             complex(wn[0][0]))
+    f = _cubic_branch()
+    par = ck_parametrize_function(f, 2, (1, 2))
+    assert x in f.tracker._real_cache and math.nextafter(x, 2) in \
+        f.tracker._real_cache
+    assert len(par.charts) == 2
+    assert (f.tracker.halvings, f.tracker.single_steps) == (0, 0)
 
 
 def test_cubic_branch_analytic_and_c1_artifacts_are_pinned():
@@ -644,7 +679,7 @@ def _check_real(br, grids, deriv):
         assert list(tr._real_cache.items()) == list(t._real_cache.items())
         assert tr._keys.tolist() == t._keys
         assert tr._ranks.tolist() == [t._rank[k] for k in t._keys]
-        assert (tr.roots_calls, tr.halvings) == (t.roots_calls, t.halvings)
+        assert tr.halvings == t.halvings
 
 
 @settings(max_examples=60)
@@ -655,7 +690,7 @@ def _check_real(br, grids, deriv):
 @example((BivarPoly({(0, 3): 1, (2, 0): -2, (1, 0): 1, (0, 0): 8}), (0.0, -2.0)),
          [], [1.906598871905301, -2.961054435148281, 1.8024971597178312,
               2.8124297204158593], False)     # 54 halvings
-# the walk stops at the first failure: no np.roots test after it counts
+# the walk stops at the first failure: no halving after it counts
 @example((BivarPoly({(0, 3): 1, (1, 1): -2, (0, 1): -1, (2, 0): -2,
                      (1, 0): -1}), (0.0, 1.0)), [], [-5 / 32, -0.3125], False)
 # a pole of rat at a cached point comes before a later failed continuation
@@ -786,15 +821,41 @@ def test_disk_rows_take_only_their_entries_one_at_a_time(a, b, center):
     f = _cubic_branch(a, b)
     circle_sup(f.eval_array, complex(center), 0.5)
     assert f.tracker.single_steps <= DEFAULT.a_chart_radii
-    assert (f.tracker.roots_calls, f.tracker.halvings) == (0, 0)
+    assert f.tracker.halvings == 0
 
 
 @pytest.mark.parametrize("a, b", [(F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))])
-def test_the_sweep_tools_analytic_branches_need_no_np_roots(a, b):
+def test_the_sweep_tools_analytic_branches_halve_no_step(a, b):
     # the two analytic builds of tools/cli_sweep.py's branch script
     f = _cubic_branch(a, b)
     analytic_delta_parametrize(f, F(1, 16), (1, 2))
-    assert f.tracker.roots_calls == 0
+    assert f.tracker.halvings == 0
+
+
+@st.composite
+def _far_curves(draw):
+    """(a, b) for y^2 = x^3 + a x + b whose cubic has no real root within
+    1/2 of [1, inf), so the upper branch through x = 1 is real and analytic
+    on [1, inf)."""
+    a, b = (F(draw(st.integers(-40, 40)), 4) for _ in range(2))
+    cubic = Poly([b, a, 0, 1])
+    assume(not isolate_roots(cubic, F(1, 2), 1 + abs(a) + abs(b)))
+    return a, b
+
+
+@settings(max_examples=8, deadline=None)
+@given(_far_curves())
+@example((F(1, 2), F(17, 4)))
+def test_branches_evaluate_to_the_root_on_a_far_grid(ab):
+    # a 4,096-point grid on [1, 10^6] raises no BranchJump, and each value
+    # is within 4 ulps of the correctly rounded root, computed with Fraction
+    a, b = ab
+    xs = np.linspace(1.0, 1e6, 4096)
+    ys = _cubic_branch(a, b).eval_array(xs)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        r = F(x) ** 3 + a * F(x) + b
+        root = _nearest_root(lambda v: v * v - r, y)
+        assert abs(y - root) <= 4 * math.ulp(y)
 
 
 @pytest.mark.parametrize("x", [1e103, 1e150])
@@ -811,7 +872,7 @@ def test_a_fibre_that_overflows_fails_at_once(x):
     with pytest.raises(FibreOverflow, match="overflows"):
         f.eval_array(np.array([1.5, 1.5 + 1j, x + 1j]))
     t = f.tracker
-    assert (t.roots_calls, t.halvings) == (0, 0)
+    assert t.halvings == 0
     assert list(t._real_cache) == [1.0, 2.0]
     assert f.eval_array(np.array([1e100]))[0] == _far_root(1e100)
     _check_real((_FAR, _FAR_SEED), [[2.0, 1e100], [2e102, x]], False)
@@ -829,8 +890,7 @@ def _check_path(br, zs, deriv):
     assert gerr == werr
     if werr is None:
         assert got.tobytes() == want.tobytes()
-    tr = f.tracker
-    assert (tr.roots_calls, tr.halvings) == (t.roots_calls, t.halvings)
+    assert f.tracker.halvings == t.halvings
 
 
 @settings(max_examples=40)

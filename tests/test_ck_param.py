@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.charts import SlabChart, verify_ck_chart, verify_slab_chart
+from smoothparam import ck_param
 from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   hyperbola_parametrization,
                                   kill_derivative_step, monotone_subdivision)
 from smoothparam.config import DEFAULT
-from smoothparam.errors import PreconditionFailed, SlabOrderViolation
+from smoothparam.errors import (BoundViolationAfterMaxDepth,
+                                PreconditionFailed, SlabOrderViolation)
 from smoothparam.funcs import (BlackboxExpr, MulExpr, RationalExpr, SqrtExpr,
                                hyperbola_branch, normalize_values)
 from smoothparam.poly import Poly
@@ -232,6 +234,32 @@ def test_slab_with_an_unbounded_graph_is_a_typed_error():
     with np.errstate(divide="ignore"), pytest.raises(
             PreconditionFailed, match="order-1 derivative unbounded"):
         ck_parametrize_slab(RationalExpr(Poly([0])), inv, 2, (F(0), F(1)))
+
+
+def test_a_slab_that_no_split_reduces_names_what_blocks_it(monkeypatch):
+    # x^2 <= y <= (2 + 2x)/(2 + x) on [0, 1] is 1 tall at x = 0, so the
+    # order-0 values ('y', 0) and ('y-slope', 0) exceed 1 on every split;
+    # the error names them and the worst value of the last failed report
+    failed = []
+
+    def certify(ch, cfg):
+        rep = verify_slab_chart(ch, cfg)
+        failed.extend([] if rep.ok else [rep])
+        return rep
+
+    monkeypatch.setattr(ck_param, "verify_slab_chart", certify)
+    g1, g2 = RationalExpr(Poly([0, 0, 1])), RationalExpr(Poly([2, 2]),
+                                                         Poly([2, 1]))
+    with pytest.raises(BoundViolationAfterMaxDepth) as info:
+        ck_parametrize_slab(g1, g2, 2, (F(0), F(1)))
+    per = failed[-1].per_order
+    worst = max(per, key=per.get)
+    over = [key for key, v in per.items() if v > 1 + failed[-1].tolerance]
+    assert over == [("y", 0), ("y-slope", 0)]
+    msg = str(info.value)
+    assert "not reducible within 3 extra splits" in msg
+    assert f"{over[0]}, {over[1]} over the bound" in msg
+    assert msg.endswith(f"the worst {worst} = {per[worst]:.6g}")
 
 
 def _scan(num, den, i, N, shift=0):

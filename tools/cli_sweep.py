@@ -103,14 +103,15 @@ CALLS = [
 
 # Branches of y^2 = x^3 + a x + b from the `curves` benchmark family (the
 # upper branch through x = 1): a 4,096-point grid on [1, 2], and k = 1 and
-# analytic artifacts for two curves; the raw 8 x 256 circle_sup rows of the
-# first curve's disk about 7/4 of radius 1/2, which its analytic chart on
-# [3/2, 2] reduces to their max K; a complex path on y^2 = x^3 + 1 that
-# starts at the seed's x and repeats points (zero-length steps); and the
-# branch of y^3 + y - x through x = 1/2 on a grid through 0.0 and -0.0,
-# where the value is exactly 0; and a 4,096-point grid on [1, 200] of the
-# curve y^2 = x^3 + x/2 + 17/4, whose terms there reach ~10^7 (an error is
-# logged in place of its file).  Last, the rational slab
+# analytic artifacts for two curves; the k = 2 artifact on [1, 2] of
+# y^2 = x^3 + 1, whose build takes steps of one ulp in x; the raw 8 x 256
+# circle_sup rows of the first curve's disk about 7/4 of radius 1/2, which
+# its analytic chart on [3/2, 2] reduces to their max K; a complex path on
+# y^2 = x^3 + 1 that starts at the seed's x and repeats points (zero-length
+# steps); and the branch of y^3 + y - x through x = 1/2 on a grid through
+# 0.0 and -0.0, where the value is exactly 0; and a 4,096-point grid on
+# [1, 200] of the curve y^2 = x^3 + x/2 + 17/4, whose terms there reach
+# ~10^7 (an error is logged in place of its file).  Last, the rational slab
 # x^2/2 <= y <= 1/2 + x/(2 + x) on [0, 1] at k = 2 and 3: each slab chart's
 # maps, the bounds of its build and of a re-check on a grid 4 times finer,
 # floats as hex; these exact slab checks read order 0 less the basepoint y
@@ -137,7 +138,7 @@ def cubic(a, b):
 
 def save(name, f, text):
     t = f.tracker
-    print(name, t.roots_calls, t.halvings, t.single_steps)
+    print(name, t.halvings, t.single_steps)
     with open(name, "w") as fh:
         fh.write(text)
 
@@ -152,6 +153,9 @@ for a, b in ((F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))):
     par = analytic_delta_parametrize(f, F(1, 16), (1, 2))
     save(f"branch-analytic-{tag}.json", f,
          dumps(parametrization_to_json(par, "analytic")))
+f = cubic(0, 1)
+par = ck_parametrize_function(f, 2, (1, 2))
+save("branch-ck2-0_1-1_1.json", f, dumps(parametrization_to_json(par, "ck")))
 f, rows = cubic(F(-1, 4), F(15, 4)), []
 circle_sup(lambda zs: rows.append(f.eval_array(zs)) or rows[0], 1.75, 0.5)
 save("branch-circle.hex", f, rows[0].tobytes().hex())
