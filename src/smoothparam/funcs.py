@@ -568,8 +568,8 @@ class BranchTracker:
     2. the Rouche disk test `_disk_test`: the fibre polynomial has exactly
        one root within some r >= 2 |wn - w| of wn, so every other root lies
        at least 2 |wn - w| from wn.
-    Both are proofs about the exact fibre roots, up to the rounding margin
-    that the disk test carries, and a step that neither accepts is halved.
+    Test 2 is a proof about the exact fibre roots, its rounding included;
+    a step that neither test accepts is halved.
     `_advance` walks from point to point: steps of at most half the
     distance to the nearest singular point, each halved while the corrector
     rejects it (counted in `halvings`) down to CONTINUATION_STEP_FLOOR: the

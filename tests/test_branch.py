@@ -472,10 +472,10 @@ def test_cubic_branch_c2_charts_are_certified_and_pinned():
 
 
 def test_a_step_of_one_ulp_is_certified_by_the_disk_test():
-    # the k = 2 build over [1, 2] of y^2 = x^3 + 1 continues x below from
-    # the cached key one ulp above it, and |wn - w| is one ulp of w: a disk
-    # of radius 2 |wn - w| is below the rounding margin, while the radius
-    # floor certifies the step, so the batch takes every point of the build
+    # the k = 2 build over [1, 2] of y^2 = x^3 + 1 continues x from the
+    # cached key one ulp above it, and |wn - w| is one ulp of w: a disk of
+    # radius 2 |wn - w| is below the rounding margin, while the radius floor
+    # certifies the step, so the batch takes every point of the build
     x, w = 1.5785103785103785, 2.2210732633937686
     cs = _CUBIC.y_poly_coeffs((np.array([x]),))
     with np.errstate(all="ignore"):
