@@ -127,9 +127,6 @@ class RationalExpr(FunctionExpr):
     def __repr__(self):
         return f"RationalExpr({self.num!r}, {self.den!r})"
 
-    def is_poly(self):
-        return self.den.degree == 0
-
     def as_rational(self):
         return (self.num, self.den)
 
@@ -581,7 +578,8 @@ class BranchTracker:
     with FibreOverflow before any step.
 
     A whole real grid (`eval_grid`) or every row of a disk (`eval_path`) is
-    one recurrence W_i = step(W_pred(i)), solved by `_sweep` as an exact
+    one recurrence, each W_i a step from W_(i-1) or from a given start,
+    solved by `_sweep` as an exact
     fixed point.  Each sweep runs the corrector, as numpy arrays (float ones
     on the real axis, bit for bit: `_correct`), at every open point whose
     start value changed since it last ran.  A point is final once its start
@@ -595,13 +593,16 @@ class BranchTracker:
     in lockstep, counted in `single_steps`; k such points in a row take k
     sweeps.  On a disk row only the entry from the seed can need substeps.
 
-    The cache keys are also kept in a sorted array, so finding the nearest
-    known point costs O(log n) comparisons: bisect, then walk outward while
-    the distance stays equal.  Among keys at the same (rounded) distance the
-    one cached first wins.  A non-finite x raises EvaluationAtSingularity
-    before the cache is consulted; a seed that is not a finite point on the
-    curve raises ValueError at construction, so no key is ever NaN.  At most
-    CONTINUATION_CACHE_CAP values are cached."""
+    The real-axis cache is two sorted arrays, keys `_keys` and values
+    `_vals`.  A new point x of a call continues from the nearer (in rounded
+    distance) of its two neighbours among the known points: the greatest
+    cached key or earlier point of the call below x, and the least cached
+    key above x; on a tie, the one below.  A non-finite x raises
+    EvaluationAtSingularity before the cache is consulted; a seed that is
+    not a finite point on the curve raises ValueError at construction, so
+    no key is ever NaN.  At most CONTINUATION_CACHE_CAP values are cached,
+    a call's lowest new points first; the cap limits only what later calls
+    find, since the points of one call chain through each other."""
 
     def __init__(self, P: BivarPoly, seed):
         self.P = P
@@ -613,9 +614,8 @@ class BranchTracker:
             raise ValueError(f"seed {seed} is not a finite point on the "
                              f"curve (residual {r:.3g})")
         x0 = self.seed[0].real
-        self._real_cache = {x0: self.seed[1]}   # in the order cached
         self._keys = np.array([x0])     # sorted cache keys
-        self._ranks = np.array([0])     # their places in the cache order
+        self._vals = np.array([self.seed[1]])   # their values
         # |x| <= _no_overflow bounds each coefficient of P(x, .) by
         # s max(1, |x|)^degx <= 2^1000, s the sum of P's |coefficients|
         s = sum(abs(c) for *_, c in P.float_terms())
@@ -772,19 +772,18 @@ class BranchTracker:
         return k, FibreOverflow("a coefficient of the fibre P(x, y) "
                                 f"overflows at x = {complex(zt[k])}")
 
-    def _sweep(self, zs, zt, w0, pred):
+    def _sweep(self, zs, zt, w0, prev):
         """W[i] = _advance(zs[i], start_i, zt[i]) for every i, the start
-        being w0[i] where pred[i] < 0 and W[pred[i]] otherwise (pred[i] < i,
-        pred[0] < 0), solved by exact fixed-point sweeps (see the class
-        docstring): each runs the batch where a start changed, then hands
-        the points with a final start that it did not take to `_advance`
-        once.  The batch takes the points whose first step is whole: there
-        `_advance` runs the corrector once, at zt itself.  A target whose
-        fibre overflows (`_overflow`) is a failure at once.  Returns (W,
-        err, halved): W for the points before the first whose continuation
-        fails, that failure (None if there is none), and per point the
-        halved steps of its walk, which the point-by-point walk makes only
-        up to the first failure."""
+        being W[i - 1] where prev[i] and w0[i] otherwise (prev[0] False),
+        solved by exact fixed-point sweeps (see the class docstring): each
+        runs the batch where a start changed, then hands the points with a
+        final start that it did not take to `_advance` once.  The batch
+        takes the points whose first step is whole: there `_advance` runs
+        the corrector once, at zt itself.  A target whose fibre overflows
+        (`_overflow`) is a failure at once.  Returns (W, err, halved): W for
+        the points before the first whose continuation fails, that failure
+        (None if there is none), and per point the halved steps of its walk,
+        which the point-by-point walk makes only up to the first failure."""
         n = len(zt)
         # the batch takes a point when _advance's first step is whole, so
         # that it lands on zt in one corrector run
@@ -792,8 +791,7 @@ class BranchTracker:
         h = np.hypot(step.real, step.imag)
         batch = ((ab > 0) & (sl == ab)
                  & (self._sing_dist(zt) >= 10 * CONTINUATION_STEP_FLOOR))
-        chained = (pred >= 0) & (pred == np.arange(n) - 1)
-        W = w0[np.maximum.accumulate(np.where(pred < 0, np.arange(n), 0))]
+        W = w0[np.maximum.accumulate(np.where(prev, 0, np.arange(n)))]
         used = np.zeros(n, dtype=complex)  # the start W[i] was computed from
         ran = np.zeros(n, dtype=bool)      # ... once it was
         ok = np.zeros(n, dtype=bool)       # the corrector accepted that step
@@ -804,10 +802,9 @@ class BranchTracker:
             todo = np.flatnonzero(~final[:end])
             if not todo.size:
                 return W[:end], err, halved
-            p = pred[todo]
-            known = p < 0
-            exact = known | final[p]        # the start is final
-            start = np.where(known, w0[todo], W[p])
+            chain = prev[todo]
+            exact = ~chain | final[todo - 1]        # the start is final
+            start = np.where(chain, W[todo - 1], w0[todo])
             # a value depends on its start alone: run the batch points whose
             # start changed since they last ran
             k = np.flatnonzero(batch[todo]
@@ -834,7 +831,7 @@ class BranchTracker:
             # a run of final points starts at a final start and goes on while
             # each point ran from its predecessor's value, bit for bit
             head = exact & valid
-            link = (~exact & chained[todo] & ran[todo] & ok[todo]
+            link = (~exact & ran[todo] & ok[todo]
                     & _same(used[todo], W[todo - 1]))
             pos = np.arange(len(todo))
             last_head = np.maximum.accumulate(np.where(head, pos, -1))
@@ -842,96 +839,58 @@ class BranchTracker:
             done = head | (link & (last_head > last_break))
             final[todo[done & (todo < end)]] = True
 
-    def _nearest_key(self, xf):
-        keys, n = self._keys, len(self._keys)
-        lo = int(np.searchsorted(keys, xf)) - 1
-        hi = lo + 1
-        d = min(abs(keys.item(i) - xf) for i in (lo, hi) if 0 <= i < n)
-        tied = []
-        while lo >= 0 and abs(keys.item(lo) - xf) == d:
-            tied.append(lo)
-            lo -= 1
-        while hi < n and abs(keys.item(hi) - xf) == d:
-            tied.append(hi)
-            hi += 1
-        return keys.item(min(tied, key=self._ranks.item))
-
     def _starts(self, X):
-        """Where eval_real continues each point of X from when the sorted,
-        uncached points X are evaluated in increasing order: (zs, w0, pred),
-        pred[i] = j when it continues from X[j], else -1 and it continues
-        from the cached key zs[i] with value w0[i]."""
-        K, R, n, m = self._keys, self._ranks, len(self._keys), len(X)
+        """Where each of the sorted, uncached points X continues from (see
+        the class docstring): (zs, w0, prev), prev[i] True where that is
+        X[i - 1], else the cached key zs[i] with value w0[i]."""
+        K, n = self._keys, len(self._keys)
         hi = np.searchsorted(K, X)
-        lo, lc, hc = hi - 1, np.maximum(hi - 1, 0), np.minimum(hi, n - 1)
-        dlo = np.where(lo >= 0, np.abs(K[lc] - X), math.inf)
-        dhi = np.where(hi < n, np.abs(K[hc] - X), math.inf)
-        d = np.minimum(dlo, dhi)
-        use_lo, use_hi = (lo >= 0) & (dlo == d), (hi < n) & (dhi == d)
-        old = np.where(use_lo & ~(use_hi & (R[hc] < R[lc])), lc, hc)
-        # a third key at the same rounded distance: walk as eval_real does
-        far = (((lo >= 1) & (np.abs(K[np.maximum(lo - 1, 0)] - X) == d))
-               | ((hi < n - 1)
-                  & (np.abs(K[np.minimum(hi + 1, n - 1)] - X) == d)))
-        for i in np.flatnonzero(far):
-            old[i] = np.searchsorted(K, self._nearest_key(X.item(i)))
-        # X[:q] are cached by then, q as far as the cap leaves room; the
-        # nearest of them is X[q - 1] unless rounding ties an earlier one
-        q = np.minimum(np.arange(m),
-                       max(0, CONTINUATION_CACHE_CAP - len(self._real_cache)))
-        j = q - 1
-        dn = np.where(q > 0, X - X[np.maximum(j, 0)], math.inf)
-        for i in np.flatnonzero((q > 1) & (X - X[np.maximum(j - 1, 0)] == dn)):
-            j[i] = np.flatnonzero(X[i] - X[:q[i]] == dn[i])[0]
-        pred = np.where(d <= dn, -1, j)     # equal: the key cached first
-        zs = np.where(pred < 0, K[old], X[np.maximum(pred, 0)])
-        w0 = np.zeros(m, dtype=complex)
-        w0[pred < 0] = [self._real_cache[k] for k in K[old[pred < 0]].tolist()]
-        return zs.astype(complex), w0, pred
+        lo, up = np.maximum(hi - 1, 0), np.minimum(hi, n - 1)
+        below = np.where(hi > 0, K[lo], -math.inf)
+        before = np.r_[-math.inf, X[:-1]]
+        prev = before > below
+        below = np.maximum(below, before)
+        with np.errstate(over="ignore"):
+            above = (hi < n) & ((below == -math.inf) | (K[up] - X < X - below))
+        prev &= ~above
+        zs = np.where(above, K[up], below)
+        return zs.astype(complex), self._vals[np.where(above, up, lo)], prev
 
     def _remember(self, xs, ws):
-        """Cache the values ws at the new keys xs, in order, while there is
-        room."""
-        xs, ws = np.atleast_1d(xs), np.atleast_1d(ws)
-        room = CONTINUATION_CACHE_CAP - len(self._real_cache)
-        k = max(0, min(len(xs), room))
-        xs = xs[:k]
-        r0 = len(self._real_cache)
-        self._real_cache.update(zip(xs.tolist(), ws[:k].tolist()))
-        at = np.searchsorted(self._keys, xs)
-        self._keys = np.insert(self._keys, at, xs)
-        self._ranks = np.insert(self._ranks, at, np.arange(r0, r0 + k))
+        """Cache the values ws at the new sorted keys xs, the lowest first,
+        while there is room."""
+        k = max(0, CONTINUATION_CACHE_CAP - len(self._keys))
+        at = np.searchsorted(self._keys, xs[:k])
+        self._keys = np.insert(self._keys, at, xs[:k])
+        self._vals = np.insert(self._vals, at, ws[:k])
 
     def eval_real(self, x):
         return complex(self.eval_grid(np.array([float(x)]))[0])
 
     def eval_grid(self, xs, check=None):
         """eval_real at every point of the real array xs, taken in
-        increasing order, as one sweep: the same values, cache and counters
-        afterwards and, on a failure, the error of the first failing point
-        with the points before it cached.  check(x, w), given the points
+        increasing order, as one sweep; repeats of a point are one point.
+        On a failure, the error of the first failing point is raised with
+        the points before it cached.  check(x, w), given the points
         evaluated (sorted, without repeats) and their values, may return
-        (k, error) for the first point its caller rejects: as when the
-        caller checks each value of eval_real in turn, that point is cached,
-        no later one is, and the error is raised.  A non-finite x raises
-        EvaluationAtSingularity before anything is evaluated."""
+        (k, error) for the first point its caller rejects: that point is
+        cached, no later one is, and the error is raised.  A non-finite x
+        raises EvaluationAtSingularity before anything is evaluated."""
         xs = np.asarray(xs, dtype=float)
         bad = ~np.isfinite(xs)
         if bad.any():
             raise EvaluationAtSingularity(
                 f"branch evaluated at x = {xs[bad].flat[0]}")
-        keys, inv, reps = np.unique(xs.ravel(), return_inverse=True,
-                                    return_counts=True)
-        K = self._keys
-        hit = K[np.minimum(np.searchsorted(K, keys), len(K) - 1)] == keys
-        vals = np.empty(len(keys), dtype=complex)
-        vals[hit] = [self._real_cache[k] for k in keys[hit].tolist()]
+        keys, inv = np.unique(xs.ravel(), return_inverse=True)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        hit = self._keys[at] == keys
+        vals = np.where(hit, self._vals[at], 0j)
         new = np.flatnonzero(~hit)
-        W, err, halved = np.empty(0, dtype=complex), None, 0
+        W, err, halved = np.empty(0, dtype=complex), None, np.zeros(0, int)
         if new.size:
-            zs, w0, pred = self._starts(keys[new])
+            zs, w0, prev = self._starts(keys[new])
             W, err, halved = self._sweep(
-                zs, keys[new].astype(complex), w0, pred)
+                zs, keys[new].astype(complex), w0, prev)
             vals[new[:len(W)]] = W
         done = len(keys) if err is None else new[len(W)]
         walked, cached = done + 1, done     # key positions, as eval_real
@@ -939,12 +898,7 @@ class BranchTracker:
         if rejected:
             k, err = rejected
             walked = cached = k + 1
-        # a point past the cap is walked again at each repeat, but one that
-        # fails or is rejected only once
-        room = CONTINUATION_CACHE_CAP - len(self._real_cache)
-        times = np.where(np.arange(len(new)) < room, 1, reps[new])
-        times = np.where(new == walked - 1, 1, times) * (new < walked)
-        self.halvings += int(np.sum(halved * times))
+        self.halvings += int(halved[new < walked].sum())
         self._remember(keys[new[new < cached]], vals[new[new < cached]])
         if err is not None:
             raise err
@@ -960,10 +914,10 @@ class BranchTracker:
         rows = zt.reshape(-1, zt.shape[-1])
         zs = np.empty_like(rows)
         zs[:, 0], zs[:, 1:] = self.seed[0], rows[:, :-1]
-        pred = np.arange(rows.size) - 1
-        pred[::rows.shape[1]] = -1
+        prev = np.ones(rows.size, dtype=bool)
+        prev[::rows.shape[1]] = False
         W, err, halved = self._sweep(
-            zs.ravel(), rows.ravel(), np.full(rows.size, self.seed[1]), pred)
+            zs.ravel(), rows.ravel(), np.full(rows.size, self.seed[1]), prev)
         self.halvings += int(halved[:len(W) + 1].sum())
         if err is not None:
             raise err

@@ -1,8 +1,9 @@
 """Algebraic branches of y^2 = x^3 + a x + b and of cubic fibres: the
 batched corrector and its exact fixed-point sweep against the point-by-point
 tracker it replaced (kept here, in scalar Python arithmetic, as the oracle),
-its kernels against the oracle's, the tracker's nearest-point lookup against
-the linear scan it replaces, the Rouche disk test of its sheet guard (with
+its kernels against the oracle's, the tracker's start rule against a linear
+scan, values that do not depend on the order or repeats of a call's
+points, the cache cap, the Rouche disk test of its sheet guard (with
 the displacement test, the whole guard) against np.roots and against
 exactly known roots, within the radius it certified, and on a step of one
 ulp, byte-identity of a fixed grid evaluation and how rarely it falls back
@@ -15,7 +16,6 @@ convergence, and C^1 and C^2 builds end to end."""
 import cmath
 import hashlib
 import math
-from bisect import bisect_left, insort
 from fractions import Fraction as F
 
 import numpy as np
@@ -155,21 +155,28 @@ def _scalar_newton(cs, w0):
     return w
 
 
+def _scan_start(known, x):
+    """The point of `known` that a new x continues from, by a linear scan:
+    the nearest in rounded distance, on a tie the one below x, and of those
+    on that side the nearest exactly, which is x's neighbour there."""
+    return min(known, key=lambda k: (abs(k - x), k > x, abs(F(k) - F(x))))
+
+
 class _Oracle:
     """The tracker as it was before the sweep: every point continued on its
-    own by the scalar corrector, the cache a dict with a sorted key list.
-    As in the tracker, a whole step (as long as the distance left, not
-    halved) lands on its target, and a target whose fibre coefficients
-    are not all finite fails before the walk starts."""
+    own by the scalar corrector, the cache a dict.  A real call takes its
+    points in increasing order, each new one from `_scan_start` over the
+    cached keys and the call's earlier points, and caches it while the cache
+    holds fewer than CONTINUATION_CACHE_CAP keys.  As in the tracker, a
+    whole step (as long as the distance left, not halved) lands on its
+    target, and a target whose fibre coefficients are not all finite fails
+    before the walk starts."""
 
     def __init__(self, P, seed):
         self.P = P
         self.seed = (complex(seed[0]), complex(seed[1]))
         self.singularities = singular_locus(P)
-        x0 = self.seed[0].real
-        self._real_cache = {x0: self.seed[1]}
-        self._keys = [x0]
-        self._rank = {x0: 0}
+        self._real_cache = {self.seed[0].real: self.seed[1]}
         self.halvings = 0
 
     def _min_sing_dist(self, z):
@@ -213,31 +220,18 @@ class _Oracle:
             remaining = z1 - z
         return w
 
-    def _nearest_key(self, xf):
-        keys, n = self._keys, len(self._keys)
-        lo = bisect_left(keys, xf) - 1
-        hi = lo + 1
-        d = min(abs(keys[i] - xf) for i in (lo, hi) if 0 <= i < n)
-        tied = []
-        while lo >= 0 and abs(keys[lo] - xf) == d:
-            tied.append(keys[lo])
-            lo -= 1
-        while hi < n and abs(keys[hi] - xf) == d:
-            tied.append(keys[hi])
-            hi += 1
-        return min(tied, key=self._rank.__getitem__)
-
-    def eval_real(self, x):
+    def eval_real(self, x, call):
+        """The value at x, a point of a call whose earlier points (none
+        above x) and values are the dict `call`, which x then joins."""
         xf = float(x)
-        if xf in self._real_cache:
-            return self._real_cache[xf]
-        near = self._nearest_key(xf)
-        w = self._advance(complex(near), self._real_cache[near], complex(xf))
-        if len(self._real_cache) < funcs.CONTINUATION_CACHE_CAP:
-            self._real_cache[xf] = w
-            self._rank[xf] = len(self._rank)
-            insort(self._keys, xf)
-        return w
+        known = {**self._real_cache, **call}
+        if xf not in known:
+            near = _scan_start(known, xf)
+            known[xf] = self._advance(complex(near), known[near], complex(xf))
+            if len(self._real_cache) < funcs.CONTINUATION_CACHE_CAP:
+                self._real_cache[xf] = known[xf]
+        call[xf] = known[xf]
+        return known[xf]
 
     def eval_path(self, path):
         out, (z, w) = [], self.seed
@@ -259,9 +253,9 @@ def _oracle_eval(t, xs, rat=None):
         return np.array(ws, dtype=complex).reshape(xs.shape)
     if not np.all(np.isfinite(xs)):
         raise EvaluationAtSingularity("non-finite x")
-    out = np.empty_like(xs, dtype=float)
+    out, call = np.empty_like(xs, dtype=float), {}
     for i in np.argsort(xs):
-        w = t.eval_real(xs[i])
+        w = t.eval_real(xs[i], call)
         if abs(w.imag) > 1e-8:
             raise EvaluationAtSingularity("left the real line")
         out[i] = w.real if rat is None else rat(float(xs[i]), w.real)
@@ -279,25 +273,40 @@ def _outcome(fn):
 _KEYS = st.one_of(
     st.integers(-8, 8).map(lambda i: i / 4),           # equidistant neighbours
     st.sampled_from([1.0, 2.0, 2.0 ** -60, 2.0 ** -61,  # ties after rounding
-                     1e308, -1e308, math.inf, -math.inf]),
+                     1e308, -1e308]),                   # distances past 1e308
     st.floats(-1e-15, 1e-15),
-    st.floats(allow_nan=False))
+    st.floats(allow_nan=False, allow_infinity=False))
 
 
-@given(st.lists(_KEYS, max_size=40), _KEYS)
-@example([2.0, 2.0 ** -61, 2.0 ** -60], 1.0)
-@example([2.0 ** -60, 2.0, 2.0 ** -61], 1.0)
-@example([0.75, 1.25, 1.25, 0.75], 1.0)
-@example([-math.inf, math.inf], 0.0)
-def test_nearest_key_matches_linear_scan(keys, x):
+@given(st.lists(_KEYS, min_size=1, max_size=40),
+       st.lists(_KEYS, min_size=1, max_size=20))
+@example([2.0, 2.0 ** -61, 2.0 ** -60], [1.0])
+@example([2.0 ** -60, 2.0, 2.0 ** -61], [1.0])
+@example([0.0], [2.0 ** -60, 1.5, 2.0 ** -61])
+@example([0.75, 1.25, 1.25, 0.75], [1.0])
+@example([-1e308, 1e308], [0.0])
+@example([-1e308, 1e308], [-5e307, 1.5e308])
+def test_starts_match_a_linear_scan(keys, xs):
+    # each new point of a call continues from the point that a linear scan
+    # of the cached keys and the call's earlier points finds: 1.0 ties with
+    # 2^-61, 2^-60 and 2.0 after rounding, and 1.5 with 2^-61 and 2^-60;
+    # 0.0 ties with -1e308 and 1e308, and 1.5e308 is inf from -1e308
     t = _tracker()
-    for k in keys:                       # repeated keys hit the cache
-        if k not in t._real_cache:
-            t._remember(k, 0j)
-    if x in t._real_cache:
-        return
-    want = min(t._real_cache, key=lambda k: abs(k - x))
-    assert repr(t._nearest_key(x)) == repr(want)
+    t._keys = np.array(sorted(set(keys)))
+    t._vals = np.arange(1, len(t._keys) + 1) * (1 + 1j)
+    X = np.array(sorted(set(xs) - set(keys)))
+    assume(X.size)
+    zs, w0, prev = t._starts(X)
+    cache = dict(zip(t._keys.tolist(), t._vals.tolist()))
+    X = X.tolist()
+    for i, x in enumerate(X):
+        want = _scan_start([*cache, *X[:i]], x)
+        assert repr(complex(zs[i])) == repr(complex(want))
+        assert prev[i] == (want not in cache)
+        if prev[i]:
+            assert repr(want) == repr(X[i - 1])
+        else:
+            assert w0[i] == cache[want]
 
 
 _MODERATE = st.floats(-1e6, 1e6)
@@ -486,8 +495,7 @@ def test_a_step_of_one_ulp_is_certified_by_the_disk_test():
                              complex(wn[0][0]))
     f = _cubic_branch()
     par = ck_parametrize_function(f, 2, (1, 2))
-    assert x in f.tracker._real_cache and math.nextafter(x, 2) in \
-        f.tracker._real_cache
+    assert {x, math.nextafter(x, 2)} <= set(f.tracker._keys.tolist())
     assert len(par.charts) == 2
     assert (f.tracker.halvings, f.tracker.single_steps) == (0, 0)
 
@@ -663,8 +671,8 @@ _EARLIER = st.lists(st.integers(-6, 6).map(lambda i: i / 8), max_size=8)
 
 
 def _check_real(br, grids, deriv):
-    # values, error types, the cache (keys, values, order and ranks) and the
-    # fallback counters agree with the oracle after every grid
+    # values, error types, the cache (keys, and values bit for bit) and the
+    # halvings agree with the oracle after every grid; returns the tracker
     P, seed = br
     f, t = BranchExpr(P, seed), _Oracle(P, seed)
     g = f.deriv() if deriv else f
@@ -675,11 +683,12 @@ def _check_real(br, grids, deriv):
         assert gerr == werr
         if werr is None:
             assert got.tobytes() == want.tobytes()
-        tr = f.tracker
-        assert list(tr._real_cache.items()) == list(t._real_cache.items())
-        assert tr._keys.tolist() == t._keys
-        assert tr._ranks.tolist() == [t._rank[k] for k in t._keys]
+        tr, keys = f.tracker, sorted(t._real_cache)
+        assert tr._keys.tolist() == keys
+        assert tr._vals.tobytes() == np.array(
+            [t._real_cache[k] for k in keys], dtype=complex).tobytes()
         assert tr.halvings == t.halvings
+    return f.tracker
 
 
 @settings(max_examples=60)
@@ -711,16 +720,46 @@ def test_signed_zero_grid_points_match_the_point_by_point_tracker(deriv):
                 [[0.0, -0.0, 0.25], [-0.0, 5e-324, -5e-324, -0.5]], deriv)
 
 
-def test_rounding_ties_continue_from_the_key_cached_first():
-    # y^2 = x^3 + 2 from x = -1: 1.5 - 2^-61 and 1.5 - 2^-60 both round to
-    # 1.5, so at 1.5 the keys 2^-61 and 2^-60 tie (the first cached wins),
-    # among the earlier grid's keys and among the keys of the same grid,
-    # where 1.5 then continues from 2^-61 rather than from its predecessor
-    P = BivarPoly({(0, 2): 1, (3, 0): -1, (0, 0): -2})
-    tiny = [2.0 ** -61, 2.0 ** -60]
-    _check_real((P, (-1.0, 1.0)), [tiny, [1.5, 0.0, 0.75]], False)
-    _check_real((P, (-1.0, 1.0)), [tiny + [1.5, -0.5]], True)
-    _check_real((P, (-1.0, 1.0)), [[0.0], [2.0 ** -60, 1.5, 2.0 ** -61]], False)
+@st.composite
+def _reordered_calls(draw):
+    """(br, earlier, xs, ys): a branch, the points of an earlier call, the
+    points xs of a call and ys, a permutation of xs with repeats added."""
+    br = draw(_branches())
+    earlier = [br[1][0] + x for x in draw(_EARLIER)]
+    xs = [br[1][0] + x for x in draw(_GRID)]
+    extra = draw(st.lists(st.sampled_from(xs), max_size=10))
+    return br, earlier, xs, draw(st.permutations(xs + extra))
+
+
+# y^2 = x^3 + 2 from x = -1: 1.5 - 2^-61 and 1.5 - 2^-60 both round to 1.5,
+# so at 1.5 the points 2^-61 and 2^-60 tie, as earlier keys and as earlier
+# points of the same call; 1.5 continues from 2^-60, its neighbour below
+_TIES = (BivarPoly({(0, 2): 1, (3, 0): -1, (0, 0): -2}), (-1.0, 1.0))
+
+
+@settings(max_examples=40)
+@given(_reordered_calls())
+@example((_TIES, [2.0 ** -61, 2.0 ** -60], [1.5, 0.0, 0.75],
+          [0.75, 1.5, 0.0, 1.5, 0.75]))
+@example((_TIES, [], [2.0 ** -61, 2.0 ** -60, 1.5, -0.5],
+          [1.5, 2.0 ** -60, -0.5, 2.0 ** -61, 2.0 ** -60]))
+@example((_TIES, [0.0], [2.0 ** -60, 1.5, 2.0 ** -61],
+          [2.0 ** -61, 1.5, 1.5, 2.0 ** -60]))
+def test_a_calls_values_ignore_the_order_and_repeats_of_its_points(calls):
+    # after the same earlier call, ys gives every point of xs the same value,
+    # bit for bit, or fails with the same error, and leaves the same cache
+    # and counters; both histories match the oracle
+    br, earlier, xs, ys = calls
+    runs = []
+    for pts in (xs, ys):
+        t = _check_real(br, [earlier, pts], False)
+        f = BranchExpr(*br)
+        _outcome(lambda: f.eval_array(np.array(earlier)))
+        got, err = _outcome(lambda: f.eval_array(np.array(pts)))
+        vals = None if err else {x: v.hex() for x, v in zip(pts, got.tolist())}
+        runs.append((vals, err, t._keys.tobytes(), t._vals.tobytes(),
+                     t.halvings, t.single_steps))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=25)
@@ -728,10 +767,18 @@ def test_rounding_ties_continue_from_the_key_cached_first():
 @example((BivarPoly({(0, 3): 1, (1, 1): 2, (1, 0): 2, (0, 0): -1}), (0.0, 1.0)),
          [0.25, 0.25], [0.0], 1)
 def test_the_cache_cap_holds_across_a_grid(br, earlier, grid, cap):
+    # the cache holds at most cap keys, and the points of one call chain
+    # through each other past the cap: a call's values are an uncapped
+    # tracker's, and both calls match the oracle under the same cap
+    grids = [br[1][0] + np.array(g) for g in (earlier, grid)]
+    want, werr = _outcome(lambda: BranchExpr(*br).eval_array(grids[1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(funcs, "CONTINUATION_CACHE_CAP", cap)
-        _check_real(br, [br[1][0] + np.array(g) for g in (earlier, grid)],
-                    False)
+        assert len(_check_real(br, grids, False)._keys) <= cap
+        got, gerr = _outcome(lambda: BranchExpr(*br).eval_array(grids[1]))
+    assert gerr == werr
+    if werr is None:
+        assert got.tobytes() == want.tobytes()
 
 
 _FAR = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -F(1, 2), (0, 0): -F(17, 4)})
@@ -873,7 +920,7 @@ def test_a_fibre_that_overflows_fails_at_once(x):
         f.eval_array(np.array([1.5, 1.5 + 1j, x + 1j]))
     t = f.tracker
     assert t.halvings == 0
-    assert list(t._real_cache) == [1.0, 2.0]
+    assert t._keys.tolist() == [1.0, 2.0]
     assert f.eval_array(np.array([1e100]))[0] == _far_root(1e100)
     _check_real((_FAR, _FAR_SEED), [[2.0, 1e100], [2e102, x]], False)
     _check_path((_FAR, _FAR_SEED), np.array([[1.5, 1.5 + 1j, x + 1j]]), True)

@@ -2,9 +2,9 @@
 top-level import of a package module is used, every top-level function and
 class is read by the package or exported, every module-level constant is
 read by the package, every error class is raised, every `Config` field is
-read somewhere in the package and set by some caller, every parameter is
-read, and `eval_array` stays the one numeric evaluator of the expression
-classes."""
+read somewhere in the package and set by some caller, every method is
+named outside its own body, every parameter is read, and `eval_array` stays
+the one numeric evaluator of the expression classes."""
 
 import ast
 import dataclasses
@@ -59,6 +59,21 @@ def test_every_top_level_def_is_read_or_exported():
               and d.name not in exported
               and named[d.name] == _names(d)[d.name]]
     assert unread == []
+
+
+def test_every_method_is_named_outside_its_own_body():
+    # a method that neither the package nor the tests name, other than in
+    # its own body, is one nothing calls; dunders are called by Python
+    modules = _modules()
+    named = sum((_names(tree) for tree in modules.values()), Counter())
+    for path in sorted(TESTS.glob("*.py")):
+        named += _names(ast.parse(path.read_text(), filename=str(path)))
+    unnamed = [f"{mod}:{c.name}.{d.name}" for mod, tree in modules.items()
+               for c in tree.body if isinstance(c, ast.ClassDef)
+               for d in c.body if isinstance(d, ast.FunctionDef)
+               and not d.name.startswith("__")
+               and named[d.name] == _names(d)[d.name]]
+    assert unnamed == []
 
 
 def test_every_module_level_constant_is_read():

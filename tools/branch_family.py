@@ -13,9 +13,10 @@ checkout holding this script):
 - ck1-short, ck1, ck2: the C^k artifact at k = 1 on [1, 5/4], k = 1 on
   [1, 2] and k = 2 on [1, 2].
 It prints one line per curve (a, b, the sha256 of the output or the error's
-type, the tracker's halvings and single steps), then a total line per kind:
-the sha256 of all the curves' (a, b, output) lines, which two checkouts
-share exactly when every output matches, and the summed counters.
+type, the tracker's halvings, single steps and final cache size), then a
+total line per kind: the sha256 of all the curves' (a, b, output) lines,
+which two checkouts share exactly when every output matches, the summed
+counters and the largest cache, to set beside CONTINUATION_CACHE_CAP.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def build(kind, f):
     return dumps(parametrization_to_json(par, "ck")).encode()
 
 for kind in sys.argv[1:]:
-    outs, halved, single, t0 = [], 0, 0, time.perf_counter()
+    outs, halved, single, cached = [], 0, 0, 0
+    t0 = time.perf_counter()
     for a, b in family():
         P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -a, (0, 0): -b})
         f = BranchExpr(P, (1.0, math.sqrt(float(1 + a + b))))
@@ -71,10 +73,12 @@ for kind in sys.argv[1:]:
         t = f.tracker
         outs.append(f"{a} {b} {out}")
         halved, single = halved + t.halvings, single + t.single_steps
-        print(kind, outs[-1], t.halvings, t.single_steps, flush=True)
+        cached = max(cached, len(t._keys))
+        print(kind, outs[-1], t.halvings, t.single_steps, len(t._keys),
+              flush=True)
     total = hashlib.sha256("\\n".join(outs).encode()).hexdigest()
     print(f"{kind} total: {len(outs)} curves, digest {total}, {halved} "
-          f"halvings, {single} single steps, "
+          f"halvings, {single} single steps, largest cache {cached} keys, "
           f"{time.perf_counter() - t0:.2f} s", flush=True)
 """
 
