@@ -1,7 +1,7 @@
-"""Analytic delta-parametrization: remove small intervals around singular
-projections, cover the rest by a dyadic partition whose intervals stay three
-half-lengths away from every singularity, and certify an affine analytic
-chart per kept interval.
+"""Analytic delta-parametrization: remove a small interval about the real
+part of each singular point within delta of the real axis, cover the rest
+by a dyadic partition whose intervals stay three half-lengths away from
+every singularity, and certify an affine analytic chart per kept interval.
 
 The distance invariant is stated against the half-length: the affine chart
 t in [-1, 1] -> c + (L/2) t maps the radius-3 disk onto the disk of radius
@@ -77,8 +77,9 @@ def _feasible(q, direction, L, z) -> bool:
 
 
 def dyadic_partition(interval, singular_points, delta) -> DyadicPartition:
-    """Remove the open 2*delta-interval around each singular projection, then
-    cover each remaining gap greedily from both ends toward its midpoint with
+    """Remove the open 2*delta-interval about Re z for each singular point z
+    with |Im z| < delta (one farther off the axis only bounds the lengths
+    of the intervals near it), then cover each remaining gap greedily from both ends toward its midpoint with
     the largest intervals the three-half-lengths invariant allows (the last
     interval on each side truncated at the midpoint)."""
     lo, hi = _fr(interval[0]), _fr(interval[1])
@@ -88,6 +89,8 @@ def dyadic_partition(interval, singular_points, delta) -> DyadicPartition:
     sings = [complex(z) for z in singular_points]
     raw = []
     for z in sings:
+        if abs(z.imag) >= delta:
+            continue
         x = Fraction(z.real).limit_denominator(2**60)
         a, b = x - delta, x + delta
         if b > lo and a < hi:

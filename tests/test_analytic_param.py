@@ -1,5 +1,6 @@
 """Analytic delta-parametrization: dyadic partitions (distance invariant and
-logarithmic budget), affine a-charts against closed-form disk maxima, and the
+logarithmic budget, strips removed only about singular points within delta
+of the real axis), affine a-charts against closed-form disk maxima, and the
 chart-count law."""
 
 import dataclasses
@@ -9,6 +10,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothparam.analytic_param import (_a_chart_for_interval,
                                         analytic_delta_parametrize,
@@ -67,6 +70,32 @@ def test_partition_random_instances():
         for a, b in kept:
             for lo, hi in part.removed:
                 assert b <= lo or a >= hi
+
+
+_PARTS = st.floats(-1.5, 1.5).map(lambda v: round(v, 3))
+_SINGS = st.lists(st.builds(complex, _PARTS, st.one_of(st.just(0.0), _PARTS)),
+                  max_size=4)
+
+
+@given(_SINGS, st.integers(4, 4096))
+def test_partition_keeps_the_ratio_and_the_budget(sings, n):
+    # singular points on, near and off the real axis: a strip is removed
+    # exactly about those within delta of it, and the cover keeps every
+    # kept interval three half-lengths from every singular point within
+    # the budget 2 (m + 1) log2(1/delta).  The budget bounds small delta:
+    # above 1/4 a point just beyond delta can take more (6 charts against
+    # 4 at delta 1/2 with the point at 0.5i), and near 1 it is below the 2
+    # charts of any cover
+    delta = F(1, n)
+    part = dyadic_partition((F(-1), F(1)), sings, delta)
+    worst, count, budget = part.check_invariants()
+    assert worst >= 3 - 1e-6
+    assert count <= budget
+    near = [z.real for z in sings if abs(z.imag) < delta
+            and -1 - delta < z.real < 1 + delta]
+    assert bool(part.removed) == bool(near)
+    for end in (e for iv in part.removed for e in iv if abs(e) != 1):
+        assert min(abs(float(end) - x) for x in near) <= float(delta) + 1e-12
 
 
 def _odd_part(n):

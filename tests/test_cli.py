@@ -472,6 +472,22 @@ def test_analytic_approximate_reads_the_spec_singularities(tmp_path):
     assert json.loads(out.read_text())["meta"]["charts"] == 14
 
 
+def test_off_axis_poles_remove_no_strip(tmp_path):
+    # the poles +-i sqrt 2 of (1 - x^2)/(2 + x^2) are farther than delta
+    # from the real axis: the cover runs through x = 0, with no strip
+    # removed there and so no removed-box patch
+    spec, out = tmp_path / "ratio.json", tmp_path / "a.json"
+    spec.write_text(json.dumps({
+        "function": {"kind": "rational", "num": ["1", "0", "-1"],
+                     "den": ["2", "0", "1"]},
+        "interval": ["-1", "1"]}))
+    assert main(["approximate", "--route", "analytic", "--eps", "0.015625",
+                 "--spec", str(spec), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["charts"] == 4
+    assert [p for p in doc["patches"] if p["source"] == "removed-box"] == []
+
+
 @pytest.mark.parametrize("argv, err", [
     (["parametrize-ck"],
      "order-1 derivative unbounded on a piece (sampled sup inf)"),
