@@ -79,9 +79,10 @@ def _feasible(q, direction, L, z) -> bool:
 def dyadic_partition(interval, singular_points, delta) -> DyadicPartition:
     """Remove the open 2*delta-interval about Re z for each singular point z
     with |Im z| < delta (one farther off the axis only bounds the lengths
-    of the intervals near it), then cover each remaining gap greedily from both ends toward its midpoint with
-    the largest intervals the three-half-lengths invariant allows (the last
-    interval on each side truncated at the midpoint)."""
+    of the intervals near it), then cover each remaining gap greedily from
+    both ends toward its midpoint with the largest intervals the
+    three-half-lengths invariant allows (the last interval on each side
+    truncated at the midpoint)."""
     lo, hi = _fr(interval[0]), _fr(interval[1])
     delta = _fr(delta)
     if not 0 < delta < 1:

@@ -893,7 +893,8 @@ class BranchTracker:
                 zs, keys[new].astype(complex), w0, prev)
             vals[new[:len(W)]] = W
         done = len(keys) if err is None else new[len(W)]
-        walked, cached = done + 1, done     # key positions, as eval_real
+        # a failed walk's halvings count, and its point is not cached
+        walked, cached = done + 1, done
         rejected = check(keys[:done], vals[:done]) if check else None
         if rejected:
             k, err = rejected

@@ -59,11 +59,6 @@ def _cubic_branch(a=0, b=1):
     return BranchExpr(P, (1.0, math.sqrt(float(1 + a + b))))
 
 
-def _tracker():
-    # y^2 = x through (4, 2); the seed key 4.0 is the first one cached
-    return BranchTracker(BivarPoly({(1, 0): 1, (0, 2): -1}), (4.0, 2.0))
-
-
 # -- the oracle: the point-by-point tracker the sweep replaced -----------------
 
 def _horner(cs, w):
@@ -163,8 +158,8 @@ def _scan_start(known, x):
 
 
 class _Oracle:
-    """The tracker as it was before the sweep: every point continued on its
-    own by the scalar corrector, the cache a dict.  A real call takes its
+    """The point-by-point tracker that the sweep replaced: every point
+    continued on its own by the scalar corrector, the cache a dict.  A real call takes its
     points in increasing order, each new one from `_scan_start` over the
     cached keys and the call's earlier points, and caches it while the cache
     holds fewer than CONTINUATION_CACHE_CAP keys.  As in the tracker, a
@@ -291,8 +286,8 @@ def test_starts_match_a_linear_scan(keys, xs):
     # of the cached keys and the call's earlier points finds: 1.0 ties with
     # 2^-61, 2^-60 and 2.0 after rounding, and 1.5 with 2^-61 and 2^-60;
     # 0.0 ties with -1e308 and 1e308, and 1.5e308 is inf from -1e308
-    t = _tracker()
-    t._keys = np.array(sorted(set(keys)))
+    t = BranchTracker(BivarPoly({(1, 0): 1, (0, 2): -1}), (4.0, 2.0))
+    t._keys = np.array(sorted(set(keys)))       # a cache of just these keys
     t._vals = np.arange(1, len(t._keys) + 1) * (1 + 1j)
     X = np.array(sorted(set(xs) - set(keys)))
     assume(X.size)
@@ -752,10 +747,11 @@ def test_a_calls_values_ignore_the_order_and_repeats_of_its_points(calls):
     br, earlier, xs, ys = calls
     runs = []
     for pts in (xs, ys):
-        t = _check_real(br, [earlier, pts], False)
+        _check_real(br, [earlier, pts], False)
         f = BranchExpr(*br)
         _outcome(lambda: f.eval_array(np.array(earlier)))
         got, err = _outcome(lambda: f.eval_array(np.array(pts)))
+        t = f.tracker
         vals = None if err else {x: v.hex() for x, v in zip(pts, got.tolist())}
         runs.append((vals, err, t._keys.tobytes(), t._vals.tobytes(),
                      t.halvings, t.single_steps))
