@@ -18,7 +18,7 @@ from .ck_param import (CkParametrization, ck_parametrize_function,
 from .config import DEFAULT, Config
 from .entropy import (DynSystem, EntropyReport, covering_number, entropy_sweep,
                       system_zoo)
-from .funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr, ConstExpr,
+from .funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
                     FunctionExpr, MulExpr, PowExpr, RationalExpr, SqrtExpr,
                     hyperbola_branch, singular_locus)
 from .poly import Poly, max_abs_on_rational_grid, max_abs_ratio_on_grid

@@ -208,8 +208,7 @@ def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
     charts = [_a_chart_for_interval(f, a, b, cfg, sings) for a, b in part.kept]
     return AnalyticParametrization(charts=charts, removed=part.removed,
                                    delta=_fr(delta), domain=(lo, hi),
-                                   normalization=norm,
-                                   meta={"partition": part})
+                                   normalization=norm)
 
 
 def hyperbola_analytic_charts(eps, delta, cfg: Config = DEFAULT):

@@ -18,7 +18,7 @@ import numpy as np
 from .charts import sampled_sup
 from .errors import (CoverTestFailed, EvaluationAtSingularity, InexactCurve,
                      PreconditionFailed)
-from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, PowExpr,
+from .funcs import (AddExpr, FunctionExpr, MulExpr, PowExpr,
                     RationalExpr, SqrtExpr, _sqrt_exact, _wrap)
 from .poly import Poly, _fr, _horner_int, _int_scaled, bareiss
 
@@ -146,8 +146,6 @@ def vandermonde_bound_check(phi, points, r: float, n: int = 1):
 def _eval_exact(f: FunctionExpr, x: Fraction):
     """('rational', value) or ('irrational', None); raises InexactCurve when
     rationality cannot be decided exactly."""
-    if isinstance(f, ConstExpr):
-        return ("rational", f.c)
     if isinstance(f, RationalExpr):
         return ("rational", f.eval(x))
     if isinstance(f, SqrtExpr):
@@ -198,9 +196,6 @@ def _int_evaluator(f: FunctionExpr, t: int):
     The pairs are unreduced and q may be negative.  Each node follows
     _eval_exact's rule and raises what it raises; a node _eval_exact cannot
     evaluate raises InexactCurve when first reached, as it does there."""
-    if isinstance(f, ConstExpr):
-        c = (f.c.numerator, f.c.denominator)
-        return lambda a: c
     if isinstance(f, RationalExpr):
         # num(a/t) = H(Dn, a)/sn and den(a/t) = H(Dd, a)/sd
         Dn, sn = _int_scaled(f.num, t)

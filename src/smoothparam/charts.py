@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import EvaluationAtSingularity
-from .funcs import AddExpr, ConstExpr, FunctionExpr, MulExpr, simplify
+from .funcs import AddExpr, FunctionExpr, MulExpr, _wrap, simplify
 from .poly import Poly, ratio_chain_maxima
 
 CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
@@ -63,10 +63,6 @@ class Chart:
         if self.image is None:
             self.image = (self.psi(Fraction(0)), self.psi(Fraction(1)))
 
-    @property
-    def degree(self):
-        return self.psi.degree
-
 
 @dataclass
 class SlabChart:
@@ -80,21 +76,15 @@ class SlabChart:
     bounds: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def eval(self, t1, t2):
-        x = self.x_map(t1)
-        g1, g2 = self.G1.eval(t1), self.G2.eval(t1)
-        return (x, (1 - t2) * g1 + t2 * g2)
-
 
 def sampled_sup(fn, xs=None, order: int = 0) -> float:
-    """max |fn^(order)| over the sample points xs, for fn a Poly or a
-    FunctionExpr; an array is taken as values already sampled (order 0).
-    A NaN or inf sample is returned, never dropped: the certificate report
-    turns it into a failure."""
+    """max |fn^(order)| over the sample points xs, for fn a FunctionExpr or
+    a Poly (order 0 only); an array is taken as values already sampled
+    (order 0).  A NaN or inf sample is returned, never dropped: the
+    certificate report turns it into a failure."""
     if not isinstance(fn, np.ndarray):
         if order:
-            fn = (fn.derivs(order)[-1] if isinstance(fn, Poly)
-                  else fn.derivative_chain(order)[order])
+            fn = fn.derivative_chain(order)[order]
         with np.errstate(all="ignore"):     # a non-finite value is returned
             fn = fn.eval_array(xs)
     return float(np.max(np.abs(fn)))
@@ -154,20 +144,20 @@ def _report(values: dict, mode: str, cfg: Config) -> CertificateReport:
 
 def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     """{(key, i): max |fn^(i)|} over the chart's grid, i in orders, less
-    `shift` at order 0; fn is a Poly or a FunctionExpr, rational in exact
-    mode, which takes the rational max at the cfg.exact_grid_points + 1
-    points i/N; float mode takes the float max at cfg.grid_points points.
+    `shift` at order 0; fn is a FunctionExpr or a Poly (`funcs._wrap` reads
+    it as the rational function fn/1), rational in exact mode, which takes
+    the rational max at the cfg.exact_grid_points + 1 points i/N; float mode
+    takes the float max at cfg.grid_points points.
     A pole on the grid reads inf in either mode, and in exact mode so does a
     pole between grid points.  Exact mode takes all the orders from one
-    call of `ratio_chain_maxima` (a Poly over 1): one integer derivative
-    chain, one pole test for the orders >= 1, and the critical cells of
-    each order from the next order's numerator."""
+    call of `ratio_chain_maxima`: one integer derivative chain, one pole
+    test for the orders >= 1, and the critical cells of each order from the
+    next order's numerator."""
+    fn = _wrap(fn)
     if mode == "exact":
-        num, den = (fn, Poly([1])) if isinstance(fn, Poly) else fn.as_rational()
         return {(key, i): float(v) for i, v in ratio_chain_maxima(
-            num, den, orders, shift, cfg.exact_grid_points).items()}
-    top = max(orders, default=0)
-    chain = fn.derivs(top) if isinstance(fn, Poly) else fn.derivative_chain(top)
+            *fn.as_rational(), orders, shift, cfg.exact_grid_points).items()}
+    chain = fn.derivative_chain(max(orders, default=0))
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
     out = {}
     for i in orders:
@@ -206,7 +196,7 @@ def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateRepo
         y0 = slab.G1.eval(Fraction(0))
     except EvaluationAtSingularity:
         y0 = None       # a pole or a non-finite value: ('y', 0) reads inf
-    gap = simplify(AddExpr(slab.G2, MulExpr(ConstExpr(-1), slab.G1)))
+    gap = simplify(AddExpr(slab.G2, MulExpr(-1, slab.G1)))
     per = _grid_max("x", slab.x_map, orders, slab.x_map(0), mode, cfg)
     g2 = _grid_max("y", slab.G2, orders, y0 or 0, mode, cfg)
     # psi2 at t2 in {0, 1}; np.maximum keeps a NaN

@@ -27,7 +27,7 @@ from .charts import (Chart, SlabChart, sampled_sup, verify_ck_chart,
 from .config import DEFAULT, Config
 from .errors import (BoundViolationAfterMaxDepth, PreconditionFailed,
                      SlabOrderViolation)
-from .funcs import (AddExpr, ConstExpr, FunctionExpr, MulExpr, RationalExpr,
+from .funcs import (AddExpr, FunctionExpr, MulExpr, RationalExpr,
                     _wrap, hyperbola_branch, isolate_real_zeros,
                     normalize_values, simplify)
 from .poly import Poly, _fr
@@ -247,7 +247,7 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
     slab charts."""
     g1, g2 = _wrap(g1), _wrap(g2)
     lo, hi = _checked_k_interval(k, interval)
-    diff = simplify(AddExpr(g2, MulExpr(ConstExpr(-1), g1)))
+    diff = simplify(AddExpr(g2, MulExpr(-1, g1)))
     rat = diff.as_rational()
     if rat is not None and rat[0].is_zero():
         raise SlabOrderViolation("g1 == g2 identically")

@@ -164,32 +164,18 @@ class SqrtExpr(FunctionExpr):
     def deriv(self):
         # (sqrt f)' = f' / (2 sqrt f)
         return MulExpr(MulExpr(self.inner.deriv(), PowExpr(self, -1)),
-                       ConstExpr(Fraction(1, 2)))
+                       Fraction(1, 2))
 
     def eval_array(self, xs):
         return np.sqrt(self.inner.eval_array(xs))
 
 
-class ConstExpr(FunctionExpr):
-    def __init__(self, c):
-        self.c = _fr(c)
-
-    def deriv(self):
-        return ConstExpr(0)
-
-    def as_rational(self):
-        return (Poly([self.c]), Poly([1]))
-
-    def eval_array(self, xs):
-        return np.full_like(xs, float(self.c))
-
-
 def _wrap(f):
+    """f as an expression: a Poly, or a number c as the degree-0 Poly [c],
+    becomes a RationalExpr."""
     if isinstance(f, FunctionExpr):
         return f
-    if isinstance(f, Poly):
-        return RationalExpr(f)
-    return ConstExpr(f)
+    return RationalExpr(f if isinstance(f, Poly) else Poly([f]))
 
 
 class AddExpr(FunctionExpr):
@@ -234,7 +220,7 @@ class PowExpr(FunctionExpr):
         return 1 + self.f.size()
 
     def deriv(self):
-        return simplify(MulExpr(MulExpr(ConstExpr(self.n), PowExpr(self.f, self.n - 1)),
+        return simplify(MulExpr(MulExpr(self.n, PowExpr(self.f, self.n - 1)),
                                 self.f.deriv()))
 
     def eval_array(self, xs):
@@ -279,10 +265,8 @@ def simplify(e: FunctionExpr) -> FunctionExpr:
         rf, rg = f.as_rational(), g.as_rational()
         if rf is not None and rg is not None:
             return RationalExpr(rf[0] * rg[0], rf[1] * rg[1])
-        if rf is not None and rf[0].is_zero():
-            return ConstExpr(0)
-        if rg is not None and rg[0].is_zero():
-            return ConstExpr(0)
+        if any(r is not None and r[0].is_zero() for r in (rf, rg)):
+            return _wrap(0)
         return MulExpr(f, g)
     if isinstance(e, ComposeExpr):
         outer, inner = simplify(e.outer), simplify(e.inner)
@@ -295,13 +279,8 @@ def simplify(e: FunctionExpr) -> FunctionExpr:
 
 
 def scale_shift(f: FunctionExpr, a, b) -> FunctionExpr:
-    """a * f + b, staying rational when f is."""
-    a, b = _fr(a), _fr(b)
-    rat = f.as_rational()
-    if rat is not None:
-        num, den = rat
-        return RationalExpr(num * a + den * b, den)
-    return simplify(AddExpr(MulExpr(ConstExpr(a), f), ConstExpr(b)))
+    """a * f + b, one num/den pair when f is rational (`simplify`)."""
+    return simplify(AddExpr(MulExpr(a, f), b))
 
 
 def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
@@ -1025,8 +1004,6 @@ def isolate_real_zeros(f: FunctionExpr, interval):
     if rat is not None:
         if rat[0].is_zero():
             raise ValueError("identically zero function")
-        if not isinstance(f, RationalExpr):
-            f = RationalExpr(*rat)
         return isolate_roots(f.lowest_terms()[0], _fr(lo), _fr(hi))
     # sampled bisection
     n = max(16, int(BISECT_SAMPLES_PER_UNIT * (float(hi) - float(lo))))

@@ -20,7 +20,7 @@ from .charts import CK_TOLERANCE_FLOAT, Chart, verify_ck_chart
 from .config import DEFAULT, Config
 from .entropy import EntropyReport
 from .errors import SchemaVersionMismatch
-from .funcs import (AddExpr, ComposeExpr, ConstExpr, FunctionExpr, MulExpr,
+from .funcs import (AddExpr, ComposeExpr, FunctionExpr, MulExpr,
                     PowExpr, RationalExpr, SqrtExpr)
 from .poly import Poly
 
@@ -139,8 +139,6 @@ def expr_to_json(e: FunctionExpr) -> dict:
     if isinstance(e, RationalExpr):
         return {"kind": "rational", "num": poly_to_json(e.num),
                 "den": poly_to_json(e.den)}
-    if isinstance(e, ConstExpr):
-        return {"kind": "const", "value": number_to_json(e.c)}
     if isinstance(e, SqrtExpr):
         return {"kind": "sqrt", "inner": expr_to_json(e.inner)}
     if isinstance(e, AddExpr):
@@ -160,8 +158,8 @@ def expr_from_json(d: dict) -> FunctionExpr:
     kind = d["kind"]
     if kind == "rational":
         return RationalExpr(poly_from_json(d["num"]), poly_from_json(d["den"]))
-    if kind == "const":
-        return ConstExpr(number_from_json(d["value"]))
+    if kind == "const":     # a spec's constant: the degree-0 rational
+        return RationalExpr(Poly([number_from_json(d["value"])]))
     if kind == "sqrt":
         return SqrtExpr(expr_from_json(d["inner"]))
     if kind == "add":

@@ -19,8 +19,8 @@ from smoothparam.bp import (D_table, L_table, _eval_exact, _fr,
                             enumerate_points, hypersurface_cover,
                             on_hypersurface, vandermonde_bound_check)
 from smoothparam.errors import EvaluationAtSingularity, PreconditionFailed
-from smoothparam.funcs import (AddExpr, ConstExpr, MulExpr, PowExpr,
-                               RationalExpr, SqrtExpr)
+from smoothparam.funcs import (AddExpr, MulExpr, PowExpr, RationalExpr,
+                               SqrtExpr)
 from smoothparam.poly import Poly
 
 
@@ -165,7 +165,7 @@ _leaves = st.one_of(
     st.builds(RationalExpr, _poly),
     st.builds(RationalExpr, _poly,
               _poly.map(lambda p: Poly([-1]) if p.is_zero() else p)),
-    st.builds(ConstExpr, _coef))
+    _coef.map(lambda c: RationalExpr(Poly([c]))))
 _trees = st.recursive(_leaves, lambda kids: st.one_of(
     st.builds(SqrtExpr, kids),
     kids.map(lambda e: SqrtExpr(MulExpr(e, e))),
@@ -218,7 +218,7 @@ def _window_points(f, interval, t):
 
 @settings(max_examples=150)
 @given(f=_trees, t=st.integers(1, 300), ends=st.tuples(_ends, _ends))
-@example(f=ConstExpr(F(3)), t=5, ends=(F(0), F(1)))    # an integer value
+@example(f=RationalExpr(Poly([3])), t=5, ends=(F(0), F(1)))    # an integer value
 def test_brute_force_denominator_rule_matches_the_window_loop(f, t, ends):
     interval = tuple(sorted(ends))
     assert _points_or_error(brute_force_points, f, interval, t) == \
@@ -241,7 +241,7 @@ def _drive(f, interval, T, row):
 
 @settings(max_examples=150, deadline=None)
 @given(f=_trees, T=st.integers(1, 40), ends=st.tuples(_ends, _ends))
-@example(f=ConstExpr(F(3)), T=6, ends=(F(0), F(1)))
+@example(f=RationalExpr(Poly([3])), T=6, ends=(F(0), F(1)))
 @example(f=MulExpr(RationalExpr(Poly([0, 1])),
                    SqrtExpr(RationalExpr(Poly([0, 1])))),
          T=36, ends=(F(0), F(1)))

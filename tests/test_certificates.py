@@ -19,7 +19,7 @@ from smoothparam.charts import (CK_TOLERANCE_FLOAT, Chart, SlabChart,
 from smoothparam.cli import main
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
-from smoothparam.funcs import (BlackboxExpr, ConstExpr, MulExpr, PowExpr,
+from smoothparam.funcs import (BlackboxExpr, MulExpr, PowExpr,
                                RationalExpr, SqrtExpr, isolate_real_zeros)
 from smoothparam.poly import Poly
 from smoothparam.serialize import (approximation_to_json, dumps, loads,
@@ -76,8 +76,8 @@ def test_ck_chart_fails_on_nonfinite(order, bad, idx):
 def test_slab_chart_fails_on_nonfinite(order, bad, idx, upper):
     # a blackbox makes the slab a float one, sampled on the graphs' grid
     xs = np.linspace(0.0, 1.0, CFG.grid_points)
-    poisoned = _poisoned(order, bad, float(xs[idx]))
-    g1, g2 = (ConstExpr(0), poisoned) if upper else (poisoned, ConstExpr(0))
+    poisoned, zero = _poisoned(order, bad, float(xs[idx])), RationalExpr(Poly([]))
+    g1, g2 = (zero, poisoned) if upper else (poisoned, zero)
     rep = verify_slab_chart(SlabChart(x_map=Poly([0, F(1, 2)]), G1=g1, G2=g2,
                                       k=3), CFG)
     assert not rep.ok

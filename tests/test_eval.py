@@ -21,8 +21,8 @@ from smoothparam.charts import circle_sup
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity, OrderOverflow
 from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
-                               ConstExpr, MulExpr, PowExpr, RationalExpr,
-                               SqrtExpr, scale_shift)
+                               MulExpr, PowExpr, RationalExpr, SqrtExpr,
+                               scale_shift)
 from smoothparam.poly import Poly
 
 U = 2.0 ** -53          # unit roundoff
@@ -34,8 +34,6 @@ def oracle(e, z):
         return complex(e.num(z)) / complex(e.den(z))
     if isinstance(e, SqrtExpr):
         return complex(oracle(e.inner, z)) ** 0.5
-    if isinstance(e, ConstExpr):
-        return complex(float(e.c))
     if isinstance(e, AddExpr):
         return sum(oracle(t, z) for t in e.terms)
     if isinstance(e, MulExpr):
@@ -64,8 +62,6 @@ def rounding_scale(e, z, dz=0.0):
             return math.nan, math.inf
         v = n / d
         return v, (en + abs(v) * ed) / abs(d) + 8 * abs(v)
-    if isinstance(e, ConstExpr):
-        return complex(float(e.c)), 0.0
     if isinstance(e, SqrtExpr):
         f, ef = rounding_scale(e.inner, z, dz)
         near_cut = f.real < 0 and abs(f.imag) <= 10 * U * ef
@@ -103,7 +99,7 @@ _poly = st.lists(_coef, min_size=1, max_size=4).map(Poly)
 _leaves = st.one_of(
     st.builds(RationalExpr, _poly,
               _poly.map(lambda p: Poly([1]) if p.is_zero() else p)),
-    st.builds(ConstExpr, _coef))
+    _coef.map(lambda c: RationalExpr(Poly([c]))))
 trees = st.recursive(_leaves, lambda kids: st.one_of(
     st.builds(SqrtExpr, kids),
     st.builds(AddExpr, kids, kids),
