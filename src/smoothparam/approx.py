@@ -26,6 +26,7 @@ from .poly import Poly, _fr
 
 TAYLOR_DEGREE_CAP = 64               # highest Taylor degree of a patch
 CK_PATCH_CAP = 1024                  # most patches on one C^k chart
+PATCH_SAMPLES = 1024                 # patch error samples (verify: 4x)
 
 
 def _check_positive(name, v):
@@ -107,7 +108,7 @@ def _rational_taylor(num: Poly, den: Poly, d: int, c: Fraction) -> Poly:
 
 
 def taylor_patch(g: FunctionExpr, d: int, center, halfwidth, route: str,
-                 K: float = None, cfg: Config = DEFAULT):
+                 K: float = None):
     """(polynomial, remainder bound) for g on [center-halfwidth, center+halfwidth].
 
     C^k route: measured (d+1)-derivative max times halfwidth^(d+1)/(d+1)!.
@@ -119,7 +120,7 @@ def taylor_patch(g: FunctionExpr, d: int, center, halfwidth, route: str,
         bound = K * 2.0 ** (-d)
     else:
         lo, hi = float(center) - float(halfwidth), float(center) + float(halfwidth)
-        m = sampled_sup(g, np.linspace(lo, hi, cfg.patch_samples), d + 1)
+        m = sampled_sup(g, np.linspace(lo, hi, PATCH_SAMPLES), d + 1)
         bound = m * float(halfwidth) ** (d + 1) / math.factorial(d + 1)
     return p, bound
 
@@ -168,9 +169,9 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
                 u, v = Fraction(j, m), Fraction(j + 1, m)
                 c = (u + v) / 2
                 half = (v - u) / 2
-                p, bound = taylor_patch(ch.f_comp, d, c, half, "ck", cfg=cfg)
+                p, bound = taylor_patch(ch.f_comp, d, c, half, "ck")
                 err = patch_error(ch.f_comp, p, "ck", c, 2 * half,
-                                  cfg.patch_samples) / float(a)
+                                  PATCH_SAMPLES) / float(a)
                 if not math.isfinite(err):   # halving may resample the point
                     raise EvaluationAtSingularity(
                         f"non-finite patch error on chart {idx} at t={c}")
@@ -214,9 +215,8 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
         d = d0
         while True:
             p, bound = taylor_patch(ch.f_comp, d, Fraction(0), 1, "analytic",
-                                    K=max(K, 1e-300), cfg=cfg)
-            err = patch_error(ch.f_comp, p, "analytic", 0, 2,
-                              cfg.patch_samples)
+                                    K=max(K, 1e-300))
+            err = patch_error(ch.f_comp, p, "analytic", 0, 2, PATCH_SAMPLES)
             if err <= eps:
                 break
             d += 2

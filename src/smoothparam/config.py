@@ -12,7 +12,6 @@ class Config:
     exact_grid_points: int = 4096    # rational-arithmetic verification grid
     a_chart_radii: int = 8           # concentric circles sampled per disk
     a_chart_angles: int = 256        # points per circle
-    patch_samples: int = 1024        # approximation patch error samples
 
 
 DEFAULT = Config()

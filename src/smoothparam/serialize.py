@@ -15,7 +15,7 @@ import json
 import math
 from fractions import Fraction
 
-from .approx import patch_error
+from .approx import PATCH_SAMPLES, patch_error
 from .charts import CK_TOLERANCE_FLOAT, Chart, verify_ck_chart
 from .config import DEFAULT, Config
 from .entropy import EntropyReport
@@ -292,8 +292,7 @@ def _scale_cfg(cfg: Config, factor: int) -> Config:
     return dataclasses.replace(
         cfg, grid_points=cfg.grid_points * factor,
         exact_grid_points=cfg.exact_grid_points * factor,
-        a_chart_angles=cfg.a_chart_angles * factor,
-        patch_samples=cfg.patch_samples * factor)
+        a_chart_angles=cfg.a_chart_angles * factor)
 
 
 def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
@@ -325,7 +324,7 @@ def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
                                 f"(max bound {rep.max_bound})")
 
 
-def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
+def _verify_approximation(doc: dict, failures: list) -> None:
     src = doc.get("source")
     f = expr_from_json(src) if src and src.get("kind") != "opaque" else None
     eps = doc["epsilon"]
@@ -343,7 +342,7 @@ def _verify_approximation(doc: dict, cfg: Config, failures: list) -> None:
             continue
         err = patch_error(f, poly, doc["route"],
                           number_from_json(pd["center"][0]), pd["side"],
-                          4 * cfg.patch_samples, psi=psi)
+                          4 * PATCH_SAMPLES, psi=psi)
         if not err <= eps * (1 + 1e-6):
             failures.append(f"patch {i}: resampled error {err} exceeds {eps}")
 
@@ -378,7 +377,7 @@ def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
     if kind.endswith("parametrization"):
         _verify_charts(doc, cfg, failures)
     elif kind == "approximation":
-        _verify_approximation(doc, cfg, failures)
+        _verify_approximation(doc, failures)
     elif kind == "entropy":
         failures += EntropyReport(doc["system"], doc["n_values"],
                                   doc["eps_values"], doc["rows"],

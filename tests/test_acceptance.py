@@ -13,7 +13,8 @@ import pytest
 
 from smoothparam.analytic_param import (dyadic_partition,
                                         hyperbola_analytic_charts)
-from smoothparam.approx import analytic_approximate, compare_log_cubic_vs_power
+from smoothparam.approx import (PATCH_SAMPLES, analytic_approximate,
+                               compare_log_cubic_vs_power)
 from smoothparam.bivar import BivarPoly
 from smoothparam.bp import (bp_for_degree, brute_force_points,
                             enumerate_points, hypersurface_cover,
@@ -219,7 +220,7 @@ def test_acceptance_09_approximation_scaling():
         if key != "cubic":
             assert out["cubic"]["aic"] < val["aic"], key
     # every patch re-verifies its error at 4x sampling
-    ts = np.linspace(-1.0, 1.0, 4 * DEFAULT.patch_samples)
+    ts = np.linspace(-1.0, 1.0, 4 * PATCH_SAMPLES)
     for A in approxs:
         for p in A.patches:
             if p.source == "removed-box":

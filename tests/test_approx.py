@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothparam.approx import (analytic_approximate, ck_approximate,
-                                aic_of_fit, compare_log_cubic_vs_power,
-                                taylor_patch, taylor_polynomial)
+from smoothparam.approx import (PATCH_SAMPLES, analytic_approximate,
+                                ck_approximate, aic_of_fit,
+                                compare_log_cubic_vs_power, taylor_patch,
+                                taylor_polynomial)
 from smoothparam.analytic_param import hyperbola_analytic_charts
 from smoothparam import serialize
 from smoothparam import approx
@@ -293,7 +294,7 @@ def test_slab_patches_reverify_at_4x_sampling():
     eps = 2.0 ** -10
     A = analytic_approximate(f, (e, F(1)), eps,
                              declared_singularities=[0j], slab=True, cfg=CHEAP)
-    ts = np.linspace(-1.0, 1.0, 4 * DEFAULT.patch_samples)
+    ts = np.linspace(-1.0, 1.0, 4 * PATCH_SAMPLES)
     for p in A.patches:
         if p.source == "removed-box":
             continue
