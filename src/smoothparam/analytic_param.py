@@ -33,7 +33,10 @@ class DyadicPartition:
 
     def check_invariants(self):
         """(worst distance ratio, count, budget).  Ratio >= 3 means every kept
-        interval is at least three half-lengths from every singularity."""
+        interval is at least three half-lengths from every singularity.  The
+        budget 2(m + 1) log2(1/delta) on the count holds for delta <= 1/4
+        only: on [-1, 1], one singular point at 0.5i with delta 1/2 takes 6
+        charts against a budget of 4."""
         worst = math.inf
         for (a, b) in self.kept:
             c, half = float((a + b) / 2), float((b - a) / 2)

@@ -284,9 +284,11 @@ def scale_shift(f: FunctionExpr, a, b) -> FunctionExpr:
 
 
 def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
-    """(g, norm): g = a * f + b with values sampled on [lo, hi] moved into
-    [0, 1] (shifted up when negative, scaled down when the span exceeds 1),
-    and norm = {"scale": a, "shift": b}; (f, {}) when they already lie in
+    """(g, norm): g = a * f + b and norm = {"scale": a, "shift": b}, from
+    the values of f sampled on [lo, hi]: a = 1/span scales a span over 1
+    down to 1, and b = -a * vmin shifts a negative minimum up to 0.  Values
+    >= 0 are never shifted, so g can exceed 1, and a = 1, b = 0 is stored
+    when the span is at most 1; (f, {}) when the values already lie in
     [0, 1], or when sampling fails or gives a non-finite value."""
     xs = np.linspace(float(lo), float(hi), cfg.grid_points)
     try:

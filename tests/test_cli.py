@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from smoothparam import cli
 from smoothparam.ck_param import hyperbola_parametrization
 from smoothparam.cli import main
-from smoothparam.serialize import dumps, loads, number_to_json
+from smoothparam.poly import Poly
+from smoothparam.serialize import dumps, expr_from_json, loads, number_to_json
 
 # sha256 of `parametrize-ck --eps 1/100` (k=2) as first emitted; a change to
 # chart construction or certification that moves a byte shows up here
@@ -119,6 +120,44 @@ def test_roundtrip_idempotent(tmp_path):
     assert main(["parametrize-analytic", "--out", str(out)]) == 0
     text = out.read_text()
     assert dumps(loads(text)) == text
+
+
+def _const_spelled(node):
+    """node with every degree-0 rational expression spelled as a "const"
+    node, as artifacts spelled constants before constants became
+    degree-0 rationals."""
+    if isinstance(node, list):
+        return [_const_spelled(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    if node.get("kind") == "rational" and len(node["num"]) <= 1 \
+            and node["den"] in (["1"], ["1/1"]):
+        return {"kind": "const", "value": (node["num"] or ["0"])[0]}
+    return {key: _const_spelled(v) for key, v in node.items()}
+
+
+def test_a_const_spec_node_loads_as_a_degree_0_rational(tmp_path, capsys):
+    # specs come from outside the program, so a "const" node still loads,
+    # as the rational 3/2 over 1; the artifacts spell no constant as
+    # "const", and the same artifacts with their constants spelled so verify
+    assert expr_from_json({"kind": "const", "value": "3/2"}).as_rational() \
+        == (Poly([Fraction(3, 2)]), Poly([1]))
+    root = {"kind": "sqrt", "inner": {"kind": "rational",
+                                      "num": ["2", "0", "1"], "den": ["3", "1"]}}
+    spec, out, old = (tmp_path / n for n in ("s.json", "a.json", "old.json"))
+    spec.write_text(json.dumps({
+        "function": {"kind": "add",
+                     "terms": [{"kind": "const", "value": "3/2"}, root]},
+        "interval": ["0", "1"],
+        "declared_singularities": [-3, [0, 2 ** 0.5], [0, -2 ** 0.5]]}))
+    for argv in (["parametrize-ck", "--k", "2"], ["parametrize-analytic"],
+                 ["approximate", "--eps", "0.0625"]):
+        assert main(argv + ["--spec", str(spec), "--out", str(out)]) == 0
+        assert '"const"' not in out.read_text()
+        old.write_text(dumps(_const_spelled(json.loads(out.read_text()))))
+        assert '"const"' in old.read_text()
+        assert main(["verify", str(old)]) == 0
+    assert capsys.readouterr().out == "pass\n" * 3
 
 
 def test_verify_detects_injected_fault(tmp_path, capsys):

@@ -22,7 +22,7 @@ from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity, OrderOverflow
 from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
                                MulExpr, PowExpr, RationalExpr, SqrtExpr,
-                               scale_shift)
+                               _wrap, scale_shift, simplify)
 from smoothparam.poly import Poly
 
 U = 2.0 ** -53          # unit roundoff
@@ -279,6 +279,35 @@ def test_branch_circles_match_the_per_circle_continuation():
         want = circle_sup_loop(through, center, radius, cfg, tracker=f.tracker)
         got = circle_sup(e.eval_array, center, radius, cfg)
         assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("c", [0, 3, F(-7, 2), 0.1, -1e-300])
+def test_a_constant_is_a_degree_0_rational(c):
+    # a number, simplify's zero and the constant factors of the sqrt and
+    # power derivatives are RationalExpr(Poly([c])), and evaluate as the
+    # constant itself, bit for bit, at any real or complex point
+    x = SqrtExpr(RationalExpr(Poly([0, 1])))
+    consts = [(_wrap(c), c), (simplify(MulExpr(0, x)), 0),
+              (x.deriv().g, F(1, 2)), (PowExpr(x, 3).deriv().f.f, 3)]
+    xs = np.array([-2.5, -0.0, 0.0, 1e300, np.inf, np.nan])
+    zs = np.array([1 + 2j, complex(-0.0, -0.0), complex(np.inf, 1),
+                   complex(np.nan, 0), -3j])
+    for e, v in consts:
+        assert isinstance(e, RationalExpr)
+        assert e.as_rational() == (Poly([v]), Poly([1]))
+        for a in (xs, zs):
+            assert e.eval_array(a).tobytes() == \
+                np.full_like(a, float(v)).tobytes()
+
+
+@given(f=_leaves,
+       a=st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8),
+       b=st.fractions(min_value=-8, max_value=8, max_denominator=8))
+def test_scale_shift_of_a_rational_is_one_canonical_pair(f, a, b):
+    num, den = f.as_rational()
+    g = scale_shift(f, a, b)
+    assert isinstance(g, RationalExpr)
+    assert g.as_rational() == (num * a + den * b, den)
 
 
 def test_pole_through_compose_and_sqrt_fails_closed_naming_the_radius():

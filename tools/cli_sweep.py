@@ -29,17 +29,23 @@ import sys
 
 # Spec files written into OUTDIR: (1 - x^2)/(2 + x^2), with complex poles
 # at +-i sqrt 2; sqrt((2 + x^2)/(3 + x)), whose branch points (the same
-# two and -3) are declared; x sqrt(x), rational at the rational squares;
+# two and -3) are declared; 3/2 plus that root, spelled with a "const" node,
+# so its values exceed 1; x sqrt(x), rational at the rational squares;
 # and 1/(3x - 1), whose pole at 1/3 fails a count from t = 3 on.
 _X = {"kind": "rational", "num": ["0", "1"], "den": ["1"]}
+_SQRT = {"kind": "sqrt", "inner": {
+    "kind": "rational", "num": ["2", "0", "1"], "den": ["3", "1"]}}
+_SQRT_SINGULARITIES = [-3, [0, 2 ** 0.5], [0, -2 ** 0.5]]
 SPECS = {
     "ratio.json": {"function": {"kind": "rational", "num": ["1", "0", "-1"],
                                 "den": ["2", "0", "1"]},
                    "interval": ["-1", "1"]},
-    "sqrt.json": {"function": {"kind": "sqrt", "inner": {
-        "kind": "rational", "num": ["2", "0", "1"], "den": ["3", "1"]}},
+    "sqrt.json": {"function": _SQRT, "interval": ["0", "1"],
+                  "declared_singularities": _SQRT_SINGULARITIES},
+    "constsqrt.json": {"function": {"kind": "add", "terms": [
+        {"kind": "const", "value": "3/2"}, _SQRT]},
         "interval": ["0", "1"],
-        "declared_singularities": [-3, [0, 2 ** 0.5], [0, -2 ** 0.5]]},
+        "declared_singularities": _SQRT_SINGULARITIES},
     "xsqrtx.json": {"function": {"kind": "mul", "f": _X,
                                  "g": {"kind": "sqrt", "inner": _X}},
                     "interval": ["0", "1"]},
@@ -57,6 +63,12 @@ CALLS = [
     ("analytic", ["parametrize-analytic"]),
     ("analytic-ratio", ["parametrize-analytic", "--spec", "ratio.json"]),
     ("analytic-sqrt", ["parametrize-analytic", "--spec", "sqrt.json"]),
+    ("ck-constsqrt", ["parametrize-ck", "--k", "2", "--spec",
+                      "constsqrt.json"]),
+    ("analytic-constsqrt", ["parametrize-analytic", "--spec",
+                            "constsqrt.json"]),
+    ("approx-constsqrt", ["approximate", "--eps", "0.0625", "--spec",
+                          "constsqrt.json"]),
     ("approx-analytic", ["approximate", "--eps", "0.0009765625"]),
     ("approx-analytic-slab", ["approximate", "--eps", "0.0009765625",
                               "--slab"]),
