@@ -218,7 +218,7 @@ def _window_points(f, interval, t):
 
 @settings(max_examples=150)
 @given(f=_trees, t=st.integers(1, 300), ends=st.tuples(_ends, _ends))
-@example(f=RationalExpr(Poly([3])), t=5, ends=(F(0), F(1)))    # an integer value
+@example(f=RationalExpr(Poly([3])), t=5, ends=(F(0), F(1)))  # an integer value
 def test_brute_force_denominator_rule_matches_the_window_loop(f, t, ends):
     interval = tuple(sorted(ends))
     assert _points_or_error(brute_force_points, f, interval, t) == \

@@ -76,7 +76,8 @@ def test_ck_chart_fails_on_nonfinite(order, bad, idx):
 def test_slab_chart_fails_on_nonfinite(order, bad, idx, upper):
     # a blackbox makes the slab a float one, sampled on the graphs' grid
     xs = np.linspace(0.0, 1.0, CFG.grid_points)
-    poisoned, zero = _poisoned(order, bad, float(xs[idx])), RationalExpr(Poly([]))
+    poisoned = _poisoned(order, bad, float(xs[idx]))
+    zero = RationalExpr(Poly([]))
     g1, g2 = (zero, poisoned) if upper else (poisoned, zero)
     rep = verify_slab_chart(SlabChart(x_map=Poly([0, F(1, 2)]), G1=g1, G2=g2,
                                       k=3), CFG)

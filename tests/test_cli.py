@@ -142,8 +142,8 @@ def test_a_const_spec_node_loads_as_a_degree_0_rational(tmp_path, capsys):
     # "const", and the same artifacts with their constants spelled so verify
     assert expr_from_json({"kind": "const", "value": "3/2"}).as_rational() \
         == (Poly([Fraction(3, 2)]), Poly([1]))
-    root = {"kind": "sqrt", "inner": {"kind": "rational",
-                                      "num": ["2", "0", "1"], "den": ["3", "1"]}}
+    root = {"kind": "sqrt", "inner": {
+        "kind": "rational", "num": ["2", "0", "1"], "den": ["3", "1"]}}
     spec, out, old = (tmp_path / n for n in ("s.json", "a.json", "old.json"))
     spec.write_text(json.dumps({
         "function": {"kind": "add",
