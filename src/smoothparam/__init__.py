@@ -10,8 +10,8 @@ from .bivar import BivarPoly, BivarRational, resultant_y
 from .bp import (bp_combinatorics, bp_for_degree, brute_force_points,
                  enumerate_points, hypersurface_cover, on_hypersurface,
                  vandermonde_bound_check)
-from .charts import (CertificateReport, Chart, SlabChart, measure_chart_bounds,
-                     verify_ck_chart, verify_slab_chart)
+from .charts import (CertificateReport, Chart, measure_chart_bounds,
+                     verify_ck_chart)
 from .ck_param import (CkParametrization, ck_parametrize_function,
                        ck_parametrize_slab, hyperbola_parametrization,
                        kill_derivative_step, monotone_subdivision)

@@ -1,11 +1,13 @@
-"""Chart records and certificate checkers.
+"""The chart record and its certificate checker.
 
-A chart is a polynomial (or composed) substitution from the unit interval
-(or square, for slabs) into the domain, with the function it carries.  Both
-checkers measure derivative suprema through one grid routine, exactly in
-rationals when the carried functions are (for a slab, both graphs) and in
-floats otherwise, and certify the unit bound up to a stated tolerance; a
-non-finite measurement fails the certificate, and a pole at a grid point
+A chart is a polynomial map psi from the unit interval into the domain,
+with the functions it carries: f_comp = f o psi for a graph, and for a slab
+{g1 <= y <= g2} also top = g2 o psi, the map (t1, t2) -> (psi(t1),
+(1 - t2) f_comp(t1) + t2 top(t1)) being affine in t2.  One checker measures
+every coordinate at orders 0..k, order 0 less its basepoint, through one grid
+routine, exactly in rationals when every carried function is rational and
+in floats otherwise, and certifies the unit bound up to a stated tolerance;
+a non-finite measurement fails the certificate, and a pole at a grid point
 reads inf in either mode (in exact mode, so does a pole between grid
 points).  The exact grid max is decided in integers at the grid ends and
 beside the critical points that Descartes' rule locates, so it equals the
@@ -50,7 +52,8 @@ class CertificateReport:
 @dataclass
 class Chart:
     """One chart of a parametrization: psi maps [0, 1] onto a subinterval of
-    the original domain, f_comp = f o psi."""
+    the original domain, f_comp = f o psi, and for a slab chart top = g2 o psi
+    is the upper graph over it (f_comp the lower)."""
 
     psi: Poly
     f_comp: FunctionExpr
@@ -58,23 +61,11 @@ class Chart:
     image: tuple = None              # (psi(0), psi(1)), exact when possible
     bounds: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    top: FunctionExpr = None
 
     def __post_init__(self):
         if self.image is None:
             self.image = (self.psi(Fraction(0)), self.psi(Fraction(1)))
-
-
-@dataclass
-class SlabChart:
-    """Chart of a 2d slab {a <= x <= b, g1(x) <= y <= g2(x)}:
-    psi(t1, t2) = (x(t1), (1 - t2) G1(t1) + t2 G2(t1)) with Gi = gi o x."""
-
-    x_map: Poly                      # t1 -> x
-    G1: FunctionExpr
-    G2: FunctionExpr
-    k: int
-    bounds: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
 
 def sampled_sup(fn, xs=None, order: int = 0) -> float:
@@ -169,41 +160,36 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
 
 
 def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
-    """Grid maxima (`_grid_max`) of |psi - psi(0)|, |psi^(i)| and
-    |(f o psi)^(i)|, i = 1..k, and the mode: exact iff f o psi is rational."""
-    mode = "exact" if chart.f_comp.as_rational() is not None else "float"
-    k, psi0 = chart.k, chart.psi(Fraction(0))
-    chart.bounds = {
-        **_grid_max("psi", chart.psi, range(k + 1), psi0, mode, cfg),
-        **_grid_max("f", chart.f_comp, range(1, k + 1), 0, mode, cfg)}
-    return chart.bounds, mode
+    """Grid maxima (`_grid_max`) of every coordinate at orders i = 0..k,
+    order 0 less its basepoint: ('psi', i) of psi; ('f', i) the max over
+    f_comp and top, less y0 = f_comp(0) at order 0 (inf where y0 fails to
+    evaluate); and for a slab ('f-slope', i) of top - f_comp, i < k, since
+    the map is affine in t2, so every mixed partial is one of these.
+    Returns them with the mode: exact iff every carried function is
+    rational."""
+    fs = [f for f in (chart.f_comp, chart.top) if f is not None]
+    mode = ("exact" if all(f.as_rational() is not None for f in fs)
+            else "float")
+    orders = range(chart.k + 1)
+    try:                # the basepoint y
+        y0 = chart.f_comp.eval(Fraction(0))
+    except EvaluationAtSingularity:
+        y0 = None       # a pole or a non-finite value: ('f', 0) reads inf
+    per = _grid_max("psi", chart.psi, orders, chart.psi(Fraction(0)), mode,
+                    cfg)
+    for f in fs:        # psi2 at t2 in {0, 1}; np.maximum keeps a NaN
+        per.update((key, float(np.maximum(v, per.get(key, v)))) for key, v
+                   in _grid_max("f", f, orders, y0 or 0, mode, cfg).items())
+    if chart.top is not None:
+        gap = simplify(AddExpr(chart.top, MulExpr(-1, chart.f_comp)))
+        per.update(_grid_max("f-slope", gap, orders[:-1], 0, mode, cfg))
+    if y0 is None:
+        per["f", 0] = math.inf
+    chart.bounds = per
+    return per, mode
 
 
 def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT) -> CertificateReport:
-    """Certify the unit-norm condition: the chart map stays within distance 1
-    of its basepoint in C^k, and the carried function does too (orders >= 1)."""
+    """Certify the unit-norm condition: every coordinate of the chart stays
+    within distance 1 of its basepoint in C^k (`measure_chart_bounds`)."""
     return _report(*measure_chart_bounds(chart, cfg), cfg)
-
-
-def verify_slab_chart(slab: SlabChart, cfg: Config = DEFAULT) -> CertificateReport:
-    """The second component is affine in t2, so all mixed partials reduce to
-    t1-derivatives of G1 and G2 - G1 (the "y-slope"); check those plus the
-    x-map by `_grid_max`, exact when G1 and G2 are rational."""
-    mode = ("float" if None in (slab.G1.as_rational(), slab.G2.as_rational())
-            else "exact")
-    orders = range(slab.k + 1)
-    try:                # the basepoint y
-        y0 = slab.G1.eval(Fraction(0))
-    except EvaluationAtSingularity:
-        y0 = None       # a pole or a non-finite value: ('y', 0) reads inf
-    gap = simplify(AddExpr(slab.G2, MulExpr(-1, slab.G1)))
-    per = _grid_max("x", slab.x_map, orders, slab.x_map(0), mode, cfg)
-    g2 = _grid_max("y", slab.G2, orders, y0 or 0, mode, cfg)
-    # psi2 at t2 in {0, 1}; np.maximum keeps a NaN
-    per.update((key, float(np.maximum(v, g2[key]))) for key, v in
-               _grid_max("y", slab.G1, orders, y0 or 0, mode, cfg).items())
-    per.update(_grid_max("y-slope", gap, orders[:-1], 0, mode, cfg))
-    if y0 is None:
-        per["y", 0] = math.inf
-    slab.bounds = per
-    return _report(per, mode, cfg)

@@ -9,10 +9,10 @@ map, oriented so t = 0 maps to the endpoint of the largest l-th derivative
 split then brings all bounds under 1; every chart is certified.
 
 `ck_parametrize_function` runs it on one function, after an optional
-value-axis normalization, and emits `Chart`s checked by `verify_ck_chart`;
-`ck_parametrize_slab` checks g1 < g2 inside (the ends may touch), runs it on
-the pair and emits `SlabChart`s, affine in t2, checked by `verify_slab_chart`.
-Both checkers share one grid routine: exact when the graphs are rational."""
+value-axis normalization; `ck_parametrize_slab` checks g1 < g2 inside (the
+ends may touch) and runs it on the pair.  Either emits `Chart`s, a slab's
+carrying its upper graph as `top`, each certified by `verify_ck_chart` at
+orders 0..k: exact when the graphs are rational."""
 
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charts import (Chart, SlabChart, sampled_sup, verify_ck_chart,
-                     verify_slab_chart)
+from .charts import Chart, sampled_sup, verify_ck_chart
 from .config import DEFAULT, Config
 from .errors import (BoundViolationAfterMaxDepth, PreconditionFailed,
                      SlabOrderViolation)
@@ -137,13 +136,12 @@ def _split_factor(bounds) -> int:
 MAX_EXTRA_SPLITS = 3        # doublings of a piece's split count if a chart fails
 
 
-def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
-    """The C^k induction on the tuple of functions fs over [lo, hi].
-
-    make_chart(psi, gs, steps, m) builds the record of one chart from its map
-    psi on [0, 1], the carried compositions gs = fs o psi, the substitutions
-    that made psi and the final split count m; certify(chart, cfg) returns its
-    CertificateReport.  Returns the accepted charts sorted by sort_key."""
+def _induct(fs, k: int, lo, hi, cfg: Config):
+    """The C^k induction on the graphs fs over [lo, hi]: (f,), or a slab's
+    (g1, g2).  Each chart carries fs o psi as f_comp (and top), keeps in its
+    meta the substitutions that made psi, the final split count and its
+    certificate from `verify_ck_chart`.  Returns the accepted charts sorted
+    by min(image)."""
     pts = [lo] + _zero_cuts(fs, range(1, k + 2), lo, hi) + [hi]
     work = []   # (psi on [0, 1], fs o psi, steps)
     for a, b in zip(pts, pts[1:]):
@@ -183,11 +181,14 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
             subcharts = []
             for j in range(m):
                 aff = _affine_01(Fraction(j, m), Fraction(j + 1, m))
-                ch = make_chart(psi.compose(aff),
-                                tuple(g.precompose_poly(aff) for g in gs),
-                                steps + [("affine", Fraction(j, m),
-                                          Fraction(j + 1, m))], m)
-                cert = certify(ch, cfg)
+                f_comp, *top = (g.precompose_poly(aff) for g in gs)
+                ch = Chart(psi=psi.compose(aff), f_comp=f_comp, k=k,
+                           top=top[0] if top else None,
+                           meta={"steps": steps + [("affine", Fraction(j, m),
+                                                    Fraction(j + 1, m))],
+                                 "split": m})
+                assert ch.psi.degree <= 2 ** k
+                cert = verify_ck_chart(ch, cfg)
                 ch.meta["certificate"] = cert
                 if not cert.ok:
                     break
@@ -206,7 +207,7 @@ def _induct(fs, k: int, lo, hi, cfg: Config, make_chart, certify, sort_key):
                 f"{MAX_EXTRA_SPLITS} extra splits; the last failed "
                 f"certificate has {', '.join(map(str, over))} over the "
                 f"bound, the worst {worst} = {cert.max_bound:.6g}")
-    charts.sort(key=sort_key)
+    charts.sort(key=lambda c: min(c.image))
     return charts
 
 
@@ -228,14 +229,7 @@ def ck_parametrize_function(f: FunctionExpr, k: int, interval,
     norm = {}
     if normalize:
         f, norm = normalize_values(f, lo, hi, cfg)
-
-    def chart(psi, gs, steps, m):
-        assert psi.degree <= 2 ** k
-        return Chart(psi=psi, f_comp=gs[0], k=k,
-                     meta={"steps": steps, "split": m})
-
-    charts = _induct((f,), k, lo, hi, cfg, chart, verify_ck_chart,
-                     lambda c: min(c.image))
+    charts = _induct((f,), k, lo, hi, cfg)
     return CkParametrization(charts=charts, k=k, domain=(lo, hi),
                              normalization=norm)
 
@@ -259,13 +253,7 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
         raise SlabOrderViolation(f"g2 - g1 vanishes inside the slab at {interior}")
     if float(diff.eval((lo + hi) / 2)) < 0:
         raise SlabOrderViolation("g1 > g2 on the slab")
-
-    def chart(psi, gs, steps, m):
-        return SlabChart(x_map=psi, G1=gs[0], G2=gs[1], k=k,
-                         meta={"steps": steps, "split": m})
-
-    charts = _induct((g1, g2), k, lo, hi, cfg, chart, verify_slab_chart,
-                     lambda c: float(c.x_map(0.0)))
+    charts = _induct((g1, g2), k, lo, hi, cfg)
     return CkParametrization(charts=charts, k=k, domain=(lo, hi),
                              meta={"kind": "slab"})
 

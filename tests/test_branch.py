@@ -41,17 +41,19 @@ from smoothparam.serialize import dumps, parametrization_to_json
 CUBIC_GRID_SHA256 = \
     "e3091dc0bcb1814a8ab9f9d9f16f9b0ba94f960c1b2d5ff655722d5fba5d0da3"
 # sha256 of the k=2 artifact of that branch over [1, 2], as computed by the
-# tracker that ran np.roots at every step its cheap test failed
+# tracker that ran np.roots at every step its cheap test failed, with order
+# 0 of f measured as ('f', 0) in each chart's bounds
 CUBIC_C2_SHA256 = \
-    "fe59e6c1c281e8e8a5958ac7881e8b1229178826f7888bf51de1caca8adc8387"
+    "9b01c18e7185d03743bdd4c65c5b8364deb6eeb2e5cfce7d28368be157254e50"
 # sha256 of the analytic artifact (delta 1/16 over [1, 2]: a real grid and
 # complex disk rows) and of the k=1 artifact over [1, 5/4] of the branch of
 # y^2 = x^3 - x/4 + 15/4, as computed by the corrector that worked on the
-# real axis in complex (real, imag) pairs
+# real axis in complex (real, imag) pairs, the latter with ('f', 0) in its
+# chart's bounds
 CUBIC_ANALYTIC_SHA256 = \
     "b9ed364a7536cc65fd4f3fc0769dde66dc1d78217d00a54b92e0c9943583b895"
 CUBIC_C1_SHA256 = \
-    "1427f1166a28980362bd8727e70dd6b87cdb20827c748ecd332b0f53f2def9e3"
+    "43bf34cf71dcf9835e7c35f1f8f36b0355dca9cd7a250a149858ba839b2a3895"
 
 
 def _cubic_branch(a=0, b=1):

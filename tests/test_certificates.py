@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from smoothparam.analytic_param import verify_a_chart_variation
 from smoothparam.approx import ck_approximate
-from smoothparam.charts import (CK_TOLERANCE_FLOAT, Chart, SlabChart,
-                                circle_sup, verify_ck_chart, verify_slab_chart)
+from smoothparam.charts import (CK_TOLERANCE_FLOAT, Chart, circle_sup,
+                                verify_ck_chart)
 from smoothparam.cli import main
 from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
@@ -41,13 +41,15 @@ def _poisoned(order, bad, at, depth=3):
 
 
 def test_roadmap_repro_fails():
-    # 1/x through psi(t) = t/2: NaN at t = 0 in the order-1 derivative
+    # 1/x through psi(t) = t/2: NaN at t = 0 in the order-1 derivative,
+    # and a basepoint value that fails to evaluate, so order 0 reads inf
     x = RationalExpr(Poly([0, 1]))
     ch = Chart(psi=Poly([0, F(1, 2)]), f_comp=MulExpr(x, PowExpr(x, -2)), k=1)
     rep = verify_ck_chart(ch)
     assert math.isnan(rep.per_order[("f", 1)])
+    assert rep.per_order[("f", 0)] == math.inf
     assert not rep.ok
-    assert "('f', 1)" in rep.detail
+    assert "('f', 0)" in rep.detail
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -79,19 +81,19 @@ def test_slab_chart_fails_on_nonfinite(order, bad, idx, upper):
     poisoned = _poisoned(order, bad, float(xs[idx]))
     zero = RationalExpr(Poly([]))
     g1, g2 = (zero, poisoned) if upper else (poisoned, zero)
-    rep = verify_slab_chart(SlabChart(x_map=Poly([0, F(1, 2)]), G1=g1, G2=g2,
-                                      k=3), CFG)
+    rep = verify_ck_chart(Chart(psi=Poly([0, F(1, 2)]), f_comp=g1, top=g2,
+                                k=3), CFG)
     assert not rep.ok
     assert "non-finite" in rep.detail
 
 
 def test_slab_with_a_nan_basepoint_fails():
     # sqrt(2 t - 1) is NaN at t = 0, where the slab's basepoint y is read
-    slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=SqrtExpr(RationalExpr(
-        Poly([-1, 2]))), G2=RationalExpr(Poly([2])), k=1)
+    slab = Chart(psi=Poly([0, F(1, 2)]), f_comp=SqrtExpr(RationalExpr(
+        Poly([-1, 2]))), top=RationalExpr(Poly([2])), k=1)
     with np.errstate(invalid="ignore"):
-        rep = verify_slab_chart(slab, CFG)
-    assert not rep.ok and rep.detail == "non-finite value at order ('y', 0)"
+        rep = verify_ck_chart(slab, CFG)
+    assert not rep.ok and rep.detail == "non-finite value at order ('f', 0)"
 
 
 _TINY_POLE = RationalExpr(Poly([F(1, 10**9)]), Poly([0, 1]))   # 1e-9/t
@@ -99,11 +101,11 @@ _TINY_POLE = RationalExpr(Poly([F(1, 10**9)]), Poly([0, 1]))   # 1e-9/t
 
 @pytest.mark.parametrize("check", [
     lambda: verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=_TINY_POLE, k=1)),
-    lambda: verify_slab_chart(SlabChart(x_map=Poly([0, 1]), G1=RationalExpr(
-        Poly([0])), G2=_TINY_POLE, k=1)),
+    lambda: verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=RationalExpr(
+        Poly([0])), top=_TINY_POLE, k=1)),
     # the pole at the grid point 1/2, inside the slab
-    lambda: verify_slab_chart(SlabChart(x_map=Poly([0, 1]), G1=RationalExpr(
-        Poly([0])), G2=RationalExpr(Poly([F(1, 10**9)]), Poly([F(-1, 2), 1])),
+    lambda: verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=RationalExpr(
+        Poly([0])), top=RationalExpr(Poly([F(1, 10**9)]), Poly([F(-1, 2), 1])),
         k=1)),
 ])
 def test_exact_chart_with_a_pole_on_the_grid_fails(check):
@@ -116,11 +118,11 @@ def test_exact_chart_with_a_pole_on_the_grid_fails(check):
 
 def test_exact_slab_with_a_pole_at_its_basepoint_fails():
     # -1e-9/t has its pole at t = 0, where the slab's basepoint y is read
-    slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=RationalExpr(
-        Poly([F(-1, 10**9)]), Poly([0, 1])), G2=RationalExpr(Poly([2])), k=1)
-    rep = verify_slab_chart(slab, CFG)
+    slab = Chart(psi=Poly([0, F(1, 2)]), f_comp=RationalExpr(
+        Poly([F(-1, 10**9)]), Poly([0, 1])), top=RationalExpr(Poly([2])), k=1)
+    rep = verify_ck_chart(slab, CFG)
     assert rep.mode == "exact" and not rep.ok
-    assert rep.detail == "non-finite value at order ('y', 0)"
+    assert rep.detail == "non-finite value at order ('f', 0)"
 
 
 def test_exact_chart_with_a_pole_between_grid_points_fails():
@@ -129,8 +131,8 @@ def test_exact_chart_with_a_pole_between_grid_points_fails():
     f = RationalExpr(Poly([F(1, 10**12)]), Poly([F(-1, 8193), 1]))
     rep = verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=f, k=1))
     assert rep.mode == "exact" and not rep.ok
-    assert rep.per_order[("f", 1)] == math.inf
-    assert rep.detail == "non-finite value at order ('f', 1)"
+    assert rep.per_order[("f", 0)] == rep.per_order[("f", 1)] == math.inf
+    assert rep.detail == "non-finite value at order ('f', 0)"
 
 
 def _poisoned_circle(bad, radius):
@@ -189,13 +191,13 @@ def test_reports_name_the_grid_they_sampled():
     assert flt.ok and flt.mode == "float"
     assert flt.detail == (f"float at {CFG.grid_points} points, "
                           f"tolerance {CK_TOLERANCE_FLOAT}")
-    slab = SlabChart(x_map=Poly([0, F(1, 2)]), G1=RationalExpr(Poly([0])),
-                     G2=RationalExpr(Poly([F(1, 2)])), k=1)
-    rep = verify_slab_chart(slab, CFG)
+    slab = Chart(psi=Poly([0, F(1, 2)]), f_comp=RationalExpr(Poly([0])),
+                 top=RationalExpr(Poly([F(1, 2)])), k=1)
+    rep = verify_ck_chart(slab, CFG)
     assert rep.ok and rep.mode == "exact"
     assert rep.detail == f"exact at the {n + 1} points i/{n}"
-    slab.G2 = SqrtExpr(RationalExpr(Poly([F(1, 4), F(1, 8)])))
-    rep = verify_slab_chart(slab, CFG)
+    slab.top = SqrtExpr(RationalExpr(Poly([F(1, 4), F(1, 8)])))
+    rep = verify_ck_chart(slab, CFG)
     assert rep.ok and rep.mode == "float"
     assert rep.detail == (f"float at {CFG.grid_points} points, "
                           f"tolerance {CK_TOLERANCE_FLOAT}")

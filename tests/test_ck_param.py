@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothparam.analytic_param import analytic_delta_parametrize
-from smoothparam.charts import SlabChart, verify_ck_chart, verify_slab_chart
+from smoothparam.charts import Chart, verify_ck_chart
 from smoothparam import ck_param
 from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   hyperbola_parametrization,
@@ -166,7 +166,7 @@ def test_slab_trivial_rectangle():
     P = ck_parametrize_slab(g1, g2, 2, (F(0), F(1)))
     assert P.chart_count == 1
     for ch in P.charts:
-        assert verify_slab_chart(ch).ok
+        assert verify_ck_chart(ch).ok
 
 
 def test_slab_affine_slope_one():
@@ -175,7 +175,7 @@ def test_slab_affine_slope_one():
     P = ck_parametrize_slab(g1, g2, 2, (F(1, 100), F(1)))
     assert P.chart_count >= 1
     for ch in P.charts:
-        assert verify_slab_chart(ch).ok
+        assert verify_ck_chart(ch).ok
 
 
 @pytest.mark.parametrize("upper, k, count, digest", [
@@ -191,8 +191,8 @@ def test_slab_charts_are_pinned(upper, k, count, digest):
     P = ck_parametrize_slab(RationalExpr(Poly([0])), g2, k, (e, F(1)))
     rows = []
     for c in P.charts:
-        (n1, d1), (n2, d2) = c.G1.as_rational(), c.G2.as_rational()
-        rows.append((c.x_map.coeffs, n1.coeffs, d1.coeffs, n2.coeffs, d2.coeffs))
+        (n1, d1), (n2, d2) = c.f_comp.as_rational(), c.top.as_rational()
+        rows.append((c.psi.coeffs, n1.coeffs, d1.coeffs, n2.coeffs, d2.coeffs))
     assert P.chart_count == count
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
@@ -224,7 +224,7 @@ def test_slab_graphs_may_touch_at_the_ends(g2):
                             (F(0), F(1)))
     assert P.chart_count >= 1
     for ch in P.charts:
-        rep = verify_slab_chart(ch)
+        rep = verify_ck_chart(ch)
         assert rep.ok and rep.mode == "exact"
         assert ch.meta["steps"][0][0] == "affine" and ch.meta["split"] >= 1
 
@@ -238,16 +238,16 @@ def test_slab_with_an_unbounded_graph_is_a_typed_error():
 
 def test_a_slab_that_no_split_reduces_names_what_blocks_it(monkeypatch):
     # x^2 <= y <= (2 + 2x)/(2 + x) on [0, 1] is 1 tall at x = 0, so the
-    # order-0 values ('y', 0) and ('y-slope', 0) exceed 1 on every split;
+    # order-0 values ('f', 0) and ('f-slope', 0) exceed 1 on every split;
     # the error names them and the worst value of the last failed report
     failed = []
 
     def certify(ch, cfg):
-        rep = verify_slab_chart(ch, cfg)
+        rep = verify_ck_chart(ch, cfg)
         failed.extend([] if rep.ok else [rep])
         return rep
 
-    monkeypatch.setattr(ck_param, "verify_slab_chart", certify)
+    monkeypatch.setattr(ck_param, "verify_ck_chart", certify)
     g1, g2 = RationalExpr(Poly([0, 0, 1])), RationalExpr(Poly([2, 2]),
                                                          Poly([2, 1]))
     with pytest.raises(BoundViolationAfterMaxDepth) as info:
@@ -255,7 +255,7 @@ def test_a_slab_that_no_split_reduces_names_what_blocks_it(monkeypatch):
     per = failed[-1].per_order
     worst = max(per, key=per.get)
     over = [key for key, v in per.items() if v > 1 + failed[-1].tolerance]
-    assert over == [("y", 0), ("y-slope", 0)]
+    assert over == [("f", 0), ("f-slope", 0)]
     msg = str(info.value)
     assert "not reducible within 3 extra splits" in msg
     assert f"{over[0]}, {over[1]} over the bound" in msg
@@ -277,33 +277,39 @@ _Q_POS = st.builds(F, st.integers(0, 6), st.integers(1, 6))
 
 
 @st.composite
-def _rational_slab(draw):
-    """(x_map, (n1, d1), (n2, d2), k): G1 = n1/d1 below G2 = G1 + gap on
-    [0, 1], with a positive gap and denominators positive there."""
-    x_map = Poly(draw(st.lists(_Q, min_size=1, max_size=3)))
+def _rational_chart(draw):
+    """(psi, (n1, d1), (n2, d2) or None, k): a graph chart carrying
+    f_comp = n1/d1, or a slab chart with top = n2/d2 = f_comp + gap above it
+    on [0, 1], with a positive gap and denominators positive there."""
+    psi = Poly(draw(st.lists(_Q, min_size=1, max_size=3)))
     n1, d1 = Poly(draw(st.lists(_Q, min_size=1, max_size=3))), Poly(
         [1, 0, draw(_Q_POS)])
     gap_n, gap_d = Poly([draw(_Q_POS) + F(1, 6), draw(_Q_POS)]), Poly(
         [1, draw(_Q_POS)])
-    return (x_map, (n1, d1), (n1 * gap_d + gap_n * d1, d1 * gap_d),
-            draw(st.integers(0, 3)))
+    top = draw(st.sampled_from([None, (n1 * gap_d + gap_n * d1, d1 * gap_d)]))
+    return psi, (n1, d1), top, draw(st.integers(0, 3))
 
 
 @settings(max_examples=30)
-@given(slab=_rational_slab(), N=st.integers(1, 24))
-def test_exact_slab_orders_match_a_fraction_scan(slab, N):
-    x_map, (n1, d1), (n2, d2), k = slab
+@given(chart=_rational_chart(), N=st.integers(1, 24))
+def test_exact_slab_orders_match_a_fraction_scan(chart, N):
+    # a graph chart is the case top = None: its ('f', i) are those of
+    # f_comp alone, order 0 less f_comp(0) as for a slab, and it has no slope
+    psi, (n1, d1), top, k = chart
     cfg = dataclasses.replace(DEFAULT, exact_grid_points=N)
-    rep = verify_slab_chart(SlabChart(x_map=x_map, G1=RationalExpr(n1, d1),
-                                      G2=RationalExpr(n2, d2), k=k), cfg)
+    rep = verify_ck_chart(Chart(
+        psi=psi, f_comp=RationalExpr(n1, d1), k=k,
+        top=None if top is None else RationalExpr(*top)), cfg)
     assert rep.mode == "exact"
     y0 = n1(F(0)) / d1(F(0))
     want = {}
     for i in range(k + 1):
-        want[("x", i)] = _scan(x_map, Poly([1]), i, N, x_map(F(0)))
-        want[("y", i)] = max(_scan(n1, d1, i, N, y0), _scan(n2, d2, i, N, y0))
-    for i in range(k):
-        want[("y-slope", i)] = _scan(n2 * d1 - n1 * d2, d1 * d2, i, N)
+        want[("psi", i)] = _scan(psi, Poly([1]), i, N, psi(F(0)))
+        want[("f", i)] = max(_scan(n, d, i, N, y0)
+                             for n, d in [(n1, d1)] + ([top] if top else []))
+    for i in range(k if top else 0):
+        n2, d2 = top
+        want[("f-slope", i)] = _scan(n2 * d1 - n1 * d2, d1 * d2, i, N)
     assert rep.per_order == {key: float(v) for key, v in want.items()}
 
 

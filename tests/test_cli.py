@@ -15,19 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothparam import cli
-from smoothparam.ck_param import hyperbola_parametrization
+from smoothparam.charts import Chart
+from smoothparam.ck_param import CkParametrization, hyperbola_parametrization
 from smoothparam.cli import main
+from smoothparam.funcs import normalize_values
 from smoothparam.poly import Poly
-from smoothparam.serialize import dumps, expr_from_json, loads, number_to_json
+from smoothparam.serialize import (dumps, expr_from_json, loads,
+                                   number_to_json, parametrization_to_json)
 
-# sha256 of `parametrize-ck --eps 1/100` (k=2) as first emitted; a change to
-# chart construction or certification that moves a byte shows up here
+# sha256 of `parametrize-ck --eps 1/100` (k=2) as first emitted, with order
+# 0 of f in every chart's bounds; a change to chart construction or
+# certification that moves a byte shows up here
 CK2_ARTIFACT_SHA256 = \
-    "67016d96d037ad32b232e116caef9abdfd01c6cd103cc0d6913be03217231282"
+    "11b0014d72850a37e5ee60bfb7c5e0966df0d6185d7acdcc70ddb95750a49cbe"
 # sha256 of `parametrize-ck --k 3 --eps 100/570`; a derivative there has a
 # root at an end of [0, 1], so this also pins how isolation steps past it
 CK3_ARTIFACT_SHA256 = \
-    "f649b862bdd2329cefd63034a79a719eabb1f92ef2124e311eb55383b1537be2"
+    "a6ca276e7ce250425976681921576334ae7dfe799286b704f8ceb5f7feb99682"
 # sha256 of analytic-route artifacts (disk bounds sampled on complex circles),
 # with each cover step's length the float cap itself, so chart ends are
 # dyadic rather than rounded to denominators below 2^40
@@ -177,6 +181,53 @@ def test_verify_passes_clean_artifact(tmp_path, capsys):
     assert main(["parametrize-ck", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+# x^(-1) on [-1, 1]: at k = 0 the only unbounded coordinate is f itself
+_INV_SPEC = {"function": {"kind": "pow", "n": -1, "f": {
+    "kind": "rational", "num": ["0", "1"], "den": ["1"]}},
+    "interval": ["-1", "1"]}
+
+
+def test_k0_build_of_an_unbounded_f_fails_at_order_0(tmp_path, capsys):
+    spec, out = tmp_path / "inv.json", tmp_path / "a.json"
+    spec.write_text(json.dumps(_INV_SPEC))
+    assert main(["parametrize-ck", "--k", "0", "--spec", str(spec),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BoundViolationAfterMaxDepth")
+    assert err.rstrip().endswith("the worst ('f', 0) = inf")
+    assert not out.exists()
+
+
+def test_k0_charts_stored_without_order_0_of_f_fail_verify(tmp_path, capsys):
+    # the two charts of that build as written when order 0 of f went
+    # unmeasured: split at the pole, with the one bound ('psi', 0) = 1
+    f, norm = normalize_values(expr_from_json(_INV_SPEC["function"]),
+                               Fraction(-1), Fraction(1))
+    charts = [Chart(psi=Poly([a, 1]), f_comp=f.precompose_poly(Poly([a, 1])),
+                    k=0, bounds={("psi", 0): 1.0}, meta={"split": 2})
+              for a in (-1, 0)]
+    out = tmp_path / "old.json"
+    out.write_text(dumps(parametrization_to_json(CkParametrization(
+        charts, 0, (Fraction(-1), Fraction(1)), norm), "ck")))
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "chart 0: re-verification failed (max bound inf)" in err
+    assert "chart 1: re-verification failed (max bound inf)" in err
+
+
+def test_an_artifact_without_order_0_of_f_still_verifies(tmp_path, capsys):
+    # the schema did not move when ('f', 0) joined the bounds: an artifact
+    # stored without it loads, and verify measures every order itself
+    out = tmp_path / "ck.json"
+    assert main(["parametrize-ck", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for chart in doc["charts"]:
+        del chart["bounds"]["('f', 0)"]
+    out.write_text(dumps(doc))
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "pass\n"
 
 
 def test_schema_mismatch_is_an_error(tmp_path):

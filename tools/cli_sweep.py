@@ -31,7 +31,8 @@ import sys
 # at +-i sqrt 2; sqrt((2 + x^2)/(3 + x)), whose branch points (the same
 # two and -3) are declared; 3/2 plus that root, spelled with a "const" node,
 # so its values exceed 1; x sqrt(x), rational at the rational squares;
-# and 1/(3x - 1), whose pole at 1/3 fails a count from t = 3 on.
+# 1/(3x - 1), whose pole at 1/3 fails a count from t = 3 on; and x^(-1)
+# over [-1, 1], whose only unbounded coordinate at k = 0 is f itself.
 _X = {"kind": "rational", "num": ["0", "1"], "den": ["1"]}
 _SQRT = {"kind": "sqrt", "inner": {
     "kind": "rational", "num": ["2", "0", "1"], "den": ["3", "1"]}}
@@ -52,6 +53,8 @@ SPECS = {
     "pole.json": {"function": {"kind": "rational", "num": ["1"],
                                "den": ["-1", "3"]},
                   "interval": ["0", "1"]},
+    "inv.json": {"function": {"kind": "pow", "f": _X, "n": -1},
+                 "interval": ["-1", "1"]},
 }
 
 CALLS = [
@@ -60,6 +63,7 @@ CALLS = [
     ("ck-k4", ["parametrize-ck", "--k", "4", "--eps", "1/10"]),
     ("ck-ratio", ["parametrize-ck", "--spec", "ratio.json"]),
     ("ck-sqrt", ["parametrize-ck", "--k", "3", "--spec", "sqrt.json"]),
+    ("ck-k0-inv", ["parametrize-ck", "--k", "0", "--spec", "inv.json"]),
     ("analytic", ["parametrize-analytic"]),
     ("analytic-ratio", ["parametrize-analytic", "--spec", "ratio.json"]),
     ("analytic-sqrt", ["parametrize-analytic", "--spec", "sqrt.json"]),
@@ -126,8 +130,10 @@ CALLS = [
 # ~10^7 (an error is logged in place of its file).  Last, the rational slab
 # x^2/2 <= y <= 1/2 + x/(2 + x) on [0, 1] at k = 2 and 3: each slab chart's
 # maps, the bounds of its build and of a re-check on a grid 4 times finer,
-# floats as hex; these exact slab checks read order 0 less the basepoint y
-# and the y-slope G2 - G1, which no CLI call reaches.
+# floats as hex.  A slab chart carries its upper graph as `top`, so its
+# bounds add to a graph chart's keys ('psi', i) and ('f', i), the latter
+# over both graphs, the slope ('f-slope', i) of top - f_comp, which no CLI
+# call reaches.
 BRANCH_SCRIPT = """
 import dataclasses
 import json
@@ -136,7 +142,7 @@ from fractions import Fraction as F
 import numpy as np
 from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly
-from smoothparam.charts import circle_sup, verify_slab_chart
+from smoothparam.charts import circle_sup, verify_ck_chart
 from smoothparam.ck_param import ck_parametrize_function, ck_parametrize_slab
 from smoothparam.config import DEFAULT
 from smoothparam.funcs import BranchExpr, RationalExpr
@@ -196,9 +202,10 @@ fine = dataclasses.replace(DEFAULT,
 for k in (2, 3):
     charts = []
     for c in ck_parametrize_slab(g1, g2, k, (0, 1)).charts:
-        built, rep = hexed(c.bounds), verify_slab_chart(c, fine)
-        charts.append({"x_map": poly_to_json(c.x_map),
-                       "G1": expr_to_json(c.G1), "G2": expr_to_json(c.G2),
+        built, rep = hexed(c.bounds), verify_ck_chart(c, fine)
+        charts.append({"psi": poly_to_json(c.psi),
+                       "f_comp": expr_to_json(c.f_comp),
+                       "top": expr_to_json(c.top),
                        "steps": repr(c.meta["steps"]), "bounds": built,
                        "recheck": {"ok": rep.ok, "detail": rep.detail,
                                    "bounds": hexed(rep.per_order)}})
