@@ -287,9 +287,9 @@ def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
     """(g, norm): g = a * f + b and norm = {"scale": a, "shift": b}, from
     the values of f sampled on [lo, hi]: a = 1/span scales a span over 1
     down to 1, and b = -a * vmin shifts a negative minimum up to 0.  Values
-    >= 0 are never shifted, so g can exceed 1, and a = 1, b = 0 is stored
-    when the span is at most 1; (f, {}) when the values already lie in
-    [0, 1], or when sampling fails or gives a non-finite value."""
+    >= 0 are never shifted, so g can exceed 1; (f, {}) when that map is the
+    identity (values >= 0 with a span of at most 1, in [0, 1] or not), or
+    when sampling fails or gives a non-finite value."""
     xs = np.linspace(float(lo), float(hi), cfg.grid_points)
     try:
         with np.errstate(all="ignore"):     # non-finite: checked below
@@ -304,6 +304,8 @@ def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
     span = max(vmax - vmin, 1e-300)
     a = _fr(1) / _fr(span) if span > 1 else _fr(1)
     b = -_fr(vmin) * a if vmin < 0 else _fr(0)
+    if (a, b) == (1, 0):
+        return f, {}
     return scale_shift(f, a, b), {"scale": a, "shift": b}
 
 

@@ -49,11 +49,11 @@ CUBIC_C2_SHA256 = \
 # complex disk rows) and of the k=1 artifact over [1, 5/4] of the branch of
 # y^2 = x^3 - x/4 + 15/4, as computed by the corrector that worked on the
 # real axis in complex (real, imag) pairs, the latter with ('f', 0) in its
-# chart's bounds
+# chart's bounds and no identity normalization stored
 CUBIC_ANALYTIC_SHA256 = \
     "b9ed364a7536cc65fd4f3fc0769dde66dc1d78217d00a54b92e0c9943583b895"
 CUBIC_C1_SHA256 = \
-    "43bf34cf71dcf9835e7c35f1f8f36b0355dca9cd7a250a149858ba839b2a3895"
+    "1c41f6685c6a80600b54921c40745cbb37626590667bf6c8c8aa4dc66a8c824f"
 
 
 def _cubic_branch(a=0, b=1):

@@ -202,6 +202,8 @@ def test_normalization_leaves_unsampleable_values_alone():
     inv = RationalExpr(Poly([1]), Poly([0, 1]))          # inf at x = 0
     assert normalize_values(inv, F(0), F(1))[1] == {}
     assert normalize_values(x, F(0), F(1))[1] == {}       # already in [0, 1]
+    x1 = RationalExpr(Poly([1, 1]))     # values in [1, 3/2]: the identity map
+    assert normalize_values(x1, F(0), F(1, 2)) == (x1, {})
     g, norm = normalize_values(x, F(-1), F(3))
     assert norm == {"scale": F(1, 4), "shift": F(1, 4)}
     assert g.eval(F(3)) == 1 and g.eval(F(-1)) == 0
