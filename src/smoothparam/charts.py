@@ -177,7 +177,7 @@ def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
         y0 = None       # a pole or a non-finite value: ('f', 0) reads inf
     per = _grid_max("psi", chart.psi, orders, chart.psi(Fraction(0)), mode,
                     cfg)
-    for f in fs:        # psi2 at t2 in {0, 1}; np.maximum keeps a NaN
+    for f in fs:        # the map at t2 = 0 and 1; np.maximum keeps a NaN
         per.update((key, float(np.maximum(v, per.get(key, v)))) for key, v
                    in _grid_max("f", f, orders, y0 or 0, mode, cfg).items())
     if chart.top is not None:

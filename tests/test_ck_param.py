@@ -244,12 +244,12 @@ def test_a_slab_that_no_split_reduces_names_what_blocks_it(monkeypatch):
     # the error names them and the worst value of the last failed report
     failed = []
 
-    def certify(ch, cfg):
+    def recorded(ch, cfg):
         rep = verify_ck_chart(ch, cfg)
         failed.extend([] if rep.ok else [rep])
         return rep
 
-    monkeypatch.setattr(ck_param, "verify_ck_chart", certify)
+    monkeypatch.setattr(ck_param, "verify_ck_chart", recorded)
     g1, g2 = RationalExpr(Poly([0, 0, 1])), RationalExpr(Poly([2, 2]),
                                                          Poly([2, 1]))
     with pytest.raises(BoundViolationAfterMaxDepth) as info:
