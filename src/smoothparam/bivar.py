@@ -2,6 +2,11 @@
 Sylvester determinant over Q[x] by `poly.bareiss`), and the rational-function
 calculus for implicit differentiation of algebraic branches of P(x, y) = 0.
 
+A `BivarPoly` is its rows, the coefficients of y^0, y^1, ... as `Poly`s in
+x, so its exact arithmetic runs on Poly's integers.  Its float evaluations
+sum the terms in one order, decreasing powers of y and then of x, so equal
+polynomials give equal bits however their terms were spelled.
+
 Array evaluations give, point for point, the bits of the one-point float or
 complex evaluation.  numpy's complex multiply is fused (FMA) on CPUs that
 have it and its complex division and `**` use other formulas, so off the
@@ -14,11 +19,14 @@ the pair form but at zeros and overflows (`funcs.BranchTracker._correct`)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DegenerateInY
-from .poly import Poly, _fr, bareiss
+from .poly import Poly, _fr, _trim, bareiss
+
+_ZERO = Poly([])
 
 
 def _mul(a, b):
@@ -53,6 +61,13 @@ def _pydiv(a, b):
                 np.where(big, a[1] - a[0] * rat, a[1] * rat - a[0]) / den)
 
 
+def _from_rows(rows) -> "BivarPoly":
+    """The BivarPoly sum_j rows[j](x) y^j, trailing zero rows dropped."""
+    p = BivarPoly.__new__(BivarPoly)
+    p._set(rows)
+    return p
+
+
 def _pack(re, im):
     """The complex array with parts re and im, signed zeros kept."""
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
@@ -61,87 +76,89 @@ def _pack(re, im):
 
 
 class BivarPoly:
-    """Sparse bivariate polynomial {(i, j): c} meaning sum c * x^i * y^j."""
+    """sum_j rows[j](x) y^j over Q, the last row nonzero, built from {(i, j):
+    c} (or ((i, j), c) pairs, summed) meaning sum c x^i y^j."""
 
-    __slots__ = ("coeffs", "degx", "degy", "_float_terms")
+    __slots__ = ("rows", "degx", "degy", "_float_terms")
 
     def __init__(self, coeffs):
         cs = {}
         for (i, j), c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            c = _fr(c)
-            if c != 0:
-                cs[(int(i), int(j))] = cs.get((int(i), int(j)), Fraction(0)) + c
-        cs = {k: v for k, v in cs.items() if v != 0}
-        self.coeffs = cs
-        self.degx = max((i for i, _ in cs), default=-1)
-        self.degy = max((j for _, j in cs), default=-1)
+            cs[int(i), int(j)] = cs.get((int(i), int(j)), 0) + _fr(c)
+        m = max((i for i, _ in cs), default=-1) + 1
+        n = max((j for _, j in cs), default=-1) + 1
+        self._set(Poly([cs.get((i, j), 0) for i in range(m)])
+                  for j in range(n))
+
+    def _set(self, rows):
+        self.rows = tuple(_trim(list(rows)))
+        self.degx = max((r.degree for r in self.rows), default=-1)
+        self.degy = len(self.rows) - 1
         self._float_terms = None
 
+    def terms(self) -> list:
+        """[(i, j, c)], the nonzero terms c x^i y^j in decreasing powers of
+        y and then of x."""
+        return [(i, j, c) for j in range(self.degy, -1, -1)
+                for i, c in reversed(list(enumerate(self.rows[j].coeffs)))
+                if c]
+
     def float_terms(self) -> list:
-        """[(i, j, float(c))], converted once per polynomial."""
+        """[(i, j, float(c))] in the order of terms(), converted once per
+        polynomial."""
         if self._float_terms is None:
-            self._float_terms = [(i, j, float(c))
-                                 for (i, j), c in self.coeffs.items()]
+            self._float_terms = [(i, j, float(c)) for i, j, c in self.terms()]
         return self._float_terms
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.rows
 
     def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self.coeffs == other.coeffs
+        return isinstance(other, BivarPoly) and self.rows == other.rows
 
     def __repr__(self):
-        return f"BivarPoly({self.coeffs})"
+        return f"BivarPoly({ {(i, j): c for i, j, c in self.terms()} })"
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BivarPoly(out)
+        return _from_rows(a + b for a, b in
+                          zip_longest(self.rows, other.rows, fillvalue=_ZERO))
 
     def __neg__(self):
-        return BivarPoly({k: -v for k, v in self.coeffs.items()})
+        return _from_rows(-r for r in self.rows)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, BivarPoly):
-            c = _fr(other)
-            return BivarPoly({k: v * c for k, v in self.coeffs.items()})
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return BivarPoly(out)
+            return _from_rows(r * _fr(other) for r in self.rows)
+        out = [_ZERO] * (self.degy + other.degy + 1)
+        for j, a in enumerate(self.rows):
+            for k, b in enumerate(other.rows, j):
+                out[k] += a * b
+        return _from_rows(out)
 
     __rmul__ = __mul__
 
     def dx(self):
-        return BivarPoly({(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i})
+        return _from_rows(r.deriv() for r in self.rows)
 
     def dy(self):
-        return BivarPoly({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
+        return _from_rows(r * j for j, r in enumerate(self.rows[1:], 1))
 
     def __call__(self, x, y):
         """Exact at Fraction/int arguments; otherwise in float or complex
         arithmetic over float_terms()."""
         if isinstance(x, (Fraction, int)) and isinstance(y, (Fraction, int)):
-            terms = ((i, j, c) for (i, j), c in self.coeffs.items())
-        else:
-            terms = self.float_terms()
+            return self.y_poly_at(x)(y)
         acc = 0
-        for i, j, c in terms:
+        for i, j, c in self.float_terms():
             acc = acc + c * x**i * y**j
         return acc
 
     def y_poly_at(self, x) -> Poly:
         """P(x, .) as a univariate polynomial in y, exact for rational x."""
-        cs = [Fraction(0)] * (self.degy + 1)
-        for (i, j), c in self.coeffs.items():
-            cs[j] += c * _fr(x) ** i
-        return Poly(cs)
+        return Poly([r(_fr(x)) for r in self.rows])
 
     def y_poly_coeffs(self, z) -> tuple:
         """Coefficients of P(x, .), lowest degree first, at each point of x
@@ -173,20 +190,8 @@ class BivarPoly:
             acc = acc + c * np.float_power(x, i) * np.float_power(y, j)
         return acc
 
-    def coeff_of_y(self, j) -> Poly:
-        """Coefficient of y^j, as a polynomial in x."""
-        cs = {}
-        for (i, jj), c in self.coeffs.items():
-            if jj == j:
-                cs[i] = c
-        n = max(cs, default=-1)
-        return Poly([cs.get(i, Fraction(0)) for i in range(n + 1)])
-
-    def leading_coeff_in_y(self) -> Poly:
-        return self.coeff_of_y(self.degy)
-
     def swap_xy(self) -> "BivarPoly":
-        return BivarPoly({(j, i): c for (i, j), c in self.coeffs.items()})
+        return BivarPoly({(j, i): c for i, j, c in self.terms()})
 
     def max_abs_on_unit_square(self, n=64) -> float:
         xs = np.linspace(-1.0, 1.0, n)
@@ -202,13 +207,11 @@ def resultant_y(P: BivarPoly, Q: BivarPoly) -> Poly:
     Sylvester matrix over Q[x] by fraction-free elimination."""
     if P.degy <= 0 or Q.degy < 0:
         raise DegenerateInY("resultant in y needs positive y-degree")
-    zero = Poly([])
     rows = []
     for F, shifts in ((P, Q.degy), (Q, P.degy)):
-        cs = [F.coeff_of_y(j) for j in range(F.degy, -1, -1)]
-        rows += [[zero] * k + cs + [zero] * (shifts - 1 - k)
+        rows += [[_ZERO] * k + list(F.rows[::-1]) + [_ZERO] * (shifts - 1 - k)
                  for k in range(shifts)]
-    return bareiss(rows)[1] or zero
+    return bareiss(rows)[1] or _ZERO
 
 
 class BivarRational:

@@ -316,28 +316,13 @@ def singular_locus(P: BivarPoly) -> list:
     roots of Res_y(P, dP/dy) plus the roots of the leading y-coefficient."""
     if P.degy <= 0:
         raise DegenerateInY("P has degree 0 in y")
-    points, radii = [], []
-    res = resultant_y(P, P.dy())
-    if not res.is_zero():
-        for z, r in complex_roots(res):
-            points.append(z)
-            radii.append(r)
-    lead = P.leading_coeff_in_y()
-    if lead.degree > 0:
-        for z, r in complex_roots(lead):
-            points.append(z)
-            radii.append(r)
-    # dedupe nearby points
-    keep = []
-    for i, z in enumerate(points):
-        dup = False
-        for j in keep:
-            if abs(points[j] - z) <= max(radii[i], radii[j], 1e-10):
-                dup = True
-                break
-        if not dup:
-            keep.append(i)
-    return [points[i] for i in keep]
+    res, lead = resultant_y(P, P.dy()), P.rows[-1]
+    keep = []                           # (point, radius), nearby points once
+    for z, r in [*(complex_roots(res) if res else []),
+                 *(complex_roots(lead) if lead.degree > 0 else [])]:
+        if not any(abs(w - z) <= max(r, s, 1e-10) for w, s in keep):
+            keep.append((z, r))
+    return [z for z, _ in keep]
 
 
 def _zip(op, a, b):
@@ -922,7 +907,7 @@ class BranchExpr(FunctionExpr):
     def size(self):
         if self.rat is None:
             return 4
-        return 2 + len(self.rat.num.coeffs) + len(self.rat.den.coeffs)
+        return 2 + len(self.rat.num.terms()) + len(self.rat.den.terms())
 
     def deriv(self):
         base = self.rat or BivarRational.from_poly(BivarPoly({(0, 1): 1}))

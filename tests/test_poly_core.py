@@ -318,6 +318,98 @@ def test_resultant_of_known_intersection():
     assert abs(roots[0]) < 1e-6 and abs(roots[1] - 2) < 1e-6
 
 
+class _FractionBivar:
+    """The dict-of-Fraction BivarPoly that the rows of Poly replaced, kept
+    as the oracle of its exact arithmetic: {(i, j): c}, zeros dropped."""
+
+    def __init__(self, coeffs):
+        cs = {}
+        for (i, j), c in coeffs.items():
+            cs[(i, j)] = cs.get((i, j), F(0)) + F(c)
+        self.coeffs = {k: v for k, v in cs.items() if v != 0}
+        self.degy = max((j for _, j in self.coeffs), default=-1)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, F(0)) + v
+        return _FractionBivar(out)
+
+    def __neg__(self):
+        return _FractionBivar({k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _FractionBivar):
+            return _FractionBivar({k: v * F(other)
+                                   for k, v in self.coeffs.items()})
+        out = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, F(0)) + c1 * c2
+        return _FractionBivar(out)
+
+    def dx(self):
+        return _FractionBivar({(i - 1, j): i * c
+                               for (i, j), c in self.coeffs.items() if i})
+
+    def dy(self):
+        return _FractionBivar({(i, j - 1): j * c
+                               for (i, j), c in self.coeffs.items() if j})
+
+    def __call__(self, x, y):
+        return sum((c * x ** i * y ** j for (i, j), c in self.coeffs.items()),
+                   F(0))
+
+    def y_poly_at(self, x):
+        cs = [F(0)] * (self.degy + 1)
+        for (i, j), c in self.coeffs.items():
+            cs[j] += c * F(x) ** i
+        return Poly(cs)
+
+    def swap_xy(self):
+        return _FractionBivar({(j, i): c for (i, j), c in self.coeffs.items()})
+
+
+def _same(P, want):
+    """P holds the oracle's terms, rows and degrees."""
+    assert {(i, j): c for i, j, c in P.terms()} == want.coeffs
+    assert (P.degx, P.degy, P.is_zero()) == (
+        max((i for i, _ in want.coeffs), default=-1),
+        max((j for _, j in want.coeffs), default=-1), not want.coeffs)
+    assert not P.rows or P.rows[-1]
+
+
+_POINT = st.one_of(st.fractions(-3, 3, max_denominator=5), st.integers(-3, 3))
+
+
+@given(_bivar, _bivar, st.fractions(-3, 3, max_denominator=4), _POINT, _POINT)
+@example({}, {(1, 2): F(0), (0, 0): F(2)}, F(0), 0, F(1, 2))
+@example({(2, 1): F(1), (0, 0): F(-1)}, {(2, 1): F(-1), (1, 3): F(0)},
+         F(-3, 2), F(1, 3), -2)
+def test_ring_matches_the_fraction_dict_oracle(cp, cq, c, x, y):
+    # rows of Poly against the dict of Fractions: sums, differences,
+    # products by a scalar and by a polynomial, partials, exact values, the
+    # fibre at x, the swap and equality, zeros and the zero polynomial
+    # included
+    P, Q = BivarPoly(cp), BivarPoly(cq)
+    p, q = _FractionBivar(cp), _FractionBivar(cq)
+    _same(P, p)
+    for got, want in ((P + Q, p + q), (P - Q, p - q), (-P, -p),
+                      (P * c, p * c), (c * P, p * c), (P * Q, p * q),
+                      (P.dx(), p.dx()), (P.dy(), p.dy()),
+                      (P.swap_xy(), p.swap_xy())):
+        _same(got, want)
+    assert P(x, y) == p(x, y) and type(P(x, y)) is F
+    assert P.y_poly_at(x) == p.y_poly_at(x)
+    assert (P == Q) == (p.coeffs == q.coeffs)
+    assert P == BivarPoly(dict(reversed(cp.items())))
+    assert P + Q - Q == P and (P * Q == Q * P)
+
+
 def test_branch_continuation_sqrt_closed_form():
     # y^2 = x, branch through (1, 1): y = sqrt(x) along the positive axis
     P = BivarPoly({(1, 0): F(1), (0, 2): F(-1)})

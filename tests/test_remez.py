@@ -207,7 +207,7 @@ def test_gradient_floor_closed_form():
     for j in range(3, 13):
         eps = 2.0 ** -j
         Pn = normalize_curve(hyperbola_curve(eps))
-        s = float(Pn.coeffs[(1, 1)])
+        s = float(Pn.rows[1].coeffs[1])
         rho, (x, y) = curve_gradient_floor(Pn)
         closed = s * math.sqrt(2) * eps
         assert abs(rho - closed) <= 1e-12 * closed, j
