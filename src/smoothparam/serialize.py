@@ -5,8 +5,8 @@ Rationals are serialized as "p/q" strings (never floats), floats are rounded
 to a fixed precision before emission, and keys are sorted, so identical
 inputs produce byte-identical artifacts.  `verify_bundle` re-checks a parsed
 artifact: structural invariants always, and full certificate re-verification
-at 4x resolution whenever the chart functions are expressible in the
-serializable node language."""
+on grids VERIFY_FACTOR times finer whenever the chart functions are
+expressible in the serializable node language."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .poly import Poly
 
 SCHEMA = "smoothparam@1"
 FLOAT_DIGITS = 12
+VERIFY_FACTOR = 4       # verify re-samples each grid this many times finer
 
 
 # -- primitives ----------------------------------------------------------------
@@ -307,7 +308,7 @@ def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
         if cd["f"].get("kind") == "opaque":
             continue
         ch = chart_from_json(cd)
-        fine = _scale_cfg(cfg, 4)
+        fine = _scale_cfg(cfg, VERIFY_FACTOR)
         if analytic:
             from .analytic_param import verify_a_chart_variation
             kvar = ch.meta.get("Kvar")
@@ -342,7 +343,7 @@ def _verify_approximation(doc: dict, failures: list) -> None:
             continue
         err = patch_error(f, poly, doc["route"],
                           number_from_json(pd["center"][0]), pd["side"],
-                          4 * PATCH_SAMPLES, psi=psi)
+                          VERIFY_FACTOR * PATCH_SAMPLES, psi=psi)
         if not err <= eps * (1 + 1e-6):
             failures.append(f"patch {i}: resampled error {err} exceeds {eps}")
 
