@@ -44,6 +44,7 @@ class CertificateReport:
     mode: str = "float"
     tolerance: float = 0.0
     detail: str = ""
+    worst_order: tuple = None        # key of max_bound, None if no orders
 
     def __bool__(self):
         return self.ok
@@ -117,8 +118,9 @@ def circle_sup(values, center: complex, radius: float,
 
 def _report(values: dict, mode: str, cfg: Config) -> CertificateReport:
     """Certificate over values keyed by order: ok iff all are finite and the
-    largest is at most 1 + the mode's tolerance.  `detail` names the order of
-    a non-finite value, which fails the report, or else the grid sampled."""
+    largest is at most 1 + the mode's tolerance.  The worst order is the
+    first with a non-finite value, which fails the report, or else the
+    first with the largest; `detail` names the former or the grid sampled."""
     if mode == "exact":
         tol, n = CK_TOLERANCE_EXACT, cfg.exact_grid_points
         detail = f"exact at the {n + 1} points i/{n}"
@@ -126,11 +128,12 @@ def _report(values: dict, mode: str, cfg: Config) -> CertificateReport:
         tol = CK_TOLERANCE_FLOAT
         detail = f"float at {cfg.grid_points} points, tolerance {tol}"
     bad = [key for key, v in values.items() if not math.isfinite(v)]
-    worst = values[bad[0]] if bad else max([0.0, *values.values()])
+    key = bad[0] if bad else max(values, key=values.get, default=None)
+    worst = 0.0 if key is None else values[key]
     return CertificateReport(
         ok=not bad and worst <= 1.0 + tol, max_bound=worst,
-        per_order=values, mode=mode, tolerance=tol,
-        detail=f"non-finite value at order {bad[0]}" if bad else detail)
+        per_order=values, mode=mode, tolerance=tol, worst_order=key,
+        detail=f"non-finite value at order {key}" if bad else detail)
 
 
 def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:

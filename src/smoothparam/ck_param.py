@@ -197,16 +197,14 @@ def _induct(fs, k: int, lo, hi, cfg: Config):
                 charts.extend(subcharts)
                 break
         else:   # name what fails the last failed certificate
-            per = cert.per_order
-            bad = [key for key, v in per.items() if not math.isfinite(v)]
-            worst = bad[0] if bad else max(per, key=per.get)
-            over = [key for key, v in per.items()
+            over = [key for key, v in cert.per_order.items()
                     if not v <= 1 + cert.tolerance]
             raise BoundViolationAfterMaxDepth(
                 f"chart bounds {bounds} not reducible within "
                 f"{MAX_EXTRA_SPLITS} extra splits; the last failed "
                 f"certificate has {', '.join(map(str, over))} over the "
-                f"bound, the worst {worst} = {cert.max_bound:.6g}")
+                f"bound, the worst {cert.worst_order} = "
+                f"{cert.max_bound:.6g}")
     charts.sort(key=lambda c: min(c.image))
     return charts
 

@@ -72,6 +72,21 @@ def test_ck_chart_fails_on_nonfinite(order, bad, idx):
     assert f"('f', {order})" in rep.detail
 
 
+def test_a_report_carries_its_worst_order():
+    # the first order whose value is not finite, or else the first with the
+    # largest value: the order that a build which cannot split names
+    x = RationalExpr(Poly([0, 1]))
+    rep = verify_ck_chart(Chart(psi=Poly([0, F(1, 2)]),
+                                f_comp=MulExpr(x, PowExpr(x, -2)), k=1))
+    assert rep.worst_order == ("f", 0) and rep.max_bound == math.inf
+    for f in (RationalExpr(Poly([1]), Poly([2, 1])),
+              SqrtExpr(RationalExpr(Poly([2, 1])))):
+        rep = verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=f, k=2), CFG)
+        per = rep.per_order
+        assert rep.worst_order == max(per, key=per.get)
+        assert per[rep.worst_order] == rep.max_bound == max(per.values())
+
+
 @given(order=st.integers(0, 3), bad=BAD, idx=st.integers(0, 511),
        upper=st.booleans())
 @settings(max_examples=40)
