@@ -12,7 +12,9 @@ No CLI call reaches an algebraic branch or a slab chart, so one more fresh
 process makes the Python-API calls of BRANCH_SCRIPT and writes their
 outputs beside the CLI's: branch-*.hex (value grids as hex bytes),
 branch-*.json (artifacts), slab-*.json (slab charts with their bounds)
-and branches.log (its exit code, output and the trackers' counters).
+and branches.log (its exit code, output and the trackers' counters); a
+third process writes branch-respelled-* (one curve from two spellings of
+P, which should match) and respelled.log.
 The checkout's path is replaced by `<checkout>` in the logs, so
 `diff -r` of two OUTDIRs made from two checkouts lists exactly the calls
 whose output moved.
@@ -133,8 +135,11 @@ CALLS = [
 # floats as hex.  A slab chart carries its upper graph as `top`, so its
 # bounds add to a graph chart's keys ('psi', i) and ('f', i), the latter
 # over both graphs, the slope ('f-slope', i) of top - f_comp, which no CLI
-# call reaches.
-BRANCH_SCRIPT = """
+# call reaches.  RESPELL_SCRIPT builds, in a process of its own, the grid
+# and a k = 2 artifact on [1, 2] of y^2 = x^3 - x/4 + 15/4 twice: from P's
+# terms as the benchmark spells them and in reverse; the two spellings are
+# one polynomial, so each pair of outputs should be byte-identical.
+_PRELUDE = """
 import dataclasses
 import json
 import math
@@ -150,8 +155,9 @@ from smoothparam.poly import Poly
 from smoothparam.serialize import (dumps, expr_to_json, parametrization_to_json,
                                    poly_to_json)
 
-def cubic(a, b):
-    P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): -a, (0, 0): -b})
+def cubic(a, b, step=1):
+    terms = [((0, 2), 1), ((3, 0), -1), ((1, 0), -a), ((0, 0), -b)]
+    P = BivarPoly(dict(terms[::step]))
     return BranchExpr(P, (1.0, math.sqrt(float(1 + a + b))))
 
 def save(name, f, text):
@@ -159,7 +165,8 @@ def save(name, f, text):
     print(name, t.halvings, t.single_steps)
     with open(name, "w") as fh:
         fh.write(text)
-
+"""
+BRANCH_SCRIPT = _PRELUDE + """
 f = cubic(F(-1, 4), F(15, 4))
 save("branch-eval.hex", f, f.eval_array(np.linspace(1.0, 2.0, 4096)).tobytes().hex())
 for a, b in ((F(-1, 4), F(15, 4)), (F(1, 2), F(17, 4))):
@@ -213,6 +220,16 @@ for k in (2, 3):
     with open(f"slab-k{k}.json", "w") as fh:
         fh.write(json.dumps(charts, sort_keys=True, indent=1) + "\\n")
 """
+RESPELL_SCRIPT = _PRELUDE + """
+for step, tag in ((1, ""), (-1, "-reversed")):
+    f = cubic(F(-1, 4), F(15, 4), step)
+    save(f"branch-respelled-eval{tag}.hex", f,
+         f.eval_array(np.linspace(1.0, 2.0, 4096)).tobytes().hex())
+    f = cubic(F(-1, 4), F(15, 4), step)
+    par = ck_parametrize_function(f, 2, (1, 2))
+    save(f"branch-respelled-ck2{tag}.json", f,
+         dumps(parametrization_to_json(par, "ck")))
+"""
 
 
 def run(checkout, outdir, name, argv, script=None):
@@ -257,6 +274,8 @@ def main(argv=None):
         os.remove(left)                     # left by an earlier sweep
     run(checkout, args.outdir, "branches", [], script=BRANCH_SCRIPT)
     print("branches", flush=True)
+    run(checkout, args.outdir, "respelled", [], script=RESPELL_SCRIPT)
+    print("respelled", flush=True)
 
 
 if __name__ == "__main__":
