@@ -26,7 +26,7 @@ from .poly import Poly, _fr
 
 TAYLOR_DEGREE_CAP = 64               # highest Taylor degree of a patch
 CK_PATCH_CAP = 1024                  # most patches on one C^k chart
-PATCH_SAMPLES = 1024                 # patch error samples (verify: x VERIFY_FACTOR)
+PATCH_SAMPLES = 1024                 # patch error samples (verify: finer)
 
 
 def _check_positive(name, v):

@@ -1,7 +1,7 @@
 """The sampling grids that callers vary: test configurations shrink them, and
 `verify` re-checks artifacts on every grid but a_chart_radii, the circle
-count, made `serialize.VERIFY_FACTOR` times finer (`serialize._scale_cfg`).  Every other numeric setting is a constant
-beside the code that reads it."""
+count, made `serialize.VERIFY_FACTOR` times finer (`serialize._scale_cfg`).
+Every other numeric setting is a constant beside the code that reads it."""
 
 from dataclasses import dataclass
 

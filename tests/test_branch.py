@@ -3,15 +3,16 @@ batched corrector and its exact fixed-point sweep against the point-by-point
 tracker it replaced (kept here, in scalar Python arithmetic, as the oracle),
 its kernels against the oracle's, the tracker's start rule against a linear
 scan, values that do not depend on the order or repeats of a call's
-points, the cache cap, the Rouche disk test of its sheet guard (with
-the displacement test, the whole guard) against np.roots and against
-exactly known roots, within the radius it certified, and on a step of one
-ulp, byte-identity of a fixed grid evaluation and how rarely it falls back
-to halving or single steps there and on disk rows, values against the
-closed form and, on grids up to x = 10^6, against the correctly rounded
-root, the typed errors at a non-finite x, a non-finite seed, a walk past
-the round cap and a fibre that overflows, a NaN residual that is not
-convergence, and C^1 and C^2 builds end to end."""
+points or on how P's terms were spelled, the cache cap, the Rouche disk
+test of its sheet guard (with the displacement test, the whole guard)
+against np.roots and against exactly known roots, within the radius it
+certified, and on a step of one ulp, byte-identity of a fixed grid
+evaluation and how rarely it falls back to halving or single steps there
+and on disk rows, values against the closed form and, on grids up to
+x = 10^6, against the correctly rounded root, the typed errors at a
+non-finite x, a non-finite seed, a walk past the round cap and a fibre
+that overflows, a NaN residual that is not convergence, and C^1 and C^2
+builds end to end."""
 
 import cmath
 import hashlib
@@ -30,7 +31,8 @@ from smoothparam.ck_param import ck_parametrize_function
 from smoothparam.charts import circle_sup
 from smoothparam.config import DEFAULT
 from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
-                                FibreOverflow, PathNearSingularity)
+                                FibreOverflow, PathNearSingularity,
+                                SmoothParamError)
 from smoothparam.funcs import (_U, BranchExpr, BranchTracker, _disk_test,
                                _newton, _npdiv, _polyval, singular_locus)
 from smoothparam.poly import Poly, isolate_roots
@@ -987,10 +989,11 @@ def _spelled_curves(draw):
 
 
 def _any_outcome(fn):
-    """(value, None) or (None, (type, message)) of the exception fn raised."""
+    """(value, None), or (None, (type, message)) of the typed error, bad
+    seed or pole that fn raised."""
     try:
         return fn(), None
-    except Exception as e:
+    except (SmoothParamError, ValueError, ZeroDivisionError) as e:
         return None, (type(e), str(e))
 
 
