@@ -15,7 +15,6 @@ from .charts import (CertificateReport, Chart, measure_chart_bounds,
 from .ck_param import (CkParametrization, ck_parametrize_function,
                        ck_parametrize_slab, hyperbola_parametrization,
                        kill_derivative_step, monotone_subdivision)
-from .config import DEFAULT, Config
 from .entropy import (DynSystem, EntropyReport, covering_number, entropy_sweep,
                       system_zoo)
 from .funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,

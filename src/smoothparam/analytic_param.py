@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charts import Chart, circle_sup
-from .config import DEFAULT, Config
 from .errors import DeltaTooLarge, PreconditionFailed, SingularityInsideDisk
 from .funcs import (BranchExpr, FunctionExpr, RationalExpr, _wrap,
                     normalize_values)
@@ -165,7 +164,7 @@ def _detect_singularities(f: FunctionExpr, declared=None):
         "singularities must be declared for opaque functions")
 
 
-def _a_chart_for_interval(f, a, b, cfg, declared_sings):
+def _a_chart_for_interval(f, a, b, declared_sings):
     """Affine chart on [a, b] with its disk bound measured at two half-lengths
     (comfortably inside the singularity-free three-half-length disk)."""
     a, b = _fr(a), _fr(b)
@@ -177,7 +176,7 @@ def _a_chart_for_interval(f, a, b, cfg, declared_sings):
         if abs(complex(z) - center) < 3 * float(half) * (1 - 1e-12):
             raise SingularityInsideDisk(
                 f"singularity {z} inside the protected disk of [{a},{b}]")
-    K = circle_sup(f.eval_array, center, radius, cfg)
+    K = circle_sup(f.eval_array, center, radius)
     base = abs(f.eval_complex(center))
     fc = f.precompose_poly(psi)
     ch = Chart(psi=psi, f_comp=fc, k=0, image=(a, b),
@@ -186,17 +185,17 @@ def _a_chart_for_interval(f, a, b, cfg, declared_sings):
     return ch
 
 
-def verify_a_chart_variation(ch: Chart, cfg: Config = DEFAULT):
+def verify_a_chart_variation(ch: Chart, factor: int = 1):
     """max |f(psi(z)) - f(psi(0))| on concentric circles of radius 2 in chart
-    coordinates: the disk of two half-lengths that `_a_chart_for_interval`
-    measures K on."""
+    coordinates, `factor` times as many angles as `circle_sup` takes: the
+    disk of two half-lengths that `_a_chart_for_interval` measures K on."""
     f0 = ch.f_comp.eval_complex(0j)
-    return circle_sup(lambda zs: ch.f_comp.eval_array(zs) - f0, 0j, 2.0, cfg)
+    return circle_sup(lambda zs: ch.f_comp.eval_array(zs) - f0, 0j, 2.0,
+                      factor)
 
 
 def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
                                declared_singularities=None,
-                               cfg: Config = DEFAULT,
                                normalize=True) -> AnalyticParametrization:
     f = _wrap(f)
     lo, hi = _fr(interval[0]), _fr(interval[1])
@@ -205,16 +204,16 @@ def analytic_delta_parametrize(f: FunctionExpr, delta, interval,
     sings = _detect_singularities(f, declared_singularities)
     norm = {}
     if normalize:
-        f, norm = normalize_values(f, lo, hi, cfg)
+        f, norm = normalize_values(f, lo, hi)
 
     part = dyadic_partition((lo, hi), sings, delta)
-    charts = [_a_chart_for_interval(f, a, b, cfg, sings) for a, b in part.kept]
+    charts = [_a_chart_for_interval(f, a, b, sings) for a, b in part.kept]
     return AnalyticParametrization(charts=charts, removed=part.removed,
                                    delta=_fr(delta), domain=(lo, hi),
                                    normalization=norm)
 
 
-def hyperbola_analytic_charts(eps, delta, cfg: Config = DEFAULT):
+def hyperbola_analytic_charts(eps, delta):
     """a-charts for g(x) = -eps^2/x on [-1, -eps] (singularity at x = 0)."""
     e = _fr(eps)
     if not 0 < e < 1:
@@ -222,4 +221,4 @@ def hyperbola_analytic_charts(eps, delta, cfg: Config = DEFAULT):
     g = RationalExpr(Poly([-e * e]), Poly([0, 1]))
     return analytic_delta_parametrize(g, delta, (-1, -e),
                                       declared_singularities=[0j],
-                                      cfg=cfg, normalize=False)
+                                      normalize=False)

@@ -18,7 +18,6 @@ import numpy as np
 from .analytic_param import analytic_delta_parametrize
 from .charts import sampled_sup
 from .ck_param import ck_parametrize_function
-from .config import DEFAULT, Config
 from .errors import (DegreeOverflow, EvaluationAtSingularity,
                      PreconditionFailed, SmoothParamError)
 from .funcs import FunctionExpr, _wrap
@@ -138,8 +137,8 @@ def patch_error(g: FunctionExpr, p: Poly, route: str, center, side,
     return float(np.max(np.abs(g.eval_array(xs) - p.eval_array(ts))))
 
 
-def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
-                   cfg: Config = DEFAULT) -> Approximation:
+def ck_approximate(f: FunctionExpr, interval, eps: float,
+                   sigma: float) -> Approximation:
     """Graph-of-function route over an interval (n = 1).  The charts carry
     the value-normalized g = a*f + b (`funcs.normalize_values`), so their
     count does not grow with the sup norm of f.  Each patch p is fitted to g
@@ -152,7 +151,7 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
     n = 1
     k = int(n / sigma) + 1
     d = max(1, k - 1)
-    param = ck_parametrize_function(f, k, interval, cfg)
+    param = ck_parametrize_function(f, k, interval)
     a = param.normalization.get("scale", Fraction(1))
     b = param.normalization.get("shift", Fraction(0))
     patches = []
@@ -193,8 +192,7 @@ def ck_approximate(f: FunctionExpr, interval, eps: float, sigma: float,
 
 def analytic_approximate(f: FunctionExpr, interval, eps: float,
                          declared_singularities=None,
-                         slab: bool = False,
-                         cfg: Config = DEFAULT) -> Approximation:
+                         slab: bool = False) -> Approximation:
     """Analytic route with delta = eps.  With slab=True the patches are 2d:
     phi(t1, t2) = (psi(t1), t2 p(t1)) over the slab 0 <= y <= f(x), with p
     the truncation of f; each removed strip is covered by size-eps boxes of
@@ -208,7 +206,7 @@ def analytic_approximate(f: FunctionExpr, interval, eps: float,
     d0 = int(math.floor(math.log2(1.0 / eps))) + 1
     param = analytic_delta_parametrize(f, delta, interval,
                                        declared_singularities=declared_singularities,
-                                       cfg=cfg, normalize=False)
+                                       normalize=False)
     patches = []
     for idx, ch in enumerate(param.charts):
         K = ch.meta["K"]

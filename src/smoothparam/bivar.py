@@ -18,6 +18,7 @@ the pair form but at zeros and overflows (`funcs.BranchTracker._correct`)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -66,6 +67,12 @@ def _from_rows(rows) -> "BivarPoly":
     p = BivarPoly.__new__(BivarPoly)
     p._set(rows)
     return p
+
+
+def _int_rows(p: "BivarPoly"):
+    """(rows, m): p's rows as integer lists over their lcm denominator m."""
+    m = math.lcm(*(r._d for r in p.rows))
+    return [[x * (m // r._d) for x in r._a] for r in p.rows], m
 
 
 def _pack(re, im):
@@ -132,11 +139,19 @@ class BivarPoly:
     def __mul__(self, other):
         if not isinstance(other, BivarPoly):
             return _from_rows(r * _fr(other) for r in self.rows)
-        out = [_ZERO] * (self.degy + other.degy + 1)
-        for j, a in enumerate(self.rows):
-            for k, b in enumerate(other.rows, j):
-                out[k] += a * b
-        return _from_rows(out)
+        if self.is_zero() or other.is_zero():
+            return _from_rows(())
+        # one integer sum per output row, over m n, and then one Poly
+        (a, m), (b, n) = _int_rows(self), _int_rows(other)
+        out = [[0] * (self.degx + other.degx + 1)
+               for _ in range(self.degy + other.degy + 1)]
+        for j, x in enumerate(a):
+            for k, y in enumerate(b, j):
+                row = out[k]
+                for i, c in enumerate(x):
+                    for l, e in enumerate(y, i):
+                        row[l] += c * e
+        return _from_rows(Poly(r, _d=m * n) for r in out)
 
     __rmul__ = __mul__
 

@@ -16,7 +16,10 @@ one integer derivative chain (`poly.ratio_chain_maxima`): one pole test
 serves every order >= 1, since f^(i) = N_i/(d h^i) has the poles of d, and
 the critical cells of f^(i) are the root cells of the next order's
 numerator N_(i+1).  Either mode is a grid sample, not a proof over the
-interval, and the report's `detail` names the grid it sampled."""
+interval, and the report's `detail` names the grid it sampled.  The grids
+are fixed: `funcs.GRID_POINTS` floats, EXACT_GRID_POINTS + 1 rationals and
+CIRCLE_RADII circles of CIRCLE_ANGLES points; `verify` re-measures with
+all but the circle count `serialize.VERIFY_FACTOR` times finer (`factor`)."""
 
 from __future__ import annotations
 
@@ -27,13 +30,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Config
 from .errors import EvaluationAtSingularity
-from .funcs import AddExpr, FunctionExpr, MulExpr, _wrap, simplify
+from .funcs import (GRID_POINTS, AddExpr, FunctionExpr, MulExpr, _wrap,
+                    simplify)
 from .poly import Poly, ratio_chain_maxima
 
 CK_TOLERANCE_EXACT = 1e-9            # relative slack on an exact-grid max
 CK_TOLERANCE_FLOAT = 1e-6            # relative slack on a float sample
+EXACT_GRID_POINTS = 4096             # N of the exact grid i/N, i = 0..N
+CIRCLE_RADII = 8                     # concentric circles sampled per disk
+CIRCLE_ANGLES = 256                  # points per circle
 
 
 @dataclass
@@ -92,19 +98,18 @@ def _unit_circle(n: int) -> np.ndarray:
 
 
 def circle_sup(values, center: complex, radius: float,
-               cfg: Config = DEFAULT) -> float:
-    """max |v| over the concentric-circle sample: cfg.a_chart_radii circles
-    about `center` with radii r_j = radius * j / cfg.a_chart_radii, each with
-    cfg.a_chart_angles points.  values(zs) takes the complex array zs of
+               factor: int = 1) -> float:
+    """max |v| over the concentric-circle sample: CIRCLE_RADII circles
+    about `center` with radii r_j = radius * j / CIRCLE_RADII, each with
+    factor * CIRCLE_ANGLES points.  values(zs) takes the complex array zs of
     shape (radii, angles) in one call, row j the circle of radius r_j
     starting at angle 0 (zs[j, 0] == center + r_j), and returns an array of
     the same shape.  A branch's eval_array walks each row as one path from
     its seed, entering the circle at its real point center + r_j.  A
     non-finite value raises EvaluationAtSingularity naming the first radius
     where it occurs, so it can never shrink the bound."""
-    unit = _unit_circle(cfg.a_chart_angles)
-    radii = [radius * j / cfg.a_chart_radii
-             for j in range(1, cfg.a_chart_radii + 1)]
+    unit = _unit_circle(factor * CIRCLE_ANGLES)
+    radii = [radius * j / CIRCLE_RADII for j in range(1, CIRCLE_RADII + 1)]
     zs = center + np.array(radii)[:, None] * unit
     with np.errstate(all="ignore"):     # a non-finite value raises below
         mags = np.abs(np.asarray(values(zs)))
@@ -116,17 +121,17 @@ def circle_sup(values, center: complex, radius: float,
     return float(mags.max())
 
 
-def _report(values: dict, mode: str, cfg: Config) -> CertificateReport:
+def _report(values: dict, mode: str, factor: int = 1) -> CertificateReport:
     """Certificate over values keyed by order: ok iff all are finite and the
     largest is at most 1 + the mode's tolerance.  The worst order is the
     first with a non-finite value, which fails the report, or else the
     first with the largest; `detail` names the former or the grid sampled."""
     if mode == "exact":
-        tol, n = CK_TOLERANCE_EXACT, cfg.exact_grid_points
+        tol, n = CK_TOLERANCE_EXACT, factor * EXACT_GRID_POINTS
         detail = f"exact at the {n + 1} points i/{n}"
     else:
         tol = CK_TOLERANCE_FLOAT
-        detail = f"float at {cfg.grid_points} points, tolerance {tol}"
+        detail = f"float at {factor * GRID_POINTS} points, tolerance {tol}"
     bad = [key for key, v in values.items() if not math.isfinite(v)]
     key = bad[0] if bad else max(values, key=values.get, default=None)
     worst = 0.0 if key is None else values[key]
@@ -136,12 +141,12 @@ def _report(values: dict, mode: str, cfg: Config) -> CertificateReport:
         detail=f"non-finite value at order {key}" if bad else detail)
 
 
-def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
+def _grid_max(key, fn, orders, shift, mode: str, factor: int = 1) -> dict:
     """{(key, i): max |fn^(i)|} over the chart's grid, i in orders, less
     `shift` at order 0; fn is a FunctionExpr or a Poly (`funcs._wrap` reads
     it as the rational function fn/1), rational in exact mode, which takes
-    the rational max at the cfg.exact_grid_points + 1 points i/N; float mode
-    takes the float max at cfg.grid_points points.
+    the rational max at the N + 1 points i/N, N = factor * EXACT_GRID_POINTS;
+    float mode the float max at factor * GRID_POINTS points.
     A pole on the grid reads inf in either mode, and in exact mode so does a
     pole between grid points.  Exact mode takes all the orders from one
     call of `ratio_chain_maxima`: one integer derivative chain, one pole
@@ -150,9 +155,10 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     fn = _wrap(fn)
     if mode == "exact":
         return {(key, i): float(v) for i, v in ratio_chain_maxima(
-            *fn.as_rational(), orders, shift, cfg.exact_grid_points).items()}
+            *fn.as_rational(), orders, shift,
+            factor * EXACT_GRID_POINTS).items()}
     chain = fn.derivative_chain(max(orders, default=0))
-    xs = np.linspace(0.0, 1.0, cfg.grid_points)
+    xs = np.linspace(0.0, 1.0, factor * GRID_POINTS)
     out = {}
     for i in orders:
         g, c = chain[i], (shift if i == 0 else 0)
@@ -162,14 +168,14 @@ def _grid_max(key, fn, orders, shift, mode: str, cfg: Config) -> dict:
     return out
 
 
-def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
+def measure_chart_bounds(chart: Chart, factor: int = 1):
     """Grid maxima (`_grid_max`) of every coordinate at orders i = 0..k,
     order 0 less its basepoint: ('psi', i) of psi; ('f', i) the max over
     f_comp and top, less y0 = f_comp(0) at order 0 (inf where y0 fails to
     evaluate); and for a slab ('f-slope', i) of top - f_comp, i < k, since
     the map is affine in t2, so every mixed partial is one of these.
     Returns them with the mode: exact iff every carried function is
-    rational."""
+    rational.  `factor` makes both grids that many times finer."""
     fs = [f for f in (chart.f_comp, chart.top) if f is not None]
     mode = ("exact" if all(f.as_rational() is not None for f in fs)
             else "float")
@@ -179,20 +185,20 @@ def measure_chart_bounds(chart: Chart, cfg: Config = DEFAULT):
     except EvaluationAtSingularity:
         y0 = None       # a pole or a non-finite value: ('f', 0) reads inf
     per = _grid_max("psi", chart.psi, orders, chart.psi(Fraction(0)), mode,
-                    cfg)
+                    factor)
     for f in fs:        # the map at t2 = 0 and 1; np.maximum keeps a NaN
         per.update((key, float(np.maximum(v, per.get(key, v)))) for key, v
-                   in _grid_max("f", f, orders, y0 or 0, mode, cfg).items())
+                   in _grid_max("f", f, orders, y0 or 0, mode, factor).items())
     if chart.top is not None:
         gap = simplify(AddExpr(chart.top, MulExpr(-1, chart.f_comp)))
-        per.update(_grid_max("f-slope", gap, orders[:-1], 0, mode, cfg))
+        per.update(_grid_max("f-slope", gap, orders[:-1], 0, mode, factor))
     if y0 is None:
         per["f", 0] = math.inf
     chart.bounds = per
     return per, mode
 
 
-def verify_ck_chart(chart: Chart, cfg: Config = DEFAULT) -> CertificateReport:
+def verify_ck_chart(chart: Chart, factor: int = 1) -> CertificateReport:
     """Certify the unit-norm condition: every coordinate of the chart stays
     within distance 1 of its basepoint in C^k (`measure_chart_bounds`)."""
-    return _report(*measure_chart_bounds(chart, cfg), cfg)
+    return _report(*measure_chart_bounds(chart, factor), factor)

@@ -23,12 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from .charts import Chart, sampled_sup, verify_ck_chart
-from .config import DEFAULT, Config
 from .errors import (BoundViolationAfterMaxDepth, PreconditionFailed,
                      SlabOrderViolation)
-from .funcs import (AddExpr, FunctionExpr, MulExpr, RationalExpr,
-                    _wrap, hyperbola_branch, isolate_real_zeros,
-                    normalize_values, simplify)
+from .funcs import (GRID_POINTS, AddExpr, FunctionExpr, MulExpr,
+                    RationalExpr, _wrap, hyperbola_branch,
+                    isolate_real_zeros, normalize_values, simplify)
 from .poly import Poly, _fr
 
 
@@ -90,8 +89,7 @@ def _square_for(derivs) -> Poly:
     return _SQUARE if v0 >= v1 else _SQUARE_FLIP
 
 
-def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
-                         check_preconditions=True):
+def kill_derivative_step(g: FunctionExpr, l: int, check_preconditions=True):
     """Square substitution flattening the l-th derivative of g on [0, 1].
 
     g must have sign-constant monotone l-th derivative; the substitution is
@@ -101,7 +99,7 @@ def kill_derivative_step(g: FunctionExpr, l: int, cfg: Config = DEFAULT,
     rat = chain[l].as_rational()
     if rat is not None and rat[0].is_zero():
         return Poly([0, 1]), g, 0.0, True
-    xs = np.linspace(0.0, 1.0, cfg.grid_points)
+    xs = np.linspace(0.0, 1.0, GRID_POINTS)
     if check_preconditions:
         for i in range(1, l):
             if not math.isfinite(sampled_sup(chain[i], xs)):
@@ -136,7 +134,7 @@ def _split_factor(bounds) -> int:
 MAX_EXTRA_SPLITS = 3        # doublings of a piece's split count if a chart fails
 
 
-def _induct(fs, k: int, lo, hi, cfg: Config):
+def _induct(fs, k: int, lo, hi):
     """The C^k induction on the graphs fs over [lo, hi]: (f,), or a slab's
     (g1, g2).  Each chart carries fs o psi as f_comp (and top), keeps in its
     meta the substitutions that made psi, the final split count and its
@@ -149,7 +147,7 @@ def _induct(fs, k: int, lo, hi, cfg: Config):
         work.append((psi, tuple(f.precompose_poly(psi) for f in fs),
                      [("affine", a, b)]))
 
-    xs = np.linspace(0.0, 1.0, cfg.grid_points)
+    xs = np.linspace(0.0, 1.0, GRID_POINTS)
     for l in range(2, k + 1):
         nxt = []
         for psi, gs, steps in work:
@@ -188,7 +186,7 @@ def _induct(fs, k: int, lo, hi, cfg: Config):
                                                     Fraction(j + 1, m))],
                                  "split": m})
                 assert ch.psi.degree <= 2 ** k
-                cert = verify_ck_chart(ch, cfg)
+                cert = verify_ck_chart(ch)
                 ch.meta["certificate"] = cert
                 if not cert.ok:
                     break
@@ -220,20 +218,19 @@ def _checked_k_interval(k: int, interval):
 
 
 def ck_parametrize_function(f: FunctionExpr, k: int, interval,
-                            cfg: Config = DEFAULT,
                             normalize=True) -> CkParametrization:
     f = _wrap(f)
     lo, hi = _checked_k_interval(k, interval)
     norm = {}
     if normalize:
-        f, norm = normalize_values(f, lo, hi, cfg)
-    charts = _induct((f,), k, lo, hi, cfg)
+        f, norm = normalize_values(f, lo, hi)
+    charts = _induct((f,), k, lo, hi)
     return CkParametrization(charts=charts, k=k, domain=(lo, hi),
                              normalization=norm)
 
 
-def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
-                        cfg: Config = DEFAULT) -> CkParametrization:
+def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int,
+                        interval) -> CkParametrization:
     """2d slab {g1(x) <= y <= g2(x)}: run the induction jointly on g1 and g2
     over the common refinement of their subdivisions, then emit the affine-in-t2
     slab charts."""
@@ -251,22 +248,21 @@ def ck_parametrize_slab(g1: FunctionExpr, g2: FunctionExpr, k: int, interval,
         raise SlabOrderViolation(f"g2 - g1 vanishes inside the slab at {interior}")
     if float(diff.eval((lo + hi) / 2)) < 0:
         raise SlabOrderViolation("g1 > g2 on the slab")
-    charts = _induct((g1, g2), k, lo, hi, cfg)
+    charts = _induct((g1, g2), k, lo, hi)
     return CkParametrization(charts=charts, k=k, domain=(lo, hi),
                              meta={"kind": "slab"})
 
 
-def hyperbola_parametrization(eps, k: int = 2,
-                              cfg: Config = DEFAULT) -> CkParametrization:
+def hyperbola_parametrization(eps, k: int = 2) -> CkParametrization:
     """C^k charts for both halves of the hyperbola xy = eps^2: g(x) = -eps^2/x
     on [-1, -eps] and its mirror image eps^2/x on [eps, 1]."""
     e = _fr(eps)
     if not 0 < e < 1:
         raise PreconditionFailed(f"eps must be in (0, 1), got {eps}")
-    left = ck_parametrize_function(hyperbola_branch(e), k, (-1, -e), cfg,
+    left = ck_parametrize_function(hyperbola_branch(e), k, (-1, -e),
                                    normalize=False)
     gr = RationalExpr(Poly([e * e]), Poly([0, 1]))   # +eps^2/x on [eps, 1]
-    right = ck_parametrize_function(gr, k, (e, 1), cfg, normalize=False)
+    right = ck_parametrize_function(gr, k, (e, 1), normalize=False)
     return CkParametrization(charts=left.charts + right.charts, k=k,
                              domain=(-1, 1),
                              meta={"family": "hyperbola", "eps": e})

@@ -20,7 +20,6 @@ import numpy as np
 
 from .bivar import (BivarPoly, BivarRational, _mul, _pack, _pydiv,
                     resultant_y)
-from .config import DEFAULT, Config
 from .errors import (BranchJump, DegenerateInY, EvaluationAtSingularity,
                      FibreOverflow, OrderOverflow, PathNearSingularity,
                      SmoothParamError, ZeroCountMismatch)
@@ -28,6 +27,7 @@ from .poly import (Poly, _fr, complex_roots, isolate_roots, lowest_terms,
                    rational_deriv)
 
 EXPR_SIZE_CAP = 200_000              # nodes, symbolic differentiation cap
+GRID_POINTS = 4096                   # float sample grid of a sup or a span
 BISECT_SAMPLES_PER_UNIT = 4096       # sign-change scan of a non-rational f
 CONTINUATION_RESIDUAL = 1e-10        # |P(x, y)| accepted on the curve
 CONTINUATION_STEP_FLOOR = 1e-12      # smallest step, times max(1, |x|)
@@ -283,14 +283,14 @@ def scale_shift(f: FunctionExpr, a, b) -> FunctionExpr:
     return simplify(AddExpr(MulExpr(a, f), b))
 
 
-def normalize_values(f: FunctionExpr, lo, hi, cfg: Config = DEFAULT):
+def normalize_values(f: FunctionExpr, lo, hi):
     """(g, norm): g = a * f + b and norm = {"scale": a, "shift": b}, from
     the values of f sampled on [lo, hi]: a = 1/span scales a span over 1
     down to 1, and b = -a * vmin shifts a negative minimum up to 0.  Values
     >= 0 are never shifted, so g can exceed 1; (f, {}) when that map is the
     identity (values >= 0 with a span of at most 1, in [0, 1] or not), or
     when sampling fails or gives a non-finite value."""
-    xs = np.linspace(float(lo), float(hi), cfg.grid_points)
+    xs = np.linspace(float(lo), float(hi), GRID_POINTS)
     try:
         with np.errstate(all="ignore"):     # non-finite: checked below
             vals = f.eval_array(xs)

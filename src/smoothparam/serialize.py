@@ -10,14 +10,13 @@ expressible in the serializable node language."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
 
+from .analytic_param import verify_a_chart_variation
 from .approx import PATCH_SAMPLES, patch_error
 from .charts import CK_TOLERANCE_FLOAT, Chart, verify_ck_chart
-from .config import DEFAULT, Config
 from .entropy import EntropyReport
 from .errors import SchemaVersionMismatch
 from .funcs import (AddExpr, ComposeExpr, FunctionExpr, MulExpr,
@@ -245,9 +244,7 @@ def approximation_to_json(A, source=None) -> dict:
                          "source": p.source,
                          "sup_error": _fix_float(float(p.sup_error)),
                          "bound": _fix_float(float(p.bound)),
-                         "coeffs": [poly_to_json(c) if isinstance(c, Poly)
-                                    else number_to_json(c)
-                                    for c in p.coeffs]}
+                         "coeffs": [poly_to_json(c) for c in p.coeffs]}
                         for p in A.patches]}
 
 
@@ -289,14 +286,7 @@ def loads(text: str) -> dict:
 
 # -- verification --------------------------------------------------------------
 
-def _scale_cfg(cfg: Config, factor: int) -> Config:
-    return dataclasses.replace(
-        cfg, grid_points=cfg.grid_points * factor,
-        exact_grid_points=cfg.exact_grid_points * factor,
-        a_chart_angles=cfg.a_chart_angles * factor)
-
-
-def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
+def _verify_charts(doc: dict, failures: list) -> None:
     analytic = doc["kind"].startswith("analytic")
     for i, cd in enumerate(doc["charts"]):
         tag = f"chart {i}"
@@ -308,18 +298,17 @@ def _verify_charts(doc: dict, cfg: Config, failures: list) -> None:
         if cd["f"].get("kind") == "opaque":
             continue
         ch = chart_from_json(cd)
-        fine = _scale_cfg(cfg, VERIFY_FACTOR)
         if analytic:
-            from .analytic_param import verify_a_chart_variation
             kvar = ch.meta.get("Kvar")
             if kvar is None:
+                failures.append(f"{tag}: no stored Kvar to re-measure")
                 continue
-            var = verify_a_chart_variation(ch, cfg=fine)
+            var = verify_a_chart_variation(ch, VERIFY_FACTOR)
             if not var <= float(kvar) * (1 + 1e-6):
                 failures.append(f"{tag}: re-measured variation {var} "
                                 f"exceeds stored {kvar}")
         else:
-            rep = verify_ck_chart(ch, cfg=fine)
+            rep = verify_ck_chart(ch, VERIFY_FACTOR)
             if not rep.ok:
                 failures.append(f"{tag}: re-verification failed "
                                 f"(max bound {rep.max_bound})")
@@ -333,14 +322,16 @@ def _verify_approximation(doc: dict, failures: list) -> None:
         if not pd["sup_error"] <= eps * (1 + 1e-9):
             failures.append(f"patch {i}: stored error {pd['sup_error']} "
                             f"exceeds epsilon {eps}")
+        cs = pd["coeffs"]
+        if not (len(cs) == 2 and all(isinstance(c, list) for c in cs)):
+            failures.append(f"patch {i}: coeffs are not the polynomials "
+                            f"(psi, p)")
+            continue
         # a slab patch's upper boundary (psi, p) is resampled like a graph
         # patch; its removed boxes are held to their stored bound only
         if f is None or (pd["dim"] == 2 and pd["source"] == "removed-box"):
             continue
-        psi, poly = (poly_from_json(c) if isinstance(c, list) else None
-                     for c in pd["coeffs"][:2])
-        if poly is None or psi is None:
-            continue
+        psi, poly = map(poly_from_json, cs)
         err = patch_error(f, poly, doc["route"],
                           number_from_json(pd["center"][0]), pd["side"],
                           VERIFY_FACTOR * PATCH_SAMPLES, psi=psi)
@@ -365,7 +356,7 @@ def _verify_remez(doc: dict, failures: list) -> None:
         failures.append(f"witness Q*(y*) = {value} is not R = {R}")
 
 
-def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
+def verify_bundle(doc) -> dict:
     """Re-check a parsed (or raw-text) artifact.  Returns
     {"ok": bool, "kind": ..., "failures": [...]}."""
     if isinstance(doc, str):
@@ -376,7 +367,7 @@ def verify_bundle(doc, cfg: Config = DEFAULT) -> dict:
     failures: list = []
     kind = doc["kind"]
     if kind.endswith("parametrization"):
-        _verify_charts(doc, cfg, failures)
+        _verify_charts(doc, failures)
     elif kind == "approximation":
         _verify_approximation(doc, failures)
     elif kind == "entropy":

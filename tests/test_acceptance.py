@@ -1,7 +1,6 @@
 """End-to-end acceptance suite.  Each test prints a single PASS/FAIL line;
 tolerances and runtime budgets are part of the assertions."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -21,7 +20,6 @@ from smoothparam.bp import (bp_for_degree, brute_force_points,
                             vandermonde_bound_check)
 from smoothparam.charts import verify_ck_chart
 from smoothparam.ck_param import hyperbola_parametrization, kill_derivative_step
-from smoothparam.config import DEFAULT
 from smoothparam.entropy import (doubling_system, entropy_sweep,
                                  identity_system, polynomial_system,
                                  toral_system)
@@ -31,8 +29,6 @@ from smoothparam.remez import (curve_gradient_floor, empirical_remez_constant,
                                hyperbola_curve, hyperbola_remez_query,
                                normalize_curve, remez_parametrization)
 from smoothparam.serialize import dumps, entropy_report_to_json
-
-CHEAP = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
 
 # sha256 of the acceptance-10 entropy sweeps (JSON artifact, CSV) as first
 # emitted by the restart-per-n covering numbers
@@ -111,12 +107,13 @@ def test_acceptance_03_partition_suite():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.usefixtures("cheap_circles")
 @_report(4, "analytic chart count affine in log2(1/delta), R^2 >= 0.99")
 def test_acceptance_04_chart_law():
     e = F(1, 2 ** 26)
     xs, ys = [], []
     for j in range(4, 21):
-        P = hyperbola_analytic_charts(e, F(1, 2 ** j), cfg=CHEAP)
+        P = hyperbola_analytic_charts(e, F(1, 2 ** j))
         xs.append(float(j))
         ys.append(float(P.chart_count))
     xs, ys = np.array(xs), np.array(ys)
@@ -201,6 +198,7 @@ def test_acceptance_08_remez():
     assert r2 >= 0.98
 
 
+@pytest.mark.usefixtures("cheap_circles")
 @_report(9, "complexity is log-cubic, not any power law; patches re-verify")
 def test_acceptance_09_approximation_scaling():
     e0 = F(1, 2 ** 26)
@@ -209,8 +207,7 @@ def test_acceptance_09_approximation_scaling():
     for j in range(8, 25, 2):
         eps = 2.0 ** -j
         A = analytic_approximate(f, (e0, F(1)), eps,
-                                 declared_singularities=[0j], slab=True,
-                                 cfg=CHEAP)
+                                 declared_singularities=[0j], slab=True)
         eps_list.append(eps)
         cx.append(A.complexity)
         approxs.append(A)

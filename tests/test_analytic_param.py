@@ -3,7 +3,6 @@ logarithmic budget, strips removed only about singular points within delta
 of the real axis), affine a-charts against closed-form disk maxima, and the
 chart-count law."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -19,13 +18,9 @@ from smoothparam.analytic_param import (_a_chart_for_interval,
                                         hyperbola_analytic_charts,
                                         verify_a_chart_variation)
 from smoothparam.bivar import BivarPoly
-from smoothparam.config import DEFAULT
 from smoothparam.errors import PreconditionFailed, SingularityInsideDisk
 from smoothparam.funcs import BranchExpr, RationalExpr, SqrtExpr
 from smoothparam.poly import Poly
-
-CHEAP = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
-
 
 def test_partition_single_singularity_delta_sixteenth():
     part = dyadic_partition((F(-1), F(1)), [0j], F(1, 16))
@@ -154,19 +149,18 @@ def test_hyperbola_chart_K_matches_closed_form():
 
 def test_sqrt_branch_disk_bound_matches_closed_form():
     f = SqrtExpr(RationalExpr(Poly([0, 1])))
-    ch = _a_chart_for_interval(f, F(1, 4), F(1, 2), DEFAULT, [0j])
+    ch = _a_chart_for_interval(f, F(1, 4), F(1, 2), [0j])
     # max |sqrt(z)| over the disk about c of radius r is sqrt(c + r)
     closed = math.sqrt(3 / 8 + 1 / 4)
     assert abs(ch.meta["K"] - closed) <= 1e-6
 
 
-def test_bare_branch_kvar_adds_the_value_at_the_disk_center():
+def test_bare_branch_kvar_adds_the_value_at_the_disk_center(cheap_circles):
     # the upper branch of y^2 = x^3 + x/2 + 15/4; its singular points lie
     # over x = -1.45 and 0.72 +- 1.44i, far from the disk about 11/8
     P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): F(-1, 2), (0, 0): F(-15, 4)})
     f = BranchExpr(P, (1.0, math.sqrt(1 + 0.5 + 3.75)))
-    ch = _a_chart_for_interval(f, F(5, 4), F(3, 2), CHEAP,
-                               f.tracker.singularities)
+    ch = _a_chart_for_interval(f, F(5, 4), F(3, 2), f.tracker.singularities)
     center = ch.meta["disk_center"]
     assert center == 1.375
     assert ch.meta["Kvar"] == ch.meta["K"] + abs(f.eval_complex(center))
@@ -175,15 +169,15 @@ def test_bare_branch_kvar_adds_the_value_at_the_disk_center():
 def test_singularity_inside_protected_disk_raises():
     g = RationalExpr(Poly([1]), Poly([0, 1]))
     with pytest.raises(SingularityInsideDisk):
-        _a_chart_for_interval(g, F(-1), F(1), CHEAP, [0j])
+        _a_chart_for_interval(g, F(-1), F(1), [0j])
 
 
-def test_hyperbola_chart_count_law():
+def test_hyperbola_chart_count_law(cheap_circles):
     # chart count against log2(1/delta): linear with R^2 >= 0.99
     e = F(1, 2 ** 26)
     xs, ys = [], []
     for j in range(4, 15, 2):
-        P = hyperbola_analytic_charts(e, F(1, 2 ** j), cfg=CHEAP)
+        P = hyperbola_analytic_charts(e, F(1, 2 ** j))
         xs.append(float(j))
         ys.append(float(P.chart_count))
     xs, ys = np.array(xs), np.array(ys)

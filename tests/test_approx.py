@@ -2,7 +2,6 @@
 analytic-tail remainders, removed-box bookkeeping, and the log-cubic
 complexity model against power laws."""
 
-import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -18,13 +17,11 @@ from smoothparam.approx import (PATCH_SAMPLES, analytic_approximate,
 from smoothparam.analytic_param import hyperbola_analytic_charts
 from smoothparam import serialize
 from smoothparam import approx
-from smoothparam.config import DEFAULT
 from smoothparam.errors import DegreeOverflow, EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, RationalExpr, SqrtExpr,
                                normalize_values)
 from smoothparam.poly import Poly
 
-CHEAP = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
 PASS = {"ok": True, "kind": "approximation", "failures": []}
 
 
@@ -112,8 +109,8 @@ def test_taylor_polynomial_of_sqrt_is_the_shifted_binomial_series(center):
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_analytic_tail_bound_is_K_times_two_to_minus_d():
-    P = hyperbola_analytic_charts(F(1, 10), F(1, 16), cfg=CHEAP)
+def test_analytic_tail_bound_is_K_times_two_to_minus_d(cheap_circles):
+    P = hyperbola_analytic_charts(F(1, 10), F(1, 16))
     ch = P.charts[0]
     K = ch.meta["K"]
     for d in (4, 8, 12):
@@ -124,21 +121,21 @@ def test_analytic_tail_bound_is_K_times_two_to_minus_d():
         assert err <= bound * (1 + 1e-9)
 
 
-def test_complexity_is_sum_of_degree_powers():
+def test_complexity_is_sum_of_degree_powers(cheap_circles):
     e = F(1, 2 ** 20)
     f = RationalExpr(Poly([e * e]), Poly([0, 1]))
     A = analytic_approximate(f, (e, F(1)), 2.0 ** -8,
-                             declared_singularities=[0j], slab=True, cfg=CHEAP)
+                             declared_singularities=[0j], slab=True)
     assert A.complexity == sum(p.degree ** p.dim for p in A.patches)
     assert A.complexity > 0
 
 
-def test_removed_boxes_respect_epsilon():
+def test_removed_boxes_respect_epsilon(cheap_circles):
     e = F(1, 2 ** 20)
     f = RationalExpr(Poly([e * e]), Poly([0, 1]))
     eps = 2.0 ** -8
     A = analytic_approximate(f, (e, F(1)), eps,
-                             declared_singularities=[0j], cfg=CHEAP)
+                             declared_singularities=[0j])
     boxes = [p for p in A.patches if p.source == "removed-box"]
     assert boxes                         # the strip [e, eps) must be boxed
     for b in boxes:
@@ -213,7 +210,7 @@ def test_ck_route_caps_the_patches_per_chart(monkeypatch):
 
 
 @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
-def test_value_sampling_falls_back_on_math_errors_only(exc):
+def test_value_sampling_falls_back_on_math_errors_only(exc, cheap_circles):
     # x, except that a real x in (-1/8, 1/8), inside the strip removed
     # around 0, raises exc; a math error falls back (no normalization, unit
     # box height), a programming error propagates
@@ -228,8 +225,7 @@ def test_value_sampling_falls_back_on_math_errors_only(exc):
 
     def approximate():
         return analytic_approximate(f, (F(-1), F(1)), 0.25,
-                                    declared_singularities=[0j], slab=True,
-                                    cfg=CHEAP)
+                                    declared_singularities=[0j], slab=True)
     if exc is TypeError:
         with pytest.raises(TypeError):
             normalize_values(f, F(-1), F(1))
@@ -263,14 +259,15 @@ def test_ck_route_charts_the_normalized_source_and_verifies():
     assert _verify(A, f) == PASS
 
 
-def test_verify_bundle_resamples_each_patch_on_its_own_interval():
+def test_verify_bundle_resamples_each_patch_on_its_own_interval(
+        cheap_circles):
     e = F(1, 2 ** 20)
     hyp = RationalExpr(Poly([e * e]), Poly([0, 1]))
     cube = RationalExpr(Poly([0, 0, 0, 1]))
     cases = [
         (ck_approximate(cube, (F(0), F(1)), 1e-3, 0.5), cube, "chart"),
         (analytic_approximate(hyp, (e, F(1)), 2.0 ** -8,
-                              declared_singularities=[0j], cfg=CHEAP),
+                              declared_singularities=[0j]),
          hyp, "a-chart")]
     for A, source, tag in cases:
         assert _verify(A, source)["ok"], A.route
@@ -288,12 +285,12 @@ def test_verify_bundle_resamples_each_patch_on_its_own_interval():
             A.route
 
 
-def test_slab_patches_reverify_at_4x_sampling():
+def test_slab_patches_reverify_at_4x_sampling(cheap_circles):
     e = F(1, 2 ** 20)
     f = RationalExpr(Poly([e * e]), Poly([0, 1]))
     eps = 2.0 ** -10
     A = analytic_approximate(f, (e, F(1)), eps,
-                             declared_singularities=[0j], slab=True, cfg=CHEAP)
+                             declared_singularities=[0j], slab=True)
     ts = np.linspace(-1.0, 1.0, 4 * PATCH_SAMPLES)
     for p in A.patches:
         if p.source == "removed-box":
@@ -312,15 +309,14 @@ def test_fit_affine_and_aic_prefer_true_model():
     assert good < bad
 
 
-def test_log_cubic_model_beats_powers_on_slab_sweep():
+def test_log_cubic_model_beats_powers_on_slab_sweep(cheap_circles):
     e0 = F(1, 2 ** 26)
     f = RationalExpr(Poly([e0 * e0]), Poly([0, 1]))
     eps_list, cx = [], []
     for j in range(8, 21, 3):
         eps = 2.0 ** -j
         A = analytic_approximate(f, (e0, F(1)), eps,
-                                 declared_singularities=[0j], slab=True,
-                                 cfg=CHEAP)
+                                 declared_singularities=[0j], slab=True)
         eps_list.append(eps)
         cx.append(A.complexity)
     out = compare_log_cubic_vs_power(eps_list, cx, [0.1, 0.3, 0.5, 1.0])

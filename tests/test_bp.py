@@ -191,6 +191,20 @@ def _points_or_error(enum, f, interval, t):
 @example(f=MulExpr(RationalExpr(Poly([0, 1])),
                    SqrtExpr(RationalExpr(Poly([0, 1])))),
          t=8, ends=(F(0), F(1)))
+# a sum with one irrational term is irrational; with two, undecidable
+@example(f=AddExpr(SqrtExpr(RationalExpr(Poly([0, 1]))),
+                   RationalExpr(Poly([1]))),
+         t=4, ends=(F(0), F(1)))
+@example(f=AddExpr(SqrtExpr(RationalExpr(Poly([0, 1]))),
+                   SqrtExpr(RationalExpr(Poly([0, 2])))),
+         t=4, ends=(F(0), F(1)))
+# a rational 0 times an irrational, on either side, is the rational 0
+@example(f=MulExpr(RationalExpr(Poly([-1, 2])),
+                   SqrtExpr(RationalExpr(Poly([0, 1])))),
+         t=2, ends=(F(0), F(1)))
+@example(f=MulExpr(SqrtExpr(RationalExpr(Poly([0, 1]))),
+                   RationalExpr(Poly([-1, 2]))),
+         t=2, ends=(F(0), F(1)))
 def test_integer_enumerator_matches_the_fraction_oracle(f, t, ends):
     interval = tuple(sorted(ends))
     got = _points_or_error(enumerate_points, f, interval, t)

@@ -28,8 +28,7 @@ from smoothparam import funcs
 from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly, _pack
 from smoothparam.ck_param import ck_parametrize_function
-from smoothparam.charts import circle_sup
-from smoothparam.config import DEFAULT
+from smoothparam.charts import CIRCLE_RADII, circle_sup
 from smoothparam.errors import (BranchJump, EvaluationAtSingularity,
                                 FibreOverflow, PathNearSingularity,
                                 SmoothParamError)
@@ -867,7 +866,7 @@ def test_disk_rows_take_only_their_entries_one_at_a_time(a, b, center):
                for r in np.roots([1.0, 0.0, float(a), float(b)])))
     f = _cubic_branch(a, b)
     circle_sup(f.eval_array, complex(center), 0.5)
-    assert f.tracker.single_steps <= DEFAULT.a_chart_radii
+    assert f.tracker.single_steps <= CIRCLE_RADII
     assert f.tracker.halvings == 0
 
 

@@ -2,7 +2,6 @@
 sampled circle, makes every checker report a failure (or raise a typed
 error where a bound is measured rather than checked), never a pass."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction as F
@@ -12,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothparam import charts
 from smoothparam.analytic_param import verify_a_chart_variation
 from smoothparam.approx import ck_approximate
 from smoothparam.charts import (CK_TOLERANCE_FLOAT, Chart, circle_sup,
                                 verify_ck_chart)
 from smoothparam.cli import main
-from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity
 from smoothparam.funcs import (BlackboxExpr, MulExpr, PowExpr,
                                RationalExpr, SqrtExpr, isolate_real_zeros)
@@ -25,9 +24,18 @@ from smoothparam.poly import Poly
 from smoothparam.serialize import (approximation_to_json, dumps, loads,
                                    verify_bundle)
 
-CFG = dataclasses.replace(DEFAULT, grid_points=512, a_chart_radii=4,
-                          a_chart_angles=32)
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _small_grids():
+    """512 float points and 4 circles of 32 angles: cheap samples, on whose
+    points and circles the poisoned functions below are drawn."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charts, "GRID_POINTS", 512)
+        mp.setattr(charts, "CIRCLE_RADII", 4)
+        mp.setattr(charts, "CIRCLE_ANGLES", 32)
+        yield
 
 
 def _poisoned(order, bad, at, depth=3):
@@ -65,9 +73,9 @@ def test_nonfinite_samples_fail_without_numpy_warnings():
 
 @given(order=st.integers(1, 3), bad=BAD, idx=st.integers(0, 511))
 def test_ck_chart_fails_on_nonfinite(order, bad, idx):
-    at = float(np.linspace(0.0, 1.0, CFG.grid_points)[idx])
+    at = float(np.linspace(0.0, 1.0, 512)[idx])
     ch = Chart(psi=Poly([0, F(1, 2)]), f_comp=_poisoned(order, bad, at), k=3)
-    rep = verify_ck_chart(ch, CFG)
+    rep = verify_ck_chart(ch)
     assert not rep.ok
     assert f"('f', {order})" in rep.detail
 
@@ -81,7 +89,7 @@ def test_a_report_carries_its_worst_order():
     assert rep.worst_order == ("f", 0) and rep.max_bound == math.inf
     for f in (RationalExpr(Poly([1]), Poly([2, 1])),
               SqrtExpr(RationalExpr(Poly([2, 1])))):
-        rep = verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=f, k=2), CFG)
+        rep = verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=f, k=2))
         per = rep.per_order
         assert rep.worst_order == max(per, key=per.get)
         assert per[rep.worst_order] == rep.max_bound == max(per.values())
@@ -92,12 +100,12 @@ def test_a_report_carries_its_worst_order():
 @settings(max_examples=40)
 def test_slab_chart_fails_on_nonfinite(order, bad, idx, upper):
     # a blackbox makes the slab a float one, sampled on the graphs' grid
-    xs = np.linspace(0.0, 1.0, CFG.grid_points)
+    xs = np.linspace(0.0, 1.0, 512)
     poisoned = _poisoned(order, bad, float(xs[idx]))
     zero = RationalExpr(Poly([]))
     g1, g2 = (zero, poisoned) if upper else (poisoned, zero)
     rep = verify_ck_chart(Chart(psi=Poly([0, F(1, 2)]), f_comp=g1, top=g2,
-                                k=3), CFG)
+                                k=3))
     assert not rep.ok
     assert "non-finite" in rep.detail
 
@@ -107,7 +115,7 @@ def test_slab_with_a_nan_basepoint_fails():
     slab = Chart(psi=Poly([0, F(1, 2)]), f_comp=SqrtExpr(RationalExpr(
         Poly([-1, 2]))), top=RationalExpr(Poly([2])), k=1)
     with np.errstate(invalid="ignore"):
-        rep = verify_ck_chart(slab, CFG)
+        rep = verify_ck_chart(slab)
     assert not rep.ok and rep.detail == "non-finite value at order ('f', 0)"
 
 
@@ -135,7 +143,7 @@ def test_exact_slab_with_a_pole_at_its_basepoint_fails():
     # -1e-9/t has its pole at t = 0, where the slab's basepoint y is read
     slab = Chart(psi=Poly([0, F(1, 2)]), f_comp=RationalExpr(
         Poly([F(-1, 10**9)]), Poly([0, 1])), top=RationalExpr(Poly([2])), k=1)
-    rep = verify_ck_chart(slab, CFG)
+    rep = verify_ck_chart(slab)
     assert rep.mode == "exact" and not rep.ok
     assert rep.detail == "non-finite value at order ('f', 0)"
 
@@ -159,12 +167,12 @@ def _poisoned_circle(bad, radius):
 
 @given(bad=BAD, j=st.integers(1, 4))
 def test_a_chart_and_circle_bounds_fail_on_nonfinite(bad, j):
-    f = _poisoned_circle(bad, 2.0 * j / CFG.a_chart_radii)
+    f = _poisoned_circle(bad, 2.0 * j / 4)
     with pytest.raises(EvaluationAtSingularity):
-        circle_sup(f.eval_array, 0j, 2.0, CFG)
+        circle_sup(f.eval_array, 0j, 2.0)
     ch = Chart(psi=Poly([0, 1]), f_comp=f, k=0)
     with pytest.raises(EvaluationAtSingularity):
-        verify_a_chart_variation(ch, CFG)
+        verify_a_chart_variation(ch)
 
 
 def test_a_chart_with_a_pole_on_a_circle_fails():
@@ -173,10 +181,9 @@ def test_a_chart_with_a_pole_on_a_circle_fails():
     f = RationalExpr(Poly([1]), Poly([-1, 1]))
     with np.errstate(all="ignore"):
         with pytest.raises(EvaluationAtSingularity, match="radius 1.0 about"):
-            circle_sup(f.eval_array, 0j, 1.0, CFG)
+            circle_sup(f.eval_array, 0j, 1.0)
         with pytest.raises(EvaluationAtSingularity, match="radius 1.0 about"):
-            verify_a_chart_variation(Chart(psi=Poly([0, 1]), f_comp=f, k=0),
-                                     CFG)
+            verify_a_chart_variation(Chart(psi=Poly([0, 1]), f_comp=f, k=0))
 
 
 def test_stored_nan_bound_fails_verification(tmp_path, capsys):
@@ -196,26 +203,38 @@ def test_reports_name_the_grid_they_sampled():
     # when both its graphs are rational
     ch = Chart(psi=Poly([0, 1]), f_comp=RationalExpr(Poly([1]), Poly([2, 1])),
                k=2)
-    exact = verify_ck_chart(ch, CFG)
-    n = CFG.exact_grid_points
+    exact = verify_ck_chart(ch)
     assert exact.ok and exact.mode == "exact"
-    assert exact.detail == f"exact at the {n + 1} points i/{n}"
+    assert exact.detail == "exact at the 4097 points i/4096"
     ch = Chart(psi=Poly([0, 1]), f_comp=SqrtExpr(RationalExpr(Poly([2, 1]))),
                k=2)
-    flt = verify_ck_chart(ch, CFG)
+    flt = verify_ck_chart(ch)
     assert flt.ok and flt.mode == "float"
-    assert flt.detail == (f"float at {CFG.grid_points} points, "
-                          f"tolerance {CK_TOLERANCE_FLOAT}")
+    assert flt.detail == f"float at 512 points, tolerance {CK_TOLERANCE_FLOAT}"
     slab = Chart(psi=Poly([0, F(1, 2)]), f_comp=RationalExpr(Poly([0])),
                  top=RationalExpr(Poly([F(1, 2)])), k=1)
-    rep = verify_ck_chart(slab, CFG)
+    rep = verify_ck_chart(slab)
     assert rep.ok and rep.mode == "exact"
-    assert rep.detail == f"exact at the {n + 1} points i/{n}"
+    assert rep.detail == "exact at the 4097 points i/4096"
     slab.top = SqrtExpr(RationalExpr(Poly([F(1, 4), F(1, 8)])))
-    rep = verify_ck_chart(slab, CFG)
+    rep = verify_ck_chart(slab)
     assert rep.ok and rep.mode == "float"
-    assert rep.detail == (f"float at {CFG.grid_points} points, "
-                          f"tolerance {CK_TOLERANCE_FLOAT}")
+    assert rep.detail == f"float at 512 points, tolerance {CK_TOLERANCE_FLOAT}"
+
+
+def test_a_factor_refines_every_grid_but_the_circle_count():
+    # verify's re-measurement: the float grid, the exact grid and the angles
+    # of each circle are made `factor` times finer; the circles stay 4
+    shapes = []
+    circle_sup(lambda zs: shapes.append(zs.shape) or zs, 0j, 1.0, factor=3)
+    assert shapes == [(4, 96)]
+    f = RationalExpr(Poly([1]), Poly([2, 1]))
+    for g, detail in [(f, "exact at the 12289 points i/12288"),
+                      (SqrtExpr(f), f"float at 1536 points, tolerance "
+                                    f"{CK_TOLERANCE_FLOAT}")]:
+        rep = verify_ck_chart(Chart(psi=Poly([0, 1]), f_comp=g, k=1),
+                              factor=3)
+        assert rep.ok and rep.detail == detail
 
 
 def _nan_verdict(doc, path, key):
@@ -287,3 +306,36 @@ def test_entropy_monotonicity_is_rechecked(tmp_path, capsys):
     assert main(["verify", str(out)]) == 1
     assert capsys.readouterr().err == \
         "error: PreconditionFailed: no row at n=4, eps=0.1\n"
+
+
+def test_a_charts_without_a_stored_kvar_fail_verification(tmp_path):
+    # verify re-measures an a-chart's variation against its stored Kvar;
+    # with none stored there is nothing to hold it to, whatever its f
+    out = tmp_path / "analytic.json"
+    assert main(["parametrize-analytic", "--eps", "1/100",
+                 "--out", str(out)]) == 0
+    doc = loads(out.read_text())
+    assert verify_bundle(doc)["ok"]
+    for cd in doc["charts"]:
+        del cd["meta"]["Kvar"]
+        cd["f"] = {"kind": "const", "value": "5"}
+    res = verify_bundle(loads(json.dumps(doc)))
+    assert not res["ok"]
+    assert res["failures"] == [f"chart {i}: no stored Kvar to re-measure"
+                               for i in range(len(doc["charts"]))]
+
+
+def test_patches_without_polynomial_coeffs_fail_verification(tmp_path):
+    # a patch is resampled from its two stored polynomials (psi, p); a
+    # patch that stores anything else cannot be, so it fails
+    out = tmp_path / "approx.json"
+    assert main(["approximate", "--eps", "0.001", "--out", str(out)]) == 0
+    doc = loads(out.read_text())
+    assert verify_bundle(doc)["ok"]
+    for pd in doc["patches"]:
+        pd["coeffs"] = [1, 2]
+    res = verify_bundle(loads(json.dumps(doc)))
+    assert not res["ok"]
+    assert res["failures"] == [
+        f"patch {i}: coeffs are not the polynomials (psi, p)"
+        for i in range(len(doc["patches"]))]

@@ -1,7 +1,6 @@
 """Derivative-killing parametrization: subdivision, square steps, full
 inductions (1D and slab), and the chart certificates."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -13,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothparam.analytic_param import analytic_delta_parametrize
+from smoothparam import charts, ck_param
 from smoothparam.charts import Chart, verify_ck_chart
-from smoothparam import ck_param
 from smoothparam.ck_param import (ck_parametrize_function, ck_parametrize_slab,
                                   hyperbola_parametrization,
                                   kill_derivative_step, monotone_subdivision)
-from smoothparam.config import DEFAULT
 from smoothparam.errors import (BoundViolationAfterMaxDepth,
                                 PreconditionFailed, SlabOrderViolation)
 from smoothparam.funcs import (BlackboxExpr, MulExpr, RationalExpr, SqrtExpr,
@@ -244,8 +242,8 @@ def test_a_slab_that_no_split_reduces_names_what_blocks_it(monkeypatch):
     # the error names them and the worst value of the last failed report
     failed = []
 
-    def recorded(ch, cfg):
-        rep = verify_ck_chart(ch, cfg)
+    def recorded(ch):
+        rep = verify_ck_chart(ch)
         failed.extend([] if rep.ok else [rep])
         return rep
 
@@ -298,10 +296,11 @@ def test_exact_slab_orders_match_a_fraction_scan(chart, N):
     # a graph chart is the case top = None: its ('f', i) are those of
     # f_comp alone, order 0 less f_comp(0) as for a slab, and it has no slope
     psi, (n1, d1), top, k = chart
-    cfg = dataclasses.replace(DEFAULT, exact_grid_points=N)
-    rep = verify_ck_chart(Chart(
-        psi=psi, f_comp=RationalExpr(n1, d1), k=k,
-        top=None if top is None else RationalExpr(*top)), cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charts, "EXACT_GRID_POINTS", N)
+        rep = verify_ck_chart(Chart(
+            psi=psi, f_comp=RationalExpr(n1, d1), k=k,
+            top=None if top is None else RationalExpr(*top)))
     assert rep.mode == "exact"
     y0 = n1(F(0)) / d1(F(0))
     want = {}

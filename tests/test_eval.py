@@ -4,7 +4,6 @@ carried as its own `eval_complex`), `eval` as its one-point real case,
 `circle_sup` against the per-circle loop it replaced, and fail-closed
 sampling at a pole."""
 
-import dataclasses
 import math
 import re
 from fractions import Fraction as F
@@ -17,13 +16,14 @@ from hypothesis import strategies as st
 from smoothparam.analytic_param import (hyperbola_analytic_charts,
                                         verify_a_chart_variation)
 from smoothparam.bivar import BivarPoly
+from smoothparam import charts
 from smoothparam.charts import circle_sup
-from smoothparam.config import DEFAULT
 from smoothparam.errors import EvaluationAtSingularity, OrderOverflow
 from smoothparam.funcs import (AddExpr, BlackboxExpr, BranchExpr, ComposeExpr,
                                MulExpr, PowExpr, RationalExpr, SqrtExpr,
                                _wrap, scale_shift, simplify)
 from smoothparam.poly import Poly
+from smoothparam.serialize import expr_from_json
 
 U = 2.0 ** -53          # unit roundoff
 
@@ -214,14 +214,15 @@ def test_blackbox_derivatives_stop_at_the_declared_ones():
         BlackboxExpr(math.exp, 0).derivative_chain(2)
 
 
-def circle_sup_loop(value, center, radius, cfg=DEFAULT, tracker=None):
+def circle_sup_loop(value, center, radius, tracker=None):
     """The per-circle, per-point circle sample circle_sup replaced; with a
     tracker, the branch is continued along each circle from center + r and
     value(z, w) maps the branch value w at z."""
-    angles = np.linspace(0.0, 2 * math.pi, cfg.a_chart_angles, endpoint=False)
+    angles = np.linspace(0.0, 2 * math.pi, charts.CIRCLE_ANGLES,
+                         endpoint=False)
     worst = 0.0
-    for j in range(1, cfg.a_chart_radii + 1):
-        r = radius * j / cfg.a_chart_radii
+    for j in range(1, charts.CIRCLE_RADII + 1):
+        r = radius * j / charts.CIRCLE_RADII
         zs = [center + r * complex(math.cos(t), math.sin(t)) for t in angles]
         vals = ([value(z) for z in zs] if tracker is None
                 else [value(z, w) for z, w in
@@ -254,31 +255,46 @@ def test_circle_sup_calls_values_once_per_disk():
 
     assert circle_sup(values, 1 + 0j, 0.5) == pytest.approx(1.5)
     [zs] = calls
-    n = DEFAULT.a_chart_radii
-    assert zs.shape == (n, DEFAULT.a_chart_angles)
+    n = charts.CIRCLE_RADII
+    assert zs.shape == (n, charts.CIRCLE_ANGLES) == (8, 256)
     # row j is the circle of radius r_j, entered at its real point center + r_j
     radii = [0.5 * j / n for j in range(1, n + 1)]
     assert list(zs[:, 0]) == [1 + r for r in radii]
     assert np.allclose(np.abs(zs - 1), np.array(radii)[:, None])
 
 
-def test_branch_circles_match_the_per_circle_continuation():
+def test_branch_circles_match_the_per_circle_continuation(cheap_circles):
     P = BivarPoly({(0, 2): 1, (3, 0): -1, (1, 0): F(-1, 2), (0, 0): F(-15, 4)})
     f = BranchExpr(P, (1.0, math.sqrt(1 + 0.5 + 3.75)))
-    cfg = dataclasses.replace(DEFAULT, a_chart_angles=32, a_chart_radii=4)
     center, radius = 1.5 + 0j, 0.5
-    want = circle_sup_loop(lambda z, w: w, center, radius, cfg,
-                           tracker=f.tracker)
-    assert circle_sup(f.eval_array, center, radius, cfg) == want
+    want = circle_sup_loop(lambda z, w: w, center, radius, tracker=f.tracker)
+    assert circle_sup(f.eval_array, center, radius) == want
     # a value-normalized branch and a derivative (the rat case) walk the
     # same circles and map each branch value through their own expression
     a, b = F(1, 3), F(-1, 2)
     g, d = scale_shift(f, a, b), f.deriv()
     for e, through in [(g, lambda z, w: float(a) * w + float(b)),
                        (d, d.rat)]:
-        want = circle_sup_loop(through, center, radius, cfg, tracker=f.tracker)
-        got = circle_sup(e.eval_array, center, radius, cfg)
+        want = circle_sup_loop(through, center, radius, tracker=f.tracker)
+        got = circle_sup(e.eval_array, center, radius)
         assert abs(got - want) <= 1e-12 * want
+
+
+def test_a_spec_compose_of_two_rationals_collapses_to_one():
+    # outer(inner(x)) with the inner's denominator a constant, as a spec's
+    # "compose" node spells it: `simplify` gives the one rational pair
+    e = expr_from_json({
+        "kind": "compose",
+        "outer": {"kind": "rational", "num": ["1", "0", "1"],
+                  "den": ["1", "1"]},                   # (1 + x^2)/(1 + x)
+        "inner": {"kind": "rational", "num": ["1", "3"],
+                  "den": ["2"]}})                       # (1 + 3x)/2
+    assert isinstance(e, ComposeExpr)
+    r = simplify(e)
+    assert isinstance(r, RationalExpr)
+    for x in (F(0), F(1, 3), F(-5, 7)):
+        v = (1 + 3 * x) / 2
+        assert r.eval(x) == (1 + v * v) / (1 + v)
 
 
 @pytest.mark.parametrize("c", [0, 3, F(-7, 2), 0.1, -1e-300])

@@ -1,17 +1,13 @@
 """Source hygiene, checked with the standard-library `ast` module: every
 top-level import of a package module is used, every top-level function and
 class is read by the package or exported, every module-level constant is
-read by the package, every error class is raised, every `Config` field is
-read somewhere in the package and set by some caller, every method is
-named outside its own body, every parameter is read, and `eval_array` stays
-the one numeric evaluator of the expression classes."""
+read by the package, every error class is raised, every method is named
+outside its own body, every parameter is read, and `eval_array` stays the
+one numeric evaluator of the expression classes."""
 
 import ast
-import dataclasses
 from collections import Counter
 from pathlib import Path
-
-from smoothparam.config import Config
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "smoothparam"
 TESTS = Path(__file__).resolve().parent
@@ -107,31 +103,6 @@ def test_every_error_class_is_raised():
             elif isinstance(n, ast.Call):
                 made.update(_names(n.func))
     assert [c for c in classes if not made[c]] == []
-
-
-def test_every_config_field_is_read():
-    read = {n.attr for name, tree in _modules().items() if name != "config.py"
-            for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    fields = [f.name for f in dataclasses.fields(Config)]
-    assert [f for f in fields if f not in read] == []
-
-
-def test_every_config_field_is_set_by_some_caller():
-    # a field that only ever holds its default is a constant: it belongs
-    # beside the code that reads it, not in Config.  A keyword whose value
-    # reads the field itself (verify's `grid_points=cfg.grid_points * 4`)
-    # rescales what a caller set, and sets nothing
-    set_by_keyword = set()
-    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(n, ast.Call):
-                callee = ast.unparse(n.func)
-                if callee in ("Config", "replace", "dataclasses.replace"):
-                    set_by_keyword.update(
-                        k.arg for k in n.keywords
-                        if k.arg not in _names(k.value))
-    fields = [f.name for f in dataclasses.fields(Config)]
-    assert [f for f in fields if f not in set_by_keyword] == []
 
 
 def _functions(tree):

@@ -473,6 +473,13 @@ def test_isolate_real_zeros_sqrt_expression():
     assert a <= F(1, 4) <= b
 
 
+def test_isolate_real_zeros_keeps_a_zero_at_the_last_sample():
+    # sqrt(1 - x) on [0, 1] is 0 at its last sample, x = 1, and positive
+    # before it, so no sign change finds that zero: the end check must
+    f = SqrtExpr(RationalExpr(Poly([1, -1])))
+    assert isolate_real_zeros(f, (F(0), F(1))) == [(1.0, 1.0)]
+
+
 @pytest.mark.parametrize("where", ["sample", "midpoint"])
 def test_isolate_real_zeros_raises_on_a_nan_value(where):
     # x - 0.3 on [0, 1]: the root lies between samples 1228 and 1229 of

@@ -140,7 +140,6 @@ CALLS = [
 # terms as the benchmark spells them and in reverse; the two spellings are
 # one polynomial, so each pair of outputs should be byte-identical.
 _PRELUDE = """
-import dataclasses
 import json
 import math
 from fractions import Fraction as F
@@ -149,7 +148,6 @@ from smoothparam.analytic_param import analytic_delta_parametrize
 from smoothparam.bivar import BivarPoly
 from smoothparam.charts import circle_sup, verify_ck_chart
 from smoothparam.ck_param import ck_parametrize_function, ck_parametrize_slab
-from smoothparam.config import DEFAULT
 from smoothparam.funcs import BranchExpr, RationalExpr
 from smoothparam.poly import Poly
 from smoothparam.serialize import (dumps, expr_to_json, parametrization_to_json,
@@ -204,12 +202,10 @@ def hexed(bounds):
 
 g1 = RationalExpr(Poly([0, 0, F(1, 2)]))
 g2 = RationalExpr(Poly([2, 3]), Poly([4, 2]))    # 1/2 + x/(2 + x)
-fine = dataclasses.replace(DEFAULT,
-                           exact_grid_points=4 * DEFAULT.exact_grid_points)
 for k in (2, 3):
     charts = []
     for c in ck_parametrize_slab(g1, g2, k, (0, 1)).charts:
-        built, rep = hexed(c.bounds), verify_ck_chart(c, fine)
+        built, rep = hexed(c.bounds), verify_ck_chart(c, factor=4)
         charts.append({"psi": poly_to_json(c.psi),
                        "f_comp": expr_to_json(c.f_comp),
                        "top": expr_to_json(c.top),
