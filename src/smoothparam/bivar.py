@@ -25,7 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import DegenerateInY
-from .poly import Poly, _fr, _trim, bareiss
+from .poly import Poly, _fr, _imul, _trim, bareiss
 
 _ZERO = Poly([])
 
@@ -141,16 +141,13 @@ class BivarPoly:
             return _from_rows(r * _fr(other) for r in self.rows)
         if self.is_zero() or other.is_zero():
             return _from_rows(())
-        # one integer sum per output row, over m n, and then one Poly
+        # integer sums over one denominator: one Poly (one gcd) per row
         (a, m), (b, n) = _int_rows(self), _int_rows(other)
-        out = [[0] * (self.degx + other.degx + 1)
-               for _ in range(self.degy + other.degy + 1)]
+        out = [[0] * (self.degx + other.degx + 1) for _ in a + b[1:]]
         for j, x in enumerate(a):
             for k, y in enumerate(b, j):
-                row = out[k]
-                for i, c in enumerate(x):
-                    for l, e in enumerate(y, i):
-                        row[l] += c * e
+                for i, c in enumerate(_imul(x, y)):
+                    out[k][i] += c
         return _from_rows(Poly(r, _d=m * n) for r in out)
 
     __rmul__ = __mul__
